@@ -94,12 +94,6 @@ def _pair_table(scenario: Scenario, context, same: Fraction) -> Distribution:
     return Distribution(scenario, context, weights)
 
 
-def _table_from_assignments(scenario: Scenario, context, rows: dict) -> Distribution:
-    """Distribution given weights keyed by measurement-to-outcome dicts."""
-    weights = {scenario.section(assignment): value for assignment, value in rows.items()}
-    return Distribution(scenario, context, weights)
-
-
 # ---------------------------------------------------------------------------
 # Models
 # ---------------------------------------------------------------------------

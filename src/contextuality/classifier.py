@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .distribution import Distribution, marginalize
-from .errors import DEFAULT_ENUMERATION_CAP
-from .feasibility import FarkasCertificate, solve_nonnegative
+from .errors import DEFAULT_ENUMERATION_CAP, InternalConsistencyError
+from .feasibility import solve_nonnegative
 from .model import EmpiricalModel
-from .scenario import Section, restrict, sections_over
+from .scenario import GlobalSectionSystem, Section, global_section_system
 
 
 class Tier(Enum):
@@ -32,15 +32,15 @@ class Tier(Enum):
         return self.value
 
 
+def _positive_rows(model: EmpiricalModel, system: GlobalSectionSystem) -> list[bool]:
+    return [model.table(c).weight(s) > 0 for c, s in system.rows]
+
+
 def consistent_global_sections(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Section, ...]:
     """Global sections whose restriction to every maximal context is in the support."""
-    scenario = model.scenario
-    supports = {c: model.support(c) for c in scenario.maximal_contexts}
-    out = []
-    for s in scenario.global_sections(cap=cap):
-        if all(restrict(s, c) in supports[c] for c in scenario.maximal_contexts):
-            out.append(s)
-    return tuple(out)
+    system = global_section_system(model.scenario, cap)
+    positive = _positive_rows(model, system)
+    return tuple(g for g, rows in zip(system.columns, system.incidence) if all(positive[r] for r in rows))
 
 
 def is_strongly_contextual(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
@@ -54,14 +54,12 @@ def is_logically_contextual(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATIO
     Returns the canonically least such witness section (contexts in scenario
     order, sections in enumeration order), or ``(False, None)``.
     """
-    scenario = model.scenario
-    consistent = consistent_global_sections(model, cap=cap)
-    for context in scenario.maximal_contexts:
-        support = model.support(context)
-        reached = {restrict(g, context) for g in consistent}
-        for s in sections_over(scenario, context, cap=cap):
-            if s in support and s not in reached:
-                return True, s
+    system = global_section_system(model.scenario, cap)
+    positive = _positive_rows(model, system)
+    reached = {r for rows in system.incidence if all(positive[r] for r in rows) for r in rows}
+    for r, (_, s) in enumerate(system.rows):
+        if positive[r] and r not in reached:
+            return True, s
     return False, None
 
 
@@ -80,22 +78,34 @@ class GlobalDistributionCertificate:
     coefficients: tuple[Fraction, ...]
 
     def verify(self, model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
-        scenario = model.scenario
+        system = global_section_system(model.scenario, cap)
         weight_of = dict(zip(self.rows, self.coefficients))
-        if len(weight_of) != len(self.rows):
+        if len(weight_of) != len(self.rows) or weight_of.keys() != set(system.rows):
             return False
-        for g in scenario.global_sections(cap=cap):
-            total = sum(
-                (weight_of[(c, restrict(g, c))] for c in scenario.maximal_contexts),
-                Fraction(0),
-            )
-            if total > 0:
-                return False
-        value = sum(
-            (coef * model.table(c).weight(s) for (c, s), coef in weight_of.items()),
-            Fraction(0),
-        )
-        return value > 0
+        coefficients = [weight_of[label] for label in system.rows]
+        if any(sum(coefficients[r] for r in rows) > 0 for rows in system.incidence):
+            return False
+        return sum(coef * model.table(c).weight(s) for (c, s), coef in zip(system.rows, coefficients)) > 0
+
+
+def _solve_global_system(model: EmpiricalModel, rhs_of: Callable[[tuple, Section], Fraction],
+                         cap: int = DEFAULT_ENUMERATION_CAP):
+    """Solve the global-section system with right-hand side ``rhs_of(c, s)`` on row ``(c, s)``.
+
+    Returns the solution over the columns, or a verified certificate of infeasibility.
+    """
+    system = global_section_system(model.scenario, cap)
+    matrix = [[Fraction(0)] * len(system.columns) for _ in system.rows]
+    for j, rows in enumerate(system.incidence):
+        for r in rows:
+            matrix[r][j] = Fraction(1)
+    outcome = solve_nonnegative(matrix, [rhs_of(c, s) for c, s in system.rows])
+    if outcome.feasible:
+        return outcome.solution
+    certificate = GlobalDistributionCertificate(system.rows, outcome.certificate.coefficients)
+    if not certificate.verify(model, cap=cap):
+        raise InternalConsistencyError("infeasibility certificate failed independent verification")
+    return certificate
 
 
 def global_distribution(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CAP):
@@ -104,30 +114,12 @@ def global_distribution(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CA
     Returns a :class:`Distribution` over the global sections, or a
     :class:`GlobalDistributionCertificate` when none exists.
     """
+    result = _solve_global_system(model, lambda c, s: model.table(c).weight(s), cap)
+    if isinstance(result, GlobalDistributionCertificate):
+        return result
     scenario = model.scenario
-    columns = scenario.global_sections(cap=cap)
-    col_index = {s: j for j, s in enumerate(columns)}
-    row_labels: list[tuple[tuple, Section]] = []
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for context in scenario.maximal_contexts:
-        table = model.table(context)
-        for s in sections_over(scenario, context, cap=cap):
-            row = [Fraction(0)] * len(columns)
-            for g in columns:
-                if restrict(g, context) == s:
-                    row[col_index[g]] = Fraction(1)
-            row_labels.append((context, s))
-            rows.append(row)
-            rhs.append(table.weight(s))
-    outcome = solve_nonnegative(rows, rhs)
-    if outcome.feasible:
-        weights = {s: outcome.solution[j] for j, s in enumerate(columns)}
-        return Distribution(scenario, scenario.measurements, weights, cap=cap)
-    certificate = GlobalDistributionCertificate(tuple(row_labels), outcome.certificate.coefficients)
-    if not certificate.verify(model, cap=cap):
-        raise AssertionError("infeasibility certificate failed independent verification")
-    return certificate
+    weights = dict(zip(global_section_system(scenario, cap).columns, result))
+    return Distribution(scenario, scenario.measurements, weights, cap=cap)
 
 
 @dataclass(frozen=True)
@@ -161,4 +153,4 @@ def verify_global_distribution(model: EmpiricalModel, dist: Distribution) -> Non
     """Assert that a candidate global distribution reproduces every table exactly."""
     for context in model.scenario.maximal_contexts:
         if marginalize(dist, context) != model.table(context):
-            raise AssertionError(f"global distribution does not marginalize to {context!r}")
+            raise InternalConsistencyError(f"global distribution does not marginalize to {context!r}")

@@ -25,7 +25,7 @@ from .errors import (
     ScenarioMismatchError,
 )
 from .feasibility import solve_nonnegative
-from .scenario import Section, restrict, sections_over
+from .scenario import Section, global_section_system
 from .wps import Event, WpsRepresentation
 
 ZERO = Fraction(0)
@@ -96,15 +96,14 @@ def distribution_to_convex_point(rep: WpsRepresentation, global_distribution: Di
     scenario = rep.model.scenario
     if global_distribution.context != scenario.measurements:
         raise ScenarioMismatchError("a distribution over the global sections is required")
-    out: dict[Event, Fraction] = {}
-    for event in rep.maximal_context_events():
-        section = rep.section_of(event)
-        total = ZERO
-        for g, w in global_distribution.weights.items():
-            if restrict(g, section.domain) == section:
-                total += w
-        out[event] = total
-    return out
+    system = global_section_system(scenario)
+    totals = [ZERO] * len(system.rows)
+    for g, rows in zip(system.columns, system.incidence):
+        weight = global_distribution.weight(g)
+        for r in rows:
+            totals[r] += weight
+    # Rows sharing an image share their extending global sections, so their totals agree.
+    return {rep.event(section): total for (_, section), total in zip(system.rows, totals)}
 
 
 # ---------------------------------------------------------------------------

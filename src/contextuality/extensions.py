@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .distribution import random_rational_weights
-from .errors import NotAnExtensionError
+from .errors import InternalConsistencyError, NotAnExtensionError
 from .wps import WpsRepresentation
 
 ZERO = Fraction(0)
@@ -90,7 +90,7 @@ class _MinCoverSolver:
                     target &= ~mask
                     break
             else:
-                raise AssertionError("cover reconstruction lost its optimum")
+                raise InternalConsistencyError("cover reconstruction lost its optimum")
         return chosen
 
     def _solve(self, target: int) -> Fraction:

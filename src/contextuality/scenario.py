@@ -10,9 +10,10 @@ enumeration in the package is deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DEFAULT_ENUMERATION_CAP,
@@ -225,3 +226,33 @@ def all_contexts(scenario: Scenario) -> tuple[tuple, ...]:
             for sub in itertools.combinations(c, r):
                 seen.add(sub)
     return tuple(sorted(seen, key=lambda u: (len(u), tuple(index[m] for m in u))))
+
+
+class GlobalSectionSystem(NamedTuple):
+    """Global sections (the columns) against ``(maximal context, section)`` rows.
+
+    Rows take contexts in scenario order and sections in enumeration order;
+    ``incidence[j][k]`` is the row of column ``j`` in the ``k``-th context.
+    """
+
+    columns: tuple[Section, ...]
+    rows: tuple[tuple[tuple, Section], ...]
+    incidence: tuple[tuple[int, ...], ...]
+
+
+def global_section_system(scenario: Scenario, cap: int = DEFAULT_ENUMERATION_CAP) -> GlobalSectionSystem:
+    """The scenario's global-section system, enumerating at most ``cap`` columns."""
+    count = len(scenario.outcomes) ** len(scenario.measurements)
+    if count > cap:
+        raise EnumerationCapError(count, cap)
+    return _global_section_system(scenario)
+
+
+@lru_cache(maxsize=1)
+def _global_section_system(scenario: Scenario) -> GlobalSectionSystem:
+    # One entry only: at the cap, a system holds 2**20 columns.
+    rows = tuple((c, s) for c in scenario.maximal_contexts for s in sections_over(scenario, c, cap=math.inf))
+    row_of = {label: r for r, label in enumerate(rows)}
+    columns = sections_over(scenario, scenario.measurements, cap=math.inf)
+    incidence = tuple(tuple(row_of[(c, restrict(g, c))] for c in scenario.maximal_contexts) for g in columns)
+    return GlobalSectionSystem(columns, rows, incidence)

@@ -46,9 +46,13 @@ def _fraction_from(value: Any, field: str) -> Fraction:
         raise SchemaError(f"cannot parse rational {value!r}: {exc}", field) from None
 
 
-def _expect(document: Mapping, key: str, field: str | None = None) -> Any:
+def _expect(document: Mapping, key: str, field: str | None = None, kind: type = object) -> Any:
+    if not isinstance(document, Mapping):
+        raise SchemaError(f"expected an object, got {document!r}", field)
     if key not in document:
         raise SchemaError(f"missing field {key!r}", field)
+    if not isinstance(document[key], kind):
+        raise SchemaError(f"field {key!r} must be a {kind.__name__}, got {document[key]!r}", field)
     return document[key]
 
 
@@ -86,9 +90,9 @@ def scenario_from_dict(document: Mapping) -> Scenario:
 
 
 def _scenario_from_fields(document: Mapping, field: str) -> Scenario:
-    measurements = [_check_label(m, field + "measurements") for m in _expect(document, "measurements", field)]
-    outcomes = [_check_label(o, field + "outcomes") for o in _expect(document, "outcomes", field)]
-    contexts = _expect(document, "maximal_contexts", field)
+    measurements = [_check_label(m, field + "measurements") for m in _expect(document, "measurements", field, list)]
+    outcomes = [_check_label(o, field + "outcomes") for o in _expect(document, "outcomes", field, list)]
+    contexts = _expect(document, "maximal_contexts", field, list)
     try:
         return Scenario(measurements, [tuple(c) for c in contexts], outcomes)
     except ValueError as exc:
@@ -123,10 +127,10 @@ def model_from_dict(document: Mapping) -> EmpiricalModel:
     no-signaling condition is the caller's check to run and report."""
     _check_header(document, KIND_MODEL)
     scenario = _scenario_from_fields(_expect(document, "scenario"), field="scenario.")
-    tables_doc = _expect(document, "tables")
+    tables_doc = _expect(document, "tables", kind=dict)
     tables = {}
-    for key, rows in tables_doc.items():
-        field = f"tables.{key}"
+    for key in tables_doc:
+        field, rows = f"tables.{key}", _expect(tables_doc, key, "tables", dict)
         context = tuple(key.split(","))
         try:
             context = scenario.canonical_context(context)
@@ -164,8 +168,10 @@ def _event_to_labels(rep: WpsRepresentation, event) -> list[str]:
 
 
 def _event_from_labels(rep: WpsRepresentation, labels, field: str) -> frozenset:
+    if not isinstance(labels, list):
+        raise SchemaError(f"an event must be a list of sample points, got {labels!r}", field)
     for label in labels:
-        if label not in rep.sample_space:
+        if not isinstance(label, str) or label not in rep.sample_space:
             raise SchemaError(f"unknown sample point {label!r}", field)
     return frozenset(labels)
 
@@ -185,7 +191,7 @@ def certificate_to_dict(rep: WpsRepresentation, certificate: DutchBookCertificat
 def certificate_from_dict(rep: WpsRepresentation, document: Mapping) -> DutchBookCertificate:
     _check_header(document, KIND_CERTIFICATE)
     stakes = []
-    for i, item in enumerate(_expect(document, "stakes")):
+    for i, item in enumerate(_expect(document, "stakes", kind=list)):
         event = _event_from_labels(rep, _expect(item, "event", f"stakes[{i}]"), f"stakes[{i}].event")
         stakes.append((event, _fraction_from(_expect(item, "stake", f"stakes[{i}]"), f"stakes[{i}].stake")))
     bound = _fraction_from(_expect(document, "loss_bound"), "loss_bound")
@@ -220,14 +226,16 @@ def witness_from_dict(rep: WpsRepresentation, document: Mapping) -> ViolationWit
         raise SchemaError(f"unknown violation kind {document.get('violation')!r}", "violation") from None
     collection = tuple(
         _event_from_labels(rep, labels, f"collection[{i}]")
-        for i, labels in enumerate(_expect(document, "collection"))
+        for i, labels in enumerate(_expect(document, "collection", kind=list))
     )
     defect = _fraction_from(_expect(document, "defect"), "defect")
     support = None
     if "support" in document and kind is ViolationKind.MONOTONIC_ADDITIVITY:
         raw = document["support"]
-        context = rep.model.scenario.canonical_context(tuple(raw["context"]))
-        section = rep.model.scenario.section(dict(zip(tuple(raw["context"]), tuple(raw["section"]))))
+        measurements = tuple(_check_label(m, "support.context") for m in _expect(raw, "context", "support", list))
+        values = tuple(_check_label(o, "support.section") for o in _expect(raw, "section", "support", list))
+        context = rep.model.scenario.canonical_context(measurements)
+        section = rep.model.scenario.section(dict(zip(measurements, values)))
         support = MarginalizationFailure(context, section, rep.event(section), raw.get("extension_kind", "unknown"), None)
     return ViolationWitness(kind, collection, defect, support)
 
@@ -252,7 +260,7 @@ def extension_from_dict(rep: WpsRepresentation, document: Mapping) -> tuple[Expl
     if extension_kind not in ("monotonic", "classical"):
         raise SchemaError(f"unknown extension_kind {extension_kind!r}", "extension_kind")
     values = {}
-    for i, item in enumerate(_expect(document, "values")):
+    for i, item in enumerate(_expect(document, "values", kind=list)):
         event = _event_from_labels(rep, _expect(item, "event", f"values[{i}]"), f"values[{i}].event")
         values[event] = _fraction_from(_expect(item, "value", f"values[{i}]"), f"values[{i}].value")
     return ExplicitExtension(rep, values), extension_kind

@@ -27,6 +27,7 @@ from typing import Iterable, Optional, Sequence
 from .classifier import (
     GlobalDistributionCertificate,
     Tier,
+    _solve_global_system,
     global_distribution,
     is_logically_contextual,
     is_strongly_contextual,
@@ -34,6 +35,7 @@ from .classifier import (
 from .distribution import Distribution
 from .errors import (
     DEFAULT_ENUMERATION_CAP,
+    DomainError,
     EnumerationCapError,
     InternalConsistencyError,
     NonCombinatorialError,
@@ -49,7 +51,7 @@ from .extensions import (
     cheapest_cover_of_space,
 )
 from .feasibility import solve_nonnegative
-from .scenario import Section, restrict, sections_over
+from .scenario import Section, global_section_system, sections_over
 from .wps import Event, WpsRepresentation, excise
 
 ZERO = Fraction(0)
@@ -227,14 +229,15 @@ def _null_context_events(rep: WpsRepresentation) -> list[Event]:
 
 def core_parts_of_global_sections(rep: WpsRepresentation, context, section,
                                   core: Optional[Event] = None) -> tuple[Event, ...]:
-    """Core parts of the global-section events extending one context section."""
+    """Core parts of the global-section events extending one maximal-context section."""
     if core is None:
         core = excise(rep).z
-    scenario = rep.model.scenario
-    parts = []
-    for g in scenario.global_sections():
-        if restrict(g, context) == section:
-            parts.append(rep.transfer[g] & core)
+    system = global_section_system(rep.model.scenario)
+    label = (rep.model.scenario.canonical_context(context), section)
+    if label not in system.rows:
+        raise DomainError(f"{section} is not a section over a maximal context")
+    r = system.rows.index(label)
+    parts = (rep.transfer[g] & core for g, rows in zip(system.columns, system.incidence) if r in rows)
     return rep.sorted_events(p for p in parts if p)
 
 
@@ -247,18 +250,16 @@ def marginalization_failure(rep: WpsRepresentation, extension,
     record, the disjoint collection of core parts of the extending global
     sections, and its (non-zero) defect under the extension.
     """
-    scenario = rep.model.scenario
     core = excise(rep).z
-    for context in scenario.maximal_contexts:
-        for section in sections_over(scenario, context):
-            parts = core_parts_of_global_sections(rep, context, section, core=core)
-            value = defect(rep, parts, extension=extension)
-            if value != 0:
-                record = MarginalizationFailure(
-                    context, section, rep.event(section),
-                    getattr(extension, "kind", "unknown"), certificate,
-                )
-                return record, parts, value
+    for context, section in global_section_system(rep.model.scenario).rows:
+        parts = core_parts_of_global_sections(rep, context, section, core=core)
+        value = defect(rep, parts, extension=extension)
+        if value != 0:
+            record = MarginalizationFailure(
+                context, section, rep.event(section),
+                getattr(extension, "kind", "unknown"), certificate,
+            )
+            return record, parts, value
     return None
 
 
@@ -276,13 +277,11 @@ def tier_violation_witness(rep: WpsRepresentation, tier: Tier,
     canonical extension, with the feasibility certificate attached.
     """
     model = rep.model
-    report = excise(rep)
-    base_nulls = list(report.d1 | report.d2)
 
     if tier is Tier.STRONG:
         if not is_strongly_contextual(model, cap=cap):
             raise TierMismatchError("the model is not strongly contextual")
-        collection = rep.sorted_events(base_nulls + _null_context_events(rep))
+        collection = rep.sorted_events(_excision_null_events(rep) + _null_context_events(rep))
         union = frozenset().union(*collection) if collection else frozenset()
         if union != rep.sample_space:
             raise InternalConsistencyError("null collection fails to cover the sample space")
@@ -301,7 +300,7 @@ def tier_violation_witness(rep: WpsRepresentation, tier: Tier,
             for s in sections_over(model.scenario, context, cap=cap)
             if s != witness_section
         ]
-        collection = rep.sorted_events(base_nulls + _null_context_events(rep) + others)
+        collection = rep.sorted_events(_excision_null_events(rep) + _null_context_events(rep) + others)
         value = defect(rep, collection)
         if value <= 0:
             raise InternalConsistencyError(f"subadditivity witness has defect {value}")
@@ -381,27 +380,9 @@ def additivity_violation(rep: WpsRepresentation) -> tuple[bool, Optional[Violati
     marginalization failure of the canonical extension.
     """
     _require_combinatorial(rep)
-    scenario = rep.model.scenario
-    columns = scenario.global_sections()
-    col_index = {s: j for j, s in enumerate(columns)}
-    rows = []
-    rhs = []
-    labels = []
-    for context in scenario.maximal_contexts:
-        for section in sections_over(scenario, context):
-            row = [ZERO] * len(columns)
-            for g in columns:
-                if restrict(g, context) == section:
-                    row[col_index[g]] = Fraction(1)
-            rows.append(row)
-            rhs.append(rep.mu_of(rep.event(section)))
-            labels.append((context, section))
-    outcome = solve_nonnegative(rows, rhs)
-    if outcome.feasible:
+    certificate = _solve_global_system(rep.model, lambda _, section: rep.mu_of(rep.event(section)))
+    if not isinstance(certificate, GlobalDistributionCertificate):
         return False, None
-    certificate = GlobalDistributionCertificate(tuple(labels), outcome.certificate.coefficients)
-    if not certificate.verify(rep.model):
-        raise InternalConsistencyError("additivity certificate failed independent verification")
     extension = canonical_monotone_extension(rep)
     found = marginalization_failure(rep, extension, certificate=certificate)
     if found is None:

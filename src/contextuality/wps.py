@@ -636,13 +636,6 @@ def excise(rep: WpsRepresentation, cap: int = DEFAULT_ENUMERATION_CAP) -> Excisi
     return ExcisionReport(frozenset(d1), frozenset(d2), z)
 
 
-def excised_part(rep: WpsRepresentation, event: Event, report: ExcisionReport | None = None) -> Event:
-    """Intersect an event with the surviving core."""
-    if report is None:
-        report = excise(rep)
-    return frozenset(event) & report.z
-
-
 # ---------------------------------------------------------------------------
 # Dual extension of events
 # ---------------------------------------------------------------------------

@@ -1,0 +1,132 @@
+"""The global-section system: one incidence shared by every global-section solve."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from contextuality import classifier
+from contextuality.catalog import bell_model, catalog, random_deterministic_mixture
+from contextuality.classifier import GlobalDistributionCertificate, global_distribution
+from contextuality.errors import EnumerationCapError
+from contextuality.model import EmpiricalModel
+from contextuality.scenario import Scenario, global_section_system, restrict, sections_over
+from contextuality.violations import additivity_violation
+from contextuality.wps import build_combinatorial_rep
+
+
+def cycle_scenario(n: int) -> Scenario:
+    names = [f"x{i}" for i in range(n)]
+    return Scenario(names, [(names[i], names[(i + 1) % n]) for i in range(n)], ("0", "1"))
+
+
+def mixture_model(scenario: Scenario, seed: int) -> EmpiricalModel:
+    return random_deterministic_mixture(scenario, random.Random(seed))
+
+
+THREE_OUTCOMES = Scenario(("a", "b", "c"), (("a", "b"), ("b", "c")), ("0", "1", "2"))
+
+MODELS = (
+    [(entry.name, entry.model) for entry in catalog()]
+    + [(f"cycle-{n}", mixture_model(cycle_scenario(n), n)) for n in range(3, 7)]
+    + [("three-outcome", mixture_model(THREE_OUTCOMES, 0))]
+)
+
+
+def oracle_system(model: EmpiricalModel, rhs_of):
+    """The dense system built directly by restricting every global section to every row."""
+    scenario = model.scenario
+    columns = scenario.global_sections()
+    labels, matrix, rhs = [], [], []
+    for context in scenario.maximal_contexts:
+        for s in sections_over(scenario, context):
+            labels.append((context, s))
+            matrix.append([Fraction(1) if restrict(g, context) == s else Fraction(0) for g in columns])
+            rhs.append(rhs_of(context, s))
+    return columns, tuple(labels), matrix, rhs
+
+
+def recorded_solves(monkeypatch) -> list:
+    seen = []
+    solve = classifier.solve_nonnegative
+
+    def recording(rows, rhs):
+        seen.append((rows, rhs))
+        return solve(rows, rhs)
+    monkeypatch.setattr(classifier, "solve_nonnegative", recording)
+    return seen
+
+
+@pytest.mark.parametrize("name, model", MODELS, ids=[name for name, _ in MODELS])
+class TestAgainstRestrictionOracle:
+    def test_columns_and_rows_follow_enumeration_order(self, name, model):
+        columns, labels, _, _ = oracle_system(model, lambda c, s: 0)
+        system = global_section_system(model.scenario)
+        assert system.columns == columns
+        assert system.rows == labels
+
+    def test_solver_receives_the_oracle_matrix(self, name, model, monkeypatch):
+        seen = recorded_solves(monkeypatch)
+        global_distribution(model)
+        _, _, matrix, rhs = oracle_system(model, lambda c, s: model.table(c).weight(s))
+        assert seen == [(matrix, rhs)]
+
+    def test_every_column_meets_one_row_per_context(self, name, model):
+        scenario = model.scenario
+        system = global_section_system(scenario)
+        assert len(system.incidence) == len(system.columns)
+        for rows in system.incidence:
+            assert [system.rows[r][0] for r in rows] == list(scenario.maximal_contexts)
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in catalog()])
+def test_additivity_solve_receives_the_oracle_matrix(name, catalog_reps, monkeypatch):
+    rep = catalog_reps[name]
+    seen = recorded_solves(monkeypatch)
+    additivity_violation(rep)
+    _, _, matrix, rhs = oracle_system(rep.model, lambda c, s: rep.mu_of(rep.event(s)))
+    assert seen == [(matrix, rhs)]
+
+
+def test_system_is_immutable_and_cached():
+    scenario = cycle_scenario(4)
+    system = global_section_system(scenario)
+    assert all(isinstance(part, tuple) for part in system)
+    assert all(isinstance(rows, tuple) for rows in system.incidence)
+    assert global_section_system(cycle_scenario(4)) is system
+
+
+def test_cap_is_checked_on_every_call():
+    scenario = cycle_scenario(4)
+    global_section_system(scenario)
+    with pytest.raises(EnumerationCapError):
+        global_section_system(scenario, cap=15)
+
+
+class TestCertificateTampering:
+    @pytest.fixture
+    def certificate(self) -> GlobalDistributionCertificate:
+        certificate = global_distribution(bell_model())
+        assert isinstance(certificate, GlobalDistributionCertificate)
+        assert certificate.verify(bell_model())
+        return certificate
+
+    def test_dropped_row_fails(self, certificate):
+        tampered = GlobalDistributionCertificate(certificate.rows[1:], certificate.coefficients[1:])
+        assert tampered.verify(bell_model()) is False
+
+    def test_duplicated_row_fails(self, certificate):
+        tampered = GlobalDistributionCertificate(
+            certificate.rows + certificate.rows[:1], certificate.coefficients + certificate.coefficients[:1])
+        assert tampered.verify(bell_model()) is False
+
+    def test_each_flipped_coefficient_fails(self, certificate):
+        flippable = [i for i, coef in enumerate(certificate.coefficients) if coef != 0]
+        assert flippable
+        for i in flippable:
+            coefficients = list(certificate.coefficients)
+            coefficients[i] = -coefficients[i]
+            tampered = GlobalDistributionCertificate(certificate.rows, tuple(coefficients))
+            assert tampered.verify(bell_model()) is False

@@ -208,6 +208,18 @@ class TestCli:
         path.write_text(dumps(document))
         assert main(["verify", "pr-box", "--file", str(path)]) == 2
 
+    @pytest.mark.parametrize("document", [
+        {"kind": "dutch-book-certificate", "stakes": 5, "loss_bound": "1"},
+        {"kind": "dutch-book-certificate", "stakes": [5], "loss_bound": "1"},
+        {"kind": "violation-witness", "violation": "MonotonicAdditivity", "collection": [],
+         "defect": "1", "support": {}},
+    ], ids=["stakes-not-a-list", "stake-not-an-object", "support-without-context"])
+    def test_verify_malformed_document_exits_2(self, document, tmp_path, capsys):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({"schema_version": 1, **document}))
+        assert main(["verify", "bell", "--file", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_export_nerve_to_file(self, tmp_path):
         out = tmp_path / "nerve.txt"
         assert main(["export", "hardy", "--kind", "nerve", "--out", str(out)]) == 0
