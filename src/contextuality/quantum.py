@@ -22,6 +22,7 @@ from .errors import (
     DEFAULT_ENUMERATION_CAP,
     CompatibilityError,
     EnumerationCapError,
+    SchemaError,
     SnapError,
 )
 from .model import EmpiricalModel, check_model
@@ -267,12 +268,7 @@ def is_weak_hv_representation(rep: WpsRepresentation, experiment: QuantumExperim
 # Experiment documents
 # ---------------------------------------------------------------------------
 
-EXPERIMENT_KIND = "quantum-experiment"
-
-
 def _complex_entry(value, field: str) -> complex:
-    from .errors import SchemaError
-
     try:
         if isinstance(value, (list, tuple)):
             if len(value) != 2:
@@ -290,27 +286,27 @@ def _complex_entry(value, field: str) -> complex:
 
 def experiment_from_dict(document) -> QuantumExperiment:
     """Parse a quantum-experiment document (state vector plus labeled projectors)."""
-    from .errors import SchemaError
+    # Imported here so that ``import contextuality`` does not load the JSON layer.
+    from .serialize import KIND_EXPERIMENT, _check_header, _expect
 
-    if document.get("schema_version") != 1:
-        raise SchemaError(f"unsupported schema_version {document.get('schema_version')!r}")
-    if document.get("kind") != EXPERIMENT_KIND:
-        raise SchemaError(f"expected kind {EXPERIMENT_KIND!r}, found {document.get('kind')!r}")
-    if "state" not in document or "projectors" not in document:
-        raise SchemaError("experiment documents need 'state' and 'projectors'")
-    state = [_complex_entry(v, f"state[{i}]") for i, v in enumerate(document["state"])]
+    _check_header(document, KIND_EXPERIMENT)
+    state = [_complex_entry(v, f"state[{i}]") for i, v in enumerate(_expect(document, "state", kind=list))]
     projectors = []
-    for i, item in enumerate(document["projectors"]):
-        label = item.get("label")
-        matrix = item.get("matrix")
-        if label is None or matrix is None:
-            raise SchemaError("each projector needs 'label' and 'matrix'", f"projectors[{i}]")
+    for i, item in enumerate(_expect(document, "projectors", kind=list)):
+        field = f"projectors[{i}]"
+        label = _expect(item, "label", field, str)
+        matrix = _expect(item, "matrix", field, list)
+        if not all(isinstance(row, list) and len(row) == len(matrix) for row in matrix):
+            raise SchemaError("a matrix must be a square list of rows", f"{field}.matrix")
         rows = [
-            [_complex_entry(v, f"projectors[{i}].matrix[{r}][{c}]") for c, v in enumerate(row)]
+            [_complex_entry(v, f"{field}.matrix[{r}][{c}]") for c, v in enumerate(row)]
             for r, row in enumerate(matrix)
         ]
-        projectors.append((str(label), np.asarray(rows, dtype=np.complex128)))
-    tolerance = float(document.get("tolerance", DEFAULT_SNAP_TOLERANCE))
+        projectors.append((label, np.asarray(rows, dtype=np.complex128)))
+    try:
+        tolerance = float(document.get("tolerance", DEFAULT_SNAP_TOLERANCE))
+    except (TypeError, ValueError):
+        raise SchemaError(f"tolerance must be a number, got {document['tolerance']!r}", "tolerance") from None
     try:
         return QuantumExperiment(state, projectors, tolerance)
     except ValueError as exc:
@@ -318,12 +314,14 @@ def experiment_from_dict(document) -> QuantumExperiment:
 
 
 def experiment_to_dict(experiment: QuantumExperiment) -> dict:
+    from .serialize import KIND_EXPERIMENT, SCHEMA_VERSION
+
     def pair(z: complex) -> list[str]:
         return [repr(float(z.real)), repr(float(z.imag))]
 
     return {
-        "schema_version": 1,
-        "kind": EXPERIMENT_KIND,
+        "schema_version": SCHEMA_VERSION,
+        "kind": KIND_EXPERIMENT,
         "state": [pair(z) for z in experiment.state],
         "projectors": [
             {"label": label, "matrix": [[pair(z) for z in row] for row in matrix.tolist()]}

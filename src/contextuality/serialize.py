@@ -92,9 +92,14 @@ def scenario_from_dict(document: Mapping) -> Scenario:
 def _scenario_from_fields(document: Mapping, field: str) -> Scenario:
     measurements = [_check_label(m, field + "measurements") for m in _expect(document, "measurements", field, list)]
     outcomes = [_check_label(o, field + "outcomes") for o in _expect(document, "outcomes", field, list)]
-    contexts = _expect(document, "maximal_contexts", field, list)
+    contexts = []
+    for i, context in enumerate(_expect(document, "maximal_contexts", field, list)):
+        where = f"{field}maximal_contexts[{i}]"
+        if not isinstance(context, list):
+            raise SchemaError(f"a maximal context must be a list of measurements, got {context!r}", where)
+        contexts.append(tuple(_check_label(m, where) for m in context))
     try:
-        return Scenario(measurements, [tuple(c) for c in contexts], outcomes)
+        return Scenario(measurements, contexts, outcomes)
     except ValueError as exc:
         raise SchemaError(str(exc), field + "maximal_contexts") from None
 

@@ -385,7 +385,22 @@ class RepVerdict:
 
 
 def verify_rep(rep: WpsRepresentation, cap: int = DEFAULT_ENUMERATION_CAP) -> RepVerdict:
-    """Check every defining condition of a representation, exactly.
+    """Check each defining condition of a representation once, exactly.
+
+    The conditions, named as a failure names them: ``transfer-totality``
+    (every section has an image), ``empty-section-image`` (the empty section
+    maps to the sample space Y), ``transfer-injectivity``, ``nonempty-image``,
+    ``sheaf-intersection`` (an image is Y intersected with its
+    single-measurement images), ``wc-closure`` (each context family is a
+    Boolean algebra on Y), ``wc-measure`` (an exact probability measure on
+    it), ``ec`` (each image carries its table value), ``me`` (distinct
+    sections of one context overlap in a null event), ``model-compatibility``
+    (the tables agree on overlaps) and ``flag-accuracy``.
+
+    Implied conditions are not checked again.  The sheaf condition and
+    T(empty) = Y give T(s) <= T(s|U) for every restriction.  Under ``ec`` the
+    dual marginalization and compatibility sums are marginals of the model's
+    own tables, so they hold exactly when the tables agree on overlaps.
 
     The verdict lists each failed condition with a concrete counterexample.
     Out-of-range set-function values are reported as warnings, not failures.
@@ -431,26 +446,9 @@ def verify_rep(rep: WpsRepresentation, cap: int = DEFAULT_ENUMERATION_CAP) -> Re
         image = rep.transfer[s]
         if not image:
             fail("nonempty-image", f"{s} has an empty image")
-        expected = full
-        ok_chain = True
-        for x, o in zip(s.domain, s.values):
-            piece = rep.transfer.get(restrict(s, (x,)))
-            if piece is None:
-                ok_chain = False
-                break
-            expected = expected & piece
-        if ok_chain and image != expected:
+        pieces = [rep.transfer.get(Section((x,), (o,), scenario)) for x, o in zip(s.domain, s.values)]
+        if None not in pieces and image != full.intersection(*pieces):
             fail("sheaf-intersection", f"{s}: image differs from the intersection of its single-measurement images")
-
-    for s in stored:
-        if len(s.domain) < 2:
-            continue
-        for r in range(len(s.domain)):
-            for sub in itertools.combinations(s.domain, r):
-                smaller = restrict(s, sub)
-                if smaller in rep.transfer and not rep.transfer[s] <= rep.transfer[smaller]:
-                    fail("restriction-duality", f"{s} image not contained in {smaller} image")
-                    break
 
     # per-context algebras: closure, exact probability measure, EC, ME
     for context in all_contexts(scenario):
@@ -458,27 +456,19 @@ def verify_rep(rep: WpsRepresentation, cap: int = DEFAULT_ENUMERATION_CAP) -> Re
             fail("wc-closure", f"no algebra stored for context {context!r}")
             continue
         members = set(rep.sigma_algebras[context])
-        if full not in members or frozenset() not in members:
-            fail("wc-closure", f"algebra over {context!r} misses the empty or full set")
-        closure_ok = True
-        for a in members:
-            if full - a not in members:
-                fail("wc-closure", f"algebra over {context!r} misses a complement")
-                closure_ok = False
-                break
-        if closure_ok:
-            member_list = sorted(members, key=rep.event_key)
-            for i, a in enumerate(member_list):
-                for b in member_list[i + 1:]:
-                    if a & b not in members:
-                        fail("wc-closure", f"algebra over {context!r} misses an intersection")
-                        closure_ok = False
-                        break
-                if not closure_ok:
-                    break
+        # A family of subsets of Y is a Boolean algebra exactly when it holds
+        # every union of its membership classes, i.e. 2^(class count) members.
+        atoms = _atoms_of_family(rep.points, members)
+        closure_ok = False
+        if not all(a <= full for a in members):
+            fail("wc-closure", f"a member of the algebra over {context!r} leaves the sample space")
+        elif len(members) != 2 ** len(atoms):
+            fail("wc-closure", f"algebra over {context!r} has {len(members)} members, "
+                               f"not 2^{len(atoms)} for its {len(atoms)} atoms")
+        else:
+            closure_ok = True
 
-        missing_value = [a for a in members if a not in rep.mu]
-        if missing_value:
+        if any(a not in rep.mu for a in members):
             fail("wc-measure", f"no value stored for a member of the algebra over {context!r}")
             continue
         if rep.mu.get(full) != 1:
@@ -486,14 +476,8 @@ def verify_rep(rep: WpsRepresentation, cap: int = DEFAULT_ENUMERATION_CAP) -> Re
         if rep.mu.get(frozenset()) != 0:
             fail("wc-measure", "empty set has non-zero value")
         if closure_ok:
-            atoms = _atoms_of_family(rep.points, members)
             for member in members:
-                parts = [a for a in atoms if a <= member]
-                covered = frozenset().union(*parts) if parts else frozenset()
-                if covered != member:
-                    fail("wc-measure", f"a member over {context!r} is not a union of the algebra's atoms")
-                    break
-                total = sum((rep.mu.get(a, Fraction(0)) for a in parts), Fraction(0))
+                total = sum((rep.mu[a] for a in atoms if a <= member), Fraction(0))
                 if total != rep.mu[member]:
                     fail("wc-measure",
                          f"additivity fails over {context!r}: member valued {rep.mu[member]}, atoms sum to {total}")
@@ -527,49 +511,15 @@ def verify_rep(rep: WpsRepresentation, cap: int = DEFAULT_ENUMERATION_CAP) -> Re
                 elif rep.mu[inter] != 0:
                     fail("me", f"overlap of {s} and {t} has value {rep.mu[inter]}")
 
-    # duals of marginalization and compatibility
-    for holder in scenario.maximal_contexts:
-        subsets = [tuple(c) for r in range(len(holder) + 1) for c in itertools.combinations(holder, r)]
-        for big in subsets:
-            for small in subsets:
-                if not set(small) <= set(big) or small == big:
-                    continue
-                for s in sections_over(scenario, small, cap=cap):
-                    target = rep.transfer.get(s)
-                    if target is None or target not in rep.mu:
-                        continue
-                    total = Fraction(0)
-                    complete = True
-                    for r in sections_over(scenario, big, cap=cap):
-                        if restrict(r, small) == s:
-                            image = rep.transfer.get(r)
-                            if image is None or image not in rep.mu:
-                                complete = False
-                                break
-                            total += rep.mu[image]
-                    if complete and total != rep.mu[target]:
-                        fail("dual-marginalization",
-                             f"extension values over {big!r} sum to {total} at {s}, stored {rep.mu[target]}")
+    report = check_model(rep.model)
+    if not report.ok:
+        fail("model-compatibility", str(report.failures[0]))
 
-    for i, c1 in enumerate(scenario.maximal_contexts):
-        for c2 in scenario.maximal_contexts[i + 1:]:
-            overlap = tuple(m for m in c1 if m in c2)
-            for s in sections_over(scenario, overlap, cap=cap):
-                sums = []
-                for big in (c1, c2):
-                    total = Fraction(0)
-                    for r in sections_over(scenario, big, cap=cap):
-                        if restrict(r, overlap) == s and rep.transfer.get(r) in rep.mu:
-                            total += rep.mu[rep.transfer[r]]
-                    sums.append(total)
-                if sums[0] != sums[1]:
-                    fail("dual-compatibility",
-                         f"contexts {c1!r} and {c2!r} disagree at {s}: {sums[0]} vs {sums[1]}")
-
-    # combinatorial flags
-    actual = _is_combinatorial(rep.points, scenario, rep.transfer, cap)
-    if rep.combinatorial != actual:
-        fail("flag-accuracy", f"combinatorial flag is {rep.combinatorial}, computed {actual}")
+    # the combinatorial flag, decidable only once every image is stored
+    if len(stored) == len(all_sections):
+        actual = _is_combinatorial(rep.points, scenario, rep.transfer, cap)
+        if rep.combinatorial != actual:
+            fail("flag-accuracy", f"combinatorial flag is {rep.combinatorial}, computed {actual}")
 
     for event, value in rep.mu.items():
         if value < 0 or value > 1:

@@ -316,7 +316,7 @@ def test_08_quantum_ingestion():
 def test_09_property_suites(catalog_reps, padded_catalog_reps):
     ok = True
     for rep in list(catalog_reps.values()) + list(padded_catalog_reps.values()):
-        ok = ok and verify_rep(rep).ok  # intersection form, duals, compatibility
+        ok = ok and verify_rep(rep).ok  # sheaf intersection, algebras, EC, ME, compatibility
     for name, rep in padded_catalog_reps.items():
         report = excise(rep)  # asserts the pointwise core facts
         ok = ok and "pad-overlap" not in report.z and "pad-outcomeless" not in report.z

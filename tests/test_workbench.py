@@ -220,6 +220,30 @@ class TestCli:
         assert main(["verify", "bell", "--file", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("base, path, value", [
+        ("bell", ("scenario", "maximal_contexts"), [5]),
+        ("specker-triangle", ("scenario", "maximal_contexts"), ["ab", "ac", "bc"]),
+        ("singlet", ("state",), 5),
+        ("singlet", ("projectors",), [5]),
+        ("singlet", ("projectors", 0, "matrix"), 5),
+        ("singlet", ("projectors", 0, "matrix", 1), [["0", "0"]]),
+        ("singlet", ("tolerance",), "x"),
+    ], ids=["context-not-a-list", "context-as-string", "state-not-a-list", "projector-not-an-object",
+            "matrix-not-a-list", "ragged-matrix", "tolerance-not-a-number"])
+    def test_classify_malformed_document_exits_2(self, base, path, value, tmp_path, capsys):
+        if base == "singlet":
+            document = experiment_to_dict(singlet_experiment())
+        else:
+            document = model_to_dict(entry(base).model)
+        target = document
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        file = tmp_path / "malformed.json"
+        file.write_text(json.dumps(document))
+        assert main(["classify", str(file)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_export_nerve_to_file(self, tmp_path):
         out = tmp_path / "nerve.txt"
         assert main(["export", "hardy", "--kind", "nerve", "--out", str(out)]) == 0

@@ -11,7 +11,9 @@ from contextuality.catalog import (
     pr_box_model,
     specker_triangle_model,
 )
+from contextuality.distribution import Distribution
 from contextuality.errors import DomainError, NotAnEventError, PaddingError
+from contextuality.model import EmpiricalModel
 from contextuality.scenario import sections_over
 from contextuality.wps import (
     PadPoint,
@@ -118,7 +120,111 @@ class TestPaddedConstruction:
             build_padded_rep(bell_model(), [PadPoint(taken, {"a": ("0", "1")})])
 
 
+def _with(rep, **changes):
+    """A copy of a representation with some of its parts replaced."""
+    parts = dict(model=rep.model, points=rep.points, transfer=rep.transfer,
+                 sigma_algebras=rep.sigma_algebras, mu=rep.mu, combinatorial=rep.combinatorial)
+    parts.update(changes)
+    return WpsRepresentation(**parts)
+
+
+A0B0 = {"a": "0", "b": "0"}
+A0B1 = {"a": "0", "b": "1"}
+
+
+def _section(rep, assignment):
+    return rep.model.scenario.section(assignment)
+
+
+def _set_image(rep, assignment, image):
+    transfer = dict(rep.transfer)
+    transfer[_section(rep, assignment)] = frozenset(image)
+    return _with(rep, transfer=transfer)
+
+
+def _drop_image(rep):
+    transfer = dict(rep.transfer)
+    del transfer[_section(rep, A0B0)]
+    return _with(rep, transfer=transfer)
+
+
+def _shrink_empty_image(rep):
+    return _set_image(rep, {}, rep.sample_space - {rep.points[0]})
+
+
+def _alias_images(rep):
+    return _set_image(rep, A0B0, rep.event(_section(rep, A0B1)))
+
+
+def _empty_image(rep):
+    return _set_image(rep, A0B0, ())
+
+
+def _widen_image(rep):
+    stray = rep.sorted_points(rep.event(_section(rep, A0B1)))[0]
+    return _set_image(rep, A0B0, rep.event(_section(rep, A0B0)) | {stray})
+
+
+def _image_as_its_restriction(rep):
+    # T(s) outside T(s|U): restriction duality fails, and the sheaf check catches it.
+    return _set_image(rep, A0B0, rep.event(_section(rep, {"a": "0"})))
+
+
+def _member_outside_sample_space(rep):
+    context = ("a", "b")
+    target = rep.event(_section(rep, A0B0))
+    grown = target | {"foreign"}
+    algebras = dict(rep.sigma_algebras)
+    algebras[context] = tuple(grown if e == target else e for e in algebras[context])
+    return _with(rep, sigma_algebras=algebras, mu={**rep.mu, grown: rep.mu[target]})
+
+
+def _whole_space_valued_two(rep):
+    return _with(rep, mu={**rep.mu, rep.sample_space: Fraction(2)})
+
+
+def _value_pad_overlap(rep):
+    overlap = rep.event(_section(rep, {"a": "0"})) & rep.event(_section(rep, {"a": "1"}))
+    assert overlap == {"pad-overlap"}
+    return _with(rep, mu={**rep.mu, overlap: Fraction(1, 8)})
+
+
+def _signalling_model(rep):
+    # Moving 1/8 from (0, 0) to (0, 1) keeps the a-marginal and shifts the b-marginal.
+    scenario = rep.model.scenario
+    context = ("a", "b")
+    weights = dict(rep.model.table(context).weights)
+    weights[_section(rep, A0B0)] -= Fraction(1, 8)
+    weights[_section(rep, A0B1)] += Fraction(1, 8)
+    tables = rep.model.tables
+    tables[context] = Distribution(scenario, context, weights)
+    return _with(rep, model=EmpiricalModel(scenario, tables))
+
+
 class TestVerifyRepFailures:
+    @pytest.mark.parametrize("condition, padded, tamper", [
+        ("transfer-totality", False, _drop_image),
+        ("empty-section-image", False, _shrink_empty_image),
+        ("transfer-injectivity", False, _alias_images),
+        ("nonempty-image", False, _empty_image),
+        ("sheaf-intersection", False, _widen_image),
+        ("sheaf-intersection", False, _image_as_its_restriction),
+        ("wc-closure", False, _member_outside_sample_space),
+        ("wc-measure", False, _whole_space_valued_two),
+        ("me", True, _value_pad_overlap),
+        ("model-compatibility", False, _signalling_model),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_tamper_trips_condition(self, condition, padded, tamper, bell_rep, padded_catalog_reps):
+        rep = padded_catalog_reps["bell"] if padded else bell_rep
+        assert verify_rep(rep).ok
+        verdict = verify_rep(tamper(rep))
+        assert not verdict.ok
+        assert condition in {f.condition for f in verdict.failures}
+
+    def test_whole_space_valued_two_warns_out_of_range(self, bell_rep):
+        verdict = verify_rep(_whole_space_valued_two(bell_rep))
+        assert any(w.condition == "mu-range" for w in verdict.warnings)
+
     def test_perturbed_value_reports_empirical_consistency(self, bell_rep):
         scenario = bell_rep.model.scenario
         target = bell_rep.event(scenario.section({"a": "0", "b": "0"}))
