@@ -95,10 +95,10 @@ def _solve_global_system(model: EmpiricalModel, rhs_of: Callable[[tuple, Section
     Returns the solution over the columns, or a verified certificate of infeasibility.
     """
     system = global_section_system(model.scenario, cap)
-    matrix = [[Fraction(0)] * len(system.columns) for _ in system.rows]
+    matrix = [[0] * len(system.columns) for _ in system.rows]
     for j, rows in enumerate(system.incidence):
         for r in rows:
-            matrix[r][j] = Fraction(1)
+            matrix[r][j] = 1
     outcome = solve_nonnegative(matrix, [rhs_of(c, s) for c, s in system.rows])
     if outcome.feasible:
         return outcome.solution

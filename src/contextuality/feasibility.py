@@ -1,8 +1,8 @@
 """Exact rational feasibility for systems  A x = b,  x >= 0.
 
-Everything here is :class:`fractions.Fraction` arithmetic; there is no
-tolerance anywhere.  The solver either returns a non-negative rational
-solution or a Farkas certificate of infeasibility:
+Everything here is exact integer or :class:`fractions.Fraction` arithmetic;
+there is no tolerance anywhere.  The solver either returns a non-negative
+rational solution or a Farkas certificate of infeasibility:
 
     a vector y with  yᵀA <= 0  componentwise and  yᵀb > 0.
 
@@ -10,23 +10,38 @@ Evaluating the certificate against the system is a finite exact computation,
 so every infeasibility verdict can be re-checked independently of the
 pivoting path that produced it.
 
-Method: forward Gaussian elimination with combination tracking (this catches
-rank-deficient inconsistencies and yields certificates directly), followed
-by a phase-1 simplex with Bland's least-index rule on the reduced system.
-Bland's rule guarantees termination; all orderings are fixed, so the output
-is deterministic.
+Method: each row is scaled once by the lcm of its denominators, with its
+sign flipped so that its right-hand side is non-negative; from there on
+every number is an integer.  A fraction-free forward elimination keeps a
+maximal independent subset of the original rows, and a dependent row whose
+residual right-hand side is non-zero yields a certificate directly.  A
+phase-1 simplex then runs on one integer tableau of the independent rows
+(structural columns, one artificial column per row, the right-hand side,
+and the phase-1 objective as its last row).  Edmonds' common-denominator
+pivot  (x·p − f·r) / d  keeps every entry an integer (Bareiss, Math. Comp.
+22, 1968).  The entering column has the largest reduced cost; after a run
+of degenerate pivots the solver prices by Bland's least-index rule until a
+pivot makes progress.  A pivot that makes progress lowers the phase-1
+objective, and Bland's rule cannot cycle, so every degenerate run ends and
+the simplex terminates.  The Farkas ray or the primal vector is read
+exactly from the final basis; all orderings are fixed, so the output is
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InternalConsistencyError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+
+# Consecutive degenerate pivots priced by the largest reduced cost before
+# pricing falls back to Bland's least-index rule.
+_STALL = 10
 
 
 @dataclass(frozen=True)
@@ -37,14 +52,21 @@ class FarkasCertificate:
 
     def verify(self, rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> bool:
         """Exactly evaluate  yᵀA <= 0  and  yᵀb > 0  against a system."""
-        y = self.coefficients
-        if len(y) != len(rows):
+        if len(self.coefficients) != len(rows):
             return False
-        ncols = len(rows[0]) if rows else 0
-        for j in range(ncols):
-            if sum((y[i] * rows[i][j] for i in range(len(rows))), ZERO) > 0:
-                return False
-        return sum((y[i] * rhs[i] for i in range(len(rows))), ZERO) > 0
+        # y scaled by the positive lcm of its denominators: the same signs, in integers.
+        y = [Fraction(v) for v in self.coefficients]
+        scale = lcm(*(v.denominator for v in y))
+        y = [v.numerator * (scale // v.denominator) for v in y]
+        totals = [0] * (len(rows[0]) if rows else 0)
+        for yi, row in zip(y, rows):
+            if yi:
+                for j, v in enumerate(row):
+                    if v:
+                        totals[j] += yi * v
+        if any(t > 0 for t in totals):
+            return False
+        return sum(yi * v for yi, v in zip(y, rhs) if yi) > 0
 
 
 @dataclass(frozen=True)
@@ -54,19 +76,10 @@ class FeasibilityOutcome:
     certificate: FarkasCertificate | None
 
 
-def _combine(target: dict[int, Fraction], source: dict[int, Fraction], factor: Fraction) -> None:
-    for k, v in source.items():
-        new = target.get(k, ZERO) - factor * v
-        if new == 0:
-            target.pop(k, None)
-        else:
-            target[k] = new
-
-
 def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> FeasibilityOutcome:
     """Find x >= 0 with A x = b, or a Farkas certificate that none exists."""
-    a = [[Fraction(v) for v in row] for row in rows]
-    b = [Fraction(v) for v in rhs]
+    a = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in rows]
+    b = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in rhs]
     if len(a) != len(b):
         raise ValueError("one right-hand side per row required")
     m = len(a)
@@ -75,126 +88,125 @@ def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> FeasibilityOut
         if len(row) != n:
             raise ValueError("ragged coefficient matrix")
 
-    # -- presolve: forward elimination with combination tracking ------------
-    pivots: list[tuple[list[Fraction], Fraction, dict[int, Fraction], int]] = []
-    for i in range(m):
-        cur = list(a[i])
-        cur_rhs = b[i]
-        combo: dict[int, Fraction] = {i: ONE}
-        for prow, prhs, pcombo, pcol in pivots:
-            f = cur[pcol]
+    # -- integer rows [A_i | b_i] scaled so that b_i >= 0 --------------------
+    scale = []
+    system = []
+    for row, value in zip(a, b):
+        s = lcm(value.denominator, *(v.denominator for v in row))
+        if value < 0:
+            s = -s
+        scale.append(s)
+        system.append([v.numerator * (s // v.denominator) for v in row]
+                      + [value.numerator * (s // value.denominator)])
+
+    # -- presolve: a maximal independent subset of the original rows ---------
+    # Each reduced row carries its combination of original rows after its
+    # right-hand side, so a dependent row's residual is a certificate.
+    echelon: list[tuple[int, list[int]]] = []
+    independent: list[int] = []
+    for i, row in enumerate(system):
+        cur = row + [0] * m
+        cur[n + 1 + i] = 1
+        for lead, prow in echelon:
+            f = cur[lead]
             if f:
-                for j in range(n):
-                    if prow[j]:
-                        cur[j] -= f * prow[j]
-                cur_rhs -= f * prhs
-                _combine(combo, pcombo, f)
-        lead = next((j for j in range(n) if cur[j] != 0), None)
+                p = prow[lead]
+                cur = [x * p - f * y for x, y in zip(cur, prow)]
+                g = gcd(*cur)
+                cur = [x // g for x in cur]
+        lead = next((j for j in range(n) if cur[j]), None)
         if lead is None:
-            if cur_rhs != 0:
-                return FeasibilityOutcome(False, None, _certificate(combo, cur_rhs, a, b, m))
+            if cur[n]:
+                return FeasibilityOutcome(False, None, _certificate(cur[n + 1:], cur[n], scale, a, b))
             continue
-        inv = ONE / cur[lead]
-        cur = [v * inv for v in cur]
-        cur_rhs *= inv
-        combo = {k: v * inv for k, v in combo.items()}
-        pivots.append((cur, cur_rhs, combo, lead))
+        echelon.append((lead, cur))
+        independent.append(i)
 
-    if not pivots:
-        solution = tuple(ZERO for _ in range(n))
-        return FeasibilityOutcome(True, solution, None)
+    k = len(independent)
+    if not k:
+        return FeasibilityOutcome(True, tuple(ZERO for _ in range(n)), None)
 
-    # -- phase-1 simplex on the reduced system ------------------------------
-    k = len(pivots)
-    tableau: list[list[Fraction]] = []
-    combos: list[dict[int, Fraction]] = []
-    for prow, prhs, pcombo, _ in pivots:
-        if prhs < 0:
-            prow = [-v for v in prow]
-            prhs = -prhs
-            pcombo = {key: -v for key, v in pcombo.items()}
-        # columns: n structural, k artificial, then rhs
-        row = list(prow) + [ZERO] * k + [prhs]
+    # -- phase-1 simplex on one integer tableau -------------------------------
+    # Columns: n structural, k artificial, then the right-hand side.  Row k is
+    # the phase-1 objective: d times the reduced costs yᵀA_j - c_j, whose
+    # right-hand side is d times the sum of the artificials.
+    tableau = []
+    for r, i in enumerate(independent):
+        row = system[i][:n] + [0] * (k + 1)
+        row[n + r] = 1
+        row[-1] = system[i][n]
         tableau.append(row)
-        combos.append(pcombo)
-    for i in range(k):
-        tableau[i][n + i] = ONE
-    basis = [n + i for i in range(k)]
-    rhs_col = n + k
-
-    def artificial_rows() -> list[int]:
-        return [i for i in range(k) if basis[i] >= n]
-
-    while True:
-        art = artificial_rows()
-        if not art:
+    objective = [sum(column) for column in zip(*tableau)]
+    objective[n:n + k] = [0] * k
+    tableau.append(objective)
+    basis = list(range(n, n + k))
+    d = 1
+    degenerate = 0
+    while tableau[k][-1]:
+        costs = tableau[k]
+        if degenerate < _STALL:
+            best = max(costs[:n])
+            col = costs.index(best) if best > 0 else None
+        else:
+            col = next((j for j in range(n) if costs[j] > 0), None)
+        if col is None:
             break
-        entering = None
-        for j in range(n):
-            if sum((tableau[i][j] for i in art), ZERO) > 0:
-                entering = j
-                break
-        if entering is None:
-            break
-        leaving = None
-        best = None
+        leave = None
         for i in range(k):
-            coef = tableau[i][entering]
+            coef = tableau[i][col]
             if coef > 0:
-                ratio = tableau[i][rhs_col] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        if leaving is None:
+                num = tableau[i][-1]
+                if leave is None or num * lcoef < lnum * coef or (
+                        num * lcoef == lnum * coef and basis[i] < basis[leave]):
+                    leave, lnum, lcoef = i, num, coef
+        if leave is None:
             raise InternalConsistencyError("phase-1 objective is bounded; no leaving row found")
-        _pivot(tableau, leaving, entering)
-        basis[leaving] = entering
+        degenerate = 0 if lnum else degenerate + 1
+        d = _pivot(tableau, leave, col, d)
+        basis[leave] = col
 
-    objective = sum((tableau[i][rhs_col] for i in artificial_rows()), ZERO)
-    if objective > 0:
-        combo: dict[int, Fraction] = {}
-        for i in artificial_rows():
-            # dual weights live in the artificial columns: row block M of M[A|I|b]
-            for col in range(k):
-                w = tableau[i][n + col]
-                if w:
-                    _combine(combo, combos[col], -w)
-        total_rhs = sum((combo.get(i, ZERO) * b[i] for i in combo), ZERO)
-        return FeasibilityOutcome(False, None, _certificate(combo, total_rhs, a, b, m))
+    if tableau[k][-1] > 0:
+        # Row k holds d(yᵣ - 1) in artificial column r: the reduced cost of e_r.
+        y = [0] * m
+        for r, i in enumerate(independent):
+            y[i] = tableau[k][n + r] + d
+        return FeasibilityOutcome(False, None, _certificate(y, tableau[k][-1], scale, a, b))
 
     solution = [ZERO] * n
-    for i in range(k):
-        if basis[i] < n:
-            solution[basis[i]] = tableau[i][rhs_col]
-    for i in range(m):
-        total = sum((a[i][j] * solution[j] for j in range(n) if solution[j]), ZERO)
-        if total != b[i]:
+    for r in range(k):
+        if basis[r] < n:
+            solution[basis[r]] = Fraction(tableau[r][-1], d)
+    support = [(j, v) for j, v in enumerate(solution) if v]
+    for row, value in zip(a, b):
+        if sum((row[j] * v for j, v in support), ZERO) != value:
             raise InternalConsistencyError("simplex returned a vector that misses a constraint")
     if any(v < 0 for v in solution):
         raise InternalConsistencyError("simplex returned a negative component")
     return FeasibilityOutcome(True, tuple(solution), None)
 
 
-def _pivot(tableau: list[list[Fraction]], row: int, col: int) -> None:
-    inv = ONE / tableau[row][col]
-    tableau[row] = [v * inv for v in tableau[row]]
+def _pivot(tableau: list[list[int]], row: int, col: int, d: int) -> int:
+    """Edmonds' integer pivot on (row, col); returns the new common denominator."""
     prow = tableau[row]
+    p = prow[col]
     for i, other in enumerate(tableau):
-        if i == row:
-            continue
         f = other[col]
+        if i == row or (not f and p == d):
+            continue
         if f:
-            tableau[i] = [x - f * p for x, p in zip(other, prow)]
+            tableau[i] = [(x * p - f * y) // d if y else x * p // d for x, y in zip(other, prow)]
+        else:
+            tableau[i] = [x * p // d for x in other]
+    return p
 
 
-def _certificate(combo: dict[int, Fraction], value: Fraction, a, b, m: int) -> FarkasCertificate:
+def _certificate(y: list[int], value: int, scale: list[int], a, b) -> FarkasCertificate:
+    """The primitive integer certificate for the original rows, from weights on the scaled ones."""
     if value == 0:
         raise InternalConsistencyError("degenerate certificate")
-    sign = ONE if value > 0 else -ONE
-    dense = [ZERO] * m
-    for idx, v in combo.items():
-        dense[idx] = sign * v
-    cert = FarkasCertificate(tuple(dense))
+    y = [v * s for v, s in zip(y, scale)]
+    g = gcd(*y) if value > 0 else -gcd(*y)
+    cert = FarkasCertificate(tuple(Fraction(v // g) for v in y))
     if not cert.verify(a, b):
         raise InternalConsistencyError("constructed certificate failed self-verification")
     return cert

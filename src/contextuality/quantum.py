@@ -287,14 +287,14 @@ def _complex_entry(value, field: str) -> complex:
 def experiment_from_dict(document) -> QuantumExperiment:
     """Parse a quantum-experiment document (state vector plus labeled projectors)."""
     # Imported here so that ``import contextuality`` does not load the JSON layer.
-    from .serialize import KIND_EXPERIMENT, _check_header, _expect
+    from .serialize import KIND_EXPERIMENT, _check_header, _check_label, _expect
 
     _check_header(document, KIND_EXPERIMENT)
     state = [_complex_entry(v, f"state[{i}]") for i, v in enumerate(_expect(document, "state", kind=list))]
     projectors = []
     for i, item in enumerate(_expect(document, "projectors", kind=list)):
         field = f"projectors[{i}]"
-        label = _expect(item, "label", field, str)
+        label = _check_label(_expect(item, "label", field, str), f"{field}.label")
         matrix = _expect(item, "matrix", field, list)
         if not all(isinstance(row, list) and len(row) == len(matrix) for row in matrix):
             raise SchemaError("a matrix must be a square list of rows", f"{field}.matrix")

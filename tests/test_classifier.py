@@ -27,7 +27,22 @@ from contextuality.classifier import (
     verify_global_distribution,
 )
 from contextuality.distribution import Distribution
-from contextuality.model import check_model, deterministic_model, mixture
+from contextuality.model import EmpiricalModel, check_model, deterministic_model, mixture
+from contextuality.scenario import Scenario, sections_over
+
+
+def noisy_cycle(n: int, p: Fraction) -> EmpiricalModel:
+    """The perfectly anticorrelated binary n-cycle mixed with a share p of uniform noise."""
+    names = [f"x{i}" for i in range(n)]
+    scenario = Scenario(names, [(names[i], names[(i + 1) % n]) for i in range(n)], ("0", "1"))
+    tables = {
+        context: Distribution(scenario, context, {
+            s: p / 4 if s.values[0] == s.values[1] else (1 - p / 2) / 2
+            for s in sections_over(scenario, context)
+        })
+        for context in scenario.maximal_contexts
+    }
+    return EmpiricalModel(scenario, tables)
 
 
 class TestConsistentGlobalSections:
@@ -142,3 +157,26 @@ class TestClassify:
         a = classify(bell_model())
         b = classify(bell_model())
         assert a.certificate.coefficients == b.certificate.coefficients
+
+
+class TestCycleFacet:
+    """An odd n-cycle's noisy box is contextual exactly below the noise share 2/n.
+
+    At p = 2/n the tables lie on the noncontextual facet, where the phase-1
+    program is maximally degenerate.
+    """
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("offset, expected", [
+        (Fraction(-1, 64), Tier.PROBABILISTIC),
+        (Fraction(0), Tier.NONCONTEXTUAL),
+        (Fraction(1, 64), Tier.NONCONTEXTUAL),
+    ], ids=["inside", "facet", "outside"])
+    def test_tier_at_the_facet(self, n, offset, expected):
+        model = noisy_cycle(n, Fraction(2, n) + offset)
+        verdict = classify(model)
+        assert verdict.tier is expected
+        if expected is Tier.PROBABILISTIC:
+            assert verdict.certificate.verify(model)
+        else:
+            verify_global_distribution(model, verdict.global_distribution)

@@ -5,6 +5,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from contextuality import feasibility
 from contextuality.feasibility import solve_nonnegative
 
 
@@ -89,3 +93,55 @@ class TestInfeasibleSystems:
                 assert all(x >= 0 for x in out.solution)
             else:
                 assert out.certificate.verify(rows, rhs)
+
+
+# ---------------------------------------------------------------------------
+# Properties on generated systems
+# ---------------------------------------------------------------------------
+
+rationals = st.builds(Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=4))
+
+
+@st.composite
+def systems(draw):
+    """(rows, rhs, derived): fresh and derived rows, m <= 8 and n <= 12.
+
+    A derived row repeats, scales or sums earlier rows, right-hand side
+    included; ``derived`` holds their indices.  Half the systems plant a
+    non-negative solution, so both outcomes are drawn often.
+    """
+    n = draw(st.integers(min_value=1, max_value=12))
+    planted = draw(st.booleans())
+    point = draw(st.lists(st.builds(Fraction, st.integers(0, 3), st.integers(1, 3)), min_size=n, max_size=n))
+    rows, rhs, derived = [], [], []
+    for i in range(draw(st.integers(min_value=1, max_value=8))):
+        kind = draw(st.sampled_from(["fresh", "repeat", "scale", "sum"])) if rows else "fresh"
+        if kind == "fresh":
+            row = draw(st.lists(rationals, min_size=n, max_size=n))
+            value = sum(a * x for a, x in zip(row, point)) if planted else draw(rationals)
+        else:
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            factor = draw(rationals.filter(bool)) if kind == "scale" else 1
+            row = [factor * a + (b if kind == "sum" else 0) for a, b in zip(rows[j], rows[k])]
+            value = factor * rhs[j] + (rhs[k] if kind == "sum" else 0)
+            derived.append(i)
+        rows.append(row)
+        rhs.append(value)
+    return rows, rhs, derived
+
+
+@pytest.mark.parametrize("stall", [feasibility._STALL, 0], ids=["largest-coefficient", "bland"])
+@settings(max_examples=150, deadline=None)
+@given(system=systems())
+def test_generated_systems_are_decided_exactly(stall, system):
+    rows, rhs, derived = system
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(feasibility, "_STALL", stall)
+        out = solve_nonnegative(rows, rhs)
+    if out.feasible:
+        for row, b in zip(rows, rhs):
+            assert sum(a * x for a, x in zip(row, out.solution)) == b
+        assert all(x >= 0 for x in out.solution)
+    else:
+        assert out.certificate.verify(rows, rhs)
+        assert all(out.certificate.coefficients[i] == 0 for i in derived)

@@ -228,8 +228,9 @@ class TestCli:
         ("singlet", ("projectors", 0, "matrix"), 5),
         ("singlet", ("projectors", 0, "matrix", 1), [["0", "0"]]),
         ("singlet", ("tolerance",), "x"),
+        ("singlet", ("projectors", 0, "label"), "a,x"),
     ], ids=["context-not-a-list", "context-as-string", "state-not-a-list", "projector-not-an-object",
-            "matrix-not-a-list", "ragged-matrix", "tolerance-not-a-number"])
+            "matrix-not-a-list", "ragged-matrix", "tolerance-not-a-number", "label-with-comma"])
     def test_classify_malformed_document_exits_2(self, base, path, value, tmp_path, capsys):
         if base == "singlet":
             document = experiment_to_dict(singlet_experiment())
