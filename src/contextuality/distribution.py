@@ -12,7 +12,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import DEFAULT_ENUMERATION_CAP, DomainError, WeightError
-from .scenario import Scenario, Section, restrict, sections_over
+from .scenario import Scenario, Section, sections_over
 
 
 def as_fraction(value) -> Fraction:
@@ -121,9 +121,9 @@ def marginalize(dist: Distribution, measurements: Iterable, cap: int = DEFAULT_E
         raise DomainError(f"cannot marginalize to {sorted(map(repr, extra))}: outside {dist.context!r}")
     if target == dist.context:
         return dist
-    sums: dict[Section, Fraction] = {
-        s: Fraction(0) for s in sections_over(dist.scenario, target, cap=cap)
-    }
+    positions = [dist.context.index(m) for m in target]
+    by_values = {s.values: s for s in sections_over(dist.scenario, target, cap=cap)}
+    sums: dict[Section, Fraction] = dict.fromkeys(by_values.values(), Fraction(0))
     for section, w in dist.weights.items():
-        sums[restrict(section, target)] += w
+        sums[by_values[tuple(section.values[i] for i in positions)]] += w
     return Distribution(dist.scenario, target, sums, cap=cap)

@@ -172,8 +172,9 @@ class EnvelopeExtension:
     def __init__(self, rep: WpsRepresentation, extra_pool: Sequence[tuple[frozenset, Fraction]] = ()):
         self.rep = rep
         self.extra_pool = tuple((frozenset(e), Fraction(w)) for e, w in extra_pool)
-        self._pool = [(event, rep.mu[event]) for event in rep.sorted_events(rep.sigma)]
-        self._pool += list(self.extra_pool)
+        pool = [(event, rep.mu[event]) for event in rep.sorted_events(rep.sigma)] + list(self.extra_pool)
+        # Cheapest first, so the first superset found carries the minimum.
+        self._pool = sorted(pool, key=lambda item: item[1])
         for event in rep.sorted_events(rep.sigma):
             if self.value(event) != rep.mu[event]:
                 raise NotAnExtensionError(
@@ -186,13 +187,10 @@ class EnvelopeExtension:
 
     def value(self, event: Iterable[str]) -> Fraction:
         target = frozenset(event)
-        best: Optional[Fraction] = None
         for candidate, weight in self._pool:
-            if target <= candidate and (best is None or weight < best):
-                best = weight
-        if best is None:
-            raise ValueError("no pool superset; the family must contain the sample space")
-        return best
+            if target <= candidate:
+                return weight
+        raise ValueError("no pool superset; the family must contain the sample space")
 
     def describe(self) -> str:
         if self.extra_pool:

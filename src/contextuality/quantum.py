@@ -7,16 +7,20 @@ does.  Born probabilities are computed numerically and then snapped to
 exact rationals by continued-fraction best approximation with a bounded
 denominator.  Snapped tables that fail the exact no-signaling check are an
 error: silent repair could move a model between tiers.
+
+numpy is imported inside the functions that compute with it, so importing
+the package (or running the CLI on a catalog model) does not load numpy or
+start its BLAS thread pool.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import (
     DEFAULT_ENUMERATION_CAP,
@@ -30,11 +34,16 @@ from .distribution import Distribution
 from .scenario import Scenario, sections_over
 from .wps import WpsRepresentation
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_SNAP_TOLERANCE = 1e-9
 DEFAULT_DENOMINATOR_BOUND = 4096
 
 
 def _as_complex_vector(entries: Sequence) -> np.ndarray:
+    import numpy as np
+
     values = []
     for entry in entries:
         if isinstance(entry, (tuple, list)) and len(entry) == 2:
@@ -52,6 +61,8 @@ class QuantumExperiment:
 
     def __init__(self, state: Sequence, projectors: Mapping[str, np.ndarray] | Sequence[tuple[str, np.ndarray]],
                  tolerance: float = DEFAULT_SNAP_TOLERANCE):
+        import numpy as np
+
         self.state = _as_complex_vector(state)
         self.dimension = self.state.shape[0]
         if abs(np.vdot(self.state, self.state).real - 1.0) > tolerance:
@@ -100,6 +111,8 @@ def snap_to_rational(value: float, tolerance: float = DEFAULT_SNAP_TOLERANCE,
 
 def experiment_scenario(experiment: QuantumExperiment, cap: int = DEFAULT_ENUMERATION_CAP) -> Scenario:
     """Scenario whose maximal contexts are the maximal commuting projector subsets."""
+    import numpy as np
+
     labels = experiment.labels()
     n = len(labels)
     if 2 ** n > cap:
@@ -127,6 +140,8 @@ def quantum_to_empirical(experiment: QuantumExperiment,
     :class:`CompatibilityError` when the snapped tables violate the exact
     no-signaling condition.
     """
+    import numpy as np
+
     scenario = experiment_scenario(experiment, cap=cap)
     psi = experiment.state
     identity = np.eye(experiment.dimension, dtype=np.complex128)
@@ -184,6 +199,8 @@ def weak_hv_report(rep: WpsRepresentation, experiment: QuantumExperiment,
     spanning set of mutually orthogonal projectors must generate an algebra
     inside the event family carrying an exact probability measure.
     """
+    import numpy as np
+
     failures: list[WeakHvFailure] = []
     induced = quantum_to_empirical(experiment, snap_tolerance, denominator_bound)
     if rep.model != induced:
@@ -276,16 +293,22 @@ def _complex_entry(value, field: str) -> complex:
             re, im = value
             re = float(Fraction(re)) if isinstance(re, str) else float(re)
             im = float(Fraction(im)) if isinstance(im, str) else float(im)
-            return complex(re, im)
-        if isinstance(value, str):
-            return complex(float(Fraction(value)))
-        return complex(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+            entry = complex(re, im)
+        elif isinstance(value, str):
+            entry = complex(float(Fraction(value)))
+        else:
+            entry = complex(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise SchemaError(f"bad complex entry {value!r}: {exc}", field) from None
+    if not cmath.isfinite(entry):
+        raise SchemaError(f"complex entry {value!r} is not finite", field)
+    return entry
 
 
 def experiment_from_dict(document) -> QuantumExperiment:
     """Parse a quantum-experiment document (state vector plus labeled projectors)."""
+    import numpy as np
+
     # Imported here so that ``import contextuality`` does not load the JSON layer.
     from .serialize import KIND_EXPERIMENT, _check_header, _check_label, _expect
 
@@ -303,10 +326,13 @@ def experiment_from_dict(document) -> QuantumExperiment:
             for r, row in enumerate(matrix)
         ]
         projectors.append((label, np.asarray(rows, dtype=np.complex128)))
+    raw_tolerance = document.get("tolerance", DEFAULT_SNAP_TOLERANCE)
     try:
-        tolerance = float(document.get("tolerance", DEFAULT_SNAP_TOLERANCE))
-    except (TypeError, ValueError):
-        raise SchemaError(f"tolerance must be a number, got {document['tolerance']!r}", "tolerance") from None
+        tolerance = float(raw_tolerance)
+    except (TypeError, ValueError, OverflowError):
+        tolerance = math.nan
+    if not math.isfinite(tolerance):
+        raise SchemaError(f"tolerance must be a finite number, got {raw_tolerance!r}", "tolerance")
     try:
         return QuantumExperiment(state, projectors, tolerance)
     except ValueError as exc:
@@ -335,16 +361,25 @@ def experiment_to_dict(experiment: QuantumExperiment) -> dict:
 # Bundled experiments
 # ---------------------------------------------------------------------------
 
-_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-_I2 = np.eye(2, dtype=np.complex128)
+def _pauli() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The 2x2 identity and the Pauli matrices x, y and z."""
+    import numpy as np
+
+    return (
+        np.eye(2, dtype=np.complex128),
+        np.array([[0, 1], [1, 0]], dtype=np.complex128),
+        np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+        np.array([[1, 0], [0, -1]], dtype=np.complex128),
+    )
 
 
 def _spin_projector(angle: float) -> np.ndarray:
     """Projector onto the +1 eigenspace of the spin observable at an angle in the x-z plane."""
-    direction = np.sin(angle) * _SIGMA_X + np.cos(angle) * _SIGMA_Z
-    return (_I2 + direction) / 2
+    import numpy as np
+
+    i2, sigma_x, _, sigma_z = _pauli()
+    direction = np.sin(angle) * sigma_x + np.cos(angle) * sigma_z
+    return (i2 + direction) / 2
 
 
 def singlet_experiment() -> QuantumExperiment:
@@ -353,6 +388,9 @@ def singlet_experiment() -> QuantumExperiment:
     One side measures at angles 0 and pi/3, the other at pi and 2*pi/3; all
     Born probabilities are multiples of 1/8.
     """
+    import numpy as np
+
+    i2 = _pauli()[0]
     psi = np.zeros(4, dtype=np.complex128)
     psi[1] = 1 / np.sqrt(2)
     psi[2] = -1 / np.sqrt(2)
@@ -361,24 +399,27 @@ def singlet_experiment() -> QuantumExperiment:
     projectors = []
     for label in ("a", "b", "a'", "b'"):
         if label in angles:
-            projectors.append((label, np.kron(_spin_projector(angles[label]), _I2)))
+            projectors.append((label, np.kron(_spin_projector(angles[label]), i2)))
         else:
-            projectors.append((label, np.kron(_I2, _spin_projector(bob[label]))))
+            projectors.append((label, np.kron(i2, _spin_projector(bob[label]))))
     return QuantumExperiment(psi, projectors)
 
 
 def ghz_experiment() -> QuantumExperiment:
     """Three-qubit GHZ state with x and y spin measurements on each qubit."""
+    import numpy as np
+
+    i2, sigma_x, sigma_y, _ = _pauli()
     psi = np.zeros(8, dtype=np.complex128)
     psi[0] = 1 / np.sqrt(2)
     psi[7] = 1 / np.sqrt(2)
-    px = (_I2 + _SIGMA_X) / 2
-    py = (_I2 + _SIGMA_Y) / 2
+    px = (i2 + sigma_x) / 2
+    py = (i2 + sigma_y) / 2
     slots = {"x1": (px, 0), "y1": (py, 0), "x2": (px, 1), "y2": (py, 1), "x3": (px, 2), "y3": (py, 2)}
     projectors = []
     for label in ("x1", "y1", "x2", "y2", "x3", "y3"):
         local, position = slots[label]
-        factors = [local if position == i else _I2 for i in range(3)]
+        factors = [local if position == i else i2 for i in range(3)]
         projectors.append((label, np.kron(np.kron(factors[0], factors[1]), factors[2])))
     return QuantumExperiment(psi, projectors)
 
@@ -389,6 +430,8 @@ def orthogonal_pair_experiment() -> QuantumExperiment:
     The two projectors commute and are orthogonal, so they share a context
     and exercise the joint-firing and spanning-set conditions non-vacuously.
     """
+    import numpy as np
+
     psi = np.array([1.0, 0.0], dtype=np.complex128)
     p_up = np.array([[1, 0], [0, 0]], dtype=np.complex128)
     p_down = np.array([[0, 0], [0, 1]], dtype=np.complex128)

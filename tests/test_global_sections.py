@@ -10,9 +10,10 @@ import pytest
 from contextuality import classifier
 from contextuality.catalog import bell_model, catalog, random_deterministic_mixture
 from contextuality.classifier import GlobalDistributionCertificate, global_distribution
+from contextuality.distribution import Distribution, marginalize, random_rational_weights
 from contextuality.errors import EnumerationCapError
 from contextuality.model import EmpiricalModel
-from contextuality.scenario import Scenario, global_section_system, restrict, sections_over
+from contextuality.scenario import Scenario, all_contexts, global_section_system, restrict, sections_over
 from contextuality.violations import additivity_violation
 from contextuality.wps import build_combinatorial_rep
 
@@ -72,6 +73,23 @@ class TestAgainstRestrictionOracle:
         global_distribution(model)
         _, _, matrix, rhs = oracle_system(model, lambda c, s: model.table(c).weight(s))
         assert seen == [(matrix, rhs)]
+
+    def test_marginalize_matches_restriction_sums(self, name, model):
+        scenario = model.scenario
+        columns = scenario.global_sections()
+        weights = random_rational_weights(random.Random(len(columns)), len(columns))
+        sources = [Distribution(scenario, scenario.measurements, dict(zip(columns, weights)))]
+        sources += [model.table(c) for c in scenario.maximal_contexts]
+        for dist in sources:
+            for target in all_contexts(scenario):
+                if not set(target) <= set(dist.context):
+                    continue
+                sums = {s: Fraction(0) for s in sections_over(scenario, target)}
+                for section, w in dist.weights.items():
+                    sums[restrict(section, target)] += w
+                got = marginalize(dist, tuple(reversed(target)))
+                assert got.context == target
+                assert list(got.weights.items()) == list(sums.items())
 
     def test_every_column_meets_one_row_per_context(self, name, model):
         scenario = model.scenario

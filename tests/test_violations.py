@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contextuality.catalog import (
     bell_model,
@@ -261,6 +262,31 @@ class TestExtensions:
         verdict = verify_extension(rep, candidate, "monotonic")
         assert not verdict.ok
         assert verdict.failures[0].condition == "monotonicity"
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_envelope_value_is_the_cheapest_pool_superset(self, catalog_reps, data):
+        rep = catalog_reps[data.draw(st.sampled_from(["bell", "hardy", "pr-box", "specker-triangle"]), label="model")]
+        subsets = st.frozensets(st.sampled_from(rep.points))
+        extra = data.draw(st.lists(st.tuples(subsets, st.fractions(0, 2, max_denominator=8)), max_size=4),
+                          label="extra pool")
+        pool = [(event, rep.mu[event]) for event in rep.sigma] + extra
+
+        def cheapest(event):
+            weights = [weight for candidate, weight in pool if event <= candidate]
+            return min(weights) if weights else None
+
+        if any(cheapest(event) != rep.mu[event] for event in rep.sigma):
+            with pytest.raises(NotAnExtensionError):
+                EnvelopeExtension(rep, extra)
+            return
+        envelope = EnvelopeExtension(rep, extra)
+        for event in data.draw(st.lists(subsets, min_size=1, max_size=6), label="events"):
+            assert envelope.value(event) == cheapest(event)
+            outside = event | {"not-a-point"}
+            assert cheapest(outside) is None
+            with pytest.raises(ValueError, match="no pool superset"):
+                envelope.value(outside)
 
     def test_mismatched_candidate_raises(self, bell_rep):
         weights = {p: Fraction(1, len(bell_rep.points)) for p in bell_rep.points}

@@ -229,8 +229,12 @@ class TestCli:
         ("singlet", ("projectors", 0, "matrix", 1), [["0", "0"]]),
         ("singlet", ("tolerance",), "x"),
         ("singlet", ("projectors", 0, "label"), "a,x"),
+        ("singlet", ("projectors", 0, "matrix", 0, 0), "1e400"),
+        ("singlet", ("state", 0), float("nan")),
+        ("singlet", ("tolerance",), float("nan")),
     ], ids=["context-not-a-list", "context-as-string", "state-not-a-list", "projector-not-an-object",
-            "matrix-not-a-list", "ragged-matrix", "tolerance-not-a-number", "label-with-comma"])
+            "matrix-not-a-list", "ragged-matrix", "tolerance-not-a-number", "label-with-comma",
+            "overflowing-entry", "nan-state", "nan-tolerance"])
     def test_classify_malformed_document_exits_2(self, base, path, value, tmp_path, capsys):
         if base == "singlet":
             document = experiment_to_dict(singlet_experiment())
