@@ -114,6 +114,8 @@ def marginalize(dist: Distribution, measurements: Iterable, cap: int = DEFAULT_E
 
     The weight of a target section is the total weight of the sections that
     restrict to it.  Marginalizing to the full context returns the input.
+    Zero weights are skipped, so a sparse distribution (a basic solution of
+    the global-section system) costs one addition per supported section.
     """
     target = dist.scenario.canonical_context(measurements)
     extra = set(target) - set(dist.context)
@@ -125,5 +127,6 @@ def marginalize(dist: Distribution, measurements: Iterable, cap: int = DEFAULT_E
     by_values = {s.values: s for s in sections_over(dist.scenario, target, cap=cap)}
     sums: dict[Section, Fraction] = dict.fromkeys(by_values.values(), Fraction(0))
     for section, w in dist.weights.items():
-        sums[by_values[tuple(section.values[i] for i in positions)]] += w
+        if w:
+            sums[by_values[tuple(section.values[i] for i in positions)]] += w
     return Distribution(dist.scenario, target, sums, cap=cap)

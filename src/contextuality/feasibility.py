@@ -15,17 +15,27 @@ sign flipped so that its right-hand side is non-negative; from there on
 every number is an integer.  A fraction-free forward elimination keeps a
 maximal independent subset of the original rows, and a dependent row whose
 residual right-hand side is non-zero yields a certificate directly.  A
-phase-1 simplex then runs on one integer tableau of the independent rows
-(structural columns, one artificial column per row, the right-hand side,
-and the phase-1 objective as its last row).  Edmonds' common-denominator
-pivot  (x·p − f·r) / d  keeps every entry an integer (Bareiss, Math. Comp.
-22, 1968).  The entering column has the largest reduced cost; after a run
-of degenerate pivots the solver prices by Bland's least-index rule until a
-pivot makes progress.  A pivot that makes progress lowers the phase-1
-objective, and Bland's rule cannot cycle, so every degenerate run ends and
-the simplex terminates.  The Farkas ray or the primal vector is read
-exactly from the final basis; all orderings are fixed, so the output is
-deterministic.
+revised phase-1 simplex then runs on the k independent rows.  Each
+structural column is stored once, as its sparse (row, coefficient) list,
+and the solver keeps only a (k+1) × (k+1) integer block: d·B⁻¹ (the
+artificial columns, B the basis and d its common denominator), the
+right-hand side, and the phase-1 objective as its last row.  A pivot
+prices every column as π·A_j, with π the objective row's artificial
+entries plus d, forms only the entering column d·B⁻¹A_j, and updates the
+block alone by Edmonds' common-denominator pivot  (x·p − f·r) / d, which
+keeps every entry an integer (Bareiss, Math. Comp. 22, 1968).  Every row
+of the full tableau [A | I | b] is the combination of original rows that
+its artificial entries record, so π·A_j and d·B⁻¹A_j are exactly the
+integers that tableau would hold: the reduced costs, the ratio test and
+its tie-break, and so the pivot path, the solutions and the certificates,
+are the dense tableau's, at the cost of one pass over the non-zeros of A
+per pivot instead of a rewrite of every column.  The entering column has
+the largest reduced cost; after a run of degenerate pivots the solver
+prices by Bland's least-index rule until a pivot makes progress.  A pivot
+that makes progress lowers the phase-1 objective, and Bland's rule cannot
+cycle, so every degenerate run ends and the simplex terminates.  The
+Farkas ray or the primal vector is read exactly from the final basis; all
+orderings are fixed, so the output is deterministic.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import InternalConsistencyError
@@ -126,56 +137,19 @@ def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> FeasibilityOut
     if not k:
         return FeasibilityOutcome(True, tuple(ZERO for _ in range(n)), None)
 
-    # -- phase-1 simplex on one integer tableau -------------------------------
-    # Columns: n structural, k artificial, then the right-hand side.  Row k is
-    # the phase-1 objective: d times the reduced costs yᵀA_j - c_j, whose
-    # right-hand side is d times the sum of the artificials.
-    tableau = []
-    for r, i in enumerate(independent):
-        row = system[i][:n] + [0] * (k + 1)
-        row[n + r] = 1
-        row[-1] = system[i][n]
-        tableau.append(row)
-    objective = [sum(column) for column in zip(*tableau)]
-    objective[n:n + k] = [0] * k
-    tableau.append(objective)
-    basis = list(range(n, n + k))
-    d = 1
-    degenerate = 0
-    while tableau[k][-1]:
-        costs = tableau[k]
-        if degenerate < _STALL:
-            best = max(costs[:n])
-            col = costs.index(best) if best > 0 else None
-        else:
-            col = next((j for j in range(n) if costs[j] > 0), None)
-        if col is None:
-            break
-        leave = None
-        for i in range(k):
-            coef = tableau[i][col]
-            if coef > 0:
-                num = tableau[i][-1]
-                if leave is None or num * lcoef < lnum * coef or (
-                        num * lcoef == lnum * coef and basis[i] < basis[leave]):
-                    leave, lnum, lcoef = i, num, coef
-        if leave is None:
-            raise InternalConsistencyError("phase-1 objective is bounded; no leaving row found")
-        degenerate = 0 if lnum else degenerate + 1
-        d = _pivot(tableau, leave, col, d)
-        basis[leave] = col
+    basis, d, block = _phase1(system, independent, n)
 
-    if tableau[k][-1] > 0:
+    if block[k][k] > 0:
         # Row k holds d(yᵣ - 1) in artificial column r: the reduced cost of e_r.
         y = [0] * m
         for r, i in enumerate(independent):
-            y[i] = tableau[k][n + r] + d
-        return FeasibilityOutcome(False, None, _certificate(y, tableau[k][-1], scale, a, b))
+            y[i] = block[k][r] + d
+        return FeasibilityOutcome(False, None, _certificate(y, block[k][k], scale, a, b))
 
     solution = [ZERO] * n
     for r in range(k):
         if basis[r] < n:
-            solution[basis[r]] = Fraction(tableau[r][-1], d)
+            solution[basis[r]] = Fraction(block[r][k], d)
     support = [(j, v) for j, v in enumerate(solution) if v]
     for row, value in zip(a, b):
         if sum((row[j] * v for j, v in support), ZERO) != value:
@@ -185,18 +159,79 @@ def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> FeasibilityOut
     return FeasibilityOutcome(True, tuple(solution), None)
 
 
-def _pivot(tableau: list[list[int]], row: int, col: int, d: int) -> int:
-    """Edmonds' integer pivot on (row, col); returns the new common denominator."""
-    prow = tableau[row]
-    p = prow[col]
-    for i, other in enumerate(tableau):
-        f = other[col]
+def _phase1(system: list[list[int]], independent: list[int], n: int) -> tuple[list[int], int, list[list[int]]]:
+    """The revised phase-1 simplex on the independent rows of the scaled system.
+
+    Returns the final basis, the common denominator d and the integer block:
+    in row r < k, d·B⁻¹ (the artificial columns) and the right-hand side;
+    in row k, the phase-1 objective over the same columns.
+    """
+    k = len(independent)
+    matrix = [system[i][:n] for i in independent]
+    content = [gcd(*row) for row in matrix]
+    # Each structural column once, sparse: its rows, its coefficients, and
+    # for pricing those coefficients over the rows' contents g_r, or None
+    # when they are all one, as in every column of a global-section system.
+    columns = []
+    for column in zip(*matrix):
+        rows = tuple(r for r, v in enumerate(column) if v)
+        coefficients = tuple(column[r] for r in rows)
+        reduced = tuple(v // content[r] for r, v in zip(rows, coefficients))
+        columns.append((rows, coefficients, None if all(v == 1 for v in reduced) else reduced))
+    block = []
+    for r, i in enumerate(independent):
+        row = [0] * (k + 1)
+        row[r] = 1
+        row[k] = system[i][n]
+        block.append(row)
+    block.append([0] * k + [sum(row[k] for row in block)])
+    basis = list(range(n, n + k))
+    d = 1
+    degenerate = 0
+    while block[k][k]:
+        # Row k is (π - d·1) on the artificials with π = d·yᵀ, so the reduced
+        # cost of column j is π·A_j: the integer the dense tableau would hold.
+        weight = [(v + d) * g for v, g in zip(block[k][:k], content)].__getitem__
+        costs = [sum(map(weight, rows)) if reduced is None else sum(map(mul, map(weight, rows), reduced))
+                 for rows, _, reduced in columns]
+        if degenerate < _STALL:
+            best = max(costs)
+            col = costs.index(best) if best > 0 else None
+        else:
+            col = next((j for j in range(n) if costs[j] > 0), None)
+        if col is None:
+            break
+        # The entering column d·B⁻¹A_j, with its reduced cost in row k.
+        rows, coefficients, _ = columns[col]
+        entering = [sum(map(mul, map(row.__getitem__, rows), coefficients)) for row in block[:k]] + [costs[col]]
+        leave = None
+        for i in range(k):
+            coef = entering[i]
+            if coef > 0:
+                num = block[i][k]
+                if leave is None or num * lcoef < lnum * coef or (
+                        num * lcoef == lnum * coef and basis[i] < basis[leave]):
+                    leave, lnum, lcoef = i, num, coef
+        if leave is None:
+            raise InternalConsistencyError("phase-1 objective is bounded; no leaving row found")
+        degenerate = 0 if lnum else degenerate + 1
+        d = _pivot(block, entering, leave, d)
+        basis[leave] = col
+    return basis, d, block
+
+
+def _pivot(block: list[list[int]], column: list[int], row: int, d: int) -> int:
+    """Edmonds' integer pivot on ``column[row]``; returns the new common denominator."""
+    prow = block[row]
+    p = column[row]
+    for i, other in enumerate(block):
+        f = column[i]
         if i == row or (not f and p == d):
             continue
         if f:
-            tableau[i] = [(x * p - f * y) // d if y else x * p // d for x, y in zip(other, prow)]
+            block[i] = [(x * p - f * y) // d if y else x * p // d for x, y in zip(other, prow)]
         else:
-            tableau[i] = [x * p // d for x in other]
+            block[i] = [x * p // d for x in other]
     return p
 
 

@@ -63,6 +63,9 @@ class QuantumExperiment:
                  tolerance: float = DEFAULT_SNAP_TOLERANCE):
         import numpy as np
 
+        # NaN would pass every check below, and a bool is not a tolerance.
+        if isinstance(tolerance, bool) or not 0 <= tolerance < math.inf:
+            raise ValueError(f"tolerance must be a finite non-negative number, got {tolerance!r}")
         self.state = _as_complex_vector(state)
         self.dimension = self.state.shape[0]
         if abs(np.vdot(self.state, self.state).real - 1.0) > tolerance:
@@ -328,7 +331,8 @@ def experiment_from_dict(document) -> QuantumExperiment:
         projectors.append((label, np.asarray(rows, dtype=np.complex128)))
     raw_tolerance = document.get("tolerance", DEFAULT_SNAP_TOLERANCE)
     try:
-        tolerance = float(raw_tolerance)
+        # JSON true would read as 1.0 and switch every projector check off.
+        tolerance = math.nan if isinstance(raw_tolerance, bool) else float(raw_tolerance)
     except (TypeError, ValueError, OverflowError):
         tolerance = math.nan
     if not math.isfinite(tolerance):

@@ -1,11 +1,15 @@
-"""Shared fixtures: catalog representations and standard paddings."""
+"""Shared fixtures: catalog representations, standard paddings and noisy cycles."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 
 from contextuality.catalog import catalog
-from contextuality.scenario import Scenario
+from contextuality.distribution import Distribution
+from contextuality.model import EmpiricalModel
+from contextuality.scenario import Scenario, sections_over
 from contextuality.wps import PadPoint, build_combinatorial_rep, build_padded_rep
 
 
@@ -25,6 +29,20 @@ def standard_paddings(scenario: Scenario) -> list[PadPoint]:
     pad2 = {m: (o0,) for m in ms}
     pad2[second] = ()
     return [PadPoint("pad-overlap", pad1), PadPoint("pad-outcomeless", pad2)]
+
+
+def noisy_cycle(n: int, p: Fraction) -> EmpiricalModel:
+    """The perfectly anticorrelated binary n-cycle mixed with a share p of uniform noise."""
+    names = [f"x{i}" for i in range(n)]
+    scenario = Scenario(names, [(names[i], names[(i + 1) % n]) for i in range(n)], ("0", "1"))
+    tables = {
+        context: Distribution(scenario, context, {
+            s: p / 4 if s.values[0] == s.values[1] else (1 - p / 2) / 2
+            for s in sections_over(scenario, context)
+        })
+        for context in scenario.maximal_contexts
+    }
+    return EmpiricalModel(scenario, tables)
 
 
 @pytest.fixture(scope="session")

@@ -27,22 +27,9 @@ from contextuality.classifier import (
     verify_global_distribution,
 )
 from contextuality.distribution import Distribution
-from contextuality.model import EmpiricalModel, check_model, deterministic_model, mixture
-from contextuality.scenario import Scenario, sections_over
+from contextuality.model import check_model, deterministic_model, mixture
 
-
-def noisy_cycle(n: int, p: Fraction) -> EmpiricalModel:
-    """The perfectly anticorrelated binary n-cycle mixed with a share p of uniform noise."""
-    names = [f"x{i}" for i in range(n)]
-    scenario = Scenario(names, [(names[i], names[(i + 1) % n]) for i in range(n)], ("0", "1"))
-    tables = {
-        context: Distribution(scenario, context, {
-            s: p / 4 if s.values[0] == s.values[1] else (1 - p / 2) / 2
-            for s in sections_over(scenario, context)
-        })
-        for context in scenario.maximal_contexts
-    }
-    return EmpiricalModel(scenario, tables)
+from conftest import noisy_cycle
 
 
 class TestConsistentGlobalSections:

@@ -8,8 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contextuality import feasibility
+from contextuality import dutchbook, feasibility
 from contextuality.feasibility import solve_nonnegative
+from contextuality.scenario import global_section_system
+
+from conftest import noisy_cycle
 
 
 def frac(n, d=1):
@@ -145,3 +148,119 @@ def test_generated_systems_are_decided_exactly(stall, system):
     else:
         assert out.certificate.verify(rows, rhs)
         assert all(out.certificate.coefficients[i] == 0 for i in derived)
+
+
+# ---------------------------------------------------------------------------
+# The revised simplex against the dense tableau it replaced
+# ---------------------------------------------------------------------------
+
+
+def dense_phase1(system, independent, n):
+    """The dense phase-1 tableau: every pivot rewrites every structural column.
+
+    Returns what ``feasibility._phase1`` returns: the final basis, the common
+    denominator and the tableau's artificial and right-hand-side columns.
+    """
+    k = len(independent)
+    tableau = []
+    for r, i in enumerate(independent):
+        row = system[i][:n] + [0] * (k + 1)
+        row[n + r] = 1
+        row[-1] = system[i][n]
+        tableau.append(row)
+    objective = [sum(column) for column in zip(*tableau)]
+    objective[n:n + k] = [0] * k
+    tableau.append(objective)
+    basis = list(range(n, n + k))
+    d = 1
+    degenerate = 0
+    while tableau[k][-1]:
+        costs = tableau[k]
+        if degenerate < feasibility._STALL:
+            best = max(costs[:n])
+            col = costs.index(best) if best > 0 else None
+        else:
+            col = next((j for j in range(n) if costs[j] > 0), None)
+        if col is None:
+            break
+        leave = None
+        for i in range(k):
+            coef = tableau[i][col]
+            if coef > 0:
+                num = tableau[i][-1]
+                if leave is None or num * lcoef < lnum * coef or (
+                        num * lcoef == lnum * coef and basis[i] < basis[leave]):
+                    leave, lnum, lcoef = i, num, coef
+        assert leave is not None, "phase-1 objective is bounded"
+        degenerate = 0 if lnum else degenerate + 1
+        d = dense_pivot(tableau, leave, col, d)
+        basis[leave] = col
+    return basis, d, [row[n:] for row in tableau]
+
+
+def dense_pivot(tableau, row, col, d):
+    """Edmonds' integer pivot on (row, col) over the whole tableau."""
+    prow = tableau[row]
+    p = prow[col]
+    for i, other in enumerate(tableau):
+        f = other[col]
+        if i == row or (not f and p == d):
+            continue
+        if f:
+            tableau[i] = [(x * p - f * y) // d if y else x * p // d for x, y in zip(other, prow)]
+        else:
+            tableau[i] = [x * p // d for x in other]
+    return p
+
+
+def dense_solve(rows, rhs):
+    """``solve_nonnegative`` with the dense tableau in place of the revised simplex."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(feasibility, "_phase1", dense_phase1)
+        return solve_nonnegative(rows, rhs)
+
+
+def assert_follows_dense_tableau(rows, rhs):
+    revised = solve_nonnegative(rows, rhs)
+    assert revised == dense_solve(rows, rhs)
+    return revised
+
+
+@pytest.mark.parametrize("stall", [feasibility._STALL, 0], ids=["largest-coefficient", "bland"])
+@settings(max_examples=150, deadline=None)
+@given(system=systems())
+def test_generated_systems_follow_the_dense_tableau(stall, system):
+    rows, rhs, _ = system
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(feasibility, "_STALL", stall)
+        assert_follows_dense_tableau(rows, rhs)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("noise", [Fraction(0), Fraction(1, 8), None, Fraction(1, 2)],
+                         ids=["box", "noise-1/8", "facet", "noise-1/2"])
+def test_global_section_systems_follow_the_dense_tableau(n, noise):
+    # The facet share 2/n is the maximally degenerate case (see TestCycleFacet).
+    model = noisy_cycle(n, Fraction(2, n) if noise is None else noise)
+    system = global_section_system(model.scenario)
+    matrix = [[0] * len(system.columns) for _ in system.rows]
+    for j, rows in enumerate(system.incidence):
+        for r in rows:
+            matrix[r][j] = 1
+    assert_follows_dense_tableau(matrix, [model.table(c).weight(s) for c, s in system.rows])
+
+
+def test_membership_systems_follow_the_dense_tableau(catalog_reps, padded_catalog_reps, monkeypatch):
+    seen = []
+
+    def checked(rows, rhs):
+        seen.append(len(rows))
+        return assert_follows_dense_tableau(rows, rhs)
+    monkeypatch.setattr(dutchbook, "solve_nonnegative", checked)
+    for rep in catalog_reps.values():
+        dutchbook.find_dutch_book(rep)
+        dutchbook.convexity_hierarchy(rep)
+    for rep in padded_catalog_reps.values():
+        dutchbook.find_dutch_book(rep)
+        dutchbook.convexity_membership(rep)
+    assert len(seen) >= 2 * len(catalog_reps) + 2 * len(padded_catalog_reps)

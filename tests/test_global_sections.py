@@ -10,12 +10,14 @@ import pytest
 from contextuality import classifier
 from contextuality.catalog import bell_model, catalog, random_deterministic_mixture
 from contextuality.classifier import GlobalDistributionCertificate, global_distribution
-from contextuality.distribution import Distribution, marginalize, random_rational_weights
+from contextuality.distribution import Distribution, marginalize, point_mass, random_rational_weights
 from contextuality.errors import EnumerationCapError
 from contextuality.model import EmpiricalModel
 from contextuality.scenario import Scenario, all_contexts, global_section_system, restrict, sections_over
 from contextuality.violations import additivity_violation
 from contextuality.wps import build_combinatorial_rep
+
+from conftest import noisy_cycle
 
 
 def cycle_scenario(n: int) -> Scenario:
@@ -33,6 +35,7 @@ MODELS = (
     [(entry.name, entry.model) for entry in catalog()]
     + [(f"cycle-{n}", mixture_model(cycle_scenario(n), n)) for n in range(3, 7)]
     + [("three-outcome", mixture_model(THREE_OUTCOMES, 0))]
+    + [("noisy-cycle-5", noisy_cycle(5, Fraction(1, 2)))]
 )
 
 
@@ -80,6 +83,11 @@ class TestAgainstRestrictionOracle:
         weights = random_rational_weights(random.Random(len(columns)), len(columns))
         sources = [Distribution(scenario, scenario.measurements, dict(zip(columns, weights)))]
         sources += [model.table(c) for c in scenario.maximal_contexts]
+        # Sparse inputs: a point mass, and a basic solution of the global-section system.
+        sources.append(point_mass(scenario, columns[len(columns) // 2]))
+        solved = global_distribution(model)
+        if isinstance(solved, Distribution):
+            sources.append(solved)
         for dist in sources:
             for target in all_contexts(scenario):
                 if not set(target) <= set(dist.context):

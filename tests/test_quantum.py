@@ -121,6 +121,14 @@ class TestExperimentValidation:
         with pytest.raises(ValueError, match="idempotent"):
             QuantumExperiment([1.0, 0.0], [("p", np.array([[0.5, 0.5], [0.5, 0.8]]))])
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -float("inf"), -1, True],
+                             ids=["nan", "inf", "minus-inf", "negative", "bool"])
+    def test_bad_tolerance_rejected(self, tolerance):
+        # The second matrix is no projector; NaN or True used to let it through.
+        projectors = [("p", [[1, 0], [0, 0]]), ("q", [[0.5, 0.5], [0.5, 0.9]])]
+        with pytest.raises(ValueError, match="tolerance must be"):
+            QuantumExperiment([1, 0], projectors, tolerance)
+
     def test_state_accepts_exact_string_pairs(self):
         q = QuantumExperiment([("1", "0"), ("0", "0")], [("p", np.array([[1, 0], [0, 0]]))])
         assert q.dimension == 2

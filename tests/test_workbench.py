@@ -232,9 +232,10 @@ class TestCli:
         ("singlet", ("projectors", 0, "matrix", 0, 0), "1e400"),
         ("singlet", ("state", 0), float("nan")),
         ("singlet", ("tolerance",), float("nan")),
+        ("singlet", ("tolerance",), True),
     ], ids=["context-not-a-list", "context-as-string", "state-not-a-list", "projector-not-an-object",
             "matrix-not-a-list", "ragged-matrix", "tolerance-not-a-number", "label-with-comma",
-            "overflowing-entry", "nan-state", "nan-tolerance"])
+            "overflowing-entry", "nan-state", "nan-tolerance", "tolerance-true"])
     def test_classify_malformed_document_exits_2(self, base, path, value, tmp_path, capsys):
         if base == "singlet":
             document = experiment_to_dict(singlet_experiment())
@@ -247,7 +248,10 @@ class TestCli:
         file = tmp_path / "malformed.json"
         file.write_text(json.dumps(document))
         assert main(["classify", str(file)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        # The message names the broken field, not a later symptom of it.
+        assert [key for key in path if isinstance(key, str)][-1] in err
 
     def test_export_nerve_to_file(self, tmp_path):
         out = tmp_path / "nerve.txt"
