@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from .distribution import Distribution, marginalize
 from .errors import DEFAULT_ENUMERATION_CAP, InternalConsistencyError
-from .feasibility import solve_nonnegative
+from .feasibility import solve_columns
 from .model import EmpiricalModel
 from .scenario import GlobalSectionSystem, Section, global_section_system
 
@@ -82,10 +83,13 @@ class GlobalDistributionCertificate:
         weight_of = dict(zip(self.rows, self.coefficients))
         if len(weight_of) != len(self.rows) or weight_of.keys() != set(system.rows):
             return False
-        coefficients = [weight_of[label] for label in system.rows]
-        if any(sum(coefficients[r] for r in rows) > 0 for rows in system.incidence):
+        # The coefficients scaled by the positive lcm of their denominators: the same signs, in integers.
+        coefficients = [Fraction(weight_of[label]) for label in system.rows]
+        scale = lcm(*(v.denominator for v in coefficients))
+        y = [v.numerator * (scale // v.denominator) for v in coefficients]
+        if any(sum(map(y.__getitem__, rows)) > 0 for rows in system.incidence):
             return False
-        return sum(coef * model.table(c).weight(s) for (c, s), coef in zip(system.rows, coefficients)) > 0
+        return sum(v * model.table(c).weight(s) for (c, s), v in zip(system.rows, y) if v) > 0
 
 
 def _solve_global_system(model: EmpiricalModel, rhs_of: Callable[[tuple, Section], Fraction],
@@ -95,11 +99,7 @@ def _solve_global_system(model: EmpiricalModel, rhs_of: Callable[[tuple, Section
     Returns the solution over the columns, or a verified certificate of infeasibility.
     """
     system = global_section_system(model.scenario, cap)
-    matrix = [[0] * len(system.columns) for _ in system.rows]
-    for j, rows in enumerate(system.incidence):
-        for r in rows:
-            matrix[r][j] = 1
-    outcome = solve_nonnegative(matrix, [rhs_of(c, s) for c, s in system.rows])
+    outcome = solve_columns(system.incidence, [rhs_of(c, s) for c, s in system.rows])
     if outcome.feasible:
         return outcome.solution
     certificate = GlobalDistributionCertificate(system.rows, outcome.certificate.coefficients)

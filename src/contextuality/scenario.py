@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -252,7 +253,21 @@ def global_section_system(scenario: Scenario, cap: int = DEFAULT_ENUMERATION_CAP
 def _global_section_system(scenario: Scenario) -> GlobalSectionSystem:
     # One entry only: at the cap, a system holds 2**20 columns.
     rows = tuple((c, s) for c in scenario.maximal_contexts for s in sections_over(scenario, c, cap=math.inf))
-    row_of = {label: r for r, label in enumerate(rows)}
     columns = sections_over(scenario, scenario.measurements, cap=math.inf)
-    incidence = tuple(tuple(row_of[(c, restrict(g, c))] for c in scenario.maximal_contexts) for g in columns)
-    return GlobalSectionSystem(columns, rows, incidence)
+    # Sections enumerate as base-|O| numerals over outcome indices, the first
+    # measurement the most significant digit.  So column j gives the i-th
+    # measurement the outcome index (j // |O|**(n-1-i)) % |O|, and its row in
+    # context c is c's offset plus the numeral those indices form on c.
+    base, n = len(scenario.outcomes), len(scenario.measurements)
+    position = {m: i for i, m in enumerate(scenario.measurements)}
+    per_context = []
+    offset = 0
+    for c in scenario.maximal_contexts:
+        row = [offset] * len(columns)
+        for k, m in enumerate(c):
+            i, weight = position[m], base ** (len(c) - 1 - k)
+            digit = [o * weight for o in range(base) for _ in range(base ** (n - 1 - i))] * base ** i
+            row = list(map(add, row, digit))
+        per_context.append(row)
+        offset += base ** len(c)
+    return GlobalSectionSystem(columns, rows, tuple(zip(*per_context)))

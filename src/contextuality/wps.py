@@ -33,7 +33,7 @@ from .errors import (
     NotAnEventError,
     PaddingError,
 )
-from .model import EmpiricalModel, check_model
+from .model import CompatibilityReport, EmpiricalModel, check_model
 from .distribution import marginalize
 from .scenario import Section, all_contexts, glue, restrict, sections_over
 
@@ -177,10 +177,10 @@ class PadPoint:
 def build_combinatorial_rep(model: EmpiricalModel, point_order: str | Sequence[Section] = "canonical",
                             cap: int = DEFAULT_ENUMERATION_CAP) -> WpsRepresentation:
     """One sample point per global section; events are restriction classes."""
-    rep = _build(model, pads=(), point_order=point_order, cap=cap)
+    rep, report = _build(model, pads=(), point_order=point_order, cap=cap)
     if not rep.combinatorial:
         raise InternalConsistencyError("unpadded construction must be combinatorial")
-    verdict = verify_rep(rep)
+    verdict = _verify_rep(rep, DEFAULT_ENUMERATION_CAP, report)
     if not verdict.ok:
         raise InternalConsistencyError(f"combinatorial construction failed verification: {verdict}")
     return rep
@@ -190,8 +190,8 @@ def build_padded_rep(model: EmpiricalModel, pads: Sequence[PadPoint],
                      point_order: str | Sequence[Section] = "canonical",
                      cap: int = DEFAULT_ENUMERATION_CAP) -> WpsRepresentation:
     """Combinatorial construction plus measure-irrelevant padding points."""
-    rep = _build(model, pads=tuple(pads), point_order=point_order, cap=cap)
-    verdict = verify_rep(rep)
+    rep, report = _build(model, pads=tuple(pads), point_order=point_order, cap=cap)
+    verdict = _verify_rep(rep, DEFAULT_ENUMERATION_CAP, report)
     if not verdict.ok:
         conditions = ", ".join(sorted({f.condition for f in verdict.failures}))
         raise PaddingError(f"padding breaks required conditions: {conditions}")
@@ -203,7 +203,8 @@ def _global_point_label(section: Section) -> str:
 
 
 def _build(model: EmpiricalModel, pads: tuple[PadPoint, ...],
-           point_order: str | Sequence[Section], cap: int) -> WpsRepresentation:
+           point_order: str | Sequence[Section], cap: int) -> tuple[WpsRepresentation, CompatibilityReport]:
+    """The representation, and the model's compatibility report for its self-verify."""
     scenario = model.scenario
     report = check_model(model)
     if not report.ok:
@@ -292,7 +293,7 @@ def _build(model: EmpiricalModel, pads: tuple[PadPoint, ...],
         sigma_algebras[context] = tuple(members)
 
     combinatorial = _is_combinatorial(points, scenario, transfer, cap)
-    return WpsRepresentation(model, points, transfer, sigma_algebras, mu, combinatorial)
+    return WpsRepresentation(model, points, transfer, sigma_algebras, mu, combinatorial), report
 
 
 def _signature_atoms(points, scenario, context, singleton, pad_memberships, base_labels):
@@ -405,6 +406,11 @@ def verify_rep(rep: WpsRepresentation, cap: int = DEFAULT_ENUMERATION_CAP) -> Re
     The verdict lists each failed condition with a concrete counterexample.
     Out-of-range set-function values are reported as warnings, not failures.
     """
+    return _verify_rep(rep, cap, check_model(rep.model))
+
+
+def _verify_rep(rep: WpsRepresentation, cap: int, report: CompatibilityReport) -> RepVerdict:
+    """:func:`verify_rep` given ``check_model(rep.model)``, which a builder has already run."""
     failures: list[RepFailure] = []
     warnings: list[RepFailure] = []
     scenario = rep.model.scenario
@@ -511,7 +517,6 @@ def verify_rep(rep: WpsRepresentation, cap: int = DEFAULT_ENUMERATION_CAP) -> Re
                 elif rep.mu[inter] != 0:
                     fail("me", f"overlap of {s} and {t} has value {rep.mu[inter]}")
 
-    report = check_model(rep.model)
     if not report.ok:
         fail("model-compatibility", str(report.failures[0]))
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contextuality import dutchbook, feasibility
-from contextuality.feasibility import solve_nonnegative
+from contextuality.feasibility import solve_columns, solve_nonnegative
 from contextuality.scenario import global_section_system
 
 from conftest import noisy_cycle
@@ -150,18 +150,37 @@ def test_generated_systems_are_decided_exactly(stall, system):
         assert all(out.certificate.coefficients[i] == 0 for i in derived)
 
 
+def sparse_columns(rows):
+    """Each column's non-zero rows and entries, listed from the last row up."""
+    columns = [tuple(i for i in reversed(range(len(rows))) if rows[i][j]) for j in range(len(rows[0]))]
+    return columns, [tuple(rows[i][j] for i in column) for j, column in enumerate(columns)]
+
+
+@pytest.mark.parametrize("stall", [feasibility._STALL, 0], ids=["largest-coefficient", "bland"])
+@settings(max_examples=150, deadline=None)
+@given(system=systems())
+def test_sparse_core_matches_the_dense_entry_point(stall, system):
+    rows, rhs, _ = system
+    columns, values = sparse_columns(rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(feasibility, "_STALL", stall)
+        assert solve_columns(columns, rhs, values) == solve_nonnegative(rows, rhs)
+
+
 # ---------------------------------------------------------------------------
 # The revised simplex against the dense tableau it replaced
 # ---------------------------------------------------------------------------
 
 
-def dense_phase1(system, independent, n):
+def dense_phase1(columns, scaled, system, independent):
     """The dense phase-1 tableau: every pivot rewrites every structural column.
 
-    Returns what ``feasibility._phase1`` returns: the final basis, the common
-    denominator and the tableau's artificial and right-hand-side columns.
+    It reads only the scaled dense rows ``system``.  Returns what
+    ``feasibility._phase1`` returns: the final basis, the common denominator
+    and the tableau's artificial and right-hand-side columns.
     """
     k = len(independent)
+    n = len(columns)
     tableau = []
     for r, i in enumerate(independent):
         row = system[i][:n] + [0] * (k + 1)
@@ -247,7 +266,8 @@ def test_global_section_systems_follow_the_dense_tableau(n, noise):
     for j, rows in enumerate(system.incidence):
         for r in rows:
             matrix[r][j] = 1
-    assert_follows_dense_tableau(matrix, [model.table(c).weight(s) for c, s in system.rows])
+    rhs = [model.table(c).weight(s) for c, s in system.rows]
+    assert solve_columns(system.incidence, rhs) == assert_follows_dense_tableau(matrix, rhs)
 
 
 def test_membership_systems_follow_the_dense_tableau(catalog_reps, padded_catalog_reps, monkeypatch):

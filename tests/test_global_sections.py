@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from contextuality import classifier
+from contextuality import classifier, scenario as scenario_module
 from contextuality.catalog import bell_model, catalog, random_deterministic_mixture
-from contextuality.classifier import GlobalDistributionCertificate, global_distribution
+from contextuality.classifier import GlobalDistributionCertificate, classify, global_distribution
 from contextuality.distribution import Distribution, marginalize, point_mass, random_rational_weights
 from contextuality.errors import EnumerationCapError
 from contextuality.model import EmpiricalModel
@@ -30,11 +31,15 @@ def mixture_model(scenario: Scenario, seed: int) -> EmpiricalModel:
 
 
 THREE_OUTCOMES = Scenario(("a", "b", "c"), (("a", "b"), ("b", "c")), ("0", "1", "2"))
+# Contexts of sizes 3, 2 and 1, each listed out of measurement order and the
+# family out of canonical order; outcome labels out of sorted order.
+MIXED_SIZES = Scenario(("e", "b", "d", "a", "c"), (("c", "a", "d"), ("d", "b"), ("e",)), ("1", "2", "0"))
 
 MODELS = (
     [(entry.name, entry.model) for entry in catalog()]
     + [(f"cycle-{n}", mixture_model(cycle_scenario(n), n)) for n in range(3, 7)]
     + [("three-outcome", mixture_model(THREE_OUTCOMES, 0))]
+    + [("mixed-sizes", mixture_model(MIXED_SIZES, 1))]
     + [("noisy-cycle-5", noisy_cycle(5, Fraction(1, 2)))]
 )
 
@@ -52,14 +57,24 @@ def oracle_system(model: EmpiricalModel, rhs_of):
     return columns, tuple(labels), matrix, rhs
 
 
-def recorded_solves(monkeypatch) -> list:
-    seen = []
-    solve = classifier.solve_nonnegative
+def expand(columns, values, m: int) -> list:
+    """The dense rows of sparse columns; a row listed twice in one column shows as a sum."""
+    matrix = [[0] * len(columns) for _ in range(m)]
+    for j, rows in enumerate(columns):
+        for r, v in zip(rows, [1] * len(rows) if values is None else values[j]):
+            matrix[r][j] += v
+    return matrix
 
-    def recording(rows, rhs):
-        seen.append((rows, rhs))
-        return solve(rows, rhs)
-    monkeypatch.setattr(classifier, "solve_nonnegative", recording)
+
+def recorded_solves(monkeypatch) -> list:
+    """Record each sparse global-section solve as its expanded dense rows and right-hand side."""
+    seen = []
+    solve = classifier.solve_columns
+
+    def recording(columns, rhs, values=None):
+        seen.append((expand(columns, values, len(rhs)), list(rhs)))
+        return solve(columns, rhs, values)
+    monkeypatch.setattr(classifier, "solve_columns", recording)
     return seen
 
 
@@ -131,6 +146,19 @@ def test_cap_is_checked_on_every_call():
         global_section_system(scenario, cap=15)
 
 
+def test_classify_never_restricts(monkeypatch):
+    models = [entry.model for entry in catalog()] + [noisy_cycle(n, Fraction(1, 8)) for n in range(3, 9)]
+    tiers = [classify(model).tier for model in models]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("restrict called on the classify path")
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("contextuality") and getattr(module, "restrict", None) is restrict:
+            monkeypatch.setattr(module, "restrict", refuse)
+    scenario_module._global_section_system.cache_clear()
+    assert [classify(model).tier for model in models] == tiers
+
+
 class TestCertificateTampering:
     @pytest.fixture
     def certificate(self) -> GlobalDistributionCertificate:
@@ -153,6 +181,21 @@ class TestCertificateTampering:
         assert flippable
         for i in flippable:
             coefficients = list(certificate.coefficients)
+            coefficients[i] = -coefficients[i]
+            tampered = GlobalDistributionCertificate(certificate.rows, tuple(coefficients))
+            assert tampered.verify(bell_model()) is False
+
+    def test_non_integer_coefficients_keep_the_verdict(self, certificate):
+        # +t on one context's rows and -t on another's moves no column sum and
+        # not the total, since each column and each table meets both once.
+        first, second = certificate.rows[0][0], certificate.rows[-1][0]
+        shift = {first: Fraction(1, 5), second: Fraction(-1, 5)}
+        scaled = tuple(coef * Fraction(2, 3) + shift.get(context, 0)
+                       for (context, _), coef in zip(certificate.rows, certificate.coefficients))
+        assert len({coef.denominator for coef in scaled}) > 2
+        assert GlobalDistributionCertificate(certificate.rows, scaled).verify(bell_model())
+        for i in [i for i, coef in enumerate(scaled) if coef != 0]:
+            coefficients = list(scaled)
             coefficients[i] = -coefficients[i]
             tampered = GlobalDistributionCertificate(certificate.rows, tuple(coefficients))
             assert tampered.verify(bell_model()) is False
