@@ -31,13 +31,15 @@ print(f"event family size: {len(rep.sigma)}")
 
 face = rep.event(scenario.section({"c": "0"}))
 edge = rep.event(scenario.section({"a": "0", "b": "0"}))
-print(f"\nevent of c->0 (a face, 4 points): {sorted(face)}")
-print(f"event of a->0,b->0 (an edge):      {sorted(edge)}")
+print(f"\nevent of c->0 (a face, 4 points): {list(rep.points_of(face))}")
+print(f"event of a->0,b->0 (an edge):      {list(rep.points_of(edge))}")
 print(f"its weight: {rep.mu_of(edge)} (the table weight of that pair of outcomes)")
 
 grown = extend_event(rep, edge, ("a",))
-print(f"extended to just a (a face again): {sorted(grown)}")
-print(f"strictly contains the edge: {edge < grown}")
+print(f"extended to just a (a face again): {list(rep.points_of(grown))}")
+# Events are int masks over point indices: the edge lies strictly inside
+# the face when it differs from it and has no point outside it.
+print(f"strictly contains the edge: {edge != grown and not edge & ~grown}")
 
 print(f"\nfull verification: {verify_rep(rep)}")
 report = excise(rep)
@@ -57,9 +59,9 @@ print(f"padded sample space: {len(padded.points)} points, combinatorial: {padded
 print(f"verification still passes: {verify_rep(padded).ok}")
 
 report = excise(padded)
-print(f"contradictory-overlap events: {[sorted(e) for e in sorted(report.d1, key=len)]}")
-print(f"outcome-free residues:        {[sorted(e) for e in sorted(report.d2, key=len)]}")
+print(f"contradictory-overlap events: {[list(padded.points_of(e)) for e in padded.sorted_events(report.d1)]}")
+print(f"outcome-free residues:        {[list(padded.points_of(e)) for e in padded.sorted_events(report.d2)]}")
 print(f"surviving core excludes both ghosts: "
-      f"{'ghost-both' not in report.z and 'ghost-neither' not in report.z}")
+      f"{not report.z & padded.event_of(['ghost-both', 'ghost-neither'])}")
 print("every excised event has measure zero:",
       all(padded.mu_of(e) == 0 for e in report.d1 | report.d2))

@@ -189,7 +189,7 @@ def _cmd_witness(args) -> int:
         f"collection ({len(witness.collection)} events):",
     ]
     for event in witness.collection:
-        lines.append("  {" + ",".join(rep.sorted_points(event)) + "}")
+        lines.append("  {" + ",".join(rep.points_of(event)) + "}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -213,7 +213,7 @@ def _cmd_dutchbook(args) -> int:
         "stakes:",
     ]
     for event, stake in certificate.stakes:
-        lines.append(f"  {str(stake):>6}  on {{{','.join(rep.sorted_points(event))}}}")
+        lines.append(f"  {str(stake):>6}  on {{{','.join(rep.points_of(event))}}}")
     lines.append("payoff per sample point (all at most the negated loss bound):")
     worst = None
     for p in rep.points:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterable, Mapping, Optional
 
 from .distribution import Distribution
@@ -26,7 +28,7 @@ from .errors import (
 )
 from .feasibility import solve_nonnegative
 from .scenario import Section, global_section_system
-from .wps import Event, WpsRepresentation
+from .wps import Event, WpsRepresentation, _indices
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -44,11 +46,11 @@ class AtomicFunctional:
 
     def __init__(self, point: str, values: Mapping[Event, int]):
         self.point = point
-        self.values = {frozenset(e): int(v) for e, v in values.items()}
+        self.values = {e: int(v) for e, v in values.items()}
 
     def value(self, event: Event) -> int:
         try:
-            return self.values[frozenset(event)]
+            return self.values[event]
         except KeyError:
             raise NotAnEventError("functional not evaluated on that event") from None
 
@@ -63,9 +65,9 @@ class AtomicFunctional:
 
 def atomic_functional(rep: WpsRepresentation, point: str, events: Optional[Iterable[Event]] = None) -> AtomicFunctional:
     """The functional of one point, tabulated over the given events (default: the family)."""
-    rep.point_index(point)
+    i = rep.point_index(point)
     pool = rep.sorted_events(rep.sigma) if events is None else rep.sorted_events(events)
-    return AtomicFunctional(point, {e: int(point in e) for e in pool})
+    return AtomicFunctional(point, {e: e >> i & 1 for e in pool})
 
 
 def section_to_functional(rep: WpsRepresentation, global_section: Section) -> AtomicFunctional:
@@ -79,9 +81,9 @@ def section_to_functional(rep: WpsRepresentation, global_section: Section) -> At
     if not rep.combinatorial:
         raise NonCombinatorialError("the section-functional bijection needs a combinatorial representation")
     image = rep.event(global_section)
-    if len(image) != 1:
+    if image.bit_count() != 1:
         raise InternalConsistencyError("a combinatorial global-section image must be one point")
-    (point,) = image
+    (point,) = rep.points_of(image)
     return atomic_functional(rep, point, rep.maximal_context_events())
 
 
@@ -112,15 +114,13 @@ def distribution_to_convex_point(rep: WpsRepresentation, global_distribution: Di
 
 
 def _membership_system(rep: WpsRepresentation, events: list[Event]):
-    points = list(rep.points)
-    col = {p: j for j, p in enumerate(points)}
-    rows = [[ONE] * len(points)]
+    rows = [[ONE] * len(rep.points)]
     rhs = [ONE]
     labels: list[Event] = [rep.sample_space]
     for event in events:
-        row = [ZERO] * len(points)
-        for p in event:
-            row[col[p]] = ONE
+        row = [ZERO] * len(rep.points)
+        for i in _indices(event):
+            row[i] = ONE
         rows.append(row)
         rhs.append(rep.mu_of(event))
         labels.append(event)
@@ -146,12 +146,11 @@ def _solve_membership(rep: WpsRepresentation, restriction: Optional[Iterable[Eve
     outcome = solve_nonnegative(rows, rhs)
     if not outcome.feasible:
         return None, labels, outcome.certificate
-    weights = {p: outcome.solution[j] for j, p in enumerate(rep.points)}
     for event in verify_against:
-        got = sum((weights[p] for p in event), ZERO)
+        got = sum((outcome.solution[i] for i in _indices(event)), ZERO)
         if got != rep.mu_of(event):
             raise InternalConsistencyError("membership weights fail to reproduce an event value")
-    return weights, labels, None
+    return dict(zip(rep.points, outcome.solution)), labels, None
 
 
 def convexity_membership(rep: WpsRepresentation,
@@ -184,9 +183,10 @@ class DutchBookCertificate:
             raise ValueError("the guaranteed loss bound must be positive")
 
     def payoff(self, rep: WpsRepresentation, point: str) -> Fraction:
+        i = rep.point_index(point)
         total = ZERO
         for event, stake in self.stakes:
-            total += stake * (int(point in event) - rep.mu_of(event))
+            total += stake * ((event >> i & 1) - rep.mu_of(event))
         return total
 
 
@@ -212,12 +212,9 @@ def _null_cover_certificate(rep: WpsRepresentation) -> Optional[DutchBookCertifi
     nulls = rep.sorted_events(
         e for e in rep.maximal_context_events() if rep.mu_of(e) == 0
     )
-    if not nulls:
+    if not nulls or reduce(or_, nulls) != rep.sample_space:
         return None
-    union = frozenset().union(*nulls)
-    if union != rep.sample_space:
-        return None
-    counts = [sum(1 for e in nulls if p in e) for p in rep.points]
+    counts = [sum(e >> i & 1 for e in nulls) for i in range(len(rep.points))]
     bound = Fraction(min(counts))
     return DutchBookCertificate(tuple((e, Fraction(-1)) for e in nulls), bound)
 
@@ -242,8 +239,8 @@ def find_dutch_book(rep: WpsRepresentation) -> Optional[DutchBookCertificate]:
             if coef != 0
         ]
         worst = max(
-            sum((coef * int(p in event) for event, coef in stakes), ZERO)
-            for p in rep.points
+            sum((coef for event, coef in stakes if event >> i & 1), ZERO)
+            for i in range(len(rep.points))
         )
         mean = sum((coef * rep.mu_of(event) for event, coef in stakes), ZERO)
         bound = mean - worst
@@ -293,11 +290,10 @@ def convexity_hierarchy(rep: WpsRepresentation,
     weights = convexity_membership(rep, events)
     probabilistic = weights is None
 
-    nulls = [e for e in events if rep.mu_of(e) == 0]
-    clean_points = [
-        p for p in rep.points if not any(p in e for e in nulls)
-    ]
-    clean = frozenset(clean_points)
+    clean = rep.sample_space
+    for e in events:
+        if rep.mu_of(e) == 0:
+            clean &= ~e
     logical = any(
         rep.mu_of(e) > 0 and not (e & clean)
         for e in events

@@ -26,67 +26,55 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .distribution import random_rational_weights
 from .errors import InternalConsistencyError, NotAnExtensionError
-from .wps import WpsRepresentation
+from .wps import WpsRepresentation, _indices
 
 ZERO = Fraction(0)
 
 
 class _MinCoverSolver:
-    """Exact minimum-weight set cover over a small universe, with memoization."""
+    """Exact minimum-weight set cover of masks inside ``full``, with memoization."""
 
-    def __init__(self, universe: Sequence[str], pool: Sequence[tuple[frozenset, Fraction]]):
-        self.index = {p: i for i, p in enumerate(universe)}
-        self.full = (1 << len(universe)) - 1
+    def __init__(self, full: int, pool: Sequence[tuple[int, Fraction]]):
         free = 0
-        free_events: list[frozenset] = []
-        weighted: dict[int, tuple[Fraction, frozenset]] = {}
-        for event, weight in pool:
-            mask = self.mask_of(event)
+        free_events: list[int] = []
+        weighted: dict[int, Fraction] = {}
+        for mask, weight in pool:
             if weight < 0:
                 raise ValueError("cover pool weights must be non-negative")
             if weight == 0:
                 free |= mask
-                free_events.append(frozenset(event))
+                free_events.append(mask)
             else:
                 held = weighted.get(mask)
-                if held is None or weight < held[0]:
-                    weighted[mask] = (Fraction(weight), frozenset(event))
+                if held is None or weight < held:
+                    weighted[mask] = Fraction(weight)
         self.free = free
         self.free_events = free_events
-        self.pool = sorted(
-            ((mask, weight, event) for mask, (weight, event) in weighted.items()),
-            key=lambda mwe: (mwe[1], mwe[0]),
-        )
+        self.pool = sorted(weighted.items(), key=lambda mw: (mw[1], mw[0]))
         covered = free
-        for mask, _, _ in self.pool:
+        for mask, _ in self.pool:
             covered |= mask
-        if covered != self.full:
+        if covered & full != full:
             raise ValueError("cover pool does not cover the universe")
         self._memo: dict[int, Fraction] = {0: ZERO}
 
-    def mask_of(self, event: Iterable[str]) -> int:
-        mask = 0
-        for p in event:
-            mask |= 1 << self.index[p]
-        return mask
+    def cover_value(self, event: int) -> Fraction:
+        return self._solve(event & ~self.free)
 
-    def cover_value(self, event: Iterable[str]) -> Fraction:
-        return self._solve(self.mask_of(event) & ~self.free)
-
-    def cover_members(self, event: Iterable[str]) -> list[frozenset]:
+    def cover_members(self, event: int) -> list[int]:
         """One optimal cover, deterministically chosen; free sets included."""
-        target = self.mask_of(event) & ~self.free
-        chosen: list[frozenset] = list(self.free_events)
+        target = event & ~self.free
+        chosen: list[int] = list(self.free_events)
         while target:
             total = self._solve(target)
             lowest = target & -target
-            for mask, weight, ev in self.pool:
+            for mask, weight in self.pool:
                 if mask & lowest and weight + self._solve(target & ~mask) == total:
-                    chosen.append(ev)
+                    chosen.append(mask)
                     target &= ~mask
                     break
             else:
@@ -100,7 +88,7 @@ class _MinCoverSolver:
             return hit
         lowest = target & -target
         best: Optional[Fraction] = None
-        for mask, weight, _ in self.pool:
+        for mask, weight in self.pool:
             if mask & lowest:
                 if best is not None and weight >= best:
                     continue
@@ -113,14 +101,19 @@ class _MinCoverSolver:
         return best
 
 
-def cheapest_cover_of_space(rep: WpsRepresentation) -> tuple[tuple[frozenset, ...], Fraction]:
+def _family_pool(rep: WpsRepresentation) -> list[tuple[int, Fraction]]:
+    """The event family in canonical order, each event with its stored value."""
+    return [(event, rep.mu[event]) for event in rep.sorted_events(rep.sigma)]
+
+
+def cheapest_cover_of_space(rep: WpsRepresentation) -> tuple[tuple[int, ...], Fraction]:
     """A minimum-weight family cover of the whole sample space, with its weight.
 
     Total weight below one exhibits a subadditivity violation whose union is
     the sample space, and with it the impossibility of any subadditive
     extension.
     """
-    solver = _MinCoverSolver(rep.points, [(e, rep.mu[e]) for e in rep.sorted_events(rep.sigma)])
+    solver = _MinCoverSolver(rep.sample_space, _family_pool(rep))
     members = solver.cover_members(rep.sample_space)
     total = solver.cover_value(rep.sample_space)
     return rep.sorted_events(members), total
@@ -133,27 +126,28 @@ class CoverExtension:
     monotone = True
     subadditive = True
 
-    def __init__(self, rep: WpsRepresentation, extra_pool: Sequence[tuple[frozenset, Fraction]] = ()):
+    def __init__(self, rep: WpsRepresentation, extra_pool: Sequence[tuple[int, Fraction]] = ()):
         self.rep = rep
-        base_pool = [(event, rep.mu[event]) for event in rep.sorted_events(rep.sigma)]
-        self.extra_pool = tuple((frozenset(e), Fraction(w)) for e, w in extra_pool)
-        self._solver = _MinCoverSolver(rep.points, base_pool + list(self.extra_pool))
+        family = _family_pool(rep)
+        self.extra_pool = tuple((e, Fraction(w)) for e, w in extra_pool)
+        self._solver = _MinCoverSolver(rep.sample_space, family + list(self.extra_pool))
         # The whole space first: on representations with a cheap global cover
         # this fails fast (and such representations admit no subadditive
         # extension whatsoever).
-        ordering = [rep.sample_space] + [e for e in rep.sorted_events(rep.sigma) if e != rep.sample_space]
-        for event in ordering:
+        full = rep.sample_space
+        ordering = [(full, rep.mu[full])] + [item for item in family if item[0] != full]
+        for event, value in ordering:
             got = self._solver.cover_value(event)
-            if got != rep.mu[event]:
+            if got != value:
                 raise NotAnExtensionError(
-                    f"event valued {rep.mu[event]} admits a cheaper cover of weight {got}; "
+                    f"event valued {value} admits a cheaper cover of weight {got}; "
                     "the cheapest-cover function does not extend this representation"
                 )
 
     def domain(self):
         return None  # total on the power set
 
-    def value(self, event: Iterable[str]) -> Fraction:
+    def value(self, event: int) -> Fraction:
         return self._solver.cover_value(event)
 
     def describe(self) -> str:
@@ -169,14 +163,14 @@ class EnvelopeExtension:
     monotone = True
     subadditive = False
 
-    def __init__(self, rep: WpsRepresentation, extra_pool: Sequence[tuple[frozenset, Fraction]] = ()):
+    def __init__(self, rep: WpsRepresentation, extra_pool: Sequence[tuple[int, Fraction]] = ()):
         self.rep = rep
-        self.extra_pool = tuple((frozenset(e), Fraction(w)) for e, w in extra_pool)
-        pool = [(event, rep.mu[event]) for event in rep.sorted_events(rep.sigma)] + list(self.extra_pool)
+        self.extra_pool = tuple((e, Fraction(w)) for e, w in extra_pool)
+        family = _family_pool(rep)
         # Cheapest first, so the first superset found carries the minimum.
-        self._pool = sorted(pool, key=lambda item: item[1])
-        for event in rep.sorted_events(rep.sigma):
-            if self.value(event) != rep.mu[event]:
+        self._pool = sorted(family + list(self.extra_pool), key=lambda item: item[1])
+        for event, value in family:
+            if self.value(event) != value:
                 raise NotAnExtensionError(
                     "a pool superset undercuts a stored value; "
                     "the envelope function does not extend this representation"
@@ -185,10 +179,9 @@ class EnvelopeExtension:
     def domain(self):
         return None
 
-    def value(self, event: Iterable[str]) -> Fraction:
-        target = frozenset(event)
+    def value(self, event: int) -> Fraction:
         for candidate, weight in self._pool:
-            if target <= candidate:
+            if not event & ~candidate:
                 return weight
         raise ValueError("no pool superset; the family must contain the sample space")
 
@@ -210,12 +203,14 @@ class PointMeasureExtension:
         self.weights = {p: Fraction(weights.get(p, 0)) for p in rep.points}
         if any(w < 0 for w in self.weights.values()):
             raise ValueError("point weights must be non-negative")
+        self._by_index = [self.weights[p] for p in rep.points]
 
     def domain(self):
         return None
 
-    def value(self, event: Iterable[str]) -> Fraction:
-        return sum((self.weights[p] for p in event), ZERO)
+    def value(self, event: int) -> Fraction:
+        by_index = self._by_index
+        return sum((by_index[i] for i in _indices(event)), ZERO)
 
     def describe(self) -> str:
         return "additive extension from point weights"
@@ -239,8 +234,7 @@ class MixedExtension:
     def domain(self):
         return None
 
-    def value(self, event: Iterable[str]) -> Fraction:
-        event = frozenset(event)
+    def value(self, event: int) -> Fraction:
         return sum((w * ext.value(event) for w, ext in self.components), ZERO)
 
     def describe(self) -> str:
@@ -254,17 +248,16 @@ class ExplicitExtension:
     monotone = None
     subadditive = None
 
-    def __init__(self, rep: WpsRepresentation, values: Mapping[frozenset, Fraction]):
+    def __init__(self, rep: WpsRepresentation, values: Mapping[int, Fraction]):
         self.rep = rep
-        self.values = {frozenset(e): Fraction(v) for e, v in values.items()}
+        self.values = {e: Fraction(v) for e, v in values.items()}
 
     def domain(self):
         return frozenset(self.values)
 
-    def value(self, event: Iterable[str]) -> Fraction:
-        key = frozenset(event)
+    def value(self, event: int) -> Fraction:
         try:
-            return self.values[key]
+            return self.values[event]
         except KeyError:
             raise NotAnExtensionError("candidate extension has no value for a required set") from None
 
@@ -290,17 +283,17 @@ def _envelope_base_candidates(rep: WpsRepresentation, rng: random.Random, wanted
     """Envelope variants pricing one extra random superset each."""
     plain = EnvelopeExtension(rep)
     bases: list[EnvelopeExtension] = [plain]
-    points = list(rep.points)
-    sigma_sorted = rep.sorted_events(rep.sigma)
+    n = len(rep.points)
+    family = _family_pool(rep)
     for _ in range(max_candidates):
         if len(bases) >= wanted:
             break
-        size = rng.randint(max(1, len(points) - 4), len(points) - 1)
-        extra = frozenset(rng.sample(points, size))
+        size = rng.randint(max(1, n - 4), n - 1)
+        extra = rep.event_of(rng.sample(rep.points, size))
         floor = ZERO
-        for event in sigma_sorted:
-            if event <= extra and rep.mu[event] > floor:
-                floor = rep.mu[event]
+        for event, value in family:
+            if not event & ~extra and value > floor:
+                floor = value
         current = plain.value(extra)
         if floor >= current:
             continue
@@ -320,18 +313,17 @@ def _cover_base_candidates(rep: WpsRepresentation, rng: random.Random, wanted: i
     except NotAnExtensionError:
         return []
     bases: list[CoverExtension] = [base]
-    points = list(rep.points)
-    sigma_sorted = rep.sorted_events(rep.sigma)
+    family = _family_pool(rep)
     for _ in range(max_candidates):
         if len(bases) >= wanted:
             break
-        extra = frozenset(rng.sample(points, rng.choice((1, 1, 2))))
+        extra = rep.event_of(rng.sample(rep.points, rng.choice((1, 1, 2))))
         current = base.value(extra)
         if current == 0:
             continue
         floor = ZERO
-        for event in sigma_sorted:
-            shortfall = rep.mu[event] - base.value(frozenset(event) - extra)
+        for event, value in family:
+            shortfall = value - base.value(event & ~extra)
             if shortfall > floor:
                 floor = shortfall
         if floor >= current:

@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import (
     DEFAULT_ENUMERATION_CAP,
@@ -32,7 +32,7 @@ from .errors import (
 from .model import EmpiricalModel, check_model
 from .distribution import Distribution
 from .scenario import Scenario, sections_over
-from .wps import WpsRepresentation
+from .wps import WpsRepresentation, _atoms, _subset_sums
 
 if TYPE_CHECKING:
     import numpy as np
@@ -250,23 +250,12 @@ def weak_hv_report(rep: WpsRepresentation, experiment: QuantumExperiment,
             total = sum(experiment.projector(labels[i]) for i in combo)
             if np.max(np.abs(total - identity)) > tol:
                 continue
-            generators = [firing_event(labels[i]) for i in combo]
-            cells: dict[tuple, set] = {}
-            for point in rep.points:
-                cells.setdefault(tuple(point in g for g in generators), set()).add(point)
-            atoms = [frozenset(c) for c in cells.values()]
+            atoms = _atoms(rep.sample_space, (firing_event(labels[i]) for i in combo))
+            if not all(rep.in_sigma(member) for member in _subset_sums(atoms)):
+                failures.append(WeakHvFailure(
+                    "spanning-classicality",
+                    f"algebra of spanning set {tuple(labels[i] for i in combo)!r} leaves the event family"))
             algebra_total = Fraction(0)
-            for r in range(len(atoms) + 1):
-                for chosen in itertools.combinations(atoms, r):
-                    member = frozenset().union(*chosen) if chosen else frozenset()
-                    if not rep.in_sigma(member):
-                        failures.append(WeakHvFailure(
-                            "spanning-classicality",
-                            f"algebra of spanning set {tuple(labels[i] for i in combo)!r} leaves the event family"))
-                        break
-                else:
-                    continue
-                break
             for atom in atoms:
                 if rep.in_sigma(atom):
                     algebra_total += rep.mu_of(atom)

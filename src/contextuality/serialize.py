@@ -14,7 +14,7 @@ from typing import Any, Mapping
 
 from .distribution import Distribution
 from .dutchbook import DutchBookCertificate
-from .errors import SchemaError
+from .errors import DomainError, SchemaError
 from .extensions import ExplicitExtension
 from .model import EmpiricalModel
 from .scenario import Scenario, sections_over
@@ -168,17 +168,20 @@ def model_from_dict(document: Mapping) -> EmpiricalModel:
 # ---------------------------------------------------------------------------
 
 
-def _event_to_labels(rep: WpsRepresentation, event) -> list[str]:
-    return list(rep.sorted_points(event))
+def _event_to_labels(rep: WpsRepresentation, event: int) -> list[str]:
+    return list(rep.points_of(event))
 
 
-def _event_from_labels(rep: WpsRepresentation, labels, field: str) -> frozenset:
+def _event_from_labels(rep: WpsRepresentation, labels, field: str) -> int:
     if not isinstance(labels, list):
         raise SchemaError(f"an event must be a list of sample points, got {labels!r}", field)
     for label in labels:
-        if not isinstance(label, str) or label not in rep.sample_space:
+        if not isinstance(label, str):
             raise SchemaError(f"unknown sample point {label!r}", field)
-    return frozenset(labels)
+    try:
+        return rep.event_of(labels)
+    except DomainError as exc:
+        raise SchemaError(str(exc), field) from None
 
 
 def certificate_to_dict(rep: WpsRepresentation, certificate: DutchBookCertificate) -> dict:
@@ -239,9 +242,14 @@ def witness_from_dict(rep: WpsRepresentation, document: Mapping) -> ViolationWit
         raw = document["support"]
         measurements = tuple(_check_label(m, "support.context") for m in _expect(raw, "context", "support", list))
         values = tuple(_check_label(o, "support.section") for o in _expect(raw, "section", "support", list))
+        if len(values) != len(measurements):
+            raise SchemaError(f"{len(values)} outcomes for {len(measurements)} measurements", "support.section")
+        extension_kind = raw.get("extension_kind", "unknown")
+        if not isinstance(extension_kind, str):
+            raise SchemaError(f"extension_kind must be a string, got {extension_kind!r}", "support.extension_kind")
         context = rep.model.scenario.canonical_context(measurements)
         section = rep.model.scenario.section(dict(zip(measurements, values)))
-        support = MarginalizationFailure(context, section, rep.event(section), raw.get("extension_kind", "unknown"), None)
+        support = MarginalizationFailure(context, section, rep.event(section), extension_kind, None)
     return ViolationWitness(kind, collection, defect, support)
 
 
@@ -254,7 +262,7 @@ def extension_to_dict(rep: WpsRepresentation, extension: ExplicitExtension, exte
         "extension_kind": extension_kind,
         "values": [
             {"event": _event_to_labels(rep, e), "value": str(v)}
-            for e, v in sorted(extension.values.items(), key=rep.event_key)
+            for e, v in sorted(extension.values.items(), key=lambda item: rep.event_key(item[0]))
         ],
     }
 

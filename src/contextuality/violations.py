@@ -18,11 +18,12 @@ checked on concretely constructed extensions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import reduce
+from operator import or_
+from typing import Iterable, Optional
 
 from .classifier import (
     GlobalDistributionCertificate,
@@ -52,7 +53,7 @@ from .extensions import (
 )
 from .feasibility import solve_nonnegative
 from .scenario import Section, global_section_system, sections_over
-from .wps import Event, WpsRepresentation, excise
+from .wps import Event, WpsRepresentation, _atoms, _indices, _subset_sums, excise
 
 ZERO = Fraction(0)
 
@@ -71,8 +72,8 @@ def defect(rep: WpsRepresentation, collection: Iterable[Event], extension=None) 
     additive value and is rejected).  With an extension, values are taken
     from it.
     """
-    events = [frozenset(e) for e in dict.fromkeys(map(frozenset, collection))]
-    union = frozenset().union(*events) if events else frozenset()
+    events = list(dict.fromkeys(collection))
+    union = reduce(or_, events, 0)
     if extension is None:
         for e in events:
             if not rep.in_sigma(e):
@@ -94,13 +95,11 @@ class AdditiveCover:
 
     def __init__(self, rep: WpsRepresentation, events: Iterable[Event]):
         events = rep.sorted_events(events)
-        union: set = set()
         for i, a in enumerate(events):
             for b in events[i + 1:]:
                 if a & b:
                     raise InternalConsistencyError("additive cover members overlap")
-            union.update(a)
-        if frozenset(union) != rep.sample_space:
+        if reduce(or_, events, 0) != rep.sample_space:
             raise InternalConsistencyError("additive cover does not cover the sample space")
         if defect(rep, events) != 0:
             raise InternalConsistencyError("additive cover has non-zero defect")
@@ -182,8 +181,7 @@ def verify_witness(rep: WpsRepresentation, witness: ViolationWitness, extension=
     if witness.kind is ViolationKind.MAXIMAL_SUBADDITIVITY:
         if any(rep.mu_of(e) != 0 for e in witness.collection):
             return False
-        union = frozenset().union(*witness.collection)
-        if union != rep.sample_space:
+        if reduce(or_, witness.collection, 0) != rep.sample_space:
             return False
         return defect(rep, witness.collection) == witness.defect == 1
     if witness.kind is ViolationKind.SUBADDITIVITY:
@@ -282,8 +280,7 @@ def tier_violation_witness(rep: WpsRepresentation, tier: Tier,
         if not is_strongly_contextual(model, cap=cap):
             raise TierMismatchError("the model is not strongly contextual")
         collection = rep.sorted_events(_excision_null_events(rep) + _null_context_events(rep))
-        union = frozenset().union(*collection) if collection else frozenset()
-        if union != rep.sample_space:
+        if reduce(or_, collection, 0) != rep.sample_space:
             raise InternalConsistencyError("null collection fails to cover the sample space")
         value = defect(rep, collection)
         if value != 1:
@@ -337,8 +334,7 @@ def strong_subadditivity_violation(rep: WpsRepresentation) -> tuple[bool, Option
     """Do the measure-zero maximal-context events cover the sample space?"""
     _require_combinatorial(rep)
     nulls = rep.sorted_events(_null_context_events(rep))
-    union = frozenset().union(*nulls) if nulls else frozenset()
-    if union != rep.sample_space:
+    if reduce(or_, nulls, 0) != rep.sample_space:
         return False, None
     witness = ViolationWitness(ViolationKind.MAXIMAL_SUBADDITIVITY, nulls, defect(rep, nulls))
     return True, witness
@@ -353,13 +349,13 @@ def logical_subadditivity_violation(rep: WpsRepresentation) -> tuple[bool, Optio
     """
     _require_combinatorial(rep)
     nulls = _null_context_events(rep)
-    null_union = frozenset().union(*nulls) if nulls else frozenset()
+    null_union = reduce(or_, nulls, 0)
     scenario = rep.model.scenario
     for context in scenario.maximal_contexts:
         cover = context_additive_cover(rep, context)
         for section in sections_over(scenario, context):
             event = rep.event(section)
-            if rep.mu_of(event) > 0 and event <= null_union:
+            if rep.mu_of(event) > 0 and not event & ~null_union:
                 collection = rep.sorted_events(nulls + [e for e in cover.events if e != event])
                 witness = ViolationWitness(
                     ViolationKind.SUBADDITIVITY, collection, defect(rep, collection),
@@ -404,8 +400,6 @@ def has_classical_extension(rep: WpsRepresentation) -> Optional[dict[str, Fracti
     member.  Per context it is enough to match the algebra's atoms; the
     returned weights are re-checked against the full family afterwards.
     """
-    points = list(rep.points)
-    col = {p: j for j, p in enumerate(points)}
     seen: dict[Event, Fraction] = {}
     for context in rep.sigma_algebras:
         for atom in rep.context_atoms(context):
@@ -415,20 +409,19 @@ def has_classical_extension(rep: WpsRepresentation) -> Optional[dict[str, Fracti
     rows = []
     rhs = []
     for atom in rep.sorted_events(seen):
-        row = [ZERO] * len(points)
-        for p in atom:
-            row[col[p]] = Fraction(1)
+        row = [ZERO] * len(rep.points)
+        for i in _indices(atom):
+            row[i] = Fraction(1)
         rows.append(row)
         rhs.append(seen[atom])
     outcome = solve_nonnegative(rows, rhs)
     if not outcome.feasible:
         return None
-    weights = {p: outcome.solution[col[p]] for p in points}
     for event in rep.sigma:
-        total = sum((weights[p] for p in event), ZERO)
+        total = sum((outcome.solution[i] for i in _indices(event)), ZERO)
         if total != rep.mu_of(event):
             raise InternalConsistencyError("atom solution fails on a non-atomic family member")
-    return weights
+    return dict(zip(rep.points, outcome.solution))
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +477,11 @@ def verify_extension(rep: WpsRepresentation, candidate, kind: str = "monotonic",
             raise NotAnExtensionError(
                 "candidate domain misses the algebra generated by the event family"
             )
-        universe = sorted(domain, key=lambda e: (len(e), rep.event_key(e)))
+        universe = sorted(domain, key=lambda e: (e.bit_count(), rep.event_key(e)))
         if kind == "monotonic":
             for a in universe:
                 for b in universe:
-                    if a < b and candidate.value(a) > candidate.value(b):
+                    if a != b and not a & ~b and candidate.value(a) > candidate.value(b):
                         failures.append(ExtensionFailure(
                             "monotonicity",
                             f"a set of value {candidate.value(a)} sits inside one of value {candidate.value(b)}",
@@ -513,7 +506,7 @@ def verify_extension(rep: WpsRepresentation, candidate, kind: str = "monotonic",
     if kind == "monotonic":
         for a in events:
             for b in events:
-                if a < b and candidate.value(a) > candidate.value(b):
+                if a != b and not a & ~b and candidate.value(a) > candidate.value(b):
                     failures.append(ExtensionFailure(
                         "monotonicity",
                         f"a family member of value {candidate.value(a)} sits inside one of value {candidate.value(b)}",
@@ -521,9 +514,9 @@ def verify_extension(rep: WpsRepresentation, candidate, kind: str = "monotonic",
                     return ExtensionVerdict(False, tuple(failures))
         for event in events:
             base = candidate.value(event)
-            for p in rep.points:
-                if p not in event:
-                    if candidate.value(frozenset(event) | {p}) < base:
+            for i in range(len(rep.points)):
+                if not event >> i & 1:
+                    if candidate.value(event | 1 << i) < base:
                         failures.append(ExtensionFailure(
                             "monotonicity", "adding a point decreased the value"))
                         return ExtensionVerdict(False, tuple(failures))
@@ -544,15 +537,8 @@ def verify_extension(rep: WpsRepresentation, candidate, kind: str = "monotonic",
 
 def _generated_algebra(rep: WpsRepresentation, cap: int) -> tuple[Event, ...]:
     """The algebra generated by the whole event family, as unions of its atoms."""
-    cells: dict[tuple, set] = {}
-    members = rep.sorted_events(rep.sigma)
-    for p in rep.points:
-        cells.setdefault(tuple(p in m for m in members), set()).add(p)
-    atoms = [frozenset(c) for c in cells.values()]
+    atoms = _atoms(rep.sample_space, rep.sorted_events(rep.sigma))
     if 2 ** len(atoms) > cap:
         raise EnumerationCapError(2 ** len(atoms), cap, what="generated-algebra members")
-    out = []
-    for r in range(len(atoms) + 1):
-        for chosen in itertools.combinations(atoms, r):
-            out.append(frozenset().union(*chosen) if chosen else frozenset())
-    return tuple(dict.fromkeys(out))
+    return tuple(_subset_sums(atoms))
+

@@ -15,13 +15,26 @@ adds measure-irrelevant points lying in contradictory same-measurement
 overlaps or outside every outcome of some measurement, which breaks the
 combinatorial conditions while preserving the per-context probability
 spaces, empirical consistency, and mutual exclusivity.
+
+An event is an ``int`` mask over point indices: bit i stands for
+``points[i]``, so intersection, union and complement within the sample
+space are ``&``, ``|`` and ``full & ~event``.  The canonical event order is
+the ascending tuple of point indices (:meth:`WpsRepresentation.event_key`).
+Point labels appear only where events are read or written as text:
+:meth:`WpsRepresentation.points_of` and :meth:`WpsRepresentation.event_of`.
+On ints, ``<=``, ``<``, ``-`` and ``len`` do not mean subset, proper
+subset, difference and size; write ``not a & ~b``, ``a & ~b`` and
+``a.bit_count()`` instead.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -37,7 +50,8 @@ from .model import CompatibilityReport, EmpiricalModel, check_model
 from .distribution import marginalize
 from .scenario import Section, all_contexts, glue, restrict, sections_over
 
-Event = frozenset
+Event = int
+"""An event is an int mask over point indices: bit i stands for ``points[i]``."""
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +64,7 @@ class WpsRepresentation:
 
     __slots__ = (
         "model", "points", "transfer", "sigma", "sigma_algebras", "mu",
-        "combinatorial", "_point_index", "_section_of",
+        "combinatorial", "sample_space", "_point_index", "_section_of",
     )
 
     def __init__(self, model: EmpiricalModel, points: Sequence[str],
@@ -60,6 +74,7 @@ class WpsRepresentation:
                  combinatorial: bool):
         self.model = model
         self.points = tuple(points)
+        self.sample_space = (1 << len(self.points)) - 1
         self.transfer = dict(transfer)
         self.sigma_algebras = {c: tuple(members) for c, members in sigma_algebras.items()}
         self.sigma = frozenset(e for members in self.sigma_algebras.values() for e in members)
@@ -73,7 +88,7 @@ class WpsRepresentation:
             reverse.setdefault(event, section)
         self._section_of = reverse
 
-    # -- canonical orderings -------------------------------------------------
+    # -- canonical orderings and the label boundary ----------------------------
 
     def point_index(self, label: str) -> int:
         try:
@@ -82,19 +97,26 @@ class WpsRepresentation:
             raise DomainError(f"unknown sample point {label!r}") from None
 
     def event_key(self, event: Event) -> tuple[int, ...]:
-        return tuple(sorted(self.point_index(p) for p in event))
+        """The ascending point indices of an event: the canonical event order."""
+        return tuple(_indices(event))
 
     def sorted_events(self, events: Iterable[Event]) -> tuple[Event, ...]:
         return tuple(sorted(set(events), key=self.event_key))
 
-    def sorted_points(self, event: Event) -> tuple[str, ...]:
-        return tuple(sorted(event, key=self.point_index))
+    def points_of(self, event: Event) -> tuple[str, ...]:
+        """The labels of an event's points, in point order."""
+        if event >> len(self.points):
+            raise DomainError("the event has points outside the sample space")
+        return tuple(self.points[i] for i in _indices(event))
+
+    def event_of(self, labels: Iterable[str]) -> Event:
+        """The event holding exactly the labelled points."""
+        event = 0
+        for label in labels:
+            event |= 1 << self.point_index(label)
+        return event
 
     # -- lookups ---------------------------------------------------------------
-
-    @property
-    def sample_space(self) -> Event:
-        return frozenset(self.points)
 
     def event(self, section: Section) -> Event:
         try:
@@ -104,18 +126,18 @@ class WpsRepresentation:
 
     def section_of(self, event: Event) -> Section:
         try:
-            return self._section_of[frozenset(event)]
+            return self._section_of[event]
         except KeyError:
             raise NotAnEventError("the set is not the image of any section") from None
 
     def mu_of(self, event: Event) -> Fraction:
         try:
-            return self.mu[frozenset(event)]
+            return self.mu[event]
         except KeyError:
             raise NotAnEventError("the set is not a member of the event family") from None
 
     def in_sigma(self, event: Event) -> bool:
-        return frozenset(event) in self.mu
+        return event in self.mu
 
     def maximal_context_events(self) -> tuple[Event, ...]:
         """Images of the sections over maximal contexts, deduplicated, in order."""
@@ -127,8 +149,7 @@ class WpsRepresentation:
 
     def context_atoms(self, context: tuple) -> tuple[Event, ...]:
         """Minimal non-empty members of one context algebra, in canonical order."""
-        members = self.sigma_algebras[context]
-        return self.sorted_events(_atoms_of_family(self.points, members))
+        return self.sorted_events(_atoms(self.sample_space, self.sigma_algebras[context]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WpsRepresentation):
@@ -145,6 +166,34 @@ class WpsRepresentation:
     def __repr__(self) -> str:
         kind = "combinatorial" if self.combinatorial else "padded"
         return f"WpsRepresentation({kind}, |Y|={len(self.points)}, |Sigma|={len(self.sigma)})"
+
+
+def _indices(event: Event):
+    """The indices of an event's points, ascending."""
+    if event < 0:
+        raise DomainError("an event mask cannot be negative")
+    while event:
+        low = event & -event
+        yield low.bit_length() - 1
+        event ^= low
+
+
+def _atoms(full: Event, generators: Iterable[Event]) -> list[Event]:
+    """The atoms the generators generate on ``full``: its cells split by membership in each."""
+    cells = [full] if full else []
+    for generator in generators:
+        cells = [part for cell in cells for part in (cell & generator, cell & ~generator) if part]
+    return cells
+
+
+def _subset_sums(parts: Sequence[int]) -> list[int]:
+    """Entry j sums the parts at the set bits of j, as an earlier entry plus one part.
+
+    On disjoint masks, such as the atoms of an algebra, the sums are the unions."""
+    sums = [0]
+    for part in parts:
+        sums += [total + part for total in sums]
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +274,7 @@ def _build(model: EmpiricalModel, pads: tuple[PadPoint, ...],
         ):
             raise DomainError("point_order must enumerate exactly the global sections")
 
-    base_labels = {s: _global_point_label(s) for s in base_sections}
-    points = [base_labels[s] for s in base_sections]
+    points = [_global_point_label(s) for s in base_sections]
 
     pad_memberships: dict[str, dict] = {}
     for pad in pads:
@@ -248,114 +296,88 @@ def _build(model: EmpiricalModel, pads: tuple[PadPoint, ...],
         pad_memberships[pad.label] = full
         points.append(pad.label)
 
-    # Transfer map: single-measurement images first, intersections above.
-    transfer: dict[Section, Event] = {scenario.empty_section(): frozenset(points)}
-    singleton: dict[tuple, Event] = {}
-    for x in scenario.measurements:
-        for s in sections_over(scenario, (x,)):
-            o = s.values[0]
-            members = {base_labels[g] for g in base_sections if g.value(x) == o}
-            members.update(
-                label for label, ms in pad_memberships.items() if o in ms[x]
-            )
-            event = frozenset(members)
-            transfer[s] = event
-            singleton[(x, o)] = event
-    for size in range(2, len(scenario.measurements) + 1):
-        for domain in itertools.combinations(scenario.measurements, size):
-            for s in sections_over(scenario, domain, cap=cap):
-                event = singleton[(domain[0], s.values[0])]
-                for m, o in zip(domain[1:], s.values[1:]):
-                    event = event & singleton[(m, o)]
-                transfer[s] = event
+    # Single-measurement images: point i joins the image of each outcome its
+    # global section assigns, or of each outcome its pad memberships name.
+    singleton = {(x, o): 0 for x in scenario.measurements for o in scenario.outcomes}
+    for i, g in enumerate(base_sections):
+        for key in zip(g.domain, g.values):
+            singleton[key] |= 1 << i
+    for i, ms in enumerate(pad_memberships.values(), start=len(base_sections)):
+        for x, outcomes in ms.items():
+            for o in outcomes:
+                singleton[(x, o)] |= 1 << i
 
-    # Event family: one finite algebra per context, with exact values.
-    sigma_algebras: dict[tuple, tuple[Event, ...]] = {}
-    mu: dict[Event, Fraction] = {}
+    # Every other image intersects the image over the domain less its last
+    # measurement with a single-measurement image, in enumeration order.
+    sample_space = (1 << len(points)) - 1
+    transfer: dict[Section, Event] = {scenario.empty_section(): sample_space}
+    images: dict[tuple, list[Event]] = {(): [sample_space]}
+    for size in range(1, len(scenario.measurements) + 1):
+        for domain in itertools.combinations(scenario.measurements, size):
+            last = [singleton[(domain[-1], o)] for o in scenario.outcomes]
+            images[domain] = [a & b for a in images[domain[:-1]] for b in last]
+            transfer.update(zip(sections_over(scenario, domain, cap=cap), images[domain]))
+
+    # Event family: one finite algebra per context, with exact values summed
+    # as integer numerators over the atom values' common denominator.
+    algebras = []
     for context in all_contexts(scenario):
-        atoms = _signature_atoms(points, scenario, context, singleton, pad_memberships, base_labels)
+        atoms = _atoms(sample_space, (singleton[(x, o)] for x in context for o in scenario.outcomes))
         if 2 ** len(atoms) > cap:
             raise EnumerationCapError(2 ** len(atoms), cap, what="algebra members")
-        values = _atom_values(model, scenario, context, atoms)
-        members = []
-        for r in range(len(atoms) + 1):
-            for chosen in itertools.combinations(range(len(atoms)), r):
-                event = frozenset().union(*(atoms[i][0] for i in chosen)) if chosen else frozenset()
-                value = sum((values[i] for i in chosen), Fraction(0))
-                members.append(event)
-                previous = mu.setdefault(event, value)
-                if previous != value:
-                    raise InternalConsistencyError(
-                        f"event valued {previous} and {value} in different context algebras"
-                    )
-        order = {p: i for i, p in enumerate(points)}
-        members = sorted(set(members), key=lambda e: tuple(sorted(order[p] for p in e)))
+        algebras.append((context, atoms, _atom_values(model, context, atoms, singleton)))
+    scale = math.lcm(*(v.denominator for _, _, values in algebras for v in values))
+    sigma_algebras: dict[tuple, tuple[Event, ...]] = {}
+    numerators: dict[Event, int] = {}
+    for context, atoms, values in algebras:
+        members = _subset_sums(atoms)
+        sums = _subset_sums([v.numerator * (scale // v.denominator) for v in values])
+        for event, total in zip(members, sums):
+            previous = numerators.setdefault(event, total)
+            if previous != total:
+                raise InternalConsistencyError(
+                    f"event valued {Fraction(previous, scale)} and {Fraction(total, scale)} "
+                    "in different context algebras"
+                )
         sigma_algebras[context] = tuple(members)
+    value_of = {n: Fraction(n, scale) for n in set(numerators.values())}
+    mu = {event: value_of[n] for event, n in numerators.items()}
 
-    combinatorial = _is_combinatorial(points, scenario, transfer, cap)
+    combinatorial = _is_combinatorial(images.values(), sample_space)
     return WpsRepresentation(model, points, transfer, sigma_algebras, mu, combinatorial), report
 
 
-def _signature_atoms(points, scenario, context, singleton, pad_memberships, base_labels):
-    """Partition the sample space by membership in the context's outcome events.
+def _atom_values(model, context, atoms, singleton) -> list[Fraction]:
+    """Exact values for the atoms: context marginals on sectional cells, zero elsewhere.
 
-    Returns a list of ``(cell, section_or_None)`` pairs where the section is
-    set when the cell's signature picks exactly one outcome per measurement.
+    An atom is sectional when its points lie in exactly one outcome image of
+    each measurement of the context; that section carries the atom's value.
     """
-    if not context:
-        return [(frozenset(points), None)]
-    cells: dict[tuple, set] = {}
-    for p in points:
-        signature = tuple(
-            frozenset(o for o in scenario.outcomes if p in singleton[(x, o)])
-            for x in context
-        )
-        cells.setdefault(signature, set()).add(p)
-    atoms = []
-    for signature in sorted(cells, key=lambda sig: tuple(tuple(sorted(map(scenario.outcomes.index, s))) for s in sig)):
-        if all(len(s) == 1 for s in signature):
-            section = scenario.section({x: next(iter(s)) for x, s in zip(context, signature)})
-        else:
-            section = None
-        atoms.append((frozenset(cells[signature]), section))
-    return atoms
-
-
-def _atom_values(model, scenario, context, atoms):
-    """Exact values for the atoms: context marginals on sectional cells, zero elsewhere."""
+    scenario = model.scenario
     if not context:
         return [Fraction(1)]
     holder = next(c for c in scenario.maximal_contexts if set(context) <= set(c))
     marginal = marginalize(model.table(holder), context)
-    return [marginal.weight(section) if section is not None else Fraction(0)
-            for _, section in atoms]
+    values = []
+    for atom in atoms:
+        point = atom & -atom
+        signature = [[o for o in scenario.outcomes if singleton[(x, o)] & point] for x in context]
+        if all(len(held) == 1 for held in signature):
+            values.append(marginal.weight(Section(context, tuple(h[0] for h in signature), scenario)))
+        else:
+            values.append(Fraction(0))
+    return values
 
 
-def _is_combinatorial(points, scenario, transfer, cap) -> bool:
-    full = frozenset(points)
-    for size in range(1, len(scenario.measurements) + 1):
-        for domain in itertools.combinations(scenario.measurements, size):
-            sections = sections_over(scenario, domain, cap=cap)
-            union: set = set()
-            for i, s in enumerate(sections):
-                image = transfer[s]
-                union.update(image)
-                for t in sections[i + 1:]:
-                    if image & transfer[t]:
-                        return False
-            if frozenset(union) != full:
-                return False
-    return True
+def _is_combinatorial(images_by_domain: Iterable[list[Event]], sample_space: Event) -> bool:
+    """Do each domain's images put every point in exactly one image?
 
-
-def _atoms_of_family(points, members) -> list[Event]:
-    """Equivalence classes of points under membership in a set family."""
-    cells: dict[tuple, set] = {}
-    member_list = list(members)
-    for p in points:
-        signature = tuple(p in m for m in member_list)
-        cells.setdefault(signature, set()).add(p)
-    return [frozenset(cell) for cell in cells.values()]
+    Counted per domain: the images must cover the sample space and their
+    sizes must sum to its size, which rules out every overlap.
+    """
+    size = sample_space.bit_count()
+    return all(reduce(or_, images, 0) == sample_space and sum(i.bit_count() for i in images) == size
+               for images in images_by_domain)
 
 
 # ---------------------------------------------------------------------------
@@ -415,46 +437,55 @@ def _verify_rep(rep: WpsRepresentation, cap: int, report: CompatibilityReport) -
     warnings: list[RepFailure] = []
     scenario = rep.model.scenario
     full = rep.sample_space
+    transfer = rep.transfer
+    # Each value as an integer numerator over the values' common denominator.
+    scale = math.lcm(*(v.denominator for v in rep.mu.values()))
+    numerator = {event: v.numerator * (scale // v.denominator) for event, v in rep.mu.items()}
 
     def fail(condition: str, detail: str) -> None:
         failures.append(RepFailure(condition, detail))
 
-    # transfer totality and the intersection form of the sheaf condition
-    all_sections: list[Section] = []
+    # transfer totality, with the stored images grouped by domain
+    stored: dict[tuple, list[tuple[Section, Event]]] = {}
+    missing = 0
     for size in range(0, len(scenario.measurements) + 1):
         for domain in itertools.combinations(scenario.measurements, size):
+            pairs = stored[domain] = []
             for s in sections_over(scenario, domain, cap=cap):
-                all_sections.append(s)
-                if s not in rep.transfer:
+                image = transfer.get(s)
+                if image is None:
+                    missing += 1
                     fail("transfer-totality", f"no image stored for {s}")
+                else:
+                    pairs.append((s, image))
 
-    stored = [s for s in all_sections if s in rep.transfer]
-
-    empty = scenario.empty_section()
-    if empty in rep.transfer and rep.transfer[empty] != full:
+    if stored[()] and stored[()][0][1] != full:
         fail("empty-section-image", "the empty section must map to the whole sample space")
 
     if len(scenario.outcomes) >= 2:
         images: dict[Event, Section] = {}
-        for s in stored:
-            other = images.setdefault(rep.transfer[s], s)
-            if other != s:
-                fail("transfer-injectivity", f"{other} and {s} share one image")
+        for pairs in stored.values():
+            for s, image in pairs:
+                other = images.setdefault(image, s)
+                if other is not s:
+                    fail("transfer-injectivity", f"{other} and {s} share one image")
     else:
         warnings.append(RepFailure(
             "transfer-injectivity",
             "single-outcome scenario: every image is the whole space, injectivity is waived",
         ))
 
-    for s in stored:
-        if not s.domain:
-            continue
-        image = rep.transfer[s]
-        if not image:
-            fail("nonempty-image", f"{s} has an empty image")
-        pieces = [rep.transfer.get(Section((x,), (o,), scenario)) for x, o in zip(s.domain, s.values)]
-        if None not in pieces and image != full.intersection(*pieces):
-            fail("sheaf-intersection", f"{s}: image differs from the intersection of its single-measurement images")
+    # non-empty images and the intersection form of the sheaf condition
+    single = {(s.domain[0], s.values[0]): image
+              for x in scenario.measurements for s, image in stored[(x,)]}
+    for domain, pairs in stored.items():
+        for s, image in pairs if domain else ():
+            if not image:
+                fail("nonempty-image", f"{s} has an empty image")
+            pieces = [single.get(key) for key in zip(domain, s.values)]
+            if None not in pieces and image != reduce(and_, pieces, full):
+                fail("sheaf-intersection",
+                     f"{s}: image differs from the intersection of its single-measurement images")
 
     # per-context algebras: closure, exact probability measure, EC, ME
     for context in all_contexts(scenario):
@@ -464,9 +495,9 @@ def _verify_rep(rep: WpsRepresentation, cap: int, report: CompatibilityReport) -
         members = set(rep.sigma_algebras[context])
         # A family of subsets of Y is a Boolean algebra exactly when it holds
         # every union of its membership classes, i.e. 2^(class count) members.
-        atoms = _atoms_of_family(rep.points, members)
+        atoms = _atoms(full, members)
         closure_ok = False
-        if not all(a <= full for a in members):
+        if any(member & ~full for member in members):
             fail("wc-closure", f"a member of the algebra over {context!r} leaves the sample space")
         elif len(members) != 2 ** len(atoms):
             fail("wc-closure", f"algebra over {context!r} has {len(members)} members, "
@@ -479,38 +510,36 @@ def _verify_rep(rep: WpsRepresentation, cap: int, report: CompatibilityReport) -
             continue
         if rep.mu.get(full) != 1:
             fail("wc-measure", f"whole space valued {rep.mu.get(full)} in context {context!r}")
-        if rep.mu.get(frozenset()) != 0:
+        if rep.mu.get(0) != 0:
             fail("wc-measure", "empty set has non-zero value")
         if closure_ok:
+            # Under closure every non-empty member is the atom of its lowest
+            # point plus a member with one atom fewer, so additivity over the
+            # atoms holds exactly when each such split adds up.
             for member in members:
-                total = sum((rep.mu[a] for a in atoms if a <= member), Fraction(0))
-                if total != rep.mu[member]:
-                    fail("wc-measure",
-                         f"additivity fails over {context!r}: member valued {rep.mu[member]}, atoms sum to {total}")
+                low = member & -member
+                atom = next((a for a in atoms if a & low), 0)
+                if numerator[member] != numerator[member & ~atom] + numerator[atom]:
+                    fail("wc-measure", f"additivity fails over {context!r}: member valued {rep.mu[member]}, "
+                                       f"its lowest atom {rep.mu[atom]} and the rest {rep.mu[member & ~atom]}")
                     break
         for a in members:
-            if rep.mu[a] < 0:
+            if numerator[a] < 0:
                 fail("wc-measure", f"negative value {rep.mu[a]} in context {context!r}")
                 break
 
         holder = next(c for c in scenario.maximal_contexts if set(context) <= set(c))
         marginal = marginalize(rep.model.table(holder), context) if context else None
-        for s in sections_over(scenario, context, cap=cap):
-            image = rep.transfer.get(s)
-            if image is None:
-                continue
+        pairs = stored[context]
+        for s, image in pairs:
             expected = marginal.weight(s) if context else Fraction(1)
             if image not in rep.mu:
                 fail("ec", f"image of {s} carries no value")
             elif rep.mu[image] != expected:
                 fail("ec", f"value of {s} image is {rep.mu[image]}, tables give {expected}")
 
-        context_sections = sections_over(scenario, context, cap=cap)
-        for i, s in enumerate(context_sections):
-            for t in context_sections[i + 1:]:
-                a, b = rep.transfer.get(s), rep.transfer.get(t)
-                if a is None or b is None:
-                    continue
+        for i, (s, a) in enumerate(pairs):
+            for t, b in pairs[i + 1:]:
                 inter = a & b
                 if inter not in rep.mu:
                     fail("me", f"overlap of {s} and {t} is outside the event family")
@@ -521,14 +550,14 @@ def _verify_rep(rep: WpsRepresentation, cap: int, report: CompatibilityReport) -
         fail("model-compatibility", str(report.failures[0]))
 
     # the combinatorial flag, decidable only once every image is stored
-    if len(stored) == len(all_sections):
-        actual = _is_combinatorial(rep.points, scenario, rep.transfer, cap)
+    if not missing:
+        actual = _is_combinatorial(([image for _, image in pairs] for pairs in stored.values()), full)
         if rep.combinatorial != actual:
             fail("flag-accuracy", f"combinatorial flag is {rep.combinatorial}, computed {actual}")
 
-    for event, value in rep.mu.items():
-        if value < 0 or value > 1:
-            warnings.append(RepFailure("mu-range", f"value {value} outside [0, 1]"))
+    for event, n in numerator.items():
+        if n < 0 or n > scale:
+            warnings.append(RepFailure("mu-range", f"value {rep.mu[event]} outside [0, 1]"))
             break
 
     return RepVerdict(not failures, tuple(failures), tuple(warnings))
@@ -557,36 +586,37 @@ def excise(rep: WpsRepresentation, cap: int = DEFAULT_ENUMERATION_CAP) -> Excisi
     """
     scenario = rep.model.scenario
     full = rep.sample_space
+    outcome_sections = {x: sections_over(scenario, (x,), cap=cap) for x in scenario.measurements}
     d1: set[Event] = set()
     d2: set[Event] = set()
-    for x in scenario.measurements:
-        outcome_events = [rep.transfer[s] for s in sections_over(scenario, (x,), cap=cap)]
+    for sections in outcome_sections.values():
+        outcome_events = [rep.transfer[s] for s in sections]
         for i, a in enumerate(outcome_events):
             for b in outcome_events[i + 1:]:
                 inter = a & b
                 if inter:
                     d1.add(inter)
-        residue = full - frozenset().union(*outcome_events)
+        residue = full & ~reduce(or_, outcome_events, 0)
         if residue:
             d2.add(residue)
-    removed = frozenset().union(*(d1 | d2)) if (d1 | d2) else frozenset()
-    z = full - removed
+    z = full & ~reduce(or_, d1 | d2, 0)
 
     for event in d1 | d2:
         if rep.mu.get(event) != 0:
             raise InternalConsistencyError("an excised event is not measure zero")
 
-    for p in sorted(z, key=rep.point_index):
+    for i in _indices(z):
+        point = 1 << i
         locals_: list[Section] = []
-        for x in scenario.measurements:
-            holding = [s for s in sections_over(scenario, (x,), cap=cap) if p in rep.transfer[s]]
+        for x, sections in outcome_sections.items():
+            holding = [s for s in sections if rep.transfer[s] & point]
             if len(holding) != 1:
                 raise InternalConsistencyError(
-                    f"core point {p!r} lies in {len(holding)} outcome events of {x!r}"
+                    f"core point {rep.points[i]!r} lies in {len(holding)} outcome events of {x!r}"
                 )
             locals_.append(holding[0])
-        if p not in rep.transfer[glue(locals_)]:
-            raise InternalConsistencyError(f"core point {p!r} escapes its glued global image")
+        if not rep.transfer[glue(locals_)] & point:
+            raise InternalConsistencyError(f"core point {rep.points[i]!r} escapes its glued global image")
 
     return ExcisionReport(frozenset(d1), frozenset(d2), z)
 

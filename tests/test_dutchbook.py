@@ -56,7 +56,7 @@ class TestConvexityMembership:
         weights = convexity_membership(control_rep)
         assert weights is not None
         for event in control_rep.sigma:
-            total = sum((weights[p] for p in event), Fraction(0))
+            total = sum((weights[p] for p in control_rep.points_of(event)), Fraction(0))
             assert total == control_rep.mu_of(event)
 
     def test_bell_fails_on_maximal_context_events(self, reps):
@@ -114,7 +114,7 @@ class TestVerifyCertificate:
 
     def test_stake_outside_family_rejected(self, reps):
         rep = reps["pr-box"]
-        odd = frozenset({rep.points[0], rep.points[-1]})
+        odd = rep.event_of([rep.points[0], rep.points[-1]])
         bad = DutchBookCertificate(((odd, Fraction(-1)),), Fraction(1))
         with pytest.raises(NotAnEventError):
             verify_certificate(rep, bad)
@@ -173,13 +173,13 @@ class TestBijections:
             rows = [[Fraction(1)] * len(rep.points)]
             rhs = [Fraction(1)]
             for event in events:
-                rows.append([Fraction(1 if p in event else 0) for p in rep.points])
+                rows.append([Fraction(event >> i & 1) for i in range(len(rep.points))])
                 rhs.append(pushed[event])
             outcome = solve_nonnegative(rows, rhs)
             assert outcome.feasible
             recovered = {p: w for p, w in zip(rep.points, outcome.solution)}
             for event in events:
-                assert sum((recovered[p] for p in event), Fraction(0)) == pushed[event]
+                assert sum((recovered[p] for p in rep.points_of(event)), Fraction(0)) == pushed[event]
 
     def test_membership_system_mirrors_global_distribution_system(self, reps):
         # Columns are in bijection (points vs global sections); a point lies
@@ -189,10 +189,10 @@ class TestBijections:
         scenario = rep.model.scenario
         events = rep.maximal_context_events()
         for g in scenario.global_sections():
-            point = next(iter(rep.event(g)))
+            (point,) = rep.points_of(rep.event(g))
             for event in events:
                 section = rep.section_of(event)
-                lhs = point in event
+                lhs = point in rep.points_of(event)
                 rhs = restrict(g, section.domain) == section
                 assert lhs == rhs
 
@@ -223,12 +223,13 @@ class TestConvexityHierarchy:
             events = rep.maximal_context_events()
             support = [rep.mu_of(e) > 0 for e in events]
             achievable = False
-            points = list(rep.points)
-            for size in range(1, len(points) + 1):
+            n = len(rep.points)
+            for size in range(1, n + 1):
                 if achievable:
                     break
-                for combo in itertools.combinations(points, size):
-                    marked = [any(p in e for p in combo) for e in events]
+                for combo in itertools.combinations(range(n), size):
+                    chosen = sum(1 << i for i in combo)
+                    marked = [bool(e & chosen) for e in events]
                     if marked == support:
                         achievable = True
                         break

@@ -177,8 +177,8 @@ class TestRepresentationConditions:
         for name, rep in padded_catalog_reps.items():
             report = excise(rep)
             assert report.d1 and report.d2, name
-            assert "pad-overlap" not in report.z
-            assert "pad-outcomeless" not in report.z
+            assert "pad-overlap" not in rep.points_of(report.z)
+            assert "pad-outcomeless" not in rep.points_of(report.z)
             for event in report.d1 | report.d2:
                 assert rep.mu_of(event) == 0
 

@@ -13,12 +13,15 @@ from contextuality.classifier import classify
 from contextuality.dutchbook import find_dutch_book
 from contextuality.errors import SchemaError
 from contextuality.exports import export_bundle_diagram, export_nerve
+from contextuality.extensions import ExplicitExtension
 from contextuality.model import check_model
 from contextuality.quantum import experiment_from_dict, experiment_to_dict, singlet_experiment
 from contextuality.serialize import (
     certificate_from_dict,
     certificate_to_dict,
     dumps,
+    extension_from_dict,
+    extension_to_dict,
     loads,
     model_from_dict,
     model_to_dict,
@@ -58,6 +61,19 @@ class TestRoundTrips:
         assert again.collection == witness.collection
         assert again.defect == witness.defect
         assert verify_witness(rep, again)
+
+    @pytest.mark.parametrize("name", ["bell", "ghz"])
+    @pytest.mark.parametrize("extension_kind", ["monotonic", "classical"])
+    def test_extension_round_trip(self, name, extension_kind):
+        rep = build_combinatorial_rep(entry(name).model)
+        extension = ExplicitExtension(rep, rep.mu)
+        document = loads(dumps(extension_to_dict(rep, extension, extension_kind)))
+        assert [item["event"] for item in document["values"]] == [
+            list(rep.points_of(e)) for e in rep.sorted_events(rep.mu)
+        ]
+        again, kind = extension_from_dict(rep, document)
+        assert kind == extension_kind
+        assert again.values == extension.values
 
     def test_experiment_round_trip(self):
         experiment = singlet_experiment()
@@ -219,6 +235,24 @@ class TestCli:
         path.write_text(json.dumps({"schema_version": 1, **document}))
         assert main(["verify", "bell", "--file", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("field, value", [
+        ("section", ["0"]),
+        ("extension_kind", ["monotone-envelope"]),
+    ], ids=["section-shorter-than-context", "extension-kind-not-a-string"])
+    def test_verify_witness_with_malformed_support_exits_2(self, field, value, tmp_path, capsys):
+        rep = build_combinatorial_rep(bell_model())
+        document = witness_to_dict(rep, tier_violation_witness(rep, Tier.PROBABILISTIC))
+        path = tmp_path / "witness.json"
+        path.write_text(dumps(document))
+        assert main(["verify", "bell", "--file", str(path)]) == 0
+        capsys.readouterr()
+        document["support"][field] = value
+        path.write_text(dumps(document))
+        assert main(["verify", "bell", "--file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"support.{field}" in err
 
     @pytest.mark.parametrize("base, path, value", [
         ("bell", ("scenario", "maximal_contexts"), [5]),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from contextuality.catalog import (
 from contextuality.distribution import Distribution
 from contextuality.errors import DomainError, NotAnEventError, PaddingError
 from contextuality.model import EmpiricalModel
-from contextuality.scenario import sections_over
+from contextuality.scenario import restrict, sections_over
+from conftest import noisy_cycle, standard_paddings
 from contextuality.wps import (
     PadPoint,
     WpsRepresentation,
@@ -57,7 +59,7 @@ class TestCombinatorialConstruction:
     def test_specker_outcome_event_is_a_face(self, specker_rep):
         scenario = specker_rep.model.scenario
         event = specker_rep.event(scenario.section({"c": "0"}))
-        assert len(event) == 4
+        assert event.bit_count() == 4
 
     def test_bell_sample_space_has_sixteen_points(self, bell_rep):
         assert len(bell_rep.points) == 16
@@ -93,14 +95,14 @@ class TestPaddedConstruction:
         scenario = rep.model.scenario
         e0 = rep.event(scenario.section({"a": "0"}))
         e1 = rep.event(scenario.section({"a": "1"}))
-        assert "pad-contradictory" in e0 & e1
+        assert "pad-contradictory" in rep.points_of(e0 & e1)
 
     def test_d2_padding_verifies(self):
         rep = build_padded_rep(bell_model(), [d2_padding()])
         assert verify_rep(rep).ok
         scenario = rep.model.scenario
         for s in sections_over(scenario, ("b",)):
-            assert "pad-outcomeless" not in rep.event(s)
+            assert "pad-outcomeless" not in rep.points_of(rep.event(s))
 
     def test_empty_padding_equals_combinatorial_output(self, bell_rep):
         assert build_padded_rep(bell_model(), []) == bell_rep
@@ -138,7 +140,7 @@ def _section(rep, assignment):
 
 def _set_image(rep, assignment, image):
     transfer = dict(rep.transfer)
-    transfer[_section(rep, assignment)] = frozenset(image)
+    transfer[_section(rep, assignment)] = image
     return _with(rep, transfer=transfer)
 
 
@@ -149,7 +151,7 @@ def _drop_image(rep):
 
 
 def _shrink_empty_image(rep):
-    return _set_image(rep, {}, rep.sample_space - {rep.points[0]})
+    return _set_image(rep, {}, rep.sample_space & ~rep.event_of([rep.points[0]]))
 
 
 def _alias_images(rep):
@@ -157,12 +159,12 @@ def _alias_images(rep):
 
 
 def _empty_image(rep):
-    return _set_image(rep, A0B0, ())
+    return _set_image(rep, A0B0, 0)
 
 
 def _widen_image(rep):
-    stray = rep.sorted_points(rep.event(_section(rep, A0B1)))[0]
-    return _set_image(rep, A0B0, rep.event(_section(rep, A0B0)) | {stray})
+    stray = rep.points_of(rep.event(_section(rep, A0B1)))[0]
+    return _set_image(rep, A0B0, rep.event(_section(rep, A0B0)) | rep.event_of([stray]))
 
 
 def _image_as_its_restriction(rep):
@@ -173,7 +175,7 @@ def _image_as_its_restriction(rep):
 def _member_outside_sample_space(rep):
     context = ("a", "b")
     target = rep.event(_section(rep, A0B0))
-    grown = target | {"foreign"}
+    grown = target | 1 << len(rep.points)  # a point beyond the sample space
     algebras = dict(rep.sigma_algebras)
     algebras[context] = tuple(grown if e == target else e for e in algebras[context])
     return _with(rep, sigma_algebras=algebras, mu={**rep.mu, grown: rep.mu[target]})
@@ -185,8 +187,18 @@ def _whole_space_valued_two(rep):
 
 def _value_pad_overlap(rep):
     overlap = rep.event(_section(rep, {"a": "0"})) & rep.event(_section(rep, {"a": "1"}))
-    assert overlap == {"pad-overlap"}
+    assert rep.points_of(overlap) == ("pad-overlap",)
     return _with(rep, mu={**rep.mu, overlap: Fraction(1, 8)})
+
+
+def _union_valued_off(rep):
+    # Not the image of any section, so only additivity over the atoms sees it.
+    union = rep.event(_section(rep, A0B0)) | rep.event(_section(rep, {"a": "1", "b": "1"}))
+    return _with(rep, mu={**rep.mu, union: rep.mu[union] + Fraction(1, 8)})
+
+
+def _padded_flagged_combinatorial(rep):
+    return _with(rep, combinatorial=True)
 
 
 def _signalling_model(rep):
@@ -211,8 +223,10 @@ class TestVerifyRepFailures:
         ("sheaf-intersection", False, _image_as_its_restriction),
         ("wc-closure", False, _member_outside_sample_space),
         ("wc-measure", False, _whole_space_valued_two),
+        ("wc-measure", False, _union_valued_off),
         ("me", True, _value_pad_overlap),
         ("model-compatibility", False, _signalling_model),
+        ("flag-accuracy", True, _padded_flagged_combinatorial),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_tamper_trips_condition(self, condition, padded, tamper, bell_rep, padded_catalog_reps):
         rep = padded_catalog_reps["bell"] if padded else bell_rep
@@ -261,6 +275,56 @@ class TestVerifyRepFailures:
         assert any(f.condition == "flag-accuracy" for f in verdict.failures)
 
 
+def _images_by_definition(rep, pads=()):
+    """Each section's image as labels: the global sections restricting to it, then the pads joining it."""
+    scenario = rep.model.scenario
+    globals_ = scenario.global_sections()
+    images = {}
+    for size in range(len(scenario.measurements) + 1):
+        for domain in itertools.combinations(scenario.measurements, size):
+            for s in sections_over(scenario, domain):
+                labels = [",".join(g.values) for g in globals_ if restrict(g, domain) == s]
+                labels += [pad.label for pad in pads
+                           if all(o in pad.memberships.get(x, ()) for x, o in zip(domain, s.values))]
+                images[s] = tuple(labels)
+    return images
+
+
+class TestMasksAgainstTheDefinition:
+    def _check(self, rep, pads=()):
+        images = _images_by_definition(rep, pads)
+        assert set(images) == set(rep.transfer)
+        for s, labels in images.items():
+            event = rep.transfer[s]
+            assert rep.points_of(event) == labels, s
+            assert rep.event_of(labels) == event
+            assert rep.event_key(event) == tuple(rep.point_index(p) for p in labels)
+
+    def test_catalog_reps(self, catalog_reps):
+        for rep in catalog_reps.values():
+            self._check(rep)
+
+    def test_padded_catalog_reps(self, padded_catalog_reps):
+        for rep in padded_catalog_reps.values():
+            self._check(rep, standard_paddings(rep.model.scenario))
+
+    def test_padded_bell_reps(self):
+        for pads in ([d1_padding()], [d2_padding()], [d1_padding(), d2_padding()]):
+            self._check(build_padded_rep(bell_model(), pads), pads)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_noisy_cycles(self, n):
+        self._check(build_combinatorial_rep(noisy_cycle(n, Fraction(1, 8))))
+
+    def test_label_boundary_rejects_foreign_points(self, bell_rep):
+        with pytest.raises(DomainError):
+            bell_rep.event_of(["not-a-point"])
+        with pytest.raises(DomainError):
+            bell_rep.points_of(1 << len(bell_rep.points))
+        with pytest.raises(DomainError):
+            bell_rep.event_key(-1)
+
+
 class TestExcision:
     def test_combinatorial_excision_is_trivial(self, bell_rep):
         report = excise(bell_rep)
@@ -270,12 +334,12 @@ class TestExcision:
     def test_d1_pad_point_excluded_from_core(self):
         rep = build_padded_rep(bell_model(), [d1_padding()])
         report = excise(rep)
-        assert report.d1 and "pad-contradictory" not in report.z
+        assert report.d1 and "pad-contradictory" not in rep.points_of(report.z)
 
     def test_d2_pad_point_excluded_from_core(self):
         rep = build_padded_rep(bell_model(), [d2_padding()])
         report = excise(rep)
-        assert report.d2 and "pad-outcomeless" not in report.z
+        assert report.d2 and "pad-outcomeless" not in rep.points_of(report.z)
 
     def test_excised_events_are_measure_zero(self):
         rep = build_padded_rep(bell_model(), [d1_padding(), d2_padding()])
@@ -295,7 +359,8 @@ class TestExtendEvent:
         scenario = specker_rep.model.scenario
         small = extend_event(specker_rep, specker_rep.event(scenario.section({"a": "0", "b": "0"})), ("a",))
         assert small == specker_rep.event(scenario.section({"a": "0"}))
-        assert small > specker_rep.event(scenario.section({"a": "0", "b": "0"}))
+        edge = specker_rep.event(scenario.section({"a": "0", "b": "0"}))
+        assert small != edge and not edge & ~small
 
     def test_empty_target_gives_whole_space(self, specker_rep):
         scenario = specker_rep.model.scenario
@@ -304,7 +369,7 @@ class TestExtendEvent:
 
     def test_non_image_rejected(self, specker_rep):
         # No section image contains two points that differ on every measurement.
-        bad = frozenset({specker_rep.points[0], specker_rep.points[-1]})
+        bad = specker_rep.event_of([specker_rep.points[0], specker_rep.points[-1]])
         with pytest.raises(NotAnEventError):
             extend_event(specker_rep, bad, ())
 
