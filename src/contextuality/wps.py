@@ -101,7 +101,23 @@ class WpsRepresentation:
         return tuple(_indices(event))
 
     def sorted_events(self, events: Iterable[Event]) -> tuple[Event, ...]:
-        return tuple(sorted(set(events), key=self.event_key))
+        """The distinct events in canonical order, ascending by :meth:`event_key`."""
+        return tuple(sorted(set(events), key=self._rank))
+
+    def _rank(self, event: Event) -> int:
+        """The event's place in the canonical order of every subset of the points.
+
+        Before it come its proper prefixes in that order, one per point it
+        holds, and, for each point t below its last point that it leaves
+        out, the 2^(n-1-t) subsets that agree with it below t and hold t.
+        """
+        n = len(self.points)
+        if event >> n or event < 0:
+            raise DomainError("the event has points outside the sample space")
+        if not event:
+            return 0
+        gaps = ~event & ((1 << (event.bit_length() - 1)) - 1)
+        return event.bit_count() + int(format(gaps, f"0{n}b")[::-1], 2)
 
     def points_of(self, event: Event) -> tuple[str, ...]:
         """The labels of an event's points, in point order."""
@@ -479,7 +495,9 @@ def _verify_rep(rep: WpsRepresentation, cap: int, report: CompatibilityReport) -
     single = {(s.domain[0], s.values[0]): image
               for x in scenario.measurements for s, image in stored[(x,)]}
     for domain, pairs in stored.items():
-        for s, image in pairs if domain else ():
+        if not domain:
+            continue
+        for s, image in pairs:
             if not image:
                 fail("nonempty-image", f"{s} has an empty image")
             pieces = [single.get(key) for key in zip(domain, s.values)]

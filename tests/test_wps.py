@@ -6,6 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contextuality.catalog import (
     bell_model,
@@ -315,6 +316,18 @@ class TestMasksAgainstTheDefinition:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_noisy_cycles(self, n):
         self._check(build_combinatorial_rep(noisy_cycle(n, Fraction(1, 8))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_canonical_order_is_the_event_key_order(self, catalog_reps, data):
+        rep = catalog_reps[data.draw(st.sampled_from(sorted(catalog_reps)), label="model")]
+        events = data.draw(st.lists(st.integers(0, rep.sample_space), max_size=40), label="events")
+        events += [0, rep.sample_space]
+        assert list(rep.sorted_events(events)) == sorted(set(events), key=rep.event_key)
+
+    def test_canonical_order_of_every_event_of_a_small_space(self, specker_rep):
+        every = range(specker_rep.sample_space + 1)
+        assert list(specker_rep.sorted_events(every)) == sorted(every, key=specker_rep.event_key)
 
     def test_label_boundary_rejects_foreign_points(self, bell_rep):
         with pytest.raises(DomainError):
