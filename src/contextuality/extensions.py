@@ -167,8 +167,17 @@ class EnvelopeExtension:
         self.rep = rep
         self.extra_pool = tuple((e, Fraction(w)) for e, w in extra_pool)
         family = _family_pool(rep)
-        # Cheapest first, so the first superset found carries the minimum.
-        self._pool = sorted(family + list(self.extra_pool), key=lambda item: item[1])
+        # Cheapest first, so the lowest pool position among the supersets
+        # carries the minimum.  Bit j of _holders[i] marks the pool set at
+        # position j as holding point i: an event's pool supersets are the
+        # AND of its points' holders.
+        pool = sorted(family + list(self.extra_pool), key=lambda item: item[1])
+        self._weights = [weight for _, weight in pool]
+        self._holders: dict[int, int] = {}
+        for j, (mask, _) in enumerate(pool):
+            for i in _indices(mask):
+                self._holders[i] = self._holders.get(i, 0) | 1 << j
+        self._whole_pool = (1 << len(pool)) - 1
         for event, value in family:
             if self.value(event) != value:
                 raise NotAnExtensionError(
@@ -180,10 +189,12 @@ class EnvelopeExtension:
         return None
 
     def value(self, event: int) -> Fraction:
-        for candidate, weight in self._pool:
-            if not event & ~candidate:
-                return weight
-        raise ValueError("no pool superset; the family must contain the sample space")
+        supersets = self._whole_pool
+        for i in _indices(event):
+            supersets &= self._holders.get(i, 0)
+        if not supersets:
+            raise ValueError("no pool superset; the family must contain the sample space")
+        return self._weights[(supersets & -supersets).bit_length() - 1]
 
     def describe(self) -> str:
         if self.extra_pool:
