@@ -150,11 +150,6 @@ class CoverExtension:
     def value(self, event: int) -> Fraction:
         return self._solver.cover_value(event)
 
-    def describe(self) -> str:
-        if self.extra_pool:
-            return f"cheapest-cover extension with {len(self.extra_pool)} extra pool sets"
-        return "cheapest-cover extension from the event family"
-
 
 class EnvelopeExtension:
     """Cheapest-superset extension; monotone but not subadditive in general."""
@@ -167,10 +162,9 @@ class EnvelopeExtension:
         self.rep = rep
         self.extra_pool = tuple((e, Fraction(w)) for e, w in extra_pool)
         family = _family_pool(rep)
-        # Cheapest first, so the lowest pool position among the supersets
-        # carries the minimum.  Bit j of _holders[i] marks the pool set at
-        # position j as holding point i: an event's pool supersets are the
-        # AND of its points' holders.
+        # Cheapest first, so the lowest pool position among an event's
+        # supersets carries the minimum.  Bit j of _holders[i] marks pool set
+        # j as holding point i; an event's supersets AND its points' holders.
         pool = sorted(family + list(self.extra_pool), key=lambda item: item[1])
         self._weights = [weight for _, weight in pool]
         self._holders: dict[int, int] = {}
@@ -196,11 +190,6 @@ class EnvelopeExtension:
             raise ValueError("no pool superset; the family must contain the sample space")
         return self._weights[(supersets & -supersets).bit_length() - 1]
 
-    def describe(self) -> str:
-        if self.extra_pool:
-            return f"monotone envelope extension with {len(self.extra_pool)} extra pool sets"
-        return "monotone envelope extension (cheapest family superset)"
-
 
 class PointMeasureExtension:
     """The additive extension induced by exact point weights."""
@@ -222,9 +211,6 @@ class PointMeasureExtension:
     def value(self, event: int) -> Fraction:
         by_index = self._by_index
         return sum((by_index[i] for i in _indices(event)), ZERO)
-
-    def describe(self) -> str:
-        return "additive extension from point weights"
 
 
 class MixedExtension:
@@ -248,9 +234,6 @@ class MixedExtension:
     def value(self, event: int) -> Fraction:
         return sum((w * ext.value(event) for w, ext in self.components), ZERO)
 
-    def describe(self) -> str:
-        return f"convex mixture of {len(self.components)} extensions"
-
 
 class ExplicitExtension:
     """An extension given by an explicit value table over an explicit domain."""
@@ -271,9 +254,6 @@ class ExplicitExtension:
             return self.values[event]
         except KeyError:
             raise NotAnExtensionError("candidate extension has no value for a required set") from None
-
-    def describe(self) -> str:
-        return f"explicit extension over {len(self.values)} sets"
 
 
 def canonical_monotone_extension(rep: WpsRepresentation):

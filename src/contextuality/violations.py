@@ -541,4 +541,3 @@ def _generated_algebra(rep: WpsRepresentation, cap: int) -> tuple[Event, ...]:
     if 2 ** len(atoms) > cap:
         raise EnumerationCapError(2 ** len(atoms), cap, what="generated-algebra members")
     return tuple(_subset_sums(atoms))
-

@@ -17,14 +17,10 @@ combinatorial conditions while preserving the per-context probability
 spaces, empirical consistency, and mutual exclusivity.
 
 An event is an ``int`` mask over point indices: bit i stands for
-``points[i]``, so intersection, union and complement within the sample
-space are ``&``, ``|`` and ``full & ~event``.  The canonical event order is
-the ascending tuple of point indices (:meth:`WpsRepresentation.event_key`).
-Point labels appear only where events are read or written as text:
-:meth:`WpsRepresentation.points_of` and :meth:`WpsRepresentation.event_of`.
-On ints, ``<=``, ``<``, ``-`` and ``len`` do not mean subset, proper
-subset, difference and size; write ``not a & ~b``, ``a & ~b`` and
-``a.bit_count()`` instead.
+``points[i]``.  Its canonical order is the ascending tuple of point indices
+(``event_key``); labels appear only through ``points_of`` and ``event_of``.
+On ints, ``<=``, ``<``, ``-`` and ``len`` do not mean subset, proper subset,
+difference and size: write ``not a & ~b``, ``a & ~b`` and ``a.bit_count()``.
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ from .distribution import marginalize
 from .scenario import Section, all_contexts, glue, restrict, sections_over
 
 Event = int
-"""An event is an int mask over point indices: bit i stands for ``points[i]``."""
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +100,11 @@ class WpsRepresentation:
         return tuple(sorted(set(events), key=self._rank))
 
     def _rank(self, event: Event) -> int:
-        """The event's place in the canonical order of every subset of the points.
+        """The event's place among all subsets of the points in canonical order.
 
-        Before it come its proper prefixes in that order, one per point it
-        holds, and, for each point t below its last point that it leaves
-        out, the 2^(n-1-t) subsets that agree with it below t and hold t.
-        """
+        Before it come its proper prefixes, one per point it holds, and for each
+        point t it lacks below its last, the 2^(n-1-t) subsets holding t that
+        agree with it below t."""
         n = len(self.points)
         if event >> n or event < 0:
             raise DomainError("the event has points outside the sample space")
@@ -203,9 +197,9 @@ def _atoms(full: Event, generators: Iterable[Event]) -> list[Event]:
 
 
 def _subset_sums(parts: Sequence[int]) -> list[int]:
-    """Entry j sums the parts at the set bits of j, as an earlier entry plus one part.
+    """Entry j sums the parts at the set bits of j (an earlier entry plus one part).
 
-    On disjoint masks, such as the atoms of an algebra, the sums are the unions."""
+    On disjoint masks, such as an algebra's atoms, the sums are the unions."""
     sums = [0]
     for part in parts:
         sums += [total + part for total in sums]
@@ -290,38 +284,30 @@ def _build(model: EmpiricalModel, pads: tuple[PadPoint, ...],
         ):
             raise DomainError("point_order must enumerate exactly the global sections")
 
+    # Single-measurement images: point i joins the image of each outcome its
+    # global section assigns, or of each outcome its pad memberships name.
     points = [_global_point_label(s) for s in base_sections]
-
-    pad_memberships: dict[str, dict] = {}
+    singleton = {(x, o): 0 for x in scenario.measurements for o in scenario.outcomes}
+    for i, g in enumerate(base_sections):
+        for key in zip(g.domain, g.values):
+            singleton[key] |= 1 << i
     for pad in pads:
-        if pad.label in points or pad.label in pad_memberships:
+        if pad.label in points:
             raise PaddingError(f"padding label {pad.label!r} collides with an existing point")
-        memberships = {}
         for m, outcomes in pad.memberships.items():
             if m not in scenario.measurements:
                 raise PaddingError(f"padding references unknown measurement {m!r}")
             for o in outcomes:
                 if o not in scenario.outcomes:
                     raise PaddingError(f"padding references unknown outcome {o!r}")
-            memberships[m] = frozenset(outcomes)
-        full = {m: memberships.get(m, frozenset()) for m in scenario.measurements}
-        if all(len(v) == 1 for v in full.values()):
+        if all(len(pad.memberships.get(m, ())) == 1 for m in scenario.measurements):
             raise PaddingError(
                 f"padding point {pad.label!r} mimics a global section and pads nothing"
             )
-        pad_memberships[pad.label] = full
-        points.append(pad.label)
-
-    # Single-measurement images: point i joins the image of each outcome its
-    # global section assigns, or of each outcome its pad memberships name.
-    singleton = {(x, o): 0 for x in scenario.measurements for o in scenario.outcomes}
-    for i, g in enumerate(base_sections):
-        for key in zip(g.domain, g.values):
-            singleton[key] |= 1 << i
-    for i, ms in enumerate(pad_memberships.values(), start=len(base_sections)):
-        for x, outcomes in ms.items():
+        for m, outcomes in pad.memberships.items():
             for o in outcomes:
-                singleton[(x, o)] |= 1 << i
+                singleton[(m, o)] |= 1 << len(points)
+        points.append(pad.label)
 
     # Every other image intersects the image over the domain less its last
     # measurement with a single-measurement image, in enumeration order.
@@ -386,11 +372,9 @@ def _atom_values(model, context, atoms, singleton) -> list[Fraction]:
 
 
 def _is_combinatorial(images_by_domain: Iterable[list[Event]], sample_space: Event) -> bool:
-    """Do each domain's images put every point in exactly one image?
+    """Do each domain's images cover the sample space with sizes summing to its size?
 
-    Counted per domain: the images must cover the sample space and their
-    sizes must sum to its size, which rules out every overlap.
-    """
+    That puts every point in exactly one image of each domain."""
     size = sample_space.bit_count()
     return all(reduce(or_, images, 0) == sample_space and sum(i.bit_count() for i in images) == size
                for images in images_by_domain)
