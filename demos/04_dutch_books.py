@@ -3,9 +3,11 @@
 A stake function over events is a Dutch book against a set function when
 its payoff is strictly negative at every sample point.  None exists exactly
 when the set function is a convex combination of the point functionals,
-which is also exactly when a probability measure extends it.  The three
-checks are implemented independently and must always agree; here they do,
-on contextual models and noncontextual controls alike.
+which is also exactly when a probability measure extends it.  The
+classical extension is the convex weights themselves, so those two checks
+share one membership solve; the Dutch-book search solves the same question
+over the whole event family and must agree with it.  Here it does, on
+contextual models and noncontextual controls alike.
 """
 
 import random

@@ -42,8 +42,6 @@ from .serialize import (
 )
 from .errors import DEFAULT_ENUMERATION_CAP
 from .violations import (
-    additivity_violation,
-    has_classical_extension,
     logical_subadditivity_violation,
     strong_subadditivity_violation,
     tier_violation_witness,
@@ -112,10 +110,11 @@ def _cmd_classify(args) -> int:
     rep = build_combinatorial_rep(model, cap=args.cap)
     strong, _ = strong_subadditivity_violation(rep)
     logical, _ = logical_subadditivity_violation(rep)
-    additive, _ = additivity_violation(rep)
+    # On a combinatorial representation additivity violation in every
+    # monotonic extension, no classical extension and a Dutch book are each
+    # the convexity violation over the maximal-context events: one solve.
     convexity = convexity_hierarchy(rep)
-    classical = has_classical_extension(rep) is not None
-    book = find_dutch_book(rep)
+    violated = convexity.probabilistic_violation
     structured = {
         "model": name,
         "tier": str(verdict.tier),
@@ -123,15 +122,15 @@ def _cmd_classify(args) -> int:
         "additivity_hierarchy": {
             "strong_subadditivity_violation": strong,
             "logical_subadditivity_violation": logical,
-            "additivity_violation_all_monotonic_extensions": additive,
+            "additivity_violation_all_monotonic_extensions": violated,
         },
         "convexity_hierarchy": {
             "strong": convexity.strong_violation,
             "logical": convexity.logical_violation,
-            "convexity": convexity.probabilistic_violation,
+            "convexity": violated,
         },
-        "classical_extension_exists": classical,
-        "dutch_bookable": book is not None,
+        "classical_extension_exists": not violated,
+        "dutch_bookable": violated,
     }
     if args.format == "structured":
         _emit(json.dumps(structured, indent=2) + "\n", args.out)
@@ -143,16 +142,16 @@ def _cmd_classify(args) -> int:
         "additivity-violation hierarchy (maximal-context events)",
         f"  maximal subadditivity violation : {_yesno(strong)}",
         f"  subadditivity violation         : {_yesno(logical)}",
-        f"  additivity violation, every     : {_yesno(additive)}",
+        f"  additivity violation, every     : {_yesno(violated)}",
         "    monotonic extension",
         "",
         "convexity-violation hierarchy (maximal-context events)",
         f"  strong violation                : {_yesno(convexity.strong_violation)}",
         f"  logical violation               : {_yesno(convexity.logical_violation)}",
-        f"  convexity violation             : {_yesno(convexity.probabilistic_violation)}",
+        f"  convexity violation             : {_yesno(violated)}",
         "",
-        f"classical extension exists: {_yesno(classical)}",
-        f"dutch-bookable: {_yesno(book is not None)}",
+        f"classical extension exists: {_yesno(not violated)}",
+        f"dutch-bookable: {_yesno(violated)}",
     ]
     if verdict.logical_witness is not None:
         lines.insert(2, f"non-extendable support section: {verdict.logical_witness}")

@@ -34,6 +34,7 @@ from .classifier import (
     is_strongly_contextual,
 )
 from .distribution import Distribution
+from .dutchbook import convexity_membership
 from .errors import (
     DEFAULT_ENUMERATION_CAP,
     DomainError,
@@ -51,9 +52,8 @@ from .extensions import (
     canonical_monotone_extension,
     cheapest_cover_of_space,
 )
-from .feasibility import solve_nonnegative
 from .scenario import Section, global_section_system, sections_over
-from .wps import Event, WpsRepresentation, _atoms, _indices, _subset_sums, excise
+from .wps import Event, WpsRepresentation, _atoms, _subset_sums, excise
 
 ZERO = Fraction(0)
 
@@ -261,6 +261,16 @@ def marginalization_failure(rep: WpsRepresentation, extension,
     return None
 
 
+def _canonical_additivity_witness(rep: WpsRepresentation,
+                                  certificate: GlobalDistributionCertificate) -> ViolationWitness:
+    """The canonical extension's first marginalization failure, certificate attached."""
+    found = marginalization_failure(rep, canonical_monotone_extension(rep), certificate=certificate)
+    if found is None:
+        raise InternalConsistencyError("infeasible system but every canonical-extension marginal matched")
+    record, parts, value = found
+    return ViolationWitness(ViolationKind.MONOTONIC_ADDITIVITY, parts, value, record)
+
+
 def tier_violation_witness(rep: WpsRepresentation, tier: Tier,
                            cap: int = DEFAULT_ENUMERATION_CAP) -> ViolationWitness:
     """Build the violation witness certifying a contextuality tier.
@@ -308,14 +318,7 @@ def tier_violation_witness(rep: WpsRepresentation, tier: Tier,
         result = global_distribution(model, cap=cap)
         if isinstance(result, Distribution):
             raise TierMismatchError("the model admits a global distribution")
-        extension = canonical_monotone_extension(rep)
-        found = marginalization_failure(rep, extension, certificate=result)
-        if found is None:
-            raise InternalConsistencyError(
-                "no marginalization failure found although the global system is infeasible"
-            )
-        record, parts, value = found
-        return ViolationWitness(ViolationKind.MONOTONIC_ADDITIVITY, parts, value, record)
+        return _canonical_additivity_witness(rep, result)
 
     raise TierMismatchError(f"no violation witness exists for tier {tier}")
 
@@ -379,12 +382,7 @@ def additivity_violation(rep: WpsRepresentation) -> tuple[bool, Optional[Violati
     certificate = _solve_global_system(rep.model, lambda _, section: rep.mu_of(rep.event(section)))
     if not isinstance(certificate, GlobalDistributionCertificate):
         return False, None
-    extension = canonical_monotone_extension(rep)
-    found = marginalization_failure(rep, extension, certificate=certificate)
-    if found is None:
-        raise InternalConsistencyError("infeasible system but every extension marginal matched")
-    record, parts, value = found
-    return True, ViolationWitness(ViolationKind.MONOTONIC_ADDITIVITY, parts, value, record)
+    return True, _canonical_additivity_witness(rep, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -396,32 +394,12 @@ def has_classical_extension(rep: WpsRepresentation) -> Optional[dict[str, Fracti
     """Point weights reproducing every family value, or None.
 
     A probability-space extension of the representation exists exactly when
-    some point distribution sums to the stored value on every family
-    member.  Per context it is enough to match the algebra's atoms; the
-    returned weights are re-checked against the full family afterwards.
+    the set function is a convex combination of the point functionals on
+    the whole event family, so this is :func:`convexity_membership` with
+    its default restriction (algebra atoms decide, every family member is
+    re-checked).
     """
-    seen: dict[Event, Fraction] = {}
-    for context in rep.sigma_algebras:
-        for atom in rep.context_atoms(context):
-            value = rep.mu_of(atom)
-            if seen.setdefault(atom, value) != value:
-                raise InternalConsistencyError("inconsistent atom values across algebras")
-    rows = []
-    rhs = []
-    for atom in rep.sorted_events(seen):
-        row = [ZERO] * len(rep.points)
-        for i in _indices(atom):
-            row[i] = Fraction(1)
-        rows.append(row)
-        rhs.append(seen[atom])
-    outcome = solve_nonnegative(rows, rhs)
-    if not outcome.feasible:
-        return None
-    for event in rep.sigma:
-        total = sum((outcome.solution[i] for i in _indices(event)), ZERO)
-        if total != rep.mu_of(event):
-            raise InternalConsistencyError("atom solution fails on a non-atomic family member")
-    return dict(zip(rep.points, outcome.solution))
+    return convexity_membership(rep)
 
 
 # ---------------------------------------------------------------------------

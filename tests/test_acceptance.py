@@ -231,6 +231,7 @@ def test_05_de_finetti_triangle(catalog_reps):
         classical = has_classical_extension(rep) is not None
         convex = convexity_membership(rep) is not None
         ok = ok and (no_book == classical == convex)
+        ok = ok and no_book == (classify(rep.model).tier is Tier.NONCONTEXTUAL)
     _report("5 de Finetti triangle (no book = classical extension = convex)", ok,
             f"{len(catalog_reps) + len(reps)} representations")
 

@@ -252,3 +252,4 @@ class TestDeFinettiTriangle:
             classical = has_classical_extension(rep) is not None
             convex = convexity_membership(rep) is not None
             assert no_book == classical == convex, name
+            assert no_book == (classify(rep.model).tier is Tier.NONCONTEXTUAL), name

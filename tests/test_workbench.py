@@ -3,14 +3,26 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from contextuality.catalog import bell_model, catalog, entry, hardy_model, pr_box_model
+from contextuality import classifier, feasibility
+from contextuality.catalog import (
+    bell_model,
+    catalog,
+    entry,
+    hardy_model,
+    perturbed_model,
+    pr_box_model,
+    random_deterministic_mixture,
+    triangle_scenario,
+    two_party_scenario,
+)
 from contextuality.cli import main
 from contextuality.classifier import classify
-from contextuality.dutchbook import find_dutch_book
+from contextuality.dutchbook import convexity_hierarchy, find_dutch_book
 from contextuality.errors import SchemaError
 from contextuality.exports import export_bundle_diagram, export_nerve
 from contextuality.extensions import ExplicitExtension
@@ -31,7 +43,14 @@ from contextuality.serialize import (
     witness_to_dict,
 )
 from contextuality.classifier import Tier
-from contextuality.violations import tier_violation_witness, verify_witness
+from contextuality.violations import (
+    additivity_violation,
+    has_classical_extension,
+    logical_subadditivity_violation,
+    strong_subadditivity_violation,
+    tier_violation_witness,
+    verify_witness,
+)
 from contextuality.wps import build_combinatorial_rep
 
 
@@ -286,6 +305,68 @@ class TestCli:
         assert err.startswith("error: ")
         # The message names the broken field, not a later symptom of it.
         assert [key for key in path if isinstance(key, str)][-1] in err
+
+    @pytest.mark.parametrize("name, most", [
+        ("bell", 2), ("singlet", 2), ("hardy", 1), ("pr-box", 1), ("specker-triangle", 1), ("ghz", 1),
+    ])
+    def test_classify_solves_once_per_side(self, name, most, monkeypatch, tmp_path, capsys):
+        # At most one global-section solve for the tier, and one convexity
+        # solve on the representation for every LP line.
+        solves = []
+        core = feasibility.solve_columns
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return core(*args, **kwargs)
+
+        monkeypatch.setattr(feasibility, "solve_columns", counting)
+        monkeypatch.setattr(classifier, "solve_columns", counting)
+        if name == "singlet":
+            path = tmp_path / "singlet.json"
+            path.write_text(json.dumps(experiment_to_dict(singlet_experiment())))
+            name = str(path)
+        assert main(["classify", name]) == 0
+        assert 1 <= len(solves) <= most
+        assert "tier: " in capsys.readouterr().out
+
+    def test_classify_structured_matches_independent_routines(self, tmp_path, capsys):
+        # Drawn as the acceptance pool is: deterministic mixtures on both
+        # scenarios, and catalog models mixed with such noise.
+        rng = random.Random(909)
+        models = [
+            random_deterministic_mixture(scenario, rng, components=rng.randint(1, 5))
+            for scenario in (two_party_scenario(), triangle_scenario()) * 3
+        ]
+        for base in ("bell", "hardy", "pr-box", "specker-triangle"):
+            models.append(perturbed_model(entry(base).model, rng, magnitude=Fraction(rng.randint(1, 16), 32)))
+        tiers = set()
+        for i, model in enumerate(models):
+            path = tmp_path / f"pool-{i}.json"
+            path.write_text(dumps(model_to_dict(model)))
+            assert main(["classify", str(path), "--format", "structured"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            rep = build_combinatorial_rep(model)
+            tier = classify(model).tier
+            convexity = convexity_hierarchy(rep)
+            tiers.add(tier)
+            assert data == {
+                "model": f"pool-{i}",
+                "tier": str(tier),
+                "contextual": tier is not Tier.NONCONTEXTUAL,
+                "additivity_hierarchy": {
+                    "strong_subadditivity_violation": strong_subadditivity_violation(rep)[0],
+                    "logical_subadditivity_violation": logical_subadditivity_violation(rep)[0],
+                    "additivity_violation_all_monotonic_extensions": additivity_violation(rep)[0],
+                },
+                "convexity_hierarchy": {
+                    "strong": convexity.strong_violation,
+                    "logical": convexity.logical_violation,
+                    "convexity": convexity.probabilistic_violation,
+                },
+                "classical_extension_exists": has_classical_extension(rep) is not None,
+                "dutch_bookable": find_dutch_book(rep) is not None,
+            }, path.name
+        assert Tier.NONCONTEXTUAL in tiers and len(tiers) > 1
 
     def test_export_nerve_to_file(self, tmp_path):
         out = tmp_path / "nerve.txt"
