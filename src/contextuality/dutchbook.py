@@ -207,12 +207,16 @@ def verify_certificate(rep: WpsRepresentation, certificate: DutchBookCertificate
     )
 
 
+def _null_cover(rep: WpsRepresentation, events: Iterable[Event]) -> tuple[tuple[Event, ...], Event]:
+    """The null events among ``events`` in canonical order, and the points in none of them."""
+    nulls = rep.sorted_events(e for e in events if rep.mu_of(e) == 0)
+    return nulls, rep.sample_space & ~reduce(or_, nulls, 0)
+
+
 def _null_cover_certificate(rep: WpsRepresentation) -> Optional[DutchBookCertificate]:
     """Stake minus one on every null maximal-context event, when those cover the space."""
-    nulls = rep.sorted_events(
-        e for e in rep.maximal_context_events() if rep.mu_of(e) == 0
-    )
-    if not nulls or reduce(or_, nulls) != rep.sample_space:
+    nulls, clean = _null_cover(rep, rep.maximal_context_events())
+    if clean:
         return None
     counts = [sum(e >> i & 1 for e in nulls) for i in range(len(rep.points))]
     bound = Fraction(min(counts))
@@ -222,17 +226,19 @@ def _null_cover_certificate(rep: WpsRepresentation) -> Optional[DutchBookCertifi
 def find_dutch_book(rep: WpsRepresentation) -> Optional[DutchBookCertificate]:
     """A verified stake certificate, or None when the set function is convex.
 
-    Convexity membership over the whole event family decides existence.  On
-    representations whose null maximal-context events cover the sample
-    space the certificate is the canonical uniform stake of minus one on
-    those events; otherwise the separating functional from the membership
-    system is normalized to a guaranteed loss of one.
+    When the null maximal-context events cover the sample space the
+    certificate is the canonical uniform stake of minus one on those
+    events, and no system is solved: every point loses, so no convex
+    combination of points, whose expected payoff is zero, matches the set
+    function.  Otherwise convexity membership over the whole event family
+    decides existence, and its separating functional is normalized to a
+    guaranteed loss of one.
     """
-    weights, labels, farkas = _solve_membership(rep, None)
-    if weights is not None:
-        return None
     certificate = _null_cover_certificate(rep)
     if certificate is None:
+        weights, labels, farkas = _solve_membership(rep, None)
+        if weights is not None:
+            return None
         stakes = [
             (event, coef)
             for event, coef in zip(labels, farkas.coefficients)
@@ -288,15 +294,6 @@ def convexity_hierarchy(rep: WpsRepresentation,
         raise NonCombinatorialError("the convexity hierarchy needs a combinatorial representation")
     events = rep.sorted_events(rep.maximal_context_events() if restriction is None else restriction)
     weights = convexity_membership(rep, events)
-    probabilistic = weights is None
-
-    clean = rep.sample_space
-    for e in events:
-        if rep.mu_of(e) == 0:
-            clean &= ~e
-    logical = any(
-        rep.mu_of(e) > 0 and not (e & clean)
-        for e in events
-    )
-    strong = not clean
-    return ConvexityVerdict(strong, logical, probabilistic, weights)
+    _, clean = _null_cover(rep, events)
+    logical = any(rep.mu_of(e) > 0 and not e & clean for e in events)
+    return ConvexityVerdict(not clean, logical, weights is None, weights)

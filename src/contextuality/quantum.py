@@ -63,12 +63,14 @@ class QuantumExperiment:
                  tolerance: float = DEFAULT_SNAP_TOLERANCE):
         import numpy as np
 
-        # NaN would pass every check below, and a bool is not a tolerance.
+        # Every check is written as `not ... <= tolerance`, so that NaN fails
+        # it, as a tolerance or as an error that overflowed; a bool is not a
+        # tolerance.
         if isinstance(tolerance, bool) or not 0 <= tolerance < math.inf:
             raise ValueError(f"tolerance must be a finite non-negative number, got {tolerance!r}")
         self.state = _as_complex_vector(state)
         self.dimension = self.state.shape[0]
-        if abs(np.vdot(self.state, self.state).real - 1.0) > tolerance:
+        if not abs(np.vdot(self.state, self.state).real - 1.0) <= tolerance:
             raise ValueError("state vector is not normalized within tolerance")
         items = projectors.items() if isinstance(projectors, Mapping) else projectors
         canonical_list = []
@@ -81,10 +83,11 @@ class QuantumExperiment:
             p = np.asarray(matrix, dtype=np.complex128)
             if p.shape != (self.dimension, self.dimension):
                 raise ValueError(f"projector {label!r} has shape {p.shape}, expected square of dimension {self.dimension}")
-            if np.max(np.abs(p - p.conj().T)) > tolerance:
-                raise ValueError(f"projector {label!r} is not Hermitian within tolerance")
-            if np.max(np.abs(p @ p - p)) > tolerance:
-                raise ValueError(f"projector {label!r} is not idempotent within tolerance")
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not np.max(np.abs(p - p.conj().T)) <= tolerance:
+                    raise ValueError(f"projector {label!r} is not Hermitian within tolerance")
+                if not np.max(np.abs(p @ p - p)) <= tolerance:
+                    raise ValueError(f"projector {label!r} is not idempotent within tolerance")
             canonical_list.append((label, p))
         if not canonical_list:
             raise ValueError("an experiment needs at least one projector")

@@ -147,9 +147,6 @@ class Section:
         except ValueError:
             raise DomainError(f"measurement {m!r} is outside this section's domain") from None
 
-    def as_dict(self) -> dict:
-        return dict(zip(self.domain, self.values))
-
     def sort_key(self) -> tuple:
         sc = self.scenario
         return tuple(sc.outcome_index(o) for o in self.values)

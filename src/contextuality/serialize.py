@@ -298,11 +298,6 @@ def loads(text: str) -> dict:
     return document
 
 
-def save(path, document: Mapping) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(document))
-
-
 def load(path) -> dict:
     with open(path, encoding="utf-8") as handle:
         return loads(handle.read())

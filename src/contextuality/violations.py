@@ -34,7 +34,7 @@ from .classifier import (
     is_strongly_contextual,
 )
 from .distribution import Distribution
-from .dutchbook import convexity_membership
+from .dutchbook import _null_cover, convexity_membership
 from .errors import (
     DEFAULT_ENUMERATION_CAP,
     DomainError,
@@ -216,15 +216,6 @@ def _extension_by_kind(rep: WpsRepresentation, kind: str):
 # ---------------------------------------------------------------------------
 
 
-def _excision_null_events(rep: WpsRepresentation) -> list[Event]:
-    report = excise(rep)
-    return list(report.d1 | report.d2)
-
-
-def _null_context_events(rep: WpsRepresentation) -> list[Event]:
-    return [e for e in rep.maximal_context_events() if rep.mu_of(e) == 0]
-
-
 def core_parts_of_global_sections(rep: WpsRepresentation, context, section,
                                   core: Optional[Event] = None) -> tuple[Event, ...]:
     """Core parts of the global-section events extending one maximal-context section."""
@@ -271,6 +262,28 @@ def _canonical_additivity_witness(rep: WpsRepresentation,
     return ViolationWitness(ViolationKind.MONOTONIC_ADDITIVITY, parts, value, record)
 
 
+def _maximal_witness(rep: WpsRepresentation, nulls: tuple[Event, ...]) -> ViolationWitness:
+    """Null events covering the sample space: defect exactly one."""
+    if reduce(or_, nulls, 0) != rep.sample_space:
+        raise InternalConsistencyError("null collection fails to cover the sample space")
+    value = defect(rep, nulls)
+    if value != 1:
+        raise InternalConsistencyError(f"maximal witness has defect {value}")
+    return ViolationWitness(ViolationKind.MAXIMAL_SUBADDITIVITY, nulls, value)
+
+
+def _covered_support_witness(rep: WpsRepresentation, nulls: tuple[Event, ...],
+                             section: Section) -> ViolationWitness:
+    """The null events and the other section images of one context: positive defect."""
+    others = [rep.event(s) for s in sections_over(rep.model.scenario, section.domain) if s != section]
+    collection = rep.sorted_events([*nulls, *others])
+    value = defect(rep, collection)
+    if value <= 0:
+        raise InternalConsistencyError(f"subadditivity witness has defect {value}")
+    data = CoveredSupportEvent(section.domain, section, rep.event(section))
+    return ViolationWitness(ViolationKind.SUBADDITIVITY, collection, value, data)
+
+
 def tier_violation_witness(rep: WpsRepresentation, tier: Tier,
                            cap: int = DEFAULT_ENUMERATION_CAP) -> ViolationWitness:
     """Build the violation witness certifying a contextuality tier.
@@ -286,33 +299,25 @@ def tier_violation_witness(rep: WpsRepresentation, tier: Tier,
     """
     model = rep.model
 
+    if tier in (Tier.STRONG, Tier.LOGICAL):
+        # Padding lives in the excised events, which are null; a combinatorial
+        # representation excises nothing.
+        events = list(rep.maximal_context_events())
+        if not rep.combinatorial:
+            report = excise(rep)
+            events += report.d1 | report.d2
+        nulls, _ = _null_cover(rep, events)
+
     if tier is Tier.STRONG:
         if not is_strongly_contextual(model, cap=cap):
             raise TierMismatchError("the model is not strongly contextual")
-        collection = rep.sorted_events(_excision_null_events(rep) + _null_context_events(rep))
-        if reduce(or_, collection, 0) != rep.sample_space:
-            raise InternalConsistencyError("null collection fails to cover the sample space")
-        value = defect(rep, collection)
-        if value != 1:
-            raise InternalConsistencyError(f"maximal witness has defect {value}")
-        return ViolationWitness(ViolationKind.MAXIMAL_SUBADDITIVITY, collection, value)
+        return _maximal_witness(rep, nulls)
 
     if tier is Tier.LOGICAL:
         logical, witness_section = is_logically_contextual(model, cap=cap)
         if not logical:
             raise TierMismatchError("the model is not logically contextual")
-        context = witness_section.domain
-        others = [
-            rep.event(s)
-            for s in sections_over(model.scenario, context, cap=cap)
-            if s != witness_section
-        ]
-        collection = rep.sorted_events(_excision_null_events(rep) + _null_context_events(rep) + others)
-        value = defect(rep, collection)
-        if value <= 0:
-            raise InternalConsistencyError(f"subadditivity witness has defect {value}")
-        data = CoveredSupportEvent(context, witness_section, rep.event(witness_section))
-        return ViolationWitness(ViolationKind.SUBADDITIVITY, collection, value, data)
+        return _covered_support_witness(rep, nulls, witness_section)
 
     if tier is Tier.PROBABILISTIC:
         result = global_distribution(model, cap=cap)
@@ -336,37 +341,25 @@ def _require_combinatorial(rep: WpsRepresentation) -> None:
 def strong_subadditivity_violation(rep: WpsRepresentation) -> tuple[bool, Optional[ViolationWitness]]:
     """Do the measure-zero maximal-context events cover the sample space?"""
     _require_combinatorial(rep)
-    nulls = rep.sorted_events(_null_context_events(rep))
-    if reduce(or_, nulls, 0) != rep.sample_space:
+    nulls, clean = _null_cover(rep, rep.maximal_context_events())
+    if clean:
         return False, None
-    witness = ViolationWitness(ViolationKind.MAXIMAL_SUBADDITIVITY, nulls, defect(rep, nulls))
-    return True, witness
+    return True, _maximal_witness(rep, nulls)
 
 
 def logical_subadditivity_violation(rep: WpsRepresentation) -> tuple[bool, Optional[ViolationWitness]]:
     """Do the null maximal-context events swallow some positive-measure one?
 
-    The additive cover searched is always one maximal context's own family
-    of section images, taking the canonically least context and section
-    exhibiting the violation.
+    The cover completing the witness is always one maximal context's own
+    family of section images, taking the canonically least context and
+    section exhibiting the violation.
     """
     _require_combinatorial(rep)
-    nulls = _null_context_events(rep)
-    null_union = reduce(or_, nulls, 0)
-    scenario = rep.model.scenario
-    for context in scenario.maximal_contexts:
-        cover = context_additive_cover(rep, context)
-        for section in sections_over(scenario, context):
-            event = rep.event(section)
-            if rep.mu_of(event) > 0 and not event & ~null_union:
-                collection = rep.sorted_events(nulls + [e for e in cover.events if e != event])
-                witness = ViolationWitness(
-                    ViolationKind.SUBADDITIVITY, collection, defect(rep, collection),
-                    CoveredSupportEvent(context, section, event),
-                )
-                if witness.defect <= 0:
-                    raise InternalConsistencyError("covered support event gave non-positive defect")
-                return True, witness
+    nulls, clean = _null_cover(rep, rep.maximal_context_events())
+    for _, section in global_section_system(rep.model.scenario).rows:
+        event = rep.event(section)
+        if rep.mu_of(event) > 0 and not event & clean:
+            return True, _covered_support_witness(rep, nulls, section)
     return False, None
 
 
@@ -439,7 +432,6 @@ def verify_extension(rep: WpsRepresentation, candidate, kind: str = "monotonic",
     """
     if kind not in ("monotonic", "classical"):
         raise ValueError("kind must be 'monotonic' or 'classical'")
-    failures: list[ExtensionFailure] = []
     events = rep.sorted_events(rep.sigma)
     for event in events:
         if candidate.value(event) != rep.mu_of(event):
@@ -447,70 +439,45 @@ def verify_extension(rep: WpsRepresentation, candidate, kind: str = "monotonic",
                 f"candidate values an event at {candidate.value(event)}, stored {rep.mu_of(event)}"
             )
 
+    def failed(condition: str, detail: str) -> ExtensionVerdict:
+        return ExtensionVerdict(False, (ExtensionFailure(condition, detail),))
+
+    # Functional candidates are total on the power set; their universe is the
+    # family, widened for monotonicity by one-point enlargements.
     domain = candidate.domain()
+    universe = events
     if domain is not None:
-        algebra = _generated_algebra(rep, cap=cap)
-        missing = [e for e in algebra if e not in domain]
-        if missing:
+        if any(e not in domain for e in _generated_algebra(rep, cap=cap)):
             raise NotAnExtensionError(
                 "candidate domain misses the algebra generated by the event family"
             )
         universe = sorted(domain, key=lambda e: (e.bit_count(), rep.event_key(e)))
-        if kind == "monotonic":
-            for a in universe:
-                for b in universe:
-                    if a != b and not a & ~b and candidate.value(a) > candidate.value(b):
-                        failures.append(ExtensionFailure(
-                            "monotonicity",
-                            f"a set of value {candidate.value(a)} sits inside one of value {candidate.value(b)}",
-                        ))
-                        return ExtensionVerdict(False, tuple(failures))
-        else:
-            for i, a in enumerate(universe):
-                for b in universe[i:]:
-                    if a & b or (a | b) not in domain:
-                        continue
-                    total = candidate.value(a | b)
-                    if total != candidate.value(a) + candidate.value(b):
-                        failures.append(ExtensionFailure(
-                            "additivity",
-                            f"disjoint sets valued {candidate.value(a)} and {candidate.value(b)} join to {total}",
-                        ))
-                        return ExtensionVerdict(False, tuple(failures))
-        return ExtensionVerdict(not failures, tuple(failures))
-
-    # Functional candidates are total on the power set; check the family,
-    # its one-point enlargements, and (for additivity) disjoint family pairs.
     if kind == "monotonic":
-        for a in events:
-            for b in events:
+        for a in universe:
+            for b in universe:
                 if a != b and not a & ~b and candidate.value(a) > candidate.value(b):
-                    failures.append(ExtensionFailure(
+                    return failed(
                         "monotonicity",
-                        f"a family member of value {candidate.value(a)} sits inside one of value {candidate.value(b)}",
-                    ))
-                    return ExtensionVerdict(False, tuple(failures))
-        for event in events:
-            base = candidate.value(event)
-            for i in range(len(rep.points)):
-                if not event >> i & 1:
-                    if candidate.value(event | 1 << i) < base:
-                        failures.append(ExtensionFailure(
-                            "monotonicity", "adding a point decreased the value"))
-                        return ExtensionVerdict(False, tuple(failures))
+                        f"a set of value {candidate.value(a)} sits inside one of value {candidate.value(b)}",
+                    )
+        if domain is None:
+            for event in events:
+                base = candidate.value(event)
+                for i in range(len(rep.points)):
+                    if not event >> i & 1 and candidate.value(event | 1 << i) < base:
+                        return failed("monotonicity", "adding a point decreased the value")
     else:
-        for i, a in enumerate(events):
-            for b in events[i:]:
-                if a & b:
+        for i, a in enumerate(universe):
+            for b in universe[i:]:
+                if a & b or domain is not None and (a | b) not in domain:
                     continue
                 total = candidate.value(a | b)
                 if total != candidate.value(a) + candidate.value(b):
-                    failures.append(ExtensionFailure(
+                    return failed(
                         "additivity",
                         f"disjoint sets valued {candidate.value(a)} and {candidate.value(b)} join to {total}",
-                    ))
-                    return ExtensionVerdict(False, tuple(failures))
-    return ExtensionVerdict(not failures, tuple(failures))
+                    )
+    return ExtensionVerdict(True, ())
 
 
 def _generated_algebra(rep: WpsRepresentation, cap: int) -> tuple[Event, ...]:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from contextuality import dutchbook
 from contextuality.catalog import (
     bell_model,
     ghz_model,
@@ -97,6 +98,21 @@ class TestFindDutchBook:
         a = find_dutch_book(reps["bell"])
         b = find_dutch_book(reps["bell"])
         assert a.stakes == b.stakes and a.loss_bound == b.loss_bound
+
+    @pytest.mark.parametrize("name, solves", [
+        ("bell", 1), ("hardy", 1), ("pr-box", 0), ("specker-triangle", 0), ("ghz", 0),
+    ])
+    def test_null_cover_is_tried_before_the_membership_system(self, catalog_reps, name, solves, monkeypatch):
+        calls = []
+        core = dutchbook.solve_nonnegative
+
+        def counting(rows, rhs):
+            calls.append(len(rows))
+            return core(rows, rhs)
+        monkeypatch.setattr(dutchbook, "solve_nonnegative", counting)
+        certificate = find_dutch_book(catalog_reps[name])
+        assert certificate is not None and verify_certificate(catalog_reps[name], certificate)
+        assert len(calls) == solves
 
 
 class TestVerifyCertificate:

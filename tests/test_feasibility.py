@@ -277,10 +277,14 @@ def test_membership_systems_follow_the_dense_tableau(catalog_reps, padded_catalo
         seen.append(len(rows))
         return assert_follows_dense_tableau(rows, rhs)
     monkeypatch.setattr(dutchbook, "solve_nonnegative", checked)
+    # find_dutch_book solves nothing when the null events cover the space, so
+    # the whole-family systems are also posed directly.
     for rep in catalog_reps.values():
         dutchbook.find_dutch_book(rep)
         dutchbook.convexity_hierarchy(rep)
+        dutchbook.convexity_membership(rep)
     for rep in padded_catalog_reps.values():
         dutchbook.find_dutch_book(rep)
         dutchbook.convexity_membership(rep)
+        dutchbook.convexity_membership(rep, rep.maximal_context_events())
     assert len(seen) >= 2 * len(catalog_reps) + 2 * len(padded_catalog_reps)

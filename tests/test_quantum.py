@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +129,14 @@ class TestExperimentValidation:
         projectors = [("p", [[1, 0], [0, 0]]), ("q", [[0.5, 0.5], [0.5, 0.9]])]
         with pytest.raises(ValueError, match="tolerance must be"):
             QuantumExperiment([1, 0], projectors, tolerance)
+
+    def test_overflowing_projector_rejected(self):
+        # p @ p - p overflows to NaN, which a `> tolerance` check let through.
+        huge = [[1e200, 1e200 + 1e200j], [1e200 - 1e200j, 1e200]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="projector 'p' is not idempotent"):
+                QuantumExperiment([1, 0], [("p", huge)])
 
     def test_state_accepts_exact_string_pairs(self):
         q = QuantumExperiment([("1", "0"), ("0", "0")], [("p", np.array([[1, 0], [0, 0]]))])

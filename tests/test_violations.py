@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 from contextuality.catalog import (
     bell_model,
     hardy_model,
+    perturbed_model,
     pr_box_model,
     random_deterministic_mixture,
     specker_triangle_model,
     two_party_scenario,
 )
-from contextuality.classifier import Tier
+from contextuality.classifier import Tier, classify
 from contextuality.errors import (
     NonCombinatorialError,
     NotAnEventError,
@@ -48,7 +49,7 @@ from contextuality.violations import (
     verify_extension,
     verify_witness,
 )
-from contextuality.wps import PadPoint, build_combinatorial_rep, build_padded_rep
+from contextuality.wps import PadPoint, WpsRepresentation, build_combinatorial_rep, build_padded_rep, excise
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,20 @@ def noncontextual_rep():
 
 def null_context_events(rep):
     return [e for e in rep.maximal_context_events() if rep.mu_of(e) == 0]
+
+
+class StoredValues:
+    """A functional candidate: the stored value on family members, a default elsewhere."""
+
+    def __init__(self, rep, default):
+        self.rep = rep
+        self.default = Fraction(default)
+
+    def domain(self):
+        return None
+
+    def value(self, event):
+        return self.rep.mu.get(event, self.default)
 
 
 class TestDefect:
@@ -142,6 +157,42 @@ class TestTierWitnesses:
         w = tier_violation_witness(pr_rep, Tier.LOGICAL)
         assert w.defect > 0
         assert verify_witness(pr_rep, w)
+
+    def test_tier_witnesses_equal_the_maximal_context_witnesses(self, catalog_entries):
+        # The tier side decides on the model, the violation side on the
+        # representation; both build the same witness.
+        rng = random.Random(17)
+        models = [entry.model for entry in catalog_entries.values()]
+        models += [perturbed_model(model, rng, magnitude=Fraction(1, 8)) for model in models]
+        graded = set()
+        for model in models:
+            rep = build_combinatorial_rep(model)
+            tier = classify(model).tier
+            strong, strong_witness = strong_subadditivity_violation(rep)
+            logical, logical_witness = logical_subadditivity_violation(rep)
+            assert strong == (tier is Tier.STRONG)
+            assert logical == (tier in (Tier.STRONG, Tier.LOGICAL))
+            if strong:
+                assert tier_violation_witness(rep, Tier.STRONG) == strong_witness
+            if logical:
+                assert tier_violation_witness(rep, Tier.LOGICAL) == logical_witness
+            graded.add(tier)
+        assert {Tier.STRONG, Tier.LOGICAL, Tier.PROBABILISTIC} <= graded
+
+    @pytest.mark.parametrize("tier", [Tier.STRONG, Tier.LOGICAL])
+    def test_padded_tier_witnesses_hold_the_excised_events(self, padded_catalog_reps, tier):
+        built = 0
+        for rep in padded_catalog_reps.values():
+            try:
+                witness = tier_violation_witness(rep, tier)
+            except TierMismatchError:
+                continue
+            report = excise(rep)
+            assert report.d1 | report.d2
+            assert report.d1 | report.d2 <= set(witness.collection)
+            assert verify_witness(rep, witness)
+            built += 1
+        assert built >= 2
 
 
 class TestMaximalContextViolations:
@@ -290,6 +341,43 @@ class TestExtensions:
             assert cheapest(outside) is None
             with pytest.raises(ValueError, match="no pool superset"):
                 envelope.value(outside)
+
+    def test_explicit_non_additive_extension_caught(self):
+        rep = build_combinatorial_rep(specker_triangle_model())
+        from contextuality.violations import _generated_algebra
+        envelope = EnvelopeExtension(rep)
+        candidate = ExplicitExtension(rep, {e: envelope.value(e) for e in _generated_algebra(rep, cap=2**20)})
+        assert verify_extension(rep, candidate, "monotonic").ok
+        verdict = verify_extension(rep, candidate, "classical")
+        assert not verdict.ok
+        assert verdict.failures[0].condition == "additivity"
+
+    def test_functional_non_monotone_family_caught(self, bell_rep):
+        # Value a section image above the single-measurement event holding it.
+        scenario = bell_rep.model.scenario
+        inner = bell_rep.event(scenario.section({"a": "0", "b": "0"}))
+        outer = bell_rep.event(scenario.section({"a": "0"}))
+        assert not inner & ~outer
+        mu = dict(bell_rep.mu)
+        mu[inner] = mu[outer] + Fraction(1, 100)
+        tampered = WpsRepresentation(bell_rep.model, bell_rep.points, bell_rep.transfer,
+                                     bell_rep.sigma_algebras, mu, bell_rep.combinatorial)
+        verdict = verify_extension(tampered, StoredValues(tampered, 1), "monotonic")
+        assert not verdict.ok
+        assert verdict.failures[0].condition == "monotonicity"
+        assert "sits inside" in verdict.failures[0].detail
+
+    def test_functional_one_point_enlargement_caught(self, bell_rep):
+        # Zero off the family: some positive member loses value when a point is added.
+        verdict = verify_extension(bell_rep, StoredValues(bell_rep, 0), "monotonic")
+        assert not verdict.ok
+        assert verdict.failures[0].condition == "monotonicity"
+        assert verdict.failures[0].detail == "adding a point decreased the value"
+
+    def test_functional_non_additive_extension_caught(self, bell_rep):
+        verdict = verify_extension(bell_rep, EnvelopeExtension(bell_rep), "classical")
+        assert not verdict.ok
+        assert verdict.failures[0].condition == "additivity"
 
     def test_mismatched_candidate_raises(self, bell_rep):
         weights = {p: Fraction(1, len(bell_rep.points)) for p in bell_rep.points}

@@ -306,6 +306,22 @@ class TestCli:
         # The message names the broken field, not a later symptom of it.
         assert [key for key in path if isinstance(key, str)][-1] in err
 
+    def test_classify_overflowing_projector_exits_2(self, tmp_path, capsys):
+        # Finite entries whose square overflows; the error names the projector.
+        document = experiment_to_dict(singlet_experiment())
+        first = document["projectors"][0]
+        n = len(first["matrix"])
+        first["matrix"] = [
+            [["1e200", "0" if r == c else "1e200" if r < c else "-1e200"] for c in range(n)]
+            for r in range(n)
+        ]
+        file = tmp_path / "overflow.json"
+        file.write_text(json.dumps(document))
+        assert main(["classify", str(file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"projector {first['label']!r}" in err
+
     @pytest.mark.parametrize("name, most", [
         ("bell", 2), ("singlet", 2), ("hardy", 1), ("pr-box", 1), ("specker-triangle", 1), ("ghz", 1),
     ])
