@@ -18,9 +18,9 @@ from typing import Callable, Optional
 
 from .distribution import Distribution, marginalize
 from .errors import DEFAULT_ENUMERATION_CAP, InternalConsistencyError
-from .feasibility import solve_columns
+from .feasibility import solve_source
 from .model import EmpiricalModel
-from .scenario import GlobalSectionSystem, Section, global_section_system
+from .scenario import GlobalSectionSystem, Section, global_section_columns, global_section_system
 
 
 class Tier(Enum):
@@ -99,7 +99,7 @@ def _solve_global_system(model: EmpiricalModel, rhs_of: Callable[[tuple, Section
     Returns the solution over the columns, or a verified certificate of infeasibility.
     """
     system = global_section_system(model.scenario, cap)
-    outcome = solve_columns(system.incidence, [rhs_of(c, s) for c, s in system.rows])
+    outcome = solve_source(global_section_columns(model.scenario), [rhs_of(c, s) for c, s in system.rows])
     if outcome.feasible:
         return outcome.solution
     certificate = GlobalDistributionCertificate(system.rows, outcome.certificate.coefficients)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .distribution import random_rational_weights
@@ -165,7 +166,10 @@ class EnvelopeExtension:
         # Cheapest first, so the lowest pool position among an event's
         # supersets carries the minimum.  Bit j of _holders[i] marks pool set
         # j as holding point i; an event's supersets AND its points' holders.
-        pool = sorted(family + list(self.extra_pool), key=lambda item: item[1])
+        pool = family + list(self.extra_pool)
+        # Integer numerators over one common denominator sort as the weights do.
+        denominator = lcm(*(weight.denominator for _, weight in pool))
+        pool.sort(key=lambda item: item[1].numerator * (denominator // item[1].denominator))
         self._weights = [weight for _, weight in pool]
         self._holders: dict[int, int] = {}
         for j, (mask, _) in enumerate(pool):

@@ -10,37 +10,53 @@ Evaluating the certificate against the system is a finite exact computation,
 so every infeasibility verdict can be re-checked independently of the
 pivoting path that produced it.
 
-Method: one core, :func:`solve_columns`, takes A as its sparse columns:
-each column's rows and, unless every entry is one, its entries.  The
-columns of a global-section system are all 0/1 and go in as they are.
-:func:`solve_nonnegative` is the dense adapter: it transposes its rows into
-sparse columns once and calls the core.  Each row is scaled once by the lcm
-of its denominators, with its sign flipped so that its right-hand side is
-non-negative; from there on every number is an integer.  A fraction-free
-forward elimination over the scaled rows keeps a maximal independent subset
-of the original rows, and a dependent row whose residual right-hand side is
-non-zero yields a certificate directly.  A revised phase-1 simplex then
-runs on the k independent rows.  It reads each structural column once, as
-its sparse (row, coefficient) list over those rows, and keeps only a
-(k+1) × (k+1) integer block: d·B⁻¹ (the artificial columns, B the basis
-and d its common denominator), the right-hand side, and the phase-1
-objective as its last row.  A pivot prices every column as π·A_j, with π
-the objective row's artificial entries plus d, forms only the entering
-column d·B⁻¹A_j, and updates the block alone by Edmonds' common-denominator
+Method: one core, :func:`solve_source`, reads an integer matrix A through a
+*column source*, which need not list its columns.  A source has ``len``,
+the number of columns; ``local_rows()``, each row's image under a linear
+map that is injective on the span of the rows; ``column(j)``, column j's
+rows and entries; ``maximum(w)``, the largest Σ_r w_r·A_rj over all
+columns j for integer row weights w; ``entering(w, bland)``, the column
+the simplex enters: the least index with the largest positive value, or
+with ``bland`` the least index with a positive value, together with that
+value, or None when no value is positive; and ``on_rows(rows)``, the
+source that phase 1 prices, which may drop every other row.
+:class:`ExplicitColumns` lists its columns, prices every one of them, and
+takes its dense rows as local rows; :func:`solve_columns` builds it from
+sparse columns, each row scaled once by the lcm of its entries'
+denominators, and :func:`solve_nonnegative` is the dense adapter of that.
+The global-section system's source (:func:`scenario.global_section_columns`)
+prices by variable elimination over the contexts and has one local
+coordinate per tensor-basis function over a context, so neither the
+presolve nor a pivot of a global-section solve reads all |O|^n columns.
+
+Each row is scaled once by the denominator of its right-hand side, with its
+sign flipped so that the right-hand side is non-negative; from there on
+every number is an integer.  A fraction-free forward elimination over the
+scaled local rows keeps a maximal independent subset of the original rows,
+and a dependent row whose residual right-hand side is non-zero yields a
+certificate directly.  As the local map is injective on the span of the
+rows, the independent subset and each dependent row's combination, a
+primitive integer vector up to sign, are those of the full rows.  A revised
+phase-1 simplex then runs on the k independent rows and keeps only a
+(k+1) × (k+1) integer block: d·B⁻¹ (the artificial columns, B the basis and
+d its common denominator), the right-hand side, and the phase-1 objective
+as its last row.  A pivot asks the source for its entering column under
+the row weights (π_r + d)·scale_r on the independent rows and 0 on the
+others, π the objective row's artificial entries; forms only the entering
+column d·B⁻¹A_j; and updates the block alone by Edmonds' common-denominator
 pivot  (x·p − f·r) / d, which keeps every entry an integer (Bareiss, Math.
 Comp. 22, 1968).  Every row of the full tableau [A | I | b] is the
-combination of original rows that its artificial entries record, so π·A_j
-and d·B⁻¹A_j are exactly the integers that tableau would hold: the reduced
-costs, the ratio test and its tie-break, and so the pivot path, the
-solutions and the certificates, are the dense tableau's, at the cost of one
-pass over the non-zeros of A per pivot instead of a rewrite of every
-column.  The entering column has the largest reduced cost; after a run of
-degenerate pivots the solver prices by Bland's least-index rule until a
-pivot makes progress.  A pivot that makes progress lowers the phase-1
-objective, and Bland's rule cannot cycle, so every degenerate run ends and
-the simplex terminates.  The Farkas ray or the primal vector is read
-exactly from the final basis and checked against the original sparse
-columns; all orderings are fixed, so the output is deterministic.
+combination of original rows that its artificial entries record, so the
+weighted sums are exactly the reduced costs that tableau would hold, and
+d·B⁻¹A_j its entering column: the pivot path, the solutions and the
+certificates are the dense tableau's.  The entering column has the largest
+reduced cost; after a run of degenerate pivots the solver prices by Bland's
+least-index rule until a pivot makes progress.  A pivot that makes progress
+lowers the phase-1 objective, and Bland's rule cannot cycle, so every
+degenerate run ends and the simplex terminates.  The Farkas ray is read
+exactly from the final basis and checked with the source's exact maximum
+over all columns; the primal vector is checked on the basic columns.  All
+orderings are fixed, so the output is deterministic.
 """
 
 from __future__ import annotations
@@ -92,6 +108,54 @@ class FeasibilityOutcome:
     certificate: FarkasCertificate | None
 
 
+class ExplicitColumns:
+    """A column source that lists its integer columns and prices every one."""
+
+    def __init__(self, columns: Sequence[Sequence[int]], values: Sequence[Sequence[int]], m: int):
+        self.columns = columns
+        self.values = values
+        self.m = m
+        # Pricing sums the weights alone on a column whose entries are all
+        # one, as in every column of a membership system.
+        self._unit = [all(v == 1 for v in column) for column in values]
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def on_rows(self, rows: Sequence[int]) -> ExplicitColumns:
+        """The columns cut down to the listed rows, the only ones phase 1 prices on."""
+        keep = set(rows)
+        cut = [[(r, v) for r, v in zip(column, values) if r in keep] for column, values in zip(self.columns, self.values)]
+        return ExplicitColumns([[r for r, _ in c] for c in cut], [[v for _, v in c] for c in cut], self.m)
+
+    def local_rows(self) -> list[list[int]]:
+        rows = [[0] * len(self.columns) for _ in range(self.m)]
+        for j, (column, values) in enumerate(zip(self.columns, self.values)):
+            for r, v in zip(column, values):
+                rows[r][j] = v
+        return rows
+
+    def column(self, j: int) -> tuple[Sequence[int], Sequence[int]]:
+        return self.columns[j], self.values[j]
+
+    def _costs(self, weights: list[int]) -> list[int]:
+        weight = weights.__getitem__
+        return [sum(map(weight, rows)) if unit else sum(map(mul, map(weight, rows), values))
+                for rows, values, unit in zip(self.columns, self.values, self._unit)]
+
+    def maximum(self, weights: list[int]) -> int:
+        return max(self._costs(weights), default=0)
+
+    def entering(self, weights: list[int], bland: bool) -> tuple[int, int] | None:
+        costs = self._costs(weights)
+        if bland:
+            col = next((j for j, cost in enumerate(costs) if cost > 0), None)
+        else:
+            best = max(costs, default=0)
+            col = costs.index(best) if best > 0 else None
+        return None if col is None else (col, costs[col])
+
+
 def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> FeasibilityOutcome:
     """Find x >= 0 with A x = b, or a Farkas certificate that none exists."""
     rhs = list(rhs)
@@ -114,46 +178,51 @@ def solve_columns(columns: Sequence[Sequence[int]], rhs: Sequence,
 
     ``columns[j]`` lists the rows, each once and in ``range(len(rhs))``, at
     which column j is non-zero; ``values[j]`` holds those entries in the same
-    order, or ``values`` is None when every listed entry is one, as in a
-    global-section system.
+    order, or ``values`` is None when every listed entry is one.
     """
     b = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in rhs]
-    m, n = len(b), len(columns)
+    m = len(b)
     if any(rows and (min(rows) < 0 or max(rows) >= m) for rows in columns):
         raise ValueError("column lists a row outside the system")
-    unit = values is None
-    if unit:
+    if values is None:
         values = [(1,) * len(rows) for rows in columns]
-    elif len(values) != n or any(map(ne, map(len, columns), map(len, values))):
+    elif len(values) != len(columns) or any(map(ne, map(len, columns), map(len, values))):
         raise ValueError("one value per listed row required")
-    else:
-        values = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in column] for column in values]
+    values = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in column] for column in values]
+    # Each row times the lcm of its entries' denominators: an integer matrix.
+    denominator = [1] * m
+    for rows, column in zip(columns, values):
+        for r, v in zip(rows, column):
+            denominator[r] = lcm(denominator[r], v.denominator)
+    scaled = [tuple(v.numerator * (denominator[r] // v.denominator) for r, v in zip(rows, column))
+              for rows, column in zip(columns, values)]
+    outcome = solve_source(ExplicitColumns(columns, scaled, m), [v * s for v, s in zip(b, denominator)])
+    if outcome.feasible:
+        return outcome
+    # The primitive certificate of the original rows: a positive row scaling keeps every sign.
+    y = [int(v) * s for v, s in zip(outcome.certificate.coefficients, denominator)]
+    g = gcd(*y)
+    return FeasibilityOutcome(False, None, FarkasCertificate(tuple(Fraction(v // g) for v in y)))
 
-    # -- integer rows [A_i | b_i] scaled so that b_i >= 0 --------------------
-    denominator = [v.denominator for v in b]
-    if not unit:
-        for rows, column in zip(columns, values):
-            for r, v in zip(rows, column):
-                denominator[r] = lcm(denominator[r], v.denominator)
-    scale = [-s if v < 0 else s for s, v in zip(denominator, b)]
-    if unit:
-        scaled = [tuple(map(scale.__getitem__, rows)) for rows in columns]
-    else:
-        scaled = [tuple(v.numerator * (scale[r] // v.denominator) for r, v in zip(rows, column))
-                  for rows, column in zip(columns, values)]
-    system = [[0] * n + [v.numerator * (s // v.denominator)] for v, s in zip(b, scale)]
-    for j, (rows, coefficients) in enumerate(zip(columns, scaled)):
-        for r, v in zip(rows, coefficients):
-            system[r][j] = v
+
+def solve_source(source, rhs: Sequence) -> FeasibilityOutcome:
+    """Find x >= 0 with A x = b, or a Farkas certificate, for the integer A of a column source."""
+    b = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in rhs]
+    n = len(source)
+    scale = [-v.denominator if v < 0 else v.denominator for v in b]
+    target = [abs(v.numerator) for v in b]
 
     # -- presolve: a maximal independent subset of the original rows ---------
-    # Each reduced row carries its combination of original rows after its
-    # right-hand side, so a dependent row's residual is a certificate.
+    # Each reduced local row carries its right-hand side and then its
+    # combination of original rows, so a dependent row's residual is a
+    # certificate.
+    local = source.local_rows()
+    width = len(local[0]) if local else 0
     echelon: list[tuple[int, list[int]]] = []
     independent: list[int] = []
-    for i, row in enumerate(system):
-        cur = row + [0] * m
-        cur[n + 1 + i] = 1
+    for i, (row, s, t) in enumerate(zip(local, scale, target)):
+        cur = [v * s for v in row] + [t] + [0] * len(b)
+        cur[width + 1 + i] = 1
         for lead, prow in echelon:
             f = cur[lead]
             if f:
@@ -161,10 +230,10 @@ def solve_columns(columns: Sequence[Sequence[int]], rhs: Sequence,
                 cur = [x * p - f * y for x, y in zip(cur, prow)]
                 g = gcd(*cur)
                 cur = [x // g for x in cur]
-        lead = next((j for j in range(n) if cur[j]), None)
+        lead = next((j for j in range(width) if cur[j]), None)
         if lead is None:
-            if cur[n]:
-                return FeasibilityOutcome(False, None, _certificate(cur[n + 1:], cur[n], scale, columns, values, b))
+            if cur[width]:
+                return FeasibilityOutcome(False, None, _certificate(cur[width + 1:], cur[width], scale, source, b))
             continue
         echelon.append((lead, cur))
         independent.append(i)
@@ -173,84 +242,71 @@ def solve_columns(columns: Sequence[Sequence[int]], rhs: Sequence,
     if not k:
         return FeasibilityOutcome(True, tuple(ZERO for _ in range(n)), None)
 
-    basis, d, block = _phase1(columns, scaled, system, independent)
+    basis, d, block = _phase1(source, scale, target, independent)
 
     if block[k][k] > 0:
         # Row k holds d(yᵣ - 1) in artificial column r: the reduced cost of e_r.
-        y = [0] * m
+        y = [0] * len(b)
         for r, i in enumerate(independent):
             y[i] = block[k][r] + d
-        return FeasibilityOutcome(False, None, _certificate(y, block[k][k], scale, columns, values, b))
+        return FeasibilityOutcome(False, None, _certificate(y, block[k][k], scale, source, b))
 
     solution = [ZERO] * n
-    for r in range(k):
-        if basis[r] < n:
-            solution[basis[r]] = Fraction(block[r][k], d)
     residual = list(b)
-    for j, x in enumerate(solution):
-        if x:
-            for r, v in zip(columns[j], values[j]):
-                residual[r] -= v * x
+    for r, j in enumerate(basis):
+        if j < n:
+            x = solution[j] = Fraction(block[r][k], d)
+            if x < 0:
+                raise InternalConsistencyError("simplex returned a negative component")
+            for i, v in zip(*source.column(j)):
+                residual[i] -= v * x
     if any(residual):
         raise InternalConsistencyError("simplex returned a vector that misses a constraint")
-    if any(v < 0 for v in solution):
-        raise InternalConsistencyError("simplex returned a negative component")
     return FeasibilityOutcome(True, tuple(solution), None)
 
 
-def _phase1(columns: list[Sequence[int]], scaled: list[tuple[int, ...]], system: list[list[int]],
+def _phase1(source, scale: list[int], target: list[int],
             independent: list[int]) -> tuple[list[int], int, list[list[int]]]:
     """The revised phase-1 simplex on the independent rows of the scaled system.
 
-    ``scaled[j]`` holds the scaled coefficients of column j at the rows
-    ``columns[j]`` lists.  Returns the final basis, the common denominator d
-    and the integer block: in row r < k, d·B⁻¹ (the artificial columns) and
-    the right-hand side; in row k, the phase-1 objective over the same
-    columns.
+    Row i of the scaled system is ``scale[i]`` times row i of the source's
+    matrix, with right-hand side ``target[i]``.  Returns the final basis, the
+    common denominator d and the integer block: in row r < k, d·B⁻¹ (the
+    artificial columns) and the right-hand side; in row k, the phase-1
+    objective over the same columns.
     """
     k = len(independent)
-    n = len(columns)
-    content = [gcd(*system[i][:n]) for i in independent]
-    position = [None] * len(system)
+    n = len(source)
+    source = source.on_rows(independent)
+    position = [None] * len(scale)
     for r, i in enumerate(independent):
         position[i] = r
-    # Each structural column once, sparse over the independent rows: their
-    # positions, the coefficients, and for pricing those coefficients over
-    # the rows' contents g_r, or None when they are all one, as in every
-    # column of a global-section system.
-    sparse = []
-    for rows, coefficients in zip(columns, scaled):
-        kept = [(position[i], v) for i, v in zip(rows, coefficients) if v and position[i] is not None]
-        rows = tuple(r for r, _ in kept)
-        coefficients = tuple(v for _, v in kept)
-        reduced = tuple(v // content[r] for r, v in kept)
-        sparse.append((rows, coefficients, None if all(v == 1 for v in reduced) else reduced))
     block = []
     for r, i in enumerate(independent):
         row = [0] * (k + 1)
         row[r] = 1
-        row[k] = system[i][n]
+        row[k] = target[i]
         block.append(row)
     block.append([0] * k + [sum(row[k] for row in block)])
     basis = list(range(n, n + k))
+    weights = [0] * len(scale)
     d = 1
     degenerate = 0
     while block[k][k]:
         # Row k is (π - d·1) on the artificials with π = d·yᵀ, so the reduced
-        # cost of column j is π·A_j: the integer the dense tableau would hold.
-        weight = [(v + d) * g for v, g in zip(block[k][:k], content)].__getitem__
-        costs = [sum(map(weight, rows)) if reduced is None else sum(map(mul, map(weight, rows), reduced))
-                 for rows, _, reduced in sparse]
-        if degenerate < _STALL:
-            best = max(costs)
-            col = costs.index(best) if best > 0 else None
-        else:
-            col = next((j for j in range(n) if costs[j] > 0), None)
-        if col is None:
+        # cost of column j, the integer the dense tableau would hold, is π
+        # times column j of the scaled rows: its value under the row weights
+        # π_i·scale_i.
+        for v, i in zip(block[k], independent):
+            weights[i] = (v + d) * scale[i]
+        found = source.entering(weights, degenerate >= _STALL)
+        if found is None:
             break
+        col, cost = found
         # The entering column d·B⁻¹A_j, with its reduced cost in row k.
-        rows, coefficients, _ = sparse[col]
-        entering = [sum(map(mul, map(row.__getitem__, rows), coefficients)) for row in block[:k]] + [costs[col]]
+        kept = [(position[i], v * scale[i]) for i, v in zip(*source.column(col)) if v and position[i] is not None]
+        rows, values = [r for r, _ in kept], [v for _, v in kept]
+        entering = [sum(map(mul, map(row.__getitem__, rows), values)) for row in block[:k]] + [cost]
         leave = None
         for i in range(k):
             coef = entering[i]
@@ -282,17 +338,17 @@ def _pivot(block: list[list[int]], column: list[int], row: int, d: int) -> int:
     return p
 
 
-def _certificate(y: list[int], value: int, scale: list[int], columns, values, b) -> FarkasCertificate:
-    """The primitive integer certificate for the original rows, from weights on the scaled ones.
+def _certificate(y: list[int], value: int, scale: list[int], source, b) -> FarkasCertificate:
+    """The primitive integer certificate for the source's rows, from weights on the scaled ones.
 
-    It is checked against the original sparse columns:  yᵀA <= 0  and  yᵀb > 0.
+    It is checked against every column through the source's exact maximum:
+    yᵀA <= 0  and  yᵀb > 0.
     """
     if value == 0:
         raise InternalConsistencyError("degenerate certificate")
     y = [v * s for v, s in zip(y, scale)]
     g = gcd(*y) if value > 0 else -gcd(*y)
     y = [v // g for v in y]
-    if (any(sum(map(mul, map(y.__getitem__, rows), column)) > 0 for rows, column in zip(columns, values))
-            or sum(map(mul, y, b)) <= 0):
+    if source.maximum(y) > 0 or sum(map(mul, y, b)) <= 0:
         raise InternalConsistencyError("constructed certificate failed self-verification")
     return FarkasCertificate(tuple(map(Fraction, y)))

@@ -242,7 +242,7 @@ def global_section_system(scenario: Scenario, cap: int = DEFAULT_ENUMERATION_CAP
     """The scenario's global-section system, enumerating at most ``cap`` columns."""
     count = len(scenario.outcomes) ** len(scenario.measurements)
     if count > cap:
-        raise EnumerationCapError(count, cap)
+        raise EnumerationCapError(count, cap, what="global sections")
     return _global_section_system(scenario)
 
 
@@ -268,3 +268,138 @@ def _global_section_system(scenario: Scenario) -> GlobalSectionSystem:
         per_context.append(row)
         offset += base ** len(c)
     return GlobalSectionSystem(columns, rows, tuple(zip(*per_context)))
+
+
+def _numeral(digits: Iterable[int], base: int) -> int:
+    """The number whose base-``base`` digits, most significant first, are ``digits``."""
+    value = 0
+    for digit in digits:
+        value = value * base + digit
+    return value
+
+
+class GlobalSectionColumns:
+    """The columns of a scenario's global-section system, priced without listing them.
+
+    Column j and its rows are those of :func:`global_section_system`, so
+    under row weights w column j is worth Σ_c w(c, g|c), g the j-th global
+    section: a sum of one factor per maximal context.  The factors are
+    eliminated bucket by bucket, last measurement first: the factors whose
+    scope holds the last measurement left are summed into one bucket table
+    and maximised over that measurement, which leaves a factor on the rest
+    of the bucket's scope (Abramsky, Gottlob and Kolaitis, IJCAI 2013).  A
+    forward pass then fixes measurement 0, 1, ... to the least outcome that
+    still reaches the maximum, or under Bland's rule the least outcome that
+    still leaves a positive best completion; as j is the numeral of the
+    outcomes with measurement 0 most significant, that is the least index.
+
+    The local rows are the rows over the tensor basis {1, δ_1, ...,
+    δ_{|O|-1}} of each measurement's outcome functions: [g_m = o] is δ_o, or
+    1 − Σ_k δ_k for outcome 0, so row (c, s), the product of [g_m = s_m] over
+    m in c, lives on the products of δs over contexts T ⊆ c.  The products
+    over all contexts are linearly independent functions of g, so this is a
+    change of basis on the span of the rows.
+    """
+
+    def __init__(self, scenario: Scenario):
+        base, n = len(scenario.outcomes), len(scenario.measurements)
+        index = {m: i for i, m in enumerate(scenario.measurements)}
+        contexts = scenario.maximal_contexts
+        self._base, self._size = base, base ** n
+        self._powers = [base ** (n - 1 - i) for i in range(n)]
+        self._ones = (1,) * len(contexts)
+        # One factor per maximal context: its measurements and its rows.
+        scopes = [tuple(index[m] for m in c) for c in contexts]
+        starts = list(itertools.accumulate((base ** len(scope) for scope in scopes), initial=0))
+        self._spans = list(zip(starts, starts[1:]))
+        self._contexts = list(zip(starts, scopes))
+
+        # -- the elimination plan: each step's bucket, with each factor's
+        # entry at each assignment of the bucket's scope, measurement i last.
+        self._steps = []
+        alive = list(range(len(scopes)))
+        for i in reversed(range(n)):
+            bucket = [f for f in alive if i in scopes[f]]
+            alive = [f for f in alive if i not in scopes[f]] + [len(scopes)]
+            scope = sorted({v for f in bucket for v in scopes[f]} | {i})
+            at = {v: p for p, v in enumerate(scope)}
+            assignments = list(itertools.product(range(base), repeat=len(scope)))
+            self._steps.append(([(f, [_numeral((a[at[v]] for v in scopes[f]), base) for a in assignments])
+                                 for f in bucket], scope[:-1]))
+            scopes.append(tuple(scope[:-1]))
+        self._constants = alive
+
+        # -- the rows in local coordinates ---------------------------------
+        # Digit 0 of measurement m stands for 1 and digit k for δ_k.
+        coordinate, width = {}, 0
+        for context in all_contexts(scenario):
+            coordinate[context] = width
+            width += (base - 1) ** len(context)
+        self._rows = []
+        for c in contexts:
+            digits = list(itertools.product(range(base), repeat=len(c)))
+            where = [coordinate[tuple(m for m, d in zip(c, ds) if d)] + _numeral((d - 1 for d in ds if d), base - 1)
+                     for ds in digits]
+            for s in digits:
+                row = [0] * width
+                for ds, k in zip(digits, where):
+                    row[k] = math.prod((d == o) if o else -1 if d else 1 for o, d in zip(s, ds))
+                self._rows.append(tuple(row))
+
+    def __len__(self) -> int:
+        return self._size
+
+    def on_rows(self, rows) -> GlobalSectionColumns:
+        # The factors price every row; the solver weighs the others at zero.
+        return self
+
+    def local_rows(self) -> list[tuple[int, ...]]:
+        return self._rows
+
+    def column(self, j: int) -> tuple[list[int], tuple[int, ...]]:
+        digits = [j // p % self._base for p in self._powers]
+        return [start + _numeral((digits[i] for i in scope), self._base) for start, scope in self._contexts], self._ones
+
+    def _eliminate(self, weights: list[int]) -> tuple[list[list[int]], int]:
+        """The bucket tables, last measurement first, and the maximum over all columns."""
+        base = self._base
+        tables = [weights[a:b] for a, b in self._spans]
+        buckets = []
+        for bucket, _ in self._steps:
+            h = None
+            for f, positions in bucket:
+                part = map(tables[f].__getitem__, positions)
+                h = list(part if h is None else map(add, h, part))
+            # h[a·|O| + o] is the bucket at outcome o of its last measurement.
+            tables.append(list(map(max, *(h[o::base] for o in range(base)))))
+            buckets.append(h)
+        return buckets, sum(tables[f][0] for f in self._constants)
+
+    def maximum(self, weights: list[int]) -> int:
+        return self._eliminate(weights)[1]
+
+    def entering(self, weights: list[int], bland: bool) -> tuple[int, int] | None:
+        buckets, value = self._eliminate(weights)
+        if value <= 0:
+            return None
+        base = self._base
+        outcome = []
+        for (_, prefix), h in zip(reversed(self._steps), reversed(buckets)):
+            a = _numeral((outcome[v] for v in prefix), base) * base
+            row = h[a:a + base]
+            top = max(row)
+            if bland:
+                # The least outcome whose best completion stays positive; the
+                # outcome that reaches top always does.
+                o = next(o for o, t in enumerate(row) if value - top + t > 0)
+                value += row[o] - top
+            else:
+                o = row.index(top)
+            outcome.append(o)
+        return _numeral(outcome, base), value
+
+
+@lru_cache(maxsize=None)
+def global_section_columns(scenario: Scenario) -> GlobalSectionColumns:
+    """The column source of the scenario's global-section system, cached per scenario."""
+    return GlobalSectionColumns(scenario)

@@ -53,7 +53,7 @@ from .extensions import (
     cheapest_cover_of_space,
 )
 from .scenario import Section, global_section_system, sections_over
-from .wps import Event, WpsRepresentation, _atoms, _subset_sums, excise
+from .wps import Event, WpsRepresentation, _atoms, _indices, _subset_sums, excise
 
 ZERO = Fraction(0)
 
@@ -453,13 +453,32 @@ def verify_extension(rep: WpsRepresentation, candidate, kind: str = "monotonic",
             )
         universe = sorted(domain, key=lambda e: (e.bit_count(), rep.event_key(e)))
     if kind == "monotonic":
-        for a in universe:
-            for b in universe:
-                if a != b and not a & ~b and candidate.value(a) > candidate.value(b):
-                    return failed(
-                        "monotonicity",
-                        f"a set of value {candidate.value(a)} sits inside one of value {candidate.value(b)}",
-                    )
+        # Bit j of holders[i] marks member j as holding point i, so a member's
+        # supersets AND its points' holders; below[v] marks the members of
+        # value under v, so never a itself.  The lowest bit of their meet is
+        # the first b that the ordered scan over pairs (a, b) would report.
+        values = [candidate.value(a) for a in universe]
+        holders = [0] * max((a.bit_length() for a in universe), default=0)
+        for j, a in enumerate(universe):
+            for i in _indices(a):
+                holders[i] |= 1 << j
+        level: dict[Fraction, int] = {}
+        for j, value in enumerate(values):
+            level[value] = level.get(value, 0) | 1 << j
+        below, seen = {}, 0
+        for value in sorted(level):
+            below[value] = seen
+            seen |= level[value]
+        for j, a in enumerate(universe):
+            inside = below[values[j]]
+            for i in _indices(a):
+                inside &= holders[i]
+            if inside:
+                b = (inside & -inside).bit_length() - 1
+                return failed(
+                    "monotonicity",
+                    f"a set of value {values[j]} sits inside one of value {values[b]}",
+                )
         if domain is None:
             for event in events:
                 base = candidate.value(event)

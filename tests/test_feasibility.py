@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from contextuality import dutchbook, feasibility
-from contextuality.feasibility import solve_columns, solve_nonnegative
-from contextuality.scenario import global_section_system
+from contextuality.feasibility import solve_columns, solve_nonnegative, solve_source
+from contextuality.scenario import global_section_columns, global_section_system
 
 from conftest import noisy_cycle
+from test_global_sections import MODELS, expand
 
 
 def frac(n, d=1):
@@ -172,20 +174,22 @@ def test_sparse_core_matches_the_dense_entry_point(stall, system):
 # ---------------------------------------------------------------------------
 
 
-def dense_phase1(columns, scaled, system, independent):
+def dense_phase1(source, scale, target, independent):
     """The dense phase-1 tableau: every pivot rewrites every structural column.
 
-    It reads only the scaled dense rows ``system``.  Returns what
+    It reads the source's columns once, into dense rows scaled by ``scale``,
+    and never prices through the source.  Returns what
     ``feasibility._phase1`` returns: the final basis, the common denominator
     and the tableau's artificial and right-hand-side columns.
     """
     k = len(independent)
-    n = len(columns)
+    n = len(source)
+    matrix = expand(source, len(scale))
     tableau = []
     for r, i in enumerate(independent):
-        row = system[i][:n] + [0] * (k + 1)
+        row = [v * scale[i] for v in matrix[i]] + [0] * (k + 1)
         row[n + r] = 1
-        row[-1] = system[i][n]
+        row[-1] = target[i]
         tableau.append(row)
     objective = [sum(column) for column in zip(*tableau)]
     objective[n:n + k] = [0] * k
@@ -288,3 +292,51 @@ def test_membership_systems_follow_the_dense_tableau(catalog_reps, padded_catalo
         dutchbook.convexity_membership(rep)
         dutchbook.convexity_membership(rep, rep.maximal_context_events())
     assert len(seen) >= 2 * len(catalog_reps) + 2 * len(padded_catalog_reps)
+
+
+# ---------------------------------------------------------------------------
+# Oracle pricing against the explicit columns and the dense tableau
+# ---------------------------------------------------------------------------
+
+
+def count_calls(patch, owner, name) -> list:
+    """Wrap ``owner.name`` so that each call appends to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+    patch.setattr(owner, name, counting)
+    return calls
+
+
+def with_pivots(calls, solve):
+    """The outcome of ``solve()`` and the number of pivots counted while it ran."""
+    before = len(calls)
+    outcome = solve()
+    return outcome, len(calls) - before
+
+
+@pytest.mark.parametrize("stall", [feasibility._STALL, 0], ids=["largest-coefficient", "bland"])
+@pytest.mark.parametrize("name, model", MODELS, ids=[name for name, _ in MODELS])
+def test_oracle_priced_solves_follow_the_explicit_columns_and_the_dense_tableau(stall, name, model):
+    # The table right-hand side and 20 signed ones, which also reach the
+    # presolve's dependent-row certificates.
+    system = global_section_system(model.scenario)
+    source = global_section_columns(model.scenario)
+    matrix = [[0] * len(system.columns) for _ in system.rows]
+    for j, rows in enumerate(system.incidence):
+        for r in rows:
+            matrix[r][j] = 1
+    rng = random.Random(name)
+    sides = [[model.table(c).weight(s) for c, s in system.rows]]
+    sides += [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in system.rows] for _ in range(20)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(feasibility, "_STALL", stall)
+        revised = count_calls(patch, feasibility, "_pivot")
+        dense = count_calls(patch, sys.modules[__name__], "dense_pivot")
+        for rhs in sides:
+            oracle = with_pivots(revised, lambda: solve_source(source, rhs))
+            assert oracle == with_pivots(revised, lambda: solve_columns(system.incidence, rhs))
+            assert oracle == with_pivots(dense, lambda: dense_solve(matrix, rhs))

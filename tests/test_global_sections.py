@@ -7,14 +7,22 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from contextuality import classifier, scenario as scenario_module
+from contextuality import classifier, feasibility, scenario as scenario_module
 from contextuality.catalog import bell_model, catalog, random_deterministic_mixture
-from contextuality.classifier import GlobalDistributionCertificate, classify, global_distribution
+from contextuality.classifier import GlobalDistributionCertificate, Tier, classify, global_distribution
 from contextuality.distribution import Distribution, marginalize, point_mass, random_rational_weights
 from contextuality.errors import EnumerationCapError
 from contextuality.model import EmpiricalModel
-from contextuality.scenario import Scenario, all_contexts, global_section_system, restrict, sections_over
+from contextuality.scenario import (
+    Scenario,
+    all_contexts,
+    global_section_columns,
+    global_section_system,
+    restrict,
+    sections_over,
+)
 from contextuality.violations import additivity_violation
 from contextuality.wps import build_combinatorial_rep
 
@@ -57,24 +65,24 @@ def oracle_system(model: EmpiricalModel, rhs_of):
     return columns, tuple(labels), matrix, rhs
 
 
-def expand(columns, values, m: int) -> list:
-    """The dense rows of sparse columns; a row listed twice in one column shows as a sum."""
-    matrix = [[0] * len(columns) for _ in range(m)]
-    for j, rows in enumerate(columns):
-        for r, v in zip(rows, [1] * len(rows) if values is None else values[j]):
+def expand(source, m: int) -> list:
+    """The dense rows of a column source, read column by column; a row listed twice in one column shows as a sum."""
+    matrix = [[0] * len(source) for _ in range(m)]
+    for j in range(len(source)):
+        for r, v in zip(*source.column(j)):
             matrix[r][j] += v
     return matrix
 
 
 def recorded_solves(monkeypatch) -> list:
-    """Record each sparse global-section solve as its expanded dense rows and right-hand side."""
+    """Record each global-section solve as its source's expanded dense rows and right-hand side."""
     seen = []
-    solve = classifier.solve_columns
+    solve = classifier.solve_source
 
-    def recording(columns, rhs, values=None):
-        seen.append((expand(columns, values, len(rhs)), list(rhs)))
-        return solve(columns, rhs, values)
-    monkeypatch.setattr(classifier, "solve_columns", recording)
+    def recording(source, rhs):
+        seen.append((expand(source, len(rhs)), list(rhs)))
+        return solve(source, rhs)
+    monkeypatch.setattr(classifier, "solve_source", recording)
     return seen
 
 
@@ -144,6 +152,72 @@ def test_cap_is_checked_on_every_call():
     global_section_system(scenario)
     with pytest.raises(EnumerationCapError):
         global_section_system(scenario, cap=15)
+
+
+def test_cap_message_names_the_global_sections():
+    model = noisy_cycle(4, Fraction(1, 8))
+    message = "enumerating 16 global sections exceeds the cap of 15"
+    with pytest.raises(EnumerationCapError, match=f"^{message}$"):
+        global_section_system(model.scenario, cap=15)
+    # Every path to the global-section solve checks it, the source built or not.
+    global_section_columns(model.scenario)
+    for solve in (global_distribution, classify):
+        with pytest.raises(EnumerationCapError, match=f"^{message}$"):
+            solve(model, cap=15)
+
+
+# ---------------------------------------------------------------------------
+# The global-section column source against enumeration
+# ---------------------------------------------------------------------------
+
+PRICED = [cycle_scenario(n) for n in range(3, 9)] + [
+    next(entry.model.scenario for entry in catalog() if entry.name == "ghz"), THREE_OUTCOMES, MIXED_SIZES]
+
+
+@pytest.mark.parametrize("scenario", PRICED, ids=[f"cycle-{n}" for n in range(3, 9)] + ["ghz", "three-outcome",
+                                                                                        "mixed-sizes"])
+def test_source_columns_are_the_incidence(scenario):
+    system = global_section_system(scenario)
+    source = global_section_columns(scenario)
+    assert len(source) == len(system.columns)
+    assert [tuple(source.column(j)[0]) for j in range(len(source))] == list(system.incidence)
+    assert all(set(source.column(j)[1]) == {1} for j in range(len(source)))
+    assert global_section_columns(scenario) is source
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_oracle_pricing_matches_enumeration(data):
+    scenario = data.draw(st.sampled_from(PRICED), label="scenario")
+    system = global_section_system(scenario)
+    low = data.draw(st.integers(-8, 0), label="low")
+    weights = data.draw(st.lists(st.integers(low, 3), min_size=len(system.rows), max_size=len(system.rows)),
+                        label="weights")
+    costs = [sum(weights[r] for r in rows) for rows in system.incidence]
+    best = max(costs)
+    source = global_section_columns(scenario)
+    assert source.maximum(weights) == best
+    if best <= 0:
+        assert source.entering(weights, False) is None
+        assert source.entering(weights, True) is None
+        return
+    first = costs.index(best)
+    assert source.entering(weights, False) == (first, best)
+    positive = next(j for j, cost in enumerate(costs) if cost > 0)
+    assert source.entering(weights, True) == (positive, costs[positive])
+
+
+def test_classify_never_prices_explicit_columns(monkeypatch):
+    models = [entry.model for entry in catalog()] + [noisy_cycle(n, Fraction(1, 8)) for n in range(3, 9)]
+    tiers = [classify(model).tier for model in models]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("explicit-column pricing reached on the classify path")
+    monkeypatch.setattr(feasibility.ExplicitColumns, "entering", refuse)
+    monkeypatch.setattr(feasibility.ExplicitColumns, "maximum", refuse)
+    scenario_module.global_section_columns.cache_clear()
+    assert [classify(model).tier for model in models] == tiers
+    assert {Tier.PROBABILISTIC, Tier.NONCONTEXTUAL} <= set(tiers)
 
 
 def test_classify_never_restricts(monkeypatch):

@@ -36,6 +36,8 @@ from contextuality.extensions import (
 from contextuality.scenario import sections_over
 from contextuality.violations import (
     AdditiveCover,
+    ExtensionFailure,
+    ExtensionVerdict,
     ViolationKind,
     additivity_violation,
     context_additive_cover,
@@ -335,6 +337,16 @@ class TestExtensions:
                 EnvelopeExtension(rep, extra)
             return
         envelope = EnvelopeExtension(rep, extra)
+        # The pool in the order of a stable sort by Fraction weight.
+        ordered = sorted([(event, rep.mu[event]) for event in rep.sorted_events(rep.sigma)]
+                         + [(event, Fraction(w)) for event, w in extra], key=lambda item: item[1])
+        holders = {}
+        for j, (mask, _) in enumerate(ordered):
+            for i in range(len(rep.points) + 1):
+                if mask >> i & 1:
+                    holders[i] = holders.get(i, 0) | 1 << j
+        assert envelope._weights == [weight for _, weight in ordered]
+        assert envelope._holders == holders
         for event in data.draw(st.lists(subsets, min_size=1, max_size=6), label="events"):
             assert envelope.value(event) == cheapest(event)
             outside = event | 1 << len(rep.points)  # a point beyond the sample space
@@ -366,6 +378,72 @@ class TestExtensions:
         assert not verdict.ok
         assert verdict.failures[0].condition == "monotonicity"
         assert "sits inside" in verdict.failures[0].detail
+
+    @staticmethod
+    def pair_scan(universe, value):
+        """The failure the ordered scan over all pairs (a, b) reports first: a inside b, valued above it."""
+        for a in universe:
+            for b in universe:
+                if a != b and not a & ~b and value(a) > value(b):
+                    return ExtensionFailure("monotonicity", f"a set of value {value(a)} sits inside one of value {value(b)}")
+        return None
+
+    @pytest.mark.parametrize("name", ["bell", "hardy", "pr-box", "specker-triangle"])
+    def test_monotonicity_matches_the_pair_scan(self, name, catalog_reps):
+        rep = catalog_reps[name]
+        rng = random.Random(name)
+        events = rep.sorted_events(rep.sigma)
+
+        def tampered(mu):
+            return WpsRepresentation(rep.model, rep.points, rep.transfer, rep.sigma_algebras, mu, rep.combinatorial)
+        # Functional candidates: the envelope, the tampered nesting pair of
+        # test_functional_non_monotone_family_caught, and random tampering.
+        candidates = [(rep, EnvelopeExtension(rep))]
+        scenario = rep.model.scenario
+        context = scenario.maximal_contexts[0]
+        inner = rep.event(scenario.section({m: scenario.outcomes[0] for m in context}))
+        outer = rep.event(scenario.section({context[0]: scenario.outcomes[0]}))
+        mu = dict(rep.mu)
+        mu[inner] = mu[outer] + Fraction(1, 100)
+        candidates.append((tampered(mu), None))
+        for _ in range(15):
+            mu = dict(rep.mu)
+            for event in rng.sample(events, 2):
+                mu[event] = Fraction(rng.randint(0, 4), 4)
+            candidates.append((tampered(mu), None))
+        candidates = [(target, candidate or StoredValues(target, 1)) for target, candidate in candidates]
+        # Explicit candidates on the specker triangle, whose generated algebra
+        # is small enough to scan in pairs: the envelope's values, the
+        # swapped chain of test_explicit_non_monotone_extension_caught, and
+        # random tampering.
+        if name == "specker-triangle":
+            from contextuality.violations import _generated_algebra
+            algebra = _generated_algebra(rep, cap=2**20)
+            envelope = {e: EnvelopeExtension(rep).value(e) for e in algebra}
+            candidates.append((rep, ExplicitExtension(rep, envelope)))
+            small = min((e for e in algebra if e.bit_count() == 1), key=rep.event_key)
+            big = next(e for e in algebra if not small & ~e and e.bit_count() == 2)
+            candidates.append((rep, ExplicitExtension(rep, {**envelope, small: Fraction(1), big: Fraction(0)})))
+            outside = [e for e in algebra if e not in rep.sigma]
+            for _ in range(8):
+                values = dict(envelope)
+                for event in rng.sample(outside, 3):
+                    values[event] = Fraction(rng.randint(0, 4), 4)
+                candidates.append((rep, ExplicitExtension(rep, values)))
+        caught = 0
+        for target, candidate in candidates:
+            domain = candidate.domain()
+            universe = (target.sorted_events(target.sigma) if domain is None
+                        else sorted(domain, key=lambda e: (e.bit_count(), target.event_key(e))))
+            expected = self.pair_scan(universe, candidate.value)
+            verdict = verify_extension(target, candidate, "monotonic")
+            if expected is None:
+                assert verdict.ok or verdict.failures == (
+                    ExtensionFailure("monotonicity", "adding a point decreased the value"),)
+            else:
+                caught += 1
+                assert verdict == ExtensionVerdict(False, (expected,))
+        assert caught >= 2
 
     def test_functional_one_point_enlargement_caught(self, bell_rep):
         # Zero off the family: some positive member loses value when a point is added.

@@ -329,14 +329,14 @@ class TestCli:
         # At most one global-section solve for the tier, and one convexity
         # solve on the representation for every LP line.
         solves = []
-        core = feasibility.solve_columns
+        core = feasibility.solve_source
 
         def counting(*args, **kwargs):
             solves.append(args)
             return core(*args, **kwargs)
 
-        monkeypatch.setattr(feasibility, "solve_columns", counting)
-        monkeypatch.setattr(classifier, "solve_columns", counting)
+        monkeypatch.setattr(feasibility, "solve_source", counting)
+        monkeypatch.setattr(classifier, "solve_source", counting)
         if name == "singlet":
             path = tmp_path / "singlet.json"
             path.write_text(json.dumps(experiment_to_dict(singlet_experiment())))
