@@ -18,8 +18,7 @@ rows and entries; ``maximum(w)``, the largest Σ_r w_r·A_rj over all
 columns j for integer row weights w; ``entering(w, bland)``, the column
 the simplex enters: the least index with the largest positive value, or
 with ``bland`` the least index with a positive value, together with that
-value, or None when no value is positive; and ``on_rows(rows)``, the
-source that phase 1 prices, which may drop every other row.
+value, or None when no value is positive.
 :class:`ExplicitColumns` lists its columns, prices every one of them, and
 takes its dense rows as local rows; :func:`solve_columns` builds it from
 sparse columns, each row scaled once by the lcm of its entries'
@@ -115,18 +114,9 @@ class ExplicitColumns:
         self.columns = columns
         self.values = values
         self.m = m
-        # Pricing sums the weights alone on a column whose entries are all
-        # one, as in every column of a membership system.
-        self._unit = [all(v == 1 for v in column) for column in values]
 
     def __len__(self) -> int:
         return len(self.columns)
-
-    def on_rows(self, rows: Sequence[int]) -> ExplicitColumns:
-        """The columns cut down to the listed rows, the only ones phase 1 prices on."""
-        keep = set(rows)
-        cut = [[(r, v) for r, v in zip(column, values) if r in keep] for column, values in zip(self.columns, self.values)]
-        return ExplicitColumns([[r for r, _ in c] for c in cut], [[v for _, v in c] for c in cut], self.m)
 
     def local_rows(self) -> list[list[int]]:
         rows = [[0] * len(self.columns) for _ in range(self.m)]
@@ -140,8 +130,7 @@ class ExplicitColumns:
 
     def _costs(self, weights: list[int]) -> list[int]:
         weight = weights.__getitem__
-        return [sum(map(weight, rows)) if unit else sum(map(mul, map(weight, rows), values))
-                for rows, values, unit in zip(self.columns, self.values, self._unit)]
+        return [sum(map(mul, map(weight, rows), values)) for rows, values in zip(self.columns, self.values)]
 
     def maximum(self, weights: list[int]) -> int:
         return max(self._costs(weights), default=0)
@@ -277,7 +266,6 @@ def _phase1(source, scale: list[int], target: list[int],
     """
     k = len(independent)
     n = len(source)
-    source = source.on_rows(independent)
     position = [None] * len(scale)
     for r, i in enumerate(independent):
         position[i] = r

@@ -349,10 +349,6 @@ class GlobalSectionColumns:
     def __len__(self) -> int:
         return self._size
 
-    def on_rows(self, rows) -> GlobalSectionColumns:
-        # The factors price every row; the solver weighs the others at zero.
-        return self
-
     def local_rows(self) -> list[tuple[int, ...]]:
         return self._rows
 
@@ -370,8 +366,9 @@ class GlobalSectionColumns:
             for f, positions in bucket:
                 part = map(tables[f].__getitem__, positions)
                 h = list(part if h is None else map(add, h, part))
-            # h[a·|O| + o] is the bucket at outcome o of its last measurement.
-            tables.append(list(map(max, *(h[o::base] for o in range(base)))))
+            # h[a·|O| + o] is the bucket at outcome o of its last measurement;
+            # with one outcome, h is already its own maximum.
+            tables.append(list(map(max, *(h[o::base] for o in range(base)))) if base > 1 else h)
             buckets.append(h)
         return buckets, sum(tables[f][0] for f in self._constants)
 

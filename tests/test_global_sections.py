@@ -42,12 +42,14 @@ THREE_OUTCOMES = Scenario(("a", "b", "c"), (("a", "b"), ("b", "c")), ("0", "1", 
 # Contexts of sizes 3, 2 and 1, each listed out of measurement order and the
 # family out of canonical order; outcome labels out of sorted order.
 MIXED_SIZES = Scenario(("e", "b", "d", "a", "c"), (("c", "a", "d"), ("d", "b"), ("e",)), ("1", "2", "0"))
+ONE_OUTCOME = Scenario(("a", "b", "c"), (("a", "b"), ("b", "c")), ("only",))
 
 MODELS = (
     [(entry.name, entry.model) for entry in catalog()]
     + [(f"cycle-{n}", mixture_model(cycle_scenario(n), n)) for n in range(3, 7)]
     + [("three-outcome", mixture_model(THREE_OUTCOMES, 0))]
     + [("mixed-sizes", mixture_model(MIXED_SIZES, 1))]
+    + [("one-outcome", mixture_model(ONE_OUTCOME, 2))]
     + [("noisy-cycle-5", noisy_cycle(5, Fraction(1, 2)))]
 )
 
@@ -74,13 +76,42 @@ def expand(source, m: int) -> list:
     return matrix
 
 
+def independent_rows(rows) -> list[int]:
+    """The rows, in order, that are not combinations of the rows before them."""
+    echelon, kept = [], []
+    for i, row in enumerate(rows):
+        cur = [Fraction(v) for v in row]
+        for lead, prow in echelon:
+            if cur[lead]:
+                f = cur[lead] / prow[lead]
+                cur = [x - f * y for x, y in zip(cur, prow)]
+        lead = next((j for j, v in enumerate(cur) if v), None)
+        if lead is not None:
+            echelon.append((lead, cur))
+            kept.append(i)
+    return kept
+
+
 def recorded_solves(monkeypatch) -> list:
-    """Record each global-section solve as its source's expanded dense rows and right-hand side."""
+    """Record each global-section solve as its source's expanded dense rows and right-hand side.
+
+    Each recorded source's pricing and presolve rows are checked against
+    those dense rows too: its maximum under seeded random integer row
+    weights is the largest column sum, and its local rows keep the same
+    independent rows.
+    """
     seen = []
     solve = classifier.solve_source
 
     def recording(source, rhs):
-        seen.append((expand(source, len(rhs)), list(rhs)))
+        matrix = expand(source, len(rhs))
+        rng = random.Random(len(rhs))
+        for _ in range(5):
+            weights = [rng.randint(-6, 3) for _ in rhs]
+            assert source.maximum(weights) == max(sum(w * v for w, v in zip(weights, column))
+                                                  for column in zip(*matrix))
+        assert independent_rows(source.local_rows()) == independent_rows(matrix)
+        seen.append((matrix, list(rhs)))
         return solve(source, rhs)
     monkeypatch.setattr(classifier, "solve_source", recording)
     return seen
@@ -171,11 +202,12 @@ def test_cap_message_names_the_global_sections():
 # ---------------------------------------------------------------------------
 
 PRICED = [cycle_scenario(n) for n in range(3, 9)] + [
-    next(entry.model.scenario for entry in catalog() if entry.name == "ghz"), THREE_OUTCOMES, MIXED_SIZES]
+    next(entry.model.scenario for entry in catalog() if entry.name == "ghz"), THREE_OUTCOMES, MIXED_SIZES,
+    ONE_OUTCOME]
 
 
 @pytest.mark.parametrize("scenario", PRICED, ids=[f"cycle-{n}" for n in range(3, 9)] + ["ghz", "three-outcome",
-                                                                                        "mixed-sizes"])
+                                                                                        "mixed-sizes", "one-outcome"])
 def test_source_columns_are_the_incidence(scenario):
     system = global_section_system(scenario)
     source = global_section_columns(scenario)
@@ -205,6 +237,16 @@ def test_oracle_pricing_matches_enumeration(data):
     assert source.entering(weights, False) == (first, best)
     positive = next(j for j, cost in enumerate(costs) if cost > 0)
     assert source.entering(weights, True) == (positive, costs[positive])
+
+
+@pytest.mark.parametrize("scenario", [ONE_OUTCOME, Scenario(("m",), (("m",),), ("only",))],
+                         ids=["two-contexts", "one-measurement"])
+def test_one_outcome_model_is_noncontextual(scenario):
+    model = mixture_model(scenario, 0)
+    assert classify(model).tier is Tier.NONCONTEXTUAL
+    solved = global_distribution(model)
+    assert isinstance(solved, Distribution)
+    assert list(solved.weights.values()) == [1]
 
 
 def test_classify_never_prices_explicit_columns(monkeypatch):
