@@ -1,11 +1,16 @@
 """The contextuality hierarchy: strong, logical, probabilistic, or neither.
 
 Strong and logical contextuality are possibilistic: they depend only on
-which sections carry non-zero weight.  The probabilistic tier asks whether
-any global distribution marginalizes exactly to every context table; that
-question is decided by the exact feasibility solver, and a negative answer
-comes with a rational separating functional that can be re-evaluated
-against the tables independently.
+which sections carry non-zero weight.  Both are read from one greedy cover
+of the support by consistent global sections, each entered by the
+elimination oracle of the global-section source
+(:func:`scenario.global_section_columns`).  The probabilistic tier asks
+whether any global distribution marginalizes exactly to every context
+table; the exact feasibility solver decides it on the same source.  A
+positive answer is a distribution stored as its support, re-marginalized
+exactly; a negative one is a rational separating functional that
+:meth:`GlobalDistributionCertificate.verify` re-evaluates against the tables
+by its own enumeration, the only place ``classify`` lists global sections.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .distribution import Distribution, marginalize
 from .errors import DEFAULT_ENUMERATION_CAP, InternalConsistencyError
 from .feasibility import solve_source
 from .model import EmpiricalModel
-from .scenario import GlobalSectionSystem, Section, global_section_columns, global_section_system
+from .scenario import Section, check_global_section_cap, global_section_columns, global_section_system
 
 
 class Tier(Enum):
@@ -33,20 +38,40 @@ class Tier(Enum):
         return self.value
 
 
-def _positive_rows(model: EmpiricalModel, system: GlobalSectionSystem) -> list[bool]:
-    return [model.table(c).weight(s) > 0 for c, s in system.rows]
-
-
 def consistent_global_sections(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Section, ...]:
     """Global sections whose restriction to every maximal context is in the support."""
     system = global_section_system(model.scenario, cap)
-    positive = _positive_rows(model, system)
+    positive = [model.table(c).weight(s) > 0 for c, s in system.rows]
     return tuple(g for g, rows in zip(system.columns, system.incidence) if all(positive[r] for r in rows))
+
+
+def _support_cover(model: EmpiricalModel, cap: int) -> tuple[bool, Optional[Section]]:
+    """Whether no global section is consistent with the support, and the least
+    support section that no consistent global section reaches, or None.
+
+    Row (c, s) weighs -(|C| + 1), |C| the number of maximal contexts, where
+    the table gives s weight 0; 1 where it is in the support and no
+    consistent global section found so far reaches it; 0 once one does.  A
+    column meeting a weight-0 section is worth at most -2, so each column the
+    oracle enters is a consistent global section reaching a new row, and when
+    it enters none the reached rows are those of every consistent global
+    section.
+    """
+    scenario = model.scenario
+    check_global_section_cap(scenario, cap)
+    source = global_section_columns(scenario)
+    tables = model.tables
+    excluded = -(len(scenario.maximal_contexts) + 1)
+    weights = [1 if tables[c].weight(s) else excluded for c, s in source.rows]
+    while (found := source.entering(weights, False)) is not None:
+        for r in source.column(found[0])[0]:
+            weights[r] = 0
+    return 0 not in weights, next((s for (_, s), w in zip(source.rows, weights) if w == 1), None)
 
 
 def is_strongly_contextual(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     """True when no global section is consistent with the support."""
-    return not consistent_global_sections(model, cap=cap)
+    return _support_cover(model, cap)[0]
 
 
 def is_logically_contextual(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[bool, Optional[Section]]:
@@ -55,13 +80,8 @@ def is_logically_contextual(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATIO
     Returns the canonically least such witness section (contexts in scenario
     order, sections in enumeration order), or ``(False, None)``.
     """
-    system = global_section_system(model.scenario, cap)
-    positive = _positive_rows(model, system)
-    reached = {r for rows in system.incidence if all(positive[r] for r in rows) for r in rows}
-    for r, (_, s) in enumerate(system.rows):
-        if positive[r] and r not in reached:
-            return True, s
-    return False, None
+    witness = _support_cover(model, cap)[1]
+    return witness is not None, witness
 
 
 @dataclass(frozen=True)
@@ -80,6 +100,8 @@ class GlobalDistributionCertificate:
 
     def verify(self, model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
         system = global_section_system(model.scenario, cap)
+        if len(self.coefficients) != len(self.rows):
+            return False
         weight_of = dict(zip(self.rows, self.coefficients))
         if len(weight_of) != len(self.rows) or weight_of.keys() != set(system.rows):
             return False
@@ -98,11 +120,12 @@ def _solve_global_system(model: EmpiricalModel, rhs_of: Callable[[tuple, Section
 
     Returns the solution over the columns, or a verified certificate of infeasibility.
     """
-    system = global_section_system(model.scenario, cap)
-    outcome = solve_source(global_section_columns(model.scenario), [rhs_of(c, s) for c, s in system.rows])
+    check_global_section_cap(model.scenario, cap)
+    source = global_section_columns(model.scenario)
+    outcome = solve_source(source, [rhs_of(c, s) for c, s in source.rows])
     if outcome.feasible:
         return outcome.solution
-    certificate = GlobalDistributionCertificate(system.rows, outcome.certificate.coefficients)
+    certificate = GlobalDistributionCertificate(source.rows, outcome.certificate.coefficients)
     if not certificate.verify(model, cap=cap):
         raise InternalConsistencyError("infeasibility certificate failed independent verification")
     return certificate
@@ -118,8 +141,10 @@ def global_distribution(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CA
     if isinstance(result, GlobalDistributionCertificate):
         return result
     scenario = model.scenario
-    weights = dict(zip(global_section_system(scenario, cap).columns, result))
-    return Distribution(scenario, scenario.measurements, weights, cap=cap)
+    source, outcomes = global_section_columns(scenario), scenario.outcomes
+    support = {Section(scenario.measurements, tuple(outcomes[d] for d in source.digits(j)), scenario): x
+               for j, x in enumerate(result) if x}
+    return Distribution._from_support(scenario, scenario.measurements, support)
 
 
 @dataclass(frozen=True)
@@ -137,10 +162,10 @@ class TierVerdict:
 
 def classify(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CAP) -> TierVerdict:
     """Place a model in the hierarchy, strongest applicable tier first."""
-    if is_strongly_contextual(model, cap=cap):
+    strong, witness = _support_cover(model, cap)
+    if strong:
         return TierVerdict(Tier.STRONG)
-    logical, witness = is_logically_contextual(model, cap=cap)
-    if logical:
+    if witness is not None:
         return TierVerdict(Tier.LOGICAL, logical_witness=witness)
     result = global_distribution(model, cap=cap)
     if isinstance(result, Distribution):

@@ -7,12 +7,15 @@ verdicts downstream must not depend on rounding.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import DEFAULT_ENUMERATION_CAP, DomainError, WeightError
 from .scenario import Scenario, Section, sections_over
+
+ZERO = Fraction(0)
 
 
 def as_fraction(value) -> Fraction:
@@ -30,11 +33,13 @@ def as_fraction(value) -> Fraction:
 class Distribution:
     """A probability distribution on the sections over one context.
 
-    The weight mapping is total: every section over the context appears,
-    zeros included.  Weights are non-negative and sum to exactly one.
+    Weights are non-negative and sum to exactly one.  Only the support is
+    stored, in canonical section order; ``weights`` is the total mapping,
+    zeros included, built when it is read, and ``weight`` gives 0 on any
+    other section over the context.
     """
 
-    __slots__ = ("scenario", "context", "_weights")
+    __slots__ = ("scenario", "context", "_support")
 
     def __init__(self, scenario: Scenario, context: Iterable, weights: Mapping[Section, object],
                  cap: int = DEFAULT_ENUMERATION_CAP):
@@ -60,32 +65,53 @@ class Distribution:
             raise WeightError(f"weights sum to {total}, expected exactly 1")
         self.scenario = scenario
         self.context = context
-        self._weights = {s: table[s] for s in full}
+        self._support = {s: table[s] for s in full if table[s]}
+
+    @classmethod
+    def _from_support(cls, scenario: Scenario, context: tuple, support: dict[Section, Fraction]) -> "Distribution":
+        """The distribution whose positive weights are ``support``, given in canonical order.
+
+        ``context`` is canonical and every other section over it weighs 0.
+        Domains, positivity and the sum of one are checked; totality is not.
+        """
+        for section, value in support.items():
+            if section.domain != context:
+                raise DomainError(f"section {section} has domain {section.domain!r}, expected {context!r}")
+            if value <= 0:
+                raise WeightError(f"non-positive weight {value} on {section}")
+        total = sum(support.values())
+        if total != 1:
+            raise WeightError(f"weights sum to {total}, expected exactly 1")
+        dist = cls.__new__(cls)
+        dist.scenario, dist.context, dist._support = scenario, context, support
+        return dist
 
     @property
     def weights(self) -> Mapping[Section, Fraction]:
-        return MappingProxyType(self._weights)
+        return MappingProxyType({s: self._support.get(s, ZERO) for s in self.sections()})
 
     def weight(self, section: Section) -> Fraction:
-        try:
-            return self._weights[section]
-        except KeyError:
-            raise DomainError(f"{section} is not a section over {self.context!r}") from None
+        value = self._support.get(section)
+        if value is not None:
+            return value
+        if section.domain != self.context or not set(section.values).issubset(self.scenario.outcomes):
+            raise DomainError(f"{section} is not a section over {self.context!r}")
+        return ZERO
 
     @property
     def support(self) -> frozenset[Section]:
-        return frozenset(s for s, w in self._weights.items() if w > 0)
+        return frozenset(self._support)
 
     def sections(self) -> tuple[Section, ...]:
-        return tuple(self._weights)
+        return sections_over(self.scenario, self.context, cap=math.inf)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Distribution):
             return NotImplemented
-        return self.context == other.context and self._weights == other._weights
+        return self.context == other.context and self._support == other._support
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{s}: {w}" for s, w in self._weights.items())
+        inner = ", ".join(f"{s}: {w}" for s, w in self.weights.items())
         return f"Distribution({self.context!r}, {{{inner}}})"
 
 
@@ -109,12 +135,12 @@ def random_rational_weights(rng, count: int, denominator: int = 64) -> list[Frac
     return [Fraction(bounds[i + 1] - bounds[i], denominator) for i in range(count)]
 
 
-def marginalize(dist: Distribution, measurements: Iterable, cap: int = DEFAULT_ENUMERATION_CAP) -> Distribution:
+def marginalize(dist: Distribution, measurements: Iterable) -> Distribution:
     """Push a distribution down to a sub-context by summing over extensions.
 
     The weight of a target section is the total weight of the sections that
     restrict to it.  Marginalizing to the full context returns the input.
-    Zero weights are skipped, so a sparse distribution (a basic solution of
+    Only the support is read, so a sparse distribution (a basic solution of
     the global-section system) costs one addition per supported section.
     """
     target = dist.scenario.canonical_context(measurements)
@@ -124,9 +150,11 @@ def marginalize(dist: Distribution, measurements: Iterable, cap: int = DEFAULT_E
     if target == dist.context:
         return dist
     positions = [dist.context.index(m) for m in target]
-    by_values = {s.values: s for s in sections_over(dist.scenario, target, cap=cap)}
-    sums: dict[Section, Fraction] = dict.fromkeys(by_values.values(), Fraction(0))
-    for section, w in dist.weights.items():
-        if w:
-            sums[by_values[tuple(section.values[i] for i in positions)]] += w
-    return Distribution(dist.scenario, target, sums, cap=cap)
+    sums: dict[tuple, Fraction] = {}
+    for section, w in dist._support.items():
+        values = tuple(section.values[i] for i in positions)
+        sums[values] = sums.get(values, ZERO) + w
+    index = {o: i for i, o in enumerate(dist.scenario.outcomes)}
+    order = sorted(sums, key=lambda values: [index[o] for o in values])
+    return Distribution._from_support(dist.scenario, target,
+                                      {Section(target, values, dist.scenario): sums[values] for values in order})

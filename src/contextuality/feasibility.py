@@ -54,8 +54,9 @@ least-index rule until a pivot makes progress.  A pivot that makes progress
 lowers the phase-1 objective, and Bland's rule cannot cycle, so every
 degenerate run ends and the simplex terminates.  The Farkas ray is read
 exactly from the final basis and checked with the source's exact maximum
-over all columns; the primal vector is checked on the basic columns.  All
-orderings are fixed, so the output is deterministic.
+over all columns; the primal vector is checked on the basic columns, in
+integers scaled by d.  All orderings are fixed, so the output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -240,16 +241,19 @@ def solve_source(source, rhs: Sequence) -> FeasibilityOutcome:
             y[i] = block[k][r] + d
         return FeasibilityOutcome(False, None, _certificate(y, block[k][k], scale, source, b))
 
+    # A x = b checked in integers: row i times d·scale_i turns b_i into
+    # d·target_i, and d·x_j is block[r][k] for column j basic in row r.
     solution = [ZERO] * n
-    residual = list(b)
+    totals = [0] * len(b)
     for r, j in enumerate(basis):
         if j < n:
-            x = solution[j] = Fraction(block[r][k], d)
+            x = block[r][k]
             if x < 0:
                 raise InternalConsistencyError("simplex returned a negative component")
             for i, v in zip(*source.column(j)):
-                residual[i] -= v * x
-    if any(residual):
+                totals[i] += v * x
+            solution[j] = Fraction(x, d)
+    if any(t * s != d * goal for t, s, goal in zip(totals, scale, target)):
         raise InternalConsistencyError("simplex returned a vector that misses a constraint")
     return FeasibilityOutcome(True, tuple(solution), None)
 

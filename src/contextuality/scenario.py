@@ -238,18 +238,23 @@ class GlobalSectionSystem(NamedTuple):
     incidence: tuple[tuple[int, ...], ...]
 
 
-def global_section_system(scenario: Scenario, cap: int = DEFAULT_ENUMERATION_CAP) -> GlobalSectionSystem:
-    """The scenario's global-section system, enumerating at most ``cap`` columns."""
+def check_global_section_cap(scenario: Scenario, cap: int) -> None:
+    """Raise :class:`EnumerationCapError` when the scenario has more than ``cap`` global sections."""
     count = len(scenario.outcomes) ** len(scenario.measurements)
     if count > cap:
         raise EnumerationCapError(count, cap, what="global sections")
+
+
+def global_section_system(scenario: Scenario, cap: int = DEFAULT_ENUMERATION_CAP) -> GlobalSectionSystem:
+    """The scenario's global-section system, enumerating at most ``cap`` columns."""
+    check_global_section_cap(scenario, cap)
     return _global_section_system(scenario)
 
 
 @lru_cache(maxsize=1)
 def _global_section_system(scenario: Scenario) -> GlobalSectionSystem:
     # One entry only: at the cap, a system holds 2**20 columns.
-    rows = tuple((c, s) for c in scenario.maximal_contexts for s in sections_over(scenario, c, cap=math.inf))
+    rows = global_section_columns(scenario).rows
     columns = sections_over(scenario, scenario.measurements, cap=math.inf)
     # Sections enumerate as base-|O| numerals over outcome indices, the first
     # measurement the most significant digit.  So column j gives the i-th
@@ -281,7 +286,8 @@ def _numeral(digits: Iterable[int], base: int) -> int:
 class GlobalSectionColumns:
     """The columns of a scenario's global-section system, priced without listing them.
 
-    Column j and its rows are those of :func:`global_section_system`, so
+    Column j and its rows are those of :func:`global_section_system`, whose
+    row labels ``(maximal context, section)`` are this source's ``rows``; so
     under row weights w column j is worth Σ_c w(c, g|c), g the j-th global
     section: a sum of one factor per maximal context.  The factors are
     eliminated bucket by bucket, last measurement first: the factors whose
@@ -305,6 +311,7 @@ class GlobalSectionColumns:
         base, n = len(scenario.outcomes), len(scenario.measurements)
         index = {m: i for i, m in enumerate(scenario.measurements)}
         contexts = scenario.maximal_contexts
+        self.rows = tuple((c, s) for c in contexts for s in sections_over(scenario, c, cap=math.inf))
         self._base, self._size = base, base ** n
         self._powers = [base ** (n - 1 - i) for i in range(n)]
         self._ones = (1,) * len(contexts)
@@ -352,8 +359,12 @@ class GlobalSectionColumns:
     def local_rows(self) -> list[tuple[int, ...]]:
         return self._rows
 
+    def digits(self, j: int) -> list[int]:
+        """The outcome indices of column j's global section, measurement 0 first."""
+        return [j // p % self._base for p in self._powers]
+
     def column(self, j: int) -> tuple[list[int], tuple[int, ...]]:
-        digits = [j // p % self._base for p in self._powers]
+        digits = self.digits(j)
         return [start + _numeral((digits[i] for i in scope), self._base) for start, scope in self._contexts], self._ones
 
     def _eliminate(self, weights: list[int]) -> tuple[list[list[int]], int]:

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import random
+
 import pytest
 
+from contextuality.catalog import random_deterministic_mixture, two_party_scenario
+from contextuality.classifier import global_distribution
 from contextuality.distribution import (
     Distribution,
     marginalize,
@@ -13,7 +17,7 @@ from contextuality.distribution import (
     uniform,
 )
 from contextuality.errors import DomainError, WeightError
-from contextuality.scenario import Scenario, restrict, sections_over
+from contextuality.scenario import Scenario, Section, restrict, sections_over
 
 
 @pytest.fixture
@@ -84,3 +88,35 @@ class TestMarginalize:
         d = uniform(pair_scenario, ("a",))
         with pytest.raises(DomainError):
             marginalize(d, ("b",))
+
+
+class TestSupportStorage:
+    def test_solved_global_distribution_equals_the_dense_one(self):
+        scenario = two_party_scenario()
+        solved = global_distribution(random_deterministic_mixture(scenario, random.Random(5)))
+        assert isinstance(solved, Distribution)
+        dense = Distribution(scenario, scenario.measurements, dict(solved.weights))
+        assert len(solved.support) < len(solved.weights) == len(scenario.global_sections())
+        assert solved == dense
+        assert list(solved.weights.items()) == list(dense.weights.items())
+        assert repr(solved) == repr(dense)
+
+    def test_weight_is_zero_off_the_support(self, pair_scenario):
+        s = pair_scenario.section({"a": "1", "b": "0"})
+        d = point_mass(pair_scenario, s)
+        assert d.support == {s}
+        assert [d.weight(t) for t in sections_over(pair_scenario, ("a", "b"))] == [0, 0, 1, 0]
+
+    def test_weight_rejects_sections_not_over_the_context(self, pair_scenario):
+        d = uniform(pair_scenario, ("a", "b"))
+        with pytest.raises(DomainError):
+            d.weight(pair_scenario.section({"a": "0"}))
+        with pytest.raises(DomainError):
+            d.weight(Section(("a", "b"), ("0", "2"), pair_scenario))
+
+    def test_marginal_weights_stay_total_and_canonical(self, pair_scenario):
+        d = point_mass(pair_scenario, pair_scenario.section({"a": "1", "b": "0"}))
+        for target in (("a",), ("b",), ()):
+            got = marginalize(d, target)
+            assert list(got.weights) == list(sections_over(pair_scenario, target))
+            assert sum(got.weights.values()) == 1

@@ -11,7 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from contextuality import classifier, feasibility, scenario as scenario_module
 from contextuality.catalog import bell_model, catalog, random_deterministic_mixture
-from contextuality.classifier import GlobalDistributionCertificate, Tier, classify, global_distribution
+from contextuality.classifier import (
+    GlobalDistributionCertificate,
+    Tier,
+    classify,
+    consistent_global_sections,
+    global_distribution,
+    is_logically_contextual,
+    is_strongly_contextual,
+)
 from contextuality.distribution import Distribution, marginalize, point_mass, random_rational_weights
 from contextuality.errors import EnumerationCapError
 from contextuality.model import EmpiricalModel
@@ -204,10 +212,10 @@ def test_cap_message_names_the_global_sections():
 PRICED = [cycle_scenario(n) for n in range(3, 9)] + [
     next(entry.model.scenario for entry in catalog() if entry.name == "ghz"), THREE_OUTCOMES, MIXED_SIZES,
     ONE_OUTCOME]
+PRICED_IDS = [f"cycle-{n}" for n in range(3, 9)] + ["ghz", "three-outcome", "mixed-sizes", "one-outcome"]
 
 
-@pytest.mark.parametrize("scenario", PRICED, ids=[f"cycle-{n}" for n in range(3, 9)] + ["ghz", "three-outcome",
-                                                                                        "mixed-sizes", "one-outcome"])
+@pytest.mark.parametrize("scenario", PRICED, ids=PRICED_IDS)
 def test_source_columns_are_the_incidence(scenario):
     system = global_section_system(scenario)
     source = global_section_columns(scenario)
@@ -237,6 +245,51 @@ def test_oracle_pricing_matches_enumeration(data):
     assert source.entering(weights, False) == (first, best)
     positive = next(j for j, cost in enumerate(costs) if cost > 0)
     assert source.entering(weights, True) == (positive, costs[positive])
+
+
+# ---------------------------------------------------------------------------
+# The strong and logical tiers against enumeration
+# ---------------------------------------------------------------------------
+
+
+def support_model(scenario: Scenario, rng: random.Random, share: float) -> EmpiricalModel:
+    """Uniform weight on a seeded random non-empty subset of each context's sections."""
+    tables = {}
+    for context in scenario.maximal_contexts:
+        sections = sections_over(scenario, context)
+        chosen = [s for s in sections if rng.random() < share] or [rng.choice(sections)]
+        tables[context] = Distribution(scenario, context,
+                                       {s: Fraction(s in chosen, len(chosen)) for s in sections})
+    return EmpiricalModel(scenario, tables)
+
+
+def enumerated_support_tiers(model: EmpiricalModel) -> tuple[bool, tuple[bool, object]]:
+    """The strong flag and the logical verdict, read off every global section."""
+    system = global_section_system(model.scenario)
+    positive = [model.table(c).weight(s) > 0 for c, s in system.rows]
+    reached = {r for rows in system.incidence if all(positive[r] for r in rows) for r in rows}
+    witness = next((s for r, (_, s) in enumerate(system.rows) if positive[r] and r not in reached), None)
+    return not consistent_global_sections(model), (witness is not None, witness)
+
+
+@pytest.mark.parametrize("scenario", PRICED, ids=PRICED_IDS)
+def test_support_cover_matches_enumeration_on_random_supports(scenario):
+    rng = random.Random(len(scenario.measurements) * 31 + len(scenario.outcomes))
+    seen = set()
+    for share in (0.3, 0.5, 0.7, 0.9) * 6:
+        model = support_model(scenario, rng, share)
+        expected = enumerated_support_tiers(model)
+        assert (is_strongly_contextual(model), is_logically_contextual(model)) == expected
+        seen.add((expected[0], expected[1][0]))
+    if len(scenario.outcomes) > 1:
+        assert {(False, True), (False, False)} <= seen
+
+
+@pytest.mark.parametrize("model", [model for _, model in MODELS] + [noisy_cycle(n, Fraction(1, 8))
+                                                                   for n in range(3, 9)],
+                         ids=[name for name, _ in MODELS] + [f"noisy-cycle-{n}" for n in range(3, 9)])
+def test_support_cover_matches_enumeration_on_the_pools(model):
+    assert (is_strongly_contextual(model), is_logically_contextual(model)) == enumerated_support_tiers(model)
 
 
 @pytest.mark.parametrize("scenario", [ONE_OUTCOME, Scenario(("m",), (("m",),), ("only",))],
@@ -275,6 +328,45 @@ def test_classify_never_restricts(monkeypatch):
     assert [classify(model).tier for model in models] == tiers
 
 
+def test_classify_materialises_no_global_section(monkeypatch):
+    models = [entry.model for entry in catalog()] + [noisy_cycle(n, Fraction(1, 8)) for n in (*range(3, 9), 12)]
+    verdicts = [classify(model) for model in models]
+    system, verify, sections = (scenario_module._global_section_system, GlobalDistributionCertificate.verify,
+                                sections_over)
+    verifying = []
+
+    def guarded_system(scenario):
+        if not verifying:
+            raise AssertionError("global-section system built on the classify path")
+        return system(scenario)
+
+    def guarded_verify(self, *args, **kwargs):
+        verifying.append(self)
+        try:
+            return verify(self, *args, **kwargs)
+        finally:
+            verifying.pop()
+
+    def guarded_sections(scenario, measurements, *args, **kwargs):
+        measurements = tuple(measurements)
+        if not verifying and set(measurements) == set(scenario.measurements):
+            raise AssertionError("global sections enumerated on the classify path")
+        return sections(scenario, measurements, *args, **kwargs)
+
+    system.cache_clear()
+    scenario_module.global_section_columns.cache_clear()
+    monkeypatch.setattr(scenario_module, "_global_section_system", guarded_system)
+    monkeypatch.setattr(GlobalDistributionCertificate, "verify", guarded_verify)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("contextuality") and getattr(module, "sections_over", None) is sections:
+            monkeypatch.setattr(module, "sections_over", guarded_sections)
+    again = [classify(model) for model in models]
+    assert [v.tier for v in again] == [v.tier for v in verdicts]
+    assert [v.logical_witness for v in again] == [v.logical_witness for v in verdicts]
+    assert [v.global_distribution for v in again] == [v.global_distribution for v in verdicts]
+    assert {v.tier for v in verdicts} == set(Tier)
+
+
 class TestCertificateTampering:
     @pytest.fixture
     def certificate(self) -> GlobalDistributionCertificate:
@@ -290,6 +382,15 @@ class TestCertificateTampering:
     def test_duplicated_row_fails(self, certificate):
         tampered = GlobalDistributionCertificate(
             certificate.rows + certificate.rows[:1], certificate.coefficients + certificate.coefficients[:1])
+        assert tampered.verify(bell_model()) is False
+
+    def test_extra_coefficient_fails(self, certificate):
+        for extra in (Fraction(0), Fraction(-1)):
+            tampered = GlobalDistributionCertificate(certificate.rows, certificate.coefficients + (extra,))
+            assert tampered.verify(bell_model()) is False
+
+    def test_missing_coefficient_fails(self, certificate):
+        tampered = GlobalDistributionCertificate(certificate.rows, certificate.coefficients[:-1])
         assert tampered.verify(bell_model()) is False
 
     def test_each_flipped_coefficient_fails(self, certificate):
