@@ -216,7 +216,7 @@ def weak_hv_report(rep: WpsRepresentation, experiment: QuantumExperiment,
     psi = experiment.state
 
     def firing_event(label: str):
-        return rep.transfer[scenario.section({label: "1"})]
+        return rep.event(scenario.section({label: "1"}))
 
     for label, p in experiment.projectors:
         born = snap_to_rational(float(np.vdot(psi, p @ psi).real), snap_tolerance, denominator_bound)

@@ -118,9 +118,6 @@ class Scenario:
             values.append(o)
         return Section(domain, tuple(values), self)
 
-    def empty_section(self) -> "Section":
-        return Section((), (), self)
-
     def global_sections(self, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple["Section", ...]:
         return sections_over(self, self.measurements, cap=cap)
 

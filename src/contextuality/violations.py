@@ -226,7 +226,7 @@ def core_parts_of_global_sections(rep: WpsRepresentation, context, section,
     if label not in system.rows:
         raise DomainError(f"{section} is not a section over a maximal context")
     r = system.rows.index(label)
-    parts = (rep.transfer[g] & core for g, rows in zip(system.columns, system.incidence) if r in rows)
+    parts = (rep.event(g) & core for g, rows in zip(system.columns, system.incidence) if r in rows)
     return rep.sorted_events(p for p in parts if p)
 
 

@@ -1,12 +1,11 @@
 """Weak-probability-space representations of empirical models.
 
 A representation carries a finite sample space, an injective event-transfer
-map sending each section to a subset of the sample space, the event family
-(one finite algebra per context, glued into a single set family), and an
-exact set function on that family.  The transfer map on a multi-measurement
-section is always the intersection of its single-measurement images, which
-is the set-theoretic image of the fact that a section is determined by its
-restrictions.
+map sending each section over a context to a subset of the sample space,
+the event family (one finite algebra per context, glued into a single set
+family), and an exact set function on that family.  The image of a section
+is the intersection of its single-measurement images, since a section is
+determined by its restrictions; ``event`` computes it on any other domain.
 
 Two constructions are provided.  The combinatorial one uses one sample
 point per global section; it satisfies the two extra combinatorial
@@ -25,7 +24,6 @@ difference and size: write ``not a & ~b``, ``a & ~b`` and ``a.bit_count()``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,7 +57,7 @@ class WpsRepresentation:
 
     __slots__ = (
         "model", "points", "transfer", "sigma", "sigma_algebras", "mu",
-        "combinatorial", "sample_space", "_point_index", "_section_of",
+        "combinatorial", "sample_space", "_point_index", "_single",
     )
 
     def __init__(self, model: EmpiricalModel, points: Sequence[str],
@@ -78,10 +76,8 @@ class WpsRepresentation:
         self._point_index = {p: i for i, p in enumerate(self.points)}
         if len(self._point_index) != len(self.points):
             raise InternalConsistencyError("duplicate sample-space point labels")
-        reverse: dict[Event, Section] = {}
-        for section, event in self.transfer.items():
-            reverse.setdefault(event, section)
-        self._section_of = reverse
+        self._single = {(s.domain[0], s.values[0]): event
+                        for s, event in self.transfer.items() if len(s.domain) == 1}
 
     # -- canonical orderings and the label boundary ----------------------------
 
@@ -129,16 +125,31 @@ class WpsRepresentation:
     # -- lookups ---------------------------------------------------------------
 
     def event(self, section: Section) -> Event:
-        try:
-            return self.transfer[section]
-        except KeyError:
-            raise NotAnEventError(f"no event image stored for {section}") from None
+        """The stored image over a context; elsewhere its single-measurement images' intersection."""
+        image = self.transfer.get(section)
+        if image is None and not self.model.scenario.is_context(section.domain):
+            image = self._intersection(zip(section.domain, section.values))
+        if image is None:
+            raise NotAnEventError(f"no event image stored for {section}")
+        return image
 
     def section_of(self, event: Event) -> Section:
-        try:
-            return self._section_of[event]
-        except KeyError:
-            raise NotAnEventError("the set is not the image of any section") from None
+        """The section assigning each measurement the one outcome whose image holds the event, if its image."""
+        scenario = self.model.scenario
+        single = self._single
+        assignment = {}
+        for x in scenario.measurements:
+            held = [o for o in scenario.outcomes if (x, o) in single and not event & ~single[(x, o)]]
+            if len(held) == 1:
+                assignment[x] = held[0]
+        if self._intersection(assignment.items()) != event:
+            raise NotAnEventError("the set is not the image of any section")
+        return Section(tuple(assignment), tuple(assignment.values()), scenario)
+
+    def _intersection(self, pairs: Iterable[tuple]) -> Event | None:
+        """Y intersected with the images of (measurement, outcome) pairs; None if one is not stored."""
+        images = [self._single.get(pair) for pair in pairs]
+        return None if None in images else reduce(and_, images, self.sample_space)
 
     def mu_of(self, event: Event) -> Fraction:
         try:
@@ -239,7 +250,7 @@ def build_combinatorial_rep(model: EmpiricalModel, point_order: str | Sequence[S
     rep, report = _build(model, pads=(), point_order=point_order, cap=cap)
     if not rep.combinatorial:
         raise InternalConsistencyError("unpadded construction must be combinatorial")
-    verdict = _verify_rep(rep, DEFAULT_ENUMERATION_CAP, report)
+    verdict = _verify_rep(rep, report)
     if not verdict.ok:
         raise InternalConsistencyError(f"combinatorial construction failed verification: {verdict}")
     return rep
@@ -250,7 +261,7 @@ def build_padded_rep(model: EmpiricalModel, pads: Sequence[PadPoint],
                      cap: int = DEFAULT_ENUMERATION_CAP) -> WpsRepresentation:
     """Combinatorial construction plus measure-irrelevant padding points."""
     rep, report = _build(model, pads=tuple(pads), point_order=point_order, cap=cap)
-    verdict = _verify_rep(rep, DEFAULT_ENUMERATION_CAP, report)
+    verdict = _verify_rep(rep, report)
     if not verdict.ok:
         conditions = ", ".join(sorted({f.condition for f in verdict.failures}))
         raise PaddingError(f"padding breaks required conditions: {conditions}")
@@ -268,10 +279,6 @@ def _build(model: EmpiricalModel, pads: tuple[PadPoint, ...],
     report = check_model(model)
     if not report.ok:
         raise CompatibilityError(report)
-
-    section_count = (len(scenario.outcomes) + 1) ** len(scenario.measurements)
-    if section_count > cap:
-        raise EnumerationCapError(section_count, cap, what="sections across all domains")
 
     if point_order == "canonical":
         base_sections = scenario.global_sections(cap=cap)
@@ -309,21 +316,18 @@ def _build(model: EmpiricalModel, pads: tuple[PadPoint, ...],
                 singleton[(m, o)] |= 1 << len(points)
         points.append(pad.label)
 
-    # Every other image intersects the image over the domain less its last
-    # measurement with a single-measurement image, in enumeration order.
+    # A context's images intersect those over the context less its last
+    # measurement with a single-measurement image, in enumeration order; its
+    # algebra sums exact values as integer numerators over one denominator.
     sample_space = (1 << len(points)) - 1
-    transfer: dict[Section, Event] = {scenario.empty_section(): sample_space}
+    transfer: dict[Section, Event] = {}
     images: dict[tuple, list[Event]] = {(): [sample_space]}
-    for size in range(1, len(scenario.measurements) + 1):
-        for domain in itertools.combinations(scenario.measurements, size):
-            last = [singleton[(domain[-1], o)] for o in scenario.outcomes]
-            images[domain] = [a & b for a in images[domain[:-1]] for b in last]
-            transfer.update(zip(sections_over(scenario, domain, cap=cap), images[domain]))
-
-    # Event family: one finite algebra per context, with exact values summed
-    # as integer numerators over the atom values' common denominator.
     algebras = []
     for context in all_contexts(scenario):
+        if context:
+            last = [singleton[(context[-1], o)] for o in scenario.outcomes]
+            images[context] = [a & b for a in images[context[:-1]] for b in last]
+        transfer.update(zip(sections_over(scenario, context), images[context]))
         atoms = _atoms(sample_space, (singleton[(x, o)] for x in context for o in scenario.outcomes))
         if 2 ** len(atoms) > cap:
             raise EnumerationCapError(2 ** len(atoms), cap, what="algebra members")
@@ -345,7 +349,7 @@ def _build(model: EmpiricalModel, pads: tuple[PadPoint, ...],
     value_of = {n: Fraction(n, scale) for n in set(numerators.values())}
     mu = {event: value_of[n] for event, n in numerators.items()}
 
-    combinatorial = _is_combinatorial(images.values(), sample_space)
+    combinatorial = _is_combinatorial((images[(x,)] for x in scenario.measurements), sample_space)
     return WpsRepresentation(model, points, transfer, sigma_algebras, mu, combinatorial), report
 
 
@@ -371,13 +375,13 @@ def _atom_values(model, context, atoms, singleton) -> list[Fraction]:
     return values
 
 
-def _is_combinatorial(images_by_domain: Iterable[list[Event]], sample_space: Event) -> bool:
-    """Do each domain's images cover the sample space with sizes summing to its size?
+def _is_combinatorial(outcome_images: Iterable[list[Event]], sample_space: Event) -> bool:
+    """Do each measurement's outcome images cover the sample space with sizes summing to its size?
 
-    That puts every point in exactly one image of each domain."""
+    That puts every point in exactly one image of each measurement, and so of each context."""
     size = sample_space.bit_count()
     return all(reduce(or_, images, 0) == sample_space and sum(i.bit_count() for i in images) == size
-               for images in images_by_domain)
+               for images in outcome_images)
 
 
 # ---------------------------------------------------------------------------
@@ -407,18 +411,20 @@ class RepVerdict:
         return "; ".join(parts) if parts else "representation verified"
 
 
-def verify_rep(rep: WpsRepresentation, cap: int = DEFAULT_ENUMERATION_CAP) -> RepVerdict:
+def verify_rep(rep: WpsRepresentation) -> RepVerdict:
     """Check each defining condition of a representation once, exactly.
 
-    The conditions, named as a failure names them: ``transfer-totality``
-    (every section has an image), ``empty-section-image`` (the empty section
-    maps to the sample space Y), ``transfer-injectivity``, ``nonempty-image``,
-    ``sheaf-intersection`` (an image is Y intersected with its
-    single-measurement images), ``wc-closure`` (each context family is a
-    Boolean algebra on Y), ``wc-measure`` (an exact probability measure on
-    it), ``ec`` (each image carries its table value), ``me`` (distinct
-    sections of one context overlap in a null event), ``model-compatibility``
-    (the tables agree on overlaps) and ``flag-accuracy``.
+    The conditions range over the sections over contexts, the only images
+    stored, and are named as a failure names them: ``transfer-totality``
+    (exactly those sections have images), ``empty-section-image`` (the empty
+    section maps to the sample space Y), ``transfer-injectivity``,
+    ``nonempty-image``, ``sheaf-intersection`` (an image is Y intersected
+    with its single-measurement images, as ``rep.event`` is elsewhere),
+    ``wc-closure`` (each context family is a Boolean algebra on Y),
+    ``wc-measure`` (an exact probability measure on it), ``ec`` (each image
+    carries its table value), ``me`` (distinct sections of one context
+    overlap in a null event), ``model-compatibility`` (the tables agree on
+    overlaps) and ``flag-accuracy``.
 
     Implied conditions are not checked again.  The sheaf condition and
     T(empty) = Y give T(s) <= T(s|U) for every restriction.  Under ``ec`` the
@@ -428,16 +434,15 @@ def verify_rep(rep: WpsRepresentation, cap: int = DEFAULT_ENUMERATION_CAP) -> Re
     The verdict lists each failed condition with a concrete counterexample.
     Out-of-range set-function values are reported as warnings, not failures.
     """
-    return _verify_rep(rep, cap, check_model(rep.model))
+    return _verify_rep(rep, check_model(rep.model))
 
 
-def _verify_rep(rep: WpsRepresentation, cap: int, report: CompatibilityReport) -> RepVerdict:
+def _verify_rep(rep: WpsRepresentation, report: CompatibilityReport) -> RepVerdict:
     """:func:`verify_rep` given ``check_model(rep.model)``, which a builder has already run."""
     failures: list[RepFailure] = []
     warnings: list[RepFailure] = []
     scenario = rep.model.scenario
     full = rep.sample_space
-    transfer = rep.transfer
     # Each value as an integer numerator over the values' common denominator.
     scale = math.lcm(*(v.denominator for v in rep.mu.values()))
     numerator = {event: v.numerator * (scale // v.denominator) for event, v in rep.mu.items()}
@@ -445,19 +450,22 @@ def _verify_rep(rep: WpsRepresentation, cap: int, report: CompatibilityReport) -
     def fail(condition: str, detail: str) -> None:
         failures.append(RepFailure(condition, detail))
 
-    # transfer totality, with the stored images grouped by domain
+    # transfer totality, with the stored images grouped by context, whose
+    # sections the model's tables already hold
     stored: dict[tuple, list[tuple[Section, Event]]] = {}
     missing = 0
-    for size in range(0, len(scenario.measurements) + 1):
-        for domain in itertools.combinations(scenario.measurements, size):
-            pairs = stored[domain] = []
-            for s in sections_over(scenario, domain, cap=cap):
-                image = transfer.get(s)
-                if image is None:
-                    missing += 1
-                    fail("transfer-totality", f"no image stored for {s}")
-                else:
-                    pairs.append((s, image))
+    for context in all_contexts(scenario):
+        pairs = stored[context] = []
+        for s in sections_over(scenario, context, cap=math.inf):
+            if s in rep.transfer:
+                pairs.append((s, rep.transfer[s]))
+            else:
+                missing += 1
+                fail("transfer-totality", f"no image stored for {s}")
+    known = {s for pairs in stored.values() for s, _ in pairs}
+    for s in rep.transfer:
+        if s not in known:
+            fail("transfer-totality", f"image stored for {s}, which is not a section over a context")
 
     if stored[()] and stored[()][0][1] != full:
         fail("empty-section-image", "the empty section must map to the whole sample space")
@@ -476,16 +484,14 @@ def _verify_rep(rep: WpsRepresentation, cap: int, report: CompatibilityReport) -
         ))
 
     # non-empty images and the intersection form of the sheaf condition
-    single = {(s.domain[0], s.values[0]): image
-              for x in scenario.measurements for s, image in stored[(x,)]}
     for domain, pairs in stored.items():
         if not domain:
             continue
         for s, image in pairs:
             if not image:
                 fail("nonempty-image", f"{s} has an empty image")
-            pieces = [single.get(key) for key in zip(domain, s.values)]
-            if None not in pieces and image != reduce(and_, pieces, full):
+            intersection = rep._intersection(zip(domain, s.values))
+            if intersection is not None and image != intersection:
                 fail("sheaf-intersection",
                      f"{s}: image differs from the intersection of its single-measurement images")
 
@@ -553,7 +559,7 @@ def _verify_rep(rep: WpsRepresentation, cap: int, report: CompatibilityReport) -
 
     # the combinatorial flag, decidable only once every image is stored
     if not missing:
-        actual = _is_combinatorial(([image for _, image in pairs] for pairs in stored.values()), full)
+        actual = _is_combinatorial(([image for _, image in stored[(x,)]] for x in scenario.measurements), full)
         if rep.combinatorial != actual:
             fail("flag-accuracy", f"combinatorial flag is {rep.combinatorial}, computed {actual}")
 
@@ -579,7 +585,7 @@ class ExcisionReport:
     z: Event
 
 
-def excise(rep: WpsRepresentation, cap: int = DEFAULT_ENUMERATION_CAP) -> ExcisionReport:
+def excise(rep: WpsRepresentation) -> ExcisionReport:
     """Remove contradictory and outcome-free events from the sample space.
 
     Every point of the surviving core lies in exactly one outcome event per
@@ -588,11 +594,11 @@ def excise(rep: WpsRepresentation, cap: int = DEFAULT_ENUMERATION_CAP) -> Excisi
     """
     scenario = rep.model.scenario
     full = rep.sample_space
-    outcome_sections = {x: sections_over(scenario, (x,), cap=cap) for x in scenario.measurements}
+    outcome_sections = {x: sections_over(scenario, (x,)) for x in scenario.measurements}
     d1: set[Event] = set()
     d2: set[Event] = set()
     for sections in outcome_sections.values():
-        outcome_events = [rep.transfer[s] for s in sections]
+        outcome_events = [rep.event(s) for s in sections]
         for i, a in enumerate(outcome_events):
             for b in outcome_events[i + 1:]:
                 inter = a & b
@@ -611,13 +617,13 @@ def excise(rep: WpsRepresentation, cap: int = DEFAULT_ENUMERATION_CAP) -> Excisi
         point = 1 << i
         locals_: list[Section] = []
         for x, sections in outcome_sections.items():
-            holding = [s for s in sections if rep.transfer[s] & point]
+            holding = [s for s in sections if rep.event(s) & point]
             if len(holding) != 1:
                 raise InternalConsistencyError(
                     f"core point {rep.points[i]!r} lies in {len(holding)} outcome events of {x!r}"
                 )
             locals_.append(holding[0])
-        if not rep.transfer[glue(locals_)] & point:
+        if not rep.event(glue(locals_)) & point:
             raise InternalConsistencyError(f"core point {rep.points[i]!r} escapes its glued global image")
 
     return ExcisionReport(frozenset(d1), frozenset(d2), z)
@@ -634,9 +640,5 @@ def extend_event(rep: WpsRepresentation, event: Event, measurements: Iterable) -
     The output contains the input: shrinking the domain of a section grows
     its event.
     """
-    section = rep.section_of(event)
     target = rep.model.scenario.canonical_context(measurements)
-    extra = set(target) - set(section.domain)
-    if extra:
-        raise DomainError(f"cannot extend to {sorted(map(repr, extra))}: outside the section's domain")
-    return rep.transfer[restrict(section, target)]
+    return rep.event(restrict(rep.section_of(event), target))

@@ -1,10 +1,12 @@
-"""Shared fixtures: catalog representations, standard paddings and noisy cycles."""
+"""Shared fixtures: catalog representations, standard paddings, noisy cycles and document fuzz values."""
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from contextuality.catalog import catalog
 from contextuality.distribution import Distribution
@@ -43,6 +45,53 @@ def noisy_cycle(n: int, p: Fraction) -> EmpiricalModel:
         for context in scenario.maximal_contexts
     }
     return EmpiricalModel(scenario, tables)
+
+
+def json_paths(node, prefix=()):
+    """Every path into a JSON document, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from json_paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from json_paths(child, prefix + (index,))
+
+
+HOSTILE_VALUES = st.one_of(
+    st.sampled_from([
+        float("nan"), float("inf"), -float("inf"), "NaN", "inf", "-Infinity",
+        1e308, -1e308, 10 ** 400, "1e400", "-1e999", "1e-400", "1/0", "",
+        "x", "a,x", None, True, False, 0, -1, 2, 0.5, [], {}, [[]], [[[]]],
+        [1, 2], ["0", "0", "0"], [[1, 2], [3]], {"label": "a"},
+    ]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-10 ** 500, max_value=10 ** 500),
+    st.text(max_size=6),
+    st.recursive(st.none() | st.booleans() | st.floats() | st.text(max_size=3),
+                 lambda children: st.lists(children, max_size=3), max_leaves=6),
+)
+
+
+def mutate(document, data, paths):
+    """The document with one to three of its paths set to hostile values drawn from ``data``.
+
+    Each value is a fresh copy: a sampled list or dict set into one document
+    must not carry that document's later mutations into another example."""
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        path = data.draw(st.sampled_from(paths), label="path")
+        value = copy.deepcopy(data.draw(HOSTILE_VALUES, label="value"))
+        if not path:
+            document = value
+            continue
+        target = document
+        try:
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed or replaced this path
+    return document
 
 
 @pytest.fixture(scope="session")

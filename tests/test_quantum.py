@@ -28,6 +28,7 @@ from contextuality.quantum import (
     weak_hv_report,
 )
 from contextuality.wps import WpsRepresentation, build_combinatorial_rep
+from conftest import json_paths, mutate
 
 
 class TestSnapping:
@@ -143,52 +144,15 @@ class TestExperimentValidation:
         assert q.dimension == 2
 
 
-def _paths(node, prefix=()):
-    """Every path into a JSON document, the root included."""
-    yield prefix
-    if isinstance(node, dict):
-        for key, child in node.items():
-            yield from _paths(child, prefix + (key,))
-    elif isinstance(node, list):
-        for index, child in enumerate(node):
-            yield from _paths(child, prefix + (index,))
-
-
 _SINGLET_DOCUMENT = json.dumps(experiment_to_dict(singlet_experiment()))
-_SINGLET_PATHS = tuple(_paths(json.loads(_SINGLET_DOCUMENT)))
-_HOSTILE_VALUES = st.one_of(
-    st.sampled_from([
-        float("nan"), float("inf"), -float("inf"), "NaN", "inf", "-Infinity",
-        1e308, -1e308, 10 ** 400, "1e400", "-1e999", "1e-400", "1/0", "",
-        "x", "a,x", None, True, False, 0, -1, 2, 0.5, [], {}, [[]], [[[]]],
-        [1, 2], ["0", "0", "0"], [[1, 2], [3]], {"label": "a"},
-    ]),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.integers(min_value=-10 ** 500, max_value=10 ** 500),
-    st.text(max_size=6),
-    st.recursive(st.none() | st.booleans() | st.floats() | st.text(max_size=3),
-                 lambda children: st.lists(children, max_size=3), max_leaves=6),
-)
+_SINGLET_PATHS = tuple(json_paths(json.loads(_SINGLET_DOCUMENT)))
 
 
 class TestExperimentDocumentFuzz:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_mutated_singlet_document_raises_only_library_errors(self, data):
-        document = json.loads(_SINGLET_DOCUMENT)
-        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
-            path = data.draw(st.sampled_from(_SINGLET_PATHS), label="path")
-            value = data.draw(_HOSTILE_VALUES, label="value")
-            if not path:
-                document = value
-                continue
-            target = document
-            try:
-                for key in path[:-1]:
-                    target = target[key]
-                target[path[-1]] = value
-            except (KeyError, IndexError, TypeError):
-                continue  # an earlier mutation removed or replaced this path
+        document = mutate(json.loads(_SINGLET_DOCUMENT), data, _SINGLET_PATHS)
         try:
             quantum_to_empirical(experiment_from_dict(document))
         except ContextualityError:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contextuality import classifier, feasibility
 from contextuality.catalog import (
@@ -52,6 +55,7 @@ from contextuality.violations import (
     verify_witness,
 )
 from contextuality.wps import build_combinatorial_rep
+from conftest import json_paths, mutate, noisy_cycle
 
 
 class TestRoundTrips:
@@ -204,6 +208,16 @@ class TestCli:
 
     def test_cap_exceeded_exits_3(self, capsys):
         assert main(["classify", "ghz", "--cap", "10"]) == 3
+
+    def test_cap_counts_the_points_not_every_domain(self, tmp_path, capsys):
+        # 2^8 = 256 global sections fit under the cap; the 3^8 sections
+        # across all domains do not, and none of them is enumerated.
+        path = tmp_path / "cycle.json"
+        path.write_text(dumps(model_to_dict(noisy_cycle(8, Fraction(1, 8)))))
+        assert main(["classify", str(path)]) == 0
+        default = capsys.readouterr().out
+        assert main(["classify", str(path), "--cap", "300"]) == 0
+        assert capsys.readouterr().out == default
 
     def test_witness_pr_box_strong(self, capsys):
         code = main(["witness", "pr-box", "--tier", "strong"])
@@ -394,6 +408,35 @@ class TestCli:
         out = capsys.readouterr().out
         for e in catalog():
             assert e.name in out
+
+
+@pytest.fixture(scope="module")
+def cli_documents(tmp_path_factory):
+    """Bell's model document, Dutch-book certificate and witness, and Hardy's witness, each with its model."""
+    folder = tmp_path_factory.mktemp("documents")
+    commands = [("bell", "dutchbook"), ("bell", "witness"), ("hardy", "witness")]
+    documents = [("bell", model_to_dict(bell_model()))]
+    for name, command in commands:
+        out = folder / f"{name}-{command}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, name, "--format", "structured", "--out", str(out)]) == 0
+        documents.append((name, json.loads(out.read_text())))
+    return folder / "mutated.json", [(name, document, tuple(json_paths(document))) for name, document in documents]
+
+
+class TestDocumentFuzz:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_mutated_documents_exit_with_a_message(self, cli_documents, data):
+        path, documents = cli_documents
+        name, document, paths = data.draw(st.sampled_from(documents), label="document")
+        path.write_text(json.dumps(mutate(json.loads(json.dumps(document)), data, paths)))
+        for argv in (["classify", str(path)], ["verify", name, "--file", str(path)]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3), argv
+            assert code == 0 or err.getvalue().strip(), argv
 
 
 class TestCatalogIntegrity:

@@ -3,20 +3,24 @@
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contextuality import scenario as scenario_module
 from contextuality.catalog import (
     bell_model,
+    catalog,
+    ghz_model,
     pr_box_model,
     specker_triangle_model,
 )
 from contextuality.distribution import Distribution
 from contextuality.errors import DomainError, NotAnEventError, PaddingError
 from contextuality.model import EmpiricalModel
-from contextuality.scenario import restrict, sections_over
+from contextuality.scenario import all_contexts, restrict, sections_over
 from conftest import noisy_cycle, standard_paddings
 from contextuality.wps import (
     PadPoint,
@@ -87,6 +91,34 @@ class TestCombinatorialConstruction:
         s = scenario.section({"a": "0", "b": "0"})
         assert bell_rep.mu_of(bell_rep.event(s)) == Fraction(1, 2)
 
+    def test_catalog_transfer_holds_the_context_sections(self, bell_rep):
+        assert len(bell_rep.transfer) == 25
+        assert len(build_combinatorial_rep(ghz_model()).transfer) == 125
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_cycle_transfer_holds_the_context_sections(self, n):
+        # The empty section, two per measurement and four per edge.
+        assert len(build_combinatorial_rep(noisy_cycle(n, Fraction(1, 8))).transfer) == 6 * n + 1
+
+
+def test_representations_enumerate_sections_over_contexts_only(monkeypatch):
+    models = [entry.model for entry in catalog()] + [noisy_cycle(n, Fraction(1, 8)) for n in range(3, 9)]
+
+    def guarded_sections(scenario, measurements, *args, **kwargs):
+        measurements = tuple(measurements)
+        # The points are the global sections; every other domain must be a context.
+        if set(measurements) != set(scenario.measurements) and not scenario.is_context(measurements):
+            raise AssertionError(f"sections enumerated over the non-context domain {measurements!r}")
+        return sections_over(scenario, measurements, *args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("contextuality") and getattr(module, "sections_over", None) is sections_over:
+            monkeypatch.setattr(module, "sections_over", guarded_sections)
+    assert scenario_module.sections_over is guarded_sections
+    for model in models:
+        assert verify_rep(build_combinatorial_rep(model)).ok
+        assert verify_rep(build_padded_rep(model, standard_paddings(model.scenario))).ok
+
 
 class TestPaddedConstruction:
     def test_d1_padding_verifies_and_is_not_combinatorial(self):
@@ -149,6 +181,11 @@ def _drop_image(rep):
     transfer = dict(rep.transfer)
     del transfer[_section(rep, A0B0)]
     return _with(rep, transfer=transfer)
+
+
+def _store_global_image(rep):
+    g = rep.model.scenario.global_sections()[0]
+    return _set_image(rep, dict(zip(g.domain, g.values)), rep.event(g))
 
 
 def _shrink_empty_image(rep):
@@ -217,6 +254,7 @@ def _signalling_model(rep):
 class TestVerifyRepFailures:
     @pytest.mark.parametrize("condition, padded, tamper", [
         ("transfer-totality", False, _drop_image),
+        ("transfer-totality", False, _store_global_image),
         ("empty-section-image", False, _shrink_empty_image),
         ("transfer-injectivity", False, _alias_images),
         ("nonempty-image", False, _empty_image),
@@ -293,13 +331,17 @@ def _images_by_definition(rep, pads=()):
 
 class TestMasksAgainstTheDefinition:
     def _check(self, rep, pads=()):
+        # Images are stored over the contexts only; every other one is read
+        # through rep.event, and every one decodes back to its section.
+        scenario = rep.model.scenario
         images = _images_by_definition(rep, pads)
-        assert set(images) == set(rep.transfer)
+        assert set(rep.transfer) == {s for c in all_contexts(scenario) for s in sections_over(scenario, c)}
         for s, labels in images.items():
-            event = rep.transfer[s]
+            event = rep.event(s)
             assert rep.points_of(event) == labels, s
             assert rep.event_of(labels) == event
             assert rep.event_key(event) == tuple(rep.point_index(p) for p in labels)
+            assert rep.section_of(event) == s
 
     def test_catalog_reps(self, catalog_reps):
         for rep in catalog_reps.values():
