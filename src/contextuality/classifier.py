@@ -55,7 +55,8 @@ def _support_cover(model: EmpiricalModel, cap: int) -> tuple[bool, Optional[Sect
     column meeting a weight-0 section is worth at most -2, so each column the
     oracle enters is a consistent global section reaching a new row, and when
     it enters none the reached rows are those of every consistent global
-    section.
+    section.  Under full support every global section is consistent and
+    every support section extends to one, so the oracle is not asked.
     """
     scenario = model.scenario
     check_global_section_cap(scenario, cap)
@@ -63,6 +64,8 @@ def _support_cover(model: EmpiricalModel, cap: int) -> tuple[bool, Optional[Sect
     tables = model.tables
     excluded = -(len(scenario.maximal_contexts) + 1)
     weights = [1 if tables[c].weight(s) else excluded for c, s in source.rows]
+    if excluded not in weights:
+        return False, None
     while (found := source.entering(weights, False)) is not None:
         for r in source.column(found[0])[0]:
             weights[r] = 0

@@ -28,14 +28,15 @@ prices by variable elimination over the contexts and has one local
 coordinate per tensor-basis function over a context, so neither the
 presolve nor a pivot of a global-section solve reads all |O|^n columns.
 
-Each row is scaled once by the denominator of its right-hand side, with its
-sign flipped so that the right-hand side is non-negative; from there on
-every number is an integer.  A fraction-free forward elimination over the
-scaled local rows keeps a maximal independent subset of the original rows,
-and a dependent row whose residual right-hand side is non-zero yields a
-certificate directly.  As the local map is injective on the span of the
-rows, the independent subset and each dependent row's combination, a
-primitive integer vector up to sign, are those of the full rows.  A revised
+A fraction-free forward elimination over the local rows, computed once per
+source and kept on it, finds a maximal independent subset of the rows and
+each other row's vanishing primitive combination with the earlier ones; the
+local map is injective on the span of the rows, so these are the full rows'.
+Each solve checks the combinations against its right-hand side in row
+order, and the first that misses it, signed so that yᵀb > 0, is a
+certificate.  Otherwise each row is scaled by the denominator of its
+right-hand side, its sign flipped so that the right-hand side is
+non-negative, and every number from there on is an integer.  A revised
 phase-1 simplex then runs on the k independent rows and keeps only a
 (k+1) × (k+1) integer block: d·B⁻¹ (the artificial columns, B the basis and
 d its common denominator), the right-hand side, and the phase-1 objective
@@ -202,31 +203,14 @@ def solve_source(source, rhs: Sequence) -> FeasibilityOutcome:
     scale = [-v.denominator if v < 0 else v.denominator for v in b]
     target = [abs(v.numerator) for v in b]
 
-    # -- presolve: a maximal independent subset of the original rows ---------
-    # Each reduced local row carries its right-hand side and then its
-    # combination of original rows, so a dependent row's residual is a
-    # certificate.
-    local = source.local_rows()
-    width = len(local[0]) if local else 0
-    echelon: list[tuple[int, list[int]]] = []
-    independent: list[int] = []
-    for i, (row, s, t) in enumerate(zip(local, scale, target)):
-        cur = [v * s for v in row] + [t] + [0] * len(b)
-        cur[width + 1 + i] = 1
-        for lead, prow in echelon:
-            f = cur[lead]
-            if f:
-                p = prow[lead]
-                cur = [x * p - f * y for x, y in zip(cur, prow)]
-                g = gcd(*cur)
-                cur = [x // g for x in cur]
-        lead = next((j for j in range(width) if cur[j]), None)
-        if lead is None:
-            if cur[width]:
-                return FeasibilityOutcome(False, None, _certificate(cur[width + 1:], cur[width], scale, source, b))
-            continue
-        echelon.append((lead, cur))
-        independent.append(i)
+    if not hasattr(source, "_presolved"):
+        source._presolved = _presolve(source.local_rows())
+    independent, dependent = source._presolved
+    common = lcm(*(v.denominator for v in b))
+    whole = [v.numerator * (common // v.denominator) for v in b]
+    for combination in dependent:
+        if value := sum(map(mul, combination, whole)):
+            return FeasibilityOutcome(False, None, _certificate(combination, value, source, b))
 
     k = len(independent)
     if not k:
@@ -238,8 +222,8 @@ def solve_source(source, rhs: Sequence) -> FeasibilityOutcome:
         # Row k holds d(yᵣ - 1) in artificial column r: the reduced cost of e_r.
         y = [0] * len(b)
         for r, i in enumerate(independent):
-            y[i] = block[k][r] + d
-        return FeasibilityOutcome(False, None, _certificate(y, block[k][k], scale, source, b))
+            y[i] = (block[k][r] + d) * scale[i]
+        return FeasibilityOutcome(False, None, _certificate(y, block[k][k], source, b))
 
     # A x = b checked in integers: row i times d·scale_i turns b_i into
     # d·target_i, and d·x_j is block[r][k] for column j basic in row r.
@@ -330,15 +314,37 @@ def _pivot(block: list[list[int]], column: list[int], row: int, d: int) -> int:
     return p
 
 
-def _certificate(y: list[int], value: int, scale: list[int], source, b) -> FarkasCertificate:
-    """The primitive integer certificate for the source's rows, from weights on the scaled ones.
+def _presolve(local: list) -> tuple[list[int], list[list[int]]]:
+    """The independent local rows, in order, and each other row's vanishing primitive combination."""
+    width = len(local[0]) if local else 0
+    echelon, independent, dependent = [], [], []
+    for i, row in enumerate(local):
+        cur = list(row) + [0] * len(local)
+        cur[width + i] = 1
+        for lead, prow in echelon:
+            f = cur[lead]
+            if f:
+                p = prow[lead]
+                cur = [x * p - f * y for x, y in zip(cur, prow)]
+                g = gcd(*cur)
+                cur = [x // g for x in cur]
+        lead = next((j for j in range(width) if cur[j]), None)
+        if lead is None:
+            dependent.append(cur[width:])
+        else:
+            echelon.append((lead, cur))
+            independent.append(i)
+    return independent, dependent
+
+
+def _certificate(y: list[int], value: int, source, b) -> FarkasCertificate:
+    """The primitive integer certificate for the source's rows from row weights y, yᵀb of value's sign.
 
     It is checked against every column through the source's exact maximum:
     yᵀA <= 0  and  yᵀb > 0.
     """
     if value == 0:
         raise InternalConsistencyError("degenerate certificate")
-    y = [v * s for v, s in zip(y, scale)]
     g = gcd(*y) if value > 0 else -gcd(*y)
     y = [v // g for v in y]
     if source.maximum(y) > 0 or sum(map(mul, y, b)) <= 0:

@@ -186,19 +186,21 @@ def verify_witness(rep: WpsRepresentation, witness: ViolationWitness, extension=
         return defect(rep, witness.collection) == witness.defect == 1
     if witness.kind is ViolationKind.SUBADDITIVITY:
         return defect(rep, witness.collection) == witness.defect > 0
-    ext = extension
-    if ext is None:
-        data = witness.support_data
-        ext = _extension_by_kind(rep, data.extension_kind if isinstance(data, MarginalizationFailure) else "canonical")
+    data = witness.support_data
+    failure = isinstance(data, MarginalizationFailure)
+    if failure and (data.context not in rep.model.scenario.maximal_contexts or data.section.domain != data.context
+                    or witness.collection != core_parts_of_global_sections(rep, data.context, data.section)):
+        return False
+    if extension is None:
+        extension = _extension_by_kind(rep, data.extension_kind if failure else "canonical")
     events = list(witness.collection)
     for i, a in enumerate(events):
         for b in events[i + 1:]:
             if a & b:
                 return False
-    value = defect(rep, witness.collection, extension=ext)
+    value = defect(rep, witness.collection, extension=extension)
     ok = value == witness.defect != 0
-    data = witness.support_data
-    if isinstance(data, MarginalizationFailure) and data.certificate is not None:
+    if failure and data.certificate is not None:
         ok = ok and data.certificate.verify(rep.model)
     return ok
 

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contextuality import dutchbook, feasibility
+from contextuality.classifier import global_distribution
 from contextuality.feasibility import solve_columns, solve_nonnegative, solve_source
-from contextuality.scenario import global_section_columns, global_section_system
+from contextuality.scenario import GlobalSectionColumns, global_section_columns, global_section_system
 
 from conftest import noisy_cycle
 from test_global_sections import MODELS, expand
@@ -340,3 +341,55 @@ def test_oracle_priced_solves_follow_the_explicit_columns_and_the_dense_tableau(
             oracle = with_pivots(revised, lambda: solve_source(source, rhs))
             assert oracle == with_pivots(revised, lambda: solve_columns(system.incidence, rhs))
             assert oracle == with_pivots(dense, lambda: dense_solve(matrix, rhs))
+
+
+# ---------------------------------------------------------------------------
+# The presolve: one echelon per source, checked against each right-hand side
+# ---------------------------------------------------------------------------
+
+
+def test_the_echelon_runs_once_per_source(monkeypatch):
+    # Two solves on one fresh source, then two classifier solves on two
+    # models of one scenario, each read the local rows once.
+    source = GlobalSectionColumns(noisy_cycle(5, Fraction(1, 8)).scenario)
+    calls = count_calls(monkeypatch, source, "local_rows")
+    for rhs in ([Fraction(1, 4)] * len(source.rows), [Fraction(1, 2), 0] * (len(source.rows) // 2)):
+        solve_source(source, rhs)
+    assert len(calls) == 1
+
+    global_section_columns.cache_clear()
+    calls = count_calls(monkeypatch, GlobalSectionColumns, "local_rows")
+    for share in (Fraction(1, 8), Fraction(1, 2)):
+        global_distribution(noisy_cycle(5, share))
+    assert len(calls) == 1
+
+
+def signalling_sides(model, rng) -> list:
+    """Tables that disagree on shared measurements: point masses on outcome 1
+    in the first context that meets another and on outcome 0 elsewhere, and
+    random tables."""
+    source = global_section_columns(model.scenario)
+    contexts = model.scenario.maximal_contexts
+    odd = next(c for c in contexts if any(set(c) & set(d) for d in contexts if d != c))
+    sides = [[Fraction(set(s.values) == {model.scenario.outcomes[c == odd]}) for c, s in source.rows]]
+    for _ in range(5):
+        weights = {c: [rng.randint(0, 3) for d, _ in source.rows if d == c] for c in model.scenario.maximal_contexts}
+        weights = {c: w if any(w) else [1] + w[1:] for c, w in weights.items()}
+        sides.append([Fraction(w, sum(weights[c])) for c in model.scenario.maximal_contexts for w in weights[c]])
+    return sides
+
+
+@pytest.mark.parametrize("name, model", [(name, model) for name, model in MODELS if len(model.scenario.outcomes) > 1],
+                         ids=[name for name, model in MODELS if len(model.scenario.outcomes) > 1])
+def test_signalling_tables_get_the_dense_certificate_from_the_presolve(name, model):
+    source = global_section_columns(model.scenario)
+    matrix = expand(source, len(source.rows))
+    sides = signalling_sides(model, random.Random(name))
+    with pytest.MonkeyPatch.context() as patch:
+        phase1 = count_calls(patch, feasibility, "_phase1")
+        for rhs in sides:
+            outcome = solve_source(source, rhs)
+            assert not outcome.feasible
+            assert outcome.certificate.verify(matrix, rhs)
+            assert outcome == solve_nonnegative(matrix, rhs)
+        assert not phase1

@@ -20,8 +20,8 @@ from contextuality.classifier import (
     is_logically_contextual,
     is_strongly_contextual,
 )
-from contextuality.distribution import Distribution, marginalize, point_mass, random_rational_weights
-from contextuality.errors import EnumerationCapError
+from contextuality.distribution import Distribution, marginalize, point_mass, random_rational_weights, uniform
+from contextuality.errors import DEFAULT_ENUMERATION_CAP, EnumerationCapError
 from contextuality.model import EmpiricalModel
 from contextuality.scenario import (
     Scenario,
@@ -290,6 +290,28 @@ def test_support_cover_matches_enumeration_on_random_supports(scenario):
                          ids=[name for name, _ in MODELS] + [f"noisy-cycle-{n}" for n in range(3, 9)])
 def test_support_cover_matches_enumeration_on_the_pools(model):
     assert (is_strongly_contextual(model), is_logically_contextual(model)) == enumerated_support_tiers(model)
+
+
+def uniform_model(scenario: Scenario) -> EmpiricalModel:
+    return EmpiricalModel(scenario, {c: uniform(scenario, c) for c in scenario.maximal_contexts})
+
+
+FULL_SUPPORT = [(f"noisy-cycle-{n}", noisy_cycle(n, Fraction(1, 8))) for n in range(3, 9)] + [
+    ("one-outcome", mixture_model(ONE_OUTCOME, 2)), ("uniform-ghz", uniform_model(PRICED[PRICED_IDS.index("ghz")]))]
+
+
+@pytest.mark.parametrize("name, model", FULL_SUPPORT, ids=[name for name, _ in FULL_SUPPORT])
+def test_full_support_is_read_without_the_oracle(name, model, monkeypatch):
+    source = global_section_columns(model.scenario)
+    assert all(model.table(c).weight(s) for c, s in source.rows)
+    expected = enumerated_support_tiers(model)
+    assert expected == (False, (False, None))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the support cover asked the oracle under full support")
+    monkeypatch.setattr(scenario_module.GlobalSectionColumns, "entering", refuse)
+    assert classifier._support_cover(model, DEFAULT_ENUMERATION_CAP) == (False, None)
+    assert (is_strongly_contextual(model), is_logically_contextual(model)) == expected
 
 
 @pytest.mark.parametrize("scenario", [ONE_OUTCOME, Scenario(("m",), (("m",),), ("only",))],

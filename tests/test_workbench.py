@@ -287,6 +287,34 @@ class TestCli:
         assert err.startswith("error: ")
         assert f"support.{field}" in err
 
+    @pytest.mark.parametrize("name", ["bell", "singlet"])
+    def test_verify_genuine_additivity_witness(self, name, tmp_path, capsys):
+        if name == "singlet":
+            name = str(tmp_path / "singlet.json")
+            (tmp_path / "singlet.json").write_text(json.dumps(experiment_to_dict(singlet_experiment())))
+        out = tmp_path / "witness.json"
+        assert main(["witness", name, "--format", "structured", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["violation"] == "MonotonicAdditivity"
+        assert main(["verify", name, "--file", str(out)]) == 0
+        assert "witness verified" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field, value", [
+        ("context", ["a", "a'"]),
+        ("context", ["a", "b"]),
+        ("section", ["1", "1"]),
+    ], ids=["not-a-context", "another-context", "another-section"])
+    def test_verify_witness_whose_support_misses_the_collection_exits_2(self, field, value, tmp_path, capsys):
+        # The edited record still parses, and the collection and defect are
+        # unchanged; only the record no longer names their section.
+        rep = build_combinatorial_rep(bell_model())
+        document = witness_to_dict(rep, tier_violation_witness(rep, Tier.PROBABILISTIC))
+        assert document["support"][field] != value
+        document["support"][field] = value
+        path = tmp_path / "witness.json"
+        path.write_text(dumps(document))
+        assert main(["verify", "bell", "--file", str(path)]) == 2
+        assert capsys.readouterr().err == "witness failed re-verification\n"
+
     @pytest.mark.parametrize("base, path, value", [
         ("bell", ("scenario", "maximal_contexts"), [5]),
         ("specker-triangle", ("scenario", "maximal_contexts"), ["ab", "ac", "bc"]),
