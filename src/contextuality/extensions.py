@@ -37,22 +37,29 @@ ZERO = Fraction(0)
 
 
 class _MinCoverSolver:
-    """Exact minimum-weight set cover of masks inside ``full``, with memoization."""
+    """Exact minimum-weight set cover of masks inside ``full``, with memoization.
+
+    Weights are compared and memoised as integer numerators over one common
+    denominator of the pool; only ``cover_value`` returns a Fraction.
+    """
 
     def __init__(self, full: int, pool: Sequence[tuple[int, Fraction]]):
+        pool = [(mask, Fraction(weight)) for mask, weight in pool]
+        if any(weight < 0 for _, weight in pool):
+            raise ValueError("cover pool weights must be non-negative")
+        self.denominator = lcm(*(weight.denominator for _, weight in pool))
         free = 0
         free_events: list[int] = []
-        weighted: dict[int, Fraction] = {}
+        weighted: dict[int, int] = {}
         for mask, weight in pool:
-            if weight < 0:
-                raise ValueError("cover pool weights must be non-negative")
             if weight == 0:
                 free |= mask
                 free_events.append(mask)
             else:
+                weight = weight.numerator * (self.denominator // weight.denominator)
                 held = weighted.get(mask)
                 if held is None or weight < held:
-                    weighted[mask] = Fraction(weight)
+                    weighted[mask] = weight
         self.free = free
         self.free_events = free_events
         self.pool = sorted(weighted.items(), key=lambda mw: (mw[1], mw[0]))
@@ -61,10 +68,10 @@ class _MinCoverSolver:
             covered |= mask
         if covered & full != full:
             raise ValueError("cover pool does not cover the universe")
-        self._memo: dict[int, Fraction] = {0: ZERO}
+        self._memo: dict[int, int] = {0: 0}
 
     def cover_value(self, event: int) -> Fraction:
-        return self._solve(event & ~self.free)
+        return Fraction(self._solve(event & ~self.free), self.denominator)
 
     def cover_members(self, event: int) -> list[int]:
         """One optimal cover, deterministically chosen; free sets included."""
@@ -82,13 +89,13 @@ class _MinCoverSolver:
                 raise InternalConsistencyError("cover reconstruction lost its optimum")
         return chosen
 
-    def _solve(self, target: int) -> Fraction:
+    def _solve(self, target: int) -> int:
         memo = self._memo
         hit = memo.get(target)
         if hit is not None:
             return hit
         lowest = target & -target
-        best: Optional[Fraction] = None
+        best: Optional[int] = None
         for mask, weight in self.pool:
             if mask & lowest:
                 if best is not None and weight >= best:

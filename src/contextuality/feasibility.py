@@ -34,30 +34,35 @@ each other row's vanishing primitive combination with the earlier ones; the
 local map is injective on the span of the rows, so these are the full rows'.
 Each solve checks the combinations against its right-hand side in row
 order, and the first that misses it, signed so that yᵀb > 0, is a
-certificate.  Otherwise each row is scaled by the denominator of its
-right-hand side, its sign flipped so that the right-hand side is
-non-negative, and every number from there on is an integer.  A revised
+certificate.  Otherwise each row keeps its entries and only has its sign
+flipped so that its right-hand side is non-negative; the right-hand side is
+multiplied once by L, the lcm of its denominators, and the artificial of
+row i costs den(b_i) in the phase-1 objective.  That is the LP of rows
+scaled by den(b_i) and unit costs, with artificial a_i rescaled by
+1/den(b_i): every ratio-test quotient, reduced cost and tie-break is that
+LP's, so is the pivot path, and the integers stay those of the matrix's own
+basis (near 20 bits on the 0/1 global-section matrix, not 100).  A revised
 phase-1 simplex then runs on the k independent rows and keeps only a
 (k+1) × (k+1) integer block: d·B⁻¹ (the artificial columns, B the basis and
 d its common denominator), the right-hand side, and the phase-1 objective
 as its last row.  A pivot asks the source for its entering column under
-the row weights (π_r + d)·scale_r on the independent rows and 0 on the
-others, π the objective row's artificial entries; forms only the entering
-column d·B⁻¹A_j; and updates the block alone by Edmonds' common-denominator
-pivot  (x·p − f·r) / d, which keeps every entry an integer (Bareiss, Math.
-Comp. 22, 1968).  Every row of the full tableau [A | I | b] is the
-combination of original rows that its artificial entries record, so the
-weighted sums are exactly the reduced costs that tableau would hold, and
-d·B⁻¹A_j its entering column: the pivot path, the solutions and the
-certificates are the dense tableau's.  The entering column has the largest
-reduced cost; after a run of degenerate pivots the solver prices by Bland's
-least-index rule until a pivot makes progress.  A pivot that makes progress
-lowers the phase-1 objective, and Bland's rule cannot cycle, so every
-degenerate run ends and the simplex terminates.  The Farkas ray is read
-exactly from the final basis and checked with the source's exact maximum
-over all columns; the primal vector is checked on the basic columns, in
-integers scaled by d.  All orderings are fixed, so the output is
-deterministic.
+the row weights (π_r + d·den(b_r))·sign_r on the independent rows and 0 on
+the others, π the objective row's artificial entries; forms only the
+entering column d·B⁻¹A_j; and updates the block alone by Edmonds'
+common-denominator pivot  (x·p − f·r) / d, which keeps every entry an
+integer (Bareiss, Math. Comp. 22, 1968).  Every row of the full tableau
+[A | I | b] is the combination of original rows that its artificial entries
+record, so the weighted sums are exactly the reduced costs that tableau
+would hold, and d·B⁻¹A_j its entering column: the pivot path, the solutions
+and the certificates are the dense tableau's.  The entering column has the
+largest reduced cost; after a run of degenerate pivots the solver prices by
+Bland's least-index rule until a pivot makes progress.  A pivot that makes
+progress lowers the phase-1 objective, and Bland's rule cannot cycle, so
+every degenerate run ends and the simplex terminates.  The Farkas ray is
+read exactly from the final basis and checked with the source's exact
+maximum over all columns; the primal vector, x_j = block[r][k] / (d·L), is
+checked against every row in integers scaled by d·L.  All orderings are
+fixed, so the output is deterministic.
 """
 
 from __future__ import annotations
@@ -200,8 +205,6 @@ def solve_source(source, rhs: Sequence) -> FeasibilityOutcome:
     """Find x >= 0 with A x = b, or a Farkas certificate, for the integer A of a column source."""
     b = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in rhs]
     n = len(source)
-    scale = [-v.denominator if v < 0 else v.denominator for v in b]
-    target = [abs(v.numerator) for v in b]
 
     if not hasattr(source, "_presolved"):
         source._presolved = _presolve(source.local_rows())
@@ -216,17 +219,20 @@ def solve_source(source, rhs: Sequence) -> FeasibilityOutcome:
     if not k:
         return FeasibilityOutcome(True, tuple(ZERO for _ in range(n)), None)
 
-    basis, d, block = _phase1(source, scale, target, independent)
+    sign = [-1 if v < 0 else 1 for v in whole]
+    cost = [v.denominator for v in b]
+    target = list(map(abs, whole))
+    basis, d, block = _phase1(source, sign, cost, target, independent)
 
     if block[k][k] > 0:
-        # Row k holds d(yᵣ - 1) in artificial column r: the reduced cost of e_r.
+        # Row k holds d(yᵣ - costᵣ) in artificial column r: the reduced cost of e_r.
         y = [0] * len(b)
         for r, i in enumerate(independent):
-            y[i] = (block[k][r] + d) * scale[i]
+            y[i] = (block[k][r] + d * cost[i]) * sign[i]
         return FeasibilityOutcome(False, None, _certificate(y, block[k][k], source, b))
 
-    # A x = b checked in integers: row i times d·scale_i turns b_i into
-    # d·target_i, and d·x_j is block[r][k] for column j basic in row r.
+    # A x = b checked in integers: d·L·x_j is block[r][k] for column j basic
+    # in row r, so row i of A sums to d·L·b_i, which is d·sign_i·target_i.
     solution = [ZERO] * n
     totals = [0] * len(b)
     for r, j in enumerate(basis):
@@ -236,25 +242,25 @@ def solve_source(source, rhs: Sequence) -> FeasibilityOutcome:
                 raise InternalConsistencyError("simplex returned a negative component")
             for i, v in zip(*source.column(j)):
                 totals[i] += v * x
-            solution[j] = Fraction(x, d)
-    if any(t * s != d * goal for t, s, goal in zip(totals, scale, target)):
+            solution[j] = Fraction(x, d * common)
+    if any(t * s != d * goal for t, s, goal in zip(totals, sign, target)):
         raise InternalConsistencyError("simplex returned a vector that misses a constraint")
     return FeasibilityOutcome(True, tuple(solution), None)
 
 
-def _phase1(source, scale: list[int], target: list[int],
+def _phase1(source, sign: list[int], cost: list[int], target: list[int],
             independent: list[int]) -> tuple[list[int], int, list[list[int]]]:
-    """The revised phase-1 simplex on the independent rows of the scaled system.
+    """The revised phase-1 simplex on the independent rows, artificial i costing ``cost[i]``.
 
-    Row i of the scaled system is ``scale[i]`` times row i of the source's
-    matrix, with right-hand side ``target[i]``.  Returns the final basis, the
-    common denominator d and the integer block: in row r < k, d·B⁻¹ (the
-    artificial columns) and the right-hand side; in row k, the phase-1
-    objective over the same columns.
+    Row i of the system is ``sign[i]`` times row i of the source's matrix,
+    with right-hand side ``target[i]``.  Returns the final basis, the common
+    denominator d and the integer block: in row r < k, d·B⁻¹ (the artificial
+    columns) and the right-hand side; in row k, the phase-1 objective over
+    the same columns.
     """
     k = len(independent)
     n = len(source)
-    position = [None] * len(scale)
+    position = [None] * len(sign)
     for r, i in enumerate(independent):
         position[i] = r
     block = []
@@ -263,26 +269,26 @@ def _phase1(source, scale: list[int], target: list[int],
         row[r] = 1
         row[k] = target[i]
         block.append(row)
-    block.append([0] * k + [sum(row[k] for row in block)])
+    block.append([0] * k + [sum(cost[i] * target[i] for i in independent)])
     basis = list(range(n, n + k))
-    weights = [0] * len(scale)
+    weights = [0] * len(sign)
     d = 1
     degenerate = 0
     while block[k][k]:
-        # Row k is (π - d·1) on the artificials with π = d·yᵀ, so the reduced
-        # cost of column j, the integer the dense tableau would hold, is π
-        # times column j of the scaled rows: its value under the row weights
-        # π_i·scale_i.
+        # Row k is (π - d·cost) on the artificials with π = d·yᵀ, so the
+        # reduced cost of column j, the integer the dense tableau would hold,
+        # is π times column j of the signed rows: its value under the row
+        # weights π_i·sign_i.
         for v, i in zip(block[k], independent):
-            weights[i] = (v + d) * scale[i]
+            weights[i] = (v + d * cost[i]) * sign[i]
         found = source.entering(weights, degenerate >= _STALL)
         if found is None:
             break
-        col, cost = found
+        col, value = found
         # The entering column d·B⁻¹A_j, with its reduced cost in row k.
-        kept = [(position[i], v * scale[i]) for i, v in zip(*source.column(col)) if v and position[i] is not None]
+        kept = [(position[i], v * sign[i]) for i, v in zip(*source.column(col)) if v and position[i] is not None]
         rows, values = [r for r, _ in kept], [v for _, v in kept]
-        entering = [sum(map(mul, map(row.__getitem__, rows), values)) for row in block[:k]] + [cost]
+        entering = [sum(map(mul, map(row.__getitem__, rows), values)) for row in block[:k]] + [value]
         leave = None
         for i in range(k):
             coef = entering[i]

@@ -5,13 +5,15 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contextuality import dutchbook, feasibility
+from contextuality import catalog, dutchbook, feasibility
 from contextuality.classifier import global_distribution
-from contextuality.feasibility import solve_columns, solve_nonnegative, solve_source
+from contextuality.feasibility import (FarkasCertificate, FeasibilityOutcome, solve_columns, solve_nonnegative,
+                                       solve_source)
 from contextuality.scenario import GlobalSectionColumns, global_section_columns, global_section_system
 
 from conftest import noisy_cycle
@@ -175,8 +177,60 @@ def test_sparse_core_matches_the_dense_entry_point(stall, system):
 # ---------------------------------------------------------------------------
 
 
-def dense_phase1(source, scale, target, independent):
+def dense_phase1(source, sign, cost, target, independent):
     """The dense phase-1 tableau: every pivot rewrites every structural column.
+
+    It reads the source's columns once, into dense rows signed by ``sign``,
+    prices artificial i at ``cost[i]``, and never prices through the source.
+    Returns what ``feasibility._phase1`` returns: the final basis, the common
+    denominator and the tableau's artificial and right-hand-side columns.
+    """
+    k = len(independent)
+    n = len(source)
+    matrix = expand(source, len(sign))
+    tableau = []
+    for r, i in enumerate(independent):
+        row = [v * sign[i] for v in matrix[i]] + [0] * (k + 1)
+        row[n + r] = 1
+        row[-1] = target[i]
+        tableau.append(row)
+    # The phase-1 objective, z minus the artificial costs: each row weighted by its cost.
+    objective = [sum(cost[i] * v for i, v in zip(independent, column)) for column in zip(*tableau)]
+    objective[n:n + k] = [0] * k
+    tableau.append(objective)
+    basis = list(range(n, n + k))
+    d = 1
+    degenerate = 0
+    while tableau[k][-1]:
+        costs = tableau[k]
+        if degenerate < feasibility._STALL:
+            best = max(costs[:n])
+            col = costs.index(best) if best > 0 else None
+        else:
+            col = next((j for j in range(n) if costs[j] > 0), None)
+        if col is None:
+            break
+        leave = None
+        for i in range(k):
+            coef = tableau[i][col]
+            if coef > 0:
+                num = tableau[i][-1]
+                if leave is None or num * lcoef < lnum * coef or (
+                        num * lcoef == lnum * coef and basis[i] < basis[leave]):
+                    leave, lnum, lcoef = i, num, coef
+        assert leave is not None, "phase-1 objective is bounded"
+        degenerate = 0 if lnum else degenerate + 1
+        d = dense_pivot(tableau, leave, col, d)
+        basis[leave] = col
+    return basis, d, [row[n:] for row in tableau]
+
+
+def row_scaled_phase1(source, scale, target, independent):
+    """The row-scaled dense phase-1 tableau: row i is ``scale[i]`` times the source's row i.
+
+    Every artificial costs one.  This is the tableau the solver followed
+    before its rows were kept unscaled, kept as an oracle of that path; every
+    pivot rewrites every structural column.
 
     It reads the source's columns once, into dense rows scaled by ``scale``,
     and never prices through the source.  Returns what
@@ -341,6 +395,132 @@ def test_oracle_priced_solves_follow_the_explicit_columns_and_the_dense_tableau(
             oracle = with_pivots(revised, lambda: solve_source(source, rhs))
             assert oracle == with_pivots(revised, lambda: solve_columns(system.incidence, rhs))
             assert oracle == with_pivots(dense, lambda: dense_solve(matrix, rhs))
+
+
+# ---------------------------------------------------------------------------
+# The unscaled block against the row-scaled tableau
+# ---------------------------------------------------------------------------
+
+
+def row_scaled_solve(source, rhs):
+    """The outcome, final basis and pivot count of the row-scaled dense tableau.
+
+    Row i is scaled by the denominator of b_i, signed so that its right-hand
+    side is the non-negative numerator, and every artificial costs one.  The
+    solution and the certificate are read from that tableau: x_j is the
+    right-hand side of j's row over d, and the Farkas ray is (π_r + d)·scale_r
+    on the independent rows, made primitive.  The basis is None, and the count
+    0, when a dependent row decides the system before any phase 1.
+    """
+    b = [Fraction(v) for v in rhs]
+    n = len(source)
+    scale = [-v.denominator if v < 0 else v.denominator for v in b]
+    target = [abs(v.numerator) for v in b]
+    independent, dependent = feasibility._presolve(source.local_rows())
+    common = lcm(*(v.denominator for v in b))
+    whole = [v.numerator * (common // v.denominator) for v in b]
+    for combination in dependent:
+        if value := sum(a * v for a, v in zip(combination, whole)):
+            return primitive_certificate(combination, value), None, 0
+    k = len(independent)
+    if not k:
+        return FeasibilityOutcome(True, tuple(Fraction(0) for _ in range(n)), None), None, 0
+    with pytest.MonkeyPatch.context() as patch:
+        pivots = count_calls(patch, sys.modules[__name__], "dense_pivot")
+        basis, d, block = row_scaled_phase1(source, scale, target, independent)
+    if block[k][k] > 0:
+        y = [0] * len(b)
+        for r, i in enumerate(independent):
+            y[i] = (block[k][r] + d) * scale[i]
+        return primitive_certificate(y, block[k][k]), basis, len(pivots)
+    solution = [Fraction(0)] * n
+    for r, j in enumerate(basis):
+        if j < n:
+            solution[j] = Fraction(block[r][k], d)
+    return FeasibilityOutcome(True, tuple(solution), None), basis, len(pivots)
+
+
+def primitive_certificate(y, value):
+    """The outcome with the primitive integer ray along y, signed so that yᵀb has the sign of value."""
+    g = gcd(*y) if value > 0 else -gcd(*y)
+    return FeasibilityOutcome(False, None, FarkasCertificate(tuple(Fraction(v // g) for v in y)))
+
+
+def solver_path(source, rhs):
+    """``solve_source``'s outcome, final basis and pivot count, as ``row_scaled_solve`` returns them."""
+    bases = []
+    phase1 = feasibility._phase1
+
+    def recording(*args):
+        result = phase1(*args)
+        bases.append(result[0])
+        return result
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(feasibility, "_phase1", recording)
+        pivots = count_calls(patch, feasibility, "_pivot")
+        outcome = solve_source(source, rhs)
+    return outcome, (bases[0] if bases else None), len(pivots)
+
+
+def integer_source(rows, rhs):
+    """The integer column source and right-hand side that ``solve_nonnegative`` hands to ``solve_source``."""
+    seen = []
+    core = feasibility.solve_source
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(feasibility, "solve_source", lambda source, b: seen.append((source, b)) or core(source, b))
+        solve_nonnegative(rows, rhs)
+    return seen[0]
+
+
+@pytest.mark.parametrize("stall", [feasibility._STALL, 0], ids=["largest-coefficient", "bland"])
+@settings(max_examples=150, deadline=None)
+@given(system=systems())
+def test_generated_systems_take_the_row_scaled_path(stall, system):
+    source, rhs = integer_source(*system[:2])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(feasibility, "_STALL", stall)
+        assert solver_path(source, rhs) == row_scaled_solve(source, rhs)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("noise", [Fraction(0), Fraction(1, 8), None, Fraction(1, 2)],
+                         ids=["box", "noise-1/8", "facet", "noise-1/2"])
+def test_global_section_systems_take_the_row_scaled_path(n, noise):
+    model = noisy_cycle(n, Fraction(2, n) if noise is None else noise)
+    source = global_section_columns(model.scenario)
+    rhs = [model.table(c).weight(s) for c, s in source.rows]
+    path = solver_path(source, rhs)
+    assert path[2] > 0
+    assert path == row_scaled_solve(source, rhs)
+
+
+# The noise shares of the noisy cycles in the cycle-classify benchmark pool.
+NOISE = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4))
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_phase1_block_stays_within_one_digit(n, monkeypatch):
+    # d and every block entry fit one 30-bit CPython digit on the cycle
+    # families: the box, the box with every noise share, and one perturbed
+    # and one mixture draw.  The block of the row-scaled tableau carried the
+    # product of the right-hand-side denominators (47 bits at n = 3).
+    box = noisy_cycle(n, Fraction(0))
+    models = [box] + [noisy_cycle(n, share) for share in NOISE] + [
+        catalog.perturbed_model(box, random.Random(f"perturbed:{n}")),
+        catalog.random_deterministic_mixture(box.scenario, random.Random(f"mixture:{n}"))]
+    widest = []
+    pivot = feasibility._pivot
+
+    def measured(block, column, row, d):
+        d = pivot(block, column, row, d)
+        widest.append(max(abs(d), *(abs(v) for line in block for v in line)))
+        return d
+    monkeypatch.setattr(feasibility, "_pivot", measured)
+    source = global_section_columns(box.scenario)
+    for model in models:
+        solve_source(source, [model.table(c).weight(s) for c, s in source.rows])
+    assert widest
+    assert max(widest) < 2 ** 30
 
 
 # ---------------------------------------------------------------------------

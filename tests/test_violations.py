@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +33,7 @@ from contextuality.extensions import (
     EnvelopeExtension,
     ExplicitExtension,
     PointMeasureExtension,
+    _MinCoverSolver,
     canonical_monotone_extension,
     sample_monotone_extensions,
 )
@@ -279,6 +283,27 @@ class TestExtensions:
             CoverExtension(pr_rep)
         with pytest.raises(NotAnExtensionError):
             CoverExtension(bell_rep)
+
+    @settings(max_examples=80, deadline=None)
+    @given(pool=st.lists(st.tuples(st.integers(1, 63), st.builds(Fraction, st.integers(0, 6), st.integers(1, 6))),
+                         min_size=1, max_size=7),
+           event=st.integers(0, 63))
+    def test_cheapest_cover_solver_matches_brute_force(self, pool, event):
+        # Integer weights over the pool's common denominator give the exact
+        # rational optimum of every sub-pool search, and a cover attaining it.
+        universe = reduce(or_, (mask for mask, _ in pool))
+        solver = _MinCoverSolver(universe, pool)
+        event &= universe
+        best = min(sum(w for _, w in chosen) for size in range(len(pool) + 1)
+                   for chosen in combinations(pool, size)
+                   if event & ~reduce(or_, (m for m, _ in chosen), 0) == 0)
+        assert solver.cover_value(event) == best
+        members = solver.cover_members(event)
+        assert event & ~reduce(or_, members, 0) == 0
+        cheapest = {}
+        for mask, weight in pool:
+            cheapest[mask] = min(cheapest.get(mask, weight), weight)
+        assert sum(cheapest[m] for m in set(members)) == best
 
     def test_sampled_extensions_are_extensions_and_fail_somewhere(self, bell_rep):
         samples = sample_monotone_extensions(bell_rep, count=5, seed=1)
