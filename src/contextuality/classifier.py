@@ -10,22 +10,25 @@ table; the exact feasibility solver decides it on the same source.  A
 positive answer is a distribution stored as its support, re-marginalized
 exactly; a negative one is a rational separating functional that
 :meth:`GlobalDistributionCertificate.verify` re-evaluates against the tables
-by its own enumeration, the only place ``classify`` lists global sections.
+by its own bucket elimination, written apart from the source's.  So
+``classify`` lists no global section; :func:`consistent_global_sections`
+is the package's one enumeration of them.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Optional
 
 from .distribution import Distribution, marginalize
 from .errors import DEFAULT_ENUMERATION_CAP, InternalConsistencyError
 from .feasibility import solve_source
 from .model import EmpiricalModel
-from .scenario import Section, check_global_section_cap, global_section_columns, global_section_system
+from .scenario import Scenario, Section, check_global_section_cap, global_section_columns, sections_over
 
 
 class Tier(Enum):
@@ -39,10 +42,15 @@ class Tier(Enum):
 
 
 def consistent_global_sections(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Section, ...]:
-    """Global sections whose restriction to every maximal context is in the support."""
-    system = global_section_system(model.scenario, cap)
-    positive = [model.table(c).weight(s) > 0 for c, s in system.rows]
-    return tuple(g for g, rows in zip(system.columns, system.incidence) if all(positive[r] for r in rows))
+    """Global sections whose restriction to every maximal context is in the support.
+
+    Lists every column of the global-section source, in enumeration order,
+    so it refuses scenarios with more than ``cap`` global sections.
+    """
+    check_global_section_cap(model.scenario, cap)
+    source = global_section_columns(model.scenario)
+    positive = [model.table(c).weight(s) > 0 for c, s in source.rows]
+    return tuple(source.section(j) for j in range(len(source)) if all(map(positive.__getitem__, source.column(j)[0])))
 
 
 def _support_cover(model: EmpiricalModel, cap: int) -> tuple[bool, Optional[Section]]:
@@ -102,19 +110,49 @@ class GlobalDistributionCertificate:
     coefficients: tuple[Fraction, ...]
 
     def verify(self, model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
-        system = global_section_system(model.scenario, cap)
+        # The cap bounds every elimination table: each holds at most |O|^n entries.
+        scenario = model.scenario
+        check_global_section_cap(scenario, cap)
+        labels = [(c, s) for c in scenario.maximal_contexts for s in sections_over(scenario, c, cap=math.inf)]
         if len(self.coefficients) != len(self.rows):
             return False
         weight_of = dict(zip(self.rows, self.coefficients))
-        if len(weight_of) != len(self.rows) or weight_of.keys() != set(system.rows):
+        if len(weight_of) != len(self.rows) or weight_of.keys() != set(labels):
             return False
         # The coefficients scaled by the positive lcm of their denominators: the same signs, in integers.
-        coefficients = [Fraction(weight_of[label]) for label in system.rows]
-        scale = lcm(*(v.denominator for v in coefficients))
+        coefficients = [Fraction(weight_of[label]) for label in labels]
+        scale = math.lcm(*(v.denominator for v in coefficients))
         y = [v.numerator * (scale // v.denominator) for v in coefficients]
-        if any(sum(map(y.__getitem__, rows)) > 0 for rows in system.incidence):
+        tables: dict[tuple, dict[tuple, int]] = {}
+        for (c, s), v in zip(labels, y):
+            tables.setdefault(c, {})[s.values] = v
+        if _largest_column_sum(scenario, tables) > 0:
             return False
-        return sum(v * model.table(c).weight(s) for (c, s), v in zip(system.rows, y) if v) > 0
+        return sum(v * model.table(c).weight(s) for (c, s), v in zip(labels, y) if v) > 0
+
+
+def _largest_column_sum(scenario: Scenario, tables: dict[tuple, dict[tuple, int]]) -> int:
+    """max over global sections g of Σ_c tables[c][g|c], g|c given as its outcome tuple.
+
+    Bucket elimination, first measurement first: the factors whose scope holds
+    it are summed and maximised over its outcomes into one factor on the rest
+    of their scope; once every measurement is gone, the factors are constants.
+    """
+    factors = list(tables.items())
+    for m in scenario.measurements:
+        bucket = [(scope, table) for scope, table in factors if m in scope]
+        factors = [(scope, table) for scope, table in factors if m not in scope]
+        rest = tuple(v for v in scenario.measurements if v != m and any(v in scope for scope, _ in bucket))
+        table = {}
+        for values in itertools.product(scenario.outcomes, repeat=len(rest)):
+            point = dict(zip(rest, values))
+            sums = []
+            for o in scenario.outcomes:
+                point[m] = o
+                sums.append(sum(t[tuple(point[v] for v in scope)] for scope, t in bucket))
+            table[values] = max(sums)
+        factors.append((rest, table))
+    return sum(table[()] for _, table in factors)
 
 
 def _solve_global_system(model: EmpiricalModel, rhs_of: Callable[[tuple, Section], Fraction],
@@ -144,9 +182,8 @@ def global_distribution(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CA
     if isinstance(result, GlobalDistributionCertificate):
         return result
     scenario = model.scenario
-    source, outcomes = global_section_columns(scenario), scenario.outcomes
-    support = {Section(scenario.measurements, tuple(outcomes[d] for d in source.digits(j)), scenario): x
-               for j, x in enumerate(result) if x}
+    source = global_section_columns(scenario)
+    support = {source.section(j): x for j, x in enumerate(result) if x}
     return Distribution._from_support(scenario, scenario.measurements, support)
 
 

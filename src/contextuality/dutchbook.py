@@ -19,7 +19,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Mapping, Optional
 
-from .distribution import Distribution
+from .distribution import Distribution, marginalize
 from .errors import (
     InternalConsistencyError,
     NonCombinatorialError,
@@ -27,7 +27,7 @@ from .errors import (
     ScenarioMismatchError,
 )
 from .feasibility import solve_nonnegative
-from .scenario import Section, global_section_system
+from .scenario import Section, global_section_columns
 from .wps import Event, WpsRepresentation, _indices
 
 ZERO = Fraction(0)
@@ -98,14 +98,9 @@ def distribution_to_convex_point(rep: WpsRepresentation, global_distribution: Di
     scenario = rep.model.scenario
     if global_distribution.context != scenario.measurements:
         raise ScenarioMismatchError("a distribution over the global sections is required")
-    system = global_section_system(scenario)
-    totals = [ZERO] * len(system.rows)
-    for g, rows in zip(system.columns, system.incidence):
-        weight = global_distribution.weight(g)
-        for r in rows:
-            totals[r] += weight
-    # Rows sharing an image share their extending global sections, so their totals agree.
-    return {rep.event(section): total for (_, section), total in zip(system.rows, totals)}
+    marginals = {c: marginalize(global_distribution, c) for c in scenario.maximal_contexts}
+    # Rows sharing an image share their extending global sections, so their weights agree.
+    return {rep.event(s): marginals[c].weight(s) for c, s in global_section_columns(scenario).rows}
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,12 @@ value, or None when no value is positive.
 takes its dense rows as local rows; :func:`solve_columns` builds it from
 sparse columns, each row scaled once by the lcm of its entries'
 denominators, and :func:`solve_nonnegative` is the dense adapter of that.
-The global-section system's source (:func:`scenario.global_section_columns`)
-prices by variable elimination over the contexts and has one local
-coordinate per tensor-basis function over a context, so neither the
-presolve nor a pivot of a global-section solve reads all |O|^n columns.
+The global-section system has this one source
+(:func:`scenario.global_section_columns`); it prices by variable
+elimination over the contexts and has one local coordinate per
+tensor-basis function over a context, so neither the presolve nor a pivot
+of a global-section solve, nor the classifier's re-check of its
+certificate, reads all |O|^n columns.
 
 A fraction-free forward elimination over the local rows, computed once per
 source and kept on it, finds a maximal independent subset of the rows and

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DEFAULT_ENUMERATION_CAP,
@@ -223,53 +223,11 @@ def all_contexts(scenario: Scenario) -> tuple[tuple, ...]:
     return tuple(sorted(seen, key=lambda u: (len(u), tuple(index[m] for m in u))))
 
 
-class GlobalSectionSystem(NamedTuple):
-    """Global sections (the columns) against ``(maximal context, section)`` rows.
-
-    Rows take contexts in scenario order and sections in enumeration order;
-    ``incidence[j][k]`` is the row of column ``j`` in the ``k``-th context.
-    """
-
-    columns: tuple[Section, ...]
-    rows: tuple[tuple[tuple, Section], ...]
-    incidence: tuple[tuple[int, ...], ...]
-
-
 def check_global_section_cap(scenario: Scenario, cap: int) -> None:
     """Raise :class:`EnumerationCapError` when the scenario has more than ``cap`` global sections."""
     count = len(scenario.outcomes) ** len(scenario.measurements)
     if count > cap:
         raise EnumerationCapError(count, cap, what="global sections")
-
-
-def global_section_system(scenario: Scenario, cap: int = DEFAULT_ENUMERATION_CAP) -> GlobalSectionSystem:
-    """The scenario's global-section system, enumerating at most ``cap`` columns."""
-    check_global_section_cap(scenario, cap)
-    return _global_section_system(scenario)
-
-
-@lru_cache(maxsize=1)
-def _global_section_system(scenario: Scenario) -> GlobalSectionSystem:
-    # One entry only: at the cap, a system holds 2**20 columns.
-    rows = global_section_columns(scenario).rows
-    columns = sections_over(scenario, scenario.measurements, cap=math.inf)
-    # Sections enumerate as base-|O| numerals over outcome indices, the first
-    # measurement the most significant digit.  So column j gives the i-th
-    # measurement the outcome index (j // |O|**(n-1-i)) % |O|, and its row in
-    # context c is c's offset plus the numeral those indices form on c.
-    base, n = len(scenario.outcomes), len(scenario.measurements)
-    position = {m: i for i, m in enumerate(scenario.measurements)}
-    per_context = []
-    offset = 0
-    for c in scenario.maximal_contexts:
-        row = [offset] * len(columns)
-        for k, m in enumerate(c):
-            i, weight = position[m], base ** (len(c) - 1 - k)
-            digit = [o * weight for o in range(base) for _ in range(base ** (n - 1 - i))] * base ** i
-            row = list(map(add, row, digit))
-        per_context.append(row)
-        offset += base ** len(c)
-    return GlobalSectionSystem(columns, rows, tuple(zip(*per_context)))
 
 
 def _numeral(digits: Iterable[int], base: int) -> int:
@@ -283,10 +241,11 @@ def _numeral(digits: Iterable[int], base: int) -> int:
 class GlobalSectionColumns:
     """The columns of a scenario's global-section system, priced without listing them.
 
-    Column j and its rows are those of :func:`global_section_system`, whose
-    row labels ``(maximal context, section)`` are this source's ``rows``; so
-    under row weights w column j is worth Σ_c w(c, g|c), g the j-th global
-    section: a sum of one factor per maximal context.  The factors are
+    Column j is the j-th global section g in enumeration order
+    (:meth:`section`), and it has a 1 in the row ``(c, g|c)`` of each
+    maximal context c, the row labels being this source's ``rows``; so
+    under row weights w column j is worth Σ_c w(c, g|c): a sum of one
+    factor per maximal context.  The factors are
     eliminated bucket by bucket, last measurement first: the factors whose
     scope holds the last measurement left are summed into one bucket table
     and maximised over that measurement, which leaves a factor on the rest
@@ -309,7 +268,7 @@ class GlobalSectionColumns:
         index = {m: i for i, m in enumerate(scenario.measurements)}
         contexts = scenario.maximal_contexts
         self.rows = tuple((c, s) for c in contexts for s in sections_over(scenario, c, cap=math.inf))
-        self._base, self._size = base, base ** n
+        self._scenario, self._base, self._size = scenario, base, base ** n
         self._powers = [base ** (n - 1 - i) for i in range(n)]
         self._ones = (1,) * len(contexts)
         # One factor per maximal context: its measurements and its rows.
@@ -359,6 +318,11 @@ class GlobalSectionColumns:
     def digits(self, j: int) -> list[int]:
         """The outcome indices of column j's global section, measurement 0 first."""
         return [j // p % self._base for p in self._powers]
+
+    def section(self, j: int) -> Section:
+        """Column j's global section."""
+        scenario = self._scenario
+        return Section(scenario.measurements, tuple(scenario.outcomes[d] for d in self.digits(j)), scenario)
 
     def column(self, j: int) -> tuple[list[int], tuple[int, ...]]:
         digits = self.digits(j)

@@ -37,7 +37,6 @@ from .distribution import Distribution
 from .dutchbook import _null_cover, convexity_membership
 from .errors import (
     DEFAULT_ENUMERATION_CAP,
-    DomainError,
     EnumerationCapError,
     InternalConsistencyError,
     NonCombinatorialError,
@@ -52,7 +51,7 @@ from .extensions import (
     canonical_monotone_extension,
     cheapest_cover_of_space,
 )
-from .scenario import Section, global_section_system, sections_over
+from .scenario import Section, global_section_columns, sections_over
 from .wps import Event, WpsRepresentation, _atoms, _indices, _subset_sums, excise
 
 ZERO = Fraction(0)
@@ -189,7 +188,7 @@ def verify_witness(rep: WpsRepresentation, witness: ViolationWitness, extension=
     data = witness.support_data
     failure = isinstance(data, MarginalizationFailure)
     if failure and (data.context not in rep.model.scenario.maximal_contexts or data.section.domain != data.context
-                    or witness.collection != core_parts_of_global_sections(rep, data.context, data.section)):
+                    or witness.collection != core_parts_of_global_sections(rep).get((data.context, data.section))):
         return False
     if extension is None:
         extension = _extension_by_kind(rep, data.extension_kind if failure else "canonical")
@@ -218,18 +217,21 @@ def _extension_by_kind(rep: WpsRepresentation, kind: str):
 # ---------------------------------------------------------------------------
 
 
-def core_parts_of_global_sections(rep: WpsRepresentation, context, section,
-                                  core: Optional[Event] = None) -> tuple[Event, ...]:
-    """Core parts of the global-section events extending one maximal-context section."""
-    if core is None:
-        core = excise(rep).z
-    system = global_section_system(rep.model.scenario)
-    label = (rep.model.scenario.canonical_context(context), section)
-    if label not in system.rows:
-        raise DomainError(f"{section} is not a section over a maximal context")
-    r = system.rows.index(label)
-    parts = (rep.event(g) & core for g, rows in zip(system.columns, system.incidence) if r in rows)
-    return rep.sorted_events(p for p in parts if p)
+def core_parts_of_global_sections(rep: WpsRepresentation) -> dict[tuple, tuple[Event, ...]]:
+    """Core parts of the global-section events extending each maximal-context section.
+
+    Keyed by ``(maximal context, section)`` in row order.  One pass over the
+    global sections puts each non-empty part in the bucket of each of its rows.
+    """
+    core = excise(rep).z
+    source = global_section_columns(rep.model.scenario)
+    buckets = [[] for _ in source.rows]
+    for j in range(len(source)):
+        part = rep.event(source.section(j)) & core
+        if part:
+            for r in source.column(j)[0]:
+                buckets[r].append(part)
+    return {label: rep.sorted_events(parts) for label, parts in zip(source.rows, buckets)}
 
 
 def marginalization_failure(rep: WpsRepresentation, extension,
@@ -241,9 +243,7 @@ def marginalization_failure(rep: WpsRepresentation, extension,
     record, the disjoint collection of core parts of the extending global
     sections, and its (non-zero) defect under the extension.
     """
-    core = excise(rep).z
-    for context, section in global_section_system(rep.model.scenario).rows:
-        parts = core_parts_of_global_sections(rep, context, section, core=core)
+    for (context, section), parts in core_parts_of_global_sections(rep).items():
         value = defect(rep, parts, extension=extension)
         if value != 0:
             record = MarginalizationFailure(
@@ -358,7 +358,7 @@ def logical_subadditivity_violation(rep: WpsRepresentation) -> tuple[bool, Optio
     """
     _require_combinatorial(rep)
     nulls, clean = _null_cover(rep, rep.maximal_context_events())
-    for _, section in global_section_system(rep.model.scenario).rows:
+    for _, section in global_section_columns(rep.model.scenario).rows:
         event = rep.event(section)
         if rep.mu_of(event) > 0 and not event & clean:
             return True, _covered_support_witness(rep, nulls, section)

@@ -1,9 +1,13 @@
-"""Shared fixtures: catalog representations, standard paddings, noisy cycles and document fuzz values."""
+"""Shared fixtures: catalog representations, standard paddings, noisy cycles, the
+enumerated global-section system and document fuzz values."""
 
 from __future__ import annotations
 
 import copy
+import math
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 from contextuality.catalog import catalog
 from contextuality.distribution import Distribution
 from contextuality.model import EmpiricalModel
-from contextuality.scenario import Scenario, sections_over
+from contextuality.scenario import Scenario, Section, restrict, sections_over
 from contextuality.wps import PadPoint, build_combinatorial_rep, build_padded_rep
 
 
@@ -45,6 +49,28 @@ def noisy_cycle(n: int, p: Fraction) -> EmpiricalModel:
         for context in scenario.maximal_contexts
     }
     return EmpiricalModel(scenario, tables)
+
+
+class GlobalSectionSystem(NamedTuple):
+    """Global sections (the columns) against ``(maximal context, section)`` rows.
+
+    Rows take contexts in scenario order and sections in enumeration order;
+    ``incidence[j][k]`` is the row of column ``j`` in the ``k``-th context.
+    """
+
+    columns: tuple[Section, ...]
+    rows: tuple[tuple[tuple, Section], ...]
+    incidence: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def global_section_system(scenario: Scenario) -> GlobalSectionSystem:
+    """The enumeration oracle: every global section restricted to every maximal context."""
+    rows = tuple((c, s) for c in scenario.maximal_contexts for s in sections_over(scenario, c, cap=math.inf))
+    columns = sections_over(scenario, scenario.measurements, cap=math.inf)
+    row_of = {label: r for r, label in enumerate(rows)}
+    incidence = tuple(tuple(row_of[(c, restrict(g, c))] for c in scenario.maximal_contexts) for g in columns)
+    return GlobalSectionSystem(columns, rows, incidence)
 
 
 def json_paths(node, prefix=()):

@@ -319,7 +319,7 @@ def test_09_property_suites(catalog_reps, padded_catalog_reps):
     for rep in list(catalog_reps.values()) + list(padded_catalog_reps.values()):
         ok = ok and verify_rep(rep).ok  # sheaf intersection, algebras, EC, ME, compatibility
     for name, rep in padded_catalog_reps.items():
-        report = excise(rep)  # asserts the pointwise core facts
+        report = excise(rep)  # the pointwise core facts are checked in test_properties.py
         ok = ok and not report.z & rep.event_of(["pad-overlap", "pad-outcomeless"])
     models, _, _ = _randomized_pool()
     for model in models[:10] + [e.model for e in catalog()]:

@@ -14,9 +14,9 @@ from contextuality import catalog, dutchbook, feasibility
 from contextuality.classifier import global_distribution
 from contextuality.feasibility import (FarkasCertificate, FeasibilityOutcome, solve_columns, solve_nonnegative,
                                        solve_source)
-from contextuality.scenario import GlobalSectionColumns, global_section_columns, global_section_system
+from contextuality.scenario import GlobalSectionColumns, global_section_columns
 
-from conftest import noisy_cycle
+from conftest import global_section_system, noisy_cycle
 from test_global_sections import MODELS, expand
 
 

@@ -27,14 +27,13 @@ from contextuality.scenario import (
     Scenario,
     all_contexts,
     global_section_columns,
-    global_section_system,
     restrict,
     sections_over,
 )
 from contextuality.violations import additivity_violation
 from contextuality.wps import build_combinatorial_rep
 
-from conftest import noisy_cycle
+from conftest import global_section_system, noisy_cycle
 
 
 def cycle_scenario(n: int) -> Scenario:
@@ -129,9 +128,9 @@ def recorded_solves(monkeypatch) -> list:
 class TestAgainstRestrictionOracle:
     def test_columns_and_rows_follow_enumeration_order(self, name, model):
         columns, labels, _, _ = oracle_system(model, lambda c, s: 0)
-        system = global_section_system(model.scenario)
-        assert system.columns == columns
-        assert system.rows == labels
+        source = global_section_columns(model.scenario)
+        assert tuple(source.section(j) for j in range(len(source))) == columns
+        assert source.rows == labels
 
     def test_solver_receives_the_oracle_matrix(self, name, model, monkeypatch):
         seen = recorded_solves(monkeypatch)
@@ -163,10 +162,9 @@ class TestAgainstRestrictionOracle:
 
     def test_every_column_meets_one_row_per_context(self, name, model):
         scenario = model.scenario
-        system = global_section_system(scenario)
-        assert len(system.incidence) == len(system.columns)
-        for rows in system.incidence:
-            assert [system.rows[r][0] for r in rows] == list(scenario.maximal_contexts)
+        source = global_section_columns(scenario)
+        for j in range(len(source)):
+            assert [source.rows[r][0] for r in source.column(j)[0]] == list(scenario.maximal_contexts)
 
 
 @pytest.mark.parametrize("name", [entry.name for entry in catalog()])
@@ -178,26 +176,14 @@ def test_additivity_solve_receives_the_oracle_matrix(name, catalog_reps, monkeyp
     assert seen == [(matrix, rhs)]
 
 
-def test_system_is_immutable_and_cached():
-    scenario = cycle_scenario(4)
-    system = global_section_system(scenario)
-    assert all(isinstance(part, tuple) for part in system)
-    assert all(isinstance(rows, tuple) for rows in system.incidence)
-    assert global_section_system(cycle_scenario(4)) is system
-
-
-def test_cap_is_checked_on_every_call():
-    scenario = cycle_scenario(4)
-    global_section_system(scenario)
-    with pytest.raises(EnumerationCapError):
-        global_section_system(scenario, cap=15)
-
-
 def test_cap_message_names_the_global_sections():
     model = noisy_cycle(4, Fraction(1, 8))
     message = "enumerating 16 global sections exceeds the cap of 15"
     with pytest.raises(EnumerationCapError, match=f"^{message}$"):
-        global_section_system(model.scenario, cap=15)
+        consistent_global_sections(model, cap=15)
+    # The certificate check refuses before reading its labels.
+    with pytest.raises(EnumerationCapError, match=f"^{message}$"):
+        GlobalDistributionCertificate((), ()).verify(model, cap=15)
     # Every path to the global-section solve checks it, the source built or not.
     global_section_columns(model.scenario)
     for solve in (global_distribution, classify):
@@ -222,6 +208,7 @@ def test_source_columns_are_the_incidence(scenario):
     assert len(source) == len(system.columns)
     assert [tuple(source.column(j)[0]) for j in range(len(source))] == list(system.incidence)
     assert all(set(source.column(j)[1]) == {1} for j in range(len(source)))
+    assert [source.section(j) for j in range(len(source))] == list(system.columns)
     assert global_section_columns(scenario) is source
 
 
@@ -245,6 +232,24 @@ def test_oracle_pricing_matches_enumeration(data):
     assert source.entering(weights, False) == (first, best)
     positive = next(j for j, cost in enumerate(costs) if cost > 0)
     assert source.entering(weights, True) == (positive, costs[positive])
+
+
+ONE_MEASUREMENT = Scenario(("m",), (("m",),), ("0", "1", "2"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_certificate_max_sum_matches_enumeration(data):
+    # The certificate check's own elimination, first measurement first, against every column sum.
+    scenario = data.draw(st.sampled_from(PRICED + [ONE_MEASUREMENT]), label="scenario")
+    system = global_section_system(scenario)
+    weights = data.draw(st.lists(st.integers(-9, 9), min_size=len(system.rows), max_size=len(system.rows)),
+                        label="weights")
+    tables = {}
+    for (c, s), w in zip(system.rows, weights):
+        tables.setdefault(c, {})[s.values] = w
+    best = max(sum(weights[r] for r in rows) for rows in system.incidence)
+    assert classifier._largest_column_sum(scenario, tables) == best
 
 
 # ---------------------------------------------------------------------------
@@ -346,45 +351,36 @@ def test_classify_never_restricts(monkeypatch):
     for module in list(sys.modules.values()):
         if module.__name__.startswith("contextuality") and getattr(module, "restrict", None) is restrict:
             monkeypatch.setattr(module, "restrict", refuse)
-    scenario_module._global_section_system.cache_clear()
+    scenario_module.global_section_columns.cache_clear()
     assert [classify(model).tier for model in models] == tiers
 
 
 def test_classify_materialises_no_global_section(monkeypatch):
+    # The noisy 19-cycle at 1/16 is Probabilistic: its certificate is checked without enumeration too.
     models = [entry.model for entry in catalog()] + [noisy_cycle(n, Fraction(1, 8)) for n in (*range(3, 9), 12)]
+    models.append(noisy_cycle(19, Fraction(1, 16)))
     verdicts = [classify(model) for model in models]
-    system, verify, sections = (scenario_module._global_section_system, GlobalDistributionCertificate.verify,
-                                sections_over)
-    verifying = []
-
-    def guarded_system(scenario):
-        if not verifying:
-            raise AssertionError("global-section system built on the classify path")
-        return system(scenario)
-
-    def guarded_verify(self, *args, **kwargs):
-        verifying.append(self)
-        try:
-            return verify(self, *args, **kwargs)
-        finally:
-            verifying.pop()
+    assert verdicts[-1].tier is Tier.PROBABILISTIC
+    sections = sections_over
 
     def guarded_sections(scenario, measurements, *args, **kwargs):
         measurements = tuple(measurements)
-        if not verifying and set(measurements) == set(scenario.measurements):
+        if set(measurements) == set(scenario.measurements):
             raise AssertionError("global sections enumerated on the classify path")
         return sections(scenario, measurements, *args, **kwargs)
 
-    system.cache_clear()
+    def refuse(*args, **kwargs):
+        raise AssertionError("global sections listed on the classify path")
+
     scenario_module.global_section_columns.cache_clear()
-    monkeypatch.setattr(scenario_module, "_global_section_system", guarded_system)
-    monkeypatch.setattr(GlobalDistributionCertificate, "verify", guarded_verify)
+    monkeypatch.setattr(classifier, "consistent_global_sections", refuse)
     for module in list(sys.modules.values()):
         if module.__name__.startswith("contextuality") and getattr(module, "sections_over", None) is sections:
             monkeypatch.setattr(module, "sections_over", guarded_sections)
     again = [classify(model) for model in models]
     assert [v.tier for v in again] == [v.tier for v in verdicts]
     assert [v.logical_witness for v in again] == [v.logical_witness for v in verdicts]
+    assert [v.certificate for v in again] == [v.certificate for v in verdicts]
     assert [v.global_distribution for v in again] == [v.global_distribution for v in verdicts]
     assert {v.tier for v in verdicts} == set(Tier)
 
@@ -414,6 +410,22 @@ class TestCertificateTampering:
     def test_missing_coefficient_fails(self, certificate):
         tampered = GlobalDistributionCertificate(certificate.rows, certificate.coefficients[:-1])
         assert tampered.verify(bell_model()) is False
+
+    def test_coefficient_raised_past_a_column_fails(self, certificate):
+        # Raising row r's coefficient by the least slack -Σ y of a column through r
+        # keeps yᵀA <= 0; any more turns that column's sum positive.
+        system = global_section_system(bell_model().scenario)
+        weight_of = dict(zip(certificate.rows, certificate.coefficients))
+        y = [weight_of[label] for label in system.rows]
+        sums = [sum(y[r] for r in rows) for rows in system.incidence]
+        for r, label in enumerate(system.rows):
+            slack = min(-total for total, rows in zip(sums, system.incidence) if r in rows)
+            for raise_by, holds in ((slack, True), (slack + Fraction(1, 1000), False)):
+                raised = {**weight_of, label: weight_of[label] + raise_by}
+                tampered = GlobalDistributionCertificate(tuple(raised), tuple(raised.values()))
+                column_sums = [sum(raised[system.rows[k]] for k in rows) for rows in system.incidence]
+                assert (max(column_sums) <= 0) is holds
+                assert tampered.verify(bell_model()) is holds
 
     def test_each_flipped_coefficient_fails(self, certificate):
         flippable = [i for i, coef in enumerate(certificate.coefficients) if coef != 0]

@@ -3,7 +3,7 @@
 Each CLI command runs in process on the five catalog models and the bundled
 singlet experiment document.  A command that writes a document (``--out``)
 is pinned by the document's sha256, every other command by the sha256 of
-its stdout.  Demos 02-04 must print exactly their stored transcripts.
+its stdout.  Demos 01-04 must print exactly their stored transcripts.
 Refactors of the representation layers must leave all of these unchanged.
 """
 

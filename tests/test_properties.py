@@ -171,8 +171,25 @@ class TestRepresentationConditions:
             assert verdict.ok, f"{name}: {verdict}"
             assert not rep.combinatorial
 
+    def test_excision_core_points_glue_to_a_global_image(self, catalog_reps, padded_catalog_reps):
+        # Each core point lies in exactly one outcome event per measurement,
+        # and the glued global section's image holds it.
+        for name, rep in [*catalog_reps.items(), *padded_catalog_reps.items()]:
+            scenario = rep.model.scenario
+            core = excise(rep).z
+            for i, label in enumerate(rep.points):
+                point = 1 << i
+                if not core & point:
+                    continue
+                locals_ = []
+                for x in scenario.measurements:
+                    holding = [s for s in sections_over(scenario, (x,)) if rep.event(s) & point]
+                    assert len(holding) == 1, (name, label, x)
+                    locals_.extend(holding)
+                assert rep.event(glue(locals_)) & point, (name, label)
+
     def test_excision_core_facts_on_padded_reps(self, padded_catalog_reps):
-        # excise() itself asserts the pointwise core facts; here we check the
+        # The pointwise core facts are checked above; here we check the
         # padding bookkeeping and the measure-zero guarantee.
         for name, rep in padded_catalog_reps.items():
             report = excise(rep)
