@@ -17,7 +17,7 @@ from pathlib import Path
 from . import catalog as _catalog
 from .classifier import Tier, classify
 from .dutchbook import convexity_hierarchy, find_dutch_book, verify_certificate
-from .errors import ContextualityError, EnumerationCapError, SchemaError
+from .errors import DEFAULT_ENUMERATION_CAP, ContextualityError, EnumerationCapError, SchemaError
 from .exports import export_bundle_diagram, export_nerve, structured_to_text
 from .model import EmpiricalModel, check_model
 from .quantum import (
@@ -40,7 +40,6 @@ from .serialize import (
     witness_from_dict,
     witness_to_dict,
 )
-from .errors import DEFAULT_ENUMERATION_CAP
 from .violations import (
     logical_subadditivity_violation,
     strong_subadditivity_violation,
@@ -110,9 +109,9 @@ def _cmd_classify(args) -> int:
     rep = build_combinatorial_rep(model, cap=args.cap)
     strong, _ = strong_subadditivity_violation(rep)
     logical, _ = logical_subadditivity_violation(rep)
-    # On a combinatorial representation additivity violation in every
-    # monotonic extension, no classical extension and a Dutch book are each
-    # the convexity violation over the maximal-context events: one solve.
+    # On a combinatorial representation additivity violation in every monotonic
+    # extension, no classical extension and a Dutch book are each the convexity
+    # violation over the maximal-context events: one global-section solve.
     convexity = convexity_hierarchy(rep)
     violated = convexity.probabilistic_violation
     structured = {

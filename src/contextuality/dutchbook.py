@@ -6,9 +6,9 @@ membership question is an exact feasibility problem; its failure yields a
 separating rational functional that normalizes into a stake function whose
 payoff is strictly negative against every point, verifiable by exhaustive
 enumeration.  On combinatorial representations the points are in bijection
-with global sections, which turns the convexity question over the
-maximal-context events into the global-distribution question; the same
-bijection grades convexity-violation into the three familiar strengths.
+with global sections, so the convexity hierarchy solves the question over
+the maximal-context events as the global-distribution question, and the
+same bijection grades convexity-violation into the three familiar strengths.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Mapping, Optional
 
+from .classifier import GlobalDistributionCertificate, _solve_global_system
 from .distribution import Distribution, marginalize
 from .errors import (
     InternalConsistencyError,
@@ -26,7 +27,7 @@ from .errors import (
     NotAnEventError,
     ScenarioMismatchError,
 )
-from .feasibility import solve_nonnegative
+from .feasibility import solve_columns
 from .scenario import Section, global_section_columns
 from .wps import Event, WpsRepresentation, _indices
 
@@ -108,28 +109,10 @@ def distribution_to_convex_point(rep: WpsRepresentation, global_distribution: Di
 # ---------------------------------------------------------------------------
 
 
-def _membership_system(rep: WpsRepresentation, events: list[Event]):
-    rows = [[ONE] * len(rep.points)]
-    rhs = [ONE]
-    labels: list[Event] = [rep.sample_space]
-    for event in events:
-        row = [ZERO] * len(rep.points)
-        for i in _indices(event):
-            row[i] = ONE
-        rows.append(row)
-        rhs.append(rep.mu_of(event))
-        labels.append(event)
-    return rows, rhs, labels
-
-
 def _solve_membership(rep: WpsRepresentation, restriction: Optional[Iterable[Event]]):
     """Solve the convexity-membership system; return (weights, labels, certificate)."""
     if restriction is None:
-        seen: dict[Event, None] = {}
-        for context in rep.sigma_algebras:
-            for atom in rep.context_atoms(context):
-                seen.setdefault(atom, None)
-        events = rep.sorted_events(seen)
+        events = rep.sorted_events(atom for context in rep.sigma_algebras for atom in rep.context_atoms(context))
         verify_against: Iterable[Event] = rep.sorted_events(rep.sigma)
     else:
         events = rep.sorted_events(restriction)
@@ -137,13 +120,16 @@ def _solve_membership(rep: WpsRepresentation, restriction: Optional[Iterable[Eve
             if not rep.in_sigma(event):
                 raise NotAnEventError("restriction sets must belong to the event family")
         verify_against = events
-    rows, rhs, labels = _membership_system(rep, events)
-    outcome = solve_nonnegative(rows, rhs)
+    columns = [[0] for _ in rep.points]  # row 0 normalizes; row k + 1 is the k-th event
+    for r, event in enumerate(events, 1):
+        for i in _indices(event):
+            columns[i].append(r)
+    outcome = solve_columns(columns, [ONE, *map(rep.mu_of, events)])
+    labels = [rep.sample_space, *events]
     if not outcome.feasible:
         return None, labels, outcome.certificate
     for event in verify_against:
-        got = sum((outcome.solution[i] for i in _indices(event)), ZERO)
-        if got != rep.mu_of(event):
+        if sum((outcome.solution[i] for i in _indices(event)), ZERO) != rep.mu_of(event):
             raise InternalConsistencyError("membership weights fail to reproduce an event value")
     return dict(zip(rep.points, outcome.solution)), labels, None
 
@@ -157,8 +143,7 @@ def convexity_membership(rep: WpsRepresentation,
     every family member).  Returns the weights, or None when the function
     lies outside the convex hull of the atomic functionals there.
     """
-    weights, _, _ = _solve_membership(rep, restriction)
-    return weights
+    return _solve_membership(rep, restriction)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +219,7 @@ def find_dutch_book(rep: WpsRepresentation) -> Optional[DutchBookCertificate]:
         weights, labels, farkas = _solve_membership(rep, None)
         if weights is not None:
             return None
-        stakes = [
-            (event, coef)
-            for event, coef in zip(labels, farkas.coefficients)
-            if coef != 0
-        ]
+        stakes = [(event, coef) for event, coef in zip(labels, farkas.coefficients) if coef != 0]
         worst = max(
             sum((coef for event, coef in stakes if event >> i & 1), ZERO)
             for i in range(len(rep.points))
@@ -273,22 +254,39 @@ class ConvexityVerdict:
             raise InternalConsistencyError("logical convexity-violation without probabilistic")
 
 
-def convexity_hierarchy(rep: WpsRepresentation,
-                        restriction: Optional[Iterable[Event]] = None) -> ConvexityVerdict:
+def _maximal_context_membership(rep: WpsRepresentation):
+    """(point weights reproducing every maximal-context value, None), or (None, a verified certificate).
+
+    Point g lies in the image of row (c, s) exactly when g|c = s, so this is the global-section system
+    with right-hand side mu(event(s)) on row (c, s), its columns relabelled by g -> event(g).
+    """
+    result = _solve_global_system(rep.model, lambda _, section: rep.mu_of(rep.event(section)))
+    if isinstance(result, GlobalDistributionCertificate):
+        return None, result
+    source = global_section_columns(rep.model.scenario)
+    weights = {rep.event(source.section(j)).bit_length() - 1: x for j, x in enumerate(result) if x}
+    for event in {rep.event(section) for _, section in source.rows}:
+        if sum((x for i, x in weights.items() if event >> i & 1), ZERO) != rep.mu_of(event):
+            raise InternalConsistencyError("transported weights fail to reproduce an event value")
+    return {point: weights.get(i, ZERO) for i, point in enumerate(rep.points)}, None
+
+
+def convexity_hierarchy(rep: WpsRepresentation) -> ConvexityVerdict:
     """Grade the failure of convexity over the maximal-context events.
 
     Probabilistic: the restricted set function is outside the convex hull
-    of the restricted atomic functionals.  Logical: its support indicator
-    is not the pointwise Boolean sum of any set of restricted functionals,
-    equivalently some positive-measure event contains no point lying only
-    in positive-measure events.  Strong: no functional is dominated by the
-    support indicator, equivalently no point lies only in positive-measure
-    events.  Requires a combinatorial representation.
+    of the restricted atomic functionals, decided on the global-section
+    system.  Logical: its support indicator is not the pointwise Boolean sum
+    of any set of restricted functionals, equivalently some positive-measure
+    event contains no point lying only in positive-measure events.  Strong:
+    no functional is dominated by the support indicator, equivalently no
+    point lies only in positive-measure events.  Requires a combinatorial
+    representation.
     """
     if not rep.combinatorial:
         raise NonCombinatorialError("the convexity hierarchy needs a combinatorial representation")
-    events = rep.sorted_events(rep.maximal_context_events() if restriction is None else restriction)
-    weights = convexity_membership(rep, events)
+    events = rep.maximal_context_events()
+    weights, _ = _maximal_context_membership(rep)
     _, clean = _null_cover(rep, events)
     logical = any(rep.mu_of(e) > 0 and not e & clean for e in events)
     return ConvexityVerdict(not clean, logical, weights is None, weights)

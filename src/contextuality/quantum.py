@@ -41,14 +41,18 @@ DEFAULT_SNAP_TOLERANCE = 1e-9
 DEFAULT_DENOMINATOR_BOUND = 4096
 
 
+def _real(part) -> float:
+    """A 'p/q' string through its exact fraction; any other string or number through ``float``."""
+    return float(Fraction(part)) if isinstance(part, str) and "/" in part else float(part)
+
+
 def _as_complex_vector(entries: Sequence) -> np.ndarray:
     import numpy as np
 
     values = []
     for entry in entries:
         if isinstance(entry, (tuple, list)) and len(entry) == 2:
-            re, im = (float(Fraction(part)) if isinstance(part, str) else float(part) for part in entry)
-            values.append(complex(re, im))
+            values.append(complex(*map(_real, entry)))
         else:
             values.append(complex(entry))
     return np.asarray(values, dtype=np.complex128)
@@ -285,12 +289,9 @@ def _complex_entry(value, field: str) -> complex:
         if isinstance(value, (list, tuple)):
             if len(value) != 2:
                 raise ValueError("complex entries are [re, im] pairs")
-            re, im = value
-            re = float(Fraction(re)) if isinstance(re, str) else float(re)
-            im = float(Fraction(im)) if isinstance(im, str) else float(im)
-            entry = complex(re, im)
+            entry = complex(*map(_real, value))
         elif isinstance(value, str):
-            entry = complex(float(Fraction(value)))
+            entry = complex(_real(value))
         else:
             entry = complex(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:

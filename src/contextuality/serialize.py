@@ -9,6 +9,7 @@ joined).  Every document carries ``schema_version`` and ``kind``.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -38,7 +39,8 @@ def _check_label(label: Any, field: str) -> str:
 
 
 def _fraction_from(value: Any, field: str) -> Fraction:
-    if not isinstance(value, str):
+    # Only the written form: Fraction would also read "1e10000000", and take seconds to expand it.
+    if not isinstance(value, str) or not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
         raise SchemaError(f"probabilities must be 'p/q' strings, got {value!r}", field)
     try:
         return Fraction(value)

@@ -28,13 +28,12 @@ from typing import Iterable, Optional
 from .classifier import (
     GlobalDistributionCertificate,
     Tier,
-    _solve_global_system,
     global_distribution,
     is_logically_contextual,
     is_strongly_contextual,
 )
 from .distribution import Distribution
-from .dutchbook import _null_cover, convexity_membership
+from .dutchbook import _maximal_context_membership, _null_cover, convexity_membership
 from .errors import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -374,8 +373,8 @@ def additivity_violation(rep: WpsRepresentation) -> tuple[bool, Optional[Violati
     marginalization failure of the canonical extension.
     """
     _require_combinatorial(rep)
-    certificate = _solve_global_system(rep.model, lambda _, section: rep.mu_of(rep.event(section)))
-    if not isinstance(certificate, GlobalDistributionCertificate):
+    _, certificate = _maximal_context_membership(rep)
+    if certificate is None:
         return False, None
     return True, _canonical_additivity_witness(rep, certificate)
 

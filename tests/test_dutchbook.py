@@ -13,6 +13,7 @@ from contextuality.catalog import (
     bell_model,
     ghz_model,
     hardy_model,
+    perturbed_model,
     pr_box_model,
     random_deterministic_mixture,
     specker_triangle_model,
@@ -30,10 +31,11 @@ from contextuality.dutchbook import (
     section_to_functional,
     verify_certificate,
 )
-from contextuality.errors import NotAnEventError
+from contextuality.errors import InternalConsistencyError, NotAnEventError
 from contextuality.scenario import restrict, sections_over
 from contextuality.violations import has_classical_extension
 from contextuality.wps import build_combinatorial_rep
+from conftest import noisy_cycle
 
 
 @pytest.fixture(scope="module")
@@ -104,12 +106,12 @@ class TestFindDutchBook:
     ])
     def test_null_cover_is_tried_before_the_membership_system(self, catalog_reps, name, solves, monkeypatch):
         calls = []
-        core = dutchbook.solve_nonnegative
+        core = dutchbook.solve_columns
 
-        def counting(rows, rhs):
-            calls.append(len(rows))
-            return core(rows, rhs)
-        monkeypatch.setattr(dutchbook, "solve_nonnegative", counting)
+        def counting(columns, rhs):
+            calls.append(len(rhs))
+            return core(columns, rhs)
+        monkeypatch.setattr(dutchbook, "solve_columns", counting)
         certificate = find_dutch_book(catalog_reps[name])
         assert certificate is not None and verify_certificate(catalog_reps[name], certificate)
         assert len(calls) == solves
@@ -251,6 +253,56 @@ class TestConvexityHierarchy:
                         break
             verdict = convexity_hierarchy(rep)
             assert verdict.logical_violation == (not achievable)
+
+
+class TestHierarchyOnTheGlobalSectionSource:
+    """``convexity_hierarchy`` solves the global-section system; the membership
+    system over the points stays the oracle it must agree with."""
+
+    @pytest.fixture(scope="class")
+    def pool(self, catalog_entries, catalog_reps, control_rep):
+        rng = random.Random(1717)
+        pool = {f"catalog:{name}": rep for name, rep in catalog_reps.items()}
+        pool["control"] = control_rep
+        for name, entry in catalog_entries.items():
+            pool[f"perturbed:{name}"] = build_combinatorial_rep(perturbed_model(entry.model, rng))
+        for n in range(3, 9):
+            for share in (Fraction(1, 8), Fraction(1, 2)):
+                pool[f"cycle-{n}:{share}"] = build_combinatorial_rep(noisy_cycle(n, share))
+        pool["reversed:bell"] = build_combinatorial_rep(bell_model(), point_order="reversed")
+        return pool
+
+    def test_probabilistic_violation_matches_the_membership_oracle(self, pool):
+        verdicts = set()
+        for name, rep in pool.items():
+            violated = convexity_hierarchy(rep).probabilistic_violation
+            assert violated == (convexity_membership(rep, rep.maximal_context_events()) is None), name
+            verdicts.add(violated)
+        assert verdicts == {False, True}
+
+    def test_convex_weights_reproduce_every_maximal_context_value(self, pool):
+        checked = 0
+        for name, rep in pool.items():
+            weights = convexity_hierarchy(rep).convex_weights
+            if weights is None:
+                continue
+            checked += 1
+            assert list(weights) == list(rep.points), name
+            assert all(w >= 0 for w in weights.values()), name
+            for event in rep.maximal_context_events():
+                assert sum((weights[p] for p in rep.points_of(event)), Fraction(0)) == rep.mu_of(event), name
+        assert checked >= 10
+
+    def test_transported_solution_is_rechecked(self, control_rep, monkeypatch):
+        # Each column's weight handed to the next global section's point.
+        solve = dutchbook._solve_global_system
+
+        def rotated(*args):
+            solution = solve(*args)
+            return solution[-1:] + solution[:-1]
+        monkeypatch.setattr(dutchbook, "_solve_global_system", rotated)
+        with pytest.raises(InternalConsistencyError, match="transported weights"):
+            convexity_hierarchy(control_rep)
 
 
 class TestDeFinettiTriangle:

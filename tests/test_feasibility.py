@@ -332,16 +332,22 @@ def test_global_section_systems_follow_the_dense_tableau(n, noise):
 def test_membership_systems_follow_the_dense_tableau(catalog_reps, padded_catalog_reps, monkeypatch):
     seen = []
 
-    def checked(rows, rhs):
+    def checked(columns, rhs):
+        rows = [[0] * len(columns) for _ in rhs]
+        for j, column in enumerate(columns):
+            for r in column:
+                rows[r][j] = 1
         seen.append(len(rows))
-        return assert_follows_dense_tableau(rows, rhs)
-    monkeypatch.setattr(dutchbook, "solve_nonnegative", checked)
+        outcome = solve_columns(columns, rhs)
+        assert outcome == assert_follows_dense_tableau(rows, rhs)
+        return outcome
+    monkeypatch.setattr(dutchbook, "solve_columns", checked)
     # find_dutch_book solves nothing when the null events cover the space, so
-    # the whole-family systems are also posed directly.
+    # the whole-family and maximal-context systems are also posed directly.
     for rep in catalog_reps.values():
         dutchbook.find_dutch_book(rep)
-        dutchbook.convexity_hierarchy(rep)
         dutchbook.convexity_membership(rep)
+        dutchbook.convexity_membership(rep, rep.maximal_context_events())
     for rep in padded_catalog_reps.values():
         dutchbook.find_dutch_book(rep)
         dutchbook.convexity_membership(rep)

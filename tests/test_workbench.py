@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contextuality import classifier, feasibility
+from contextuality import classifier, dutchbook, feasibility
 from contextuality.catalog import (
     bell_model,
     catalog,
@@ -348,6 +348,60 @@ class TestCli:
         # The message names the broken field, not a later symptom of it.
         assert [key for key in path if isinstance(key, str)][-1] in err
 
+    @pytest.mark.parametrize("kind, path, field", [
+        ("model", ("tables", "a,b", "0,0"), "tables.a,b.0,0"),
+        ("certificate", ("loss_bound",), "loss_bound"),
+        ("certificate", ("stakes", 0, "stake"), "stakes[0].stake"),
+        ("witness", ("defect",), "defect"),
+        ("extension", ("values", 0, "value"), "values[0].value"),
+        ("experiment", ("state", 0, 0), "state[0]"),
+        ("experiment", ("projectors", 0, "matrix", 0, 0), "projectors[0].matrix[0][0]"),
+    ])
+    def test_exponent_string_exits_2_promptly(self, kind, path, field, tmp_path, capsys):
+        # Fraction("1e10000000") would expand 10**10000000 before anything
+        # could reject it; a rational field takes only the "p/q" form, and an
+        # experiment entry reads as a float, which overflows.
+        rep = build_combinatorial_rep(bell_model())
+        document = {
+            "model": lambda: model_to_dict(bell_model()),
+            "certificate": lambda: certificate_to_dict(rep, find_dutch_book(rep)),
+            "witness": lambda: witness_to_dict(rep, tier_violation_witness(rep, Tier.PROBABILISTIC)),
+            "extension": lambda: extension_to_dict(rep, ExplicitExtension(rep, rep.mu), "monotonic"),
+            "experiment": lambda: experiment_to_dict(singlet_experiment()),
+        }[kind]()
+        target = document
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = "1e10000000"
+        file = tmp_path / f"{kind}.json"
+        file.write_text(json.dumps(document))
+        argv = ["classify", str(file)] if kind in ("model", "experiment") else ["verify", "bell", "--file", str(file)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f" (at {field})\n")
+        assert ("is not finite" if kind == "experiment" else "must be 'p/q' strings, got '1e10000000'") in err
+
+    def test_experiment_entries_in_exponent_form_still_load(self, tmp_path, capsys):
+        # The experiment writer emits repr(float); the same floats written
+        # with an exponent classify identically.
+        def exponent(node):
+            if isinstance(node, list):
+                return [exponent(v) for v in node]
+            return format(float(node), ".17e") if isinstance(node, str) else node
+
+        plain = experiment_to_dict(singlet_experiment())
+        rewritten = {**plain, "state": exponent(plain["state"]),
+                     "projectors": [{**item, "matrix": exponent(item["matrix"])} for item in plain["projectors"]]}
+        assert rewritten["state"] != plain["state"]
+        outputs = []
+        for folder, document in (("plain", plain), ("exponent", rewritten)):
+            (tmp_path / folder).mkdir()
+            file = tmp_path / folder / "singlet.json"
+            file.write_text(json.dumps(document))
+            assert main(["classify", str(file)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and "tier: Probabilistic" in outputs[0]
+
     def test_classify_overflowing_projector_exits_2(self, tmp_path, capsys):
         # Finite entries whose square overflows; the error names the projector.
         document = experiment_to_dict(singlet_experiment())
@@ -385,6 +439,24 @@ class TestCli:
             name = str(path)
         assert main(["classify", name]) == 0
         assert 1 <= len(solves) <= most
+        assert "tier: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["bell", "hardy", "pr-box", "specker-triangle", "ghz", "singlet", "cycle-8"])
+    def test_classify_poses_no_explicit_column_system(self, name, monkeypatch, tmp_path, capsys):
+        # Every convexity line comes from the global-section source, so no
+        # membership system over the representation's points is built.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("classify posed an explicit-column system")
+
+        monkeypatch.setattr(feasibility, "solve_columns", forbidden)
+        monkeypatch.setattr(dutchbook, "solve_columns", forbidden)
+        documents = {"singlet": lambda: experiment_to_dict(singlet_experiment()),
+                     "cycle-8": lambda: model_to_dict(noisy_cycle(8, Fraction(1, 8)))}
+        if name in documents:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(documents[name]()))
+            name = str(path)
+        assert main(["classify", name]) == 0
         assert "tier: " in capsys.readouterr().out
 
     def test_classify_structured_matches_independent_routines(self, tmp_path, capsys):
