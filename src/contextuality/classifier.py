@@ -28,7 +28,7 @@ from .distribution import Distribution, marginalize
 from .errors import DEFAULT_ENUMERATION_CAP, InternalConsistencyError
 from .feasibility import solve_source
 from .model import EmpiricalModel
-from .scenario import Scenario, Section, check_global_section_cap, global_section_columns, sections_over
+from .scenario import Scenario, Section, check_global_section_cap, global_section_columns
 
 
 class Tier(Enum):
@@ -113,7 +113,7 @@ class GlobalDistributionCertificate:
         # The cap bounds every elimination table: each holds at most |O|^n entries.
         scenario = model.scenario
         check_global_section_cap(scenario, cap)
-        labels = [(c, s) for c in scenario.maximal_contexts for s in sections_over(scenario, c, cap=math.inf)]
+        labels = global_section_columns(scenario).rows
         if len(self.coefficients) != len(self.rows):
             return False
         weight_of = dict(zip(self.rows, self.coefficients))
@@ -159,13 +159,13 @@ def _solve_global_system(model: EmpiricalModel, rhs_of: Callable[[tuple, Section
                          cap: int = DEFAULT_ENUMERATION_CAP):
     """Solve the global-section system with right-hand side ``rhs_of(c, s)`` on row ``(c, s)``.
 
-    Returns the solution over the columns, or a verified certificate of infeasibility.
+    Returns the solution's support keyed by global section, or a verified certificate of infeasibility.
     """
     check_global_section_cap(model.scenario, cap)
     source = global_section_columns(model.scenario)
     outcome = solve_source(source, [rhs_of(c, s) for c, s in source.rows])
     if outcome.feasible:
-        return outcome.solution
+        return {source.section(j): x for j, x in outcome.solution.items()}
     certificate = GlobalDistributionCertificate(source.rows, outcome.certificate.coefficients)
     if not certificate.verify(model, cap=cap):
         raise InternalConsistencyError("infeasibility certificate failed independent verification")
@@ -181,10 +181,7 @@ def global_distribution(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CA
     result = _solve_global_system(model, lambda c, s: model.table(c).weight(s), cap)
     if isinstance(result, GlobalDistributionCertificate):
         return result
-    scenario = model.scenario
-    source = global_section_columns(scenario)
-    support = {source.section(j): x for j, x in enumerate(result) if x}
-    return Distribution._from_support(scenario, scenario.measurements, support)
+    return Distribution._from_support(model.scenario, model.scenario.measurements, result)
 
 
 @dataclass(frozen=True)

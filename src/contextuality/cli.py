@@ -3,8 +3,8 @@
 Subcommands: classify, witness, dutchbook, verify, export, catalog-list.
 Models come from the catalog by name or from a JSON document (an empirical
 model, or a quantum experiment ingested through the Born rule with the
-snapping flags).  Exit codes: 0 success, 2 validation failure, 3
-enumeration cap exceeded.
+snapping flags).  Exit codes: 0 success, 2 validation failure or an
+unreadable path, 3 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -347,7 +347,7 @@ def main(argv=None) -> int:
     except EnumerationCapError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (ContextualityError, FileNotFoundError) as exc:
+    except (ContextualityError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

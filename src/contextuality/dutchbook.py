@@ -27,7 +27,7 @@ from .errors import (
     NotAnEventError,
     ScenarioMismatchError,
 )
-from .feasibility import solve_columns
+from .feasibility import ExplicitColumns, solve_source
 from .scenario import Section, global_section_columns
 from .wps import Event, WpsRepresentation, _indices
 
@@ -109,6 +109,15 @@ def distribution_to_convex_point(rep: WpsRepresentation, global_distribution: Di
 # ---------------------------------------------------------------------------
 
 
+def _checked_weights(rep: WpsRepresentation, support: dict[int, Fraction], events: Iterable[Event],
+                     origin: str) -> dict[str, Fraction]:
+    """Every point's weight from a support {point index: weight}, which must reproduce each event's value."""
+    for event in events:
+        if sum((x for i, x in support.items() if event >> i & 1), ZERO) != rep.mu_of(event):
+            raise InternalConsistencyError(f"{origin} weights fail to reproduce an event value")
+    return {point: support.get(i, ZERO) for i, point in enumerate(rep.points)}
+
+
 def _solve_membership(rep: WpsRepresentation, restriction: Optional[Iterable[Event]]):
     """Solve the convexity-membership system; return (weights, labels, certificate)."""
     if restriction is None:
@@ -124,14 +133,12 @@ def _solve_membership(rep: WpsRepresentation, restriction: Optional[Iterable[Eve
     for r, event in enumerate(events, 1):
         for i in _indices(event):
             columns[i].append(r)
-    outcome = solve_columns(columns, [ONE, *map(rep.mu_of, events)])
+    ones = [(1,) * len(column) for column in columns]
+    outcome = solve_source(ExplicitColumns(columns, ones, len(events) + 1), [ONE, *map(rep.mu_of, events)])
     labels = [rep.sample_space, *events]
     if not outcome.feasible:
         return None, labels, outcome.certificate
-    for event in verify_against:
-        if sum((outcome.solution[i] for i in _indices(event)), ZERO) != rep.mu_of(event):
-            raise InternalConsistencyError("membership weights fail to reproduce an event value")
-    return dict(zip(rep.points, outcome.solution)), labels, None
+    return _checked_weights(rep, outcome.solution, verify_against, "membership"), labels, None
 
 
 def convexity_membership(rep: WpsRepresentation,
@@ -263,12 +270,9 @@ def _maximal_context_membership(rep: WpsRepresentation):
     result = _solve_global_system(rep.model, lambda _, section: rep.mu_of(rep.event(section)))
     if isinstance(result, GlobalDistributionCertificate):
         return None, result
-    source = global_section_columns(rep.model.scenario)
-    weights = {rep.event(source.section(j)).bit_length() - 1: x for j, x in enumerate(result) if x}
-    for event in {rep.event(section) for _, section in source.rows}:
-        if sum((x for i, x in weights.items() if event >> i & 1), ZERO) != rep.mu_of(event):
-            raise InternalConsistencyError("transported weights fail to reproduce an event value")
-    return {point: weights.get(i, ZERO) for i, point in enumerate(rep.points)}, None
+    support = {rep.event(g).bit_length() - 1: x for g, x in result.items()}
+    events = {rep.event(section) for _, section in global_section_columns(rep.model.scenario).rows}
+    return _checked_weights(rep, support, events, "transported"), None
 
 
 def convexity_hierarchy(rep: WpsRepresentation) -> ConvexityVerdict:

@@ -20,11 +20,9 @@ the simplex enters: the least index with the largest positive value, or
 with ``bland`` the least index with a positive value, together with that
 value, or None when no value is positive.
 :class:`ExplicitColumns` lists its columns, prices every one of them, and
-takes its dense rows as local rows; :func:`solve_columns` builds it from
-sparse columns, each row scaled once by the lcm of its entries'
-denominators, and :func:`solve_nonnegative` is the dense adapter of that.
-The global-section system has this one source
-(:func:`scenario.global_section_columns`); it prices by variable
+takes its dense rows as local rows; the Dutch-book membership systems pose
+their 0/1 point columns through it.  The global-section system has one
+source (:func:`scenario.global_section_columns`); it prices by variable
 elimination over the contexts and has one local coordinate per
 tensor-basis function over a context, so neither the presolve nor a pivot
 of a global-section solve, nor the classifier's re-check of its
@@ -63,8 +61,10 @@ progress lowers the phase-1 objective, and Bland's rule cannot cycle, so
 every degenerate run ends and the simplex terminates.  The Farkas ray is
 read exactly from the final basis and checked with the source's exact
 maximum over all columns; the primal vector, x_j = block[r][k] / (d·L), is
-checked against every row in integers scaled by d·L.  All orderings are
-fixed, so the output is deterministic.
+checked against every row in integers scaled by d·L and returned as its
+support, ``{j: x_j}`` over the basic columns with x_j > 0 in ascending j, so
+no solve lists all the columns.  All orderings are fixed, so the output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -72,12 +72,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul, ne
+from operator import mul
 from typing import Sequence
 
 from .errors import InternalConsistencyError
-
-ZERO = Fraction(0)
 
 # Consecutive degenerate pivots priced by the largest reduced cost before
 # pricing falls back to Bland's least-index rule.
@@ -112,7 +110,7 @@ class FarkasCertificate:
 @dataclass(frozen=True)
 class FeasibilityOutcome:
     feasible: bool
-    solution: tuple[Fraction, ...] | None
+    solution: dict[int, Fraction] | None
     certificate: FarkasCertificate | None
 
 
@@ -154,55 +152,6 @@ class ExplicitColumns:
         return None if col is None else (col, costs[col])
 
 
-def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> FeasibilityOutcome:
-    """Find x >= 0 with A x = b, or a Farkas certificate that none exists."""
-    rhs = list(rhs)
-    if len(rows) != len(rhs):
-        raise ValueError("one right-hand side per row required")
-    n = len(rows[0]) if rows else 0
-    if any(len(row) != n for row in rows):
-        raise ValueError("ragged coefficient matrix")
-    columns, values = [], []
-    for column in zip(*rows):
-        support = tuple(i for i, v in enumerate(column) if v)
-        columns.append(support)
-        values.append(tuple(column[i] for i in support))
-    return solve_columns(columns, rhs, values)
-
-
-def solve_columns(columns: Sequence[Sequence[int]], rhs: Sequence,
-                  values: Sequence[Sequence] | None = None) -> FeasibilityOutcome:
-    """Find x >= 0 with A x = b, or a Farkas certificate, for A given by its sparse columns.
-
-    ``columns[j]`` lists the rows, each once and in ``range(len(rhs))``, at
-    which column j is non-zero; ``values[j]`` holds those entries in the same
-    order, or ``values`` is None when every listed entry is one.
-    """
-    b = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in rhs]
-    m = len(b)
-    if any(rows and (min(rows) < 0 or max(rows) >= m) for rows in columns):
-        raise ValueError("column lists a row outside the system")
-    if values is None:
-        values = [(1,) * len(rows) for rows in columns]
-    elif len(values) != len(columns) or any(map(ne, map(len, columns), map(len, values))):
-        raise ValueError("one value per listed row required")
-    values = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in column] for column in values]
-    # Each row times the lcm of its entries' denominators: an integer matrix.
-    denominator = [1] * m
-    for rows, column in zip(columns, values):
-        for r, v in zip(rows, column):
-            denominator[r] = lcm(denominator[r], v.denominator)
-    scaled = [tuple(v.numerator * (denominator[r] // v.denominator) for r, v in zip(rows, column))
-              for rows, column in zip(columns, values)]
-    outcome = solve_source(ExplicitColumns(columns, scaled, m), [v * s for v, s in zip(b, denominator)])
-    if outcome.feasible:
-        return outcome
-    # The primitive certificate of the original rows: a positive row scaling keeps every sign.
-    y = [int(v) * s for v, s in zip(outcome.certificate.coefficients, denominator)]
-    g = gcd(*y)
-    return FeasibilityOutcome(False, None, FarkasCertificate(tuple(Fraction(v // g) for v in y)))
-
-
 def solve_source(source, rhs: Sequence) -> FeasibilityOutcome:
     """Find x >= 0 with A x = b, or a Farkas certificate, for the integer A of a column source."""
     b = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in rhs]
@@ -219,7 +168,7 @@ def solve_source(source, rhs: Sequence) -> FeasibilityOutcome:
 
     k = len(independent)
     if not k:
-        return FeasibilityOutcome(True, tuple(ZERO for _ in range(n)), None)
+        return FeasibilityOutcome(True, {}, None)
 
     sign = [-1 if v < 0 else 1 for v in whole]
     cost = [v.denominator for v in b]
@@ -235,11 +184,10 @@ def solve_source(source, rhs: Sequence) -> FeasibilityOutcome:
 
     # A x = b checked in integers: d·L·x_j is block[r][k] for column j basic
     # in row r, so row i of A sums to d·L·b_i, which is d·sign_i·target_i.
-    solution = [ZERO] * n
+    solution = {}
     totals = [0] * len(b)
     for r, j in enumerate(basis):
-        if j < n:
-            x = block[r][k]
+        if j < n and (x := block[r][k]):
             if x < 0:
                 raise InternalConsistencyError("simplex returned a negative component")
             for i, v in zip(*source.column(j)):
@@ -247,7 +195,7 @@ def solve_source(source, rhs: Sequence) -> FeasibilityOutcome:
             solution[j] = Fraction(x, d * common)
     if any(t * s != d * goal for t, s, goal in zip(totals, sign, target)):
         raise InternalConsistencyError("simplex returned a vector that misses a constraint")
-    return FeasibilityOutcome(True, tuple(solution), None)
+    return FeasibilityOutcome(True, dict(sorted(solution.items())), None)
 
 
 def _phase1(source, sign: list[int], cost: list[int], target: list[int],

@@ -302,4 +302,7 @@ def loads(text: str) -> dict:
 
 def load(path) -> dict:
     with open(path, encoding="utf-8") as handle:
-        return loads(handle.read())
+        try:
+            return loads(handle.read())
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"not valid UTF-8: {exc}") from None

@@ -1,5 +1,5 @@
 """Shared fixtures: catalog representations, standard paddings, noisy cycles, the
-enumerated global-section system and document fuzz values."""
+enumerated global-section system, the dense solver adapter and document fuzz values."""
 
 from __future__ import annotations
 
@@ -7,13 +7,17 @@ import copy
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from math import gcd, lcm
+from operator import ne
+from typing import NamedTuple, Sequence
 
 import pytest
 from hypothesis import strategies as st
 
+from contextuality import feasibility
 from contextuality.catalog import catalog
 from contextuality.distribution import Distribution
+from contextuality.feasibility import ExplicitColumns, FarkasCertificate, FeasibilityOutcome
 from contextuality.model import EmpiricalModel
 from contextuality.scenario import Scenario, Section, restrict, sections_over
 from contextuality.wps import PadPoint, build_combinatorial_rep, build_padded_rep
@@ -71,6 +75,65 @@ def global_section_system(scenario: Scenario) -> GlobalSectionSystem:
     row_of = {label: r for r, label in enumerate(rows)}
     incidence = tuple(tuple(row_of[(c, restrict(g, c))] for c in scenario.maximal_contexts) for g in columns)
     return GlobalSectionSystem(columns, rows, incidence)
+
+
+def dense_outcome(outcome: FeasibilityOutcome, n: int) -> FeasibilityOutcome:
+    """The outcome with its sparse primal ``{j: x_j}`` expanded into a tuple over all n columns."""
+    if not outcome.feasible:
+        return outcome
+    return FeasibilityOutcome(True, tuple(outcome.solution.get(j, Fraction(0)) for j in range(n)), None)
+
+
+def solve_nonnegative(rows: Sequence[Sequence], rhs: Sequence) -> FeasibilityOutcome:
+    """The dense reference adapter: find x >= 0 with A x = b, or a Farkas certificate, A given by its rows."""
+    rhs = list(rhs)
+    if len(rows) != len(rhs):
+        raise ValueError("one right-hand side per row required")
+    n = len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows):
+        raise ValueError("ragged coefficient matrix")
+    columns, values = [], []
+    for column in zip(*rows):
+        support = tuple(i for i, v in enumerate(column) if v)
+        columns.append(support)
+        values.append(tuple(column[i] for i in support))
+    return solve_columns(columns, rhs, values)
+
+
+def solve_columns(columns: Sequence[Sequence[int]], rhs: Sequence,
+                  values: Sequence[Sequence] | None = None) -> FeasibilityOutcome:
+    """Find x >= 0 with A x = b, or a Farkas certificate, for A given by its sparse columns.
+
+    ``columns[j]`` lists the rows, each once and in ``range(len(rhs))``, at
+    which column j is non-zero; ``values[j]`` holds those entries in the same
+    order, or ``values`` is None when every listed entry is one.  Each row is
+    scaled once by the lcm of its entries' denominators and handed to
+    ``feasibility.solve_source`` as explicit columns; the primal comes back
+    dense and the certificate primitive over the unscaled rows.
+    """
+    b = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in rhs]
+    m = len(b)
+    if any(rows and (min(rows) < 0 or max(rows) >= m) for rows in columns):
+        raise ValueError("column lists a row outside the system")
+    if values is None:
+        values = [(1,) * len(rows) for rows in columns]
+    elif len(values) != len(columns) or any(map(ne, map(len, columns), map(len, values))):
+        raise ValueError("one value per listed row required")
+    values = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in column] for column in values]
+    # Each row times the lcm of its entries' denominators: an integer matrix.
+    denominator = [1] * m
+    for rows, column in zip(columns, values):
+        for r, v in zip(rows, column):
+            denominator[r] = lcm(denominator[r], v.denominator)
+    scaled = [tuple(v.numerator * (denominator[r] // v.denominator) for r, v in zip(rows, column))
+              for rows, column in zip(columns, values)]
+    outcome = feasibility.solve_source(ExplicitColumns(columns, scaled, m), [v * s for v, s in zip(b, denominator)])
+    if outcome.feasible:
+        return dense_outcome(outcome, len(columns))
+    # The primitive certificate of the original rows: a positive row scaling keeps every sign.
+    y = [int(v) * s for v, s in zip(outcome.certificate.coefficients, denominator)]
+    g = gcd(*y)
+    return FeasibilityOutcome(False, None, FarkasCertificate(tuple(Fraction(v // g) for v in y)))
 
 
 def json_paths(node, prefix=()):

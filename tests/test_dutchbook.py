@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,7 @@ from contextuality.errors import InternalConsistencyError, NotAnEventError
 from contextuality.scenario import restrict, sections_over
 from contextuality.violations import has_classical_extension
 from contextuality.wps import build_combinatorial_rep
-from conftest import noisy_cycle
+from conftest import noisy_cycle, solve_nonnegative
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +66,19 @@ class TestConvexityMembership:
     def test_bell_fails_on_maximal_context_events(self, reps):
         rep = reps["bell"]
         assert convexity_membership(rep, rep.maximal_context_events()) is None
+
+    def test_membership_solution_is_rechecked(self, control_rep, monkeypatch):
+        # The first positive weight handed to the first point outside the support.
+        solve = dutchbook.solve_source
+
+        def moved(source, rhs):
+            outcome = solve(source, rhs)
+            (_, x), *rest = outcome.solution.items()
+            k = next(i for i in range(len(source)) if i not in outcome.solution)
+            return replace(outcome, solution=dict(sorted([(k, x), *rest])))
+        monkeypatch.setattr(dutchbook, "solve_source", moved)
+        with pytest.raises(InternalConsistencyError, match="membership weights"):
+            convexity_membership(control_rep)
 
     def test_single_point_space(self):
         scenario_model = random_deterministic_mixture(two_party_scenario(), random.Random(0), components=1)
@@ -106,12 +120,12 @@ class TestFindDutchBook:
     ])
     def test_null_cover_is_tried_before_the_membership_system(self, catalog_reps, name, solves, monkeypatch):
         calls = []
-        core = dutchbook.solve_columns
+        core = dutchbook.solve_source
 
-        def counting(columns, rhs):
+        def counting(source, rhs):
             calls.append(len(rhs))
-            return core(columns, rhs)
-        monkeypatch.setattr(dutchbook, "solve_columns", counting)
+            return core(source, rhs)
+        monkeypatch.setattr(dutchbook, "solve_source", counting)
         certificate = find_dutch_book(catalog_reps[name])
         assert certificate is not None and verify_certificate(catalog_reps[name], certificate)
         assert len(calls) == solves
@@ -181,7 +195,6 @@ class TestBijections:
         scenario = rep.model.scenario
         rng = random.Random(17)
         from contextuality.distribution import random_rational_weights
-        from contextuality.feasibility import solve_nonnegative
         for _ in range(5):
             sections = scenario.global_sections()
             weights = dict(zip(sections, random_rational_weights(rng, len(sections))))
@@ -294,12 +307,13 @@ class TestHierarchyOnTheGlobalSectionSource:
         assert checked >= 10
 
     def test_transported_solution_is_rechecked(self, control_rep, monkeypatch):
-        # Each column's weight handed to the next global section's point.
+        # Each support section's weight handed to the next support section's point.
         solve = dutchbook._solve_global_system
 
         def rotated(*args):
-            solution = solve(*args)
-            return solution[-1:] + solution[:-1]
+            support = solve(*args)
+            sections = list(support)
+            return dict(zip(sections[1:] + sections[:1], support.values()))
         monkeypatch.setattr(dutchbook, "_solve_global_system", rotated)
         with pytest.raises(InternalConsistencyError, match="transported weights"):
             convexity_hierarchy(control_rep)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -10,14 +11,14 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contextuality import catalog, dutchbook, feasibility
+from contextuality import catalog, classifier, dutchbook, feasibility
 from contextuality.classifier import global_distribution
-from contextuality.feasibility import (FarkasCertificate, FeasibilityOutcome, solve_columns, solve_nonnegative,
-                                       solve_source)
+from contextuality.distribution import Distribution
+from contextuality.feasibility import FarkasCertificate, FeasibilityOutcome, solve_source
 from contextuality.scenario import GlobalSectionColumns, global_section_columns
 
-from conftest import global_section_system, noisy_cycle
-from test_global_sections import MODELS, expand
+from conftest import dense_outcome, global_section_system, noisy_cycle, solve_columns, solve_nonnegative
+from test_global_sections import MODELS, expand, independent_rows
 
 
 def frac(n, d=1):
@@ -332,16 +333,13 @@ def test_global_section_systems_follow_the_dense_tableau(n, noise):
 def test_membership_systems_follow_the_dense_tableau(catalog_reps, padded_catalog_reps, monkeypatch):
     seen = []
 
-    def checked(columns, rhs):
-        rows = [[0] * len(columns) for _ in rhs]
-        for j, column in enumerate(columns):
-            for r in column:
-                rows[r][j] = 1
+    def checked(source, rhs):
+        rows = expand(source, len(rhs))
         seen.append(len(rows))
-        outcome = solve_columns(columns, rhs)
-        assert outcome == assert_follows_dense_tableau(rows, rhs)
+        outcome = solve_source(source, rhs)
+        assert dense_outcome(outcome, len(source)) == assert_follows_dense_tableau(rows, rhs)
         return outcome
-    monkeypatch.setattr(dutchbook, "solve_columns", checked)
+    monkeypatch.setattr(dutchbook, "solve_source", checked)
     # find_dutch_book solves nothing when the null events cover the space, so
     # the whole-family and maximal-context systems are also posed directly.
     for rep in catalog_reps.values():
@@ -398,9 +396,51 @@ def test_oracle_priced_solves_follow_the_explicit_columns_and_the_dense_tableau(
         revised = count_calls(patch, feasibility, "_pivot")
         dense = count_calls(patch, sys.modules[__name__], "dense_pivot")
         for rhs in sides:
-            oracle = with_pivots(revised, lambda: solve_source(source, rhs))
+            oracle = with_pivots(revised, lambda: dense_outcome(solve_source(source, rhs), len(source)))
             assert oracle == with_pivots(revised, lambda: solve_columns(system.incidence, rhs))
             assert oracle == with_pivots(dense, lambda: dense_solve(matrix, rhs))
+
+
+# ---------------------------------------------------------------------------
+# The primal as its support
+# ---------------------------------------------------------------------------
+
+
+def test_primal_is_the_positive_basic_columns():
+    # The restriction-oracle models and the dense-tableau cycle pool, each
+    # with its table right-hand side: both verdicts occur.
+    pool = [model for _, model in MODELS] + [noisy_cycle(n, Fraction(2, n) if noise is None else noise)
+                                             for n in range(3, 9)
+                                             for noise in (Fraction(0), Fraction(1, 8), None, Fraction(1, 2))]
+    verdicts = set()
+    for model in pool:
+        source = global_section_columns(model.scenario)
+        rhs = [model.table(c).weight(s) for c, s in source.rows]
+        matrix = expand(source, len(rhs))
+        outcome = solve_source(source, rhs)
+        if outcome.feasible:
+            keys = list(outcome.solution)
+            assert all(a < b for a, b in zip(keys, keys[1:])) and all(0 <= j < len(source) for j in keys)
+            assert all(x > 0 for x in outcome.solution.values())
+            assert len(keys) <= len(independent_rows(matrix))
+        assert dense_outcome(outcome, len(source)) == dense_solve(matrix, rhs)
+        verdicts.add(outcome.feasible)
+    assert verdicts == {False, True}
+
+
+def test_primal_of_a_large_cycle_lists_at_most_one_column_per_row(monkeypatch):
+    # 2^18 global sections against 72 rows.
+    outcomes = []
+    solve = classifier.solve_source
+
+    def recording(source, rhs):
+        outcomes.append(solve(source, rhs))
+        return outcomes[-1]
+    monkeypatch.setattr(classifier, "solve_source", recording)
+    model = noisy_cycle(18, Fraction(1, 8))
+    assert isinstance(global_distribution(model, cap=math.inf), Distribution)
+    (outcome,) = outcomes
+    assert 0 < len(outcome.solution) <= len(global_section_columns(model.scenario).rows)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +505,7 @@ def solver_path(source, rhs):
         patch.setattr(feasibility, "_phase1", recording)
         pivots = count_calls(patch, feasibility, "_pivot")
         outcome = solve_source(source, rhs)
-    return outcome, (bases[0] if bases else None), len(pivots)
+    return dense_outcome(outcome, len(source)), (bases[0] if bases else None), len(pivots)
 
 
 def integer_source(rows, rhs):

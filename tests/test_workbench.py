@@ -206,6 +206,22 @@ class TestCli:
         assert code == 2
         assert "no-signaling" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "{directory}"],
+        ["verify", "bell", "--file", "{directory}"],
+        ["classify", "bell", "--out", "{directory}"],
+        ["classify", "{utf16}"],
+        ["verify", "bell", "--file", "{utf16}"],
+    ], ids=["model-directory", "file-directory", "out-directory", "model-utf16", "file-utf16"])
+    def test_unreadable_path_exits_2(self, argv, tmp_path, capsys):
+        # A directory where a file is read or written, and a document that is not UTF-8.
+        utf16 = tmp_path / "utf16.json"
+        utf16.write_bytes(dumps(model_to_dict(bell_model())).encode("utf-16"))
+        paths = {"directory": tmp_path, "utf16": utf16}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_cap_exceeded_exits_3(self, capsys):
         assert main(["classify", "ghz", "--cap", "10"]) == 3
 
@@ -448,8 +464,7 @@ class TestCli:
         def forbidden(*args, **kwargs):
             raise AssertionError("classify posed an explicit-column system")
 
-        monkeypatch.setattr(feasibility, "solve_columns", forbidden)
-        monkeypatch.setattr(dutchbook, "solve_columns", forbidden)
+        monkeypatch.setattr(dutchbook, "solve_source", forbidden)
         documents = {"singlet": lambda: experiment_to_dict(singlet_experiment()),
                      "cycle-8": lambda: model_to_dict(noisy_cycle(8, Fraction(1, 8)))}
         if name in documents:
