@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .distribution import Distribution, marginalize
 from .errors import DEFAULT_ENUMERATION_CAP, InternalConsistencyError
@@ -155,33 +155,24 @@ def _largest_column_sum(scenario: Scenario, tables: dict[tuple, dict[tuple, int]
     return sum(table[()] for _, table in factors)
 
 
-def _solve_global_system(model: EmpiricalModel, rhs_of: Callable[[tuple, Section], Fraction],
-                         cap: int = DEFAULT_ENUMERATION_CAP):
-    """Solve the global-section system with right-hand side ``rhs_of(c, s)`` on row ``(c, s)``.
+def global_distribution(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CAP):
+    """Solve for a global distribution marginalizing to every table.
 
-    Returns the solution's support keyed by global section, or a verified certificate of infeasibility.
+    Returns a :class:`Distribution` over the global sections, stored as the
+    solution's support, or a :class:`GlobalDistributionCertificate` that has
+    passed its independent verification when none exists.
     """
-    check_global_section_cap(model.scenario, cap)
-    source = global_section_columns(model.scenario)
-    outcome = solve_source(source, [rhs_of(c, s) for c, s in source.rows])
+    scenario = model.scenario
+    check_global_section_cap(scenario, cap)
+    source = global_section_columns(scenario)
+    outcome = solve_source(source, [model.table(c).weight(s) for c, s in source.rows])
     if outcome.feasible:
-        return {source.section(j): x for j, x in outcome.solution.items()}
+        support = {source.section(j): x for j, x in outcome.solution.items()}
+        return Distribution._from_support(scenario, scenario.measurements, support)
     certificate = GlobalDistributionCertificate(source.rows, outcome.certificate.coefficients)
     if not certificate.verify(model, cap=cap):
         raise InternalConsistencyError("infeasibility certificate failed independent verification")
     return certificate
-
-
-def global_distribution(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CAP):
-    """Solve for a global distribution marginalizing to every table.
-
-    Returns a :class:`Distribution` over the global sections, or a
-    :class:`GlobalDistributionCertificate` when none exists.
-    """
-    result = _solve_global_system(model, lambda c, s: model.table(c).weight(s), cap)
-    if isinstance(result, GlobalDistributionCertificate):
-        return result
-    return Distribution._from_support(model.scenario, model.scenario.measurements, result)
 
 
 @dataclass(frozen=True)

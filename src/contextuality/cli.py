@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import catalog as _catalog
 from .classifier import Tier, classify
-from .dutchbook import convexity_hierarchy, find_dutch_book, verify_certificate
+from .dutchbook import find_dutch_book, verify_certificate
 from .errors import DEFAULT_ENUMERATION_CAP, ContextualityError, EnumerationCapError, SchemaError
 from .exports import export_bundle_diagram, export_nerve, structured_to_text
 from .model import EmpiricalModel, check_model
@@ -109,11 +109,9 @@ def _cmd_classify(args) -> int:
     rep = build_combinatorial_rep(model, cap=args.cap)
     strong, _ = strong_subadditivity_violation(rep)
     logical, _ = logical_subadditivity_violation(rep)
-    # On a combinatorial representation additivity violation in every monotonic
-    # extension, no classical extension and a Dutch book are each the convexity
-    # violation over the maximal-context events: one global-section solve.
-    convexity = convexity_hierarchy(rep)
-    violated = convexity.probabilistic_violation
+    # On a combinatorial representation the strong and logical convexity grades
+    # are these two null-cover flags, and every LP line is the tier's question.
+    violated = verdict.tier is not Tier.NONCONTEXTUAL
     structured = {
         "model": name,
         "tier": str(verdict.tier),
@@ -124,8 +122,8 @@ def _cmd_classify(args) -> int:
             "additivity_violation_all_monotonic_extensions": violated,
         },
         "convexity_hierarchy": {
-            "strong": convexity.strong_violation,
-            "logical": convexity.logical_violation,
+            "strong": strong,
+            "logical": logical,
             "convexity": violated,
         },
         "classical_extension_exists": not violated,
@@ -145,8 +143,8 @@ def _cmd_classify(args) -> int:
         "    monotonic extension",
         "",
         "convexity-violation hierarchy (maximal-context events)",
-        f"  strong violation                : {_yesno(convexity.strong_violation)}",
-        f"  logical violation               : {_yesno(convexity.logical_violation)}",
+        f"  strong violation                : {_yesno(strong)}",
+        f"  logical violation               : {_yesno(logical)}",
         f"  convexity violation             : {_yesno(violated)}",
         "",
         f"classical extension exists: {_yesno(not violated)}",

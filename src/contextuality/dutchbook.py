@@ -6,8 +6,8 @@ membership question is an exact feasibility problem; its failure yields a
 separating rational functional that normalizes into a stake function whose
 payoff is strictly negative against every point, verifiable by exhaustive
 enumeration.  On combinatorial representations the points are in bijection
-with global sections, so the convexity hierarchy solves the question over
-the maximal-context events as the global-distribution question, and the
+with global sections, so the convexity hierarchy reads the question over
+the maximal-context events from the global-distribution solve, and the
 same bijection grades convexity-violation into the three familiar strengths.
 """
 
@@ -19,7 +19,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Mapping, Optional
 
-from .classifier import GlobalDistributionCertificate, _solve_global_system
+from .classifier import GlobalDistributionCertificate, global_distribution
 from .distribution import Distribution, marginalize
 from .errors import (
     InternalConsistencyError,
@@ -265,12 +265,17 @@ def _maximal_context_membership(rep: WpsRepresentation):
     """(point weights reproducing every maximal-context value, None), or (None, a verified certificate).
 
     Point g lies in the image of row (c, s) exactly when g|c = s, so this is the global-section system
-    with right-hand side mu(event(s)) on row (c, s), its columns relabelled by g -> event(g).
+    with right-hand side mu(event(s)) on row (c, s), which ``verify_rep``'s ``ec`` condition makes the
+    table weight of s.  The model's solve is transported through g -> event(g) and checked
+    against the representation's own values: the weights reproduce each of them, or the certificate
+    separates them.
     """
-    result = _solve_global_system(rep.model, lambda _, section: rep.mu_of(rep.event(section)))
+    result = global_distribution(rep.model)
     if isinstance(result, GlobalDistributionCertificate):
+        if sum((y * rep.mu_of(rep.event(s)) for (_, s), y in zip(result.rows, result.coefficients) if y), ZERO) <= 0:
+            raise InternalConsistencyError("transported certificate fails to separate the event values")
         return None, result
-    support = {rep.event(g).bit_length() - 1: x for g, x in result.items()}
+    support = {rep.event(g).bit_length() - 1: result.weight(g) for g in result.support}
     events = {rep.event(section) for _, section in global_section_columns(rep.model.scenario).rows}
     return _checked_weights(rep, support, events, "transported"), None
 

@@ -262,11 +262,9 @@ def weak_hv_report(rep: WpsRepresentation, experiment: QuantumExperiment,
                 failures.append(WeakHvFailure(
                     "spanning-classicality",
                     f"algebra of spanning set {tuple(labels[i] for i in combo)!r} leaves the event family"))
-            algebra_total = Fraction(0)
-            for atom in atoms:
-                if rep.in_sigma(atom):
-                    algebra_total += rep.mu_of(atom)
-            if algebra_total != 1 and not failures:
+                continue
+            algebra_total = sum(map(rep.mu_of, atoms), Fraction(0))
+            if algebra_total != 1:
                 failures.append(WeakHvFailure(
                     "spanning-classicality",
                     f"spanning set {tuple(labels[i] for i in combo)!r} atoms sum to {algebra_total}"))

@@ -367,9 +367,9 @@ def logical_subadditivity_violation(rep: WpsRepresentation) -> tuple[bool, Optio
 def additivity_violation(rep: WpsRepresentation) -> tuple[bool, Optional[ViolationWitness]]:
     """Must every monotonic extension break additivity on maximal-context events?
 
-    Decided exactly by the feasibility of the global-section system whose
-    right-hand sides are the representation's own maximal-context values;
-    the Farkas certificate is attached to the witness, together with the
+    Decided exactly by the model's global-section solve, whose Farkas
+    certificate must also separate the representation's own maximal-context
+    values; it is attached to the witness, together with the
     marginalization failure of the canonical extension.
     """
     _require_combinatorial(rep)

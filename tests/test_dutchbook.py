@@ -34,8 +34,8 @@ from contextuality.dutchbook import (
 )
 from contextuality.errors import InternalConsistencyError, NotAnEventError
 from contextuality.scenario import restrict, sections_over
-from contextuality.violations import has_classical_extension
-from contextuality.wps import build_combinatorial_rep
+from contextuality.violations import additivity_violation, has_classical_extension
+from contextuality.wps import WpsRepresentation, build_combinatorial_rep
 from conftest import noisy_cycle, solve_nonnegative
 
 
@@ -308,15 +308,50 @@ class TestHierarchyOnTheGlobalSectionSource:
 
     def test_transported_solution_is_rechecked(self, control_rep, monkeypatch):
         # Each support section's weight handed to the next support section's point.
-        solve = dutchbook._solve_global_system
+        solve = dutchbook.global_distribution
 
         def rotated(*args):
-            support = solve(*args)
-            sections = list(support)
-            return dict(zip(sections[1:] + sections[:1], support.values()))
-        monkeypatch.setattr(dutchbook, "_solve_global_system", rotated)
+            dist = solve(*args)
+            sections = [s for s in dist.sections() if s in dist.support]
+            weights = dict(zip(sections[1:] + sections[:1], map(dist.weight, sections)))
+            return Distribution._from_support(dist.scenario, dist.context, weights)
+        monkeypatch.setattr(dutchbook, "global_distribution", rotated)
         with pytest.raises(InternalConsistencyError, match="transported weights"):
             convexity_hierarchy(control_rep)
+
+    @staticmethod
+    def _moved(rep, source, target, amount=Fraction(1, 7)):
+        """``rep`` with ``amount`` of the value of ``source``'s image moved onto ``target``'s."""
+        mu = dict(rep.mu)
+        mu[rep.event(source)] -= amount
+        mu[rep.event(target)] += amount
+        return WpsRepresentation(rep.model, rep.points, rep.transfer, rep.sigma_algebras, mu, rep.combinatorial)
+
+    def test_event_values_apart_from_the_tables_are_caught(self, reps, control_rep):
+        # The model's solve is transported, so a representation whose maximal-context
+        # values differ from its model's tables must fail one of the two re-checks.
+        certificate = global_distribution(reps["bell"].model)
+        y = dict(zip(certificate.rows, certificate.coefficients))
+        context = certificate.rows[0][0]
+        rows = [(c, s) for c, s in certificate.rows if c == context]
+        # The certificate's value falls by (y[source] - y[target]) * amount; pick the largest fall.
+        source = max((r for r in rows if reps["bell"].mu_of(reps["bell"].event(r[1])) >= Fraction(1, 7)),
+                     key=y.__getitem__)
+        target = min(rows, key=y.__getitem__)
+        value = sum(y[c, s] * reps["bell"].model.table(c).weight(s) for c, s in certificate.rows)
+        # 1/7 takes the value below zero; the second amount takes it to exactly zero.
+        tampered = [self._moved(reps["bell"], source[1], target[1], amount)
+                    for amount in (Fraction(1, 7), value / (y[source] - y[target]))]
+        values = [sum(y[c, s] * rep.mu_of(rep.event(s)) for c, s in certificate.rows) for rep in tampered]
+        assert values[0] < 0 == values[1]
+        table = control_rep.model.table(control_rep.model.scenario.maximal_contexts[0])
+        heavy = max(table.support, key=table.weight)
+        control = self._moved(control_rep, heavy, next(s for s in table.sections() if s != heavy))
+        cases = [(rep, "separate the event values") for rep in tampered] + [(control, "transported weights")]
+        for rep, message in cases:
+            for check in (convexity_hierarchy, additivity_violation):
+                with pytest.raises(InternalConsistencyError, match=message):
+                    check(rep)
 
 
 class TestDeFinettiTriangle:

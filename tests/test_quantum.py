@@ -103,6 +103,35 @@ class TestWeakHvRepresentation:
         report = weak_hv_report(tampered, singlet_experiment())
         assert not report.ok
 
+    def test_spanning_sum_is_reported_after_an_earlier_failure(self):
+        # Raising the atom alone breaks only the spanning set's sum; raising the
+        # firing event of 'up' as well adds a born-weight failure before it.
+        experiment = orthogonal_pair_experiment()
+        rep = build_combinatorial_rep(quantum_to_empirical(experiment))
+        scenario = rep.model.scenario
+        atom = rep.event(scenario.section({"up": "1", "down": "0"}))
+        for raised, conditions in (([atom], ["spanning-classicality"]),
+                                   ([rep.event(scenario.section({"up": "1"})), atom],
+                                    ["born-weight", "spanning-classicality"])):
+            mu = dict(rep.mu)
+            for event in raised:
+                mu[event] += Fraction(1, 7)
+            tampered = WpsRepresentation(rep.model, rep.points, rep.transfer, rep.sigma_algebras, mu,
+                                         rep.combinatorial)
+            report = weak_hv_report(tampered, experiment)
+            assert [f.condition for f in report.failures] == conditions
+            assert report.failures[-1].detail == "spanning set ('up', 'down') atoms sum to 8/7"
+
+    def test_spanning_algebra_outside_the_family_is_reported_without_a_sum(self):
+        experiment = orthogonal_pair_experiment()
+        rep = build_combinatorial_rep(quantum_to_empirical(experiment))
+        atom = rep.event(rep.model.scenario.section({"up": "1", "down": "0"}))
+        mu = {event: value for event, value in rep.mu.items() if event != atom}
+        tampered = WpsRepresentation(rep.model, rep.points, rep.transfer, rep.sigma_algebras, mu, rep.combinatorial)
+        report = weak_hv_report(tampered, experiment)
+        assert [str(f) for f in report.failures] == [
+            "[spanning-classicality] algebra of spanning set ('up', 'down') leaves the event family"]
+
     def test_rep_of_a_different_model_fails(self):
         rep = build_combinatorial_rep(hardy_model())
         report = weak_hv_report(rep, singlet_experiment())
