@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -28,6 +27,7 @@ from .distribution import Distribution, marginalize
 from .errors import DEFAULT_ENUMERATION_CAP, InternalConsistencyError
 from .feasibility import solve_source
 from .model import EmpiricalModel
+from .record import Record
 from .scenario import Scenario, Section, check_global_section_cap, global_section_columns
 
 
@@ -95,8 +95,7 @@ def is_logically_contextual(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATIO
     return witness is not None, witness
 
 
-@dataclass(frozen=True)
-class GlobalDistributionCertificate:
+class GlobalDistributionCertificate(Record):
     """Rational functional separating the global-marginal system from feasibility.
 
     ``coefficients`` pairs one rational with each (maximal context, section)
@@ -106,8 +105,10 @@ class GlobalDistributionCertificate:
     strictly positive.
     """
 
-    rows: tuple[tuple[tuple, Section], ...]
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("rows", "coefficients")
+
+    def __init__(self, rows: tuple[tuple[tuple, Section], ...], coefficients: tuple[Fraction, ...]):
+        self._fill(rows, coefficients)
 
     def verify(self, model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
         # The cap bounds every elimination table: each holds at most |O|^n entries.
@@ -175,14 +176,15 @@ def global_distribution(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CA
     return certificate
 
 
-@dataclass(frozen=True)
-class TierVerdict:
+class TierVerdict(Record):
     """Classification outcome plus the witness appropriate to the tier."""
 
-    tier: Tier
-    logical_witness: Optional[Section] = None
-    certificate: Optional[GlobalDistributionCertificate] = None
-    global_distribution: Optional[Distribution] = None
+    __slots__ = ("tier", "logical_witness", "certificate", "global_distribution")
+
+    def __init__(self, tier: Tier, logical_witness: Optional[Section] = None,
+                 certificate: Optional[GlobalDistributionCertificate] = None,
+                 global_distribution: Optional[Distribution] = None):
+        self._fill(tier, logical_witness, certificate, global_distribution)
 
     def __str__(self) -> str:
         return str(self.tier)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -50,6 +51,19 @@ from .violations import (
 from .wps import build_combinatorial_rep
 
 
+def _at_least(low, convert, what: str):
+    """An argparse type: ``convert(text)`` when it is finite and at least ``low``; NaN fails too."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("model_positional", nargs="?", metavar="MODEL",
                         help="catalog name or path to a model/experiment document")
@@ -57,10 +71,10 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
                         help="catalog name or path (alternative to the positional)")
     parser.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                         help="enumeration cap (default 2^20)")
-    parser.add_argument("--snap-tol", type=float, default=DEFAULT_SNAP_TOLERANCE,
-                        help="snapping tolerance for quantum ingestion")
-    parser.add_argument("--denom-bound", type=int, default=DEFAULT_DENOMINATOR_BOUND,
-                        help="denominator bound for snapped rationals")
+    parser.add_argument("--snap-tol", type=_at_least(0, float, "a finite non-negative number"),
+                        default=DEFAULT_SNAP_TOLERANCE, help="snapping tolerance for quantum ingestion (finite, >= 0)")
+    parser.add_argument("--denom-bound", type=_at_least(1, int, "an integer of at least 1"),
+                        default=DEFAULT_DENOMINATOR_BOUND, help="denominator bound for snapped rationals (>= 1)")
 
 
 def _resolve_model(args) -> tuple[str, EmpiricalModel]:

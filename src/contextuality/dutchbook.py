@@ -13,7 +13,6 @@ same bijection grades convexity-violation into the three familiar strengths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -28,6 +27,7 @@ from .errors import (
     ScenarioMismatchError,
 )
 from .feasibility import ExplicitColumns, solve_source
+from .record import Record
 from .scenario import Section, global_section_columns
 from .wps import Event, WpsRepresentation, _indices
 
@@ -158,16 +158,15 @@ def convexity_membership(rep: WpsRepresentation,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DutchBookCertificate:
+class DutchBookCertificate(Record):
     """Stakes over events guaranteeing a loss of at least the bound at every point."""
 
-    stakes: tuple[tuple[Event, Fraction], ...]
-    loss_bound: Fraction
+    __slots__ = ("stakes", "loss_bound")
 
-    def __post_init__(self):
-        if self.loss_bound <= 0:
+    def __init__(self, stakes: tuple[tuple[Event, Fraction], ...], loss_bound: Fraction):
+        if loss_bound <= 0:
             raise ValueError("the guaranteed loss bound must be positive")
+        self._fill(stakes, loss_bound)
 
     def payoff(self, rep: WpsRepresentation, point: str) -> Fraction:
         i = rep.point_index(point)
@@ -247,18 +246,16 @@ def find_dutch_book(rep: WpsRepresentation) -> Optional[DutchBookCertificate]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvexityVerdict:
-    strong_violation: bool
-    logical_violation: bool
-    probabilistic_violation: bool
-    convex_weights: Optional[dict[str, Fraction]] = None
+class ConvexityVerdict(Record):
+    __slots__ = ("strong_violation", "logical_violation", "probabilistic_violation", "convex_weights")
 
-    def __post_init__(self):
-        if self.strong_violation and not self.logical_violation:
+    def __init__(self, strong_violation: bool, logical_violation: bool, probabilistic_violation: bool,
+                 convex_weights: Optional[dict[str, Fraction]] = None):
+        if strong_violation and not logical_violation:
             raise InternalConsistencyError("strong convexity-violation without logical")
-        if self.logical_violation and not self.probabilistic_violation:
+        if logical_violation and not probabilistic_violation:
             raise InternalConsistencyError("logical convexity-violation without probabilistic")
+        self._fill(strong_violation, logical_violation, probabilistic_violation, convex_weights)
 
 
 def _maximal_context_membership(rep: WpsRepresentation):

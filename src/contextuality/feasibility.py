@@ -69,24 +69,26 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
 from .errors import InternalConsistencyError
+from .record import Record
 
 # Consecutive degenerate pivots priced by the largest reduced cost before
 # pricing falls back to Bland's least-index rule.
 _STALL = 10
 
 
-@dataclass(frozen=True)
-class FarkasCertificate:
+class FarkasCertificate(Record):
     """A separating functional for an infeasible system  A x = b, x >= 0."""
 
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[Fraction, ...]):
+        self._fill(coefficients)
 
     def verify(self, rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> bool:
         """Exactly evaluate  yᵀA <= 0  and  yᵀb > 0  against a system."""
@@ -107,11 +109,11 @@ class FarkasCertificate:
         return sum(yi * v for yi, v in zip(y, rhs) if yi) > 0
 
 
-@dataclass(frozen=True)
-class FeasibilityOutcome:
-    feasible: bool
-    solution: dict[int, Fraction] | None
-    certificate: FarkasCertificate | None
+class FeasibilityOutcome(Record):
+    __slots__ = ("feasible", "solution", "certificate")
+
+    def __init__(self, feasible: bool, solution: dict[int, Fraction] | None, certificate: FarkasCertificate | None):
+        self._fill(feasible, solution, certificate)
 
 
 class ExplicitColumns:

@@ -9,12 +9,12 @@ rejected opaquely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .distribution import Distribution, as_fraction, marginalize, point_mass
 from .errors import ScenarioMismatchError, WeightError
+from .record import Record
 from .scenario import Scenario, Section, restrict, sections_over
 
 
@@ -74,16 +74,14 @@ def model_from_tables(scenario: Scenario, tables: Mapping[tuple, Mapping[Section
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompatibilityFailure:
+class CompatibilityFailure(Record):
     """One overlap on which two context tables disagree."""
 
-    first_context: tuple
-    second_context: tuple
-    overlap: tuple
-    section: Section
-    first_value: Fraction
-    second_value: Fraction
+    __slots__ = ("first_context", "second_context", "overlap", "section", "first_value", "second_value")
+
+    def __init__(self, first_context: tuple, second_context: tuple, overlap: tuple, section: Section,
+                 first_value: Fraction, second_value: Fraction):
+        self._fill(first_context, second_context, overlap, section, first_value, second_value)
 
     def __str__(self) -> str:
         return (
@@ -92,10 +90,11 @@ class CompatibilityFailure:
         )
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    ok: bool
-    failures: tuple[CompatibilityFailure, ...]
+class CompatibilityReport(Record):
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: tuple[CompatibilityFailure, ...]):
+        self._fill(ok, failures)
 
     def __str__(self) -> str:
         if self.ok:

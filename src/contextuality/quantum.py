@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -31,6 +30,7 @@ from .errors import (
 )
 from .model import EmpiricalModel, check_model
 from .distribution import Distribution
+from .record import Record
 from .scenario import Scenario, sections_over
 from .wps import WpsRepresentation, _atoms, _subset_sums
 
@@ -108,9 +108,18 @@ class QuantumExperiment:
         raise KeyError(label)
 
 
+def _check_snapping(tolerance: float, denominator_bound: int) -> None:
+    # Written as `not ...` so that NaN fails, as in QuantumExperiment.
+    if isinstance(tolerance, bool) or not 0 <= tolerance < math.inf:
+        raise ValueError(f"snap tolerance must be a finite non-negative number, got {tolerance!r}")
+    if not denominator_bound >= 1:
+        raise ValueError(f"denominator bound must be at least 1, got {denominator_bound!r}")
+
+
 def snap_to_rational(value: float, tolerance: float = DEFAULT_SNAP_TOLERANCE,
                      denominator_bound: int = DEFAULT_DENOMINATOR_BOUND) -> Fraction:
     """Best rational approximation with bounded denominator, within tolerance."""
+    _check_snapping(tolerance, denominator_bound)
     snapped = Fraction(value).limit_denominator(denominator_bound)
     if abs(float(snapped) - value) > tolerance:
         raise SnapError(
@@ -146,12 +155,14 @@ def quantum_to_empirical(experiment: QuantumExperiment,
                          cap: int = DEFAULT_ENUMERATION_CAP) -> EmpiricalModel:
     """Born-rule tables for every maximal context, snapped to exact rationals.
 
-    Raises :class:`SnapError` when a probability has no close rational and
+    Raises :class:`SnapError` when a probability has no close rational,
     :class:`CompatibilityError` when the snapped tables violate the exact
-    no-signaling condition.
+    no-signaling condition, and ``ValueError`` for a negative or non-finite
+    tolerance or a denominator bound below 1.
     """
     import numpy as np
 
+    _check_snapping(snap_tolerance, denominator_bound)
     scenario = experiment_scenario(experiment, cap=cap)
     psi = experiment.state
     identity = np.eye(experiment.dimension, dtype=np.complex128)
@@ -180,19 +191,21 @@ def quantum_to_empirical(experiment: QuantumExperiment,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeakHvFailure:
-    condition: str
-    detail: str
+class WeakHvFailure(Record):
+    __slots__ = ("condition", "detail")
+
+    def __init__(self, condition: str, detail: str):
+        self._fill(condition, detail)
 
     def __str__(self) -> str:
         return f"[{self.condition}] {self.detail}"
 
 
-@dataclass(frozen=True)
-class WeakHvReport:
-    ok: bool
-    failures: tuple[WeakHvFailure, ...]
+class WeakHvReport(Record):
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: tuple[WeakHvFailure, ...]):
+        self._fill(ok, failures)
 
     def __str__(self) -> str:
         return "weak hidden-variable conditions hold" if self.ok else "; ".join(map(str, self.failures))

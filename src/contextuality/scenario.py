@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -22,10 +21,10 @@ from .errors import (
     EnumerationCapError,
     IncompatibleSectionsError,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A triple of measurements, maximal contexts, and outcomes.
 
     Invariants checked at construction:
@@ -36,9 +35,7 @@ class Scenario:
     * no maximal context is contained in another.
     """
 
-    measurements: tuple
-    maximal_contexts: tuple[tuple, ...]
-    outcomes: tuple
+    __slots__ = ("measurements", "maximal_contexts", "outcomes")
 
     def __init__(self, measurements: Sequence, maximal_contexts: Iterable[Iterable], outcomes: Sequence):
         measurements = tuple(measurements)
@@ -76,9 +73,16 @@ class Scenario:
             if set(a) <= set(b):
                 raise ValueError(f"maximal context {a!r} is contained in {b!r}")
 
-        object.__setattr__(self, "measurements", measurements)
-        object.__setattr__(self, "maximal_contexts", tuple(canon))
-        object.__setattr__(self, "outcomes", outcomes)
+        self._fill(measurements, tuple(canon), outcomes)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.measurements == other.measurements and self.maximal_contexts == other.maximal_contexts
+                    and self.outcomes == other.outcomes)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.measurements, self.maximal_contexts, self.outcomes))
 
     # -- orderings ---------------------------------------------------------
 
@@ -122,21 +126,32 @@ class Scenario:
         return sections_over(self, self.measurements, cap=cap)
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(Record):
     """A total assignment of outcomes to a context.
 
-    Equality and hashing ignore the scenario reference; two sections are
-    equal when they make the same assignment.
+    Equality, hashing and ``repr`` ignore the scenario reference; two
+    sections are equal when they make the same assignment.
     """
 
-    domain: tuple
-    values: tuple
-    scenario: Scenario = field(compare=False, repr=False)
+    __slots__ = ("domain", "values", "scenario")
 
-    def __post_init__(self):
-        if len(self.domain) != len(self.values):
+    def __init__(self, domain: tuple, values: tuple, scenario: Scenario):
+        if len(domain) != len(values):
             raise ValueError("domain and values must align")
+        _set_domain(self, domain)
+        _set_values(self, values)
+        _set_scenario(self, scenario)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.domain == other.domain and self.values == other.values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.domain, self.values))
+
+    def __repr__(self) -> str:
+        return f"Section(domain={self.domain!r}, values={self.values!r})"
 
     def value(self, m):
         try:
@@ -151,6 +166,11 @@ class Section:
     def __str__(self) -> str:
         inner = ", ".join(f"{m}->{o}" for m, o in zip(self.domain, self.values))
         return "{" + inner + "}"
+
+
+# The slots' own setters: a section is built on every hot path, and these
+# are cheaper than ``object.__setattr__``.
+_set_domain, _set_values, _set_scenario = (slot.__set__ for slot in (Section.domain, Section.values, Section.scenario))
 
 
 # ---------------------------------------------------------------------------

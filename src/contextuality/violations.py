@@ -18,7 +18,6 @@ checked on concretely constructed extensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
@@ -50,6 +49,7 @@ from .extensions import (
     canonical_monotone_extension,
     cheapest_cover_of_space,
 )
+from .record import Record
 from .scenario import Section, global_section_columns, sections_over
 from .wps import Event, WpsRepresentation, _atoms, _indices, _subset_sums, excise
 
@@ -143,32 +143,30 @@ class ViolationKind(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class MarginalizationFailure:
+class MarginalizationFailure(Record):
     """A maximal-context event whose value no extension recovers by summation."""
 
-    context: tuple
-    section: Section
-    event: Event
-    extension_kind: str
-    certificate: Optional[GlobalDistributionCertificate]
+    __slots__ = ("context", "section", "event", "extension_kind", "certificate")
+
+    def __init__(self, context: tuple, section: Section, event: Event, extension_kind: str,
+                 certificate: Optional[GlobalDistributionCertificate]):
+        self._fill(context, section, event, extension_kind, certificate)
 
 
-@dataclass(frozen=True)
-class CoveredSupportEvent:
+class CoveredSupportEvent(Record):
     """A positive-measure event swallowed by the union of null events."""
 
-    context: tuple
-    section: Section
-    event: Event
+    __slots__ = ("context", "section", "event")
+
+    def __init__(self, context: tuple, section: Section, event: Event):
+        self._fill(context, section, event)
 
 
-@dataclass(frozen=True)
-class ViolationWitness:
-    kind: ViolationKind
-    collection: tuple[Event, ...]
-    defect: Fraction
-    support_data: object = None
+class ViolationWitness(Record):
+    __slots__ = ("kind", "collection", "defect", "support_data")
+
+    def __init__(self, kind: ViolationKind, collection: tuple[Event, ...], defect: Fraction, support_data: object = None):
+        self._fill(kind, collection, defect, support_data)
 
     def __str__(self) -> str:
         return f"{self.kind} witness: {len(self.collection)} events, defect {self.defect}"
@@ -401,19 +399,21 @@ def has_classical_extension(rep: WpsRepresentation) -> Optional[dict[str, Fracti
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtensionFailure:
-    condition: str
-    detail: str
+class ExtensionFailure(Record):
+    __slots__ = ("condition", "detail")
+
+    def __init__(self, condition: str, detail: str):
+        self._fill(condition, detail)
 
     def __str__(self) -> str:
         return f"[{self.condition}] {self.detail}"
 
 
-@dataclass(frozen=True)
-class ExtensionVerdict:
-    ok: bool
-    failures: tuple[ExtensionFailure, ...]
+class ExtensionVerdict(Record):
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: tuple[ExtensionFailure, ...]):
+        self._fill(ok, failures)
 
     def __str__(self) -> str:
         return "extension verified" if self.ok else "; ".join(map(str, self.failures))

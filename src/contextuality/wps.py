@@ -25,7 +25,6 @@ difference and size: write ``not a & ~b``, ``a & ~b`` and ``a.bit_count()``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import and_, or_
@@ -42,6 +41,7 @@ from .errors import (
 )
 from .model import CompatibilityReport, EmpiricalModel, check_model
 from .distribution import marginalize
+from .record import Record
 from .scenario import Section, all_contexts, restrict, sections_over
 
 Event = int
@@ -389,20 +389,21 @@ def _is_combinatorial(outcome_images: Iterable[list[Event]], sample_space: Event
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RepFailure:
-    condition: str
-    detail: str
+class RepFailure(Record):
+    __slots__ = ("condition", "detail")
+
+    def __init__(self, condition: str, detail: str):
+        self._fill(condition, detail)
 
     def __str__(self) -> str:
         return f"[{self.condition}] {self.detail}"
 
 
-@dataclass(frozen=True)
-class RepVerdict:
-    ok: bool
-    failures: tuple[RepFailure, ...]
-    warnings: tuple[RepFailure, ...]
+class RepVerdict(Record):
+    __slots__ = ("ok", "failures", "warnings")
+
+    def __init__(self, ok: bool, failures: tuple[RepFailure, ...], warnings: tuple[RepFailure, ...]):
+        self._fill(ok, failures, warnings)
 
     def __str__(self) -> str:
         if self.ok and not self.warnings:
@@ -576,13 +577,13 @@ def _verify_rep(rep: WpsRepresentation, report: CompatibilityReport) -> RepVerdi
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExcisionReport:
+class ExcisionReport(Record):
     """Contradictory overlaps, outcome-free residues, and the surviving core."""
 
-    d1: frozenset[Event]
-    d2: frozenset[Event]
-    z: Event
+    __slots__ = ("d1", "d2", "z")
+
+    def __init__(self, d1: frozenset[Event], d2: frozenset[Event], z: Event):
+        self._fill(d1, d2, z)
 
 
 def excise(rep: WpsRepresentation) -> ExcisionReport:

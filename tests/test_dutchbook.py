@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -33,6 +32,7 @@ from contextuality.dutchbook import (
     verify_certificate,
 )
 from contextuality.errors import InternalConsistencyError, NotAnEventError
+from contextuality.feasibility import FeasibilityOutcome
 from contextuality.scenario import restrict, sections_over
 from contextuality.violations import additivity_violation, has_classical_extension
 from contextuality.wps import WpsRepresentation, build_combinatorial_rep
@@ -75,7 +75,7 @@ class TestConvexityMembership:
             outcome = solve(source, rhs)
             (_, x), *rest = outcome.solution.items()
             k = next(i for i in range(len(source)) if i not in outcome.solution)
-            return replace(outcome, solution=dict(sorted([(k, x), *rest])))
+            return FeasibilityOutcome(outcome.feasible, dict(sorted([(k, x), *rest])), outcome.certificate)
         monkeypatch.setattr(dutchbook, "solve_source", moved)
         with pytest.raises(InternalConsistencyError, match="membership weights"):
             convexity_membership(control_rep)

@@ -43,6 +43,26 @@ class TestSnapping:
     def test_tight_tolerance_accepts_floating_error(self):
         assert snap_to_rational(1 / 3, denominator_bound=10) == Fraction(1, 3)
 
+    @pytest.mark.parametrize("tolerance, bound, message", [
+        (float("nan"), 4096, "snap tolerance must be"),
+        (float("inf"), 4096, "snap tolerance must be"),
+        (-1.0, 4096, "snap tolerance must be"),
+        (True, 4096, "snap tolerance must be"),
+        (1e-9, 0, "denominator bound must be"),
+        (1e-9, -1, "denominator bound must be"),
+    ], ids=["nan", "inf", "negative", "bool", "bound-0", "bound-minus-1"])
+    def test_bad_snapping_parameters_rejected(self, tolerance, bound, message):
+        # A NaN or infinite tolerance used to accept every snap; a bound below 1
+        # raised from inside Fraction.limit_denominator.
+        experiment = singlet_experiment()
+        rep = build_combinatorial_rep(bell_model())
+        with pytest.raises(ValueError, match=message):
+            snap_to_rational(0.375, tolerance, bound)
+        with pytest.raises(ValueError, match=message):
+            quantum_to_empirical(experiment, tolerance, bound)
+        with pytest.raises(ValueError, match=message):
+            weak_hv_report(rep, experiment, tolerance, bound)
+
 
 class TestExperimentScenario:
     def test_singlet_contexts_are_the_four_pairs(self):

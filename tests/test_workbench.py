@@ -222,6 +222,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, option, value", [
+        ("classify", "--snap-tol", "nan"),
+        ("classify", "--snap-tol", "inf"),
+        ("classify", "--snap-tol", "-1"),
+        ("classify", "--denom-bound", "0"),
+        ("classify", "--denom-bound", "-1"),
+        ("verify", "--snap-tol", "nan"),
+    ])
+    def test_bad_snapping_flags_exit_2(self, command, option, value, tmp_path, capsys):
+        # NaN and inf used to accept every snap, and a bound below 1 ended in a traceback.
+        document = tmp_path / "singlet.json"
+        document.write_text(json.dumps(experiment_to_dict(singlet_experiment())))
+        argv = ["classify", str(document)] if command == "classify" else ["verify", "bell", "--file", str(document)]
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, option, value])
+        assert exit_.value.code == 2
+        assert f"argument {option}: " in capsys.readouterr().err
+
     def test_cap_exceeded_exits_3(self, capsys):
         assert main(["classify", "ghz", "--cap", "10"]) == 3
 
