@@ -163,10 +163,10 @@ def global_distribution(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CA
     solution's support, or a :class:`GlobalDistributionCertificate` that has
     passed its independent verification when none exists.
     """
-    scenario = model.scenario
+    scenario, tables = model.scenario, model.tables
     check_global_section_cap(scenario, cap)
     source = global_section_columns(scenario)
-    outcome = solve_source(source, [model.table(c).weight(s) for c, s in source.rows])
+    outcome = solve_source(source, [tables[c].weight(s) for c, s in source.rows])
     if outcome.feasible:
         support = {source.section(j): x for j, x in outcome.solution.items()}
         return Distribution._from_support(scenario, scenario.measurements, support)

@@ -288,7 +288,7 @@ def _cmd_export(args) -> int:
         text, structured = export_bundle_diagram(model)
     else:
         rep = build_combinatorial_rep(model, cap=args.cap)
-        text, structured = export_nerve(rep)
+        text, structured = export_nerve(rep, cap=args.cap)
     if args.format == "structured":
         _emit(structured_to_text(structured), args.out)
     else:

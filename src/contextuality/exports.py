@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from typing import Optional
 
+from .errors import DEFAULT_ENUMERATION_CAP, EnumerationCapError
 from .model import EmpiricalModel
 from .scenario import glue, sections_over
 from .wps import WpsRepresentation
@@ -70,14 +72,17 @@ def export_bundle_diagram(model: EmpiricalModel) -> tuple[str, dict]:
     return "\n".join(lines) + "\n", structured
 
 
-def export_nerve(rep: WpsRepresentation) -> tuple[str, dict]:
+def export_nerve(rep: WpsRepresentation, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[str, dict]:
     """Simplicial-complex text plus a structured mirror of a representation.
 
     Vertices are the positive-measure single-measurement events.  A simplex
     joins vertices over pairwise-distinct measurements whose events have a
     non-empty intersection; when the vertex measurements form a context the
     simplex carries the exact weight of the intersection event and a
-    support flag, otherwise the weight is reported as undefined.
+    support flag, otherwise the weight is reported as undefined.  A
+    simplex takes at most one of the v_m vertices over each measurement m,
+    so there are Π_m (1 + v_m) − 1 candidates; over ``cap`` of them it
+    raises :class:`EnumerationCapError` before listing any.
     """
     scenario = rep.model.scenario
     vertices = []
@@ -85,6 +90,9 @@ def export_nerve(rep: WpsRepresentation) -> tuple[str, dict]:
         for s in sections_over(scenario, (m,)):
             if rep.in_sigma(rep.event(s)) and rep.mu_of(rep.event(s)) > 0:
                 vertices.append(s)
+    count = math.prod(1 + sum(s.domain[0] == m for s in vertices) for m in scenario.measurements) - 1
+    if count > cap:
+        raise EnumerationCapError(count, cap, what="nerve simplices")
     lines = []
     structured: dict = {"kind": "nerve", "simplices": []}
     for size in range(1, len(scenario.measurements) + 1):

@@ -23,10 +23,11 @@ value, or None when no value is positive.
 takes its dense rows as local rows; the Dutch-book membership systems pose
 their 0/1 point columns through it.  The global-section system has one
 source (:func:`scenario.global_section_columns`); it prices by variable
-elimination over the contexts and has one local coordinate per
-tensor-basis function over a context, so neither the presolve nor a pivot
-of a global-section solve, nor the classifier's re-check of its
-certificate, reads all |O|^n columns.
+elimination over the contexts along one flat plan built once per scenario
+(the row weights, then each step's max-table, in one list read at fixed
+positions) and has one local coordinate per tensor-basis function over a
+context, so neither the presolve nor a pivot of a global-section solve,
+nor the classifier's re-check of its certificate, reads all |O|^n columns.
 
 A fraction-free forward elimination over the local rows, computed once per
 source and kept on it, finds a maximal independent subset of the rows and

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -159,10 +159,6 @@ class Section(Record):
         except ValueError:
             raise DomainError(f"measurement {m!r} is outside this section's domain") from None
 
-    def sort_key(self) -> tuple:
-        sc = self.scenario
-        return tuple(sc.outcome_index(o) for o in self.values)
-
     def __str__(self) -> str:
         inner = ", ".join(f"{m}->{o}" for m, o in zip(self.domain, self.values))
         return "{" + inner + "}"
@@ -265,15 +261,18 @@ class GlobalSectionColumns:
     (:meth:`section`), and it has a 1 in the row ``(c, g|c)`` of each
     maximal context c, the row labels being this source's ``rows``; so
     under row weights w column j is worth Σ_c w(c, g|c): a sum of one
-    factor per maximal context.  The factors are
-    eliminated bucket by bucket, last measurement first: the factors whose
-    scope holds the last measurement left are summed into one bucket table
-    and maximised over that measurement, which leaves a factor on the rest
-    of the bucket's scope (Abramsky, Gottlob and Kolaitis, IJCAI 2013).  A
-    forward pass then fixes measurement 0, 1, ... to the least outcome that
-    still reaches the maximum, or under Bland's rule the least outcome that
-    still leaves a positive best completion; as j is the numeral of the
-    outcomes with measurement 0 most significant, that is the least index.
+    factor per maximal context.  The factors are eliminated bucket by
+    bucket, last measurement first: the factors whose scope holds the last
+    measurement left are summed into one bucket table and maximised over
+    that measurement, which leaves a factor on the rest of the bucket's
+    scope (Abramsky, Gottlob and Kolaitis, IJCAI 2013).  The plan is built
+    once, in flat coordinates: the row weights come first, then each step's
+    max-table as the step appends it, and each step reads its factors'
+    entries at positions fixed in advance.  A forward pass then fixes
+    measurement 0, 1, ... to the least outcome that still reaches the
+    maximum, or under Bland's rule the least outcome that still leaves a
+    positive best completion; as j is the numeral of the outcomes with
+    measurement 0 most significant, that is the least index.
 
     The local rows are the rows over the tensor basis {1, δ_1, ...,
     δ_{|O|-1}} of each measurement's outcome functions: [g_m = o] is δ_o, or
@@ -291,26 +290,24 @@ class GlobalSectionColumns:
         self._scenario, self._base, self._size = scenario, base, base ** n
         self._powers = [base ** (n - 1 - i) for i in range(n)]
         self._ones = (1,) * len(contexts)
-        # One factor per maximal context: its measurements and its rows.
-        scopes = [tuple(index[m] for m in c) for c in contexts]
-        starts = list(itertools.accumulate((base ** len(scope) for scope in scopes), initial=0))
-        self._spans = list(zip(starts, starts[1:]))
-        self._contexts = list(zip(starts, scopes))
 
-        # -- the elimination plan: each step's bucket, with each factor's
-        # entry at each assignment of the bucket's scope, measurement i last.
-        self._steps = []
-        alive = list(range(len(scopes)))
+        # -- the elimination plan, in flat coordinates: a factor is its scope and its entry 0's
+        # position; the rows are the contexts' factors, and each step appends its max-table.
+        starts = itertools.accumulate((base ** len(c) for c in contexts), initial=0)
+        factors, end = [(tuple(index[m] for m in c), start) for c, start in zip(contexts, starts)], len(self.rows)
+        self._columns = [(start, scope, [base ** k for k in reversed(range(len(scope)))]) for scope, start in factors]
+        self._plan = []
         for i in reversed(range(n)):
-            bucket = [f for f in alive if i in scopes[f]]
-            alive = [f for f in alive if i not in scopes[f]] + [len(scopes)]
-            scope = sorted({v for f in bucket for v in scopes[f]} | {i})
+            bucket = [f for f in factors if i in f[0]]
+            scope = sorted({v for f in bucket for v in f[0]} | {i})
+            factors = [f for f in factors if i not in f[0]] + [(tuple(scope[:-1]), end)]
+            end += base ** (len(scope) - 1)
             at = {v: p for p, v in enumerate(scope)}
             assignments = list(itertools.product(range(base), repeat=len(scope)))
-            self._steps.append(([(f, [_numeral((a[at[v]] for v in scopes[f]), base) for a in assignments])
-                                 for f in bucket], scope[:-1]))
-            scopes.append(tuple(scope[:-1]))
-        self._constants = alive
+            # Each factor's flat positions at the assignments, i last; the other measurements and their strides.
+            self._plan.append(([[start + _numeral((a[at[v]] for v in sub), base) for a in assignments]
+                                for sub, start in bucket], scope[:-1], [base ** k for k in range(len(scope) - 1, 0, -1)]))
+        self._constants = [start for _, start in factors]  # every factor left has an empty scope
 
         # -- the rows in local coordinates ---------------------------------
         # Digit 0 of measurement m stands for 1 and digit k for δ_k.
@@ -345,24 +342,25 @@ class GlobalSectionColumns:
         return Section(scenario.measurements, tuple(scenario.outcomes[d] for d in self.digits(j)), scenario)
 
     def column(self, j: int) -> tuple[list[int], tuple[int, ...]]:
-        digits = self.digits(j)
-        return [start + _numeral((digits[i] for i in scope), self._base) for start, scope in self._contexts], self._ones
+        digit = self.digits(j).__getitem__
+        return [start + sum(map(mul, map(digit, scope), strides)) for start, scope, strides in self._columns], self._ones
 
     def _eliminate(self, weights: list[int]) -> tuple[list[list[int]], int]:
         """The bucket tables, last measurement first, and the maximum over all columns."""
-        base = self._base
-        tables = [weights[a:b] for a, b in self._spans]
+        base, flat = self._base, list(weights)
+        entry, extend = flat.__getitem__, flat.extend
         buckets = []
-        for bucket, _ in self._steps:
-            h = None
-            for f, positions in bucket:
-                part = map(tables[f].__getitem__, positions)
-                h = list(part if h is None else map(add, h, part))
+        for positions, _, _ in self._plan:
+            h = map(entry, positions[0])
+            for more in positions[1:]:
+                h = map(add, h, map(entry, more))
+            h = list(h)
             # h[a·|O| + o] is the bucket at outcome o of its last measurement;
             # with one outcome, h is already its own maximum.
-            tables.append(list(map(max, *(h[o::base] for o in range(base)))) if base > 1 else h)
+            extend([x if x >= y else y for x, y in zip(h[::2], h[1::2])] if base == 2 else h if base == 1
+                   else map(max, *(h[o::base] for o in range(base))))
             buckets.append(h)
-        return buckets, sum(tables[f][0] for f in self._constants)
+        return buckets, sum(map(entry, self._constants))
 
     def maximum(self, weights: list[int]) -> int:
         return self._eliminate(weights)[1]
@@ -373,8 +371,9 @@ class GlobalSectionColumns:
             return None
         base = self._base
         outcome = []
-        for (_, prefix), h in zip(reversed(self._steps), reversed(buckets)):
-            a = _numeral((outcome[v] for v in prefix), base) * base
+        chosen = outcome.__getitem__
+        for (_, prefix, strides), h in zip(reversed(self._plan), reversed(buckets)):
+            a = sum(map(mul, map(chosen, prefix), strides))
             row = h[a:a + base]
             top = max(row)
             if bland:
@@ -385,7 +384,7 @@ class GlobalSectionColumns:
             else:
                 o = row.index(top)
             outcome.append(o)
-        return _numeral(outcome, base), value
+        return sum(map(mul, outcome, self._powers)), value
 
 
 @lru_cache(maxsize=None)

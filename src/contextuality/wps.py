@@ -244,7 +244,7 @@ class PadPoint:
 # ---------------------------------------------------------------------------
 
 
-def build_combinatorial_rep(model: EmpiricalModel, point_order: str | Sequence[Section] = "canonical",
+def build_combinatorial_rep(model: EmpiricalModel, point_order: str = "canonical",
                             cap: int = DEFAULT_ENUMERATION_CAP) -> WpsRepresentation:
     """One sample point per global section; events are restriction classes."""
     rep, report = _build(model, pads=(), point_order=point_order, cap=cap)
@@ -257,7 +257,7 @@ def build_combinatorial_rep(model: EmpiricalModel, point_order: str | Sequence[S
 
 
 def build_padded_rep(model: EmpiricalModel, pads: Sequence[PadPoint],
-                     point_order: str | Sequence[Section] = "canonical",
+                     point_order: str = "canonical",
                      cap: int = DEFAULT_ENUMERATION_CAP) -> WpsRepresentation:
     """Combinatorial construction plus measure-irrelevant padding points."""
     rep, report = _build(model, pads=tuple(pads), point_order=point_order, cap=cap)
@@ -273,23 +273,18 @@ def _global_point_label(section: Section) -> str:
 
 
 def _build(model: EmpiricalModel, pads: tuple[PadPoint, ...],
-           point_order: str | Sequence[Section], cap: int) -> tuple[WpsRepresentation, CompatibilityReport]:
+           point_order: str, cap: int) -> tuple[WpsRepresentation, CompatibilityReport]:
     """The representation, and the model's compatibility report for its self-verify."""
     scenario = model.scenario
     report = check_model(model)
     if not report.ok:
         raise CompatibilityError(report)
 
-    if point_order == "canonical":
-        base_sections = scenario.global_sections(cap=cap)
-    elif point_order == "reversed":
-        base_sections = tuple(reversed(scenario.global_sections(cap=cap)))
-    else:
-        base_sections = tuple(point_order)
-        if sorted(base_sections, key=lambda s: s.sort_key()) != sorted(
-            scenario.global_sections(cap=cap), key=lambda s: s.sort_key()
-        ):
-            raise DomainError("point_order must enumerate exactly the global sections")
+    if point_order not in ("canonical", "reversed"):
+        raise DomainError(f"point_order must be 'canonical' or 'reversed', not {point_order!r}")
+    base_sections = scenario.global_sections(cap=cap)
+    if point_order == "reversed":
+        base_sections = base_sections[::-1]
 
     # Single-measurement images: point i joins the image of each outcome its
     # global section assigns, or of each outcome its pad memberships name.

@@ -17,7 +17,7 @@ from contextuality.distribution import (
     uniform,
 )
 from contextuality.errors import DomainError, WeightError
-from contextuality.scenario import Scenario, Section, restrict, sections_over
+from contextuality.scenario import Scenario, Section, all_contexts, restrict, sections_over
 
 
 @pytest.fixture
@@ -88,6 +88,40 @@ class TestMarginalize:
         d = uniform(pair_scenario, ("a",))
         with pytest.raises(DomainError):
             marginalize(d, ("b",))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mixed_denominators_match_the_restriction_sums(self, seed):
+        # Weights over 2, 3, 6 and 7, and the remainder to one: the integer
+        # sums over one lcm agree with adding each restriction's weight.
+        scenario = Scenario(("a", "b", "c"), (("a", "b", "c"),), ("0", "1", "2"))
+        full = sections_over(scenario, scenario.measurements)
+        rng = random.Random(seed)
+        shares, left = [], Fraction(1)
+        while (share := rng.choice((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(1, 7)))) < left:
+            shares.append(share)
+            left -= share
+        shares.append(left)
+        support = dict(zip(rng.sample(full, len(shares)), shares))
+        dist = Distribution(scenario, scenario.measurements, {s: support.get(s, 0) for s in full})
+        for target in all_contexts(scenario):
+            expected: dict = {}
+            for section, w in support.items():
+                key = restrict(section, target)
+                expected[key] = expected.get(key, 0) + w
+            got = marginalize(dist, target)
+            assert got.context == target
+            assert got.support == set(expected)
+            assert all(got.weight(s) == expected.get(s, 0) for s in sections_over(scenario, target))
+
+    @pytest.mark.parametrize("weights, total", [
+        ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)), "41/42"),
+        ((Fraction(1, 2), Fraction(2, 3)), "7/6"),
+        ((Fraction(3, 7), Fraction(3, 7)), "6/7"),
+    ])
+    def test_a_support_names_its_exact_wrong_sum(self, pair_scenario, weights, total):
+        support = dict(zip(sections_over(pair_scenario, ("a", "b")), weights))
+        with pytest.raises(WeightError, match=f"^weights sum to {total}, expected exactly 1$"):
+            Distribution._from_support(pair_scenario, ("a", "b"), support)
 
 
 class TestSupportStorage:

@@ -569,6 +569,21 @@ def test_phase1_block_stays_within_one_digit(n, monkeypatch):
     assert max(widest) < 2 ** 30
 
 
+# The pivots of ``classify`` on the noisy (1/8) n-cycles, with the tier they
+# end in.  A change to the pricing, the ratio test or the stall rule shows here.
+CLASSIFY_PIVOTS = {4: (10, "Noncontextual"), 5: (15, "Probabilistic"), 6: (19, "Noncontextual"),
+                   7: (28, "Probabilistic"), 8: (46, "Noncontextual"), 9: (47, "Probabilistic"),
+                   10: (41, "Noncontextual"), 11: (55, "Probabilistic"), 12: (69, "Noncontextual")}
+
+
+@pytest.mark.parametrize("n", sorted(CLASSIFY_PIVOTS))
+def test_classify_pivot_counts_are_pinned(n):
+    with pytest.MonkeyPatch.context() as patch:
+        pivots = count_calls(patch, feasibility, "_pivot")
+        tier = classifier.classify(noisy_cycle(n, Fraction(1, 8))).tier
+    assert (len(pivots), str(tier)) == CLASSIFY_PIVOTS[n]
+
+
 # ---------------------------------------------------------------------------
 # The presolve: one echelon per source, checked against each right-hand side
 # ---------------------------------------------------------------------------

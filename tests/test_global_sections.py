@@ -234,6 +234,31 @@ def test_oracle_pricing_matches_enumeration(data):
     assert source.entering(weights, True) == (positive, costs[positive])
 
 
+THREE_OUTCOME_CYCLE = Scenario(("w", "x", "y", "z"), (("w", "x"), ("x", "y"), ("y", "z"), ("w", "z")), ("0", "1", "2"))
+BEYOND_BINARY = [THREE_OUTCOMES, ONE_OUTCOME, MIXED_SIZES, THREE_OUTCOME_CYCLE]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_oracle_maximum_and_columns_match_enumeration_beyond_binary_cycles(data):
+    # The flat plan's three-outcome and one-outcome maxima, its uneven scopes
+    # and, on the three-outcome 4-cycle, its two-factor three-outcome buckets.
+    scenario = data.draw(st.sampled_from(BEYOND_BINARY), label="scenario")
+    system = global_section_system(scenario)
+    source = global_section_columns(scenario)
+    weights = data.draw(st.lists(st.integers(-8, 3), min_size=len(system.rows), max_size=len(system.rows)),
+                        label="weights")
+    costs = [sum(weights[r] for r in rows) for rows in system.incidence]
+    assert source.maximum(weights) == max(costs)
+    j = data.draw(st.integers(0, len(source) - 1), label="column")
+    assert tuple(source.column(j)[0]) == system.incidence[j]
+    for bland in (False, True):
+        found = source.entering(weights, bland)
+        if found is not None:
+            assert tuple(source.column(found[0])[0]) == system.incidence[found[0]]
+            assert found[1] == costs[found[0]] > 0
+
+
 ONE_MEASUREMENT = Scenario(("m",), (("m",),), ("0", "1", "2"))
 
 

@@ -11,11 +11,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contextuality import classifier, dutchbook, feasibility
+from contextuality import classifier, dutchbook, exports, feasibility
 from contextuality.catalog import (
     bell_model,
     catalog,
     entry,
+    ghz_model,
     hardy_model,
     perturbed_model,
     pr_box_model,
@@ -26,7 +27,7 @@ from contextuality.catalog import (
 from contextuality.cli import main
 from contextuality.classifier import classify
 from contextuality.dutchbook import convexity_hierarchy, find_dutch_book
-from contextuality.errors import SchemaError
+from contextuality.errors import EnumerationCapError, SchemaError
 from contextuality.exports import export_bundle_diagram, export_nerve
 from contextuality.extensions import ExplicitExtension
 from contextuality.model import check_model
@@ -152,6 +153,16 @@ class TestExports:
             for m, o in fiber["section"].items():
                 assert g.value(m) == o
 
+    def test_nerve_counts_its_candidates_before_listing_them(self, monkeypatch):
+        # GHZ has two positive vertices over each of its six measurements:
+        # 3^6 - 1 = 728 candidate simplices, counted before any is listed.
+        rep = build_combinatorial_rep(ghz_model())
+        _, data = export_nerve(rep, cap=728)
+        assert 0 < len(data["simplices"]) <= 728
+        monkeypatch.setattr(exports.itertools, "combinations", None)
+        with pytest.raises(EnumerationCapError, match="^enumerating 728 nerve simplices exceeds the cap of 727$"):
+            export_nerve(rep, cap=727)
+
     def test_hardy_nerve_has_the_stranded_edge(self):
         rep = build_combinatorial_rep(hardy_model())
         _, data = export_nerve(rep)
@@ -242,6 +253,17 @@ class TestCli:
 
     def test_cap_exceeded_exits_3(self, capsys):
         assert main(["classify", "ghz", "--cap", "10"]) == 3
+
+    def test_nerve_over_its_cap_exits_3(self, tmp_path, capsys):
+        assert main(["export", "ghz", "--kind", "nerve", "--cap", "100"]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        # The noisy 6-cycle's representation fits under 700; its 3^6 - 1 = 728
+        # candidate simplices do not, and none of them is listed.
+        path = tmp_path / "cycle.json"
+        path.write_text(dumps(model_to_dict(noisy_cycle(6, Fraction(1, 8)))))
+        assert main(["export", str(path), "--kind", "nerve", "--cap", "700"]) == 3
+        assert capsys.readouterr().err == "error: enumerating 728 nerve simplices exceeds the cap of 700\n"
+        assert main(["export", str(path), "--kind", "nerve", "--cap", "728", "--out", str(tmp_path / "nerve")]) == 0
 
     def test_cap_counts_the_points_not_every_domain(self, tmp_path, capsys):
         # 2^8 = 256 global sections fit under the cap; the 3^8 sections

@@ -86,6 +86,11 @@ class TestCombinatorialConstruction:
         assert verify_rep(rep).ok
         assert rep.points == tuple(reversed(build_combinatorial_rep(bell_model()).points))
 
+    @pytest.mark.parametrize("order", ["random", bell_model().scenario.global_sections()], ids=["name", "sequence"])
+    def test_point_order_is_canonical_or_reversed(self, order):
+        with pytest.raises(DomainError, match="point_order must be 'canonical' or 'reversed'"):
+            build_combinatorial_rep(bell_model(), point_order=order)
+
     def test_event_values_match_tables(self, bell_rep):
         scenario = bell_rep.model.scenario
         s = scenario.section({"a": "0", "b": "0"})
