@@ -79,9 +79,9 @@ class Distribution:
                 raise DomainError(f"section {section} has domain {section.domain!r}, expected {context!r}")
             if value <= 0:
                 raise WeightError(f"non-positive weight {value} on {section}")
-        scale = math.lcm(*(v.denominator for v in support.values()))
-        if (total := sum(v.numerator * (scale // v.denominator) for v in support.values())) != scale:
-            raise WeightError(f"weights sum to {Fraction(total, scale)}, expected exactly 1")
+        total = sum(support.values())
+        if total != 1:
+            raise WeightError(f"weights sum to {total}, expected exactly 1")
         dist = cls.__new__(cls)
         dist.scenario, dist.context, dist._support = scenario, context, support
         return dist
@@ -140,8 +140,8 @@ def marginalize(dist: Distribution, measurements: Iterable) -> Distribution:
 
     The weight of a target section is the total weight of the sections that
     restrict to it.  Marginalizing to the full context returns the input.
-    Only the support is read, as integers over one denominator, so a sparse
-    distribution costs one integer addition per supported section.
+    Only the support is read, so a sparse distribution (a basic solution of
+    the global-section system) costs one addition per supported section.
     """
     target = dist.scenario.canonical_context(measurements)
     extra = set(target) - set(dist.context)
@@ -150,12 +150,11 @@ def marginalize(dist: Distribution, measurements: Iterable) -> Distribution:
     if target == dist.context:
         return dist
     positions = [dist.context.index(m) for m in target]
-    scale = math.lcm(*(w.denominator for w in dist._support.values()))
-    sums: dict[tuple, int] = {}
+    sums: dict[tuple, Fraction] = {}
     for section, w in dist._support.items():
         values = tuple(section.values[i] for i in positions)
-        sums[values] = sums.get(values, 0) + w.numerator * (scale // w.denominator)
+        sums[values] = sums.get(values, ZERO) + w
     index = {o: i for i, o in enumerate(dist.scenario.outcomes)}
     order = sorted(sums, key=lambda values: [index[o] for o in values])
-    return Distribution._from_support(dist.scenario, target, {
-        Section(target, values, dist.scenario): Fraction(sums[values], scale) for values in order})
+    return Distribution._from_support(dist.scenario, target,
+                                      {Section(target, values, dist.scenario): sums[values] for values in order})

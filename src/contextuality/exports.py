@@ -82,24 +82,33 @@ def export_nerve(rep: WpsRepresentation, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     support flag, otherwise the weight is reported as undefined.  A
     simplex takes at most one of the v_m vertices over each measurement m,
     so there are Π_m (1 + v_m) − 1 candidates; over ``cap`` of them it
-    raises :class:`EnumerationCapError` before listing any.
+    raises :class:`EnumerationCapError` before listing any.  The walk visits
+    exactly those candidates, by size, each size in lexicographic order of
+    the vertex list.
     """
     scenario = rep.model.scenario
-    vertices = []
-    for m in scenario.measurements:
-        for s in sections_over(scenario, (m,)):
-            if rep.in_sigma(rep.event(s)) and rep.mu_of(rep.event(s)) > 0:
-                vertices.append(s)
-    count = math.prod(1 + sum(s.domain[0] == m for s in vertices) for m in scenario.measurements) - 1
+    groups = [[s for s in sections_over(scenario, (m,)) if rep.in_sigma(rep.event(s)) and rep.mu_of(rep.event(s)) > 0]
+              for m in scenario.measurements]
+    groups = [g for g in groups if g]
+    count = math.prod(1 + len(g) for g in groups) - 1
     if count > cap:
         raise EnumerationCapError(count, cap, what="nerve simplices")
+
+    def candidates(size: int, start: int):
+        # Vertex tuples of ``size`` over distinct measurements of groups[start:].
+        if size == 0:
+            yield ()
+            return
+        for g in range(start, len(groups) - size + 1):
+            for s in groups[g]:
+                for rest in candidates(size - 1, g + 1):
+                    yield (s, *rest)
+
     lines = []
     structured: dict = {"kind": "nerve", "simplices": []}
-    for size in range(1, len(scenario.measurements) + 1):
-        for combo in itertools.combinations(vertices, size):
+    for size in range(1, len(groups) + 1):
+        for combo in candidates(size, 0):
             measurements = [s.domain[0] for s in combo]
-            if len(set(measurements)) != size:
-                continue
             intersection = rep.event(combo[0])
             for s in combo[1:]:
                 intersection = intersection & rep.event(s)

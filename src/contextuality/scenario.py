@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -304,10 +304,13 @@ class GlobalSectionColumns:
             end += base ** (len(scope) - 1)
             at = {v: p for p, v in enumerate(scope)}
             assignments = list(itertools.product(range(base), repeat=len(scope)))
-            # Each factor's flat positions at the assignments, i last; the other measurements and their strides.
-            self._plan.append(([[start + _numeral((a[at[v]] for v in sub), base) for a in assignments]
-                                for sub, start in bucket], scope[:-1], [base ** k for k in range(len(scope) - 1, 0, -1)]))
+            # Each factor's flat positions at the assignments, i last, read by one itemgetter (over a
+            # one-entry slice when one outcome leaves one position); the other measurements and their strides.
+            places = [[start + _numeral((a[at[v]] for v in sub), base) for a in assignments] for sub, start in bucket]
+            readers = [itemgetter(*p) if len(p) > 1 else itemgetter(slice(p[0], p[0] + 1)) for p in places]
+            self._plan.append((readers, scope[:-1], [base ** k for k in range(len(scope) - 1, 0, -1)]))
         self._constants = [start for _, start in factors]  # every factor left has an empty scope
+        self._split = itemgetter(*(slice(o, None, base) for o in range(base)))
 
         # -- the rows in local coordinates ---------------------------------
         # Digit 0 of measurement m stands for 1 and digit k for δ_k.
@@ -347,20 +350,18 @@ class GlobalSectionColumns:
 
     def _eliminate(self, weights: list[int]) -> tuple[list[list[int]], int]:
         """The bucket tables, last measurement first, and the maximum over all columns."""
-        base, flat = self._base, list(weights)
-        entry, extend = flat.__getitem__, flat.extend
+        base, split, flat = self._base, self._split, list(weights)
         buckets = []
-        for positions, _, _ in self._plan:
-            h = map(entry, positions[0])
-            for more in positions[1:]:
-                h = map(add, h, map(entry, more))
+        for readers, _, _ in self._plan:
+            h = readers[0](flat)
+            for more in readers[1:]:
+                h = map(add, h, more(flat))
             h = list(h)
             # h[a·|O| + o] is the bucket at outcome o of its last measurement;
             # with one outcome, h is already its own maximum.
-            extend([x if x >= y else y for x, y in zip(h[::2], h[1::2])] if base == 2 else h if base == 1
-                   else map(max, *(h[o::base] for o in range(base))))
+            flat.extend(h if base == 1 else map(max, *split(h)))
             buckets.append(h)
-        return buckets, sum(map(entry, self._constants))
+        return buckets, sum(map(flat.__getitem__, self._constants))
 
     def maximum(self, weights: list[int]) -> int:
         return self._eliminate(weights)[1]

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -32,6 +34,7 @@ from contextuality.exports import export_bundle_diagram, export_nerve
 from contextuality.extensions import ExplicitExtension
 from contextuality.model import check_model
 from contextuality.quantum import experiment_from_dict, experiment_to_dict, singlet_experiment
+from contextuality.scenario import sections_over
 from contextuality.serialize import (
     certificate_from_dict,
     certificate_to_dict,
@@ -159,9 +162,29 @@ class TestExports:
         rep = build_combinatorial_rep(ghz_model())
         _, data = export_nerve(rep, cap=728)
         assert 0 < len(data["simplices"]) <= 728
-        monkeypatch.setattr(exports.itertools, "combinations", None)
+        monkeypatch.setattr(exports, "glue", None)  # listing any simplex would call it
         with pytest.raises(EnumerationCapError, match="^enumerating 728 nerve simplices exceeds the cap of 727$"):
             export_nerve(rep, cap=727)
+
+    def test_nerve_lists_the_filtered_combinations_in_their_order(self):
+        # Oracle: every combination of the positive vertices, by size, kept
+        # when its measurements are distinct and its events intersect.
+        models = [hardy_model(), ghz_model(),
+                  random_deterministic_mixture(triangle_scenario(), random.Random(5), 2),
+                  random_deterministic_mixture(two_party_scenario(), random.Random(6), 3)]
+        for model in models:
+            rep = build_combinatorial_rep(model)
+            vertices = [s for m in model.scenario.measurements for s in sections_over(model.scenario, (m,))
+                        if rep.in_sigma(rep.event(s)) and rep.mu_of(rep.event(s)) > 0]
+            expected = []
+            for size in range(1, len(vertices) + 1):
+                for combo in itertools.combinations(vertices, size):
+                    events = [rep.event(s) for s in combo]
+                    if (len({s.domain[0] for s in combo}) == size
+                            and functools.reduce(lambda x, y: x & y, events)):
+                        expected.append([f"{s.domain[0]}={s.values[0]}" for s in combo])
+            _, data = export_nerve(rep)
+            assert [s["vertices"] for s in data["simplices"]] == expected
 
     def test_hardy_nerve_has_the_stranded_edge(self):
         rep = build_combinatorial_rep(hardy_model())
