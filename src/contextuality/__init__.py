@@ -5,86 +5,53 @@ models over measurement scenarios, the strong/logical/probabilistic
 hierarchy with verified witnesses, weak-probability-space representations,
 additivity-violation witnesses, and stake certificates whose guaranteed
 loss is checked by exhaustive enumeration.
+
+Importing the package loads no submodule: each public name is imported from
+its submodule on first use (PEP 562) and then kept in this namespace.
 """
 
-from .classifier import (
-    GlobalDistributionCertificate,
-    Tier,
-    TierVerdict,
-    classify,
-    consistent_global_sections,
-    global_distribution,
-    is_logically_contextual,
-    is_strongly_contextual,
-)
-from .distribution import Distribution, marginalize, point_mass, uniform
-from .dutchbook import (
-    AtomicFunctional,
-    ConvexityVerdict,
-    DutchBookCertificate,
-    atomic_functional,
-    convexity_hierarchy,
-    convexity_membership,
-    distribution_to_convex_point,
-    find_dutch_book,
-    section_to_functional,
-    verify_certificate,
-)
-from .errors import ContextualityError, DEFAULT_ENUMERATION_CAP
-from .extensions import (
-    CoverExtension,
-    EnvelopeExtension,
-    ExplicitExtension,
-    MixedExtension,
-    PointMeasureExtension,
-    canonical_monotone_extension,
-    cheapest_cover_of_space,
-    sample_monotone_extensions,
-)
-from .model import (
-    CompatibilityReport,
-    EmpiricalModel,
-    check_model,
-    deterministic_model,
-    mixture,
-    model_from_tables,
-)
-from .quantum import (
-    QuantumExperiment,
-    ghz_experiment,
-    is_weak_hv_representation,
-    quantum_to_empirical,
-    singlet_experiment,
-    snap_to_rational,
-    weak_hv_report,
-)
-from .scenario import Scenario, Section, all_contexts, glue, restrict, sections_over
-from .violations import (
-    AdditiveCover,
-    MarginalizationFailure,
-    ViolationKind,
-    ViolationWitness,
-    additivity_violation,
-    defect,
-    has_classical_extension,
-    logical_subadditivity_violation,
-    marginalization_failure,
-    strong_subadditivity_violation,
-    subadditivity_violation_by_cover,
-    tier_violation_witness,
-    verify_extension,
-    verify_witness,
-)
-from .wps import (
-    ExcisionReport,
-    PadPoint,
-    WpsRepresentation,
-    build_combinatorial_rep,
-    build_padded_rep,
-    excise,
-    extend_event,
-    verify_rep,
-)
+# Each submodule and the public names it defines (feasibility and record define none).
+_EXPORTS = {
+    "classifier": "GlobalDistributionCertificate Tier TierVerdict classify consistent_global_sections "
+                  "global_distribution is_logically_contextual is_strongly_contextual",
+    "distribution": "Distribution marginalize point_mass uniform",
+    "dutchbook": "AtomicFunctional ConvexityVerdict DutchBookCertificate atomic_functional convexity_hierarchy "
+                 "convexity_membership distribution_to_convex_point find_dutch_book section_to_functional "
+                 "verify_certificate",
+    "errors": "ContextualityError DEFAULT_ENUMERATION_CAP",
+    "extensions": "CoverExtension EnvelopeExtension ExplicitExtension MixedExtension PointMeasureExtension "
+                  "canonical_monotone_extension cheapest_cover_of_space sample_monotone_extensions",
+    "feasibility": "",
+    "model": "CompatibilityReport EmpiricalModel check_model deterministic_model mixture model_from_tables",
+    "quantum": "QuantumExperiment ghz_experiment is_weak_hv_representation quantum_to_empirical singlet_experiment "
+               "snap_to_rational weak_hv_report",
+    "record": "",
+    "scenario": "Scenario Section all_contexts glue restrict sections_over",
+    "violations": "AdditiveCover MarginalizationFailure ViolationKind ViolationWitness additivity_violation defect "
+                  "has_classical_extension logical_subadditivity_violation marginalization_failure "
+                  "strong_subadditivity_violation subadditivity_violation_by_cover tier_violation_witness "
+                  "verify_extension verify_witness",
+    "wps": "ExcisionReport PadPoint WpsRepresentation build_combinatorial_rep build_padded_rep excise extend_event "
+           "verify_rep",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_HOME, *_EXPORTS])
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _EXPORTS:
+        value = import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -14,13 +14,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .classifier import Tier
 from .distribution import Distribution, random_rational_weights
 from .model import EmpiricalModel, deterministic_model, mixture
-from .quantum import QuantumExperiment, ghz_experiment, singlet_experiment
 from .scenario import Scenario, sections_over
+
+if TYPE_CHECKING:
+    from .quantum import QuantumExperiment
 
 
 class CatalogEntry:
@@ -191,6 +193,16 @@ def ghz_model() -> EmpiricalModel:
 # ---------------------------------------------------------------------------
 
 
+def _singlet_experiment() -> QuantumExperiment:
+    from .quantum import singlet_experiment  # quantum loads only when an experiment is asked for
+    return singlet_experiment()
+
+
+def _ghz_experiment() -> QuantumExperiment:
+    from .quantum import ghz_experiment
+    return ghz_experiment()
+
+
 @lru_cache(maxsize=None)
 def catalog() -> tuple[CatalogEntry, ...]:
     return (
@@ -199,7 +211,7 @@ def catalog() -> tuple[CatalogEntry, ...]:
             "Two-party tables realized exactly by the bundled singlet experiment "
             "(all values are multiples of 1/8); every support section extends "
             "globally, yet no global distribution matches all four tables.",
-            singlet_experiment,
+            _singlet_experiment,
         ),
         CatalogEntry(
             "hardy", hardy_model(), Tier.LOGICAL,
@@ -223,7 +235,7 @@ def catalog() -> tuple[CatalogEntry, ...]:
             "Parity constraints on four of the eight contexts are jointly "
             "unsatisfiable; realized exactly by the bundled three-qubit "
             "experiment with x/y spin measurements.",
-            ghz_experiment,
+            _ghz_experiment,
         ),
     )
 

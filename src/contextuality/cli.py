@@ -4,7 +4,8 @@ Subcommands: classify, witness, dutchbook, verify, export, catalog-list.
 Models come from the catalog by name or from a JSON document (an empirical
 model, or a quantum experiment ingested through the Born rule with the
 snapping flags).  Exit codes: 0 success, 2 validation failure or an
-unreadable path, 3 enumeration cap exceeded.
+unreadable path, 3 enumeration cap exceeded.  Each command is one process,
+so each handler imports only the layers it runs.
 """
 
 from __future__ import annotations
@@ -17,38 +18,9 @@ from pathlib import Path
 
 from . import catalog as _catalog
 from .classifier import Tier, classify
-from .dutchbook import find_dutch_book, verify_certificate
-from .errors import DEFAULT_ENUMERATION_CAP, ContextualityError, EnumerationCapError, SchemaError
-from .exports import export_bundle_diagram, export_nerve, structured_to_text
+from .errors import (DEFAULT_DENOMINATOR_BOUND, DEFAULT_ENUMERATION_CAP, DEFAULT_SNAP_TOLERANCE,
+                     ContextualityError, EnumerationCapError, SchemaError)
 from .model import EmpiricalModel, check_model
-from .quantum import (
-    DEFAULT_DENOMINATOR_BOUND,
-    DEFAULT_SNAP_TOLERANCE,
-    experiment_from_dict,
-    quantum_to_empirical,
-)
-from .serialize import (
-    KIND_CERTIFICATE,
-    KIND_EXPERIMENT,
-    KIND_EXTENSION,
-    KIND_MODEL,
-    KIND_WITNESS,
-    certificate_from_dict,
-    certificate_to_dict,
-    extension_from_dict,
-    load,
-    model_from_dict,
-    witness_from_dict,
-    witness_to_dict,
-)
-from .violations import (
-    logical_subadditivity_violation,
-    strong_subadditivity_violation,
-    tier_violation_witness,
-    verify_extension,
-    verify_witness,
-)
-from .wps import build_combinatorial_rep
 
 
 def _at_least(low, convert, what: str):
@@ -89,6 +61,8 @@ def _resolve_model(args) -> tuple[str, EmpiricalModel]:
     path = Path(name)
     if not path.exists():
         raise SchemaError(f"{name!r} is neither a catalog model nor an existing file")
+    from .serialize import KIND_EXPERIMENT, KIND_MODEL, load, model_from_dict
+
     document = load(path)
     kind = document.get("kind")
     if kind == KIND_MODEL:
@@ -98,6 +72,8 @@ def _resolve_model(args) -> tuple[str, EmpiricalModel]:
             raise SchemaError(f"model file fails the no-signaling check: {report}")
         return path.stem, model
     if kind == KIND_EXPERIMENT:
+        from .quantum import experiment_from_dict, quantum_to_empirical
+
         experiment = experiment_from_dict(document)
         return path.stem, quantum_to_empirical(
             experiment, snap_tolerance=args.snap_tol,
@@ -120,11 +96,11 @@ def _yesno(flag: bool) -> str:
 def _cmd_classify(args) -> int:
     name, model = _resolve_model(args)
     verdict = classify(model, cap=args.cap)
-    rep = build_combinatorial_rep(model, cap=args.cap)
-    strong, _ = strong_subadditivity_violation(rep)
-    logical, _ = logical_subadditivity_violation(rep)
-    # On a combinatorial representation the strong and logical convexity grades
-    # are these two null-cover flags, and every LP line is the tier's question.
+    # On the combinatorial representation every line is the tier's question:
+    # the strong and logical null-cover flags are the support cover's own, and
+    # every LP line is the global-distribution solve.  No representation is built.
+    strong = verdict.tier is Tier.STRONG
+    logical = verdict.tier in (Tier.STRONG, Tier.LOGICAL)
     violated = verdict.tier is not Tier.NONCONTEXTUAL
     structured = {
         "model": name,
@@ -178,6 +154,10 @@ _TIER_FLAGS = {
 
 
 def _cmd_witness(args) -> int:
+    from .serialize import witness_to_dict
+    from .violations import tier_violation_witness, verify_witness
+    from .wps import build_combinatorial_rep
+
     name, model = _resolve_model(args)
     rep = build_combinatorial_rep(model, cap=args.cap)
     if args.tier:
@@ -205,6 +185,10 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_dutchbook(args) -> int:
+    from .dutchbook import find_dutch_book
+    from .serialize import certificate_to_dict
+    from .wps import build_combinatorial_rep
+
     name, model = _resolve_model(args)
     rep = build_combinatorial_rep(model, cap=args.cap)
     certificate = find_dutch_book(rep)
@@ -236,6 +220,9 @@ def _cmd_dutchbook(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .serialize import KIND_CERTIFICATE, KIND_EXPERIMENT, KIND_EXTENSION, KIND_MODEL, KIND_WITNESS
+    from .serialize import certificate_from_dict, extension_from_dict, load, model_from_dict, witness_from_dict
+
     document = load(Path(args.file))
     kind = document.get("kind")
     if kind == KIND_MODEL:
@@ -248,12 +235,18 @@ def _cmd_verify(args) -> int:
               "agreeing on overlaps\n", None)
         return 0
     if kind == KIND_EXPERIMENT:
+        from .quantum import experiment_from_dict, quantum_to_empirical
+
         experiment = experiment_from_dict(document)
         quantum_to_empirical(experiment, snap_tolerance=args.snap_tol,
                              denominator_bound=args.denom_bound, cap=args.cap)
         _emit("experiment document verified: snapped tables pass the "
               "no-signaling check\n", None)
         return 0
+    from .dutchbook import verify_certificate
+    from .violations import verify_extension, verify_witness
+    from .wps import build_combinatorial_rep
+
     name, model = _resolve_model(args)
     rep = build_combinatorial_rep(model, cap=args.cap)
     if kind == KIND_CERTIFICATE:
@@ -283,10 +276,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .exports import export_bundle_diagram, export_nerve, structured_to_text
+
     name, model = _resolve_model(args)
     if args.kind == "bundle":
         text, structured = export_bundle_diagram(model)
     else:
+        from .wps import build_combinatorial_rep
+
         rep = build_combinatorial_rep(model, cap=args.cap)
         text, structured = export_nerve(rep, cap=args.cap)
     if args.format == "structured":

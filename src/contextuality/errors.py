@@ -1,4 +1,4 @@
-"""Exception hierarchy and global enumeration limits.
+"""Exception hierarchy, global enumeration limits and snapping defaults.
 
 Every public operation raises a subclass of :class:`ContextualityError` so
 callers (including the CLI) can separate contract violations from bugs.
@@ -8,6 +8,9 @@ from __future__ import annotations
 
 #: Default ceiling on the number of sections enumerated in one call.
 DEFAULT_ENUMERATION_CAP = 2**20
+#: Defaults for snapping Born-rule probabilities to exact rationals.
+DEFAULT_SNAP_TOLERANCE = 1e-9
+DEFAULT_DENOMINATOR_BOUND = 4096
 
 
 class ContextualityError(Exception):

@@ -14,12 +14,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import DEFAULT_ENUMERATION_CAP, EnumerationCapError
 from .model import EmpiricalModel
 from .scenario import glue, sections_over
-from .wps import WpsRepresentation
+
+if TYPE_CHECKING:
+    from .wps import WpsRepresentation
 
 
 def _dot_quote(text: str) -> str:

@@ -22,7 +22,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import (
+    DEFAULT_DENOMINATOR_BOUND,
     DEFAULT_ENUMERATION_CAP,
+    DEFAULT_SNAP_TOLERANCE,
     CompatibilityError,
     EnumerationCapError,
     SchemaError,
@@ -32,13 +34,11 @@ from .model import EmpiricalModel, check_model
 from .distribution import Distribution
 from .record import Record
 from .scenario import Scenario, sections_over
-from .wps import WpsRepresentation, _atoms, _subset_sums
 
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_SNAP_TOLERANCE = 1e-9
-DEFAULT_DENOMINATOR_BOUND = 4096
+    from .wps import WpsRepresentation
 
 
 def _real(part) -> float:
@@ -223,6 +223,8 @@ def weak_hv_report(rep: WpsRepresentation, experiment: QuantumExperiment,
     inside the event family carrying an exact probability measure.
     """
     import numpy as np
+
+    from .wps import _atoms, _subset_sums
 
     failures: list[WeakHvFailure] = []
     induced = quantum_to_empirical(experiment, snap_tolerance, denominator_bound)

@@ -11,16 +11,19 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .distribution import Distribution
-from .dutchbook import DutchBookCertificate
 from .errors import DomainError, SchemaError
-from .extensions import ExplicitExtension
 from .model import EmpiricalModel
 from .scenario import Scenario, sections_over
-from .violations import MarginalizationFailure, ViolationKind, ViolationWitness
-from .wps import WpsRepresentation
+
+# Imported where their objects are built, so reading a model document does not load them.
+if TYPE_CHECKING:
+    from .dutchbook import DutchBookCertificate
+    from .extensions import ExplicitExtension
+    from .violations import ViolationWitness
+    from .wps import WpsRepresentation
 
 SCHEMA_VERSION = 1
 
@@ -199,6 +202,8 @@ def certificate_to_dict(rep: WpsRepresentation, certificate: DutchBookCertificat
 
 
 def certificate_from_dict(rep: WpsRepresentation, document: Mapping) -> DutchBookCertificate:
+    from .dutchbook import DutchBookCertificate
+
     _check_header(document, KIND_CERTIFICATE)
     stakes = []
     for i, item in enumerate(_expect(document, "stakes", kind=list)):
@@ -211,6 +216,8 @@ def certificate_from_dict(rep: WpsRepresentation, document: Mapping) -> DutchBoo
 
 
 def witness_to_dict(rep: WpsRepresentation, witness: ViolationWitness) -> dict:
+    from .violations import MarginalizationFailure
+
     document = {
         "schema_version": SCHEMA_VERSION,
         "kind": KIND_WITNESS,
@@ -229,6 +236,8 @@ def witness_to_dict(rep: WpsRepresentation, witness: ViolationWitness) -> dict:
 
 
 def witness_from_dict(rep: WpsRepresentation, document: Mapping) -> ViolationWitness:
+    from .violations import MarginalizationFailure, ViolationKind, ViolationWitness
+
     _check_header(document, KIND_WITNESS)
     try:
         kind = ViolationKind(_expect(document, "violation"))
@@ -270,6 +279,8 @@ def extension_to_dict(rep: WpsRepresentation, extension: ExplicitExtension, exte
 
 
 def extension_from_dict(rep: WpsRepresentation, document: Mapping) -> tuple[ExplicitExtension, str]:
+    from .extensions import ExplicitExtension
+
     _check_header(document, KIND_EXTENSION)
     extension_kind = _expect(document, "extension_kind")
     if extension_kind not in ("monotonic", "classical"):
@@ -295,6 +306,8 @@ def loads(text: str) -> dict:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("not valid JSON: nested too deeply") from None
     if not isinstance(document, dict):
         raise SchemaError("the top-level JSON value must be an object")
     return document

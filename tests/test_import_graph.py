@@ -1,24 +1,36 @@
 """numpy loads only for quantum experiments, and the CLI never loads dataclasses or inspect.
 
-Each probe runs in a fresh interpreter, because this suite's own quantum
-tests import numpy into the test process.
+Importing the package loads no submodule, and each CLI command loads only
+the layers it runs.  Each probe runs in a fresh interpreter, because this
+suite's own tests import numpy and every layer into the test process.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+import contextuality
 from contextuality.quantum import experiment_to_dict, singlet_experiment
+from contextuality.serialize import dumps, model_to_dict
+from conftest import noisy_cycle
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Each costs a CLI process milliseconds to import: numpy for its BLAS start-up,
 # dataclasses and inspect for the ast, dis and tokenize modules they pull in.
 WATCHED = ("dataclasses", "inspect", "numpy")
+
+# Every layer of the package.  A CLI process pays for each one it loads by
+# compiling it when there is no bytecode cache.
+LAYERS = tuple(sorted(f"contextuality.{path.stem}" for path in (SRC / "contextuality").glob("[!_]*.py")))
 
 PROBE = """
 import contextlib, io, json, sys
@@ -35,15 +47,19 @@ print(json.dumps(report))
 """
 
 
-def probe(*argvs: list[str]) -> list[tuple[str, list[str], int, str]]:
-    """Run CLI commands in one fresh interpreter; after each, which watched modules are loaded?"""
+def fresh(*args: str) -> str:
+    """stdout of a fresh interpreter that imports the package from this checkout."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argvs), json.dumps(WATCHED)],
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=120, check=True,
     )
-    return [tuple(step) for step in json.loads(done.stdout)]
+    return done.stdout
+
+
+def probe(*argvs: list[str], watched: tuple[str, ...] = WATCHED) -> list[tuple[str, list[str], int, str]]:
+    """Run CLI commands in one fresh interpreter; after each, which watched modules are loaded?"""
+    return [tuple(step) for step in json.loads(fresh("-c", PROBE, json.dumps(argvs), json.dumps(watched)))]
 
 
 def test_catalog_commands_do_not_load_numpy():
@@ -64,3 +80,96 @@ def test_experiment_document_loads_numpy(tmp_path):
     assert "numpy" not in before
     assert "numpy" in loaded and code == 0
     assert singlet.splitlines()[1] == bell.splitlines()[1] == "tier: Probabilistic"
+
+
+def layers_after(*argvs: list[str]) -> dict[str, set[str]]:
+    """The package's layers loaded after each command, all run in one fresh interpreter."""
+    return {step: {m.split(".")[1] for m in loaded} for step, loaded, _, _ in probe(*argvs, watched=LAYERS)}
+
+
+def test_import_loads_no_submodule():
+    loaded, listed = json.loads(fresh("-c", "import json, sys, contextuality; "
+                                            "print(json.dumps([sorted(sys.modules), dir(contextuality)]))"))
+    assert [m for m in loaded if m.startswith("contextuality.")] == []
+    assert [name for name in listed if not name.startswith("_")] == PUBLIC
+
+
+def test_classify_and_catalog_list_load_no_representation_layer():
+    heavy = {"wps", "violations", "dutchbook", "extensions", "serialize", "exports", "quantum"}
+    after = layers_after(["classify", "bell"], ["classify", "ghz", "--format", "structured"], ["catalog-list"])
+    assert after["classify bell"] == {"catalog", "classifier", "cli", "distribution", "errors", "feasibility",
+                                      "model", "record", "scenario"}
+    for step, loaded in after.items():
+        assert not loaded & heavy, step
+
+
+def test_nerve_export_loads_only_the_representation():
+    after = layers_after(["export", "ghz", "--kind", "nerve"])["export ghz --kind nerve"]
+    assert "wps" in after and "exports" in after
+    assert not after & {"serialize", "violations", "dutchbook", "extensions", "quantum"}
+
+
+def test_documents_load_their_reader_and_no_more(tmp_path):
+    model, experiment = tmp_path / "cycle.json", tmp_path / "singlet.json"
+    model.write_text(dumps(model_to_dict(noisy_cycle(5, Fraction(1, 8)))))
+    experiment.write_text(json.dumps(experiment_to_dict(singlet_experiment())))
+    after = layers_after(["classify", str(model)], ["classify", str(experiment)])
+    assert "serialize" in after[f"classify {model}"] and "quantum" not in after[f"classify {model}"]
+    assert "quantum" in after[f"classify {experiment}"]
+    for step, loaded in after.items():
+        assert not loaded & {"wps", "violations", "dutchbook", "extensions", "exports"}, step
+
+
+# The parent package's public names before its namespace became lazy: 73
+# functions, classes and constants, and the 12 submodules they come from.
+PUBLIC = [
+    "AdditiveCover", "AtomicFunctional", "CompatibilityReport", "ContextualityError", "ConvexityVerdict",
+    "CoverExtension", "DEFAULT_ENUMERATION_CAP", "Distribution", "DutchBookCertificate", "EmpiricalModel",
+    "EnvelopeExtension", "ExcisionReport", "ExplicitExtension", "GlobalDistributionCertificate",
+    "MarginalizationFailure", "MixedExtension", "PadPoint", "PointMeasureExtension", "QuantumExperiment",
+    "Scenario", "Section", "Tier", "TierVerdict", "ViolationKind", "ViolationWitness", "WpsRepresentation",
+    "additivity_violation", "all_contexts", "atomic_functional", "build_combinatorial_rep", "build_padded_rep",
+    "canonical_monotone_extension", "cheapest_cover_of_space", "check_model", "classifier", "classify",
+    "consistent_global_sections", "convexity_hierarchy", "convexity_membership", "defect", "deterministic_model",
+    "distribution", "distribution_to_convex_point", "dutchbook", "errors", "excise", "extend_event", "extensions",
+    "feasibility", "find_dutch_book", "ghz_experiment", "global_distribution", "glue", "has_classical_extension",
+    "is_logically_contextual", "is_strongly_contextual", "is_weak_hv_representation",
+    "logical_subadditivity_violation", "marginalization_failure", "marginalize", "mixture", "model",
+    "model_from_tables", "point_mass", "quantum", "quantum_to_empirical", "record", "restrict",
+    "sample_monotone_extensions", "scenario", "section_to_functional", "sections_over", "singlet_experiment",
+    "snap_to_rational", "strong_subadditivity_violation", "subadditivity_violation_by_cover",
+    "tier_violation_witness", "uniform", "verify_certificate", "verify_extension", "verify_rep",
+    "verify_witness", "violations", "weak_hv_report", "wps",
+]
+
+
+class TestPublicSurface:
+    def test_all_is_the_parent_list(self):
+        assert contextuality.__all__ == PUBLIC
+        assert len(PUBLIC) == 85
+
+    @pytest.mark.parametrize("name", PUBLIC)
+    def test_each_name_is_its_defining_module_attribute(self, name):
+        value = getattr(contextuality, name)
+        if (SRC / "contextuality" / f"{name}.py").is_file():
+            assert value is importlib.import_module(f"contextuality.{name}")
+        else:
+            # A constant carries no module of its own; every other name is defined where it is read from.
+            home = "contextuality.errors" if name == "DEFAULT_ENUMERATION_CAP" else value.__module__
+            assert home.startswith("contextuality.")
+            assert getattr(importlib.import_module(home), name) is value
+        # Resolved once, then a plain lookup in the package namespace.
+        assert vars(contextuality)[name] is value
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from contextuality import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == PUBLIC
+        assert all(namespace[name] is getattr(contextuality, name) for name in PUBLIC)
+
+    @pytest.mark.parametrize("name", ["no_such_name", "cli_main", "_EXPORTS_", "__wrapped__"])
+    def test_an_unknown_name_is_an_attribute_error(self, name):
+        with pytest.raises(AttributeError, match=name):
+            getattr(contextuality, name)
+        assert not hasattr(contextuality, name)

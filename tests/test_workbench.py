@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contextuality import classifier, dutchbook, exports, feasibility
+from contextuality import classifier, dutchbook, exports, feasibility, wps
 from contextuality.catalog import (
     bell_model,
     catalog,
@@ -276,6 +276,55 @@ class TestCli:
 
     def test_cap_exceeded_exits_3(self, capsys):
         assert main(["classify", "ghz", "--cap", "10"]) == 3
+
+    @pytest.mark.parametrize("name, cap", [("ghz", "64"), ("ghz", "100"), ("ghz", "255"),
+                                           ("specker-triangle", "8"), ("specker-triangle", "15")])
+    def test_classify_cap_bounds_the_global_sections(self, name, cap, capsys):
+        # classify builds no representation, so its 2^|Y| algebra members (GHZ
+        # 256 against 64 global sections, Specker's triangle 16 against 8) no
+        # longer count against --cap: the verdict is the default cap's.
+        assert main(["classify", name]) == 0
+        default = capsys.readouterr().out
+        assert main(["classify", name, "--cap", cap]) == 0
+        assert capsys.readouterr().out == default
+
+    @pytest.mark.parametrize("argv", [["witness", "ghz"], ["dutchbook", "ghz"], ["export", "ghz", "--kind", "nerve"]])
+    def test_commands_that_build_the_representation_keep_its_cap(self, argv, capsys):
+        assert main([*argv, "--cap", "100"]) == 3
+        assert capsys.readouterr().err == "error: enumerating 256 algebra members exceeds the cap of 100\n"
+
+    @pytest.mark.parametrize("name", ["bell", "hardy", "pr-box", "specker-triangle", "ghz", "singlet", "cycle-17"])
+    def test_classify_builds_no_representation(self, name, monkeypatch, tmp_path, capsys):
+        # Every line of classify is read from the tier: on the combinatorial
+        # representation the null-cover flags are the support cover's.
+        builds = []
+        core = wps.build_combinatorial_rep
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return core(*args, **kwargs)
+
+        monkeypatch.setattr(wps, "build_combinatorial_rep", counting)
+        documents = {"singlet": lambda: experiment_to_dict(singlet_experiment()),
+                     "cycle-17": lambda: model_to_dict(noisy_cycle(17, Fraction(1, 8)))}
+        if name in documents:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(documents[name]()))
+            name = str(path)
+        assert main(["witness", "pr-box"]) == 0 and len(builds) == 1  # the counter sees the CLI's builds
+        assert main(["classify", name]) == 0
+        assert len(builds) == 1
+        assert "tier: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_deeply_nested_document_exits_2(self, command, tmp_path, capsys):
+        # json's decoder recurses once per level; past the interpreter's limit it
+        # raised RecursionError, which ended in a traceback and exit code 1.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        argv = ["classify", str(path)] if command == "classify" else ["verify", "bell", "--file", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: not valid JSON: nested too deeply\n"
 
     def test_nerve_over_its_cap_exits_3(self, tmp_path, capsys):
         assert main(["export", "ghz", "--kind", "nerve", "--cap", "100"]) == 3
