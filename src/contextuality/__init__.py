@@ -6,9 +6,14 @@ hierarchy with verified witnesses, weak-probability-space representations,
 additivity-violation witnesses, and stake certificates whose guaranteed
 loss is checked by exhaustive enumeration.
 
-Importing the package loads no submodule: each public name is imported from
-its submodule on first use (PEP 562) and then kept in this namespace.
+Importing the package runs no submodule: each layer but the CLI sits in
+``sys.modules`` as a lazy module, compiled on first use, so a walk over
+``sys.modules`` (a tracer, a patch) still reaches every layer.  A public name
+is read from its layer on first use (PEP 562) and kept in this namespace.
 """
+
+import importlib.util as _util
+import sys as _sys
 
 # Each submodule and the public names it defines (feasibility and record define none).
 _EXPORTS = {
@@ -35,18 +40,25 @@ _EXPORTS = {
            "verify_rep",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_LAYERS = (*_EXPORTS, "catalog", "exports", "serialize")
+
+# Registered, not run: a layer compiles and runs on its first attribute read or import statement.
+for _layer in _LAYERS:
+    _spec = _util.find_spec(f"{__name__}.{_layer}")
+    _spec.loader = _util.LazyLoader(_spec.loader)
+    _sys.modules[_spec.name] = _module = _util.module_from_spec(_spec)
+    _spec.loader.exec_module(_module)
+del _layer, _spec, _module
 
 __all__ = sorted([*_HOME, *_EXPORTS])
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    from importlib import import_module
-
-    if name in _EXPORTS:
-        value = import_module(f"{__name__}.{name}")
+    if name in _LAYERS:
+        value = _sys.modules[f"{__name__}.{name}"]
     elif name in _HOME:
-        value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+        value = getattr(_sys.modules[f"{__name__}.{_HOME[name]}"], name)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value

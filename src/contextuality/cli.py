@@ -62,7 +62,6 @@ def _resolve_model(args) -> tuple[str, EmpiricalModel]:
     if not path.exists():
         raise SchemaError(f"{name!r} is neither a catalog model nor an existing file")
     from .serialize import KIND_EXPERIMENT, KIND_MODEL, load, model_from_dict
-
     document = load(path)
     kind = document.get("kind")
     if kind == KIND_MODEL:
@@ -72,14 +71,15 @@ def _resolve_model(args) -> tuple[str, EmpiricalModel]:
             raise SchemaError(f"model file fails the no-signaling check: {report}")
         return path.stem, model
     if kind == KIND_EXPERIMENT:
-        from .quantum import experiment_from_dict, quantum_to_empirical
-
-        experiment = experiment_from_dict(document)
-        return path.stem, quantum_to_empirical(
-            experiment, snap_tolerance=args.snap_tol,
-            denominator_bound=args.denom_bound, cap=args.cap,
-        )
+        return path.stem, _snapped(document, args)
     raise SchemaError(f"cannot use a document of kind {kind!r} as a model")
+
+
+def _snapped(document: dict, args) -> EmpiricalModel:
+    """The empirical model of an experiment document, through the Born rule and the snapping flags."""
+    from .quantum import experiment_from_dict, quantum_to_empirical
+    return quantum_to_empirical(experiment_from_dict(document), snap_tolerance=args.snap_tol,
+                                denominator_bound=args.denom_bound, cap=args.cap)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -157,7 +157,6 @@ def _cmd_witness(args) -> int:
     from .serialize import witness_to_dict
     from .violations import tier_violation_witness, verify_witness
     from .wps import build_combinatorial_rep
-
     name, model = _resolve_model(args)
     rep = build_combinatorial_rep(model, cap=args.cap)
     if args.tier:
@@ -188,7 +187,6 @@ def _cmd_dutchbook(args) -> int:
     from .dutchbook import find_dutch_book
     from .serialize import certificate_to_dict
     from .wps import build_combinatorial_rep
-
     name, model = _resolve_model(args)
     rep = build_combinatorial_rep(model, cap=args.cap)
     certificate = find_dutch_book(rep)
@@ -222,7 +220,6 @@ def _cmd_dutchbook(args) -> int:
 def _cmd_verify(args) -> int:
     from .serialize import KIND_CERTIFICATE, KIND_EXPERIMENT, KIND_EXTENSION, KIND_MODEL, KIND_WITNESS
     from .serialize import certificate_from_dict, extension_from_dict, load, model_from_dict, witness_from_dict
-
     document = load(Path(args.file))
     kind = document.get("kind")
     if kind == KIND_MODEL:
@@ -235,18 +232,13 @@ def _cmd_verify(args) -> int:
               "agreeing on overlaps\n", None)
         return 0
     if kind == KIND_EXPERIMENT:
-        from .quantum import experiment_from_dict, quantum_to_empirical
-
-        experiment = experiment_from_dict(document)
-        quantum_to_empirical(experiment, snap_tolerance=args.snap_tol,
-                             denominator_bound=args.denom_bound, cap=args.cap)
+        _snapped(document, args)
         _emit("experiment document verified: snapped tables pass the "
               "no-signaling check\n", None)
         return 0
     from .dutchbook import verify_certificate
     from .violations import verify_extension, verify_witness
     from .wps import build_combinatorial_rep
-
     name, model = _resolve_model(args)
     rep = build_combinatorial_rep(model, cap=args.cap)
     if kind == KIND_CERTIFICATE:
@@ -277,13 +269,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export(args) -> int:
     from .exports import export_bundle_diagram, export_nerve, structured_to_text
-
     name, model = _resolve_model(args)
     if args.kind == "bundle":
         text, structured = export_bundle_diagram(model)
     else:
         from .wps import build_combinatorial_rep
-
         rep = build_combinatorial_rep(model, cap=args.cap)
         text, structured = export_nerve(rep, cap=args.cap)
     if args.format == "structured":

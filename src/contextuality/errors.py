@@ -2,6 +2,8 @@
 
 Every public operation raises a subclass of :class:`ContextualityError` so
 callers (including the CLI) can separate contract violations from bugs.
+The snapping defaults live here, not in ``quantum``, so that the CLI can
+show them in its help without loading the numpy-facing ``quantum`` layer.
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ suite's own tests import numpy and every layer into the test process.
 
 from __future__ import annotations
 
-import importlib
 import json
 import os
 import subprocess
@@ -32,17 +31,26 @@ WATCHED = ("dataclasses", "inspect", "numpy")
 # compiling it when there is no bytecode cache.
 LAYERS = tuple(sorted(f"contextuality.{path.stem}" for path in (SRC / "contextuality").glob("[!_]*.py")))
 
-PROBE = """
-import contextlib, io, json, sys
+# A module counts as loaded once it has run.  The package registers each
+# layer in sys.modules as an importlib.util lazy module, which stays one
+# until its first use runs it.
+LOADED = """
+import importlib.util, sys
+def loaded(names):
+    return [m for m in names if m in sys.modules and not isinstance(sys.modules[m], importlib.util._LazyModule)]
+"""
+
+PROBE = LOADED + """
+import contextlib, io, json
 watched = json.loads(sys.argv[2])
 import contextuality
 from contextuality import cli
-report = [("import contextuality", [m for m in watched if m in sys.modules], 0, "")]
+report = [("import contextuality", loaded(watched), 0, "")]
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    report.append((" ".join(argv), [m for m in watched if m in sys.modules], code, out.getvalue()))
+    report.append((" ".join(argv), loaded(watched), code, out.getvalue()))
 print(json.dumps(report))
 """
 
@@ -88,10 +96,29 @@ def layers_after(*argvs: list[str]) -> dict[str, set[str]]:
 
 
 def test_import_loads_no_submodule():
-    loaded, listed = json.loads(fresh("-c", "import json, sys, contextuality; "
-                                            "print(json.dumps([sorted(sys.modules), dir(contextuality)]))"))
+    loaded, listed = json.loads(fresh("-c", LOADED + "import json, contextuality; "
+                                      "print(json.dumps([loaded(sorted(sys.modules)), dir(contextuality)]))"))
     assert [m for m in loaded if m.startswith("contextuality.")] == []
     assert [name for name in listed if not name.startswith("_")] == PUBLIC
+
+
+def test_every_layer_is_registered_and_runs_when_its_namespace_is_read():
+    # Code that wraps or patches layer functions by walking sys.modules before
+    # a command runs (a tracer, a monkeypatch) must see, and so load, every
+    # layer the command may go on to import.
+    walk = LOADED + """
+import json, contextuality.cli
+registered = sorted(m for m in sys.modules if m.startswith("contextuality."))
+before = loaded(registered)
+wrappable = {m: sorted(n for n, v in vars(sys.modules[m]).items() if callable(v) and not n.startswith("_"))
+             for m in registered}
+print(json.dumps([registered, before, loaded(registered), wrappable]))
+"""
+    registered, before, after, wrappable = json.loads(fresh("-c", walk))
+    assert registered == after == list(LAYERS)
+    assert "contextuality.wps" not in before and "contextuality.extensions" not in before
+    assert "CoverExtension" in wrappable["contextuality.extensions"]
+    assert "build_combinatorial_rep" in wrappable["contextuality.wps"]
 
 
 def test_classify_and_catalog_list_load_no_representation_layer():
@@ -142,24 +169,46 @@ PUBLIC = [
     "verify_witness", "violations", "weak_hv_report", "wps",
 ]
 
+# For each public name: its defining module, whether the package gives the
+# same object as that module, and whether the package namespace then keeps it.
+HOMES = """
+import importlib, json, sys
+import contextuality
+report = {}
+for name in json.loads(sys.argv[1]):
+    value = getattr(contextuality, name)
+    if isinstance(value, type(contextuality)):
+        home, is_home_attribute = value.__name__, value is importlib.import_module(value.__name__)
+    else:
+        # A constant carries no module of its own; every other name is defined where it is read from.
+        home = "contextuality.errors" if name == "DEFAULT_ENUMERATION_CAP" else value.__module__
+        is_home_attribute = getattr(importlib.import_module(home), name) is value
+    report[name] = [home, is_home_attribute, vars(contextuality)[name] is value]
+print(json.dumps(report))
+"""
+
 
 class TestPublicSurface:
     def test_all_is_the_parent_list(self):
         assert contextuality.__all__ == PUBLIC
         assert len(PUBLIC) == 85
 
+    @pytest.fixture(scope="class")
+    def homes(self) -> dict[str, list]:
+        # A fresh interpreter: this suite's own tests patch layer functions by
+        # walking sys.modules, and a name first read during such a patch keeps
+        # the patched function in the package namespace.
+        return json.loads(fresh("-c", HOMES, json.dumps(PUBLIC)))
+
     @pytest.mark.parametrize("name", PUBLIC)
-    def test_each_name_is_its_defining_module_attribute(self, name):
-        value = getattr(contextuality, name)
+    def test_each_name_is_its_defining_module_attribute(self, homes, name):
+        home, is_home_attribute, kept = homes[name]
         if (SRC / "contextuality" / f"{name}.py").is_file():
-            assert value is importlib.import_module(f"contextuality.{name}")
-        else:
-            # A constant carries no module of its own; every other name is defined where it is read from.
-            home = "contextuality.errors" if name == "DEFAULT_ENUMERATION_CAP" else value.__module__
-            assert home.startswith("contextuality.")
-            assert getattr(importlib.import_module(home), name) is value
+            assert home == f"contextuality.{name}"
+        assert home.startswith("contextuality.")
+        assert is_home_attribute
         # Resolved once, then a plain lookup in the package namespace.
-        assert vars(contextuality)[name] is value
+        assert kept
 
     def test_star_import_binds_every_name(self):
         namespace: dict = {}
