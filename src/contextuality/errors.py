@@ -3,7 +3,7 @@
 Every public operation raises a subclass of :class:`ContextualityError` so
 callers (including the CLI) can separate contract violations from bugs.
 The snapping defaults live here, not in ``quantum``, so that the CLI can
-show them in its help without loading the numpy-facing ``quantum`` layer.
+show them in its help without compiling and running ``quantum``.
 """
 
 from __future__ import annotations

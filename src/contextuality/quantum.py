@@ -8,9 +8,12 @@ exact rationals by continued-fraction best approximation with a bounded
 denominator.  Snapped tables that fail the exact no-signaling check are an
 error: silent repair could move a model between tiers.
 
-numpy is imported inside the functions that compute with it, so importing
-the package (or running the CLI on a catalog model) does not load numpy or
-start its BLAS thread pool.
+The numerics are plain Python: a vector is a tuple of ``complex`` and a
+matrix a tuple of such rows.  Products run over non-zero entries only, so
+the local, sparse projectors of spin experiments cost little, and Born
+values come from matrix-vector products, one per projector and outcome
+prefix, never from operator products.  Dense, unstructured projectors of
+dimension 32 or more are slower here than under a BLAS.
 """
 
 from __future__ import annotations
@@ -36,9 +39,13 @@ from .record import Record
 from .scenario import Scenario, sections_over
 
 if TYPE_CHECKING:
-    import numpy as np
-
+    from .scenario import Section
     from .wps import WpsRepresentation
+
+
+Vector = tuple[complex, ...]
+Matrix = tuple[Vector, ...]
+Rows = tuple[tuple[tuple[int, complex], ...], ...]
 
 
 def _real(part) -> float:
@@ -46,35 +53,85 @@ def _real(part) -> float:
     return float(Fraction(part)) if isinstance(part, str) and "/" in part else float(part)
 
 
-def _as_complex_vector(entries: Sequence) -> np.ndarray:
-    import numpy as np
+def _as_complex_vector(entries: Sequence) -> Vector:
+    return tuple(complex(*map(_real, entry)) if isinstance(entry, (tuple, list)) and len(entry) == 2
+                 else complex(entry) for entry in entries)
 
-    values = []
-    for entry in entries:
-        if isinstance(entry, (tuple, list)) and len(entry) == 2:
-            values.append(complex(*map(_real, entry)))
-        else:
-            values.append(complex(entry))
-    return np.asarray(values, dtype=np.complex128)
+
+def _shape(value) -> tuple[int, ...]:
+    """The shape of an array, or of a regular nested list or tuple."""
+    if hasattr(value, "shape"):
+        return tuple(value.shape)
+    if not isinstance(value, (list, tuple)):
+        return ()
+    inner = {_shape(item) for item in value}
+    return (len(value), *inner.pop()) if len(inner) == 1 else (len(value),)
+
+
+# ---------------------------------------------------------------------------
+# The numeric kernel: a vector is a tuple of complex, a matrix a tuple of rows
+# ---------------------------------------------------------------------------
+
+def _nonzero(a: Matrix) -> Rows:
+    """Each row of a matrix as its (column, entry) pairs with a non-zero entry."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in a)
+
+
+def _product(a: Rows, b: Rows) -> Matrix:
+    """The product of two square matrices given by their non-zero entries."""
+    product = []
+    for row in a:
+        out = [0j] * len(b)
+        for k, x in row:
+            for j, y in b[k]:
+                out[j] += x * y
+        product.append(tuple(out))
+    return tuple(product)
+
+
+def _apply(rows: Rows, v: Vector) -> Vector:
+    return tuple(sum((x * v[j] for j, x in row), 0j) for row in rows)
+
+
+def _vdot(u: Vector, v: Vector) -> complex:
+    return sum((x.conjugate() * y for x, y in zip(u, v)), 0j)
+
+
+def _within(a: Matrix, b: Matrix, tolerance: float) -> bool:
+    """Every entry of ``a`` lies within ``tolerance`` of the same entry of ``b``.
+
+    A NaN difference, or one too large for ``abs``, fails the check.
+    """
+    try:
+        return all(abs(x - y) <= tolerance for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    except OverflowError:
+        return False
+
+
+def _identity(dimension: int) -> Matrix:
+    return tuple(tuple(complex(i == j) for j in range(dimension)) for i in range(dimension))
 
 
 class QuantumExperiment:
-    """A state vector and a finite list of labeled projectors."""
+    """A state vector and a finite list of labeled projectors.
+
+    Inputs may be nested sequences or arrays; each entry is read with
+    ``complex``.  ``state`` is a tuple of complex, and each projector a
+    tuple of such rows.
+    """
 
     __slots__ = ("dimension", "state", "projectors", "tolerance")
 
-    def __init__(self, state: Sequence, projectors: Mapping[str, np.ndarray] | Sequence[tuple[str, np.ndarray]],
+    def __init__(self, state: Sequence, projectors: Mapping[str, Sequence] | Sequence[tuple[str, Sequence]],
                  tolerance: float = DEFAULT_SNAP_TOLERANCE):
-        import numpy as np
-
         # Every check is written as `not ... <= tolerance`, so that NaN fails
         # it, as a tolerance or as an error that overflowed; a bool is not a
         # tolerance.
         if isinstance(tolerance, bool) or not 0 <= tolerance < math.inf:
             raise ValueError(f"tolerance must be a finite non-negative number, got {tolerance!r}")
         self.state = _as_complex_vector(state)
-        self.dimension = self.state.shape[0]
-        if not abs(np.vdot(self.state, self.state).real - 1.0) <= tolerance:
+        self.dimension = len(self.state)
+        if not abs(_vdot(self.state, self.state).real - 1.0) <= tolerance:
             raise ValueError("state vector is not normalized within tolerance")
         items = projectors.items() if isinstance(projectors, Mapping) else projectors
         canonical_list = []
@@ -84,14 +141,15 @@ class QuantumExperiment:
             if label in seen:
                 raise ValueError(f"duplicate projector label {label!r}")
             seen.add(label)
-            p = np.asarray(matrix, dtype=np.complex128)
-            if p.shape != (self.dimension, self.dimension):
-                raise ValueError(f"projector {label!r} has shape {p.shape}, expected square of dimension {self.dimension}")
-            with np.errstate(over="ignore", invalid="ignore"):
-                if not np.max(np.abs(p - p.conj().T)) <= tolerance:
-                    raise ValueError(f"projector {label!r} is not Hermitian within tolerance")
-                if not np.max(np.abs(p @ p - p)) <= tolerance:
-                    raise ValueError(f"projector {label!r} is not idempotent within tolerance")
+            shape = _shape(matrix)
+            if shape != (self.dimension, self.dimension):
+                raise ValueError(f"projector {label!r} has shape {shape}, expected square of dimension {self.dimension}")
+            p = tuple(tuple(map(complex, row)) for row in matrix)
+            if not _within(p, tuple(tuple(x.conjugate() for x in column) for column in zip(*p)), tolerance):
+                raise ValueError(f"projector {label!r} is not Hermitian within tolerance")
+            rows = _nonzero(p)
+            if not _within(_product(rows, rows), p, tolerance):
+                raise ValueError(f"projector {label!r} is not idempotent within tolerance")
             canonical_list.append((label, p))
         if not canonical_list:
             raise ValueError("an experiment needs at least one projector")
@@ -101,7 +159,7 @@ class QuantumExperiment:
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.projectors)
 
-    def projector(self, label: str) -> np.ndarray:
+    def projector(self, label: str) -> Matrix:
         for name, p in self.projectors:
             if name == label:
                 return p
@@ -130,23 +188,47 @@ def snap_to_rational(value: float, tolerance: float = DEFAULT_SNAP_TOLERANCE,
 
 def experiment_scenario(experiment: QuantumExperiment, cap: int = DEFAULT_ENUMERATION_CAP) -> Scenario:
     """Scenario whose maximal contexts are the maximal commuting projector subsets."""
-    import numpy as np
-
     labels = experiment.labels()
     n = len(labels)
     if 2 ** n > cap:
         raise EnumerationCapError(2 ** n, cap, what="projector subsets")
-    mats = [experiment.projector(l) for l in labels]
+    rows = [_nonzero(p) for _, p in experiment.projectors]
     tol = experiment.tolerance
-    commutes = [[np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i])) <= tol for j in range(n)] for i in range(n)]
+    commutes = {(i, j) for i, j in itertools.combinations(range(n), 2)
+                if _within(_product(rows[i], rows[j]), _product(rows[j], rows[i]), tol)}
     cliques = []
     for size in range(n, 0, -1):
         for combo in itertools.combinations(range(n), size):
-            if all(commutes[i][j] for i, j in itertools.combinations(combo, 2)):
+            if all(pair in commutes for pair in itertools.combinations(combo, 2)):
                 if not any(set(combo) < set(c) for c in cliques):
                     cliques.append(set(combo))
     contexts = [tuple(labels[i] for i in sorted(c)) for c in cliques]
     return Scenario(labels, contexts, ("0", "1"))
+
+
+def _born_values(experiment: QuantumExperiment, scenario: Scenario,
+                 cap: int = DEFAULT_ENUMERATION_CAP) -> dict[tuple, dict[Section, complex]]:
+    """<psi|P|psi> for the operator P of every section over each maximal context.
+
+    A context's projectors commute, so P applied to psi is reached one
+    projector at a time: each outcome prefix's vector v splits into Pv
+    (outcome "1") and v - Pv (outcome "0").  The leaves come out in the
+    order of ``sections_over``, whose first measurement varies slowest.
+    """
+    psi = experiment.state
+    rows = {label: _nonzero(p) for label, p in experiment.projectors}
+    values = {}
+    for context in scenario.maximal_contexts:
+        sections = sections_over(scenario, context, cap=cap)
+        branches = [psi]
+        for label in sections[0].domain:
+            split = []
+            for v in branches:
+                pv = _apply(rows[label], v)
+                split += (tuple(x - y for x, y in zip(v, pv)), pv)
+            branches = split
+        values[context] = {s: _vdot(psi, v) for s, v in zip(sections, branches)}
+    return values
 
 
 def quantum_to_empirical(experiment: QuantumExperiment,
@@ -160,21 +242,12 @@ def quantum_to_empirical(experiment: QuantumExperiment,
     no-signaling condition, and ``ValueError`` for a negative or non-finite
     tolerance or a denominator bound below 1.
     """
-    import numpy as np
-
     _check_snapping(snap_tolerance, denominator_bound)
     scenario = experiment_scenario(experiment, cap=cap)
-    psi = experiment.state
-    identity = np.eye(experiment.dimension, dtype=np.complex128)
     tables = {}
-    for context in scenario.maximal_contexts:
+    for context, amplitudes in _born_values(experiment, scenario, cap).items():
         weights = {}
-        for s in sections_over(scenario, context, cap=cap):
-            op = identity
-            for label, outcome in zip(s.domain, s.values):
-                p = experiment.projector(label)
-                op = op @ (p if outcome == "1" else identity - p)
-            amplitude = complex(np.vdot(psi, op @ psi))
+        for s, amplitude in amplitudes.items():
             if abs(amplitude.imag) > snap_tolerance:
                 raise SnapError(f"Born value for {s} has imaginary part {amplitude.imag}")
             weights[s] = snap_to_rational(amplitude.real, snap_tolerance, denominator_bound)
@@ -222,8 +295,6 @@ def weak_hv_report(rep: WpsRepresentation, experiment: QuantumExperiment,
     spanning set of mutually orthogonal projectors must generate an algebra
     inside the event family carrying an exact probability measure.
     """
-    import numpy as np
-
     from .wps import _atoms, _subset_sums
 
     failures: list[WeakHvFailure] = []
@@ -233,12 +304,14 @@ def weak_hv_report(rep: WpsRepresentation, experiment: QuantumExperiment,
         return WeakHvReport(False, tuple(failures))
     scenario = rep.model.scenario
     psi = experiment.state
+    labels = experiment.labels()
+    rows = [_nonzero(p) for _, p in experiment.projectors]
 
     def firing_event(label: str):
         return rep.event(scenario.section({label: "1"}))
 
-    for label, p in experiment.projectors:
-        born = snap_to_rational(float(np.vdot(psi, p @ psi).real), snap_tolerance, denominator_bound)
+    for label, p_rows in zip(labels, rows):
+        born = snap_to_rational(_vdot(psi, _apply(p_rows, psi)).real, snap_tolerance, denominator_bound)
         event = firing_event(label)
         if not rep.in_sigma(event):
             failures.append(WeakHvFailure("born-weight", f"firing event of {label!r} is outside the event family"))
@@ -248,12 +321,11 @@ def weak_hv_report(rep: WpsRepresentation, experiment: QuantumExperiment,
                 f"firing event of {label!r} carries {rep.mu_of(event)}, Born rule gives {born}",
             ))
 
-    labels = experiment.labels()
     tol = experiment.tolerance
+    zero = ((0j,) * experiment.dimension,) * experiment.dimension
     orthogonal = {}
     for i, j in itertools.combinations(range(len(labels)), 2):
-        pi, pj = experiment.projector(labels[i]), experiment.projector(labels[j])
-        orthogonal[(i, j)] = np.max(np.abs(pi @ pj)) <= tol
+        orthogonal[(i, j)] = _within(_product(rows[i], rows[j]), zero, tol)
         if orthogonal[(i, j)]:
             inter = firing_event(labels[i]) & firing_event(labels[j])
             if not rep.in_sigma(inter):
@@ -264,13 +336,14 @@ def weak_hv_report(rep: WpsRepresentation, experiment: QuantumExperiment,
                     "orthogonality",
                     f"joint firing of {labels[i]!r}, {labels[j]!r} has weight {rep.mu_of(inter)}"))
 
-    identity = np.eye(experiment.dimension)
+    identity = _identity(experiment.dimension)
     for size in range(1, len(labels) + 1):
         for combo in itertools.combinations(range(len(labels)), size):
             if not all(orthogonal.get((i, j), False) for i, j in itertools.combinations(combo, 2)):
                 continue
-            total = sum(experiment.projector(labels[i]) for i in combo)
-            if np.max(np.abs(total - identity)) > tol:
+            matrices = [experiment.projectors[i][1] for i in combo]
+            total = tuple(tuple(map(sum, zip(*same_row))) for same_row in zip(*matrices))
+            if not _within(total, identity, tol):
                 continue
             atoms = _atoms(rep.sample_space, (firing_event(labels[i]) for i in combo))
             if not all(rep.in_sigma(member) for member in _subset_sums(atoms)):
@@ -316,8 +389,6 @@ def _complex_entry(value, field: str) -> complex:
 
 def experiment_from_dict(document) -> QuantumExperiment:
     """Parse a quantum-experiment document (state vector plus labeled projectors)."""
-    import numpy as np
-
     # Imported here so that ``import contextuality`` does not load the JSON layer.
     from .serialize import KIND_EXPERIMENT, _check_header, _check_label, _expect
 
@@ -330,11 +401,10 @@ def experiment_from_dict(document) -> QuantumExperiment:
         matrix = _expect(item, "matrix", field, list)
         if not all(isinstance(row, list) and len(row) == len(matrix) for row in matrix):
             raise SchemaError("a matrix must be a square list of rows", f"{field}.matrix")
-        rows = [
+        projectors.append((label, [
             [_complex_entry(v, f"{field}.matrix[{r}][{c}]") for c, v in enumerate(row)]
             for r, row in enumerate(matrix)
-        ]
-        projectors.append((label, np.asarray(rows, dtype=np.complex128)))
+        ]))
     raw_tolerance = document.get("tolerance", DEFAULT_SNAP_TOLERANCE)
     try:
         # JSON true would read as 1.0 and switch every projector check off.
@@ -360,7 +430,7 @@ def experiment_to_dict(experiment: QuantumExperiment) -> dict:
         "kind": KIND_EXPERIMENT,
         "state": [pair(z) for z in experiment.state],
         "projectors": [
-            {"label": label, "matrix": [[pair(z) for z in row] for row in matrix.tolist()]}
+            {"label": label, "matrix": [[pair(z) for z in row] for row in matrix]}
             for label, matrix in experiment.projectors
         ],
         "tolerance": experiment.tolerance,
@@ -371,25 +441,18 @@ def experiment_to_dict(experiment: QuantumExperiment) -> dict:
 # Bundled experiments
 # ---------------------------------------------------------------------------
 
-def _pauli() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The 2x2 identity and the Pauli matrices x, y and z."""
-    import numpy as np
-
-    return (
-        np.eye(2, dtype=np.complex128),
-        np.array([[0, 1], [1, 0]], dtype=np.complex128),
-        np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-        np.array([[1, 0], [0, -1]], dtype=np.complex128),
-    )
+def _kron(a: Matrix, b: Matrix) -> Matrix:
+    """The Kronecker product: entry (i*m + k, j*m + l) is a[i][j] * b[k][l], for b of size m."""
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
 
 
-def _spin_projector(angle: float) -> np.ndarray:
-    """Projector onto the +1 eigenspace of the spin observable at an angle in the x-z plane."""
-    import numpy as np
+def _spin_projector(angle: float) -> Matrix:
+    """Projector onto the +1 eigenspace of the spin observable at an angle in the x-z plane.
 
-    i2, sigma_x, _, sigma_z = _pauli()
-    direction = np.sin(angle) * sigma_x + np.cos(angle) * sigma_z
-    return (i2 + direction) / 2
+    That is (I + sin(angle) X + cos(angle) Z) / 2.
+    """
+    s, c = math.sin(angle), math.cos(angle)
+    return ((complex((1 + c) / 2), complex(s / 2)), (complex(s / 2), complex((1 - c) / 2)))
 
 
 def singlet_experiment() -> QuantumExperiment:
@@ -398,39 +461,35 @@ def singlet_experiment() -> QuantumExperiment:
     One side measures at angles 0 and pi/3, the other at pi and 2*pi/3; all
     Born probabilities are multiples of 1/8.
     """
-    import numpy as np
-
-    i2 = _pauli()[0]
-    psi = np.zeros(4, dtype=np.complex128)
-    psi[1] = 1 / np.sqrt(2)
-    psi[2] = -1 / np.sqrt(2)
-    angles = {"a": 0.0, "a'": np.pi / 3}
-    bob = {"b": np.pi, "b'": 2 * np.pi / 3}
+    i2 = _identity(2)
+    psi = (0j, complex(1 / math.sqrt(2)), complex(-1 / math.sqrt(2)), 0j)
+    angles = {"a": 0.0, "a'": math.pi / 3}
+    bob = {"b": math.pi, "b'": 2 * math.pi / 3}
     projectors = []
     for label in ("a", "b", "a'", "b'"):
         if label in angles:
-            projectors.append((label, np.kron(_spin_projector(angles[label]), i2)))
+            projectors.append((label, _kron(_spin_projector(angles[label]), i2)))
         else:
-            projectors.append((label, np.kron(i2, _spin_projector(bob[label]))))
+            projectors.append((label, _kron(i2, _spin_projector(bob[label]))))
     return QuantumExperiment(psi, projectors)
 
 
 def ghz_experiment() -> QuantumExperiment:
-    """Three-qubit GHZ state with x and y spin measurements on each qubit."""
-    import numpy as np
+    """Three-qubit GHZ state with x and y spin measurements on each qubit.
 
-    i2, sigma_x, sigma_y, _ = _pauli()
-    psi = np.zeros(8, dtype=np.complex128)
-    psi[0] = 1 / np.sqrt(2)
-    psi[7] = 1 / np.sqrt(2)
-    px = (i2 + sigma_x) / 2
-    py = (i2 + sigma_y) / 2
+    The local projectors are (I + X) / 2 and (I + Y) / 2.
+    """
+    i2 = _identity(2)
+    psi = (complex(1 / math.sqrt(2)), *(0j,) * 6, complex(1 / math.sqrt(2)))
+    px = ((0.5 + 0j, 0.5 + 0j), (0.5 + 0j, 0.5 + 0j))
+    # complex(0, -0.5), not -0.5j, whose real part is -0.0.
+    py = ((0.5 + 0j, complex(0, -0.5)), (complex(0, 0.5), 0.5 + 0j))
     slots = {"x1": (px, 0), "y1": (py, 0), "x2": (px, 1), "y2": (py, 1), "x3": (px, 2), "y3": (py, 2)}
     projectors = []
     for label in ("x1", "y1", "x2", "y2", "x3", "y3"):
         local, position = slots[label]
         factors = [local if position == i else i2 for i in range(3)]
-        projectors.append((label, np.kron(np.kron(factors[0], factors[1]), factors[2])))
+        projectors.append((label, _kron(_kron(factors[0], factors[1]), factors[2])))
     return QuantumExperiment(psi, projectors)
 
 
@@ -440,9 +499,4 @@ def orthogonal_pair_experiment() -> QuantumExperiment:
     The two projectors commute and are orthogonal, so they share a context
     and exercise the joint-firing and spanning-set conditions non-vacuously.
     """
-    import numpy as np
-
-    psi = np.array([1.0, 0.0], dtype=np.complex128)
-    p_up = np.array([[1, 0], [0, 0]], dtype=np.complex128)
-    p_down = np.array([[0, 0], [0, 1]], dtype=np.complex128)
-    return QuantumExperiment(psi, [("up", p_up), ("down", p_down)])
+    return QuantumExperiment((1 + 0j, 0j), [("up", ((1 + 0j, 0j), (0j, 0j))), ("down", ((0j, 0j), (0j, 1 + 0j)))])

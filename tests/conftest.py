@@ -1,24 +1,30 @@
 """Shared fixtures: catalog representations, standard paddings, noisy cycles, the
-enumerated global-section system, the dense solver adapter and document fuzz values."""
+enumerated global-section system, the dense solver adapter, the numpy Born-rule
+oracle and document fuzz values."""
 
 from __future__ import annotations
 
 import copy
+import itertools
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import ne
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from contextuality import feasibility
 from contextuality.catalog import catalog
 from contextuality.distribution import Distribution
+from contextuality.errors import DEFAULT_DENOMINATOR_BOUND, DEFAULT_SNAP_TOLERANCE, CompatibilityError, SnapError
 from contextuality.feasibility import ExplicitColumns, FarkasCertificate, FeasibilityOutcome
-from contextuality.model import EmpiricalModel
+from contextuality.model import EmpiricalModel, check_model
+from contextuality.quantum import _real, snap_to_rational
 from contextuality.scenario import Scenario, Section, restrict, sections_over
 from contextuality.wps import PadPoint, build_combinatorial_rep, build_padded_rep
 
@@ -134,6 +140,167 @@ def solve_columns(columns: Sequence[Sequence[int]], rhs: Sequence,
     y = [int(v) * s for v, s in zip(outcome.certificate.coefficients, denominator)]
     g = gcd(*y)
     return FeasibilityOutcome(False, None, FarkasCertificate(tuple(Fraction(v // g) for v in y)))
+
+
+# ---------------------------------------------------------------------------
+# The numpy oracle for Born-rule ingestion: the dense-matrix implementation
+# that ``contextuality.quantum`` replaced, kept to check the plain-Python one.
+# ---------------------------------------------------------------------------
+
+
+class NumpyExperiment:
+    """``QuantumExperiment`` on complex128 arrays, with the same checks and messages."""
+
+    def __init__(self, state, projectors, tolerance=DEFAULT_SNAP_TOLERANCE):
+        if isinstance(tolerance, bool) or not 0 <= tolerance < math.inf:
+            raise ValueError(f"tolerance must be a finite non-negative number, got {tolerance!r}")
+        values = []
+        for entry in state:
+            if isinstance(entry, (tuple, list)) and len(entry) == 2:
+                values.append(complex(*map(_real, entry)))
+            else:
+                values.append(complex(entry))
+        self.state = np.asarray(values, dtype=np.complex128)
+        self.dimension = self.state.shape[0]
+        if not abs(np.vdot(self.state, self.state).real - 1.0) <= tolerance:
+            raise ValueError("state vector is not normalized within tolerance")
+        items = projectors.items() if isinstance(projectors, Mapping) else projectors
+        canonical_list = []
+        seen = set()
+        for label, matrix in items:
+            label = str(label)
+            if label in seen:
+                raise ValueError(f"duplicate projector label {label!r}")
+            seen.add(label)
+            p = np.asarray(matrix, dtype=np.complex128)
+            if p.shape != (self.dimension, self.dimension):
+                raise ValueError(f"projector {label!r} has shape {p.shape}, expected square of dimension {self.dimension}")
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not np.max(np.abs(p - p.conj().T)) <= tolerance:
+                    raise ValueError(f"projector {label!r} is not Hermitian within tolerance")
+                if not np.max(np.abs(p @ p - p)) <= tolerance:
+                    raise ValueError(f"projector {label!r} is not idempotent within tolerance")
+            canonical_list.append((label, p))
+        if not canonical_list:
+            raise ValueError("an experiment needs at least one projector")
+        self.projectors = tuple(canonical_list)
+        self.tolerance = tolerance
+
+    def labels(self) -> tuple[str, ...]:
+        return tuple(label for label, _ in self.projectors)
+
+    def projector(self, label: str):
+        return dict(self.projectors)[label]
+
+
+def numpy_experiment_scenario(experiment: NumpyExperiment) -> Scenario:
+    labels = experiment.labels()
+    n = len(labels)
+    mats = [experiment.projector(l) for l in labels]
+    tol = experiment.tolerance
+    commutes = [[np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i])) <= tol for j in range(n)] for i in range(n)]
+    cliques = []
+    for size in range(n, 0, -1):
+        for combo in itertools.combinations(range(n), size):
+            if all(commutes[i][j] for i, j in itertools.combinations(combo, 2)):
+                if not any(set(combo) < set(c) for c in cliques):
+                    cliques.append(set(combo))
+    contexts = [tuple(labels[i] for i in sorted(c)) for c in cliques]
+    return Scenario(labels, contexts, ("0", "1"))
+
+
+def numpy_born_values(experiment: NumpyExperiment, scenario: Scenario) -> dict[tuple, dict[Section, complex]]:
+    """<psi|P|psi> for every section's operator P, formed as a product of projectors and complements."""
+    psi = experiment.state
+    identity = np.eye(experiment.dimension, dtype=np.complex128)
+    values = {}
+    for context in scenario.maximal_contexts:
+        values[context] = {}
+        for s in sections_over(scenario, context):
+            op = identity
+            for label, outcome in zip(s.domain, s.values):
+                p = experiment.projector(label)
+                op = op @ (p if outcome == "1" else identity - p)
+            values[context][s] = complex(np.vdot(psi, op @ psi))
+    return values
+
+
+def numpy_quantum_to_empirical(experiment: NumpyExperiment, snap_tolerance=DEFAULT_SNAP_TOLERANCE,
+                               denominator_bound=DEFAULT_DENOMINATOR_BOUND) -> EmpiricalModel:
+    scenario = numpy_experiment_scenario(experiment)
+    tables = {}
+    for context, amplitudes in numpy_born_values(experiment, scenario).items():
+        weights = {}
+        for s, amplitude in amplitudes.items():
+            if abs(amplitude.imag) > snap_tolerance:
+                raise SnapError(f"Born value for {s} has imaginary part {amplitude.imag}")
+            weights[s] = snap_to_rational(amplitude.real, snap_tolerance, denominator_bound)
+        tables[context] = Distribution(scenario, context, weights)
+    model = EmpiricalModel(scenario, tables)
+    report = check_model(model)
+    if not report.ok:
+        raise CompatibilityError(report)
+    return model
+
+
+def _numpy_pauli():
+    return (
+        np.eye(2, dtype=np.complex128),
+        np.array([[0, 1], [1, 0]], dtype=np.complex128),
+        np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+        np.array([[1, 0], [0, -1]], dtype=np.complex128),
+    )
+
+
+def _numpy_spin_projector(angle: float):
+    i2, sigma_x, _, sigma_z = _numpy_pauli()
+    direction = np.sin(angle) * sigma_x + np.cos(angle) * sigma_z
+    return (i2 + direction) / 2
+
+
+def numpy_singlet_experiment() -> NumpyExperiment:
+    i2 = _numpy_pauli()[0]
+    psi = np.zeros(4, dtype=np.complex128)
+    psi[1] = 1 / np.sqrt(2)
+    psi[2] = -1 / np.sqrt(2)
+    alice = {"a": 0.0, "a'": np.pi / 3}
+    bob = {"b": np.pi, "b'": 2 * np.pi / 3}
+    return NumpyExperiment(psi, [
+        (label, np.kron(_numpy_spin_projector(alice[label]), i2) if label in alice
+         else np.kron(i2, _numpy_spin_projector(bob[label])))
+        for label in ("a", "b", "a'", "b'")
+    ])
+
+
+def numpy_ghz_experiment() -> NumpyExperiment:
+    i2, sigma_x, sigma_y, _ = _numpy_pauli()
+    psi = np.zeros(8, dtype=np.complex128)
+    psi[0] = psi[7] = 1 / np.sqrt(2)
+    local = {"x": (i2 + sigma_x) / 2, "y": (i2 + sigma_y) / 2}
+    projectors = []
+    for label in ("x1", "y1", "x2", "y2", "x3", "y3"):
+        factors = [local[label[0]] if int(label[1]) == i + 1 else i2 for i in range(3)]
+        projectors.append((label, np.kron(np.kron(factors[0], factors[1]), factors[2])))
+    return NumpyExperiment(psi, projectors)
+
+
+def numpy_orthogonal_pair_experiment() -> NumpyExperiment:
+    return NumpyExperiment(np.array([1.0, 0.0], dtype=np.complex128), [
+        ("up", np.array([[1, 0], [0, 0]], dtype=np.complex128)),
+        ("down", np.array([[0, 0], [0, 1]], dtype=np.complex128)),
+    ])
+
+
+def patch_every_layer(monkeypatch, name: str, original, replacement) -> None:
+    """Patch ``name`` to ``replacement`` in every contextuality module that holds ``original``.
+
+    Each namespace is read with ``vars``: ``getattr`` on the package would
+    resolve a lazy public name, and if its layer was already patched the
+    package would keep the patch after the monkeypatch is undone.
+    """
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("contextuality") and vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, replacement)
 
 
 def json_paths(node, prefix=()):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -33,7 +32,7 @@ from contextuality.scenario import (
 from contextuality.violations import additivity_violation
 from contextuality.wps import build_combinatorial_rep
 
-from conftest import global_section_system, noisy_cycle
+from conftest import global_section_system, noisy_cycle, patch_every_layer
 
 
 def cycle_scenario(n: int) -> Scenario:
@@ -373,9 +372,7 @@ def test_classify_never_restricts(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("restrict called on the classify path")
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("contextuality") and getattr(module, "restrict", None) is restrict:
-            monkeypatch.setattr(module, "restrict", refuse)
+    patch_every_layer(monkeypatch, "restrict", restrict, refuse)
     scenario_module.global_section_columns.cache_clear()
     assert [classify(model).tier for model in models] == tiers
 
@@ -399,9 +396,7 @@ def test_classify_materialises_no_global_section(monkeypatch):
 
     scenario_module.global_section_columns.cache_clear()
     monkeypatch.setattr(classifier, "consistent_global_sections", refuse)
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("contextuality") and getattr(module, "sections_over", None) is sections:
-            monkeypatch.setattr(module, "sections_over", guarded_sections)
+    patch_every_layer(monkeypatch, "sections_over", sections, guarded_sections)
     again = [classify(model) for model in models]
     assert [v.tier for v in again] == [v.tier for v in verdicts]
     assert [v.logical_witness for v in again] == [v.logical_witness for v in verdicts]

@@ -1,8 +1,9 @@
-"""numpy loads only for quantum experiments, and the CLI never loads dataclasses or inspect.
+"""The CLI never loads numpy, dataclasses or inspect.
 
 Importing the package loads no submodule, and each CLI command loads only
 the layers it runs.  Each probe runs in a fresh interpreter, because this
-suite's own tests import numpy and every layer into the test process.
+suite's own tests import numpy, for the Born-rule oracle, and every layer
+into the test process.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 import contextuality
 from contextuality.quantum import experiment_to_dict, singlet_experiment
 from contextuality.serialize import dumps, model_to_dict
-from conftest import noisy_cycle
+from conftest import noisy_cycle, patch_every_layer
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -81,13 +82,17 @@ def test_catalog_commands_do_not_load_numpy():
     ]
 
 
-def test_experiment_document_loads_numpy(tmp_path):
+def test_experiment_document_loads_no_numpy(tmp_path):
+    # Born-rule ingestion is plain Python: the singlet document runs through
+    # the quantum layer in classify, witness and verify without numpy.
     document = tmp_path / "singlet.json"
     document.write_text(json.dumps(experiment_to_dict(singlet_experiment())))
-    _, (_, before, _, bell), (_, loaded, code, singlet) = probe(["classify", "bell"], ["classify", str(document)])
-    assert "numpy" not in before
-    assert "numpy" in loaded and code == 0
+    report = probe(["classify", "bell"], ["classify", str(document)], ["witness", str(document)],
+                   ["verify", "bell", "--file", str(document)])
+    assert [(loaded, code) for _, loaded, code, _ in report] == [([], 0)] * 5
+    (_, _, _, bell), (_, _, _, singlet) = report[1:3]
     assert singlet.splitlines()[1] == bell.splitlines()[1] == "tier: Probabilistic"
+    assert report[4][3] == "experiment document verified: snapped tables pass the no-signaling check\n"
 
 
 def layers_after(*argvs: list[str]) -> dict[str, set[str]]:
@@ -145,6 +150,30 @@ def test_documents_load_their_reader_and_no_more(tmp_path):
     assert "quantum" in after[f"classify {experiment}"]
     for step, loaded in after.items():
         assert not loaded & {"wps", "violations", "dutchbook", "extensions", "exports"}, step
+
+
+def test_patching_every_layer_leaves_the_package_names(monkeypatch):
+    # The package keeps a public name from its first read.  Walked after the
+    # layers with its names unresolved, a getattr-based patch loop resolved
+    # them to the patch, and the package kept it after the undo.
+    from contextuality import scenario
+
+    originals = {"sections_over": scenario.sections_over, "restrict": scenario.restrict}
+    for name in originals:
+        monkeypatch.delitem(vars(contextuality), name, raising=False)
+    # Re-inserted, the package is walked last; the undo puts back the same module.
+    monkeypatch.delitem(sys.modules, "contextuality")
+    monkeypatch.setitem(sys.modules, "contextuality", contextuality)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("patched")
+
+    with monkeypatch.context() as patch:
+        for name, original in originals.items():
+            patch_every_layer(patch, name, original, refuse)
+        assert scenario.sections_over is scenario.restrict is refuse
+    assert contextuality.sections_over is scenario.sections_over is originals["sections_over"]
+    assert contextuality.restrict is scenario.restrict is originals["restrict"]
 
 
 # The parent package's public names before its namespace became lazy: 73

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import warnings
 from fractions import Fraction
 
@@ -12,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from contextuality.catalog import bell_model, ghz_model, hardy_model
 from contextuality.classifier import Tier, classify
-from contextuality.errors import ContextualityError, SnapError
+from contextuality.errors import CompatibilityError, ContextualityError, SnapError
 from contextuality.model import deterministic_model
 from contextuality.quantum import (
     QuantumExperiment,
+    _born_values,
     experiment_from_dict,
     experiment_scenario,
     experiment_to_dict,
@@ -27,8 +30,19 @@ from contextuality.quantum import (
     snap_to_rational,
     weak_hv_report,
 )
+from contextuality.serialize import dumps
 from contextuality.wps import WpsRepresentation, build_combinatorial_rep
-from conftest import json_paths, mutate
+from conftest import (
+    NumpyExperiment,
+    json_paths,
+    mutate,
+    numpy_born_values,
+    numpy_experiment_scenario,
+    numpy_ghz_experiment,
+    numpy_orthogonal_pair_experiment,
+    numpy_quantum_to_empirical,
+    numpy_singlet_experiment,
+)
 
 
 class TestSnapping:
@@ -206,3 +220,156 @@ class TestExperimentDocumentFuzz:
             quantum_to_empirical(experiment_from_dict(document))
         except ContextualityError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# The plain-Python numerics against the numpy oracle
+# ---------------------------------------------------------------------------
+
+BUNDLED = {
+    "singlet": (singlet_experiment, numpy_singlet_experiment),
+    "ghz": (ghz_experiment, numpy_ghz_experiment),
+    "orthogonal-pair": (orthogonal_pair_experiment, numpy_orthogonal_pair_experiment),
+}
+
+# sha256 of each bundled experiment's document as ``serialize.dumps`` writes it.
+DOCUMENT_SHA256 = {
+    "singlet": "2474c1f0b9642caf2a303bba5a174feca0565efc656cbc92f6eec0fac464b91e",
+    "ghz": "c7f4ce4c8cd92a542e0e0accf1f3470a8eda4e4502c7184a4d773d476ec3aca5",
+    "orthogonal-pair": "40c9bda62fd34b9ca45abbb41e5aeca35d295c204fbaeb60dc5df455065c5003",
+}
+
+
+def assert_matches_oracle(experiment: QuantumExperiment, oracle: NumpyExperiment) -> None:
+    """Same scenario, raw Born values within 1e-12, and the same model or the same error."""
+    scenario = experiment_scenario(experiment)
+    assert scenario == numpy_experiment_scenario(oracle)
+    values, expected = _born_values(experiment, scenario), numpy_born_values(oracle, scenario)
+    assert list(values) == list(expected)
+    for context, amplitudes in values.items():
+        assert list(amplitudes) == list(expected[context])
+        for s, amplitude in amplitudes.items():
+            assert abs(amplitude - expected[context][s]) <= 1e-12, (context, s)
+    outcomes = []
+    for ingest, source in ((quantum_to_empirical, experiment), (numpy_quantum_to_empirical, oracle)):
+        try:
+            outcomes.append(ingest(source))
+        except (SnapError, CompatibilityError) as exc:
+            # A SnapError quotes the float that missed, which may differ in its last bits.
+            outcomes.append((type(exc), None if isinstance(exc, SnapError) else str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+class TestNumpyOracle:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_experiments_match_the_oracle(self, name):
+        build, oracle = BUNDLED[name]
+        assert_matches_oracle(build(), oracle())
+        assert isinstance(quantum_to_empirical(build()), type(bell_model()))
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_documents_are_byte_identical_to_the_oracle(self, name):
+        build, oracle = BUNDLED[name]
+        document = dumps(experiment_to_dict(build()))
+        assert document == dumps(experiment_to_dict(oracle()))
+        assert hashlib.sha256(document.encode()).hexdigest() == DOCUMENT_SHA256[name]
+
+    def test_entries_are_tuples_of_complex(self):
+        experiment = ghz_experiment()
+        assert type(experiment.state) is tuple and all(type(z) is complex for z in experiment.state)
+        matrix = experiment.projector("y3")
+        assert type(matrix) is tuple and len(matrix) == 8
+        assert all(type(row) is tuple and all(type(z) is complex for z in row) for row in matrix)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_random_local_spin_experiments_match_the_oracle(self, data):
+        qubits = data.draw(st.integers(1, 3), label="qubits")
+        # Exact angles land many Born values on small dyadics, so both sides
+        # snap to a model; arbitrary ones exercise the raw values.
+        exact = data.draw(st.booleans(), label="exact")
+        if exact:
+            theta = st.sampled_from([0.0, math.pi / 3, math.pi / 2, 2 * math.pi / 3, math.pi])
+            phi = st.sampled_from([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
+        else:
+            theta, phi = st.floats(0, math.pi), st.floats(0, 2 * math.pi)
+        projectors = []
+        for qubit in range(qubits):
+            for k in range(data.draw(st.integers(1, 2), label="directions")):
+                projectors.append((f"q{qubit}{'ab'[k]}", local_projector(data.draw(theta), data.draw(phi),
+                                                                          qubit, qubits)))
+        state = data.draw(random_state(qubits, exact), label="state")
+        assert_matches_oracle(QuantumExperiment(state, projectors), NumpyExperiment(state, projectors))
+
+
+def local_projector(theta: float, phi: float, qubit: int, qubits: int) -> list[list[complex]]:
+    """(I + n.sigma) / 2 on one qubit for the Bloch direction (theta, phi), identity on the others."""
+    n = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+    local = np.array([[1 + n[2], n[0] - 1j * n[1]], [n[0] + 1j * n[1], 1 - n[2]]]) / 2
+    matrix = np.eye(1)
+    for position in range(qubits):
+        matrix = np.kron(matrix, local if position == qubit else np.eye(2))
+    return matrix.tolist()
+
+
+def random_state(qubits: int, exact: bool):
+    d = 2 ** qubits
+    if exact:
+        # A basis state, the uniform superposition, or (|0...0> + e^{i k pi/2} |1...1>) / sqrt(2).
+        basis = st.integers(0, d - 1).map(lambda k: [complex(i == k) for i in range(d)])
+        uniform_state = st.just([complex(1 / math.sqrt(d))] * d)
+        cat = st.sampled_from([1, 1j, -1, -1j]).map(
+            lambda phase: [1 / math.sqrt(2)] + [0j] * (d - 2) + [phase / math.sqrt(2)] if d > 1 else [1 + 0j])
+        return st.one_of(basis, uniform_state, cat)
+    part = st.floats(-1, 1)
+    return (st.lists(st.tuples(part, part), min_size=d, max_size=d)
+            .map(lambda pairs: [complex(*pair) for pair in pairs])
+            .filter(lambda v: sum(abs(z) ** 2 for z in v) > 0.01)
+            .map(lambda v: [z / math.sqrt(sum(abs(w) ** 2 for w in v)) for z in v]))
+
+
+NAN, INF = float("nan"), float("inf")
+HUGE = [[1e200, 1e200 + 1e200j], [1e200 - 1e200j, 1e200]]
+
+# Each invalid experiment as (state, projectors): the parent's checks and messages.
+INVALID = {
+    "unnormalized": ([1.0, 1.0], [("p", [[1, 0], [0, 0]])]),
+    "unnormalized-overflow": ([1e200, 0], [("p", [[1, 0], [0, 0]])]),
+    "nan-state": ([NAN, 0], [("p", [[1, 0], [0, 0]])]),
+    "non-hermitian": ([1, 0], [("p", [[1, 1], [0, 0]])]),
+    "non-idempotent": ([1, 0], [("p", [[0.5, 0.5], [0.5, 0.8]])]),
+    "wrong-dimension": ([1, 0], [("p", [[1, 0, 0], [0, 0, 0], [0, 0, 0]])]),
+    "rectangular": ([1, 0], [("p", [[1, 0, 0], [0, 0, 0]])]),
+    "flat": ([1, 0], [("p", [1, 0])]),
+    "cube": ([1, 0], [("p", [[[1, 0], [0, 0]], [[0, 0], [0, 0]]])]),
+    "nan-diagonal": ([1, 0], [("p", [[NAN, 0], [0, 0]])]),
+    "nan-symmetric": ([1, 0], [("p", [[1, NAN], [NAN, 0]])]),
+    "inf-entry": ([1, 0], [("p", [[INF, 0], [0, 0]])]),
+    "overflow": ([1, 0], [("p", HUGE)]),
+    "second-projector": ([1, 0], [("p", [[1, 0], [0, 0]]), ("q", [[0.5, 0.5], [0.5, 0.9]])]),
+    "duplicate-label": ([1, 0], [("p", [[1, 0], [0, 0]]), ("p", [[0, 0], [0, 1]])]),
+    "no-projector": ([1, 0], []),
+}
+
+
+def raised(build) -> tuple[type, str] | None:
+    try:
+        build()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc), str(exc)
+    return None
+
+
+class TestValidationParity:
+    @pytest.mark.parametrize("form", ["lists", "arrays"])
+    @pytest.mark.parametrize("case", INVALID)
+    def test_invalid_experiment_raises_as_the_oracle(self, case, form):
+        state, projectors = INVALID[case]
+        if form == "arrays":
+            state = np.asarray(state, dtype=np.complex128)
+            projectors = [(label, np.asarray(matrix, dtype=np.complex128)) for label, matrix in projectors]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = raised(lambda: NumpyExperiment(state, projectors))
+            assert expected is not None and expected[0] is ValueError
+            assert raised(lambda: QuantumExperiment(state, projectors)) == expected

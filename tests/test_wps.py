@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +20,7 @@ from contextuality.distribution import Distribution
 from contextuality.errors import DomainError, NotAnEventError, PaddingError
 from contextuality.model import EmpiricalModel
 from contextuality.scenario import all_contexts, restrict, sections_over
-from conftest import noisy_cycle, standard_paddings
+from conftest import noisy_cycle, patch_every_layer, standard_paddings
 from contextuality.wps import (
     PadPoint,
     WpsRepresentation,
@@ -116,9 +115,7 @@ def test_representations_enumerate_sections_over_contexts_only(monkeypatch):
             raise AssertionError(f"sections enumerated over the non-context domain {measurements!r}")
         return sections_over(scenario, measurements, *args, **kwargs)
 
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("contextuality") and getattr(module, "sections_over", None) is sections_over:
-            monkeypatch.setattr(module, "sections_over", guarded_sections)
+    patch_every_layer(monkeypatch, "sections_over", sections_over, guarded_sections)
     assert scenario_module.sections_over is guarded_sections
     for model in models:
         assert verify_rep(build_combinatorial_rep(model)).ok
