@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from contextuality.catalog import bell_model, ghz_model, hardy_model
 from contextuality.classifier import Tier, classify
 from contextuality.errors import CompatibilityError, ContextualityError, SnapError
-from contextuality.model import deterministic_model
+from contextuality.model import EmpiricalModel, deterministic_model
 from contextuality.quantum import (
     QuantumExperiment,
     _born_values,
@@ -240,8 +240,8 @@ DOCUMENT_SHA256 = {
 }
 
 
-def assert_matches_oracle(experiment: QuantumExperiment, oracle: NumpyExperiment) -> None:
-    """Same scenario, raw Born values within 1e-12, and the same model or the same error."""
+def assert_matches_oracle(experiment: QuantumExperiment, oracle: NumpyExperiment):
+    """Same scenario, raw Born values within 1e-12, and the same model or the same error; returns it."""
     scenario = experiment_scenario(experiment)
     assert scenario == numpy_experiment_scenario(oracle)
     values, expected = _born_values(experiment, scenario), numpy_born_values(oracle, scenario)
@@ -258,14 +258,14 @@ def assert_matches_oracle(experiment: QuantumExperiment, oracle: NumpyExperiment
             # A SnapError quotes the float that missed, which may differ in its last bits.
             outcomes.append((type(exc), None if isinstance(exc, SnapError) else str(exc)))
     assert outcomes[0] == outcomes[1]
+    return outcomes[0]
 
 
 class TestNumpyOracle:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_experiments_match_the_oracle(self, name):
         build, oracle = BUNDLED[name]
-        assert_matches_oracle(build(), oracle())
-        assert isinstance(quantum_to_empirical(build()), type(bell_model()))
+        assert isinstance(assert_matches_oracle(build(), oracle()), EmpiricalModel)
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_documents_are_byte_identical_to_the_oracle(self, name):
@@ -346,6 +346,8 @@ INVALID = {
     "nan-symmetric": ([1, 0], [("p", [[1, NAN], [NAN, 0]])]),
     "inf-entry": ([1, 0], [("p", [[INF, 0], [0, 0]])]),
     "overflow": ([1, 0], [("p", HUGE)]),
+    # Both parts of p - p^H are finite, but its modulus is too large for abs.
+    "modulus-overflow": ([1, 0], [("p", [[0, 1.5e308 + 1.5e308j], [0, 0]])]),
     "second-projector": ([1, 0], [("p", [[1, 0], [0, 0]]), ("q", [[0.5, 0.5], [0.5, 0.9]])]),
     "duplicate-label": ([1, 0], [("p", [[1, 0], [0, 0]]), ("p", [[0, 0], [0, 1]])]),
     "no-projector": ([1, 0], []),
@@ -355,7 +357,7 @@ INVALID = {
 def raised(build) -> tuple[type, str] | None:
     try:
         build()
-    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+    except Exception as exc:
         return type(exc), str(exc)
     return None
 
