@@ -5,9 +5,10 @@ its payoff is strictly negative at every sample point.  None exists exactly
 when the set function is a convex combination of the point functionals,
 which is also exactly when a probability measure extends it.  The
 classical extension is the convex weights themselves, so those two checks
-share one membership solve; the Dutch-book search solves the same question
-over the whole event family and must agree with it.  Here it does, on
-contextual models and noncontextual controls alike.
+share one membership solve over the points.  The Dutch-book search instead
+stakes the global-section solve's separating functional on the
+maximal-context events, an independent computation that must agree with
+them.  Here it does, on contextual models and noncontextual controls alike.
 """
 
 import random
@@ -36,8 +37,8 @@ certificate = find_dutch_book(rep)
 print(f"stakes: -1 on each of {len(certificate.stakes)} measure-zero context events")
 print(f"guaranteed loss at every point: at least {certificate.loss_bound}")
 print("payoffs by point:")
-for point in rep.points:
-    print(f"  {point}: {certificate.payoff(rep, point)}")
+for point, payoff in zip(rep.points, certificate.payoffs(rep)):
+    print(f"  {point}: {payoff}")
 print(f"exhaustive verification: {verify_certificate(rep, certificate)}")
 
 print()
@@ -47,7 +48,7 @@ print("=" * 72)
 for name, model in (("stranded-edge model", hardy_model()), ("correlated box", bell_model())):
     rep = build_combinatorial_rep(model)
     certificate = find_dutch_book(rep)
-    worst = max(certificate.payoff(rep, p) for p in rep.points)
+    worst = max(certificate.payoffs(rep))
     print(f"{name}: {len(certificate.stakes)} stakes, guaranteed loss {certificate.loss_bound},"
           f" worst payoff {worst}, verified {verify_certificate(rep, certificate)}")
 

@@ -194,9 +194,10 @@ def _cmd_dutchbook(args) -> int:
         _emit(f"model: {name}\nno dutch book: the set function is a convex "
               "combination of point functionals\n", args.out)
         return 0
+    payoffs = certificate.payoffs(rep)
     if args.format == "structured":
         document = certificate_to_dict(rep, certificate)
-        document["payoffs"] = {p: str(certificate.payoff(rep, p)) for p in rep.points}
+        document["payoffs"] = {p: str(value) for p, value in zip(rep.points, payoffs)}
         _emit(json.dumps(document, indent=2) + "\n", args.out)
         return 0
     lines = [
@@ -207,12 +208,8 @@ def _cmd_dutchbook(args) -> int:
     for event, stake in certificate.stakes:
         lines.append(f"  {str(stake):>6}  on {{{','.join(rep.points_of(event))}}}")
     lines.append("payoff per sample point (all at most the negated loss bound):")
-    worst = None
-    for p in rep.points:
-        value = certificate.payoff(rep, p)
-        worst = value if worst is None else max(worst, value)
-        lines.append(f"  {p}: {value}")
-    lines.append(f"worst case: {worst}")
+    lines += (f"  {p}: {value}" for p, value in zip(rep.points, payoffs))
+    lines.append(f"worst case: {max(payoffs)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

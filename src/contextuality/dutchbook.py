@@ -6,9 +6,10 @@ membership question is an exact feasibility problem; its failure yields a
 separating rational functional that normalizes into a stake function whose
 payoff is strictly negative against every point, verifiable by exhaustive
 enumeration.  On combinatorial representations the points are in bijection
-with global sections, so the convexity hierarchy reads the question over
-the maximal-context events from the global-distribution solve, and the
-same bijection grades convexity-violation into the three familiar strengths.
+with global sections, so the Dutch book and the convexity hierarchy read
+the question over the maximal-context events from the global-distribution
+solve, and the same bijection grades convexity-violation into the three
+familiar strengths.  Padded representations solve over the points.
 """
 
 from __future__ import annotations
@@ -168,29 +169,32 @@ class DutchBookCertificate(Record):
             raise ValueError("the guaranteed loss bound must be positive")
         self._fill(stakes, loss_bound)
 
-    def payoff(self, rep: WpsRepresentation, point: str) -> Fraction:
-        i = rep.point_index(point)
-        total = ZERO
-        for event, stake in self.stakes:
-            total += stake * ((event >> i & 1) - rep.mu_of(event))
-        return total
+    def payoffs(self, rep: WpsRepresentation) -> list[Fraction]:
+        """Every point's payoff, in point order: the stakes on events holding it, less the book's price."""
+        return _payoffs(rep, self.stakes)
+
+
+def _payoffs(rep: WpsRepresentation, stakes: Iterable[tuple[Event, Fraction]]) -> list[Fraction]:
+    totals = [ZERO] * len(rep.points)
+    price = ZERO
+    for event, stake in stakes:
+        price += stake * rep.mu_of(event)
+        for i in _indices(event):
+            totals[i] += stake
+    return [total - price for total in totals]
 
 
 def verify_certificate(rep: WpsRepresentation, certificate: DutchBookCertificate) -> bool:
     """Exhaustively check the payoff at every sample point.
 
-    True exactly when every point loses at least the bound.  Stakes over
-    sets outside the event family are rejected.
+    True exactly when every point loses at least the bound, which the
+    certificate's constructor keeps positive.  Stakes over sets outside the
+    event family are rejected.
     """
     for event, _ in certificate.stakes:
         if not rep.in_sigma(event):
             raise NotAnEventError("a stake references a set outside the event family")
-    if certificate.loss_bound <= 0:
-        return False
-    return all(
-        certificate.payoff(rep, point) <= -certificate.loss_bound
-        for point in rep.points
-    )
+    return all(payoff <= -certificate.loss_bound for payoff in certificate.payoffs(rep))
 
 
 def _null_cover(rep: WpsRepresentation, events: Iterable[Event]) -> tuple[tuple[Event, ...], Event]:
@@ -204,9 +208,8 @@ def _null_cover_certificate(rep: WpsRepresentation) -> Optional[DutchBookCertifi
     nulls, clean = _null_cover(rep, rep.maximal_context_events())
     if clean:
         return None
-    counts = [sum(e >> i & 1 for e in nulls) for i in range(len(rep.points))]
-    bound = Fraction(min(counts))
-    return DutchBookCertificate(tuple((e, Fraction(-1)) for e in nulls), bound)
+    stakes = tuple((e, Fraction(-1)) for e in nulls)
+    return DutchBookCertificate(stakes, -max(_payoffs(rep, stakes)))
 
 
 def find_dutch_book(rep: WpsRepresentation) -> Optional[DutchBookCertificate]:
@@ -216,26 +219,26 @@ def find_dutch_book(rep: WpsRepresentation) -> Optional[DutchBookCertificate]:
     certificate is the canonical uniform stake of minus one on those
     events, and no system is solved: every point loses, so no convex
     combination of points, whose expected payoff is zero, matches the set
-    function.  Otherwise convexity membership over the whole event family
-    decides existence, and its separating functional is normalized to a
-    guaranteed loss of one.
+    function.  Otherwise a combinatorial representation stakes y(c, s) on
+    event(s) for the global-section solve's separating functional y: each
+    point is one global section g, so it pays sum_c y(c, g|c) - y.mu <=
+    -y.mu < 0.  A padded one solves membership over the whole event family.
+    The stakes are scaled to a worst payoff of minus one.
     """
     certificate = _null_cover_certificate(rep)
     if certificate is None:
-        weights, labels, farkas = _solve_membership(rep, None)
+        if rep.combinatorial:
+            weights, farkas = _maximal_context_membership(rep)
+            labels = [] if farkas is None else [rep.event(s) for _, s in farkas.rows]
+        else:
+            weights, labels, farkas = _solve_membership(rep, None)
         if weights is not None:
             return None
         stakes = [(event, coef) for event, coef in zip(labels, farkas.coefficients) if coef != 0]
-        worst = max(
-            sum((coef for event, coef in stakes if event >> i & 1), ZERO)
-            for i in range(len(rep.points))
-        )
-        mean = sum((coef * rep.mu_of(event) for event, coef in stakes), ZERO)
-        bound = mean - worst
+        bound = -max(_payoffs(rep, stakes))
         if bound <= 0:
             raise InternalConsistencyError("separating functional produced no guaranteed loss")
-        stakes = [(event, coef / bound) for event, coef in stakes]
-        certificate = DutchBookCertificate(tuple(stakes), ONE)
+        certificate = DutchBookCertificate(tuple((event, coef / bound) for event, coef in stakes), ONE)
     if not verify_certificate(rep, certificate):
         raise InternalConsistencyError("constructed certificate failed exhaustive verification")
     return certificate

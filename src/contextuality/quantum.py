@@ -12,7 +12,7 @@ The numerics are plain Python: a vector is a tuple of ``complex`` and a
 matrix a tuple of such rows.  Products run over non-zero entries only, so
 the local, sparse projectors of spin experiments cost little, and Born
 values come from matrix-vector products, one per projector and outcome
-prefix, never from operator products.  Dense, unstructured projectors of
+suffix, never from operator products.  Dense, unstructured projectors of
 dimension 32 or more are slower here than under a BLAS.
 """
 
@@ -211,23 +211,23 @@ def _born_values(experiment: QuantumExperiment, scenario: Scenario,
     """<psi|P|psi> for the operator P of every section over each maximal context.
 
     A context's projectors commute, so P applied to psi is reached one
-    projector at a time: each outcome prefix's vector v splits into Pv
-    (outcome "1") and v - Pv (outcome "0").  The leaves come out in the
-    order of ``sections_over``, whose first measurement varies slowest.
+    projector at a time, last measurement first (so P is the product in
+    context order even where they commute only within the tolerance): each
+    outcome suffix's vector v splits into Pv (outcome "1") and v - Pv ("0").
     """
     psi = experiment.state
     rows = {label: _nonzero(p) for label, p in experiment.projectors}
     values = {}
     for context in scenario.maximal_contexts:
         sections = sections_over(scenario, context, cap=cap)
-        branches = [psi]
-        for label in sections[0].domain:
-            split = []
-            for v in branches:
+        branches = {(): psi}
+        for label in reversed(sections[0].domain):
+            split = {}
+            for suffix, v in branches.items():
                 pv = _apply(rows[label], v)
-                split += (tuple(x - y for x, y in zip(v, pv)), pv)
+                split[("0", *suffix)], split[("1", *suffix)] = tuple(x - y for x, y in zip(v, pv)), pv
             branches = split
-        values[context] = {s: _vdot(psi, v) for s, v in zip(sections, branches)}
+        values[context] = {s: _vdot(psi, branches[s.values]) for s in sections}
     return values
 
 

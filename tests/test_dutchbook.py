@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from contextuality import dutchbook
+from contextuality import dutchbook, feasibility
 from contextuality.catalog import (
     bell_model,
     ghz_model,
@@ -20,6 +20,7 @@ from contextuality.catalog import (
     two_party_scenario,
 )
 from contextuality.classifier import Tier, classify, global_distribution
+from contextuality.cli import main
 from contextuality.distribution import Distribution
 from contextuality.dutchbook import (
     DutchBookCertificate,
@@ -33,10 +34,12 @@ from contextuality.dutchbook import (
 )
 from contextuality.errors import InternalConsistencyError, NotAnEventError
 from contextuality.feasibility import FeasibilityOutcome
-from contextuality.scenario import restrict, sections_over
+from contextuality.model import deterministic_model
+from contextuality.scenario import global_section_columns, restrict, sections_over
+from contextuality.serialize import certificate_to_dict, dumps, model_to_dict
 from contextuality.violations import additivity_violation, has_classical_extension
 from contextuality.wps import WpsRepresentation, build_combinatorial_rep
-from conftest import noisy_cycle, solve_nonnegative
+from conftest import noisy_cycle, patch_every_layer, solve_nonnegative
 
 
 @pytest.fixture(scope="module")
@@ -115,20 +118,90 @@ class TestFindDutchBook:
         b = find_dutch_book(reps["bell"])
         assert a.stakes == b.stakes and a.loss_bound == b.loss_bound
 
+    @staticmethod
+    def _count_solves(monkeypatch):
+        """Every layer's ``solve_source`` calls and ``ExplicitColumns`` builds, as two lists."""
+        sources, built = [], []
+        solve_source, explicit_columns = feasibility.solve_source, feasibility.ExplicitColumns
+
+        def solve(source, rhs):
+            sources.append(source)
+            return solve_source(source, rhs)
+
+        def columns(*args):
+            built.append(explicit_columns(*args))
+            return built[-1]
+        patch_every_layer(monkeypatch, "solve_source", solve_source, solve)
+        patch_every_layer(monkeypatch, "ExplicitColumns", explicit_columns, columns)
+        return sources, built
+
     @pytest.mark.parametrize("name, solves", [
         ("bell", 1), ("hardy", 1), ("pr-box", 0), ("specker-triangle", 0), ("ghz", 0),
     ])
-    def test_null_cover_is_tried_before_the_membership_system(self, catalog_reps, name, solves, monkeypatch):
-        calls = []
-        core = dutchbook.solve_source
+    def test_only_the_global_section_system_is_solved(self, catalog_reps, name, solves, monkeypatch):
+        # The null cover is tried first; otherwise the one solve is the model's global-section system.
+        rep = catalog_reps[name]
+        sources, built = self._count_solves(monkeypatch)
+        certificate = find_dutch_book(rep)
+        assert certificate is not None and verify_certificate(rep, certificate)
+        assert sources == [global_section_columns(rep.model.scenario)] * solves
+        assert built == []
 
-        def counting(source, rhs):
-            calls.append(len(rhs))
-            return core(source, rhs)
-        monkeypatch.setattr(dutchbook, "solve_source", counting)
-        certificate = find_dutch_book(catalog_reps[name])
-        assert certificate is not None and verify_certificate(catalog_reps[name], certificate)
-        assert len(calls) == solves
+    def test_cli_dutchbook_solves_once_on_the_13_cycle(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cycle13.json"
+        path.write_text(dumps(model_to_dict(noisy_cycle(13, Fraction(1, 8)))))
+        sources, built = self._count_solves(monkeypatch)
+        assert main(["dutchbook", str(path)]) == 0
+        assert "worst case: -1" in capsys.readouterr().out
+        assert len(sources) == 1 and built == []
+
+    def test_padded_representations_solve_over_the_points(self, padded_catalog_reps, monkeypatch):
+        rep = padded_catalog_reps["bell"]
+        sources, built = self._count_solves(monkeypatch)
+        certificate = find_dutch_book(rep)
+        assert certificate is not None and verify_certificate(rep, certificate)
+        assert sources == built and len(built) == 1
+
+
+class TestPayoffTable:
+    @staticmethod
+    def oracle(rep, certificate):
+        """Each point's payoff as the sum over stakes s on e of s * ([point in e] - mu(e))."""
+        return [sum((stake * ((event >> i & 1) - rep.mu_of(event)) for event, stake in certificate.stakes),
+                    Fraction(0)) for i in range(len(rep.points))]
+
+    def test_payoffs_match_the_per_point_formula(self, catalog_reps, padded_catalog_reps):
+        pool = {f"catalog:{name}": rep for name, rep in catalog_reps.items()}
+        pool.update((f"padded:{name}", rep) for name, rep in padded_catalog_reps.items())
+        pool.update((f"cycle-{n}:{share}", build_combinatorial_rep(noisy_cycle(n, share)))
+                    for n in range(3, 10) for share in (Fraction(1, 8), Fraction(1, 2)))
+        books = 0
+        for name, rep in pool.items():
+            certificate = find_dutch_book(rep)
+            if certificate is None:
+                continue
+            books += 1
+            payoffs = certificate.payoffs(rep)
+            assert payoffs == self.oracle(rep, certificate), name
+            assert max(payoffs) == -1, name
+        assert books >= 15
+
+    @pytest.fixture(scope="class")
+    def bell_book(self, catalog_reps):
+        return catalog_reps["bell"], find_dutch_book(catalog_reps["bell"])
+
+    @pytest.mark.parametrize("tamper", ["halved", "bound-2"])
+    def test_tampered_transported_book_fails(self, bell_book, tamper, tmp_path, capsys):
+        rep, certificate = bell_book
+        assert verify_certificate(rep, certificate)
+        if tamper == "halved":
+            bad = DutchBookCertificate(tuple((e, y / 2) for e, y in certificate.stakes), certificate.loss_bound)
+        else:
+            bad = DutchBookCertificate(certificate.stakes, Fraction(2))
+        assert not verify_certificate(rep, bad)
+        path = tmp_path / "book.json"
+        path.write_text(dumps(certificate_to_dict(rep, bad)))
+        assert main(["verify", "bell", "--file", str(path)]) == 2
 
 
 class TestVerifyCertificate:
@@ -139,6 +212,18 @@ class TestVerifyCertificate:
         flipped[0] = (flipped[0][0], -flipped[0][1])
         bad = DutchBookCertificate(tuple(flipped), certificate.loss_bound)
         assert not verify_certificate(rep, bad)
+
+    def test_a_single_winning_point_fails_the_book(self, reps):
+        # At a deterministic model, minus one on every null maximal-context event
+        # loses at every point but the model's own, wherever that point lies.
+        scenario = reps["bell"].model.scenario
+        for g in scenario.global_sections():
+            rep = build_combinatorial_rep(deterministic_model(scenario, g))
+            stakes = tuple((e, Fraction(-1)) for e in rep.maximal_context_events() if rep.mu_of(e) == 0)
+            certificate = DutchBookCertificate(stakes, Fraction(1))
+            payoffs = certificate.payoffs(rep)
+            assert [i for i, payoff in enumerate(payoffs) if payoff > -1] == [rep.event(g).bit_length() - 1]
+            assert not verify_certificate(rep, certificate)
 
     def test_empty_stakes_never_verify(self, reps):
         bad = DutchBookCertificate((), Fraction(1))
@@ -370,3 +455,16 @@ class TestDeFinettiTriangle:
             convex = convexity_membership(rep) is not None
             assert no_book == classical == convex, name
             assert no_book == (classify(rep.model).tier is Tier.NONCONTEXTUAL), name
+
+    def test_transported_books_agree_with_the_point_side_extension(self, padded_catalog_reps):
+        pool = {f"cycle-{n}:{share}": build_combinatorial_rep(noisy_cycle(n, share))
+                for n in (5, 7, 9) for share in (Fraction(1, 8), Fraction(1, 2))}
+        pool["padded:bell"] = padded_catalog_reps["bell"]
+        books = 0
+        for name, rep in pool.items():
+            certificate = find_dutch_book(rep)
+            assert (certificate is None) == (has_classical_extension(rep) is not None), name
+            if certificate is not None:
+                books += 1
+                assert verify_certificate(rep, certificate), name
+        assert books == 4

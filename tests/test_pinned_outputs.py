@@ -38,12 +38,12 @@ PINNED = {
     ("bell", "classify"): "72b71f5127b716c8b07332032cc30e434d5890f7a683c18520182b5d321df943",
     ("bell", "classify-structured"): "65e1c2947713e7b6502b7340a7b679d741ca2a6971ec4f976b8965c8df88c1b6",
     ("bell", "witness"): "aa9678613f211cdb28e080378770cee182db49bc3eb4d71ea17cdd756a36e7e9",
-    ("bell", "dutchbook"): "78e46b593c9e7762a53fe49cb6fc11760d38117e3fe888873e39ee5c4b49a159",
+    ("bell", "dutchbook"): "0299e2c075e53daee19e97f106f6c360a0b216fc3e85753fd5e39dab26a607fd",
     ("bell", "export-nerve"): "ded04d99e97acb70246cd40da4f88279f0c0f30782ca66893f103175992429d9",
     ("hardy", "classify"): "727813861123533b84290058f4675c0b248ad720dc3208a427a6718f6999e3ab",
     ("hardy", "classify-structured"): "4bff5b9a885afbec529b82d35911a80d666bb43c00098390f59d57180abfc187",
     ("hardy", "witness"): "816d5077cd4d8fdab51abb0d814f623c855f3dc4cf284609099d8556499e9f09",
-    ("hardy", "dutchbook"): "462dc105859222693bd6df5a02cd410277a63cacbe039c1a4bca5b4adca86696",
+    ("hardy", "dutchbook"): "0f433b074ba02b5d1552a7db86a755b3dd39f296257245ffe61957f7e9c9072d",
     ("hardy", "export-nerve"): "822c96812127583a4e26c67d0e058ebccb7444026d6a08d3ee8726ad8f91a341",
     ("pr-box", "classify"): "ecd09dd459bd17e60ce015a2ccc2f8f3f73a245c2fb0738b8c9b9d412da1c19e",
     ("pr-box", "classify-structured"): "ce59ffd545d71ba06e576d435f63da747f5a01a0a36d154af061018163ad7f7d",
@@ -63,7 +63,7 @@ PINNED = {
     ("singlet", "classify"): "4ed13b56d9bb760a7e4e0e28f937de1228492b9a2573efe5e44dc066e07ffa34",
     ("singlet", "classify-structured"): "03194ced89cac8735db81826d4dda3bef724c86191867d2fde1bbc0db5f41ac8",
     ("singlet", "witness"): "aa9678613f211cdb28e080378770cee182db49bc3eb4d71ea17cdd756a36e7e9",
-    ("singlet", "dutchbook"): "78e46b593c9e7762a53fe49cb6fc11760d38117e3fe888873e39ee5c4b49a159",
+    ("singlet", "dutchbook"): "0299e2c075e53daee19e97f106f6c360a0b216fc3e85753fd5e39dab26a607fd",
     ("singlet", "export-nerve"): "ded04d99e97acb70246cd40da4f88279f0c0f30782ca66893f103175992429d9",
 }
 

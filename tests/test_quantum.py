@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contextuality.catalog import bell_model, ghz_model, hardy_model
 from contextuality.classifier import Tier, classify
@@ -261,45 +261,23 @@ def assert_matches_oracle(experiment: QuantumExperiment, oracle: NumpyExperiment
     return outcomes[0]
 
 
-class TestNumpyOracle:
-    @pytest.mark.parametrize("name", BUNDLED)
-    def test_bundled_experiments_match_the_oracle(self, name):
-        build, oracle = BUNDLED[name]
-        assert isinstance(assert_matches_oracle(build(), oracle()), EmpiricalModel)
-
-    @pytest.mark.parametrize("name", BUNDLED)
-    def test_bundled_documents_are_byte_identical_to_the_oracle(self, name):
-        build, oracle = BUNDLED[name]
-        document = dumps(experiment_to_dict(build()))
-        assert document == dumps(experiment_to_dict(oracle()))
-        assert hashlib.sha256(document.encode()).hexdigest() == DOCUMENT_SHA256[name]
-
-    def test_entries_are_tuples_of_complex(self):
-        experiment = ghz_experiment()
-        assert type(experiment.state) is tuple and all(type(z) is complex for z in experiment.state)
-        matrix = experiment.projector("y3")
-        assert type(matrix) is tuple and len(matrix) == 8
-        assert all(type(row) is tuple and all(type(z) is complex for z in row) for row in matrix)
-
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data())
-    def test_random_local_spin_experiments_match_the_oracle(self, data):
-        qubits = data.draw(st.integers(1, 3), label="qubits")
-        # Exact angles land many Born values on small dyadics, so both sides
-        # snap to a model; arbitrary ones exercise the raw values.
-        exact = data.draw(st.booleans(), label="exact")
-        if exact:
-            theta = st.sampled_from([0.0, math.pi / 3, math.pi / 2, 2 * math.pi / 3, math.pi])
-            phi = st.sampled_from([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
-        else:
-            theta, phi = st.floats(0, math.pi), st.floats(0, 2 * math.pi)
-        projectors = []
-        for qubit in range(qubits):
-            for k in range(data.draw(st.integers(1, 2), label="directions")):
-                projectors.append((f"q{qubit}{'ab'[k]}", local_projector(data.draw(theta), data.draw(phi),
-                                                                          qubit, qubits)))
-        state = data.draw(random_state(qubits, exact), label="state")
-        assert_matches_oracle(QuantumExperiment(state, projectors), NumpyExperiment(state, projectors))
+@st.composite
+def local_spin_experiments(draw):
+    """(state, projectors) of 1-3 qubits, each measured along one or two Bloch directions."""
+    qubits = draw(st.integers(1, 3), label="qubits")
+    # Exact angles land many Born values on small dyadics, so both sides
+    # snap to a model; arbitrary ones exercise the raw values.
+    exact = draw(st.booleans(), label="exact")
+    if exact:
+        theta = st.sampled_from([0.0, math.pi / 3, math.pi / 2, 2 * math.pi / 3, math.pi])
+        phi = st.sampled_from([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
+    else:
+        theta, phi = st.floats(0, math.pi), st.floats(0, 2 * math.pi)
+    projectors = []
+    for qubit in range(qubits):
+        for k in range(draw(st.integers(1, 2), label="directions")):
+            projectors.append((f"q{qubit}{'ab'[k]}", local_projector(draw(theta), draw(phi), qubit, qubits)))
+    return draw(random_state(qubits, exact), label="state"), projectors
 
 
 def local_projector(theta: float, phi: float, qubit: int, qubits: int) -> list[list[complex]]:
@@ -326,6 +304,37 @@ def random_state(qubits: int, exact: bool):
             .map(lambda pairs: [complex(*pair) for pair in pairs])
             .filter(lambda v: sum(abs(z) ** 2 for z in v) > 0.01)
             .map(lambda v: [z / math.sqrt(sum(abs(w) ** 2 for w in v)) for z in v]))
+
+
+class TestNumpyOracle:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_experiments_match_the_oracle(self, name):
+        build, oracle = BUNDLED[name]
+        assert isinstance(assert_matches_oracle(build(), oracle()), EmpiricalModel)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_documents_are_byte_identical_to_the_oracle(self, name):
+        build, oracle = BUNDLED[name]
+        document = dumps(experiment_to_dict(build()))
+        assert document == dumps(experiment_to_dict(oracle()))
+        assert hashlib.sha256(document.encode()).hexdigest() == DOCUMENT_SHA256[name]
+
+    def test_entries_are_tuples_of_complex(self):
+        experiment = ghz_experiment()
+        assert type(experiment.state) is tuple and all(type(z) is complex for z in experiment.state)
+        matrix = experiment.projector("y3")
+        assert type(matrix) is tuple and len(matrix) == 8
+        assert all(type(row) is tuple and all(type(z) is complex for z in row) for row in matrix)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=local_spin_experiments())
+    # Directions 1e-9 apart commute only within the tolerance, so they share a
+    # context, and the Born value depends on the order of the projector product.
+    @example(case=([1j / math.sqrt(2), 1 / math.sqrt(2)],
+                   [("q0a", local_projector(0.0, 0.0, 0, 1)), ("q0b", local_projector(1e-9, 0.0, 0, 1))]))
+    def test_random_local_spin_experiments_match_the_oracle(self, case):
+        state, projectors = case
+        assert_matches_oracle(QuantumExperiment(state, projectors), NumpyExperiment(state, projectors))
 
 
 NAN, INF = float("nan"), float("inf")
