@@ -10,6 +10,10 @@ Importing the package runs no submodule: each layer but the CLI sits in
 ``sys.modules`` as a lazy module, compiled on first use, so a walk over
 ``sys.modules`` (a tracer, a patch) still reaches every layer.  A public name
 is read from its layer on first use (PEP 562) and kept in this namespace.
+A layer that calls another on some paths only binds that lazy module
+(``from . import feasibility``) and reads the name at the call site
+(``feasibility.solve_source``), so the other compiles only on such a path;
+``from .x import name`` is for names a module body uses and layers every path runs.
 """
 
 import importlib.util as _util

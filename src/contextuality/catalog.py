@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .classifier import Tier
+from . import classifier
 from .distribution import Distribution, random_rational_weights
 from .model import EmpiricalModel, deterministic_model, mixture
 from .scenario import Scenario, sections_over
@@ -26,17 +26,25 @@ if TYPE_CHECKING:
 
 
 class CatalogEntry:
-    """A named model with its expected tier, provenance notes, and optional experiment."""
+    """A named model, read from its cached factory, with its expected tier, notes, and optional experiment."""
 
-    __slots__ = ("name", "model", "expected_tier", "notes", "experiment_factory")
+    __slots__ = ("name", "model_factory", "tier_value", "notes", "experiment_factory")
 
-    def __init__(self, name: str, model: EmpiricalModel, expected_tier: Tier,
+    def __init__(self, name: str, model_factory: Callable[[], EmpiricalModel], tier_value: str,
                  notes: str, experiment_factory: Optional[Callable[[], QuantumExperiment]] = None):
         self.name = name
-        self.model = model
-        self.expected_tier = expected_tier
+        self.model_factory = model_factory
+        self.tier_value = tier_value
         self.notes = notes
         self.experiment_factory = experiment_factory
+
+    @property
+    def model(self) -> EmpiricalModel:
+        return self.model_factory()
+
+    @property
+    def expected_tier(self) -> classifier.Tier:
+        return classifier.Tier(self.tier_value)
 
     @property
     def experiment(self) -> Optional[QuantumExperiment]:
@@ -207,31 +215,31 @@ def _ghz_experiment() -> QuantumExperiment:
 def catalog() -> tuple[CatalogEntry, ...]:
     return (
         CatalogEntry(
-            "bell", bell_model(), Tier.PROBABILISTIC,
+            "bell", bell_model, "Probabilistic",
             "Two-party tables realized exactly by the bundled singlet experiment "
             "(all values are multiples of 1/8); every support section extends "
             "globally, yet no global distribution matches all four tables.",
             _singlet_experiment,
         ),
         CatalogEntry(
-            "hardy", hardy_model(), Tier.LOGICAL,
+            "hardy", hardy_model, "Logical",
             "Support has exactly one edge with no consistent global extension; "
             "the probability values are a rational no-signaling realization of "
             "that support, pinned by tier reproduction rather than by a "
             "specific quantum state.",
         ),
         CatalogEntry(
-            "pr-box", pr_box_model(), Tier.STRONG,
+            "pr-box", pr_box_model, "Strong",
             "Uniform box with an odd correlation cycle; no global section is "
             "consistent with the support.",
         ),
         CatalogEntry(
-            "specker-triangle", specker_triangle_model(), Tier.STRONG,
+            "specker-triangle", specker_triangle_model, "Strong",
             "Three measurements, pairwise co-measurable and perfectly "
             "anticorrelated; a two-coloring of an odd cycle cannot exist.",
         ),
         CatalogEntry(
-            "ghz", ghz_model(), Tier.STRONG,
+            "ghz", ghz_model, "Strong",
             "Parity constraints on four of the eight contexts are jointly "
             "unsatisfiable; realized exactly by the bundled three-qubit "
             "experiment with x/y spin measurements.",

@@ -23,9 +23,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
+from . import feasibility
 from .distribution import Distribution, marginalize
 from .errors import DEFAULT_ENUMERATION_CAP, InternalConsistencyError
-from .feasibility import solve_source
 from .model import EmpiricalModel
 from .record import Record
 from .scenario import Scenario, Section, check_global_section_cap, global_section_columns
@@ -166,7 +166,7 @@ def global_distribution(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CA
     scenario, tables = model.scenario, model.tables
     check_global_section_cap(scenario, cap)
     source = global_section_columns(scenario)
-    outcome = solve_source(source, [tables[c].weight(s) for c, s in source.rows])
+    outcome = feasibility.solve_source(source, [tables[c].weight(s) for c, s in source.rows])
     if outcome.feasible:
         support = {source.section(j): x for j, x in outcome.solution.items()}
         return Distribution._from_support(scenario, scenario.measurements, support)

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import catalog as _catalog
-from .classifier import Tier, classify
+from . import classifier
 from .errors import (DEFAULT_DENOMINATOR_BOUND, DEFAULT_ENUMERATION_CAP, DEFAULT_SNAP_TOLERANCE,
                      ContextualityError, EnumerationCapError, SchemaError)
 from .model import EmpiricalModel, check_model
@@ -41,8 +41,8 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
                         help="catalog name or path to a model/experiment document")
     parser.add_argument("--model", dest="model_flag", metavar="NAME|PATH",
                         help="catalog name or path (alternative to the positional)")
-    parser.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                        help="enumeration cap (default 2^20)")
+    parser.add_argument("--cap", type=_at_least(1, int, "an integer of at least 1"),
+                        default=DEFAULT_ENUMERATION_CAP, help="enumeration cap (default 2^20, >= 1)")
     parser.add_argument("--snap-tol", type=_at_least(0, float, "a finite non-negative number"),
                         default=DEFAULT_SNAP_TOLERANCE, help="snapping tolerance for quantum ingestion (finite, >= 0)")
     parser.add_argument("--denom-bound", type=_at_least(1, int, "an integer of at least 1"),
@@ -95,17 +95,18 @@ def _yesno(flag: bool) -> str:
 
 def _cmd_classify(args) -> int:
     name, model = _resolve_model(args)
-    verdict = classify(model, cap=args.cap)
+    verdict = classifier.classify(model, cap=args.cap)
     # On the combinatorial representation every line is the tier's question:
     # the strong and logical null-cover flags are the support cover's own, and
     # every LP line is the global-distribution solve.  No representation is built.
+    Tier = classifier.Tier
     strong = verdict.tier is Tier.STRONG
     logical = verdict.tier in (Tier.STRONG, Tier.LOGICAL)
     violated = verdict.tier is not Tier.NONCONTEXTUAL
     structured = {
         "model": name,
         "tier": str(verdict.tier),
-        "contextual": verdict.tier is not Tier.NONCONTEXTUAL,
+        "contextual": violated,
         "additivity_hierarchy": {
             "strong_subadditivity_violation": strong,
             "logical_subadditivity_violation": logical,
@@ -146,29 +147,26 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-_TIER_FLAGS = {
-    "strong": Tier.STRONG,
-    "logical": Tier.LOGICAL,
-    "probabilistic": Tier.PROBABILISTIC,
-}
+# The --tier values, each the lower-case name of a contextual Tier member.
+_TIER_FLAGS = ("strong", "logical", "probabilistic")
 
 
 def _cmd_witness(args) -> int:
-    from .serialize import witness_to_dict
     from .violations import tier_violation_witness, verify_witness
     from .wps import build_combinatorial_rep
     name, model = _resolve_model(args)
     rep = build_combinatorial_rep(model, cap=args.cap)
     if args.tier:
-        tier = _TIER_FLAGS[args.tier]
+        tier = classifier.Tier[args.tier.upper()]
     else:
-        tier = classify(model, cap=args.cap).tier
-        if tier is Tier.NONCONTEXTUAL:
+        tier = classifier.classify(model, cap=args.cap).tier
+        if tier is classifier.Tier.NONCONTEXTUAL:
             raise SchemaError(f"{name} is noncontextual; no violation witness exists")
     witness = tier_violation_witness(rep, tier, cap=args.cap)
     if not verify_witness(rep, witness):
         raise ContextualityError("constructed witness failed re-verification")
     if args.format == "structured":
+        from .serialize import witness_to_dict
         _emit(json.dumps(witness_to_dict(rep, witness), indent=2) + "\n", args.out)
         return 0
     lines = [
@@ -185,7 +183,6 @@ def _cmd_witness(args) -> int:
 
 def _cmd_dutchbook(args) -> int:
     from .dutchbook import find_dutch_book
-    from .serialize import certificate_to_dict
     from .wps import build_combinatorial_rep
     name, model = _resolve_model(args)
     rep = build_combinatorial_rep(model, cap=args.cap)
@@ -196,6 +193,7 @@ def _cmd_dutchbook(args) -> int:
         return 0
     payoffs = certificate.payoffs(rep)
     if args.format == "structured":
+        from .serialize import certificate_to_dict
         document = certificate_to_dict(rep, certificate)
         document["payoffs"] = {p: str(value) for p, value in zip(rep.points, payoffs)}
         _emit(json.dumps(document, indent=2) + "\n", args.out)
@@ -233,12 +231,11 @@ def _cmd_verify(args) -> int:
         _emit("experiment document verified: snapped tables pass the "
               "no-signaling check\n", None)
         return 0
-    from .dutchbook import verify_certificate
-    from .violations import verify_extension, verify_witness
     from .wps import build_combinatorial_rep
     name, model = _resolve_model(args)
     rep = build_combinatorial_rep(model, cap=args.cap)
     if kind == KIND_CERTIFICATE:
+        from .dutchbook import verify_certificate
         certificate = certificate_from_dict(rep, document)
         if verify_certificate(rep, certificate):
             _emit(f"certificate verified against {name}: every point loses at "
@@ -247,6 +244,7 @@ def _cmd_verify(args) -> int:
         sys.stderr.write("certificate failed: some point does not lose the bound\n")
         return 2
     if kind == KIND_WITNESS:
+        from .violations import verify_witness
         witness = witness_from_dict(rep, document)
         if verify_witness(rep, witness):
             _emit(f"witness verified against {name}: defect {witness.defect} recomputed\n", None)
@@ -254,6 +252,7 @@ def _cmd_verify(args) -> int:
         sys.stderr.write("witness failed re-verification\n")
         return 2
     if kind == KIND_EXTENSION:
+        from .violations import verify_extension
         extension, extension_kind = extension_from_dict(rep, document)
         verdict = verify_extension(rep, extension, extension_kind, cap=args.cap)
         if verdict.ok:

@@ -14,12 +14,11 @@ familiar strengths.  Padded representations solve over the points.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from functools import reduce
-from operator import or_
 from typing import Iterable, Mapping, Optional
 
-from .classifier import GlobalDistributionCertificate, global_distribution
+from . import classifier, feasibility
 from .distribution import Distribution, marginalize
 from .errors import (
     InternalConsistencyError,
@@ -27,10 +26,9 @@ from .errors import (
     NotAnEventError,
     ScenarioMismatchError,
 )
-from .feasibility import ExplicitColumns, solve_source
 from .record import Record
 from .scenario import Section, global_section_columns
-from .wps import Event, WpsRepresentation, _indices
+from .wps import Event, WpsRepresentation, _indices, _null_cover
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -135,7 +133,8 @@ def _solve_membership(rep: WpsRepresentation, restriction: Optional[Iterable[Eve
         for i in _indices(event):
             columns[i].append(r)
     ones = [(1,) * len(column) for column in columns]
-    outcome = solve_source(ExplicitColumns(columns, ones, len(events) + 1), [ONE, *map(rep.mu_of, events)])
+    system = feasibility.ExplicitColumns(columns, ones, len(events) + 1)
+    outcome = feasibility.solve_source(system, [ONE, *map(rep.mu_of, events)])
     labels = [rep.sample_space, *events]
     if not outcome.feasible:
         return None, labels, outcome.certificate
@@ -175,13 +174,19 @@ class DutchBookCertificate(Record):
 
 
 def _payoffs(rep: WpsRepresentation, stakes: Iterable[tuple[Event, Fraction]]) -> list[Fraction]:
-    totals = [ZERO] * len(rep.points)
+    # Integer numerators over one denominator: a point's total is k / scale, the price p / q.
+    stakes = list(stakes)
+    scale = math.lcm(*(stake.denominator for _, stake in stakes))
+    totals = [0] * len(rep.points)
     price = ZERO
     for event, stake in stakes:
         price += stake * rep.mu_of(event)
+        k = stake.numerator * (scale // stake.denominator)
         for i in _indices(event):
-            totals[i] += stake
-    return [total - price for total in totals]
+            totals[i] += k
+    q = price.denominator
+    offset = price.numerator * scale
+    return [Fraction(total * q - offset, scale * q) for total in totals]
 
 
 def verify_certificate(rep: WpsRepresentation, certificate: DutchBookCertificate) -> bool:
@@ -195,12 +200,6 @@ def verify_certificate(rep: WpsRepresentation, certificate: DutchBookCertificate
         if not rep.in_sigma(event):
             raise NotAnEventError("a stake references a set outside the event family")
     return all(payoff <= -certificate.loss_bound for payoff in certificate.payoffs(rep))
-
-
-def _null_cover(rep: WpsRepresentation, events: Iterable[Event]) -> tuple[tuple[Event, ...], Event]:
-    """The null events among ``events`` in canonical order, and the points in none of them."""
-    nulls = rep.sorted_events(e for e in events if rep.mu_of(e) == 0)
-    return nulls, rep.sample_space & ~reduce(or_, nulls, 0)
 
 
 def _null_cover_certificate(rep: WpsRepresentation) -> Optional[DutchBookCertificate]:
@@ -270,8 +269,8 @@ def _maximal_context_membership(rep: WpsRepresentation):
     against the representation's own values: the weights reproduce each of them, or the certificate
     separates them.
     """
-    result = global_distribution(rep.model)
-    if isinstance(result, GlobalDistributionCertificate):
+    result = classifier.global_distribution(rep.model)
+    if isinstance(result, classifier.GlobalDistributionCertificate):
         if sum((y * rep.mu_of(rep.event(s)) for (_, s), y in zip(result.rows, result.coefficients) if y), ZERO) <= 0:
             raise InternalConsistencyError("transported certificate fails to separate the event values")
         return None, result

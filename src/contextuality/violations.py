@@ -24,15 +24,8 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Optional
 
-from .classifier import (
-    GlobalDistributionCertificate,
-    Tier,
-    global_distribution,
-    is_logically_contextual,
-    is_strongly_contextual,
-)
+from . import classifier, dutchbook, extensions
 from .distribution import Distribution
-from .dutchbook import _maximal_context_membership, _null_cover, convexity_membership
 from .errors import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -43,15 +36,9 @@ from .errors import (
     TierMismatchError,
     UnionNotEvaluableError,
 )
-from .extensions import (
-    CoverExtension,
-    EnvelopeExtension,
-    canonical_monotone_extension,
-    cheapest_cover_of_space,
-)
 from .record import Record
 from .scenario import Section, global_section_columns, sections_over
-from .wps import Event, WpsRepresentation, _atoms, _indices, _subset_sums, excise
+from .wps import Event, WpsRepresentation, _atoms, _indices, _null_cover, _subset_sums, excise
 
 ZERO = Fraction(0)
 
@@ -120,7 +107,7 @@ def subadditivity_violation_by_cover(rep: WpsRepresentation) -> Optional[Violati
     any subadditive value for the space would be bounded by the cover's
     total weight.  Decided exactly by minimum-weight set cover.
     """
-    events, total = cheapest_cover_of_space(rep)
+    events, total = extensions.cheapest_cover_of_space(rep)
     if total >= rep.mu_of(rep.sample_space):
         return None
     witness = ViolationWitness(ViolationKind.SUBADDITIVITY, events, defect(rep, events))
@@ -149,7 +136,7 @@ class MarginalizationFailure(Record):
     __slots__ = ("context", "section", "event", "extension_kind", "certificate")
 
     def __init__(self, context: tuple, section: Section, event: Event, extension_kind: str,
-                 certificate: Optional[GlobalDistributionCertificate]):
+                 certificate: Optional[classifier.GlobalDistributionCertificate]):
         self._fill(context, section, event, extension_kind, certificate)
 
 
@@ -202,11 +189,11 @@ def verify_witness(rep: WpsRepresentation, witness: ViolationWitness, extension=
 
 
 def _extension_by_kind(rep: WpsRepresentation, kind: str):
-    if kind == CoverExtension.kind:
-        return CoverExtension(rep)
-    if kind == EnvelopeExtension.kind:
-        return EnvelopeExtension(rep)
-    return canonical_monotone_extension(rep)
+    if kind == extensions.CoverExtension.kind:
+        return extensions.CoverExtension(rep)
+    if kind == extensions.EnvelopeExtension.kind:
+        return extensions.EnvelopeExtension(rep)
+    return extensions.canonical_monotone_extension(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +219,7 @@ def core_parts_of_global_sections(rep: WpsRepresentation) -> dict[tuple, tuple[E
 
 
 def marginalization_failure(rep: WpsRepresentation, extension,
-                            certificate: Optional[GlobalDistributionCertificate] = None
+                            certificate: Optional[classifier.GlobalDistributionCertificate] = None
                             ) -> Optional[tuple[MarginalizationFailure, tuple[Event, ...], Fraction]]:
     """First maximal-context event whose extension values fail to sum to it.
 
@@ -252,9 +239,9 @@ def marginalization_failure(rep: WpsRepresentation, extension,
 
 
 def _canonical_additivity_witness(rep: WpsRepresentation,
-                                  certificate: GlobalDistributionCertificate) -> ViolationWitness:
+                                  certificate: classifier.GlobalDistributionCertificate) -> ViolationWitness:
     """The canonical extension's first marginalization failure, certificate attached."""
-    found = marginalization_failure(rep, canonical_monotone_extension(rep), certificate=certificate)
+    found = marginalization_failure(rep, extensions.canonical_monotone_extension(rep), certificate=certificate)
     if found is None:
         raise InternalConsistencyError("infeasible system but every canonical-extension marginal matched")
     record, parts, value = found
@@ -283,7 +270,7 @@ def _covered_support_witness(rep: WpsRepresentation, nulls: tuple[Event, ...],
     return ViolationWitness(ViolationKind.SUBADDITIVITY, collection, value, data)
 
 
-def tier_violation_witness(rep: WpsRepresentation, tier: Tier,
+def tier_violation_witness(rep: WpsRepresentation, tier: classifier.Tier,
                            cap: int = DEFAULT_ENUMERATION_CAP) -> ViolationWitness:
     """Build the violation witness certifying a contextuality tier.
 
@@ -298,7 +285,7 @@ def tier_violation_witness(rep: WpsRepresentation, tier: Tier,
     """
     model = rep.model
 
-    if tier in (Tier.STRONG, Tier.LOGICAL):
+    if tier in (classifier.Tier.STRONG, classifier.Tier.LOGICAL):
         # Padding lives in the excised events, which are null; a combinatorial
         # representation excises nothing.
         events = list(rep.maximal_context_events())
@@ -307,19 +294,19 @@ def tier_violation_witness(rep: WpsRepresentation, tier: Tier,
             events += report.d1 | report.d2
         nulls, _ = _null_cover(rep, events)
 
-    if tier is Tier.STRONG:
-        if not is_strongly_contextual(model, cap=cap):
+    if tier is classifier.Tier.STRONG:
+        if not classifier.is_strongly_contextual(model, cap=cap):
             raise TierMismatchError("the model is not strongly contextual")
         return _maximal_witness(rep, nulls)
 
-    if tier is Tier.LOGICAL:
-        logical, witness_section = is_logically_contextual(model, cap=cap)
+    if tier is classifier.Tier.LOGICAL:
+        logical, witness_section = classifier.is_logically_contextual(model, cap=cap)
         if not logical:
             raise TierMismatchError("the model is not logically contextual")
         return _covered_support_witness(rep, nulls, witness_section)
 
-    if tier is Tier.PROBABILISTIC:
-        result = global_distribution(model, cap=cap)
+    if tier is classifier.Tier.PROBABILISTIC:
+        result = classifier.global_distribution(model, cap=cap)
         if isinstance(result, Distribution):
             raise TierMismatchError("the model admits a global distribution")
         return _canonical_additivity_witness(rep, result)
@@ -371,7 +358,7 @@ def additivity_violation(rep: WpsRepresentation) -> tuple[bool, Optional[Violati
     marginalization failure of the canonical extension.
     """
     _require_combinatorial(rep)
-    _, certificate = _maximal_context_membership(rep)
+    _, certificate = dutchbook._maximal_context_membership(rep)
     if certificate is None:
         return False, None
     return True, _canonical_additivity_witness(rep, certificate)
@@ -391,7 +378,7 @@ def has_classical_extension(rep: WpsRepresentation) -> Optional[dict[str, Fracti
     its default restriction (algebra atoms decide, every family member is
     re-checked).
     """
-    return convexity_membership(rep)
+    return dutchbook.convexity_membership(rep)
 
 
 # ---------------------------------------------------------------------------

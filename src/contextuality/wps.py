@@ -217,6 +217,12 @@ def _subset_sums(parts: Sequence[int]) -> list[int]:
     return sums
 
 
+def _null_cover(rep: WpsRepresentation, events: Iterable[Event]) -> tuple[tuple[Event, ...], Event]:
+    """The null events among ``events`` in canonical order, and the points in none of them."""
+    nulls = rep.sorted_events(e for e in events if rep.mu_of(e) == 0)
+    return nulls, rep.sample_space & ~reduce(or_, nulls, 0)
+
+
 # ---------------------------------------------------------------------------
 # Padding specifications
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from contextuality import dutchbook, feasibility
+from contextuality import classifier, dutchbook, feasibility
 from contextuality.catalog import (
     bell_model,
     ghz_model,
@@ -72,14 +72,14 @@ class TestConvexityMembership:
 
     def test_membership_solution_is_rechecked(self, control_rep, monkeypatch):
         # The first positive weight handed to the first point outside the support.
-        solve = dutchbook.solve_source
+        solve = feasibility.solve_source
 
         def moved(source, rhs):
             outcome = solve(source, rhs)
             (_, x), *rest = outcome.solution.items()
             k = next(i for i in range(len(source)) if i not in outcome.solution)
             return FeasibilityOutcome(outcome.feasible, dict(sorted([(k, x), *rest])), outcome.certificate)
-        monkeypatch.setattr(dutchbook, "solve_source", moved)
+        monkeypatch.setattr(feasibility, "solve_source", moved)
         with pytest.raises(InternalConsistencyError, match="membership weights"):
             convexity_membership(control_rep)
 
@@ -393,14 +393,14 @@ class TestHierarchyOnTheGlobalSectionSource:
 
     def test_transported_solution_is_rechecked(self, control_rep, monkeypatch):
         # Each support section's weight handed to the next support section's point.
-        solve = dutchbook.global_distribution
+        solve = classifier.global_distribution
 
         def rotated(*args):
             dist = solve(*args)
             sections = [s for s in dist.sections() if s in dist.support]
             weights = dict(zip(sections[1:] + sections[:1], map(dist.weight, sections)))
             return Distribution._from_support(dist.scenario, dist.context, weights)
-        monkeypatch.setattr(dutchbook, "global_distribution", rotated)
+        monkeypatch.setattr(classifier, "global_distribution", rotated)
         with pytest.raises(InternalConsistencyError, match="transported weights"):
             convexity_hierarchy(control_rep)
 

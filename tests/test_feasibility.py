@@ -337,9 +337,12 @@ def test_membership_systems_follow_the_dense_tableau(catalog_reps, padded_catalo
         rows = expand(source, len(rhs))
         seen.append(len(rows))
         outcome = solve_source(source, rhs)
-        assert dense_outcome(outcome, len(source)) == assert_follows_dense_tableau(rows, rhs)
+        with pytest.MonkeyPatch.context() as inner:
+            # The dense check's solve_nonnegative solves through this namespace too.
+            inner.setattr(feasibility, "solve_source", solve_source)
+            assert dense_outcome(outcome, len(source)) == assert_follows_dense_tableau(rows, rhs)
         return outcome
-    monkeypatch.setattr(dutchbook, "solve_source", checked)
+    monkeypatch.setattr(feasibility, "solve_source", checked)
     # find_dutch_book solves nothing when the null events cover the space, so
     # the whole-family and maximal-context systems are also posed directly.
     for rep in catalog_reps.values():
@@ -431,12 +434,12 @@ def test_primal_is_the_positive_basic_columns():
 def test_primal_of_a_large_cycle_lists_at_most_one_column_per_row(monkeypatch):
     # 2^18 global sections against 72 rows.
     outcomes = []
-    solve = classifier.solve_source
+    solve = feasibility.solve_source
 
     def recording(source, rhs):
         outcomes.append(solve(source, rhs))
         return outcomes[-1]
-    monkeypatch.setattr(classifier, "solve_source", recording)
+    monkeypatch.setattr(feasibility, "solve_source", recording)
     model = noisy_cycle(18, Fraction(1, 8))
     assert isinstance(global_distribution(model, cap=math.inf), Distribution)
     (outcome,) = outcomes

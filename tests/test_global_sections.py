@@ -107,7 +107,7 @@ def recorded_solves(monkeypatch) -> list:
     independent rows.
     """
     seen = []
-    solve = classifier.solve_source
+    solve = feasibility.solve_source
 
     def recording(source, rhs):
         matrix = expand(source, len(rhs))
@@ -119,7 +119,7 @@ def recorded_solves(monkeypatch) -> list:
         assert independent_rows(source.local_rows()) == independent_rows(matrix)
         seen.append((matrix, list(rhs)))
         return solve(source, rhs)
-    monkeypatch.setattr(classifier, "solve_source", recording)
+    monkeypatch.setattr(feasibility, "solve_source", recording)
     return seen
 
 

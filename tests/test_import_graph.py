@@ -8,6 +8,7 @@ into the test process.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -139,6 +140,115 @@ def test_nerve_export_loads_only_the_representation():
     after = layers_after(["export", "ghz", "--kind", "nerve"])["export ghz --kind nerve"]
     assert "wps" in after and "exports" in after
     assert not after & {"serialize", "violations", "dutchbook", "extensions", "quantum"}
+
+
+# The layers every catalog command loads: the CLI, the catalog and the model
+# layers beneath it.  A layer that calls another only on some paths binds it
+# as a module, so it loads only on a path that reads it.
+BASE = {"catalog", "cli", "distribution", "errors", "model", "record", "scenario"}
+REPRESENTATION = BASE | {"serialize", "wps"}
+
+# The benchmark's catalog-cli ops on a Strong model (ghz) and a Probabilistic
+# one (bell): the support cover decides ghz, so no LP solver loads for it.
+CATALOG_OPS = {
+    ("classify", "ghz"): BASE | {"classifier"},
+    ("classify", "bell"): BASE | {"classifier", "feasibility"},
+    ("witness", "ghz"): REPRESENTATION | {"classifier", "violations"},
+    ("witness", "bell"): REPRESENTATION | {"classifier", "violations", "feasibility", "extensions"},
+    ("verify-witness", "ghz"): REPRESENTATION | {"violations"},
+    ("verify-witness", "bell"): REPRESENTATION | {"violations", "extensions"},
+    ("dutchbook", "ghz"): REPRESENTATION | {"dutchbook"},
+    ("dutchbook", "bell"): REPRESENTATION | {"dutchbook", "classifier", "feasibility"},
+    ("verify-dutchbook", "ghz"): REPRESENTATION | {"dutchbook"},
+    ("verify-dutchbook", "bell"): REPRESENTATION | {"dutchbook"},
+    ("export-nerve", "ghz"): BASE | {"exports", "wps"},
+    ("export-nerve", "bell"): BASE | {"exports", "wps"},
+}
+
+
+@pytest.fixture(scope="module")
+def catalog_op_layers(tmp_path_factory) -> dict[tuple[str, str], set[str]]:
+    """Each catalog-cli op on ghz and bell, run alone in a fresh interpreter: the layers it leaves loaded."""
+    from contextuality.cli import main
+
+    work = tmp_path_factory.mktemp("catalog-ops")
+    layers = {}
+    for model in ("ghz", "bell"):
+        witness, book = str(work / f"{model}-witness.json"), str(work / f"{model}-book.json")
+        argvs = {
+            "classify": ["classify", model],
+            "witness": ["witness", model, "--format", "structured", "--out", witness],
+            "verify-witness": ["verify", model, "--file", witness],
+            "dutchbook": ["dutchbook", model, "--format", "structured", "--out", book],
+            "verify-dutchbook": ["verify", model, "--file", book],
+            "export-nerve": ["export", model, "--kind", "nerve"],
+        }
+        # The documents the verify ops read, written in this process.
+        assert main(argvs["witness"]) == main(argvs["dutchbook"]) == 0
+        for op, argv in argvs.items():
+            (_, loaded, code, _), = probe(argv, watched=LAYERS)[1:]
+            assert code == 0, (op, model)
+            layers[op, model] = {m.split(".")[1] for m in loaded}
+    return layers
+
+
+@pytest.mark.parametrize("op, model", list(CATALOG_OPS), ids=[f"{op}-{model}" for op, model in CATALOG_OPS])
+def test_each_catalog_op_loads_only_the_layers_it_calls(catalog_op_layers, op, model):
+    assert catalog_op_layers[op, model] == CATALOG_OPS[op, model]
+
+
+def test_naming_a_catalog_model_builds_only_that_model():
+    count = """
+import contextlib, io, json, sys
+from contextuality import catalog, cli
+factories = json.loads(sys.argv[1])
+report = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+    report.append([getattr(catalog, f).cache_info().misses for f in factories])
+print(json.dumps(report))
+"""
+    factories = ["bell_model", "hardy_model", "pr_box_model", "specker_triangle_model", "ghz_model"]
+    argvs = [["catalog-list"], ["classify", "bell"], ["witness", "bell"], ["export", "ghz"]]
+    assert json.loads(fresh("-c", count, json.dumps(factories), json.dumps(argvs))) == [
+        [0, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0],
+        [1, 0, 0, 0, 1],
+    ]
+
+
+def module_bindings(tree: ast.Module) -> dict[str, str]:
+    """The names a module binds to whole layers with ``from . import layer [as name]``: name -> layer."""
+    return {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for alias in node.names}
+
+
+def test_every_layer_name_read_in_src_is_defined_by_that_layer():
+    # A deferred read, `layer.attr` or a handler's `from .layer import name`,
+    # runs only on its own path, so this test checks each against the layer.
+    import importlib
+
+    at_call_site, imported = [], []
+    for path in sorted((SRC / "contextuality").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = module_bindings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
+                at_call_site.append((path.stem, bound[node.value.id], node.attr, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is not None:
+                imported += [(path.stem, node.module, alias.name, node.lineno) for alias in node.names]
+    missing = [read for read in at_call_site + imported
+               if not hasattr(importlib.import_module(f"contextuality.{read[1]}"), read[2])]
+    assert missing == []
+    # The layers called on some paths only, each bound as a module and named at the call site.
+    assert {(home, layer) for home, layer, _, _ in at_call_site} >= {
+        ("classifier", "feasibility"), ("dutchbook", "classifier"), ("dutchbook", "feasibility"),
+        ("violations", "classifier"), ("violations", "dutchbook"), ("violations", "extensions"),
+        ("catalog", "classifier"), ("cli", "classifier"), ("cli", "catalog"),
+    }
 
 
 def test_documents_load_their_reader_and_no_more(tmp_path):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contextuality import classifier, dutchbook, exports, feasibility, wps
+from contextuality import exports, feasibility, wps
 from contextuality.catalog import (
     bell_model,
     catalog,
@@ -276,6 +276,20 @@ class TestCli:
 
     def test_cap_exceeded_exits_3(self, capsys):
         assert main(["classify", "ghz", "--cap", "10"]) == 3
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [["classify", "bell"], ["witness", "bell"], ["dutchbook", "bell"],
+                                      ["verify", "bell", "--file", "cert.json"], ["export", "bell"]])
+    def test_a_cap_below_1_is_a_usage_error(self, argv, value, capsys):
+        # A cap of -1 used to run and exit 3 as if an enumeration had exceeded it.
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--cap", value])
+        assert exit_.value.code == 2
+        assert f"argument --cap: expected an integer of at least 1, got {value!r}" in capsys.readouterr().err
+
+    def test_a_cap_of_1_is_accepted(self, capsys):
+        assert main(["classify", "bell", "--cap", "1"]) == 3
+        assert capsys.readouterr().err == "error: enumerating 16 global sections exceeds the cap of 1\n"
 
     @pytest.mark.parametrize("name, cap", [("ghz", "64"), ("ghz", "100"), ("ghz", "255"),
                                            ("specker-triangle", "8"), ("specker-triangle", "15")])
@@ -559,8 +573,7 @@ class TestCli:
             solves.append(args)
             return core(*args, **kwargs)
 
-        for module in (feasibility, classifier, dutchbook):
-            monkeypatch.setattr(module, "solve_source", counting)
+        monkeypatch.setattr(feasibility, "solve_source", counting)
         if name == "singlet":
             path = tmp_path / "singlet.json"
             path.write_text(json.dumps(experiment_to_dict(singlet_experiment())))
@@ -576,7 +589,7 @@ class TestCli:
         def forbidden(*args, **kwargs):
             raise AssertionError("classify posed an explicit-column system")
 
-        monkeypatch.setattr(dutchbook, "solve_source", forbidden)
+        monkeypatch.setattr(feasibility, "ExplicitColumns", forbidden)
         documents = {"singlet": lambda: experiment_to_dict(singlet_experiment()),
                      "cycle-8": lambda: model_to_dict(noisy_cycle(8, Fraction(1, 8)))}
         if name in documents:
