@@ -8,7 +8,7 @@ elimination oracle of the global-section source
 whether any global distribution marginalizes exactly to every context
 table; the exact feasibility solver decides it on the same source.  A
 positive answer is a distribution stored as its support, re-marginalized
-exactly; a negative one is a rational separating functional that
+in integers; a negative one is a rational separating functional that
 :meth:`GlobalDistributionCertificate.verify` re-evaluates against the tables
 by its own bucket elimination, written apart from the source's.  So
 ``classify`` lists no global section; :func:`consistent_global_sections`
@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import feasibility
-from .distribution import Distribution, marginalize
-from .errors import DEFAULT_ENUMERATION_CAP, InternalConsistencyError
+from .distribution import Distribution
+from .errors import DEFAULT_ENUMERATION_CAP, DomainError, InternalConsistencyError
 from .model import EmpiricalModel
 from .record import Record
 from .scenario import Scenario, Section, check_global_section_cap, global_section_columns
@@ -115,10 +115,8 @@ class GlobalDistributionCertificate(Record):
         scenario = model.scenario
         check_global_section_cap(scenario, cap)
         labels = global_section_columns(scenario).rows
-        if len(self.coefficients) != len(self.rows):
-            return False
         weight_of = dict(zip(self.rows, self.coefficients))
-        if len(weight_of) != len(self.rows) or weight_of.keys() != set(labels):
+        if not len(self.coefficients) == len(weight_of) == len(self.rows) or weight_of.keys() != set(labels):
             return False
         # The coefficients scaled by the positive lcm of their denominators: the same signs, in integers.
         coefficients = [Fraction(weight_of[label]) for label in labels]
@@ -205,7 +203,18 @@ def classify(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CAP) -> TierV
 
 
 def verify_global_distribution(model: EmpiricalModel, dist: Distribution) -> None:
-    """Assert that a candidate global distribution reproduces every table exactly."""
+    """Assert that a candidate global distribution reproduces every table exactly, in integers."""
+    if dist.context != model.scenario.measurements:
+        raise DomainError(f"a global distribution is over {model.scenario.measurements!r}, not {dist.context!r}")
+    # The support scaled by the lcm of its denominators; per context, its numerators summed per outcome tuple.
+    support = [(s.values, dist.weight(s)) for s in dist.support]
+    scale = math.lcm(*(w.denominator for _, w in support))
+    support = [(values, w.numerator * (scale // w.denominator)) for values, w in support]
     for context in model.scenario.maximal_contexts:
-        if marginalize(dist, context) != model.table(context):
+        positions, sums = [model.scenario.measurement_index(m) for m in context], {}
+        for values, v in support:
+            key = tuple(map(values.__getitem__, positions))
+            sums[key] = sums.get(key, 0) + v
+        table = model.table(context)
+        if sums != {s.values: table.weight(s) * scale for s in table.support}:
             raise InternalConsistencyError(f"global distribution does not marginalize to {context!r}")

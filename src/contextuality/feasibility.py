@@ -51,11 +51,13 @@ the row weights (π_r + d·den(b_r))·sign_r on the independent rows and 0 on
 the others, π the objective row's artificial entries; forms only the
 entering column d·B⁻¹A_j; and updates the block alone by Edmonds'
 common-denominator pivot  (x·p − f·r) / d, which keeps every entry an
-integer (Bareiss, Math. Comp. 22, 1968).  Every row of the full tableau
-[A | I | b] is the combination of original rows that its artificial entries
-record, so the weighted sums are exactly the reduced costs that tableau
-would hold, and d·B⁻¹A_j its entering column: the pivot path, the solutions
-and the certificates are the dense tableau's.  The entering column has the
+integer (Bareiss, Math. Comp. 22, 1968).  When p = d that is x − f·r/d,
+with f·r divisible by d: only the rows with f ≠ 0 change, in place, and
+only where r ≠ 0.  Every row of the full tableau [A | I | b] is the
+combination of original rows that its artificial entries record, so the
+weighted sums are exactly the reduced costs that tableau would hold, and
+d·B⁻¹A_j its entering column: the pivot path, the solutions and the
+certificates are the dense tableau's.  The entering column has the
 largest reduced cost; after a run of degenerate pivots the solver prices by
 Bland's least-index rule until a pivot makes progress.  A pivot that makes
 progress lowers the phase-1 objective, and Bland's rule cannot cycle, so
@@ -105,9 +107,7 @@ class FarkasCertificate(Record):
                 for j, v in enumerate(row):
                     if v:
                         totals[j] += yi * v
-        if any(t > 0 for t in totals):
-            return False
-        return sum(yi * v for yi, v in zip(y, rhs) if yi) > 0
+        return not any(t > 0 for t in totals) and sum(yi * v for yi, v in zip(y, rhs) if yi) > 0
 
 
 class FeasibilityOutcome(Record):
@@ -216,12 +216,7 @@ def _phase1(source, sign: list[int], cost: list[int], target: list[int],
     position = [None] * len(sign)
     for r, i in enumerate(independent):
         position[i] = r
-    block = []
-    for r, i in enumerate(independent):
-        row = [0] * (k + 1)
-        row[r] = 1
-        row[k] = target[i]
-        block.append(row)
+    block = [[int(c == r) for c in range(k)] + [target[i]] for r, i in enumerate(independent)]
     block.append([0] * k + [sum(cost[i] * target[i] for i in independent)])
     basis = list(range(n, n + k))
     weights = [0] * len(sign)
@@ -260,13 +255,16 @@ def _phase1(source, sign: list[int], cost: list[int], target: list[int],
 
 def _pivot(block: list[list[int]], column: list[int], row: int, d: int) -> int:
     """Edmonds' integer pivot on ``column[row]``; returns the new common denominator."""
-    prow = block[row]
-    p = column[row]
+    prow, p = block[row], column[row]
+    pairs = [(j, y) for j, y in enumerate(prow) if y]
     for i, other in enumerate(block):
         f = column[i]
         if i == row or (not f and p == d):
             continue
-        if f:
+        if p == d:
+            for j, y in pairs:
+                other[j] -= f * y // d
+        elif f:
             block[i] = [(x * p - f * y) // d if y else x * p // d for x, y in zip(other, prow)]
         else:
             block[i] = [x * p // d for x in other]

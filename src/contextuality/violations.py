@@ -92,13 +92,6 @@ class AdditiveCover:
         self.events = events
 
 
-def context_additive_cover(rep: WpsRepresentation, context) -> AdditiveCover:
-    """The additive cover formed by one maximal context's section images."""
-    scenario = rep.model.scenario
-    context = scenario.canonical_context(context)
-    return AdditiveCover(rep, [rep.event(s) for s in sections_over(scenario, context)])
-
-
 def subadditivity_violation_by_cover(rep: WpsRepresentation) -> Optional[ViolationWitness]:
     """A family cover of the sample space cheaper than the space itself, if any.
 

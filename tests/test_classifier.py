@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,8 +27,10 @@ from contextuality.classifier import (
     is_strongly_contextual,
     verify_global_distribution,
 )
-from contextuality.distribution import Distribution
+from contextuality.distribution import Distribution, marginalize
+from contextuality.errors import DomainError, InternalConsistencyError
 from contextuality.model import check_model, deterministic_model, mixture
+from contextuality.scenario import Section, restrict
 
 from conftest import noisy_cycle
 
@@ -106,6 +109,69 @@ class TestGlobalDistribution:
         mixing[g1], mixing[g2] = Fraction(1, 3), Fraction(2, 3)
         candidate = Distribution(scenario, scenario.measurements, mixing)
         verify_global_distribution(model, candidate)
+
+
+def moved(dist: Distribution, source: Section, target: Section, share: Fraction = Fraction(1)) -> Distribution:
+    """``dist`` with ``share`` of the weight of ``source`` moved onto ``target``."""
+    weights = dict(dist.weights)
+    amount = share * weights[source]
+    weights[source] -= amount
+    weights[target] += amount
+    return Distribution(dist.scenario, dist.context, weights)
+
+
+class TestVerifyGlobalDistribution:
+    def test_weight_moved_within_one_marginal_is_caught_in_another(self):
+        # g1 and h agree on a, b and b', so the tables over (a, b) and (a, b')
+        # keep their marginals; (b, a') is the first context that sees the move.
+        scenario = two_party_scenario()
+        g1 = scenario.section({"a": "0", "b": "0", "a'": "0", "b'": "0"})
+        g2 = scenario.section({"a": "1", "b": "1", "a'": "1", "b'": "1"})
+        h = scenario.section({"a": "0", "b": "0", "a'": "1", "b'": "0"})
+        model = mixture([deterministic_model(scenario, g1), deterministic_model(scenario, g2)],
+                        [Fraction(1, 3), Fraction(2, 3)])
+        dist = global_distribution(model)
+        tampered = moved(dist, g1, h)
+        for context in (("a", "b"), ("a", "b'")):
+            assert marginalize(tampered, context) == model.table(context)
+        with pytest.raises(InternalConsistencyError, match=re.escape(repr(("b", "a'")))):
+            verify_global_distribution(model, tampered)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_weight_moved_off_a_solved_distribution_is_caught(self, n):
+        # h flips g's last measurement: the marginal over (x0, x1) holds and
+        # the one over (x_{n-2}, x_{n-1}) moves.  Every table has full
+        # support and g keeps half its weight, so every context's marginal
+        # keeps its support and only the weights tell.
+        model = noisy_cycle(n, Fraction(1, 8))
+        dist = classify(model).global_distribution
+        verify_global_distribution(model, dist)
+        g = min(dist.support, key=lambda s: s.values)
+        h = Section(g.domain, g.values[:-1] + ("1" if g.values[-1] == "0" else "0",), g.scenario)
+        tampered = moved(dist, g, h, Fraction(1, 2))
+        assert all(marginalize(tampered, c).support == model.table(c).support for c in model.scenario.maximal_contexts)
+        assert marginalize(tampered, ("x0", "x1")) == model.table(("x0", "x1"))
+        with pytest.raises(InternalConsistencyError, match="does not marginalize"):
+            verify_global_distribution(model, tampered)
+
+    def test_mixed_denominators_pass(self):
+        # Weights 1/6, 1/6, 2/3; g1 and g2 share (a, b), which carries 1/3 there.
+        scenario = two_party_scenario()
+        sections = [scenario.section(dict(zip(scenario.measurements, values)))
+                    for values in (("0", "0", "0", "0"), ("0", "0", "1", "1"), ("1", "1", "1", "1"))]
+        shares = [Fraction(1, 6), Fraction(1, 6), Fraction(2, 3)]
+        model = mixture([deterministic_model(scenario, g) for g in sections], shares)
+        assert model.table(("a", "b")).weight(restrict(sections[0], ("a", "b"))) == Fraction(1, 3)
+        weights = {s: Fraction(0) for s in scenario.global_sections()}
+        weights.update(zip(sections, shares))
+        verify_global_distribution(model, Distribution(scenario, scenario.measurements, weights))
+        verify_global_distribution(model, classify(model).global_distribution)
+
+    @pytest.mark.parametrize("context", [("a'", "b'"), ("a", "b")])
+    def test_a_distribution_over_a_maximal_context_is_a_domain_error(self, context):
+        model = bell_model()
+        with pytest.raises(DomainError):
+            verify_global_distribution(model, model.table(context))
 
 
 class TestClassify:

@@ -587,6 +587,73 @@ def test_classify_pivot_counts_are_pinned(n):
     assert (len(pivots), str(tier)) == CLASSIFY_PIVOTS[n]
 
 
+# The pivot count and final basis of ``classify`` on the noisy n-cycles at
+# two noise shares, recorded with the full-row update on every pivot.  A
+# change to the pivot update, the pricing or the ratio test shows here.
+CLASSIFY_PATHS = {
+    (Fraction(1, 8), 4): (10, [6, 5, 10, 19, 12, 1, 9, 23, 3]),
+    (Fraction(1, 8), 5): (15, [10, 13, 22, 26, 9, 37, 18, 11, 5, 21, 20]),
+    (Fraction(1, 8), 6): (19, [6, 3, 66, 67, 25, 42, 36, 21, 44, 43, 26, 33, 50]),
+    (Fraction(1, 8), 7): (28, [42, 53, 86, 106, 82, 133, 37, 43, 41, 85, 84, 90, 21, 45, 74]),
+    (Fraction(1, 8), 8): (46, [14, 85, 170, 169, 182, 261, 75, 218, 90, 265, 154, 178, 107, 4, 166, 172, 173]),
+    (Fraction(1, 8), 9): (47, [170, 213, 342, 426, 298, 517, 85, 173, 169, 341, 149, 362, 338, 181, 330, 171, 165,
+                               346, 340]),
+    (Fraction(1, 2), 4): (10, [6, 5, 10, 19, 12, 1, 9, 23, 3]),
+    (Fraction(1, 2), 5): (16, [10, 13, 0, 26, 9, 22, 18, 11, 5, 21, 20]),
+    (Fraction(1, 2), 6): (19, [6, 3, 66, 67, 25, 42, 36, 21, 44, 43, 26, 33, 50]),
+    (Fraction(1, 2), 7): (28, [38, 63, 95, 106, 82, 41, 37, 42, 115, 117, 84, 24, 21, 12, 74]),
+    (Fraction(1, 2), 8): (37, [42, 85, 258, 169, 104, 172, 202, 56, 101, 221, 154, 178, 87, 19, 131, 14, 212]),
+    (Fraction(1, 2), 9): (40, [178, 382, 170, 426, 297, 43, 293, 331, 89, 223, 149, 78, 338, 247, 330, 284, 161, 237,
+                               340]),
+}
+
+
+@pytest.mark.parametrize("share, n", sorted(CLASSIFY_PATHS), ids=[f"{s}-n{n}" for s, n in sorted(CLASSIFY_PATHS)])
+def test_classify_pivot_paths_are_pinned(share, n):
+    bases = []
+    phase1 = feasibility._phase1
+
+    def recording(*args):
+        result = phase1(*args)
+        bases.append(result[0])
+        return result
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(feasibility, "_phase1", recording)
+        pivots = count_calls(patch, feasibility, "_pivot")
+        classifier.classify(noisy_cycle(n, share))
+    (basis,) = bases
+    assert (len(pivots), basis) == CLASSIFY_PATHS[share, n]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pivot_updates_the_block_as_the_full_row_formula(data):
+    # The oracle is ``dense_pivot``, the full-row update, on a whole tableau
+    # [A | I | b] with an objective row; ``_pivot`` gets its artificial and
+    # right-hand-side columns as the block and the entering column read from
+    # the oracle's tableau, as ``_phase1`` hands them over.  Pivots may be any
+    # non-zero entry of A, and are drawn on an entry equal to d whenever a
+    # drawn flag asks for one and there is one, so both updates are taken.
+    k, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    tableau = [data.draw(entries) + [int(r == i) for i in range(k)] + [data.draw(st.integers(0, 5))]
+               for r in range(k)]
+    tableau.append(data.draw(entries) + [0] * k + [data.draw(st.integers(-5, 5))])
+    block = [row[n:] for row in tableau]
+    d = 1
+    for _ in range(data.draw(st.integers(1, 6))):
+        candidates = [(i, j) for i in range(k) for j in range(n) if tableau[i][j]]
+        if not candidates:
+            break
+        equal = [(i, j) for i, j in candidates if tableau[i][j] == d]
+        row, col = data.draw(st.sampled_from(equal if equal and data.draw(st.booleans()) else candidates))
+        column = [line[col] for line in tableau]
+        pivoted = feasibility._pivot(block, column, row, d)
+        d = dense_pivot(tableau, row, col, d)
+        assert pivoted == d
+        assert block == [line[n:] for line in tableau]
+
+
 # ---------------------------------------------------------------------------
 # The presolve: one echelon per source, checked against each right-hand side
 # ---------------------------------------------------------------------------

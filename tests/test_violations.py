@@ -44,7 +44,6 @@ from contextuality.violations import (
     ExtensionVerdict,
     ViolationKind,
     additivity_violation,
-    context_additive_cover,
     defect,
     has_classical_extension,
     logical_subadditivity_violation,
@@ -107,7 +106,8 @@ class TestDefect:
         assert defect(pr_rep, nulls) == 1
 
     def test_additive_cover_defect_is_zero(self, bell_rep):
-        cover = context_additive_cover(bell_rep, ("a", "b"))
+        scenario = bell_rep.model.scenario
+        cover = AdditiveCover(bell_rep, [bell_rep.event(s) for s in sections_over(scenario, ("a", "b"))])
         assert defect(bell_rep, cover.events) == 0
 
     def test_member_outside_family_rejected(self, bell_rep):
@@ -491,7 +491,8 @@ class TestExtensions:
 
 class TestAdditiveCover:
     def test_context_cover_is_valid(self, bell_rep):
-        cover = context_additive_cover(bell_rep, ("a'", "b'"))
+        scenario = bell_rep.model.scenario
+        cover = AdditiveCover(bell_rep, [bell_rep.event(s) for s in sections_over(scenario, ("a'", "b'"))])
         assert len(cover.events) == 4
 
     def test_overlapping_cover_rejected(self, bell_rep):
