@@ -75,7 +75,7 @@ def _support_cover(model: EmpiricalModel, cap: int) -> tuple[bool, Optional[Sect
     if excluded not in weights:
         return False, None
     while (found := source.entering(weights, False)) is not None:
-        for r in source.column(found[0])[0]:
+        for r in found[2]:
             weights[r] = 0
     return 0 not in weights, next((s for (_, s), w in zip(source.rows, weights) if w == 1), None)
 
@@ -125,9 +125,8 @@ class GlobalDistributionCertificate(Record):
         tables: dict[tuple, dict[tuple, int]] = {}
         for (c, s), v in zip(labels, y):
             tables.setdefault(c, {})[s.values] = v
-        if _largest_column_sum(scenario, tables) > 0:
-            return False
-        return sum(v * model.table(c).weight(s) for (c, s), v in zip(labels, y) if v) > 0
+        return (_largest_column_sum(scenario, tables) <= 0
+                and sum(v * model.table(c).weight(s) for (c, s), v in zip(labels, y) if v) > 0)
 
 
 def _largest_column_sum(scenario: Scenario, tables: dict[tuple, dict[tuple, int]]) -> int:
@@ -158,8 +157,8 @@ def global_distribution(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CA
     """Solve for a global distribution marginalizing to every table.
 
     Returns a :class:`Distribution` over the global sections, stored as the
-    solution's support, or a :class:`GlobalDistributionCertificate` that has
-    passed its independent verification when none exists.
+    solution's support and re-marginalized by :func:`verify_global_distribution`,
+    or a :class:`GlobalDistributionCertificate` verified independently when none exists.
     """
     scenario, tables = model.scenario, model.tables
     check_global_section_cap(scenario, cap)
@@ -167,7 +166,9 @@ def global_distribution(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CA
     outcome = feasibility.solve_source(source, [tables[c].weight(s) for c, s in source.rows])
     if outcome.feasible:
         support = {source.section(j): x for j, x in outcome.solution.items()}
-        return Distribution._from_support(scenario, scenario.measurements, support)
+        distribution = Distribution._from_support(scenario, scenario.measurements, support)
+        verify_global_distribution(model, distribution)
+        return distribution
     certificate = GlobalDistributionCertificate(source.rows, outcome.certificate.coefficients)
     if not certificate.verify(model, cap=cap):
         raise InternalConsistencyError("infeasibility certificate failed independent verification")
@@ -197,7 +198,6 @@ def classify(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CAP) -> TierV
         return TierVerdict(Tier.LOGICAL, logical_witness=witness)
     result = global_distribution(model, cap=cap)
     if isinstance(result, Distribution):
-        verify_global_distribution(model, result)
         return TierVerdict(Tier.NONCONTEXTUAL, global_distribution=result)
     return TierVerdict(Tier.PROBABILISTIC, certificate=result)
 
@@ -216,5 +216,6 @@ def verify_global_distribution(model: EmpiricalModel, dist: Distribution) -> Non
             key = tuple(map(values.__getitem__, positions))
             sums[key] = sums.get(key, 0) + v
         table = model.table(context)
-        if sums != {s.values: table.weight(s) * scale for s in table.support}:
+        want = {s.values: table.weight(s) for s in table.support}
+        if sums.keys() != want.keys() or any(sums[k] * w.denominator != w.numerator * scale for k, w in want.items()):
             raise InternalConsistencyError(f"global distribution does not marginalize to {context!r}")

@@ -17,8 +17,8 @@ map that is injective on the span of the rows; ``column(j)``, column j's
 rows and entries; ``maximum(w)``, the largest Σ_r w_r·A_rj over all
 columns j for integer row weights w; ``entering(w, bland)``, the column
 the simplex enters: the least index with the largest positive value, or
-with ``bland`` the least index with a positive value, together with that
-value, or None when no value is positive.
+with ``bland`` the least index with a positive value, with that value and
+the column's rows and entries, or None when no value is positive.
 :class:`ExplicitColumns` lists its columns, prices every one of them, and
 takes its dense rows as local rows; the Dutch-book membership systems pose
 their 0/1 point columns through it.  The global-section system has one
@@ -46,10 +46,11 @@ basis (near 20 bits on the 0/1 global-section matrix, not 100).  A revised
 phase-1 simplex then runs on the k independent rows and keeps only a
 (k+1) × (k+1) integer block: d·B⁻¹ (the artificial columns, B the basis and
 d its common denominator), the right-hand side, and the phase-1 objective
-as its last row.  A pivot asks the source for its entering column under
-the row weights (π_r + d·den(b_r))·sign_r on the independent rows and 0 on
-the others, π the objective row's artificial entries; forms only the
-entering column d·B⁻¹A_j; and updates the block alone by Edmonds'
+as its last row.  A pivot asks the source for its entering column, with
+its rows and entries, under the row weights (π_r + d·den(b_r))·sign_r on
+the independent rows and 0 on the others, π the objective row's artificial
+entries; gathers d·B⁻¹A_j from each block row at those rows, a plain sum
+when the signed entries are all 1; and updates the block alone by Edmonds'
 common-denominator pivot  (x·p − f·r) / d, which keeps every entry an
 integer (Bareiss, Math. Comp. 22, 1968).  When p = d that is x − f·r/d,
 with f·r divisible by d: only the rows with f ≠ 0 change, in place, and
@@ -74,7 +75,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .errors import InternalConsistencyError
@@ -145,14 +146,14 @@ class ExplicitColumns:
     def maximum(self, weights: list[int]) -> int:
         return max(self._costs(weights), default=0)
 
-    def entering(self, weights: list[int], bland: bool) -> tuple[int, int] | None:
+    def entering(self, weights: list[int], bland: bool) -> tuple[int, int, Sequence[int], Sequence[int]] | None:
         costs = self._costs(weights)
         if bland:
             col = next((j for j, cost in enumerate(costs) if cost > 0), None)
         else:
             best = max(costs, default=0)
             col = costs.index(best) if best > 0 else None
-        return None if col is None else (col, costs[col])
+        return None if col is None else (col, costs[col], self.columns[col], self.values[col])
 
 
 def solve_source(source, rhs: Sequence) -> FeasibilityOutcome:
@@ -212,16 +213,11 @@ def _phase1(source, sign: list[int], cost: list[int], target: list[int],
     the same columns.
     """
     k = len(independent)
-    n = len(source)
-    position = [None] * len(sign)
-    for r, i in enumerate(independent):
-        position[i] = r
+    position = {i: r for r, i in enumerate(independent)}
     block = [[int(c == r) for c in range(k)] + [target[i]] for r, i in enumerate(independent)]
     block.append([0] * k + [sum(cost[i] * target[i] for i in independent)])
-    basis = list(range(n, n + k))
-    weights = [0] * len(sign)
-    d = 1
-    degenerate = 0
+    basis = list(range(len(source), len(source) + k))
+    weights, d, degenerate = [0] * len(sign), 1, 0
     while block[k][k]:
         # Row k is (π - d·cost) on the artificials with π = d·yᵀ, so the
         # reduced cost of column j, the integer the dense tableau would hold,
@@ -232,14 +228,14 @@ def _phase1(source, sign: list[int], cost: list[int], target: list[int],
         found = source.entering(weights, degenerate >= _STALL)
         if found is None:
             break
-        col, value = found
-        # The entering column d·B⁻¹A_j, with its reduced cost in row k.
-        kept = [(position[i], v * sign[i]) for i, v in zip(*source.column(col)) if v and position[i] is not None]
-        rows, values = [r for r, _ in kept], [v for _, v in kept]
-        entering = [sum(map(mul, map(row.__getitem__, rows), values)) for row in block[:k]] + [value]
+        col, value, rows, entries = found
+        # d·B⁻¹A_j from one gather per block row at the column's independent rows; its reduced cost in row k.
+        places, signed = zip(*[(position[i], v * sign[i]) for i, v in zip(rows, entries) if v and i in position])
+        gather = itemgetter(*places) if len(places) > 1 else itemgetter(slice(places[0], places[0] + 1))
+        unit = signed.count(1) == len(signed)
+        entering = [sum(gather(row) if unit else map(mul, gather(row), signed)) for row in block[:k]] + [value]
         leave = None
-        for i in range(k):
-            coef = entering[i]
+        for i, coef in enumerate(entering[:k]):
             if coef > 0:
                 num = block[i][k]
                 if leave is None or num * lcoef < lnum * coef or (

@@ -270,9 +270,9 @@ class GlobalSectionColumns:
     max-table as the step appends it, and each step reads its factors'
     entries at positions fixed in advance.  A forward pass then fixes
     measurement 0, 1, ... to the least outcome that still reaches the
-    maximum, or under Bland's rule the least outcome that still leaves a
-    positive best completion; as j is the numeral of the outcomes with
-    measurement 0 most significant, that is the least index.
+    maximum, or under Bland's rule the least that still leaves a positive
+    best completion; as j is the numeral of the outcomes with measurement 0
+    most significant, that is the least index, handed back with its rows.
 
     The local rows are the rows over the tensor basis {1, δ_1, ...,
     δ_{|O|-1}} of each measurement's outcome functions: [g_m = o] is δ_o, or
@@ -295,7 +295,9 @@ class GlobalSectionColumns:
         # position; the rows are the contexts' factors, and each step appends its max-table.
         starts = itertools.accumulate((base ** len(c) for c in contexts), initial=0)
         factors, end = [(tuple(index[m] for m in c), start) for c, start in zip(contexts, starts)], len(self.rows)
-        self._columns = [(start, scope, [base ** k for k in reversed(range(len(scope)))]) for scope, start in factors]
+        # Each context's rows by its outcome indices (bare for one measurement), read off digits by one itemgetter.
+        self._lookups = [(itemgetter(*scope), {a if len(a) > 1 else a[0]: start + r for r, a in enumerate(
+            itertools.product(range(base), repeat=len(scope)))}) for scope, start in factors]
         self._plan = []
         for i in reversed(range(n)):
             bucket = [f for f in factors if i in f[0]]
@@ -345,8 +347,10 @@ class GlobalSectionColumns:
         return Section(scenario.measurements, tuple(scenario.outcomes[d] for d in self.digits(j)), scenario)
 
     def column(self, j: int) -> tuple[list[int], tuple[int, ...]]:
-        digit = self.digits(j).__getitem__
-        return [start + sum(map(mul, map(digit, scope), strides)) for start, scope, strides in self._columns], self._ones
+        return self._rows_of(self.digits(j)), self._ones
+
+    def _rows_of(self, digits: list[int]) -> list[int]:
+        return [rows[read(digits)] for read, rows in self._lookups]
 
     def _eliminate(self, weights: list[int]) -> tuple[list[list[int]], int]:
         """The bucket tables, last measurement first, and the maximum over all columns."""
@@ -366,12 +370,11 @@ class GlobalSectionColumns:
     def maximum(self, weights: list[int]) -> int:
         return self._eliminate(weights)[1]
 
-    def entering(self, weights: list[int], bland: bool) -> tuple[int, int] | None:
+    def entering(self, weights: list[int], bland: bool) -> tuple[int, int, list[int], tuple[int, ...]] | None:
         buckets, value = self._eliminate(weights)
         if value <= 0:
             return None
-        base = self._base
-        outcome = []
+        base, outcome = self._base, []
         chosen = outcome.__getitem__
         for (_, prefix, strides), h in zip(reversed(self._plan), reversed(buckets)):
             a = sum(map(mul, map(chosen, prefix), strides))
@@ -385,7 +388,7 @@ class GlobalSectionColumns:
             else:
                 o = row.index(top)
             outcome.append(o)
-        return sum(map(mul, outcome, self._powers)), value
+        return sum(map(mul, outcome, self._powers)), value, self._rows_of(outcome), self._ones
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from contextuality import classifier, feasibility
 from contextuality.catalog import (
     bell_model,
     ghz_model,
@@ -29,6 +30,7 @@ from contextuality.classifier import (
 )
 from contextuality.distribution import Distribution, marginalize
 from contextuality.errors import DomainError, InternalConsistencyError
+from contextuality.feasibility import FeasibilityOutcome
 from contextuality.model import check_model, deterministic_model, mixture
 from contextuality.scenario import Section, restrict
 
@@ -172,6 +174,22 @@ class TestVerifyGlobalDistribution:
         model = bell_model()
         with pytest.raises(DomainError):
             verify_global_distribution(model, model.table(context))
+
+    def test_global_distribution_rechecks_the_solved_support(self, monkeypatch):
+        # The solver's support swapped for column 0 alone at weight 1: a
+        # feasible outcome that misses the noisy cycle's tables.
+        model = noisy_cycle(4, Fraction(1, 8))
+        monkeypatch.setattr(feasibility, "solve_source",
+                            lambda source, rhs: FeasibilityOutcome(True, {0: Fraction(1)}, None))
+        with pytest.raises(InternalConsistencyError, match="does not marginalize"):
+            global_distribution(model)
+
+    def test_classify_rechecks_each_distribution_once(self, monkeypatch):
+        calls = []
+        check = classifier.verify_global_distribution
+        monkeypatch.setattr(classifier, "verify_global_distribution", lambda *args: calls.append(check(*args)))
+        assert classify(noisy_cycle(6, Fraction(1, 8))).tier is Tier.NONCONTEXTUAL
+        assert len(calls) == 1
 
 
 class TestClassify:

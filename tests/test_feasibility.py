@@ -156,6 +156,28 @@ def test_generated_systems_are_decided_exactly(stall, system):
         assert all(out.certificate.coefficients[i] == 0 for i in derived)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_explicit_pricing_hands_back_the_entering_column(data):
+    # Random sparse integer columns and row weights; each rule's column
+    # against the enumerated costs, handed back as ``column(j)`` gives it.
+    m = data.draw(st.integers(1, 6), label="m")
+    columns = data.draw(st.lists(st.lists(st.integers(0, m - 1), unique=True, max_size=m).map(sorted), max_size=10),
+                        label="columns")
+    values = [data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)), label="values")
+              for rows in columns]
+    weights = data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m), label="weights")
+    source = feasibility.ExplicitColumns(columns, values, m)
+    costs = [sum(weights[r] * v for r, v in zip(rows, entries)) for rows, entries in zip(columns, values)]
+    for bland in (False, True):
+        found = source.entering(weights, bland)
+        if max(costs, default=0) <= 0:
+            assert found is None
+            continue
+        j = next(j for j, cost in enumerate(costs) if cost > 0) if bland else costs.index(max(costs))
+        assert found == (j, costs[j], *source.column(j)) == (j, costs[j], columns[j], values[j])
+
+
 def sparse_columns(rows):
     """Each column's non-zero rows and entries, listed from the last row up."""
     columns = [tuple(i for i in reversed(range(len(rows))) if rows[i][j]) for j in range(len(rows[0]))]
@@ -588,7 +610,8 @@ def test_classify_pivot_counts_are_pinned(n):
 
 
 # The pivot count and final basis of ``classify`` on the noisy n-cycles at
-# two noise shares, recorded with the full-row update on every pivot.  A
+# two noise shares, recorded with the full-row update on every pivot (n <= 9)
+# and with each entering column re-derived by ``column(j)`` (n = 16, 18).  A
 # change to the pivot update, the pricing or the ratio test shows here.
 CLASSIFY_PATHS = {
     (Fraction(1, 8), 4): (10, [6, 5, 10, 19, 12, 1, 9, 23, 3]),
@@ -598,6 +621,14 @@ CLASSIFY_PATHS = {
     (Fraction(1, 8), 8): (46, [14, 85, 170, 169, 182, 261, 75, 218, 90, 265, 154, 178, 107, 4, 166, 172, 173]),
     (Fraction(1, 8), 9): (47, [170, 213, 342, 426, 298, 517, 85, 173, 169, 341, 149, 362, 338, 181, 330, 171, 165,
                                346, 340]),
+    # These two fall back to Bland's rule: once at n = 16, three times at n = 18.
+    (Fraction(1, 8), 16): (179, [31825, 21675, 10925, 19114, 55970, 38721, 44253, 21845, 46773, 49755, 58160, 5126,
+                                 23255, 34076, 37546, 6524, 43669, 51370, 43690, 43306, 46810, 3771, 44394, 43946,
+                                 16783, 58832, 43602, 27301, 60077, 23161, 43688, 23243, 42666]),
+    (Fraction(1, 8), 18): (703, [121037, 182614, 174757, 12305, 177578, 197581, 56633, 87381, 86698, 246592, 125878,
+                                 236202, 174770, 36161, 150186, 174890, 174750, 191148, 121213, 174682, 175786, 97089,
+                                 223402, 34625, 174772, 174762, 141654, 173226, 174670, 14352, 88961, 90410, 174730,
+                                 174761, 43691, 174826, 76459]),
     (Fraction(1, 2), 4): (10, [6, 5, 10, 19, 12, 1, 9, 23, 3]),
     (Fraction(1, 2), 5): (16, [10, 13, 0, 26, 9, 22, 18, 11, 5, 21, 20]),
     (Fraction(1, 2), 6): (19, [6, 3, 66, 67, 25, 42, 36, 21, 44, 43, 26, 33, 50]),

@@ -227,10 +227,14 @@ def test_oracle_pricing_matches_enumeration(data):
         assert source.entering(weights, False) is None
         assert source.entering(weights, True) is None
         return
+    # Each rule's column, its value and, handed back with them, its rows and entries.
     first = costs.index(best)
-    assert source.entering(weights, False) == (first, best)
     positive = next(j for j, cost in enumerate(costs) if cost > 0)
-    assert source.entering(weights, True) == (positive, costs[positive])
+    for bland, j in ((False, first), (True, positive)):
+        found = source.entering(weights, bland)
+        assert found == (j, costs[j], *source.column(j))
+        assert tuple(found[2]) == system.incidence[j]
+        assert set(found[3]) == {1}
 
 
 THREE_OUTCOME_CYCLE = Scenario(("w", "x", "y", "z"), (("w", "x"), ("x", "y"), ("y", "z"), ("w", "z")), ("0", "1", "2"))
@@ -254,7 +258,7 @@ def test_oracle_maximum_and_columns_match_enumeration_beyond_binary_cycles(data)
     for bland in (False, True):
         found = source.entering(weights, bland)
         if found is not None:
-            assert tuple(source.column(found[0])[0]) == system.incidence[found[0]]
+            assert tuple(found[2]) == tuple(source.column(found[0])[0]) == system.incidence[found[0]]
             assert found[1] == costs[found[0]] > 0
 
 
