@@ -75,6 +75,8 @@ def _support_cover(model: EmpiricalModel, cap: int) -> tuple[bool, Optional[Sect
     if excluded not in weights:
         return False, None
     while (found := source.entering(weights, False)) is not None:
+        if 1 not in map(weights.__getitem__, found[2]):
+            raise InternalConsistencyError("the support cover entered a column that reaches no new row")
         for r in found[2]:
             weights[r] = 0
     return 0 not in weights, next((s for (_, s), w in zip(source.rows, weights) if w == 1), None)

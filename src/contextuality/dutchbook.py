@@ -28,7 +28,7 @@ from .errors import (
 )
 from .record import Record
 from .scenario import Section, global_section_columns
-from .wps import Event, WpsRepresentation, _indices, _null_cover
+from .wps import Event, WpsRepresentation, _atoms, _indices, _null_cover
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -120,7 +120,8 @@ def _checked_weights(rep: WpsRepresentation, support: dict[int, Fraction], event
 def _solve_membership(rep: WpsRepresentation, restriction: Optional[Iterable[Event]]):
     """Solve the convexity-membership system; return (weights, labels, certificate)."""
     if restriction is None:
-        events = rep.sorted_events(atom for context in rep.sigma_algebras for atom in rep.context_atoms(context))
+        events = rep.sorted_events(atom for members in rep.sigma_algebras.values()
+                                   for atom in _atoms(rep.sample_space, members))
         verify_against: Iterable[Event] = rep.sorted_events(rep.sigma)
     else:
         events = rep.sorted_events(restriction)

@@ -34,6 +34,10 @@ from .errors import InternalConsistencyError, NotAnExtensionError
 from .wps import WpsRepresentation, _indices
 
 ZERO = Fraction(0)
+# sample_monotone_extensions mixes up to _BASES bases, drawn from at most
+# _CANDIDATES random variants of the cheapest-cover or envelope extension.
+_BASES = 6
+_CANDIDATES = 60
 
 
 class _MinCoverSolver:
@@ -131,14 +135,10 @@ class CoverExtension:
     """Cheapest-cover extension from a weighted pool of events."""
 
     kind = "cheapest-cover"
-    monotone = True
-    subadditive = True
 
     def __init__(self, rep: WpsRepresentation, extra_pool: Sequence[tuple[int, Fraction]] = ()):
-        self.rep = rep
         family = _family_pool(rep)
-        self.extra_pool = tuple((e, Fraction(w)) for e, w in extra_pool)
-        self._solver = _MinCoverSolver(rep.sample_space, family + list(self.extra_pool))
+        self._solver = _MinCoverSolver(rep.sample_space, family + list(extra_pool))
         # The whole space first: on representations with a cheap global cover
         # this fails fast (and such representations admit no subadditive
         # extension whatsoever).
@@ -163,17 +163,13 @@ class EnvelopeExtension:
     """Cheapest-superset extension; monotone but not subadditive in general."""
 
     kind = "monotone-envelope"
-    monotone = True
-    subadditive = False
 
     def __init__(self, rep: WpsRepresentation, extra_pool: Sequence[tuple[int, Fraction]] = ()):
-        self.rep = rep
-        self.extra_pool = tuple((e, Fraction(w)) for e, w in extra_pool)
         family = _family_pool(rep)
         # Cheapest first, so the lowest pool position among an event's
         # supersets carries the minimum.  Bit j of _holders[i] marks pool set
         # j as holding point i; an event's supersets AND its points' holders.
-        pool = family + list(self.extra_pool)
+        pool = family + [(e, Fraction(w)) for e, w in extra_pool]
         # Integer numerators over one common denominator sort as the weights do.
         denominator = lcm(*(weight.denominator for _, weight in pool))
         pool.sort(key=lambda item: item[1].numerator * (denominator // item[1].denominator))
@@ -206,11 +202,8 @@ class PointMeasureExtension:
     """The additive extension induced by exact point weights."""
 
     kind = "point-measure"
-    monotone = True
-    subadditive = True
 
     def __init__(self, rep: WpsRepresentation, weights: Mapping[str, Fraction]):
-        self.rep = rep
         self.weights = {p: Fraction(weights.get(p, 0)) for p in rep.points}
         if any(w < 0 for w in self.weights.values()):
             raise ValueError("point weights must be non-negative")
@@ -236,8 +229,6 @@ class MixedExtension:
         if total != 1:
             raise ValueError(f"mixture weights sum to {total}, expected 1")
         self.components = tuple((Fraction(w), ext) for w, ext in components)
-        self.monotone = all(getattr(ext, "monotone", False) for _, ext in components)
-        self.subadditive = all(getattr(ext, "subadditive", False) for _, ext in components)
 
     def domain(self):
         return None
@@ -250,8 +241,6 @@ class ExplicitExtension:
     """An extension given by an explicit value table over an explicit domain."""
 
     kind = "explicit"
-    monotone = None
-    subadditive = None
 
     def __init__(self, rep: WpsRepresentation, values: Mapping[int, Fraction]):
         self.rep = rep
@@ -280,15 +269,14 @@ def canonical_monotone_extension(rep: WpsRepresentation):
         return EnvelopeExtension(rep)
 
 
-def _envelope_base_candidates(rep: WpsRepresentation, rng: random.Random, wanted: int,
-                              max_candidates: int) -> list[EnvelopeExtension]:
+def _envelope_base_candidates(rep: WpsRepresentation, rng: random.Random) -> list[EnvelopeExtension]:
     """Envelope variants pricing one extra random superset each."""
     plain = EnvelopeExtension(rep)
     bases: list[EnvelopeExtension] = [plain]
     n = len(rep.points)
     family = _family_pool(rep)
-    for _ in range(max_candidates):
-        if len(bases) >= wanted:
+    for _ in range(_CANDIDATES):
+        if len(bases) >= _BASES:
             break
         size = rng.randint(max(1, n - 4), n - 1)
         extra = rep.event_of(rng.sample(rep.points, size))
@@ -307,8 +295,7 @@ def _envelope_base_candidates(rep: WpsRepresentation, rng: random.Random, wanted
     return bases
 
 
-def _cover_base_candidates(rep: WpsRepresentation, rng: random.Random, wanted: int,
-                           max_candidates: int) -> list[CoverExtension]:
+def _cover_base_candidates(rep: WpsRepresentation, rng: random.Random) -> list[CoverExtension]:
     """Cheapest-cover variants adding one cheap extra pool set each."""
     try:
         base = CoverExtension(rep)
@@ -316,8 +303,8 @@ def _cover_base_candidates(rep: WpsRepresentation, rng: random.Random, wanted: i
         return []
     bases: list[CoverExtension] = [base]
     family = _family_pool(rep)
-    for _ in range(max_candidates):
-        if len(bases) >= wanted:
+    for _ in range(_CANDIDATES):
+        if len(bases) >= _BASES:
             break
         extra = rep.event_of(rng.sample(rep.points, rng.choice((1, 1, 2))))
         current = base.value(extra)
@@ -338,8 +325,8 @@ def _cover_base_candidates(rep: WpsRepresentation, rng: random.Random, wanted: i
     return bases
 
 
-def sample_monotone_extensions(rep: WpsRepresentation, count: int = 20, seed: int = 0,
-                               max_candidates: int = 60) -> tuple[MixedExtension, ...]:
+def sample_monotone_extensions(rep: WpsRepresentation, count: int = 20,
+                               seed: int = 0) -> tuple[MixedExtension, ...]:
     """A seeded family of monotone extensions of the representation.
 
     Bases are cheapest-cover variants when the representation admits
@@ -348,9 +335,7 @@ def sample_monotone_extensions(rep: WpsRepresentation, count: int = 20, seed: in
     convex mixtures of the bases.  Reproducible for a fixed seed.
     """
     rng = random.Random(seed)
-    bases: list[object] = _cover_base_candidates(rep, rng, wanted=6, max_candidates=max_candidates)
-    if not bases:
-        bases = _envelope_base_candidates(rep, rng, wanted=6, max_candidates=max_candidates)
+    bases: list[object] = _cover_base_candidates(rep, rng) or _envelope_base_candidates(rep, rng)
     samples = []
     for _ in range(count):
         weights = random_rational_weights(rng, len(bases))

@@ -62,13 +62,15 @@ certificates are the dense tableau's.  The entering column has the
 largest reduced cost; after a run of degenerate pivots the solver prices by
 Bland's least-index rule until a pivot makes progress.  A pivot that makes
 progress lowers the phase-1 objective, and Bland's rule cannot cycle, so
-every degenerate run ends and the simplex terminates.  The Farkas ray is
-read exactly from the final basis and checked with the source's exact
-maximum over all columns; the primal vector, x_j = block[r][k] / (d·L), is
-checked against every row in integers scaled by d·L and returned as its
-support, ``{j: x_j}`` over the basic columns with x_j > 0 in ascending j, so
-no solve lists all the columns.  All orderings are fixed, so the output is
-deterministic.
+every degenerate run ends and the simplex terminates; an entering value that
+is not positive or not the handed-back column's worth, or a pivot that raises
+the objective, raises InternalConsistencyError instead of looping.  The
+Farkas ray is read exactly from the final basis and checked with the
+source's exact maximum over all columns; the primal vector,
+x_j = block[r][k] / (d·L), is checked against every row in integers scaled
+by d·L and returned as its support, ``{j: x_j}`` over the basic columns with
+x_j > 0 in ascending j, so no solve lists all the columns.  All orderings
+are fixed, so the output is deterministic.
 """
 
 from __future__ import annotations
@@ -229,6 +231,8 @@ def _phase1(source, sign: list[int], cost: list[int], target: list[int],
         if found is None:
             break
         col, value, rows, entries = found
+        if value <= 0 or value != sum(map(mul, map(weights.__getitem__, rows), entries)):
+            raise InternalConsistencyError(f"entering column {col} handed back at {value}, not its positive worth")
         # d·B⁻¹A_j from one gather per block row at the column's independent rows; its reduced cost in row k.
         places, signed = zip(*[(position[i], v * sign[i]) for i, v in zip(rows, entries) if v and i in position])
         gather = itemgetter(*places) if len(places) > 1 else itemgetter(slice(places[0], places[0] + 1))
@@ -244,7 +248,10 @@ def _phase1(source, sign: list[int], cost: list[int], target: list[int],
         if leave is None:
             raise InternalConsistencyError("phase-1 objective is bounded; no leaving row found")
         degenerate = 0 if lnum else degenerate + 1
-        d = _pivot(block, entering, leave, d)
+        # The objective is block[k][k] / d before the pivot and over the new d after it.
+        objective, prior, d = block[k][k], d, _pivot(block, entering, leave, d)
+        if block[k][k] * prior > objective * d:
+            raise InternalConsistencyError("a pivot raised the phase-1 objective")
         basis[leave] = col
     return basis, d, block
 

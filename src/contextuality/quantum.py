@@ -35,7 +35,7 @@ from .errors import (
 )
 from .model import EmpiricalModel, check_model
 from .distribution import Distribution
-from .record import Record
+from .record import Failure, Record
 from .scenario import Scenario, sections_over
 
 if TYPE_CHECKING:
@@ -264,20 +264,10 @@ def quantum_to_empirical(experiment: QuantumExperiment,
 # ---------------------------------------------------------------------------
 
 
-class WeakHvFailure(Record):
-    __slots__ = ("condition", "detail")
-
-    def __init__(self, condition: str, detail: str):
-        self._fill(condition, detail)
-
-    def __str__(self) -> str:
-        return f"[{self.condition}] {self.detail}"
-
-
 class WeakHvReport(Record):
     __slots__ = ("ok", "failures")
 
-    def __init__(self, ok: bool, failures: tuple[WeakHvFailure, ...]):
+    def __init__(self, ok: bool, failures: tuple[Failure, ...]):
         self._fill(ok, failures)
 
     def __str__(self) -> str:
@@ -297,10 +287,10 @@ def weak_hv_report(rep: WpsRepresentation, experiment: QuantumExperiment,
     """
     from .wps import _atoms, _subset_sums
 
-    failures: list[WeakHvFailure] = []
+    failures: list[Failure] = []
     induced = quantum_to_empirical(experiment, snap_tolerance, denominator_bound)
     if rep.model != induced:
-        failures.append(WeakHvFailure("model-match", "representation does not represent the experiment's model"))
+        failures.append(Failure("model-match", "representation does not represent the experiment's model"))
         return WeakHvReport(False, tuple(failures))
     scenario = rep.model.scenario
     psi = experiment.state
@@ -314,12 +304,10 @@ def weak_hv_report(rep: WpsRepresentation, experiment: QuantumExperiment,
         born = snap_to_rational(_vdot(psi, _apply(p_rows, psi)).real, snap_tolerance, denominator_bound)
         event = firing_event(label)
         if not rep.in_sigma(event):
-            failures.append(WeakHvFailure("born-weight", f"firing event of {label!r} is outside the event family"))
+            failures.append(Failure("born-weight", f"firing event of {label!r} is outside the event family"))
         elif rep.mu_of(event) != born:
-            failures.append(WeakHvFailure(
-                "born-weight",
-                f"firing event of {label!r} carries {rep.mu_of(event)}, Born rule gives {born}",
-            ))
+            failures.append(Failure(
+                "born-weight", f"firing event of {label!r} carries {rep.mu_of(event)}, Born rule gives {born}"))
 
     tol = experiment.tolerance
     zero = ((0j,) * experiment.dimension,) * experiment.dimension
@@ -329,12 +317,11 @@ def weak_hv_report(rep: WpsRepresentation, experiment: QuantumExperiment,
         if orthogonal[(i, j)]:
             inter = firing_event(labels[i]) & firing_event(labels[j])
             if not rep.in_sigma(inter):
-                failures.append(WeakHvFailure(
+                failures.append(Failure(
                     "orthogonality", f"joint firing of {labels[i]!r}, {labels[j]!r} is outside the event family"))
             elif rep.mu_of(inter) != 0:
-                failures.append(WeakHvFailure(
-                    "orthogonality",
-                    f"joint firing of {labels[i]!r}, {labels[j]!r} has weight {rep.mu_of(inter)}"))
+                failures.append(Failure(
+                    "orthogonality", f"joint firing of {labels[i]!r}, {labels[j]!r} has weight {rep.mu_of(inter)}"))
 
     identity = _identity(experiment.dimension)
     for size in range(1, len(labels) + 1):
@@ -347,13 +334,13 @@ def weak_hv_report(rep: WpsRepresentation, experiment: QuantumExperiment,
                 continue
             atoms = _atoms(rep.sample_space, (firing_event(labels[i]) for i in combo))
             if not all(rep.in_sigma(member) for member in _subset_sums(atoms)):
-                failures.append(WeakHvFailure(
+                failures.append(Failure(
                     "spanning-classicality",
                     f"algebra of spanning set {tuple(labels[i] for i in combo)!r} leaves the event family"))
                 continue
             algebra_total = sum(map(rep.mu_of, atoms), Fraction(0))
             if algebra_total != 1:
-                failures.append(WeakHvFailure(
+                failures.append(Failure(
                     "spanning-classicality",
                     f"spanning set {tuple(labels[i] for i in combo)!r} atoms sum to {algebra_total}"))
 

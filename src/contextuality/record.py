@@ -41,3 +41,15 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+class Failure(Record):
+    """One failed condition of a verdict, with a concrete counterexample."""
+
+    __slots__ = ("condition", "detail")
+
+    def __init__(self, condition: str, detail: str):
+        self._fill(condition, detail)
+
+    def __str__(self) -> str:
+        return f"[{self.condition}] {self.detail}"

@@ -173,10 +173,6 @@ def model_from_dict(document: Mapping) -> EmpiricalModel:
 # ---------------------------------------------------------------------------
 
 
-def _event_to_labels(rep: WpsRepresentation, event: int) -> list[str]:
-    return list(rep.points_of(event))
-
-
 def _event_from_labels(rep: WpsRepresentation, labels, field: str) -> int:
     if not isinstance(labels, list):
         raise SchemaError(f"an event must be a list of sample points, got {labels!r}", field)
@@ -194,7 +190,7 @@ def certificate_to_dict(rep: WpsRepresentation, certificate: DutchBookCertificat
         "schema_version": SCHEMA_VERSION,
         "kind": KIND_CERTIFICATE,
         "stakes": [
-            {"event": _event_to_labels(rep, event), "stake": str(stake)}
+            {"event": list(rep.points_of(event)), "stake": str(stake)}
             for event, stake in certificate.stakes
         ],
         "loss_bound": str(certificate.loss_bound),
@@ -222,7 +218,7 @@ def witness_to_dict(rep: WpsRepresentation, witness: ViolationWitness) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": KIND_WITNESS,
         "violation": witness.kind.value,
-        "collection": [_event_to_labels(rep, e) for e in witness.collection],
+        "collection": [list(rep.points_of(e)) for e in witness.collection],
         "defect": str(witness.defect),
     }
     data = witness.support_data
@@ -272,7 +268,7 @@ def extension_to_dict(rep: WpsRepresentation, extension: ExplicitExtension, exte
         "kind": KIND_EXTENSION,
         "extension_kind": extension_kind,
         "values": [
-            {"event": _event_to_labels(rep, e), "value": str(v)}
+            {"event": list(rep.points_of(e)), "value": str(v)}
             for e, v in sorted(extension.values.items(), key=lambda item: rep.event_key(item[0]))
         ],
     }

@@ -36,7 +36,7 @@ from .errors import (
     TierMismatchError,
     UnionNotEvaluableError,
 )
-from .record import Record
+from .record import Failure, Record
 from .scenario import Section, global_section_columns, sections_over
 from .wps import Event, WpsRepresentation, _atoms, _indices, _null_cover, _subset_sums, excise
 
@@ -76,7 +76,7 @@ def defect(rep: WpsRepresentation, collection: Iterable[Event], extension=None) 
 class AdditiveCover:
     """Mutually disjoint events covering the sample space with zero defect."""
 
-    __slots__ = ("rep", "events")
+    __slots__ = ("events",)
 
     def __init__(self, rep: WpsRepresentation, events: Iterable[Event]):
         events = rep.sorted_events(events)
@@ -88,7 +88,6 @@ class AdditiveCover:
             raise InternalConsistencyError("additive cover does not cover the sample space")
         if defect(rep, events) != 0:
             raise InternalConsistencyError("additive cover has non-zero defect")
-        self.rep = rep
         self.events = events
 
 
@@ -152,7 +151,7 @@ class ViolationWitness(Record):
         return f"{self.kind} witness: {len(self.collection)} events, defect {self.defect}"
 
 
-def verify_witness(rep: WpsRepresentation, witness: ViolationWitness, extension=None) -> bool:
+def verify_witness(rep: WpsRepresentation, witness: ViolationWitness) -> bool:
     """Recompute a witness's defect and kind constraints from scratch."""
     if witness.kind is ViolationKind.MAXIMAL_SUBADDITIVITY:
         if any(rep.mu_of(e) != 0 for e in witness.collection):
@@ -167,8 +166,7 @@ def verify_witness(rep: WpsRepresentation, witness: ViolationWitness, extension=
     if failure and (data.context not in rep.model.scenario.maximal_contexts or data.section.domain != data.context
                     or witness.collection != core_parts_of_global_sections(rep).get((data.context, data.section))):
         return False
-    if extension is None:
-        extension = _extension_by_kind(rep, data.extension_kind if failure else "canonical")
+    extension = _extension_by_kind(rep, data.extension_kind if failure else "canonical")
     events = list(witness.collection)
     for i, a in enumerate(events):
         for b in events[i + 1:]:
@@ -379,20 +377,10 @@ def has_classical_extension(rep: WpsRepresentation) -> Optional[dict[str, Fracti
 # ---------------------------------------------------------------------------
 
 
-class ExtensionFailure(Record):
-    __slots__ = ("condition", "detail")
-
-    def __init__(self, condition: str, detail: str):
-        self._fill(condition, detail)
-
-    def __str__(self) -> str:
-        return f"[{self.condition}] {self.detail}"
-
-
 class ExtensionVerdict(Record):
     __slots__ = ("ok", "failures")
 
-    def __init__(self, ok: bool, failures: tuple[ExtensionFailure, ...]):
+    def __init__(self, ok: bool, failures: tuple[Failure, ...]):
         self._fill(ok, failures)
 
     def __str__(self) -> str:
@@ -421,7 +409,7 @@ def verify_extension(rep: WpsRepresentation, candidate, kind: str = "monotonic",
             )
 
     def failed(condition: str, detail: str) -> ExtensionVerdict:
-        return ExtensionVerdict(False, (ExtensionFailure(condition, detail),))
+        return ExtensionVerdict(False, (Failure(condition, detail),))
 
     # Functional candidates are total on the power set; their universe is the
     # family, widened for monotonicity by one-point enlargements.

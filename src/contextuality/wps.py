@@ -41,7 +41,7 @@ from .errors import (
 )
 from .model import CompatibilityReport, EmpiricalModel, check_model
 from .distribution import marginalize
-from .record import Record
+from .record import Failure, Record
 from .scenario import Section, all_contexts, restrict, sections_over
 
 Event = int
@@ -56,7 +56,7 @@ class WpsRepresentation:
     """Sample space, event transfer, event family, and exact set function."""
 
     __slots__ = (
-        "model", "points", "transfer", "sigma", "sigma_algebras", "mu",
+        "model", "points", "transfer", "sigma_algebras", "mu",
         "combinatorial", "sample_space", "_point_index", "_single",
     )
 
@@ -70,7 +70,6 @@ class WpsRepresentation:
         self.sample_space = (1 << len(self.points)) - 1
         self.transfer = dict(transfer)
         self.sigma_algebras = {c: tuple(members) for c, members in sigma_algebras.items()}
-        self.sigma = frozenset(e for members in self.sigma_algebras.values() for e in members)
         self.mu = dict(mu)
         self.combinatorial = combinatorial
         self._point_index = {p: i for i, p in enumerate(self.points)}
@@ -157,6 +156,11 @@ class WpsRepresentation:
         except KeyError:
             raise NotAnEventError("the set is not a member of the event family") from None
 
+    @property
+    def sigma(self):
+        """The event family: the events that carry a value, as a view of ``mu``'s keys."""
+        return self.mu.keys()
+
     def in_sigma(self, event: Event) -> bool:
         return event in self.mu
 
@@ -167,10 +171,6 @@ class WpsRepresentation:
             for s in sections_over(self.model.scenario, context):
                 seen.setdefault(self.transfer[s], None)
         return tuple(seen)
-
-    def context_atoms(self, context: tuple) -> tuple[Event, ...]:
-        """Minimal non-empty members of one context algebra, in canonical order."""
-        return self.sorted_events(_atoms(self.sample_space, self.sigma_algebras[context]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WpsRepresentation):
@@ -390,20 +390,10 @@ def _is_combinatorial(outcome_images: Iterable[list[Event]], sample_space: Event
 # ---------------------------------------------------------------------------
 
 
-class RepFailure(Record):
-    __slots__ = ("condition", "detail")
-
-    def __init__(self, condition: str, detail: str):
-        self._fill(condition, detail)
-
-    def __str__(self) -> str:
-        return f"[{self.condition}] {self.detail}"
-
-
 class RepVerdict(Record):
     __slots__ = ("ok", "failures", "warnings")
 
-    def __init__(self, ok: bool, failures: tuple[RepFailure, ...], warnings: tuple[RepFailure, ...]):
+    def __init__(self, ok: bool, failures: tuple[Failure, ...], warnings: tuple[Failure, ...]):
         self._fill(ok, failures, warnings)
 
     def __str__(self) -> str:
@@ -441,8 +431,8 @@ def verify_rep(rep: WpsRepresentation) -> RepVerdict:
 
 def _verify_rep(rep: WpsRepresentation, report: CompatibilityReport) -> RepVerdict:
     """:func:`verify_rep` given ``check_model(rep.model)``, which a builder has already run."""
-    failures: list[RepFailure] = []
-    warnings: list[RepFailure] = []
+    failures: list[Failure] = []
+    warnings: list[Failure] = []
     scenario = rep.model.scenario
     full = rep.sample_space
     # Each value as an integer numerator over the values' common denominator.
@@ -450,7 +440,7 @@ def _verify_rep(rep: WpsRepresentation, report: CompatibilityReport) -> RepVerdi
     numerator = {event: v.numerator * (scale // v.denominator) for event, v in rep.mu.items()}
 
     def fail(condition: str, detail: str) -> None:
-        failures.append(RepFailure(condition, detail))
+        failures.append(Failure(condition, detail))
 
     # transfer totality, with the stored images grouped by context, whose
     # sections the model's tables already hold
@@ -480,7 +470,7 @@ def _verify_rep(rep: WpsRepresentation, report: CompatibilityReport) -> RepVerdi
                 if other is not s:
                     fail("transfer-injectivity", f"{other} and {s} share one image")
     else:
-        warnings.append(RepFailure(
+        warnings.append(Failure(
             "transfer-injectivity",
             "single-outcome scenario: every image is the whole space, injectivity is waived",
         ))
@@ -497,7 +487,12 @@ def _verify_rep(rep: WpsRepresentation, report: CompatibilityReport) -> RepVerdi
                 fail("sheaf-intersection",
                      f"{s}: image differs from the intersection of its single-measurement images")
 
-    # per-context algebras: closure, exact probability measure, EC, ME
+    # per-context algebras: closure, exact probability measure, EC, ME; Y and
+    # the empty set belong to every one, so their values are checked once
+    if rep.mu.get(full) != 1:
+        fail("wc-measure", f"whole space valued {rep.mu.get(full)}")
+    if rep.mu.get(0) != 0:
+        fail("wc-measure", "empty set has non-zero value")
     for context in all_contexts(scenario):
         if context not in rep.sigma_algebras:
             fail("wc-closure", f"no algebra stored for context {context!r}")
@@ -518,10 +513,6 @@ def _verify_rep(rep: WpsRepresentation, report: CompatibilityReport) -> RepVerdi
         if any(a not in rep.mu for a in members):
             fail("wc-measure", f"no value stored for a member of the algebra over {context!r}")
             continue
-        if rep.mu.get(full) != 1:
-            fail("wc-measure", f"whole space valued {rep.mu.get(full)} in context {context!r}")
-        if rep.mu.get(0) != 0:
-            fail("wc-measure", "empty set has non-zero value")
         if closure_ok:
             # Under closure every non-empty member is the atom of its lowest
             # point plus a member with one atom fewer, so additivity over the
@@ -567,7 +558,7 @@ def _verify_rep(rep: WpsRepresentation, report: CompatibilityReport) -> RepVerdi
 
     for event, n in numerator.items():
         if n < 0 or n > scale:
-            warnings.append(RepFailure("mu-range", f"value {rep.mu[event]} outside [0, 1]"))
+            warnings.append(Failure("mu-range", f"value {rep.mu[event]} outside [0, 1]"))
             break
 
     return RepVerdict(not failures, tuple(failures), tuple(warnings))

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from contextuality import catalog, classifier, dutchbook, feasibility
 from contextuality.classifier import global_distribution
 from contextuality.distribution import Distribution
+from contextuality.errors import InternalConsistencyError
 from contextuality.feasibility import FarkasCertificate, FeasibilityOutcome, solve_source
 from contextuality.scenario import GlobalSectionColumns, global_section_columns
 
@@ -735,3 +736,89 @@ def test_signalling_tables_get_the_dense_certificate_from_the_presolve(name, mod
             assert outcome.certificate.verify(matrix, rhs)
             assert outcome == solve_nonnegative(matrix, rhs)
         assert not phase1
+
+
+# ---------------------------------------------------------------------------
+# A faulty column source or pivot raises instead of looping
+# ---------------------------------------------------------------------------
+
+
+def faulty(patch, owner, name, fault, budget=100):
+    """Replace ``owner.name`` by ``fault(original, *args)``; the call after ``budget`` fails the run.
+
+    The budget turns a loop that never ends into a failure other than
+    ``InternalConsistencyError``.
+    """
+    original = getattr(owner, name)
+    calls = []
+
+    def replaced(*args):
+        calls.append(None)
+        if len(calls) > budget:
+            raise RuntimeError(f"{name} called {budget} times: the loop does not end")
+        return fault(original, *args)
+    patch.setattr(owner, name, replaced)
+
+
+def next_columns_rows(entering, source, weights, bland):
+    """The entering column and its value, with the rows and entries of the next column."""
+    found = entering(source, weights, bland)
+    if found is None:
+        return None
+    j, value, _, _ = found
+    return (j, value, *source.column((j + 1) % len(source)))
+
+
+def best_column_even_if_not_positive(entering, source, weights, bland):
+    """The entering column, or the best column when no value is positive."""
+    found = entering(source, weights, bland)
+    if found is not None:
+        return found
+    costs = source._costs(weights)
+    j = costs.index(max(costs))
+    return (j, costs[j], *source.column(j))
+
+
+def objective_raised(pivot, block, column, row, d):
+    """The pivot, then the phase-1 objective raised by one."""
+    d = pivot(block, column, row, d)
+    block[-1][-1] += d
+    return d
+
+
+# x0 + x1 = 3/4, x1 + x2 = 1/2, x0 + x2 = 3/4: every pair of columns is worth
+# something different on the first pivot.
+FEASIBLE = ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], [frac(3, 4), frac(1, 2), frac(3, 4)])
+
+
+@pytest.mark.parametrize("fault, system", [
+    (next_columns_rows, FEASIBLE),
+    (best_column_even_if_not_positive, ([[1, 1], [1, -1]], [1, 2])),
+], ids=["rows-of-another-column", "value-not-positive"])
+def test_a_faulty_explicit_entering_column_raises(fault, system, monkeypatch):
+    faulty(monkeypatch, feasibility.ExplicitColumns, "entering", fault)
+    with pytest.raises(InternalConsistencyError, match="handed back at"):
+        solve_nonnegative(*system)
+
+
+def test_a_faulty_global_section_entering_column_raises(monkeypatch):
+    faulty(monkeypatch, GlobalSectionColumns, "entering", next_columns_rows)
+    with pytest.raises(InternalConsistencyError, match="handed back at"):
+        global_distribution(noisy_cycle(5, Fraction(1, 8)))
+
+
+def test_a_pivot_that_raises_the_phase1_objective_raises(monkeypatch):
+    faulty(monkeypatch, feasibility, "_pivot", objective_raised)
+    with pytest.raises(InternalConsistencyError, match="raised the phase-1 objective"):
+        solve_nonnegative(*FEASIBLE)
+
+
+def test_a_support_cover_column_reaching_no_new_row_raises(monkeypatch):
+    first = []
+
+    def repeat_first(entering, source, weights, bland):
+        first[:] = first or [entering(source, weights, bland)]
+        return first[0]
+    faulty(monkeypatch, GlobalSectionColumns, "entering", repeat_first)
+    with pytest.raises(InternalConsistencyError, match="reaches no new row"):
+        classifier.is_logically_contextual(catalog.hardy_model())

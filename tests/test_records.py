@@ -13,17 +13,17 @@ from contextuality.dutchbook import ConvexityVerdict, DutchBookCertificate
 from contextuality.errors import InternalConsistencyError
 from contextuality.feasibility import FarkasCertificate, FeasibilityOutcome
 from contextuality.model import CompatibilityFailure, CompatibilityReport
-from contextuality.quantum import WeakHvFailure, WeakHvReport
+from contextuality.quantum import WeakHvReport
+from contextuality.record import Failure
 from contextuality.scenario import Scenario, Section
 from contextuality.violations import (
     CoveredSupportEvent,
-    ExtensionFailure,
     ExtensionVerdict,
     MarginalizationFailure,
     ViolationKind,
     ViolationWitness,
 )
-from contextuality.wps import ExcisionReport, RepFailure, RepVerdict
+from contextuality.wps import ExcisionReport, RepVerdict
 
 SCENARIO = Scenario(("a", "b", "c"), (("a", "b"), ("b", "c")), ("0", "1"))
 SECTION = Section(("a", "b"), ("0", "1"), SCENARIO)
@@ -41,7 +41,7 @@ FIELDS = {
     CompatibilityFailure: dict(first_context=("a", "b"), second_context=("b", "c"), overlap=("b",),
                                section=FAILURE.section, first_value=Fraction(1, 2), second_value=Fraction(1, 3)),
     CompatibilityReport: dict(ok=False, failures=(FAILURE,)),
-    WeakHvFailure: dict(condition="born-weight", detail="firing event of 'a' carries 1/2"),
+    Failure: dict(condition="transfer-injectivity", detail="two sections share an image"),
     WeakHvReport: dict(ok=True, failures=()),
     DutchBookCertificate: dict(stakes=((3, Fraction(-1)), (12, Fraction(-1))), loss_bound=Fraction(1)),
     ConvexityVerdict: dict(strong_violation=False, logical_violation=True, probabilistic_violation=True,
@@ -51,10 +51,8 @@ FIELDS = {
     CoveredSupportEvent: dict(context=("a", "b"), section=SECTION, event=2),
     ViolationWitness: dict(kind=ViolationKind.SUBADDITIVITY, collection=(1, 6), defect=Fraction(1, 4),
                            support_data=None),
-    ExtensionFailure: dict(condition="monotonicity", detail="value falls on an enlargement"),
-    ExtensionVerdict: dict(ok=False, failures=(ExtensionFailure("monotonicity", "x"),)),
-    RepFailure: dict(condition="transfer-injectivity", detail="two sections share an image"),
-    RepVerdict: dict(ok=True, failures=(), warnings=(RepFailure("w", "x"),)),
+    ExtensionVerdict: dict(ok=False, failures=(Failure("monotonicity", "x"),)),
+    RepVerdict: dict(ok=True, failures=(), warnings=(Failure("w", "x"),)),
     ExcisionReport: dict(d1=frozenset({1, 6}), d2=frozenset(), z=24),
 }
 # Section's repr leaves out the scenario.

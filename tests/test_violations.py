@@ -37,10 +37,10 @@ from contextuality.extensions import (
     canonical_monotone_extension,
     sample_monotone_extensions,
 )
+from contextuality.record import Failure
 from contextuality.scenario import sections_over
 from contextuality.violations import (
     AdditiveCover,
-    ExtensionFailure,
     ExtensionVerdict,
     ViolationKind,
     additivity_violation,
@@ -309,7 +309,7 @@ class TestExtensions:
         samples = sample_monotone_extensions(bell_rep, count=5, seed=1)
         assert len(samples) == 5
         for ext in samples:
-            assert ext.monotone
+            assert verify_extension(bell_rep, ext, "monotonic").ok
             found = marginalization_failure(bell_rep, ext)
             assert found is not None
             record, parts, value = found
@@ -321,6 +321,20 @@ class TestExtensions:
         b = sample_monotone_extensions(bell_rep, count=3, seed=9)
         probe = bell_rep.event_of([bell_rep.points[0], bell_rep.points[5]])
         assert [e.value(probe) for e in a] == [e.value(probe) for e in b]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sampled_cover_variants_are_monotonic_extensions(self, seed):
+        # Bell's family covers its space too cheaply for a cover extension, so
+        # bell draws envelope variants; this mixture admits all six cover bases.
+        rep = build_combinatorial_rep(random_deterministic_mixture(two_party_scenario(), random.Random(1)))
+        samples = sample_monotone_extensions(rep, count=3, seed=seed)
+        for ext in samples:
+            assert len(ext.components) == 6
+            assert all(isinstance(base, CoverExtension) for _, base in ext.components)
+            assert verify_extension(rep, ext, "monotonic").ok
+        again = sample_monotone_extensions(rep, count=3, seed=seed)
+        probes = rep.sorted_events(rep.event_of(pair) for pair in combinations(rep.points, 2))
+        assert [[e.value(p) for p in probes] for e in samples] == [[e.value(p) for p in probes] for e in again]
 
     def test_noncontextual_rep_has_no_marginalization_failure(self, noncontextual_rep):
         ext = canonical_monotone_extension(noncontextual_rep)
@@ -410,7 +424,7 @@ class TestExtensions:
         for a in universe:
             for b in universe:
                 if a != b and not a & ~b and value(a) > value(b):
-                    return ExtensionFailure("monotonicity", f"a set of value {value(a)} sits inside one of value {value(b)}")
+                    return Failure("monotonicity", f"a set of value {value(a)} sits inside one of value {value(b)}")
         return None
 
     @pytest.mark.parametrize("name", ["bell", "hardy", "pr-box", "specker-triangle"])
@@ -464,7 +478,7 @@ class TestExtensions:
             verdict = verify_extension(target, candidate, "monotonic")
             if expected is None:
                 assert verdict.ok or verdict.failures == (
-                    ExtensionFailure("monotonicity", "adding a point decreased the value"),)
+                    Failure("monotonicity", "adding a point decreased the value"),)
             else:
                 caught += 1
                 assert verdict == ExtensionVerdict(False, (expected,))

@@ -18,8 +18,9 @@ from contextuality.catalog import (
 )
 from contextuality.distribution import Distribution
 from contextuality.errors import DomainError, NotAnEventError, PaddingError
-from contextuality.model import EmpiricalModel
-from contextuality.scenario import all_contexts, restrict, sections_over
+from contextuality.model import EmpiricalModel, deterministic_model
+from contextuality.record import Failure
+from contextuality.scenario import Scenario, all_contexts, restrict, sections_over
 from conftest import noisy_cycle, patch_every_layer, standard_paddings
 from contextuality.wps import (
     PadPoint,
@@ -225,6 +226,31 @@ def _whole_space_valued_two(rep):
     return _with(rep, mu={**rep.mu, rep.sample_space: Fraction(2)})
 
 
+def _drop_algebra(rep):
+    algebras = dict(rep.sigma_algebras)
+    del algebras[("a", "b")]
+    return _with(rep, sigma_algebras=algebras)
+
+
+def _a_equals_b(rep):
+    """The union of two section images over (a, b): a member of that algebra alone, and no image."""
+    return rep.event(_section(rep, A0B0)) | rep.event(_section(rep, {"a": "1", "b": "1"}))
+
+
+def _drop_member_value(rep):
+    mu = dict(rep.mu)
+    del mu[_a_equals_b(rep)]
+    return _with(rep, mu=mu)
+
+
+def _negative_member(rep):
+    return _with(rep, mu={**rep.mu, _a_equals_b(rep): Fraction(-1, 8)})
+
+
+def _empty_set_valued_eighth(rep):
+    return _with(rep, mu={**rep.mu, 0: Fraction(1, 8)})
+
+
 def _value_pad_overlap(rep):
     overlap = rep.event(_section(rep, {"a": "0"})) & rep.event(_section(rep, {"a": "1"}))
     assert rep.points_of(overlap) == ("pad-overlap",)
@@ -275,6 +301,40 @@ class TestVerifyRepFailures:
         verdict = verify_rep(tamper(rep))
         assert not verdict.ok
         assert condition in {f.condition for f in verdict.failures}
+
+    @pytest.mark.parametrize("condition, detail, tamper", [
+        ("wc-closure", "no algebra stored for context ('a', 'b')", _drop_algebra),
+        ("wc-measure", "no value stored for a member of the algebra over ('a', 'b')", _drop_member_value),
+        ("wc-measure", "whole space valued 2", _whole_space_valued_two),
+        ("wc-measure", "empty set has non-zero value", _empty_set_valued_eighth),
+        ("wc-measure", "negative value -1/8 in context ('a', 'b')", _negative_member),
+    ], ids=lambda v: v.__name__ if callable(v) else None)
+    def test_tamper_reports_its_detail(self, condition, detail, tamper, bell_rep):
+        # Several branches share a condition name, so each row names its counterexample.
+        assert Failure(condition, detail) in verify_rep(tamper(bell_rep)).failures
+
+    @pytest.mark.parametrize("tamper", [_whole_space_valued_two, _empty_set_valued_eighth],
+                             ids=lambda v: v.__name__)
+    def test_whole_space_and_empty_set_reported_once(self, tamper, bell_rep):
+        # Y and the empty set belong to all nine context algebras of bell.
+        verdict = verify_rep(tamper(bell_rep))
+        details = [f.detail for f in verdict.failures if f.detail.startswith(("whole space", "empty set"))]
+        assert len(details) == 1
+
+    def test_single_outcome_scenario_waives_injectivity(self):
+        scenario = Scenario(("a", "b"), (("a", "b"),), ("0",))
+        rep = build_combinatorial_rep(deterministic_model(scenario, scenario.global_sections()[0]))
+        verdict = verify_rep(rep)
+        assert verdict.ok and verdict.warnings == (Failure(
+            "transfer-injectivity", "single-outcome scenario: every image is the whole space, injectivity is waived"),)
+
+    def test_event_family_is_the_valued_events(self, bell_rep):
+        member = _a_equals_b(bell_rep)
+        assert member in bell_rep.sigma and bell_rep.in_sigma(member)
+        tampered = _drop_member_value(bell_rep)
+        assert member in tampered.sigma_algebras[("a", "b")]
+        assert member not in tampered.sigma and not tampered.in_sigma(member)
+        assert tampered.sigma == tampered.mu.keys() and len(tampered.sigma) == len(bell_rep.sigma) - 1
 
     def test_whole_space_valued_two_warns_out_of_range(self, bell_rep):
         verdict = verify_rep(_whole_space_valued_two(bell_rep))
