@@ -257,11 +257,12 @@ class ExplicitExtension:
 
 
 def canonical_monotone_extension(rep: WpsRepresentation):
-    """The deterministic extension used for witness construction.
+    """One deterministic monotone extension, subadditive where one can be.
 
     The cheapest-cover extension when the representation admits a
     subadditive one, otherwise the monotone envelope (available whenever
-    the stored values are monotone on the family).
+    the stored values are monotone on the family).  Violation witnesses do
+    not use it: they take the envelope alone, with no cover search.
     """
     try:
         return CoverExtension(rep)

@@ -13,10 +13,11 @@ import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Mapping
 
+from . import classifier
 from .distribution import Distribution
 from .errors import DomainError, SchemaError
 from .model import EmpiricalModel
-from .scenario import Scenario, sections_over
+from .scenario import Scenario, global_section_columns, sections_over
 
 # Imported where their objects are built, so reading a model document does not load them.
 if TYPE_CHECKING:
@@ -228,6 +229,10 @@ def witness_to_dict(rep: WpsRepresentation, witness: ViolationWitness) -> dict:
             "section": list(data.section.values),
             "extension_kind": data.extension_kind,
         }
+        if data.certificate is not None:  # one coefficient per global-section row, in row order
+            weight_of = dict(zip(data.certificate.rows, data.certificate.coefficients))
+            rows = global_section_columns(rep.model.scenario).rows
+            document["support"]["certificate"] = [str(weight_of[r]) for r in rows]
     return document
 
 
@@ -245,8 +250,8 @@ def witness_from_dict(rep: WpsRepresentation, document: Mapping) -> ViolationWit
     )
     defect = _fraction_from(_expect(document, "defect"), "defect")
     support = None
-    if "support" in document and kind is ViolationKind.MONOTONIC_ADDITIVITY:
-        raw = document["support"]
+    if kind is ViolationKind.MONOTONIC_ADDITIVITY:
+        raw = _expect(document, "support")
         measurements = tuple(_check_label(m, "support.context") for m in _expect(raw, "context", "support", list))
         values = tuple(_check_label(o, "support.section") for o in _expect(raw, "section", "support", list))
         if len(values) != len(measurements):
@@ -254,9 +259,13 @@ def witness_from_dict(rep: WpsRepresentation, document: Mapping) -> ViolationWit
         extension_kind = raw.get("extension_kind", "unknown")
         if not isinstance(extension_kind, str):
             raise SchemaError(f"extension_kind must be a string, got {extension_kind!r}", "support.extension_kind")
-        context = rep.model.scenario.canonical_context(measurements)
-        section = rep.model.scenario.section(dict(zip(measurements, values)))
-        support = MarginalizationFailure(context, section, rep.event(section), extension_kind, None)
+        coefficients = tuple(_fraction_from(v, f"support.certificate[{i}]")
+                             for i, v in enumerate(_expect(raw, "certificate", "support", list)))
+        scenario = rep.model.scenario
+        certificate = classifier.GlobalDistributionCertificate(global_section_columns(scenario).rows, coefficients)
+        context = scenario.canonical_context(measurements)
+        section = scenario.section(dict(zip(measurements, values)))
+        support = MarginalizationFailure(context, section, rep.event(section), extension_kind, certificate)
     return ViolationWitness(kind, collection, defect, support)
 
 

@@ -12,8 +12,8 @@ covered by null events.
 
 Everything in this module is exact.  Where a claim quantifies over all
 monotonic extensions it is decided by the feasibility system over global
-sections (whose Farkas certificate is attached to the witness) and spot
-checked on concretely constructed extensions.
+sections, whose Farkas certificate is attached to the witness, and one
+concrete extension, the monotone envelope, names the failing marginal.
 """
 
 from __future__ import annotations
@@ -152,7 +152,8 @@ class ViolationWitness(Record):
 
 
 def verify_witness(rep: WpsRepresentation, witness: ViolationWitness) -> bool:
-    """Recompute a witness's defect and kind constraints from scratch."""
+    """Recompute a witness's defect and kind constraints from scratch; an additivity
+    witness must name the envelope's failure and carry a certificate that verifies."""
     if witness.kind is ViolationKind.MAXIMAL_SUBADDITIVITY:
         if any(rep.mu_of(e) != 0 for e in witness.collection):
             return False
@@ -162,29 +163,16 @@ def verify_witness(rep: WpsRepresentation, witness: ViolationWitness) -> bool:
     if witness.kind is ViolationKind.SUBADDITIVITY:
         return defect(rep, witness.collection) == witness.defect > 0
     data = witness.support_data
-    failure = isinstance(data, MarginalizationFailure)
-    if failure and (data.context not in rep.model.scenario.maximal_contexts or data.section.domain != data.context
-                    or witness.collection != core_parts_of_global_sections(rep).get((data.context, data.section))):
+    if not isinstance(data, MarginalizationFailure) or data.extension_kind != extensions.EnvelopeExtension.kind:
         return False
-    extension = _extension_by_kind(rep, data.extension_kind if failure else "canonical")
-    events = list(witness.collection)
-    for i, a in enumerate(events):
-        for b in events[i + 1:]:
-            if a & b:
-                return False
-    value = defect(rep, witness.collection, extension=extension)
-    ok = value == witness.defect != 0
-    if failure and data.certificate is not None:
-        ok = ok and data.certificate.verify(rep.model)
-    return ok
-
-
-def _extension_by_kind(rep: WpsRepresentation, kind: str):
-    if kind == extensions.CoverExtension.kind:
-        return extensions.CoverExtension(rep)
-    if kind == extensions.EnvelopeExtension.kind:
-        return extensions.EnvelopeExtension(rep)
-    return extensions.canonical_monotone_extension(rep)
+    # The parts are pairwise disjoint exactly when their sizes add up to their union's.
+    if sum(e.bit_count() for e in witness.collection) != reduce(or_, witness.collection, 0).bit_count():
+        return False
+    # Only a maximal context and a section over it key a row.
+    if witness.collection != core_parts_of_global_sections(rep).get((data.context, data.section)):
+        return False
+    value = defect(rep, witness.collection, extension=extensions.EnvelopeExtension(rep))
+    return value == witness.defect != 0 and data.certificate is not None and data.certificate.verify(rep.model)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +194,8 @@ def core_parts_of_global_sections(rep: WpsRepresentation) -> dict[tuple, tuple[E
         if part:
             for r in source.column(j)[0]:
                 buckets[r].append(part)
-    return {label: rep.sorted_events(parts) for label, parts in zip(source.rows, buckets)}
+    # The parts are pairwise disjoint, so their lowest points give the canonical order.
+    return {label: tuple(sorted(parts, key=lambda e: e & -e)) for label, parts in zip(source.rows, buckets)}
 
 
 def marginalization_failure(rep: WpsRepresentation, extension,
@@ -229,12 +218,13 @@ def marginalization_failure(rep: WpsRepresentation, extension,
     return None
 
 
-def _canonical_additivity_witness(rep: WpsRepresentation,
-                                  certificate: classifier.GlobalDistributionCertificate) -> ViolationWitness:
-    """The canonical extension's first marginalization failure, certificate attached."""
-    found = marginalization_failure(rep, extensions.canonical_monotone_extension(rep), certificate=certificate)
+def _additivity_witness(rep: WpsRepresentation,
+                        certificate: classifier.GlobalDistributionCertificate) -> ViolationWitness:
+    """The monotone envelope's first marginalization failure, with the certificate
+    that every monotonic extension fails somewhere; the envelope is one of them."""
+    found = marginalization_failure(rep, extensions.EnvelopeExtension(rep), certificate=certificate)
     if found is None:
-        raise InternalConsistencyError("infeasible system but every canonical-extension marginal matched")
+        raise InternalConsistencyError("infeasible system but every envelope marginal matched")
     record, parts, value = found
     return ViolationWitness(ViolationKind.MONOTONIC_ADDITIVITY, parts, value, record)
 
@@ -272,7 +262,8 @@ def tier_violation_witness(rep: WpsRepresentation, tier: classifier.Tier,
     only positive-measure members are the other events of the witness
     section's context, defect equal to the witness weight.  Probabilistic
     contextuality yields a disjoint collection violating additivity in the
-    canonical extension, with the feasibility certificate attached.
+    monotone envelope, with the feasibility certificate, which proves that
+    every monotonic extension fails somewhere, attached.
     """
     model = rep.model
 
@@ -300,7 +291,7 @@ def tier_violation_witness(rep: WpsRepresentation, tier: classifier.Tier,
         result = classifier.global_distribution(model, cap=cap)
         if isinstance(result, Distribution):
             raise TierMismatchError("the model admits a global distribution")
-        return _canonical_additivity_witness(rep, result)
+        return _additivity_witness(rep, result)
 
     raise TierMismatchError(f"no violation witness exists for tier {tier}")
 
@@ -346,13 +337,13 @@ def additivity_violation(rep: WpsRepresentation) -> tuple[bool, Optional[Violati
     Decided exactly by the model's global-section solve, whose Farkas
     certificate must also separate the representation's own maximal-context
     values; it is attached to the witness, together with the
-    marginalization failure of the canonical extension.
+    marginalization failure of the monotone envelope.
     """
     _require_combinatorial(rep)
     _, certificate = dutchbook._maximal_context_membership(rep)
     if certificate is None:
         return False, None
-    return True, _canonical_additivity_witness(rep, certificate)
+    return True, _additivity_witness(rep, certificate)
 
 
 # ---------------------------------------------------------------------------

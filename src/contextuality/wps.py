@@ -524,10 +524,6 @@ def _verify_rep(rep: WpsRepresentation, report: CompatibilityReport) -> RepVerdi
                     fail("wc-measure", f"additivity fails over {context!r}: member valued {rep.mu[member]}, "
                                        f"its lowest atom {rep.mu[atom]} and the rest {rep.mu[member & ~atom]}")
                     break
-        for a in members:
-            if numerator[a] < 0:
-                fail("wc-measure", f"negative value {rep.mu[a]} in context {context!r}")
-                break
 
         holder = next(c for c in scenario.maximal_contexts if set(context) <= set(c))
         marginal = marginalize(rep.model.table(holder), context) if context else None
@@ -546,6 +542,9 @@ def _verify_rep(rep: WpsRepresentation, report: CompatibilityReport) -> RepVerdi
                     fail("me", f"overlap of {s} and {t} is outside the event family")
                 elif rep.mu[inter] != 0:
                     fail("me", f"overlap of {s} and {t} has value {rep.mu[inter]}")
+
+    if any(n < 0 for n in numerator.values()):
+        fail("wc-measure", f"negative value {min(rep.mu.values())}")
 
     if not report.ok:
         fail("model-compatibility", str(report.failures[0]))

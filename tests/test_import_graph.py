@@ -156,7 +156,7 @@ CATALOG_OPS = {
     ("witness", "ghz"): REPRESENTATION | {"classifier", "violations"},
     ("witness", "bell"): REPRESENTATION | {"classifier", "violations", "feasibility", "extensions"},
     ("verify-witness", "ghz"): REPRESENTATION | {"violations"},
-    ("verify-witness", "bell"): REPRESENTATION | {"violations", "extensions"},
+    ("verify-witness", "bell"): REPRESENTATION | {"violations", "extensions", "classifier"},
     ("dutchbook", "ghz"): REPRESENTATION | {"dutchbook"},
     ("dutchbook", "bell"): REPRESENTATION | {"dutchbook", "classifier", "feasibility"},
     ("verify-dutchbook", "ghz"): REPRESENTATION | {"dutchbook"},

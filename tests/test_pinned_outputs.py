@@ -37,7 +37,7 @@ COMMANDS = {
 PINNED = {
     ("bell", "classify"): "72b71f5127b716c8b07332032cc30e434d5890f7a683c18520182b5d321df943",
     ("bell", "classify-structured"): "65e1c2947713e7b6502b7340a7b679d741ca2a6971ec4f976b8965c8df88c1b6",
-    ("bell", "witness"): "aa9678613f211cdb28e080378770cee182db49bc3eb4d71ea17cdd756a36e7e9",
+    ("bell", "witness"): "cb2ab19cdfa420e742f975d96d9f4d28f158d018c8a98de6795d7d5030ac77c7",
     ("bell", "dutchbook"): "0299e2c075e53daee19e97f106f6c360a0b216fc3e85753fd5e39dab26a607fd",
     ("bell", "export-nerve"): "ded04d99e97acb70246cd40da4f88279f0c0f30782ca66893f103175992429d9",
     ("hardy", "classify"): "727813861123533b84290058f4675c0b248ad720dc3208a427a6718f6999e3ab",
@@ -62,7 +62,7 @@ PINNED = {
     ("ghz", "export-nerve"): "9458f2077c51295ca4bc7c8bfbb27b8e889dae80ec8445ea33e58370e45de7ef",
     ("singlet", "classify"): "4ed13b56d9bb760a7e4e0e28f937de1228492b9a2573efe5e44dc066e07ffa34",
     ("singlet", "classify-structured"): "03194ced89cac8735db81826d4dda3bef724c86191867d2fde1bbc0db5f41ac8",
-    ("singlet", "witness"): "aa9678613f211cdb28e080378770cee182db49bc3eb4d71ea17cdd756a36e7e9",
+    ("singlet", "witness"): "cb2ab19cdfa420e742f975d96d9f4d28f158d018c8a98de6795d7d5030ac77c7",
     ("singlet", "dutchbook"): "0299e2c075e53daee19e97f106f6c360a0b216fc3e85753fd5e39dab26a607fd",
     ("singlet", "export-nerve"): "ded04d99e97acb70246cd40da4f88279f0c0f30782ca66893f103175992429d9",
 }

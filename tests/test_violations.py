@@ -21,6 +21,7 @@ from contextuality.catalog import (
     two_party_scenario,
 )
 from contextuality.classifier import Tier, classify
+from contextuality.cli import main
 from contextuality.errors import (
     NonCombinatorialError,
     NotAnEventError,
@@ -37,13 +38,18 @@ from contextuality.extensions import (
     canonical_monotone_extension,
     sample_monotone_extensions,
 )
+from contextuality.quantum import experiment_from_dict, experiment_to_dict, quantum_to_empirical, singlet_experiment
 from contextuality.record import Failure
 from contextuality.scenario import sections_over
+from contextuality.serialize import dumps, model_to_dict
 from contextuality.violations import (
     AdditiveCover,
     ExtensionVerdict,
+    MarginalizationFailure,
     ViolationKind,
+    ViolationWitness,
     additivity_violation,
+    core_parts_of_global_sections,
     defect,
     has_classical_extension,
     logical_subadditivity_violation,
@@ -54,7 +60,8 @@ from contextuality.violations import (
     verify_extension,
     verify_witness,
 )
-from contextuality.wps import PadPoint, WpsRepresentation, build_combinatorial_rep, build_padded_rep, excise
+from contextuality.wps import PadPoint, WpsRepresentation, build_combinatorial_rep, build_padded_rep, excise, verify_rep
+from conftest import noisy_cycle, standard_paddings
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +206,97 @@ class TestTierWitnesses:
             assert verify_witness(rep, witness)
             built += 1
         assert built >= 2
+
+
+class TestEnvelopeWitnesses:
+    """Every monotonic additivity witness names the envelope's failure; no cover search runs."""
+
+    @pytest.mark.parametrize("name", ["bell", "singlet", "cycle5", "cycle7", "cycle9"])
+    def test_no_cover_search_behind_an_additivity_witness(self, name, monkeypatch, tmp_path, capsys):
+        def refuse(self, *args, **kwargs):
+            raise RuntimeError("the cheapest-cover search ran")
+
+        monkeypatch.setattr(CoverExtension, "__init__", refuse)
+        path = tmp_path / f"{name}.json"
+        if name == "singlet":
+            document = experiment_to_dict(singlet_experiment())
+            model = quantum_to_empirical(experiment_from_dict(document))
+        else:
+            model = bell_model() if name == "bell" else noisy_cycle(int(name[5:]), Fraction(1, 8))
+            document = model_to_dict(model)
+        path.write_text(dumps(document))
+        rep = build_combinatorial_rep(model)
+        witness = tier_violation_witness(rep, Tier.PROBABILISTIC)
+        assert witness.support_data.extension_kind == EnvelopeExtension.kind
+        assert additivity_violation(rep) == (True, witness)
+        assert verify_witness(rep, witness)
+        out = tmp_path / "witness.json"
+        assert main(["witness", str(path), "--format", "structured", "--out", str(out)]) == 0
+        assert main(["verify", str(path), "--file", str(out)]) == 0
+        assert "witness verified" in capsys.readouterr().out
+
+    @staticmethod
+    def with_twin_of_point_0(rep):
+        """The representation with a new last point in exactly the events that hold point 0."""
+        def grow(e):
+            return e | 1 << len(rep.points) if e & 1 else e
+
+        return WpsRepresentation(rep.model, rep.points + ("twin",), {s: grow(e) for s, e in rep.transfer.items()},
+                                 {c: tuple(map(grow, members)) for c, members in rep.sigma_algebras.items()},
+                                 {grow(e): v for e, v in rep.mu.items()}, rep.combinatorial)
+
+    @pytest.mark.parametrize("model", [bell_model(), noisy_cycle(5, Fraction(1, 8))], ids=["bell", "cycle5"])
+    def test_core_parts_come_in_canonical_order(self, model):
+        # Builders excise every pad, so their core parts are single points; the
+        # twin makes one part of two points, first by its lowest point only.
+        reps = [build_combinatorial_rep(model), build_combinatorial_rep(model, point_order="reversed"),
+                build_padded_rep(model, standard_paddings(model.scenario))]
+        reps.append(self.with_twin_of_point_0(reps[0]))
+        assert verify_rep(reps[-1]).ok
+        for rep in reps:
+            rows = core_parts_of_global_sections(rep)
+            assert all(len(parts) > 1 for parts in rows.values())
+            for parts in rows.values():
+                assert parts == rep.sorted_events(parts)
+        assert (1 | 1 << len(reps[0].points)) in next(iter(rows.values()))
+
+
+class TestWitnessTampering:
+    """Each rejection of ``verify_witness``, tripped by one edit of a genuine witness."""
+
+    def test_maximal_witness_with_a_positive_member_fails(self, pr_rep):
+        witness = tier_violation_witness(pr_rep, Tier.STRONG)
+        positive = next(e for e in pr_rep.maximal_context_events() if pr_rep.mu_of(e) > 0)
+        assert not verify_witness(pr_rep, ViolationWitness(witness.kind, witness.collection + (positive,), Fraction(1)))
+
+    def test_maximal_witness_short_of_the_sample_space_fails(self, pr_rep):
+        witness = tier_violation_witness(pr_rep, Tier.STRONG)
+        short = witness.collection[1:]
+        assert reduce(or_, short) != pr_rep.sample_space and not pr_rep.in_sigma(reduce(or_, short))
+        # The union carries no value, so only the cover check can answer.
+        assert verify_witness(pr_rep, ViolationWitness(witness.kind, short, Fraction(1))) is False
+
+    def test_additivity_witness_with_overlapping_parts_fails(self, bell_rep):
+        witness = tier_violation_witness(bell_rep, Tier.PROBABILISTIC)
+        first, second, *rest = witness.collection
+        overlapping = (first | second, second, *rest)
+        assert not verify_witness(bell_rep, ViolationWitness(witness.kind, overlapping, witness.defect,
+                                                             witness.support_data))
+
+    @pytest.mark.parametrize("field, value", [
+        ("extension_kind", CoverExtension.kind),
+        ("certificate", None),
+    ])
+    def test_additivity_witness_with_another_record_fails(self, field, value, bell_rep):
+        witness = tier_violation_witness(bell_rep, Tier.PROBABILISTIC)
+        record = witness.support_data
+        fields = dict(zip(record.__slots__, record._values()), **{field: value})
+        tampered = ViolationWitness(witness.kind, witness.collection, witness.defect, MarginalizationFailure(**fields))
+        assert not verify_witness(bell_rep, tampered)
+
+    def test_additivity_witness_without_its_record_fails(self, bell_rep):
+        witness = tier_violation_witness(bell_rep, Tier.PROBABILISTIC)
+        assert not verify_witness(bell_rep, ViolationWitness(witness.kind, witness.collection, witness.defect))
 
 
 class TestMaximalContextViolations:

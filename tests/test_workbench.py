@@ -31,7 +31,7 @@ from contextuality.classifier import classify
 from contextuality.dutchbook import convexity_hierarchy, find_dutch_book
 from contextuality.errors import EnumerationCapError, SchemaError
 from contextuality.exports import export_bundle_diagram, export_nerve
-from contextuality.extensions import ExplicitExtension
+from contextuality.extensions import EnvelopeExtension, ExplicitExtension
 from contextuality.model import check_model
 from contextuality.quantum import experiment_from_dict, experiment_to_dict, singlet_experiment
 from contextuality.scenario import sections_over
@@ -51,9 +51,13 @@ from contextuality.serialize import (
 )
 from contextuality.classifier import Tier
 from contextuality.violations import (
+    MarginalizationFailure,
+    ViolationKind,
+    ViolationWitness,
     additivity_violation,
     has_classical_extension,
     logical_subadditivity_violation,
+    marginalization_failure,
     strong_subadditivity_violation,
     tier_violation_witness,
     verify_witness,
@@ -456,6 +460,67 @@ class TestCli:
         path.write_text(dumps(document))
         assert main(["verify", "bell", "--file", str(path)]) == 2
         assert capsys.readouterr().err == "witness failed re-verification\n"
+
+    @staticmethod
+    def bell_additivity_document():
+        rep = build_combinatorial_rep(bell_model())
+        return witness_to_dict(rep, tier_violation_witness(rep, Tier.PROBABILISTIC))
+
+    @pytest.mark.parametrize("drop", [("support",), ("support", "certificate")], ids=["support", "certificate"])
+    def test_additivity_witness_without_its_certificate_exits_2(self, drop, tmp_path, capsys):
+        document = self.bell_additivity_document()
+        target = document
+        for key in drop[:-1]:
+            target = target[key]
+        del target[drop[-1]]
+        path = tmp_path / "witness.json"
+        path.write_text(dumps(document))
+        assert main(["verify", "bell", "--file", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: missing field {drop[-1]!r}")
+
+    def test_additivity_witness_with_a_dropped_coefficient_exits_2(self, tmp_path, capsys):
+        document = self.bell_additivity_document()
+        del document["support"]["certificate"][-1]
+        path = tmp_path / "witness.json"
+        path.write_text(dumps(document))
+        assert main(["verify", "bell", "--file", str(path)]) == 2
+        assert capsys.readouterr().err == "witness failed re-verification\n"
+
+    def test_additivity_witness_with_a_flipped_coefficient_fails(self):
+        rep = build_combinatorial_rep(bell_model())
+        document = self.bell_additivity_document()
+        coefficients = document["support"]["certificate"]
+        assert verify_witness(rep, witness_from_dict(rep, document))
+        flipped = 0
+        for i, value in enumerate(coefficients):
+            if value == "0":
+                continue
+            tampered = json.loads(json.dumps(document))
+            tampered["support"]["certificate"][i] = str(-Fraction(value))
+            assert not verify_witness(rep, witness_from_dict(rep, tampered)), i
+            flipped += 1
+        assert flipped == 6
+
+    @pytest.mark.parametrize("certificate", ["none", "bell's"])
+    def test_forged_witness_for_a_noncontextual_model_exits_2(self, certificate, tmp_path, capsys):
+        # noisy_cycle(4, 1/2) is Noncontextual, yet its envelope fails a marginal by -3/8.
+        model = noisy_cycle(4, Fraction(1, 2))
+        assert classify(model).tier is Tier.NONCONTEXTUAL
+        rep = build_combinatorial_rep(model)
+        record, parts, value = marginalization_failure(rep, EnvelopeExtension(rep))
+        assert isinstance(record, MarginalizationFailure) and value == Fraction(-3, 8)
+        document = witness_to_dict(rep, ViolationWitness(ViolationKind.MONOTONIC_ADDITIVITY, parts, value, record))
+        if certificate == "bell's":
+            # Bell's certificate has one coefficient for each of the 4-cycle's 16 rows too.
+            document["support"]["certificate"] = self.bell_additivity_document()["support"]["certificate"]
+        assert len(document["support"].get("certificate", [])) == (16 if certificate == "bell's" else 0)
+        model_path, witness_path = tmp_path / "cycle4.json", tmp_path / "witness.json"
+        model_path.write_text(dumps(model_to_dict(model)))
+        witness_path.write_text(dumps(document))
+        assert main(["verify", str(model_path), "--file", str(witness_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: missing field 'certificate' (at support)\n" if certificate == "none"
+                       else "witness failed re-verification\n")
 
     @pytest.mark.parametrize("base, path, value", [
         ("bell", ("scenario", "maximal_contexts"), [5]),

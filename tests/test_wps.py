@@ -307,7 +307,7 @@ class TestVerifyRepFailures:
         ("wc-measure", "no value stored for a member of the algebra over ('a', 'b')", _drop_member_value),
         ("wc-measure", "whole space valued 2", _whole_space_valued_two),
         ("wc-measure", "empty set has non-zero value", _empty_set_valued_eighth),
-        ("wc-measure", "negative value -1/8 in context ('a', 'b')", _negative_member),
+        ("wc-measure", "negative value -1/8", _negative_member),
     ], ids=lambda v: v.__name__ if callable(v) else None)
     def test_tamper_reports_its_detail(self, condition, detail, tamper, bell_rep):
         # Several branches share a condition name, so each row names its counterexample.
@@ -320,6 +320,12 @@ class TestVerifyRepFailures:
         verdict = verify_rep(tamper(bell_rep))
         details = [f.detail for f in verdict.failures if f.detail.startswith(("whole space", "empty set"))]
         assert len(details) == 1
+
+    def test_negative_value_reported_once(self, bell_rep):
+        # The tampered member, the image of {a: 0}, lies in three context algebras of bell.
+        rep = _with(bell_rep, mu={**bell_rep.mu, bell_rep.event(_section(bell_rep, {"a": "0"})): Fraction(-1, 8)})
+        details = [f.detail for f in verify_rep(rep).failures if f.detail.startswith("negative value")]
+        assert details == ["negative value -1/8"]
 
     def test_single_outcome_scenario_waives_injectivity(self):
         scenario = Scenario(("a", "b"), (("a", "b"),), ("0",))
