@@ -58,7 +58,7 @@ witness = tier_violation_witness(bell, Tier.PROBABILISTIC)
 failure = witness.support_data
 print(f"failing context: {failure.context}, section {failure.section}")
 print(f"disjoint collection of {len(witness.collection)} core parts of global-section events")
-print(f"defect under the canonical monotone extension: {witness.defect}")
+print(f"defect under the monotone envelope: {witness.defect}")
 print(f"feasibility certificate verifies: {failure.certificate.verify(bell.model)}")
 
 print("\nsampling twenty monotone extensions; each must fail somewhere:")

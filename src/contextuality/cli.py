@@ -152,7 +152,7 @@ _TIER_FLAGS = ("strong", "logical", "probabilistic")
 
 
 def _cmd_witness(args) -> int:
-    from .violations import tier_violation_witness, verify_witness
+    from .violations import tier_violation_witness
     from .wps import build_combinatorial_rep
     name, model = _resolve_model(args)
     rep = build_combinatorial_rep(model, cap=args.cap)
@@ -163,8 +163,6 @@ def _cmd_witness(args) -> int:
         if tier is classifier.Tier.NONCONTEXTUAL:
             raise SchemaError(f"{name} is noncontextual; no violation witness exists")
     witness = tier_violation_witness(rep, tier, cap=args.cap)
-    if not verify_witness(rep, witness):
-        raise ContextualityError("constructed witness failed re-verification")
     if args.format == "structured":
         from .serialize import witness_to_dict
         _emit(json.dumps(witness_to_dict(rep, witness), indent=2) + "\n", args.out)

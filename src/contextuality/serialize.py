@@ -256,9 +256,7 @@ def witness_from_dict(rep: WpsRepresentation, document: Mapping) -> ViolationWit
         values = tuple(_check_label(o, "support.section") for o in _expect(raw, "section", "support", list))
         if len(values) != len(measurements):
             raise SchemaError(f"{len(values)} outcomes for {len(measurements)} measurements", "support.section")
-        extension_kind = raw.get("extension_kind", "unknown")
-        if not isinstance(extension_kind, str):
-            raise SchemaError(f"extension_kind must be a string, got {extension_kind!r}", "support.extension_kind")
+        extension_kind = _expect(raw, "extension_kind", "support.extension_kind", str)
         coefficients = tuple(_fraction_from(v, f"support.certificate[{i}]")
                              for i, v in enumerate(_expect(raw, "certificate", "support", list)))
         scenario = rep.model.scenario

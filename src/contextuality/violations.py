@@ -168,8 +168,10 @@ def verify_witness(rep: WpsRepresentation, witness: ViolationWitness) -> bool:
     # The parts are pairwise disjoint exactly when their sizes add up to their union's.
     if sum(e.bit_count() for e in witness.collection) != reduce(or_, witness.collection, 0).bit_count():
         return False
-    # Only a maximal context and a section over it key a row.
-    if witness.collection != core_parts_of_global_sections(rep).get((data.context, data.section)):
+    # Only a maximal context and a section over it name a row.
+    if data.context not in rep.model.scenario.maximal_contexts or data.section.domain != data.context:
+        return False
+    if witness.collection != core_parts(rep, data.section):
         return False
     value = defect(rep, witness.collection, extension=extensions.EnvelopeExtension(rep))
     return value == witness.defect != 0 and data.certificate is not None and data.certificate.verify(rep.model)
@@ -180,22 +182,19 @@ def verify_witness(rep: WpsRepresentation, witness: ViolationWitness) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def core_parts_of_global_sections(rep: WpsRepresentation) -> dict[tuple, tuple[Event, ...]]:
-    """Core parts of the global-section events extending each maximal-context section.
+def core_parts(rep: WpsRepresentation, section: Section, core: Optional[Event] = None) -> tuple[Event, ...]:
+    """Core parts of the global-section events extending a section, in canonical order.
 
-    Keyed by ``(maximal context, section)`` in row order.  One pass over the
-    global sections puts each non-empty part in the bucket of each of its rows.
+    A core point lies in one outcome image per measurement, so the atoms that
+    the single-measurement images cut from the section's core are the cores
+    of the extending global sections' images.  Pass ``excise(rep).z`` as
+    ``core`` to share one excision across sections.
     """
-    core = excise(rep).z
-    source = global_section_columns(rep.model.scenario)
-    buckets = [[] for _ in source.rows]
-    for j in range(len(source)):
-        part = rep.event(source.section(j)) & core
-        if part:
-            for r in source.column(j)[0]:
-                buckets[r].append(part)
+    if core is None:
+        core = excise(rep).z
+    singles = (e for s, e in rep.transfer.items() if len(s.domain) == 1)
     # The parts are pairwise disjoint, so their lowest points give the canonical order.
-    return {label: tuple(sorted(parts, key=lambda e: e & -e)) for label, parts in zip(source.rows, buckets)}
+    return tuple(sorted(_atoms(rep.event(section) & core, singles), key=lambda e: e & -e))
 
 
 def marginalization_failure(rep: WpsRepresentation, extension,
@@ -207,7 +206,9 @@ def marginalization_failure(rep: WpsRepresentation, extension,
     record, the disjoint collection of core parts of the extending global
     sections, and its (non-zero) defect under the extension.
     """
-    for (context, section), parts in core_parts_of_global_sections(rep).items():
+    core = excise(rep).z
+    for context, section in global_section_columns(rep.model.scenario).rows:
+        parts = core_parts(rep, section, core)
         value = defect(rep, parts, extension=extension)
         if value != 0:
             record = MarginalizationFailure(

@@ -40,7 +40,7 @@ from contextuality.extensions import (
 )
 from contextuality.quantum import experiment_from_dict, experiment_to_dict, quantum_to_empirical, singlet_experiment
 from contextuality.record import Failure
-from contextuality.scenario import sections_over
+from contextuality.scenario import GlobalSectionColumns, global_section_columns, restrict, sections_over
 from contextuality.serialize import dumps, model_to_dict
 from contextuality.violations import (
     AdditiveCover,
@@ -49,7 +49,7 @@ from contextuality.violations import (
     ViolationKind,
     ViolationWitness,
     additivity_violation,
-    core_parts_of_global_sections,
+    core_parts,
     defect,
     has_classical_extension,
     logical_subadditivity_violation,
@@ -245,20 +245,67 @@ class TestEnvelopeWitnesses:
                                  {c: tuple(map(grow, members)) for c, members in rep.sigma_algebras.items()},
                                  {grow(e): v for e, v in rep.mu.items()}, rep.combinatorial)
 
+    @classmethod
+    def four_reps(cls, model):
+        """The canonical, reversed, padded and twin-point representations of a model."""
+        reps = [build_combinatorial_rep(model), build_combinatorial_rep(model, point_order="reversed"),
+                build_padded_rep(model, standard_paddings(model.scenario))]
+        reps.append(cls.with_twin_of_point_0(reps[0]))
+        assert verify_rep(reps[-1]).ok
+        return reps
+
     @pytest.mark.parametrize("model", [bell_model(), noisy_cycle(5, Fraction(1, 8))], ids=["bell", "cycle5"])
     def test_core_parts_come_in_canonical_order(self, model):
         # Builders excise every pad, so their core parts are single points; the
         # twin makes one part of two points, first by its lowest point only.
-        reps = [build_combinatorial_rep(model), build_combinatorial_rep(model, point_order="reversed"),
-                build_padded_rep(model, standard_paddings(model.scenario))]
-        reps.append(self.with_twin_of_point_0(reps[0]))
-        assert verify_rep(reps[-1]).ok
+        reps = self.four_reps(model)
+        rows = global_section_columns(model.scenario).rows
         for rep in reps:
-            rows = core_parts_of_global_sections(rep)
-            assert all(len(parts) > 1 for parts in rows.values())
-            for parts in rows.values():
+            for _, section in rows:
+                parts = core_parts(rep, section)
+                assert len(parts) > 1
                 assert parts == rep.sorted_events(parts)
-        assert (1 | 1 << len(reps[0].points)) in next(iter(rows.values()))
+        assert (1 | 1 << len(reps[0].points)) in core_parts(reps[-1], rows[0][1])
+
+    @pytest.mark.parametrize("model", [bell_model(), noisy_cycle(5, Fraction(1, 8)), noisy_cycle(7, Fraction(1, 8))],
+                             ids=["bell", "cycle5", "cycle7"])
+    def test_core_parts_match_the_global_sections_bucketed_by_row(self, model):
+        # The oracle walks every global section and buckets the core of its
+        # image under the row of each maximal context it restricts to.
+        rows = global_section_columns(model.scenario).rows
+        for rep in self.four_reps(model):
+            core = excise(rep).z
+            buckets = {row: [] for row in rows}
+            for g in model.scenario.global_sections():
+                part = rep.event(g) & core
+                if part:
+                    for context in model.scenario.maximal_contexts:
+                        buckets[context, restrict(g, context)].append(part)
+            for (_, section), parts in buckets.items():
+                assert core_parts(rep, section) == tuple(sorted(parts, key=lambda e: e & -e))
+                assert core_parts(rep, section, core) == core_parts(rep, section)
+
+    def test_each_command_builds_the_envelope_once_and_walks_no_global_section(self, monkeypatch, tmp_path):
+        # Counted where each is defined, so every caller is seen.
+        counts = {"envelope": 0, "section": 0, "column": 0}
+
+        def counting(key, original):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(EnvelopeExtension, "__init__", counting("envelope", EnvelopeExtension.__init__))
+        monkeypatch.setattr(GlobalSectionColumns, "section", counting("section", GlobalSectionColumns.section))
+        monkeypatch.setattr(GlobalSectionColumns, "column", counting("column", GlobalSectionColumns.column))
+        for name, model in [("bell", bell_model()), ("cycle5", noisy_cycle(5, Fraction(1, 8)))]:
+            path, out = tmp_path / f"{name}.json", tmp_path / f"{name}-witness.json"
+            path.write_text(dumps(model_to_dict(model)))
+            for argv in (["witness", str(path), "--format", "structured", "--out", str(out)],
+                         ["verify", str(path), "--file", str(out)]):
+                counts.update(dict.fromkeys(counts, 0))
+                assert main(argv) == 0
+                assert counts == {"envelope": 1, "section": 0, "column": 0}, (name, argv[0])
 
 
 class TestWitnessTampering:
@@ -293,6 +340,25 @@ class TestWitnessTampering:
         fields = dict(zip(record.__slots__, record._values()), **{field: value})
         tampered = ViolationWitness(witness.kind, witness.collection, witness.defect, MarginalizationFailure(**fields))
         assert not verify_witness(bell_rep, tampered)
+
+    @pytest.mark.parametrize("context, assignment", [
+        (("a",), {"a": "0"}),
+        (("a", "a'"), {"a": "0", "a'": "0"}),
+        (("a", "b"), {"a": "0", "b": "0", "a'": "0"}),
+    ], ids=["sub-context", "not-a-context", "wider-than-its-context"])
+    def test_additivity_witness_off_every_row_fails(self, context, assignment, bell_rep):
+        # The collection is the section's own core parts with their envelope
+        # defect. That defect is 0 on the sub-context section, but 1/4 and 1/8
+        # on the other two, so there only the check that the record names a
+        # maximal context and a section over it can trip.
+        witness = tier_violation_witness(bell_rep, Tier.PROBABILISTIC)
+        section = bell_rep.model.scenario.section(assignment)
+        parts = core_parts(bell_rep, section)
+        value = defect(bell_rep, parts, extension=EnvelopeExtension(bell_rep))
+        assert value == {1: 0, 2: Fraction(1, 4), 3: Fraction(1, 8)}[len(assignment)]
+        record = MarginalizationFailure(context, section, bell_rep.event(section), EnvelopeExtension.kind,
+                                        witness.support_data.certificate)
+        assert not verify_witness(bell_rep, ViolationWitness(witness.kind, parts, value, record))
 
     def test_additivity_witness_without_its_record_fails(self, bell_rep):
         witness = tier_violation_witness(bell_rep, Tier.PROBABILISTIC)

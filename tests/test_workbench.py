@@ -418,15 +418,20 @@ class TestCli:
     @pytest.mark.parametrize("field, value", [
         ("section", ["0"]),
         ("extension_kind", ["monotone-envelope"]),
-    ], ids=["section-shorter-than-context", "extension-kind-not-a-string"])
+        ("extension_kind", None),
+    ], ids=["section-shorter-than-context", "extension-kind-not-a-string", "extension-kind-missing"])
     def test_verify_witness_with_malformed_support_exits_2(self, field, value, tmp_path, capsys):
+        # A value of None drops the field.
         rep = build_combinatorial_rep(bell_model())
         document = witness_to_dict(rep, tier_violation_witness(rep, Tier.PROBABILISTIC))
         path = tmp_path / "witness.json"
         path.write_text(dumps(document))
         assert main(["verify", "bell", "--file", str(path)]) == 0
         capsys.readouterr()
-        document["support"][field] = value
+        if value is None:
+            del document["support"][field]
+        else:
+            document["support"][field] = value
         path.write_text(dumps(document))
         assert main(["verify", "bell", "--file", str(path)]) == 2
         err = capsys.readouterr().err
