@@ -10,10 +10,13 @@ Concrete forms:
   its own value, which is verified at construction.  A family that covers
   its sample space by events of total weight below one admits no
   subadditive extension at all, and construction fails accordingly.
-* :class:`EnvelopeExtension`: value is the cheapest superset in a pool of
-  priced sets containing the family.  Always monotone, not subadditive in
-  general; an extension exactly when the stored values are monotone on the
-  family, verified at construction.
+* :class:`EnvelopeExtension`: the cheapest superset among the family and
+  extra priced sets, mu*(E) = min{mu(F) : F in Sigma, F >= E}.  Each
+  context's algebra lies in a maximal context's, where mu is a non-negative
+  measure (``verify_rep``'s ``wc-closure`` and ``wc-measure``), so mu*(E) is
+  the least over maximal M of mu summed over M's atoms meeting E.  Always
+  monotone, not subadditive in general; an extension exactly when the
+  stored values are monotone on the family, verified at construction.
 * :class:`PointMeasureExtension` / :class:`ExplicitExtension`: a measure
   given by point weights, and an arbitrary explicit table.
 
@@ -31,7 +34,7 @@ from typing import Mapping, Optional, Sequence
 
 from .distribution import random_rational_weights
 from .errors import InternalConsistencyError, NotAnExtensionError
-from .wps import WpsRepresentation, _indices
+from .wps import WpsRepresentation, _atoms, _indices
 
 ZERO = Fraction(0)
 # sample_monotone_extensions mixes up to _BASES bases, drawn from at most
@@ -160,42 +163,42 @@ class CoverExtension:
 
 
 class EnvelopeExtension:
-    """Cheapest-superset extension; monotone but not subadditive in general."""
+    """Cheapest-superset extension, monotone but not subadditive in general: E is valued at
+    its cheapest hull, mu summed over one maximal context's atoms meeting E, or extra pool
+    set holding E; under ``wc-closure`` and ``wc-measure`` the cheapest family superset."""
 
     kind = "monotone-envelope"
 
     def __init__(self, rep: WpsRepresentation, extra_pool: Sequence[tuple[int, Fraction]] = ()):
-        family = _family_pool(rep)
-        # Cheapest first, so the lowest pool position among an event's
-        # supersets carries the minimum.  Bit j of _holders[i] marks pool set
-        # j as holding point i; an event's supersets AND its points' holders.
-        pool = family + [(e, Fraction(w)) for e, w in extra_pool]
-        # Integer numerators over one common denominator sort as the weights do.
-        denominator = lcm(*(weight.denominator for _, weight in pool))
-        pool.sort(key=lambda item: item[1].numerator * (denominator // item[1].denominator))
-        self._weights = [weight for _, weight in pool]
-        self._holders: dict[int, int] = {}
-        for j, (mask, _) in enumerate(pool):
-            for i in _indices(mask):
-                self._holders[i] = self._holders.get(i, 0) | 1 << j
-        self._whole_pool = (1 << len(pool)) - 1
-        for event, value in family:
+        extra = [(mask, Fraction(weight)) for mask, weight in extra_pool]
+        scale = lcm(*(value.denominator for value in rep.mu.values()), *(w.denominator for _, w in extra))
+
+        def numerator(value: Fraction) -> int:
+            return value.numerator * (scale // value.denominator)
+
+        self._scale, self._sample_space = scale, rep.sample_space
+        self._extra = [(mask, numerator(weight)) for mask, weight in extra]
+        self._hulls = []
+        for context in rep.model.scenario.maximal_contexts:
+            singles = (e for s, e in rep.transfer.items() if len(s.domain) == 1 and s.domain[0] in context)
+            atoms = [(atom, numerator(rep.mu_of(atom))) for atom in _atoms(rep.sample_space, singles)]
+            if any(n < 0 for _, n in atoms):
+                raise NotAnExtensionError(f"an atom over {context!r} carries a negative value")
+            self._hulls.append([(atom, n) for atom, n in atoms if n])  # a null atom adds nothing
+        for event, value in rep.mu.items():
             if self.value(event) != value:
-                raise NotAnExtensionError(
-                    "a pool superset undercuts a stored value; "
-                    "the envelope function does not extend this representation"
-                )
+                raise NotAnExtensionError(f"a family event valued {value} differs from its cheapest hull or pool superset")
 
     def domain(self):
         return None
 
     def value(self, event: int) -> Fraction:
-        supersets = self._whole_pool
-        for i in _indices(event):
-            supersets &= self._holders.get(i, 0)
-        if not supersets:
-            raise ValueError("no pool superset; the family must contain the sample space")
-        return self._weights[(supersets & -supersets).bit_length() - 1]
+        costs = [weight for mask, weight in self._extra if not event & ~mask]
+        if not event & ~self._sample_space:
+            costs += [sum(n for atom, n in atoms if atom & event) for atoms in self._hulls]
+        if not costs:
+            raise ValueError("no pool superset; the event has points outside the sample space")
+        return Fraction(min(costs), self._scale)
 
 
 class PointMeasureExtension:
@@ -275,16 +278,12 @@ def _envelope_base_candidates(rep: WpsRepresentation, rng: random.Random) -> lis
     plain = EnvelopeExtension(rep)
     bases: list[EnvelopeExtension] = [plain]
     n = len(rep.points)
-    family = _family_pool(rep)
     for _ in range(_CANDIDATES):
         if len(bases) >= _BASES:
             break
         size = rng.randint(max(1, n - 4), n - 1)
         extra = rep.event_of(rng.sample(rep.points, size))
-        floor = ZERO
-        for event, value in family:
-            if not event & ~extra and value > floor:
-                floor = value
+        floor = max((value for event, value in rep.mu.items() if not event & ~extra), default=ZERO)
         current = plain.value(extra)
         if floor >= current:
             continue

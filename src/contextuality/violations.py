@@ -211,10 +211,7 @@ def marginalization_failure(rep: WpsRepresentation, extension,
         parts = core_parts(rep, section, core)
         value = defect(rep, parts, extension=extension)
         if value != 0:
-            record = MarginalizationFailure(
-                context, section, rep.event(section),
-                getattr(extension, "kind", "unknown"), certificate,
-            )
+            record = MarginalizationFailure(context, section, rep.event(section), extension.kind, certificate)
             return record, parts, value
     return None
 

@@ -7,10 +7,12 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import or_
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contextuality import extensions
 from contextuality.catalog import (
     bell_model,
     hardy_model,
@@ -60,7 +62,15 @@ from contextuality.violations import (
     verify_extension,
     verify_witness,
 )
-from contextuality.wps import PadPoint, WpsRepresentation, build_combinatorial_rep, build_padded_rep, excise, verify_rep
+from contextuality.wps import (
+    PadPoint,
+    WpsRepresentation,
+    _indices,
+    build_combinatorial_rep,
+    build_padded_rep,
+    excise,
+    verify_rep,
+)
 from conftest import noisy_cycle, standard_paddings
 
 
@@ -83,6 +93,26 @@ def hardy_rep():
 def noncontextual_rep():
     rng = random.Random(3)
     return build_combinatorial_rep(random_deterministic_mixture(two_party_scenario(), rng))
+
+
+def cheapest_superset(pool, event):
+    """The least weight among the pool sets holding the event, walked set by set; None if none does."""
+    return min((weight for candidate, weight in pool if not event & ~candidate), default=None)
+
+
+@pytest.fixture(scope="module")
+def envelope_reps(catalog_reps, padded_catalog_reps):
+    """Each catalog representation canonical, reversed and padded, and the noisy 5- to 9-cycles,
+    with each family member's cheapest superset in the family."""
+    reps = {}
+    for name, rep in catalog_reps.items():
+        reps[name] = rep
+        reps[f"reversed:{name}"] = build_combinatorial_rep(rep.model, point_order="reversed")
+        reps[f"padded:{name}"] = padded_catalog_reps[name]
+    for n in range(5, 10):
+        reps[f"cycle{n}"] = build_combinatorial_rep(noisy_cycle(n, Fraction(1, 8)))
+    return {name: (rep, {event: cheapest_superset(rep.mu.items(), event) for event in rep.sigma})
+            for name, rep in reps.items()}
 
 
 def null_context_events(rep):
@@ -307,6 +337,22 @@ class TestEnvelopeWitnesses:
                 assert main(argv) == 0
                 assert counts == {"envelope": 1, "section": 0, "column": 0}, (name, argv[0])
 
+    def test_envelope_walks_no_point_of_a_pool_set(self, monkeypatch):
+        # Counted where the extensions module reads it, from outside the library.
+        rep = build_combinatorial_rep(noisy_cycle(9, Fraction(1, 8)))
+        witness = tier_violation_witness(rep, Tier.PROBABILISTIC)
+        calls = 0
+
+        def counting(event):
+            nonlocal calls
+            calls += 1
+            return _indices(event)
+
+        monkeypatch.setattr(extensions, "_indices", counting)
+        envelope = EnvelopeExtension(rep)
+        assert defect(rep, witness.collection, extension=envelope) == witness.defect != 0
+        assert calls == 0
+
 
 class TestWitnessTampering:
     """Each rejection of ``verify_witness``, tripped by one edit of a genuine witness."""
@@ -504,6 +550,12 @@ class TestExtensions:
         ext = canonical_monotone_extension(noncontextual_rep)
         assert marginalization_failure(noncontextual_rep, ext) is None
 
+    def test_marginalization_failure_needs_the_extension_kind(self, bell_rep):
+        # Without a kind the failure would name an extension no witness check accepts.
+        unnamed = SimpleNamespace(value=EnvelopeExtension(bell_rep).value)
+        with pytest.raises(AttributeError, match="kind"):
+            marginalization_failure(bell_rep, unnamed)
+
     def test_explicit_non_monotone_extension_caught(self):
         rep = build_combinatorial_rep(specker_triangle_model())
         from contextuality.violations import _generated_algebra
@@ -524,38 +576,41 @@ class TestExtensions:
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
-    def test_envelope_value_is_the_cheapest_pool_superset(self, catalog_reps, data):
-        rep = catalog_reps[data.draw(st.sampled_from(["bell", "hardy", "pr-box", "specker-triangle"]), label="model")]
+    def test_envelope_value_is_the_cheapest_pool_superset(self, envelope_reps, data):
+        rep, family_cheapest = envelope_reps[data.draw(st.sampled_from(sorted(envelope_reps)), label="rep")]
         subsets = st.integers(0, rep.sample_space)
         extra = data.draw(st.lists(st.tuples(subsets, st.fractions(0, 2, max_denominator=8)), max_size=4),
                           label="extra pool")
-        pool = [(event, rep.mu[event]) for event in rep.sigma] + extra
-
-        def cheapest(event):
-            weights = [weight for candidate, weight in pool if not event & ~candidate]
-            return min(weights) if weights else None
-
-        if any(cheapest(event) != rep.mu[event] for event in rep.sigma):
+        pool = list(rep.mu.items()) + extra
+        # On a family member the fixture's walk over the family stands in for
+        # the family's part of the pool.
+        if any(cheapest_superset(extra + [(event, family_cheapest[event])], event) != rep.mu[event]
+               for event in rep.sigma):
             with pytest.raises(NotAnExtensionError):
                 EnvelopeExtension(rep, extra)
             return
         envelope = EnvelopeExtension(rep, extra)
-        # The pool in the order of a stable sort by Fraction weight.
-        ordered = sorted([(event, rep.mu[event]) for event in rep.sorted_events(rep.sigma)]
-                         + [(event, Fraction(w)) for event, w in extra], key=lambda item: item[1])
-        holders = {}
-        for j, (mask, _) in enumerate(ordered):
-            for i in range(len(rep.points) + 1):
-                if mask >> i & 1:
-                    holders[i] = holders.get(i, 0) | 1 << j
-        assert envelope._weights == [weight for _, weight in ordered]
-        assert envelope._holders == holders
         for event in data.draw(st.lists(subsets, min_size=1, max_size=6), label="events"):
-            assert envelope.value(event) == cheapest(event)
+            assert envelope.value(event) == cheapest_superset(pool, event)
             outside = event | 1 << len(rep.points)  # a point beyond the sample space
-            assert cheapest(outside) is None
+            assert cheapest_superset(pool, outside) is None
             with pytest.raises(ValueError, match="no pool superset"):
                 envelope.value(outside)
+
+    def test_negative_atom_rejected(self, bell_rep):
+        # One atom of (a, b) valued below zero and every family member valued
+        # at its cheapest hull: each member then matches its envelope value,
+        # so only the atom's sign is left to reject.
+        scenario = bell_rep.model.scenario
+        hulls = [[bell_rep.event(s) for s in sections_over(scenario, c)] for c in scenario.maximal_contexts]
+        atom_value = {atom: bell_rep.mu[atom] for atoms in hulls for atom in atoms}
+        atom_value[bell_rep.event(scenario.section({"a": "0", "b": "1"}))] = Fraction(-1, 8)
+        mu = {event: min(sum(atom_value[a] for a in atoms if a & event) for atoms in hulls) for event in bell_rep.mu}
+        assert all(mu[atom] == value for atom, value in atom_value.items())
+        tampered = WpsRepresentation(bell_rep.model, bell_rep.points, bell_rep.transfer,
+                                     bell_rep.sigma_algebras, mu, bell_rep.combinatorial)
+        with pytest.raises(NotAnExtensionError, match="negative value"):
+            EnvelopeExtension(tampered)
 
     def test_explicit_non_additive_extension_caught(self):
         rep = build_combinatorial_rep(specker_triangle_model())
