@@ -69,9 +69,8 @@ def _support_cover(model: EmpiricalModel, cap: int) -> tuple[bool, Optional[Sect
     scenario = model.scenario
     check_global_section_cap(scenario, cap)
     source = global_section_columns(scenario)
-    tables = model.tables
     excluded = -(len(scenario.maximal_contexts) + 1)
-    weights = [1 if tables[c].weight(s) else excluded for c, s in source.rows]
+    weights = [1 if w else excluded for w in model.row_weights()]
     if excluded not in weights:
         return False, None
     while (found := source.entering(weights, False)) is not None:
@@ -162,10 +161,10 @@ def global_distribution(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CA
     solution's support and re-marginalized by :func:`verify_global_distribution`,
     or a :class:`GlobalDistributionCertificate` verified independently when none exists.
     """
-    scenario, tables = model.scenario, model.tables
+    scenario = model.scenario
     check_global_section_cap(scenario, cap)
     source = global_section_columns(scenario)
-    outcome = feasibility.solve_source(source, [tables[c].weight(s) for c, s in source.rows])
+    outcome = feasibility.solve_source(source, model.row_weights())
     if outcome.feasible:
         support = {source.section(j): x for j, x in outcome.solution.items()}
         distribution = Distribution._from_support(scenario, scenario.measurements, support)

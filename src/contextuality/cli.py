@@ -152,17 +152,15 @@ _TIER_FLAGS = ("strong", "logical", "probabilistic")
 
 
 def _cmd_witness(args) -> int:
-    from .violations import tier_violation_witness
+    from .violations import tier_violation_witness, witness_from_verdict
     from .wps import build_combinatorial_rep
     name, model = _resolve_model(args)
     rep = build_combinatorial_rep(model, cap=args.cap)
     if args.tier:
-        tier = classifier.Tier[args.tier.upper()]
+        witness = tier_violation_witness(rep, classifier.Tier[args.tier.upper()], cap=args.cap)
     else:
-        tier = classifier.classify(model, cap=args.cap).tier
-        if tier is classifier.Tier.NONCONTEXTUAL:
-            raise SchemaError(f"{name} is noncontextual; no violation witness exists")
-    witness = tier_violation_witness(rep, tier, cap=args.cap)
+        # The verdict is the witness's evidence; the builder refuses a Noncontextual one.
+        witness = witness_from_verdict(rep, classifier.classify(model, cap=args.cap))
     if args.format == "structured":
         from .serialize import witness_to_dict
         _emit(json.dumps(witness_to_dict(rep, witness), indent=2) + "\n", args.out)
@@ -180,16 +178,16 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_dutchbook(args) -> int:
-    from .dutchbook import find_dutch_book
+    from .dutchbook import dutch_book_table
     from .wps import build_combinatorial_rep
     name, model = _resolve_model(args)
     rep = build_combinatorial_rep(model, cap=args.cap)
-    certificate = find_dutch_book(rep)
-    if certificate is None:
+    found = dutch_book_table(rep)
+    if found is None:
         _emit(f"model: {name}\nno dutch book: the set function is a convex "
               "combination of point functionals\n", args.out)
         return 0
-    payoffs = certificate.payoffs(rep)
+    certificate, payoffs = found
     if args.format == "structured":
         from .serialize import certificate_to_dict
         document = certificate_to_dict(rep, certificate)

@@ -124,11 +124,8 @@ def _solve_membership(rep: WpsRepresentation, restriction: Optional[Iterable[Eve
                                    for atom in _atoms(rep.sample_space, members))
         verify_against: Iterable[Event] = rep.sorted_events(rep.sigma)
     else:
-        events = rep.sorted_events(restriction)
-        for event in events:
-            if not rep.in_sigma(event):
-                raise NotAnEventError("restriction sets must belong to the event family")
-        verify_against = events
+        # mu_of raises NotAnEventError for a set outside the event family.
+        verify_against = events = rep.sorted_events(restriction)
     columns = [[0] for _ in rep.points]  # row 0 normalizes; row k + 1 is the k-th event
     for r, event in enumerate(events, 1):
         for i in _indices(event):
@@ -194,26 +191,20 @@ def verify_certificate(rep: WpsRepresentation, certificate: DutchBookCertificate
     """Exhaustively check the payoff at every sample point.
 
     True exactly when every point loses at least the bound, which the
-    certificate's constructor keeps positive.  Stakes over sets outside the
-    event family are rejected.
+    certificate's constructor keeps positive.  A stake over a set outside
+    the event family has no price, and raises :class:`NotAnEventError`.
     """
-    for event, _ in certificate.stakes:
-        if not rep.in_sigma(event):
-            raise NotAnEventError("a stake references a set outside the event family")
     return all(payoff <= -certificate.loss_bound for payoff in certificate.payoffs(rep))
 
 
-def _null_cover_certificate(rep: WpsRepresentation) -> Optional[DutchBookCertificate]:
-    """Stake minus one on every null maximal-context event, when those cover the space."""
-    nulls, clean = _null_cover(rep, rep.maximal_context_events())
-    if clean:
-        return None
-    stakes = tuple((e, Fraction(-1)) for e in nulls)
-    return DutchBookCertificate(stakes, -max(_payoffs(rep, stakes)))
-
-
 def find_dutch_book(rep: WpsRepresentation) -> Optional[DutchBookCertificate]:
-    """A verified stake certificate, or None when the set function is convex.
+    """The stake certificate of :func:`dutch_book_table`, or None when the set function is convex."""
+    found = dutch_book_table(rep)
+    return None if found is None else found[0]
+
+
+def dutch_book_table(rep: WpsRepresentation) -> Optional[tuple[DutchBookCertificate, list[Fraction]]]:
+    """A stake certificate and its payoff table in point order, checked at every point, or None.
 
     When the null maximal-context events cover the sample space the
     certificate is the canonical uniform stake of minus one on those
@@ -223,25 +214,31 @@ def find_dutch_book(rep: WpsRepresentation) -> Optional[DutchBookCertificate]:
     event(s) for the global-section solve's separating functional y: each
     point is one global section g, so it pays sum_c y(c, g|c) - y.mu <=
     -y.mu < 0.  A padded one solves membership over the whole event family.
-    The stakes are scaled to a worst payoff of minus one.
+    Every stake event is a null maximal-context event, a maximal-context
+    image or a context-algebra atom, so each lies in the event family.
+
+    The table is computed once, and its largest entry, minus the loss
+    bound, checks every point.  Solved stakes are scaled to a worst payoff
+    of -1: dividing each stake by b > 0 divides each payoff, price included.
     """
-    certificate = _null_cover_certificate(rep)
-    if certificate is None:
-        if rep.combinatorial:
-            weights, farkas = _maximal_context_membership(rep)
-            labels = [] if farkas is None else [rep.event(s) for _, s in farkas.rows]
-        else:
-            weights, labels, farkas = _solve_membership(rep, None)
-        if weights is not None:
-            return None
-        stakes = [(event, coef) for event, coef in zip(labels, farkas.coefficients) if coef != 0]
-        bound = -max(_payoffs(rep, stakes))
-        if bound <= 0:
-            raise InternalConsistencyError("separating functional produced no guaranteed loss")
-        certificate = DutchBookCertificate(tuple((event, coef / bound) for event, coef in stakes), ONE)
-    if not verify_certificate(rep, certificate):
-        raise InternalConsistencyError("constructed certificate failed exhaustive verification")
-    return certificate
+    nulls, clean = _null_cover(rep, rep.maximal_context_events())
+    if not clean:
+        stakes = tuple((e, Fraction(-1)) for e in nulls)
+        payoffs = _payoffs(rep, stakes)
+        return DutchBookCertificate(stakes, -max(payoffs)), payoffs
+    if rep.combinatorial:
+        weights, farkas = _maximal_context_membership(rep)
+        labels = [] if farkas is None else [rep.event(s) for _, s in farkas.rows]
+    else:
+        weights, labels, farkas = _solve_membership(rep, None)
+    if weights is not None:
+        return None
+    stakes = [(event, coef) for event, coef in zip(labels, farkas.coefficients) if coef != 0]
+    payoffs = _payoffs(rep, stakes)
+    loss = -max(payoffs)
+    if loss <= 0:
+        raise InternalConsistencyError("the stakes guarantee no loss at some point")
+    return DutchBookCertificate(tuple((e, stake / loss) for e, stake in stakes), ONE), [p / loss for p in payoffs]
 
 
 # ---------------------------------------------------------------------------

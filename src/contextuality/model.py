@@ -15,13 +15,13 @@ from typing import Iterable, Mapping, Sequence
 from .distribution import Distribution, as_fraction, marginalize, point_mass
 from .errors import ScenarioMismatchError, WeightError
 from .record import Record
-from .scenario import Scenario, Section, restrict, sections_over
+from .scenario import Scenario, Section, global_section_columns, restrict, sections_over
 
 
 class EmpiricalModel:
     """A family of context distributions over a common scenario."""
 
-    __slots__ = ("scenario", "_tables")
+    __slots__ = ("scenario", "_tables", "_row_weights")
 
     def __init__(self, scenario: Scenario, tables: Mapping[tuple, Distribution]):
         canon: dict[tuple, Distribution] = {}
@@ -47,6 +47,12 @@ class EmpiricalModel:
     @property
     def tables(self) -> dict[tuple, Distribution]:
         return dict(self._tables)
+
+    def row_weights(self) -> tuple[Fraction, ...]:
+        """Each global-section row's table weight, in row order; read once, as the tables never change."""
+        if not hasattr(self, "_row_weights"):
+            self._row_weights = tuple(self._tables[c].weight(s) for c, s in global_section_columns(self.scenario).rows)
+        return self._row_weights
 
     def support(self, context: Iterable) -> frozenset[Section]:
         return self.table(context).support

@@ -31,7 +31,6 @@ from .errors import (
     EnumerationCapError,
     InternalConsistencyError,
     NonCombinatorialError,
-    NotAnEventError,
     NotAnExtensionError,
     TierMismatchError,
     UnionNotEvaluableError,
@@ -60,13 +59,11 @@ def defect(rep: WpsRepresentation, collection: Iterable[Event], extension=None) 
     events = list(dict.fromkeys(collection))
     union = reduce(or_, events, 0)
     if extension is None:
-        for e in events:
-            if not rep.in_sigma(e):
-                raise NotAnEventError("a witness member is outside the event family")
+        # mu_of raises NotAnEventError for a member outside the event family.
+        member_sum = sum((rep.mu_of(e) for e in events), ZERO)
         if not rep.in_sigma(union):
             raise UnionNotEvaluableError("the union of the collection carries no value in the event family")
         union_value = rep.mu_of(union)
-        member_sum = sum((rep.mu_of(e) for e in events), ZERO)
     else:
         union_value = extension.value(union)
         member_sum = sum((extension.value(e) for e in events), ZERO)
@@ -165,10 +162,8 @@ def verify_witness(rep: WpsRepresentation, witness: ViolationWitness) -> bool:
     data = witness.support_data
     if not isinstance(data, MarginalizationFailure) or data.extension_kind != extensions.EnvelopeExtension.kind:
         return False
-    # The parts are pairwise disjoint exactly when their sizes add up to their union's.
-    if sum(e.bit_count() for e in witness.collection) != reduce(or_, witness.collection, 0).bit_count():
-        return False
-    # Only a maximal context and a section over it name a row.
+    # Only a maximal context and a section over it name a row.  Its core parts
+    # are atoms, so a collection equal to them is pairwise disjoint.
     if data.context not in rep.model.scenario.maximal_contexts or data.section.domain != data.context:
         return False
     if witness.collection != core_parts(rep, data.section):
@@ -249,49 +244,51 @@ def _covered_support_witness(rep: WpsRepresentation, nulls: tuple[Event, ...],
     return ViolationWitness(ViolationKind.SUBADDITIVITY, collection, value, data)
 
 
+def witness_from_verdict(rep: WpsRepresentation, verdict: classifier.TierVerdict) -> ViolationWitness:
+    """The violation witness of a verdict on the representation's model, which is asked nothing again.
+
+    Strong: null events covering the sample space, defect one.  Logical:
+    those null events and the other images of the witness section's context,
+    defect its weight.  Probabilistic: core parts that the monotone envelope
+    fails to add up, with the certificate that every monotonic extension
+    fails somewhere.  Each builder checks its collection.
+    """
+    if verdict.tier is classifier.Tier.PROBABILISTIC:
+        return _additivity_witness(rep, verdict.certificate)
+    if verdict.tier not in (classifier.Tier.STRONG, classifier.Tier.LOGICAL):
+        raise TierMismatchError(f"no violation witness exists for tier {verdict.tier}")
+    # Padding lives in the excised events, which are null; a combinatorial
+    # representation excises nothing.
+    events = list(rep.maximal_context_events())
+    if not rep.combinatorial:
+        report = excise(rep)
+        events += report.d1 | report.d2
+    nulls, _ = _null_cover(rep, events)
+    if verdict.tier is classifier.Tier.STRONG:
+        return _maximal_witness(rep, nulls)
+    return _covered_support_witness(rep, nulls, verdict.logical_witness)
+
+
 def tier_violation_witness(rep: WpsRepresentation, tier: classifier.Tier,
                            cap: int = DEFAULT_ENUMERATION_CAP) -> ViolationWitness:
     """Build the violation witness certifying a contextuality tier.
 
-    The representation's model must actually have the named property (a
-    strongly contextual model has all three).  Strong contextuality yields
-    a measure-zero collection covering the sample space, defect exactly
-    one.  Logical contextuality yields a cover of the sample space whose
-    only positive-measure members are the other events of the witness
-    section's context, defect equal to the witness weight.  Probabilistic
-    contextuality yields a disjoint collection violating additivity in the
-    monotone envelope, with the feasibility certificate, which proves that
-    every monotonic extension fails somewhere, attached.
+    The representation's model must have the named property (a strongly
+    contextual model has all three).  Only that tier's question is asked;
+    :func:`witness_from_verdict` builds the witness from its answer.
     """
-    model = rep.model
-
-    if tier in (classifier.Tier.STRONG, classifier.Tier.LOGICAL):
-        # Padding lives in the excised events, which are null; a combinatorial
-        # representation excises nothing.
-        events = list(rep.maximal_context_events())
-        if not rep.combinatorial:
-            report = excise(rep)
-            events += report.d1 | report.d2
-        nulls, _ = _null_cover(rep, events)
-
-    if tier is classifier.Tier.STRONG:
-        if not classifier.is_strongly_contextual(model, cap=cap):
-            raise TierMismatchError("the model is not strongly contextual")
-        return _maximal_witness(rep, nulls)
-
-    if tier is classifier.Tier.LOGICAL:
-        logical, witness_section = classifier.is_logically_contextual(model, cap=cap)
-        if not logical:
-            raise TierMismatchError("the model is not logically contextual")
-        return _covered_support_witness(rep, nulls, witness_section)
-
+    verdict = classifier.TierVerdict(tier)
     if tier is classifier.Tier.PROBABILISTIC:
-        result = classifier.global_distribution(model, cap=cap)
+        result = classifier.global_distribution(rep.model, cap=cap)
         if isinstance(result, Distribution):
             raise TierMismatchError("the model admits a global distribution")
-        return _additivity_witness(rep, result)
-
-    raise TierMismatchError(f"no violation witness exists for tier {tier}")
+        verdict = classifier.TierVerdict(tier, certificate=result)
+    elif tier in (classifier.Tier.STRONG, classifier.Tier.LOGICAL):
+        strong, section = classifier._support_cover(rep.model, cap)
+        if section is None or tier is classifier.Tier.STRONG and not strong:
+            raise TierMismatchError(f"the model is not {str(tier).lower()}ly contextual")
+        verdict = classifier.TierVerdict(tier, logical_witness=section)
+    return witness_from_verdict(rep, verdict)
 
 
 # ---------------------------------------------------------------------------

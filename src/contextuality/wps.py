@@ -397,8 +397,6 @@ class RepVerdict(Record):
         self._fill(ok, failures, warnings)
 
     def __str__(self) -> str:
-        if self.ok and not self.warnings:
-            return "representation verified"
         parts = [str(f) for f in self.failures] + [f"warning {w}" for w in self.warnings]
         return "; ".join(parts) if parts else "representation verified"
 
@@ -412,7 +410,8 @@ def verify_rep(rep: WpsRepresentation) -> RepVerdict:
     section maps to the sample space Y), ``transfer-injectivity``,
     ``nonempty-image``, ``sheaf-intersection`` (an image is Y intersected
     with its single-measurement images, as ``rep.event`` is elsewhere),
-    ``wc-closure`` (each context family is a Boolean algebra on Y),
+    ``wc-closure`` (each context family is a Boolean algebra on Y, and
+    every valued event lies in one),
     ``wc-measure`` (an exact probability measure on it), ``ec`` (each image
     carries its table value), ``me`` (distinct sections of one context
     overlap in a null event), ``model-compatibility`` (the tables agree on
@@ -543,6 +542,8 @@ def _verify_rep(rep: WpsRepresentation, report: CompatibilityReport) -> RepVerdi
                 elif rep.mu[inter] != 0:
                     fail("me", f"overlap of {s} and {t} has value {rep.mu[inter]}")
 
+    if stray := rep.mu.keys() - set().union(*rep.sigma_algebras.values()):
+        fail("wc-closure", f"an event valued {rep.mu[min(stray)]} lies in no context algebra")
     if any(n < 0 for n in numerator.values()):
         fail("wc-measure", f"negative value {min(rep.mu.values())}")
 

@@ -31,7 +31,7 @@ from contextuality.classifier import (
 from contextuality.distribution import Distribution, marginalize
 from contextuality.errors import DomainError, InternalConsistencyError
 from contextuality.feasibility import FeasibilityOutcome
-from contextuality.model import check_model, deterministic_model, mixture
+from contextuality.model import EmpiricalModel, check_model, deterministic_model, mixture
 from contextuality.scenario import Section, restrict
 
 from conftest import noisy_cycle
@@ -223,6 +223,27 @@ class TestClassify:
             verdict = classify(model)
             assert verdict.tier is Tier.NONCONTEXTUAL
             verify_global_distribution(model, verdict.global_distribution)
+
+    @pytest.mark.parametrize("make, reads", [
+        (lambda: EmpiricalModel(bell_model().scenario, bell_model().tables), 22),
+        (lambda: noisy_cycle(9, Fraction(1, 8)), 48),
+    ], ids=["bell", "cycle-9"])
+    def test_each_row_weight_is_read_once(self, make, reads, monkeypatch):
+        # The support cover and the solve share one read of the rows' table
+        # weights; only the certificate's own re-check reads its non-zero rows again.
+        model, calls = make(), []
+        weight = Distribution.weight
+
+        def counting(self, section):
+            calls.append(section)
+            return weight(self, section)
+
+        monkeypatch.setattr(Distribution, "weight", counting)
+        verdict = classify(model)
+        rows = len(verdict.certificate.rows)
+        assert len(calls) == reads == rows + sum(1 for y in verdict.certificate.coefficients if y)
+        classify(model)
+        assert len(calls) == reads + reads - rows
 
     def test_classify_is_deterministic(self):
         a = classify(bell_model())

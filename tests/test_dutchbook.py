@@ -28,6 +28,7 @@ from contextuality.dutchbook import (
     convexity_hierarchy,
     convexity_membership,
     distribution_to_convex_point,
+    dutch_book_table,
     find_dutch_book,
     section_to_functional,
     verify_certificate,
@@ -175,16 +176,31 @@ class TestPayoffTable:
         pool.update((f"padded:{name}", rep) for name, rep in padded_catalog_reps.items())
         pool.update((f"cycle-{n}:{share}", build_combinatorial_rep(noisy_cycle(n, share)))
                     for n in range(3, 10) for share in (Fraction(1, 8), Fraction(1, 2)))
-        books = 0
+        books = scaled = 0
         for name, rep in pool.items():
-            certificate = find_dutch_book(rep)
-            if certificate is None:
+            found = dutch_book_table(rep)
+            if found is None:
                 continue
+            # The handed-out table is computed once, for the unscaled stakes, and
+            # divided by the loss; recomputed from the scaled stakes it must agree.
+            certificate, table = found
             books += 1
+            scaled += any(stake not in (-1, 1) for _, stake in certificate.stakes)
             payoffs = certificate.payoffs(rep)
-            assert payoffs == self.oracle(rep, certificate), name
+            assert table == payoffs == self.oracle(rep, certificate), name
             assert max(payoffs) == -1, name
-        assert books >= 15
+        assert books >= 15 and scaled >= 4
+
+    @pytest.mark.parametrize("forge", [lambda y: -y, lambda y: 0 * y])
+    def test_stakes_that_lose_nowhere_are_refused(self, reps, forge, monkeypatch):
+        # A functional that fails to separate gives a table whose largest entry
+        # is not negative; the book is refused, not scaled by a non-positive loss.
+        rep = reps["bell"]
+        _, certificate = dutchbook._maximal_context_membership(rep)
+        forged = classifier.GlobalDistributionCertificate(certificate.rows, tuple(map(forge, certificate.coefficients)))
+        monkeypatch.setattr(dutchbook, "_maximal_context_membership", lambda rep: (None, forged))
+        with pytest.raises(InternalConsistencyError, match="no loss"):
+            dutch_book_table(rep)
 
     @pytest.fixture(scope="class")
     def bell_book(self, catalog_reps):

@@ -22,7 +22,7 @@ from contextuality.catalog import (
     specker_triangle_model,
     two_party_scenario,
 )
-from contextuality.classifier import Tier, classify
+from contextuality.classifier import Tier, TierVerdict, classify
 from contextuality.cli import main
 from contextuality.errors import (
     NonCombinatorialError,
@@ -61,6 +61,7 @@ from contextuality.violations import (
     tier_violation_witness,
     verify_extension,
     verify_witness,
+    witness_from_verdict,
 )
 from contextuality.wps import (
     PadPoint,
@@ -221,6 +222,18 @@ class TestTierWitnesses:
                 assert tier_violation_witness(rep, Tier.LOGICAL) == logical_witness
             graded.add(tier)
         assert {Tier.STRONG, Tier.LOGICAL, Tier.PROBABILISTIC} <= graded
+
+    def test_the_verdict_witness_is_the_tier_witness(self, catalog_reps, padded_catalog_reps):
+        # classify's verdict carries the evidence that the tier's own question
+        # would find again, so both entry points build one witness.
+        pool = [*catalog_reps.values(), *padded_catalog_reps.values()]
+        for rep in pool:
+            verdict = classify(rep.model)
+            witness = witness_from_verdict(rep, verdict)
+            assert witness == tier_violation_witness(rep, verdict.tier), rep
+            assert verify_witness(rep, witness), rep
+        with pytest.raises(TierMismatchError):
+            witness_from_verdict(pool[0], TierVerdict(Tier.NONCONTEXTUAL))
 
     @pytest.mark.parametrize("tier", [Tier.STRONG, Tier.LOGICAL])
     def test_padded_tier_witnesses_hold_the_excised_events(self, padded_catalog_reps, tier):

@@ -652,6 +652,43 @@ class TestCli:
         assert len(solves) == count
         assert "tier: " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, counted", [
+        (["witness", "specker-triangle"], "_support_cover"),
+        (["witness", "hardy"], "_support_cover"),
+        (["witness", "pr-box"], "_support_cover"),
+        (["witness", "bell"], "global_distribution"),
+        (["witness", "cycle-13"], "global_distribution"),
+        (["dutchbook", "hardy"], "_payoffs"),
+        (["dutchbook", "bell"], "_payoffs"),
+        (["dutchbook", "pr-box"], "_payoffs"),
+        (["dutchbook", "cycle-13"], "_payoffs"),
+        (["witness", "pr-box", "--tier", "strong"], "_support_cover"),
+        (["witness", "pr-box", "--tier", "logical"], "_support_cover"),
+        (["witness", "hardy", "--tier", "logical"], "_support_cover"),
+        (["witness", "pr-box", "--tier", "probabilistic"], "global_distribution"),
+        (["witness", "bell", "--tier", "probabilistic"], "global_distribution"),
+    ])
+    def test_witness_and_dutchbook_answer_once(self, argv, counted, monkeypatch, tmp_path, capsys):
+        # witness builds from classify's verdict, and dutchbook prints the one
+        # payoff table it checked: neither asks the tier's question again.
+        from contextuality import classifier, dutchbook
+        module = dutchbook if counted == "_payoffs" else classifier
+        calls = []
+        core = getattr(module, counted)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return core(*args, **kwargs)
+
+        monkeypatch.setattr(module, counted, counting)
+        if argv[1] == "cycle-13":
+            path = tmp_path / "cycle13.json"
+            path.write_text(dumps(model_to_dict(noisy_cycle(13, Fraction(1, 8)))))
+            argv = [argv[0], str(path)]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.startswith("model: ")
+
     @pytest.mark.parametrize("name", ["bell", "hardy", "pr-box", "specker-triangle", "ghz", "singlet", "cycle-8"])
     def test_classify_poses_no_explicit_column_system(self, name, monkeypatch, tmp_path, capsys):
         # Every convexity line comes from the global-section source, so no

@@ -373,6 +373,14 @@ class TestVerifyRepFailures:
         assert not verdict.ok
         assert any(f.condition == "wc-closure" for f in verdict.failures)
 
+    def test_valued_event_outside_every_algebra_reports_closure(self, bell_rep):
+        # Points 0 and 1 make up no member of any context algebra of bell, so a
+        # value stored for them extends the event family past the algebras.
+        stray = bell_rep.event_of(bell_rep.points[:2])
+        assert stray == 0b11 and not any(stray in members for members in bell_rep.sigma_algebras.values())
+        verdict = verify_rep(_with(bell_rep, mu={**bell_rep.mu, stray: Fraction(1, 16)}))
+        assert [str(f) for f in verdict.failures] == ["[wc-closure] an event valued 1/16 lies in no context algebra"]
+
     def test_wrong_flag_reported(self, bell_rep):
         tampered = WpsRepresentation(
             bell_rep.model, bell_rep.points, bell_rep.transfer,
