@@ -8,12 +8,16 @@ is the intersection of its single-measurement images, since a section is
 determined by its restrictions; ``event`` computes it on any other domain.
 
 Two constructions are provided.  The combinatorial one uses one sample
-point per global section; it satisfies the two extra combinatorial
-conditions (strong mutual exclusivity and exhaustiveness).  The padded one
-adds measure-irrelevant points lying in contradictory same-measurement
-overlaps or outside every outcome of some measurement, which breaks the
-combinatorial conditions while preserving the per-context probability
-spaces, empirical consistency, and mutual exclusivity.
+point per global section and satisfies the two extra combinatorial
+conditions (strong mutual exclusivity and exhaustiveness).  With k outcomes
+and n measurements, point i is the global section whose outcome indices, the
+first measurement's most significant, are the base-k digits of i (of
+k^n - 1 - i in reversed order).  So the image of outcome i of the p-th
+measurement is a run of k^(n-1-p) ones at bit i*k^(n-1-p), repeated every
+k^(n-p) bits.  The padded one adds measure-irrelevant points lying in
+contradictory same-measurement overlaps or outside every outcome of some
+measurement, which breaks the combinatorial conditions while preserving the
+per-context probability spaces, empirical consistency, and mutual exclusivity.
 
 An event is an ``int`` mask over point indices: bit i stands for
 ``points[i]``.  Its canonical order is the ascending tuple of point indices
@@ -24,6 +28,7 @@ difference and size: write ``not a & ~b``, ``a & ~b`` and ``a.bit_count()``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import reduce
@@ -42,7 +47,7 @@ from .errors import (
 from .model import CompatibilityReport, EmpiricalModel, check_model
 from .distribution import marginalize
 from .record import Failure, Record
-from .scenario import Section, all_contexts, restrict, sections_over
+from .scenario import Section, all_contexts, check_global_section_cap, restrict, sections_over
 
 Event = int
 
@@ -274,10 +279,6 @@ def build_padded_rep(model: EmpiricalModel, pads: Sequence[PadPoint],
     return rep
 
 
-def _global_point_label(section: Section) -> str:
-    return ",".join(str(o) for o in section.values)
-
-
 def _build(model: EmpiricalModel, pads: tuple[PadPoint, ...],
            point_order: str, cap: int) -> tuple[WpsRepresentation, CompatibilityReport]:
     """The representation, and the model's compatibility report for its self-verify."""
@@ -288,17 +289,16 @@ def _build(model: EmpiricalModel, pads: tuple[PadPoint, ...],
 
     if point_order not in ("canonical", "reversed"):
         raise DomainError(f"point_order must be 'canonical' or 'reversed', not {point_order!r}")
-    base_sections = scenario.global_sections(cap=cap)
-    if point_order == "reversed":
-        base_sections = base_sections[::-1]
-
-    # Single-measurement images: point i joins the image of each outcome its
-    # global section assigns, or of each outcome its pad memberships name.
-    points = [_global_point_label(s) for s in base_sections]
-    singleton = {(x, o): 0 for x in scenario.measurements for o in scenario.outcomes}
-    for i, g in enumerate(base_sections):
-        for key in zip(g.domain, g.values):
-            singleton[key] |= 1 << i
+    check_global_section_cap(scenario, cap)
+    alphabet = scenario.outcomes[::-1] if point_order == "reversed" else scenario.outcomes
+    k, n = len(alphabet), len(scenario.measurements)
+    # Point i is the i-th global section over ``alphabet``: the image of outcome
+    # i of the p-th measurement is a run of k^(n-1-p) ones at bit i*k^(n-1-p),
+    # repeated every k^(n-p) bits.  Pad points join the images their memberships name.
+    points = [",".join(values) for values in itertools.product(map(str, alphabet), repeat=n)]
+    runs = {x: k ** (n - 1 - p) for p, x in enumerate(scenario.measurements)}
+    singleton = {(x, o): ((1 << k ** n) - 1) // ((1 << k * run) - 1) * ((1 << run) - 1) << i * run
+                 for x, run in runs.items() for i, o in enumerate(alphabet)}
     for pad in pads:
         if pad.label in points:
             raise PaddingError(f"padding label {pad.label!r} collides with an existing point")

@@ -30,6 +30,8 @@ from contextuality.classifier import (
     is_strongly_contextual,
 )
 from contextuality.distribution import Distribution
+from contextuality.model import EmpiricalModel
+from contextuality.scenario import Scenario, sections_over
 from contextuality.dutchbook import (
     convexity_hierarchy,
     convexity_membership,
@@ -59,6 +61,7 @@ from contextuality.extensions import sample_monotone_extensions
 from contextuality.wps import build_combinatorial_rep, excise, verify_rep
 from conftest import standard_paddings
 from contextuality.wps import build_padded_rep
+from test_global_sections import THREE_OUTCOME_CYCLE
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -327,3 +330,80 @@ def test_09_property_suites(catalog_reps, padded_catalog_reps):
         ok = ok and ((not strong) or logical) and ((not logical) or probabilistic)
     _report("9 property suites (representation conditions, excision core, hierarchy)",
             ok, "full suites in test_properties.py run standalone")
+
+
+# ---------------------------------------------------------------------------
+# Criterion 10: a seeded adversarial pool, in both point orders
+# ---------------------------------------------------------------------------
+
+
+def _twisted_cycle(n: int) -> EmpiricalModel:
+    """The binary n-cycle whose contexts allow an odd number of disagreements in all: strongly contextual.
+
+    Every context but the last is perfectly anticorrelated; the last is too
+    when n is odd, and perfectly correlated when n is even."""
+    names = [f"x{i}" for i in range(n)]
+    scenario = Scenario(names, [(names[i], names[(i + 1) % n]) for i in range(n)], ("0", "1"))
+    tables = {}
+    for i, context in enumerate(scenario.maximal_contexts):
+        differ = i < n - 1 or n % 2 == 1
+        tables[context] = Distribution(scenario, context, {
+            s: Fraction((s.values[0] != s.values[1]) == differ, 2) for s in sections_over(scenario, context)})
+    return EmpiricalModel(scenario, tables)
+
+
+def _shift_box(scenario: Scenario) -> EmpiricalModel:
+    """Each context's second outcome is its first plus one modulo |O|, uniformly: strongly
+    contextual on the three-outcome 4-cycle, where four shifts cannot return to the start."""
+    k = len(scenario.outcomes)
+    tables = {
+        context: Distribution(scenario, context, {
+            s: Fraction(scenario.outcome_index(s.values[1]) == (scenario.outcome_index(s.values[0]) + 1) % k, k)
+            for s in sections_over(scenario, context)})
+        for context in scenario.maximal_contexts
+    }
+    return EmpiricalModel(scenario, tables)
+
+
+def _adversarial_pool() -> list[EmpiricalModel]:
+    """Strongly contextual models pushed toward the tier boundaries by seeded deterministic noise:
+    twisted n-cycles for n = 3..8, the three-outcome 4-cycle's shift box and GHZ, each mixed
+    with a share of noise in [0, 1/2], plus deterministic mixtures on the three-outcome 4-cycle."""
+    rng = random.Random(33)
+
+    def share() -> Fraction:
+        return Fraction(rng.randint(0, 16), 32)
+
+    models = [perturbed_model(_twisted_cycle(n), rng, share()) for n in range(3, 9) for _ in range(4)]
+    for _ in range(4):
+        models.append(random_deterministic_mixture(THREE_OUTCOME_CYCLE, rng, components=rng.randint(1, 5)))
+        models.append(perturbed_model(_shift_box(THREE_OUTCOME_CYCLE), rng, share()))
+    models += [perturbed_model(entry("ghz").model, rng, share()) for _ in range(4)]
+    return models
+
+
+def test_10_adversarial_pool():
+    start = time.monotonic()
+    models = _adversarial_pool()
+    ok = True
+    tiers = set()
+    for model in models:
+        tier = classify(model).tier
+        tiers.add(tier)
+        strong, logical, probabilistic = _tier_booleans(model)
+        answers = []
+        for order in ("canonical", "reversed"):
+            rep = build_combinatorial_rep(model, point_order=order)
+            violations = tuple(violation(rep)[0] for violation in (
+                strong_subadditivity_violation, logical_subadditivity_violation, additivity_violation))
+            triangle = (find_dutch_book(rep) is None, has_classical_extension(rep) is not None,
+                        convexity_membership(rep) is not None)
+            ok = ok and violations == (strong, logical, probabilistic)
+            ok = ok and set(triangle) == {tier is Tier.NONCONTEXTUAL}
+            answers.append(violations + triangle)
+        ok = ok and answers[0] == answers[1]
+    # The pool reaches every tier, so each biconditional is checked both ways.
+    ok = ok and tiers == set(Tier)
+    elapsed = time.monotonic() - start
+    _report("10 adversarial pool: biconditionals and de Finetti triangle in both point orders",
+            ok and elapsed < 30.0, f"{len(models)} models, {sorted(t.name for t in tiers)}, {elapsed:.2f}s < 30s")

@@ -30,7 +30,7 @@ from contextuality.scenario import (
     sections_over,
 )
 from contextuality.violations import additivity_violation
-from contextuality.wps import build_combinatorial_rep
+from contextuality.wps import build_combinatorial_rep, build_padded_rep
 
 from conftest import global_section_system, noisy_cycle, patch_every_layer
 
@@ -188,6 +188,10 @@ def test_cap_message_names_the_global_sections():
     for solve in (global_distribution, classify):
         with pytest.raises(EnumerationCapError, match=f"^{message}$"):
             solve(model, cap=15)
+    # The representation's points are the global sections, padded or not.
+    for build in (build_combinatorial_rep, lambda model, cap: build_padded_rep(model, (), cap=cap)):
+        with pytest.raises(EnumerationCapError, match=f"^{message}$"):
+            build(model, cap=15)
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,12 @@ class TestCli:
         assert main([*argv, "--cap", "100"]) == 3
         assert capsys.readouterr().err == "error: enumerating 256 algebra members exceeds the cap of 100\n"
 
+    @pytest.mark.parametrize("command", ["witness", "dutchbook"])
+    def test_representation_cap_names_the_global_sections(self, command, capsys):
+        # The representation's points are the global sections, and its cap says so as classify's does.
+        assert main([command, "ghz", "--cap", "63"]) == 3
+        assert capsys.readouterr().err == "error: enumerating 64 global sections exceeds the cap of 63\n"
+
     @pytest.mark.parametrize("name", ["bell", "hardy", "pr-box", "specker-triangle", "ghz", "singlet", "cycle-17"])
     def test_classify_builds_no_representation(self, name, monkeypatch, tmp_path, capsys):
         # Every line of classify is read from the tier: on the combinatorial

@@ -20,8 +20,9 @@ from contextuality.distribution import Distribution
 from contextuality.errors import DomainError, NotAnEventError, PaddingError
 from contextuality.model import EmpiricalModel, deterministic_model
 from contextuality.record import Failure
-from contextuality.scenario import Scenario, all_contexts, restrict, sections_over
+from contextuality.scenario import Scenario, Section, all_contexts, global_section_columns, restrict, sections_over
 from conftest import noisy_cycle, patch_every_layer, standard_paddings
+from test_global_sections import ONE_MEASUREMENT, THREE_OUTCOME_CYCLE, THREE_OUTCOMES, mixture_model
 from contextuality.wps import (
     PadPoint,
     WpsRepresentation,
@@ -111,8 +112,8 @@ def test_representations_enumerate_sections_over_contexts_only(monkeypatch):
 
     def guarded_sections(scenario, measurements, *args, **kwargs):
         measurements = tuple(measurements)
-        # The points are the global sections; every other domain must be a context.
-        if set(measurements) != set(scenario.measurements) and not scenario.is_context(measurements):
+        # The points are numbered, not listed: every domain must be a context.
+        if not scenario.is_context(measurements):
             raise AssertionError(f"sections enumerated over the non-context domain {measurements!r}")
         return sections_over(scenario, measurements, *args, **kwargs)
 
@@ -121,6 +122,58 @@ def test_representations_enumerate_sections_over_contexts_only(monkeypatch):
     for model in models:
         assert verify_rep(build_combinatorial_rep(model)).ok
         assert verify_rep(build_padded_rep(model, standard_paddings(model.scenario))).ok
+
+
+NUMBERED = (
+    [(entry.name, entry.model) for entry in catalog()]
+    + [(f"noisy-cycle-{n}", noisy_cycle(n, Fraction(1, 8))) for n in range(3, 10)]
+    + [(name, mixture_model(scenario, 0)) for name, scenario in (
+        ("three-outcome", THREE_OUTCOMES), ("three-outcome-cycle", THREE_OUTCOME_CYCLE),
+        ("one-measurement", ONE_MEASUREMENT))]
+)
+
+
+def _check_numbering(rep, order):
+    """Point i is column i's global section, or column |Y|-1-i's in reversed order; its label is its outcomes."""
+    scenario = rep.model.scenario
+    columns = global_section_columns(scenario)
+    single = {(x, o): rep.event(scenario.section({x: o})) for x in scenario.measurements for o in scenario.outcomes}
+    for i in range(len(columns)):
+        g = columns.section(i if order == "canonical" else len(columns) - 1 - i)
+        held = [[o for o in scenario.outcomes if single[(x, o)] >> i & 1] for x in scenario.measurements]
+        assert held == [[o] for o in g.values], (order, i)
+        assert rep.points[i] == ",".join(map(str, g.values))
+
+
+@pytest.mark.parametrize("order", ["canonical", "reversed"])
+@pytest.mark.parametrize("model", [model for _, model in NUMBERED], ids=[name for name, _ in NUMBERED])
+def test_points_are_the_numbered_global_sections(model, order):
+    _check_numbering(build_combinatorial_rep(model, point_order=order), order)
+
+
+@pytest.mark.parametrize("order", ["canonical", "reversed"])
+def test_padded_points_follow_the_numbered_global_sections(catalog_entries, order):
+    for entry in catalog_entries.values():
+        pads = standard_paddings(entry.model.scenario)
+        rep = build_padded_rep(entry.model, pads, point_order=order)
+        _check_numbering(rep, order)
+        assert rep.points[-len(pads):] == tuple(pad.label for pad in pads)
+
+
+def test_build_constructs_no_section_per_point(monkeypatch):
+    # The points are numbered, not listed: the build makes the sections over
+    # the contexts, and none of the 2^13 global sections.
+    model = noisy_cycle(13, Fraction(1, 8))
+    made = []
+    init = Section.__init__
+
+    def counting_init(self, *args):
+        made.append(None)
+        init(self, *args)
+
+    monkeypatch.setattr(Section, "__init__", counting_init)
+    build_combinatorial_rep(model)
+    assert len(made) < 2 ** 13
 
 
 class TestPaddedConstruction:
