@@ -73,7 +73,7 @@ def _support_cover(model: EmpiricalModel, cap: int) -> tuple[bool, Optional[Sect
     weights = [1 if w else excluded for w in model.row_weights()]
     if excluded not in weights:
         return False, None
-    while (found := source.entering(weights, False)) is not None:
+    while (found := source.entering(weights)) is not None:
         if 1 not in map(weights.__getitem__, found[2]):
             raise InternalConsistencyError("the support cover entered a column that reaches no new row")
         for r in found[2]:

@@ -152,15 +152,18 @@ _TIER_FLAGS = ("strong", "logical", "probabilistic")
 
 
 def _cmd_witness(args) -> int:
-    from .violations import tier_violation_witness, witness_from_verdict
+    from .violations import _refuse_noncontextual, tier_violation_witness, witness_from_verdict
     from .wps import build_combinatorial_rep
     name, model = _resolve_model(args)
-    rep = build_combinatorial_rep(model, cap=args.cap)
     if args.tier:
+        rep = build_combinatorial_rep(model, cap=args.cap)
         witness = tier_violation_witness(rep, classifier.Tier[args.tier.upper()], cap=args.cap)
     else:
-        # The verdict is the witness's evidence; the builder refuses a Noncontextual one.
-        witness = witness_from_verdict(rep, classifier.classify(model, cap=args.cap))
+        # The verdict is the witness's evidence; a Noncontextual one is refused before any representation is built.
+        verdict = classifier.classify(model, cap=args.cap)
+        _refuse_noncontextual(verdict.tier)
+        rep = build_combinatorial_rep(model, cap=args.cap)
+        witness = witness_from_verdict(rep, verdict)
     if args.format == "structured":
         from .serialize import witness_to_dict
         _emit(json.dumps(witness_to_dict(rep, witness), indent=2) + "\n", args.out)

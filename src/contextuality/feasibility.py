@@ -15,10 +15,9 @@ Method: one core, :func:`solve_source`, reads an integer matrix A through a
 the number of columns; ``local_rows()``, each row's image under a linear
 map that is injective on the span of the rows; ``column(j)``, column j's
 rows and entries; ``maximum(w)``, the largest Σ_r w_r·A_rj over all
-columns j for integer row weights w; ``entering(w, bland)``, the column
-the simplex enters: the least index with the largest positive value, or
-with ``bland`` the least index with a positive value, with that value and
-the column's rows and entries, or None when no value is positive.
+columns j for integer row weights w; ``entering(w)``, the column the
+simplex enters: the least index with the largest positive value, with that
+value and the column's rows and entries, or None when no value is positive.
 :class:`ExplicitColumns` lists its columns, prices every one of them, and
 takes its dense rows as local rows; the Dutch-book membership systems pose
 their 0/1 point columns through it.  The global-section system has one
@@ -59,14 +58,15 @@ combination of original rows that its artificial entries record, so the
 weighted sums are exactly the reduced costs that tableau would hold, and
 d·B⁻¹A_j its entering column: the pivot path, the solutions and the
 certificates are the dense tableau's.  The entering column has the
-largest reduced cost; after a run of degenerate pivots the solver prices by
-Bland's least-index rule until a pivot makes progress.  A pivot that makes
-progress lowers the phase-1 objective, and Bland's rule cannot cycle, so
-every degenerate run ends and the simplex terminates; an entering value that
-is not positive or not the handed-back column's worth, or a pivot that raises
-the objective, raises InternalConsistencyError instead of looping.  The
-Farkas ray is read exactly from the final basis and checked with the
-source's exact maximum over all columns; the primal vector,
+largest reduced cost, and ratio-test ties go to the block row, right-hand
+side then d·B⁻¹, lexicographically least over its entering coefficient
+(Dantzig, Orden and Wolfe, Pacific J. Math. 5, 1955): the rows [b | I]
+stay lexicographically positive, so the objective row over d, a function
+of the basis, falls lexicographically at every pivot and no basis recurs.
+An entering value that is not positive or not the handed-back column's
+worth, or a pivot that raises the objective, raises InternalConsistencyError
+instead of looping.  The Farkas ray is read exactly from the final basis and
+checked with the source's exact maximum over all columns; the primal vector,
 x_j = block[r][k] / (d·L), is checked against every row in integers scaled
 by d·L and returned as its support, ``{j: x_j}`` over the basic columns with
 x_j > 0 in ascending j, so no solve lists all the columns.  All orderings
@@ -82,10 +82,6 @@ from typing import Sequence
 
 from .errors import InternalConsistencyError
 from .record import Record
-
-# Consecutive degenerate pivots priced by the largest reduced cost before
-# pricing falls back to Bland's least-index rule.
-_STALL = 10
 
 
 class FarkasCertificate(Record):
@@ -148,14 +144,11 @@ class ExplicitColumns:
     def maximum(self, weights: list[int]) -> int:
         return max(self._costs(weights), default=0)
 
-    def entering(self, weights: list[int], bland: bool) -> tuple[int, int, Sequence[int], Sequence[int]] | None:
+    def entering(self, weights: list[int]) -> tuple[int, int, Sequence[int], Sequence[int]] | None:
         costs = self._costs(weights)
-        if bland:
-            col = next((j for j, cost in enumerate(costs) if cost > 0), None)
-        else:
-            best = max(costs, default=0)
-            col = costs.index(best) if best > 0 else None
-        return None if col is None else (col, costs[col], self.columns[col], self.values[col])
+        best = max(costs, default=0)
+        col = costs.index(best) if best > 0 else None
+        return None if col is None else (col, best, self.columns[col], self.values[col])
 
 
 def solve_source(source, rhs: Sequence) -> FeasibilityOutcome:
@@ -219,7 +212,7 @@ def _phase1(source, sign: list[int], cost: list[int], target: list[int],
     block = [[int(c == r) for c in range(k)] + [target[i]] for r, i in enumerate(independent)]
     block.append([0] * k + [sum(cost[i] * target[i] for i in independent)])
     basis = list(range(len(source), len(source) + k))
-    weights, d, degenerate = [0] * len(sign), 1, 0
+    weights, d = [0] * len(sign), 1
     while block[k][k]:
         # Row k is (π - d·cost) on the artificials with π = d·yᵀ, so the
         # reduced cost of column j, the integer the dense tableau would hold,
@@ -227,7 +220,7 @@ def _phase1(source, sign: list[int], cost: list[int], target: list[int],
         # weights π_i·sign_i.
         for v, i in zip(block[k], independent):
             weights[i] = (v + d * cost[i]) * sign[i]
-        found = source.entering(weights, degenerate >= _STALL)
+        found = source.entering(weights)
         if found is None:
             break
         col, value, rows, entries = found
@@ -243,17 +236,24 @@ def _phase1(source, sign: list[int], cost: list[int], target: list[int],
             if coef > 0:
                 num = block[i][k]
                 if leave is None or num * lcoef < lnum * coef or (
-                        num * lcoef == lnum * coef and basis[i] < basis[leave]):
+                        num * lcoef == lnum * coef and _precedes(block[i], coef, block[leave], lcoef)):
                     leave, lnum, lcoef = i, num, coef
         if leave is None:
             raise InternalConsistencyError("phase-1 objective is bounded; no leaving row found")
-        degenerate = 0 if lnum else degenerate + 1
         # The objective is block[k][k] / d before the pivot and over the new d after it.
         objective, prior, d = block[k][k], d, _pivot(block, entering, leave, d)
         if block[k][k] * prior > objective * d:
             raise InternalConsistencyError("a pivot raised the phase-1 objective")
         basis[leave] = col
     return basis, d, block
+
+
+def _precedes(row: list[int], coef: int, other: list[int], ocoef: int) -> bool:
+    """Whether block row ``row / coef`` is lexicographically less than ``other / ocoef``, right-hand sides tied."""
+    for x, y in zip(row, other):
+        if x * ocoef != y * coef:
+            return x * ocoef < y * coef
+    raise InternalConsistencyError("two rows of the basis inverse tie in the ratio test")
 
 
 def _pivot(block: list[list[int]], column: list[int], row: int, d: int) -> int:

@@ -270,9 +270,9 @@ class GlobalSectionColumns:
     max-table as the step appends it, and each step reads its factors'
     entries at positions fixed in advance.  A forward pass then fixes
     measurement 0, 1, ... to the least outcome that still reaches the
-    maximum, or under Bland's rule the least that still leaves a positive
-    best completion; as j is the numeral of the outcomes with measurement 0
-    most significant, that is the least index, handed back with its rows.
+    maximum; as j is the numeral of the outcomes with measurement 0 most
+    significant, that is the least index of a best column, handed back with
+    its rows.
 
     The local rows are the rows over the tensor basis {1, δ_1, ...,
     δ_{|O|-1}} of each measurement's outcome functions: [g_m = o] is δ_o, or
@@ -370,7 +370,7 @@ class GlobalSectionColumns:
     def maximum(self, weights: list[int]) -> int:
         return self._eliminate(weights)[1]
 
-    def entering(self, weights: list[int], bland: bool) -> tuple[int, int, list[int], tuple[int, ...]] | None:
+    def entering(self, weights: list[int]) -> tuple[int, int, list[int], tuple[int, ...]] | None:
         buckets, value = self._eliminate(weights)
         if value <= 0:
             return None
@@ -379,15 +379,7 @@ class GlobalSectionColumns:
         for (_, prefix, strides), h in zip(reversed(self._plan), reversed(buckets)):
             a = sum(map(mul, map(chosen, prefix), strides))
             row = h[a:a + base]
-            top = max(row)
-            if bland:
-                # The least outcome whose best completion stays positive; the
-                # outcome that reaches top always does.
-                o = next(o for o, t in enumerate(row) if value - top + t > 0)
-                value += row[o] - top
-            else:
-                o = row.index(top)
-            outcome.append(o)
+            outcome.append(row.index(max(row)))
         return sum(map(mul, outcome, self._powers)), value, self._rows_of(outcome), self._ones
 
 

@@ -244,6 +244,11 @@ def _covered_support_witness(rep: WpsRepresentation, nulls: tuple[Event, ...],
     return ViolationWitness(ViolationKind.SUBADDITIVITY, collection, value, data)
 
 
+def _refuse_noncontextual(tier: classifier.Tier) -> None:
+    if tier is classifier.Tier.NONCONTEXTUAL:
+        raise TierMismatchError(f"no violation witness exists for tier {tier}")
+
+
 def witness_from_verdict(rep: WpsRepresentation, verdict: classifier.TierVerdict) -> ViolationWitness:
     """The violation witness of a verdict on the representation's model, which is asked nothing again.
 
@@ -253,10 +258,9 @@ def witness_from_verdict(rep: WpsRepresentation, verdict: classifier.TierVerdict
     fails to add up, with the certificate that every monotonic extension
     fails somewhere.  Each builder checks its collection.
     """
+    _refuse_noncontextual(verdict.tier)
     if verdict.tier is classifier.Tier.PROBABILISTIC:
         return _additivity_witness(rep, verdict.certificate)
-    if verdict.tier not in (classifier.Tier.STRONG, classifier.Tier.LOGICAL):
-        raise TierMismatchError(f"no violation witness exists for tier {verdict.tier}")
     # Padding lives in the excised events, which are null; a combinatorial
     # representation excises nothing.
     events = list(rep.maximal_context_events())

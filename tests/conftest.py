@@ -33,18 +33,22 @@ def standard_paddings(scenario: Scenario) -> list[PadPoint]:
     """One contradictory-overlap pad and one outcome-free pad, generically.
 
     The first pad joins both of the first two outcome events of the first
-    measurement; the second pad joins no outcome event of the second
-    measurement (or the first again, in one-measurement scenarios).  All
-    other memberships are the first outcome.
+    measurement; with a single outcome there is no such pair, and that pad
+    would mimic a global section, so it is left out.  The second pad joins
+    no outcome event of the second measurement (or the first again, in
+    one-measurement scenarios).  All other memberships are the first outcome.
     """
     ms = scenario.measurements
-    o0, o1 = scenario.outcomes[0], scenario.outcomes[min(1, len(scenario.outcomes) - 1)]
+    o0 = scenario.outcomes[0]
     first, second = ms[0], ms[min(1, len(ms) - 1)]
-    pad1 = {m: (o0,) for m in ms}
-    pad1[first] = (o0, o1)
+    pads = []
+    if len(scenario.outcomes) > 1:
+        pad1 = {m: (o0,) for m in ms}
+        pad1[first] = (o0, scenario.outcomes[1])
+        pads.append(PadPoint("pad-overlap", pad1))
     pad2 = {m: (o0,) for m in ms}
     pad2[second] = ()
-    return [PadPoint("pad-overlap", pad1), PadPoint("pad-outcomeless", pad2)]
+    return pads + [PadPoint("pad-outcomeless", pad2)]
 
 
 def noisy_cycle(n: int, p: Fraction) -> EmpiricalModel:

@@ -140,14 +140,11 @@ def systems(draw):
     return rows, rhs, derived
 
 
-@pytest.mark.parametrize("stall", [feasibility._STALL, 0], ids=["largest-coefficient", "bland"])
 @settings(max_examples=150, deadline=None)
 @given(system=systems())
-def test_generated_systems_are_decided_exactly(stall, system):
+def test_generated_systems_are_decided_exactly(system):
     rows, rhs, derived = system
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(feasibility, "_STALL", stall)
-        out = solve_nonnegative(rows, rhs)
+    out = solve_nonnegative(rows, rhs)
     if out.feasible:
         for row, b in zip(rows, rhs):
             assert sum(a * x for a, x in zip(row, out.solution)) == b
@@ -160,7 +157,7 @@ def test_generated_systems_are_decided_exactly(stall, system):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_explicit_pricing_hands_back_the_entering_column(data):
-    # Random sparse integer columns and row weights; each rule's column
+    # Random sparse integer columns and row weights; the entering column
     # against the enumerated costs, handed back as ``column(j)`` gives it.
     m = data.draw(st.integers(1, 6), label="m")
     columns = data.draw(st.lists(st.lists(st.integers(0, m - 1), unique=True, max_size=m).map(sorted), max_size=10),
@@ -170,13 +167,12 @@ def test_explicit_pricing_hands_back_the_entering_column(data):
     weights = data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m), label="weights")
     source = feasibility.ExplicitColumns(columns, values, m)
     costs = [sum(weights[r] * v for r, v in zip(rows, entries)) for rows, entries in zip(columns, values)]
-    for bland in (False, True):
-        found = source.entering(weights, bland)
-        if max(costs, default=0) <= 0:
-            assert found is None
-            continue
-        j = next(j for j, cost in enumerate(costs) if cost > 0) if bland else costs.index(max(costs))
-        assert found == (j, costs[j], *source.column(j)) == (j, costs[j], columns[j], values[j])
+    found = source.entering(weights)
+    if max(costs, default=0) <= 0:
+        assert found is None
+        return
+    j = costs.index(max(costs))
+    assert found == (j, costs[j], *source.column(j)) == (j, costs[j], columns[j], values[j])
 
 
 def sparse_columns(rows):
@@ -185,15 +181,12 @@ def sparse_columns(rows):
     return columns, [tuple(rows[i][j] for i in column) for j, column in enumerate(columns)]
 
 
-@pytest.mark.parametrize("stall", [feasibility._STALL, 0], ids=["largest-coefficient", "bland"])
 @settings(max_examples=150, deadline=None)
 @given(system=systems())
-def test_sparse_core_matches_the_dense_entry_point(stall, system):
+def test_sparse_core_matches_the_dense_entry_point(system):
     rows, rhs, _ = system
     columns, values = sparse_columns(rows)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(feasibility, "_STALL", stall)
-        assert solve_columns(columns, rhs, values) == solve_nonnegative(rows, rhs)
+    assert solve_columns(columns, rhs, values) == solve_nonnegative(rows, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -224,26 +217,13 @@ def dense_phase1(source, sign, cost, target, independent):
     tableau.append(objective)
     basis = list(range(n, n + k))
     d = 1
-    degenerate = 0
     while tableau[k][-1]:
         costs = tableau[k]
-        if degenerate < feasibility._STALL:
-            best = max(costs[:n])
-            col = costs.index(best) if best > 0 else None
-        else:
-            col = next((j for j in range(n) if costs[j] > 0), None)
-        if col is None:
+        best = max(costs[:n])
+        if best <= 0:
             break
-        leave = None
-        for i in range(k):
-            coef = tableau[i][col]
-            if coef > 0:
-                num = tableau[i][-1]
-                if leave is None or num * lcoef < lnum * coef or (
-                        num * lcoef == lnum * coef and basis[i] < basis[leave]):
-                    leave, lnum, lcoef = i, num, coef
-        assert leave is not None, "phase-1 objective is bounded"
-        degenerate = 0 if lnum else degenerate + 1
+        col = costs.index(best)
+        leave = lexicographic_ratio_test(tableau, col, n, k)
         d = dense_pivot(tableau, leave, col, d)
         basis[leave] = col
     return basis, d, [row[n:] for row in tableau]
@@ -275,29 +255,26 @@ def row_scaled_phase1(source, scale, target, independent):
     tableau.append(objective)
     basis = list(range(n, n + k))
     d = 1
-    degenerate = 0
     while tableau[k][-1]:
         costs = tableau[k]
-        if degenerate < feasibility._STALL:
-            best = max(costs[:n])
-            col = costs.index(best) if best > 0 else None
-        else:
-            col = next((j for j in range(n) if costs[j] > 0), None)
-        if col is None:
+        best = max(costs[:n])
+        if best <= 0:
             break
-        leave = None
-        for i in range(k):
-            coef = tableau[i][col]
-            if coef > 0:
-                num = tableau[i][-1]
-                if leave is None or num * lcoef < lnum * coef or (
-                        num * lcoef == lnum * coef and basis[i] < basis[leave]):
-                    leave, lnum, lcoef = i, num, coef
-        assert leave is not None, "phase-1 objective is bounded"
-        degenerate = 0 if lnum else degenerate + 1
+        col = costs.index(best)
+        leave = lexicographic_ratio_test(tableau, col, n, k)
         d = dense_pivot(tableau, leave, col, d)
         basis[leave] = col
     return basis, d, [row[n:] for row in tableau]
+
+
+def lexicographic_ratio_test(tableau, col, n, k):
+    """The leaving row: the least of the full rows' (right-hand side, artificial columns) over the pivot entry."""
+    keys = {i: [Fraction(v, row[col]) for v in (row[-1], *row[n:n + k])]
+            for i, row in enumerate(tableau[:k]) if row[col] > 0}
+    assert keys, "phase-1 objective is bounded"
+    least = min(keys.values())
+    (leave,) = (i for i, key in keys.items() if key == least)
+    return leave
 
 
 def dense_pivot(tableau, row, col, d):
@@ -328,14 +305,11 @@ def assert_follows_dense_tableau(rows, rhs):
     return revised
 
 
-@pytest.mark.parametrize("stall", [feasibility._STALL, 0], ids=["largest-coefficient", "bland"])
 @settings(max_examples=150, deadline=None)
 @given(system=systems())
-def test_generated_systems_follow_the_dense_tableau(stall, system):
+def test_generated_systems_follow_the_dense_tableau(system):
     rows, rhs, _ = system
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(feasibility, "_STALL", stall)
-        assert_follows_dense_tableau(rows, rhs)
+    assert_follows_dense_tableau(rows, rhs)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -403,9 +377,8 @@ def with_pivots(calls, solve):
     return outcome, len(calls) - before
 
 
-@pytest.mark.parametrize("stall", [feasibility._STALL, 0], ids=["largest-coefficient", "bland"])
 @pytest.mark.parametrize("name, model", MODELS, ids=[name for name, _ in MODELS])
-def test_oracle_priced_solves_follow_the_explicit_columns_and_the_dense_tableau(stall, name, model):
+def test_oracle_priced_solves_follow_the_explicit_columns_and_the_dense_tableau(name, model):
     # The table right-hand side and 20 signed ones, which also reach the
     # presolve's dependent-row certificates.
     system = global_section_system(model.scenario)
@@ -418,7 +391,6 @@ def test_oracle_priced_solves_follow_the_explicit_columns_and_the_dense_tableau(
     sides = [[model.table(c).weight(s) for c, s in system.rows]]
     sides += [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in system.rows] for _ in range(20)]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(feasibility, "_STALL", stall)
         revised = count_calls(patch, feasibility, "_pivot")
         dense = count_calls(patch, sys.modules[__name__], "dense_pivot")
         for rhs in sides:
@@ -544,14 +516,11 @@ def integer_source(rows, rhs):
     return seen[0]
 
 
-@pytest.mark.parametrize("stall", [feasibility._STALL, 0], ids=["largest-coefficient", "bland"])
 @settings(max_examples=150, deadline=None)
 @given(system=systems())
-def test_generated_systems_take_the_row_scaled_path(stall, system):
+def test_generated_systems_take_the_row_scaled_path(system):
     source, rhs = integer_source(*system[:2])
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(feasibility, "_STALL", stall)
-        assert solver_path(source, rhs) == row_scaled_solve(source, rhs)
+    assert solver_path(source, rhs) == row_scaled_solve(source, rhs)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -596,10 +565,10 @@ def test_phase1_block_stays_within_one_digit(n, monkeypatch):
 
 
 # The pivots of ``classify`` on the noisy (1/8) n-cycles, with the tier they
-# end in.  A change to the pricing, the ratio test or the stall rule shows here.
-CLASSIFY_PIVOTS = {4: (10, "Noncontextual"), 5: (15, "Probabilistic"), 6: (19, "Noncontextual"),
-                   7: (28, "Probabilistic"), 8: (46, "Noncontextual"), 9: (47, "Probabilistic"),
-                   10: (41, "Noncontextual"), 11: (55, "Probabilistic"), 12: (69, "Noncontextual")}
+# end in.  A change to the pricing or the ratio test shows here.
+CLASSIFY_PIVOTS = {4: (10, "Noncontextual"), 5: (14, "Probabilistic"), 6: (21, "Noncontextual"),
+                   7: (21, "Probabilistic"), 8: (46, "Noncontextual"), 9: (54, "Probabilistic"),
+                   10: (76, "Noncontextual"), 11: (43, "Probabilistic"), 12: (75, "Noncontextual")}
 
 
 @pytest.mark.parametrize("n", sorted(CLASSIFY_PIVOTS))
@@ -611,32 +580,32 @@ def test_classify_pivot_counts_are_pinned(n):
 
 
 # The pivot count and final basis of ``classify`` on the noisy n-cycles at
-# two noise shares, recorded with the full-row update on every pivot (n <= 9)
-# and with each entering column re-derived by ``column(j)`` (n = 16, 18).  A
-# change to the pivot update, the pricing or the ratio test shows here.
+# two noise shares, recorded with the full-row update on every pivot and
+# each entering column re-derived by ``column(j)``, and for n <= 9 through
+# the dense tableau too.  A change to the pivot update, the pricing or the
+# ratio test shows here.
 CLASSIFY_PATHS = {
-    (Fraction(1, 8), 4): (10, [6, 5, 10, 19, 12, 1, 9, 23, 3]),
-    (Fraction(1, 8), 5): (15, [10, 13, 22, 26, 9, 37, 18, 11, 5, 21, 20]),
-    (Fraction(1, 8), 6): (19, [6, 3, 66, 67, 25, 42, 36, 21, 44, 43, 26, 33, 50]),
-    (Fraction(1, 8), 7): (28, [42, 53, 86, 106, 82, 133, 37, 43, 41, 85, 84, 90, 21, 45, 74]),
-    (Fraction(1, 8), 8): (46, [14, 85, 170, 169, 182, 261, 75, 218, 90, 265, 154, 178, 107, 4, 166, 172, 173]),
-    (Fraction(1, 8), 9): (47, [170, 213, 342, 426, 298, 517, 85, 173, 169, 341, 149, 362, 338, 181, 330, 171, 165,
-                               346, 340]),
-    # These two fall back to Bland's rule: once at n = 16, three times at n = 18.
-    (Fraction(1, 8), 16): (179, [31825, 21675, 10925, 19114, 55970, 38721, 44253, 21845, 46773, 49755, 58160, 5126,
-                                 23255, 34076, 37546, 6524, 43669, 51370, 43690, 43306, 46810, 3771, 44394, 43946,
-                                 16783, 58832, 43602, 27301, 60077, 23161, 43688, 23243, 42666]),
-    (Fraction(1, 8), 18): (703, [121037, 182614, 174757, 12305, 177578, 197581, 56633, 87381, 86698, 246592, 125878,
-                                 236202, 174770, 36161, 150186, 174890, 174750, 191148, 121213, 174682, 175786, 97089,
-                                 223402, 34625, 174772, 174762, 141654, 173226, 174670, 14352, 88961, 90410, 174730,
-                                 174761, 43691, 174826, 76459]),
-    (Fraction(1, 2), 4): (10, [6, 5, 10, 19, 12, 1, 9, 23, 3]),
-    (Fraction(1, 2), 5): (16, [10, 13, 0, 26, 9, 22, 18, 11, 5, 21, 20]),
-    (Fraction(1, 2), 6): (19, [6, 3, 66, 67, 25, 42, 36, 21, 44, 43, 26, 33, 50]),
-    (Fraction(1, 2), 7): (28, [38, 63, 95, 106, 82, 41, 37, 42, 115, 117, 84, 24, 21, 12, 74]),
-    (Fraction(1, 2), 8): (37, [42, 85, 258, 169, 104, 172, 202, 56, 101, 221, 154, 178, 87, 19, 131, 14, 212]),
-    (Fraction(1, 2), 9): (40, [178, 382, 170, 426, 297, 43, 293, 331, 89, 223, 149, 78, 338, 247, 330, 284, 161, 237,
-                               340]),
+    (Fraction(1, 8), 4): (10, [12, 7, 18, 19, 3, 10, 9, 5, 6]),
+    (Fraction(1, 8), 5): (14, [5, 13, 22, 26, 10, 37, 18, 11, 9, 21, 20]),
+    (Fraction(1, 8), 6): (21, [52, 12, 27, 61, 11, 15, 38, 21, 34, 42, 25, 41, 22]),
+    (Fraction(1, 8), 7): (21, [21, 53, 90, 106, 42, 133, 84, 45, 37, 86, 74, 43, 41, 85, 82]),
+    (Fraction(1, 8), 8): (46, [234, 182, 170, 75, 89, 0, 172, 85, 173, 147, 43, 105, 154, 187, 162, 90, 166]),
+    (Fraction(1, 8), 9): (54, [169, 213, 346, 426, 338, 517, 330, 171, 149, 170, 85, 342, 173, 341, 165, 362, 298,
+                               181, 340]),
+    (Fraction(1, 8), 16): (88, [22826, 27754, 17236, 60073, 38572, 6137, 23773, 21845, 18789, 52923, 38229, 23238,
+                                21653, 43690, 43573, 45226, 42314, 25113, 43602, 58864, 53930, 13688, 43814, 27317,
+                                39592, 11924, 10923, 59802, 41359, 65507, 65134, 17834, 35466]),
+    (Fraction(1, 8), 18): (186, [174757, 131584, 215402, 166602, 240426, 61409, 174770, 178026, 187049, 49204, 169306,
+                                 87381, 76461, 13378, 258692, 110656, 117421, 228256, 93485, 174420, 29840, 124679,
+                                 174474, 175274, 173418, 40582, 112661, 174778, 88938, 219150, 43691, 174762, 174677,
+                                 5238, 175574, 87723, 156330]),
+    (Fraction(1, 2), 4): (10, [12, 7, 18, 19, 3, 10, 9, 5, 6]),
+    (Fraction(1, 2), 5): (17, [21, 7, 34, 26, 10, 14, 17, 18, 9, 13, 20]),
+    (Fraction(1, 2), 6): (17, [52, 26, 66, 67, 11, 46, 37, 21, 34, 41, 25, 12, 22]),
+    (Fraction(1, 2), 7): (23, [21, 27, 95, 106, 42, 121, 115, 14, 37, 55, 74, 84, 41, 61, 82]),
+    (Fraction(1, 2), 8): (30, [86, 257, 114, 81, 73, 45, 69, 170, 149, 172, 43, 244, 210, 59, 217, 91, 7]),
+    (Fraction(1, 2), 9): (31, [185, 246, 514, 426, 338, 46, 164, 171, 149, 280, 53, 84, 70, 213, 101, 346, 297, 415,
+                               332]),
 }
 
 
@@ -655,6 +624,16 @@ def test_classify_pivot_paths_are_pinned(share, n):
         classifier.classify(noisy_cycle(n, share))
     (basis,) = bases
     assert (len(pivots), basis) == CLASSIFY_PATHS[share, n]
+
+
+def test_degenerate_cycle_takes_few_pivots():
+    # Phase 1 on the noisy (1/8) 22-cycle is highly degenerate; the
+    # lexicographic ratio test takes it through 363 pivots.
+    with pytest.MonkeyPatch.context() as patch:
+        pivots = count_calls(patch, feasibility, "_pivot")
+        tier = classifier.classify(noisy_cycle(22, Fraction(1, 8)), cap=math.inf).tier
+    assert str(tier) == "Noncontextual"
+    assert len(pivots) <= 1000
 
 
 @settings(max_examples=300, deadline=None)
@@ -760,18 +739,18 @@ def faulty(patch, owner, name, fault, budget=100):
     patch.setattr(owner, name, replaced)
 
 
-def next_columns_rows(entering, source, weights, bland):
+def next_columns_rows(entering, source, weights):
     """The entering column and its value, with the rows and entries of the next column."""
-    found = entering(source, weights, bland)
+    found = entering(source, weights)
     if found is None:
         return None
     j, value, _, _ = found
     return (j, value, *source.column((j + 1) % len(source)))
 
 
-def best_column_even_if_not_positive(entering, source, weights, bland):
+def best_column_even_if_not_positive(entering, source, weights):
     """The entering column, or the best column when no value is positive."""
-    found = entering(source, weights, bland)
+    found = entering(source, weights)
     if found is not None:
         return found
     costs = source._costs(weights)
@@ -816,8 +795,8 @@ def test_a_pivot_that_raises_the_phase1_objective_raises(monkeypatch):
 def test_a_support_cover_column_reaching_no_new_row_raises(monkeypatch):
     first = []
 
-    def repeat_first(entering, source, weights, bland):
-        first[:] = first or [entering(source, weights, bland)]
+    def repeat_first(entering, source, weights):
+        first[:] = first or [entering(source, weights)]
         return first[0]
     faulty(monkeypatch, GlobalSectionColumns, "entering", repeat_first)
     with pytest.raises(InternalConsistencyError, match="reaches no new row"):

@@ -228,17 +228,14 @@ def test_oracle_pricing_matches_enumeration(data):
     source = global_section_columns(scenario)
     assert source.maximum(weights) == best
     if best <= 0:
-        assert source.entering(weights, False) is None
-        assert source.entering(weights, True) is None
+        assert source.entering(weights) is None
         return
-    # Each rule's column, its value and, handed back with them, its rows and entries.
-    first = costs.index(best)
-    positive = next(j for j, cost in enumerate(costs) if cost > 0)
-    for bland, j in ((False, first), (True, positive)):
-        found = source.entering(weights, bland)
-        assert found == (j, costs[j], *source.column(j))
-        assert tuple(found[2]) == system.incidence[j]
-        assert set(found[3]) == {1}
+    # The entering column, its value and, handed back with them, its rows and entries.
+    j = costs.index(best)
+    found = source.entering(weights)
+    assert found == (j, costs[j], *source.column(j))
+    assert tuple(found[2]) == system.incidence[j]
+    assert set(found[3]) == {1}
 
 
 THREE_OUTCOME_CYCLE = Scenario(("w", "x", "y", "z"), (("w", "x"), ("x", "y"), ("y", "z"), ("w", "z")), ("0", "1", "2"))
@@ -259,11 +256,10 @@ def test_oracle_maximum_and_columns_match_enumeration_beyond_binary_cycles(data)
     assert source.maximum(weights) == max(costs)
     j = data.draw(st.integers(0, len(source) - 1), label="column")
     assert tuple(source.column(j)[0]) == system.incidence[j]
-    for bland in (False, True):
-        found = source.entering(weights, bland)
-        if found is not None:
-            assert tuple(found[2]) == tuple(source.column(found[0])[0]) == system.incidence[found[0]]
-            assert found[1] == costs[found[0]] > 0
+    found = source.entering(weights)
+    if found is not None:
+        assert tuple(found[2]) == tuple(source.column(found[0])[0]) == system.incidence[found[0]]
+        assert found[1] == costs[found[0]] > 0
 
 
 ONE_MEASUREMENT = Scenario(("m",), (("m",),), ("0", "1", "2"))

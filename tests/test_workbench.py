@@ -377,14 +377,25 @@ class TestCli:
         assert code == 0
         assert "defect: 1" in out
 
-    def test_witness_noncontextual_exits_2(self, tmp_path, capsys):
+    def test_witness_noncontextual_exits_2(self, monkeypatch, tmp_path, capsys):
+        # classify's verdict refuses the model before any representation is built.
         from contextuality.model import deterministic_model
-        from contextuality.serialize import model_to_dict as m2d
         scenario = bell_model().scenario
         g = scenario.section({"a": "0", "b": "0", "a'": "0", "b'": "0"})
-        path = tmp_path / "det.json"
-        path.write_text(dumps(m2d(deterministic_model(scenario, g))))
-        assert main(["witness", str(path)]) == 2
+        builds = []
+        build = wps.build_combinatorial_rep
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(wps, "build_combinatorial_rep", counting)
+        for name, model in (("det", deterministic_model(scenario, g)), ("cycle6", noisy_cycle(6, Fraction(1, 8)))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(dumps(model_to_dict(model)))
+            assert main(["witness", str(path)]) == 2
+            assert capsys.readouterr().err == "error: no violation witness exists for tier Noncontextual\n"
+        assert builds == []
 
     def test_dutchbook_prints_payoffs(self, capsys):
         code = main(["dutchbook", "pr-box"])

@@ -22,7 +22,7 @@ from contextuality.model import EmpiricalModel, deterministic_model
 from contextuality.record import Failure
 from contextuality.scenario import Scenario, Section, all_contexts, global_section_columns, restrict, sections_over
 from conftest import noisy_cycle, patch_every_layer, standard_paddings
-from test_global_sections import ONE_MEASUREMENT, THREE_OUTCOME_CYCLE, THREE_OUTCOMES, mixture_model
+from test_global_sections import ONE_MEASUREMENT, ONE_OUTCOME, THREE_OUTCOME_CYCLE, THREE_OUTCOMES, mixture_model
 from contextuality.wps import (
     PadPoint,
     WpsRepresentation,
@@ -108,7 +108,8 @@ class TestCombinatorialConstruction:
 
 
 def test_representations_enumerate_sections_over_contexts_only(monkeypatch):
-    models = [entry.model for entry in catalog()] + [noisy_cycle(n, Fraction(1, 8)) for n in range(3, 9)]
+    models = [entry.model for entry in catalog()] + [noisy_cycle(n, Fraction(1, 8)) for n in range(3, 9)] + [
+        mixture_model(ONE_OUTCOME, 2)]
 
     def guarded_sections(scenario, measurements, *args, **kwargs):
         measurements = tuple(measurements)
