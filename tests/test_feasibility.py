@@ -113,22 +113,24 @@ rationals = st.builds(Fraction, st.integers(min_value=-4, max_value=4), st.integ
 
 
 @st.composite
-def systems(draw):
+def systems(draw, entries=rationals, coordinates=st.builds(Fraction, st.integers(0, 3), st.integers(1, 3))):
     """(rows, rhs, derived): fresh and derived rows, m <= 8 and n <= 12.
 
     A derived row repeats, scales or sums earlier rows, right-hand side
     included; ``derived`` holds their indices.  Half the systems plant a
-    non-negative solution, so both outcomes are drawn often.
+    non-negative solution, its coordinates drawn from ``coordinates``, so
+    both outcomes are drawn often.  Fresh rows, and unplanted right-hand
+    sides, are drawn from ``entries``.
     """
     n = draw(st.integers(min_value=1, max_value=12))
     planted = draw(st.booleans())
-    point = draw(st.lists(st.builds(Fraction, st.integers(0, 3), st.integers(1, 3)), min_size=n, max_size=n))
+    point = draw(st.lists(coordinates, min_size=n, max_size=n))
     rows, rhs, derived = [], [], []
     for i in range(draw(st.integers(min_value=1, max_value=8))):
         kind = draw(st.sampled_from(["fresh", "repeat", "scale", "sum"])) if rows else "fresh"
         if kind == "fresh":
-            row = draw(st.lists(rationals, min_size=n, max_size=n))
-            value = sum(a * x for a, x in zip(row, point)) if planted else draw(rationals)
+            row = draw(st.lists(entries, min_size=n, max_size=n))
+            value = sum(a * x for a, x in zip(row, point)) if planted else draw(entries)
         else:
             j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
             factor = draw(rationals.filter(bool)) if kind == "scale" else 1
@@ -140,10 +142,20 @@ def systems(draw):
     return rows, rhs, derived
 
 
+# Both kinds of generated system.  The degenerate ones have small integer
+# rows and right-hand sides and plant a sparse 0/1 point, so the planted
+# basic solutions are degenerate and the ratio test ties often: those ties
+# are what the lexicographic rule decides.
+SYSTEMS = {"rational": systems(),
+           "degenerate": systems(entries=st.integers(-1, 2), coordinates=st.sampled_from([0, 0, 0, 1]))}
+by_kind = pytest.mark.parametrize("kind", SYSTEMS)
+
+
+@by_kind
 @settings(max_examples=150, deadline=None)
-@given(system=systems())
-def test_generated_systems_are_decided_exactly(system):
-    rows, rhs, derived = system
+@given(data=st.data())
+def test_generated_systems_are_decided_exactly(kind, data):
+    rows, rhs, derived = data.draw(SYSTEMS[kind], label="system")
     out = solve_nonnegative(rows, rhs)
     if out.feasible:
         for row, b in zip(rows, rhs):
@@ -181,10 +193,11 @@ def sparse_columns(rows):
     return columns, [tuple(rows[i][j] for i in column) for j, column in enumerate(columns)]
 
 
+@by_kind
 @settings(max_examples=150, deadline=None)
-@given(system=systems())
-def test_sparse_core_matches_the_dense_entry_point(system):
-    rows, rhs, _ = system
+@given(data=st.data())
+def test_sparse_core_matches_the_dense_entry_point(kind, data):
+    rows, rhs, _ = data.draw(SYSTEMS[kind], label="system")
     columns, values = sparse_columns(rows)
     assert solve_columns(columns, rhs, values) == solve_nonnegative(rows, rhs)
 
@@ -305,10 +318,11 @@ def assert_follows_dense_tableau(rows, rhs):
     return revised
 
 
+@by_kind
 @settings(max_examples=150, deadline=None)
-@given(system=systems())
-def test_generated_systems_follow_the_dense_tableau(system):
-    rows, rhs, _ = system
+@given(data=st.data())
+def test_generated_systems_follow_the_dense_tableau(kind, data):
+    rows, rhs, _ = data.draw(SYSTEMS[kind], label="system")
     assert_follows_dense_tableau(rows, rhs)
 
 
@@ -397,6 +411,37 @@ def test_oracle_priced_solves_follow_the_explicit_columns_and_the_dense_tableau(
             oracle = with_pivots(revised, lambda: dense_outcome(solve_source(source, rhs), len(source)))
             assert oracle == with_pivots(revised, lambda: solve_columns(system.incidence, rhs))
             assert oracle == with_pivots(dense, lambda: dense_solve(matrix, rhs))
+
+
+@pytest.mark.parametrize("name, model", MODELS, ids=[name for name, _ in MODELS])
+def test_vertex_sides_follow_the_explicit_columns_and_both_tableaux(name, model):
+    # Right-hand sides at and between vertices of the global-section polytope:
+    # single sections, even mixtures of two and of three, and a section with
+    # one row raised, which no mixture meets.  Most right-hand-side entries
+    # are zero, so phase 1 is degenerate and its ratio tests tie.
+    system = global_section_system(model.scenario)
+    source = global_section_columns(model.scenario)
+    matrix = expand(source, len(system.rows))
+    rng = random.Random(f"vertices:{name}")
+
+    def mixture(size):
+        picks = [rng.randrange(len(system.columns)) for _ in range(size)]
+        return [Fraction(sum(r in system.incidence[j] for j in picks), size) for r in range(len(system.rows))]
+    sides = [mixture(size) for size in (1, 1, 2, 2, 3, 3)]
+    raised = mixture(1)
+    raised[rng.randrange(len(raised))] += Fraction(1, 2)
+    sides.append(raised)
+    verdicts = []
+    for rhs in sides:
+        with pytest.MonkeyPatch.context() as patch:
+            revised = count_calls(patch, feasibility, "_pivot")
+            dense = count_calls(patch, sys.modules[__name__], "dense_pivot")
+            oracle = with_pivots(revised, lambda: dense_outcome(solve_source(source, rhs), len(source)))
+            assert oracle == with_pivots(revised, lambda: solve_columns(system.incidence, rhs))
+            assert oracle == with_pivots(dense, lambda: dense_solve(matrix, rhs))
+        assert solver_path(source, rhs) == row_scaled_solve(source, rhs)
+        verdicts.append(oracle[0].feasible)
+    assert verdicts == [True] * 6 + [False]
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +561,11 @@ def integer_source(rows, rhs):
     return seen[0]
 
 
+@by_kind
 @settings(max_examples=150, deadline=None)
-@given(system=systems())
-def test_generated_systems_take_the_row_scaled_path(system):
-    source, rhs = integer_source(*system[:2])
+@given(data=st.data())
+def test_generated_systems_take_the_row_scaled_path(kind, data):
+    source, rhs = integer_source(*data.draw(SYSTEMS[kind], label="system")[:2])
     assert solver_path(source, rhs) == row_scaled_solve(source, rhs)
 
 
