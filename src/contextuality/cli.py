@@ -152,18 +152,17 @@ _TIER_FLAGS = ("strong", "logical", "probabilistic")
 
 
 def _cmd_witness(args) -> int:
-    from .violations import _refuse_noncontextual, tier_violation_witness, witness_from_verdict
+    from .violations import _refuse_noncontextual, _tier_verdict, witness_from_verdict
     from .wps import build_combinatorial_rep
     name, model = _resolve_model(args)
+    # The verdict is the witness's evidence; a model without the tier is refused before any representation is built.
     if args.tier:
-        rep = build_combinatorial_rep(model, cap=args.cap)
-        witness = tier_violation_witness(rep, classifier.Tier[args.tier.upper()], cap=args.cap)
+        verdict = _tier_verdict(model, classifier.Tier[args.tier.upper()], args.cap)
     else:
-        # The verdict is the witness's evidence; a Noncontextual one is refused before any representation is built.
         verdict = classifier.classify(model, cap=args.cap)
-        _refuse_noncontextual(verdict.tier)
-        rep = build_combinatorial_rep(model, cap=args.cap)
-        witness = witness_from_verdict(rep, verdict)
+    _refuse_noncontextual(verdict.tier)
+    rep = build_combinatorial_rep(model, cap=args.cap)
+    witness = witness_from_verdict(rep, verdict)
     if args.format == "structured":
         from .serialize import witness_to_dict
         _emit(json.dumps(witness_to_dict(rep, witness), indent=2) + "\n", args.out)

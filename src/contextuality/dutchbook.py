@@ -131,7 +131,7 @@ def _solve_membership(rep: WpsRepresentation, restriction: Optional[Iterable[Eve
         for i in _indices(event):
             columns[i].append(r)
     ones = [(1,) * len(column) for column in columns]
-    system = feasibility.ExplicitColumns(columns, ones, len(events) + 1)
+    system = feasibility.ExplicitColumns(columns, ones)
     outcome = feasibility.solve_source(system, [ONE, *map(rep.mu_of, events)])
     labels = [rep.sample_space, *events]
     if not outcome.feasible:

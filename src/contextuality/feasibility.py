@@ -12,32 +12,33 @@ pivoting path that produced it.
 
 Method: one core, :func:`solve_source`, reads an integer matrix A through a
 *column source*, which need not list its columns.  A source has ``len``,
-the number of columns; ``local_rows()``, each row's image under a linear
-map that is injective on the span of the rows; ``column(j)``, column j's
-rows and entries; ``maximum(w)``, the largest Σ_r w_r·A_rj over all
-columns j for integer row weights w; ``entering(w)``, the column the
-simplex enters: the least index with the largest positive value, with that
-value and the column's rows and entries, or None when no value is positive.
-:class:`ExplicitColumns` lists its columns, prices every one of them, and
-takes its dense rows as local rows; the Dutch-book membership systems pose
-their 0/1 point columns through it.  The global-section system has one
-source (:func:`scenario.global_section_columns`); it prices by variable
+the number of columns; ``spanning()``, the indices of columns at which a
+combination of the rows vanishes only if it vanishes at every column;
+``column(j)``, column j's rows and entries; and ``entering(w)``, the column
+the simplex enters under integer row weights w: the least index with the
+largest positive value Σ_r w_r·A_rj, with that value and the column's rows
+and entries, or None when no value is positive.  :class:`ExplicitColumns`
+lists its columns, prices every one of them, and spans with all of them;
+the Dutch-book membership systems pose their 0/1 point columns through it.
+The global-section system has one source
+(:func:`scenario.global_section_columns`); it prices by variable
 elimination over the contexts along one flat plan built once per scenario
 (the row weights, then each step's max-table, in one list read at fixed
-positions) and has one local coordinate per tensor-basis function over a
-context, so neither the presolve nor a pivot of a global-section solve,
-nor the classifier's re-check of its certificate, reads all |O|^n columns.
+positions) and spans with one column per context and non-zero digits on
+it, so neither the presolve nor a pivot of a global-section solve, nor the
+classifier's re-check of its certificate, reads all |O|^n columns.
 
-A fraction-free forward elimination over the local rows, computed once per
-source and kept on it, finds a maximal independent subset of the rows and
-each other row's vanishing primitive combination with the earlier ones; the
-local map is injective on the span of the rows, so these are the full rows'.
-Each solve checks the combinations against its right-hand side in row
-order, and the first that misses it, signed so that yᵀb > 0, is a
-certificate.  Otherwise each row keeps its entries and only has its sign
-flipped so that its right-hand side is non-negative; the right-hand side is
-multiplied once by L, the lcm of its denominators, and the artificial of
-row i costs den(b_i) in the phase-1 objective.  That is the LP of rows
+A fraction-free forward elimination over the rows read at the spanning
+columns, computed once per source and kept on it, finds a maximal
+independent subset of the rows and each other row's vanishing primitive
+combination with the earlier ones; those columns keep every linear relation
+of the rows, so these are the full rows'.  Each solve checks the
+combinations against its right-hand side in row order, and the first that
+misses it, signed so that yᵀb > 0, is a certificate.  Otherwise each row
+keeps its entries and only has its sign flipped so that its right-hand side
+is non-negative; the right-hand side is multiplied once by L, the lcm of
+its denominators, and the artificial of row i costs den(b_i) in the
+phase-1 objective.  That is the LP of rows
 scaled by den(b_i) and unit costs, with artificial a_i rescaled by
 1/den(b_i): every ratio-test quotient, reduced cost and tie-break is that
 LP's, so is the pivot path, and the integers stay those of the matrix's own
@@ -66,11 +67,11 @@ of the basis, falls lexicographically at every pivot and no basis recurs.
 An entering value that is not positive or not the handed-back column's
 worth, or a pivot that raises the objective, raises InternalConsistencyError
 instead of looping.  The Farkas ray is read exactly from the final basis and
-checked with the source's exact maximum over all columns; the primal vector,
-x_j = block[r][k] / (d·L), is checked against every row in integers scaled
-by d·L and returned as its support, ``{j: x_j}`` over the basic columns with
-x_j > 0 in ascending j, so no solve lists all the columns.  All orderings
-are fixed, so the output is deterministic.
+checked by the source's pricing, which must enter no column under it; the
+primal vector, x_j = block[r][k] / (d·L), is checked against every row in
+integers scaled by d·L and returned as its support, ``{j: x_j}`` over the
+basic columns with x_j > 0 in ascending j, so no solve lists all the
+columns.  All orderings are fixed, so the output is deterministic.
 """
 
 from __future__ import annotations
@@ -119,20 +120,15 @@ class FeasibilityOutcome(Record):
 class ExplicitColumns:
     """A column source that lists its integer columns and prices every one."""
 
-    def __init__(self, columns: Sequence[Sequence[int]], values: Sequence[Sequence[int]], m: int):
+    def __init__(self, columns: Sequence[Sequence[int]], values: Sequence[Sequence[int]]):
         self.columns = columns
         self.values = values
-        self.m = m
 
     def __len__(self) -> int:
         return len(self.columns)
 
-    def local_rows(self) -> list[list[int]]:
-        rows = [[0] * len(self.columns) for _ in range(self.m)]
-        for j, (column, values) in enumerate(zip(self.columns, self.values)):
-            for r, v in zip(column, values):
-                rows[r][j] = v
-        return rows
+    def spanning(self) -> range:
+        return range(len(self.columns))
 
     def column(self, j: int) -> tuple[Sequence[int], Sequence[int]]:
         return self.columns[j], self.values[j]
@@ -140,9 +136,6 @@ class ExplicitColumns:
     def _costs(self, weights: list[int]) -> list[int]:
         weight = weights.__getitem__
         return [sum(map(mul, map(weight, rows), values)) for rows, values in zip(self.columns, self.values)]
-
-    def maximum(self, weights: list[int]) -> int:
-        return max(self._costs(weights), default=0)
 
     def entering(self, weights: list[int]) -> tuple[int, int, Sequence[int], Sequence[int]] | None:
         costs = self._costs(weights)
@@ -157,7 +150,7 @@ def solve_source(source, rhs: Sequence) -> FeasibilityOutcome:
     n = len(source)
 
     if not hasattr(source, "_presolved"):
-        source._presolved = _presolve(source.local_rows())
+        source._presolved = _presolve(_spanned_rows(source, len(b)))
     independent, dependent = source._presolved
     common = lcm(*(v.denominator for v in b))
     whole = [v.numerator * (common // v.denominator) for v in b]
@@ -274,12 +267,22 @@ def _pivot(block: list[list[int]], column: list[int], row: int, d: int) -> int:
     return p
 
 
-def _presolve(local: list) -> tuple[list[int], list[list[int]]]:
-    """The independent local rows, in order, and each other row's vanishing primitive combination."""
-    width = len(local[0]) if local else 0
+def _spanned_rows(source, m: int) -> list[list[int]]:
+    """The source's m rows, each read at its spanning columns."""
+    spanning = source.spanning()
+    rows = [[0] * len(spanning) for _ in range(m)]
+    for p, j in enumerate(spanning):
+        for r, v in zip(*source.column(j)):
+            rows[r][p] += v
+    return rows
+
+
+def _presolve(rows: list) -> tuple[list[int], list[list[int]]]:
+    """The independent rows, in order, and each other row's vanishing primitive combination."""
+    width = len(rows[0]) if rows else 0
     echelon, independent, dependent = [], [], []
-    for i, row in enumerate(local):
-        cur = list(row) + [0] * len(local)
+    for i, row in enumerate(rows):
+        cur = list(row) + [0] * len(rows)
         cur[width + i] = 1
         for lead, prow in echelon:
             f = cur[lead]
@@ -300,13 +303,13 @@ def _presolve(local: list) -> tuple[list[int], list[list[int]]]:
 def _certificate(y: list[int], value: int, source, b) -> FarkasCertificate:
     """The primitive integer certificate for the source's rows from row weights y, yᵀb of value's sign.
 
-    It is checked against every column through the source's exact maximum:
-    yᵀA <= 0  and  yᵀb > 0.
+    It is checked against every column by the source's pricing, which
+    enters none exactly when yᵀA <= 0, and against  yᵀb > 0.
     """
     if value == 0:
         raise InternalConsistencyError("degenerate certificate")
     g = gcd(*y) if value > 0 else -gcd(*y)
     y = [v // g for v in y]
-    if source.maximum(y) > 0 or sum(map(mul, y, b)) <= 0:
+    if source.entering(y) is not None or sum(map(mul, y, b)) <= 0:
         raise InternalConsistencyError("constructed certificate failed self-verification")
     return FarkasCertificate(tuple(map(Fraction, y)))

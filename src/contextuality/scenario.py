@@ -274,12 +274,16 @@ class GlobalSectionColumns:
     significant, that is the least index of a best column, handed back with
     its rows.
 
-    The local rows are the rows over the tensor basis {1, δ_1, ...,
-    δ_{|O|-1}} of each measurement's outcome functions: [g_m = o] is δ_o, or
-    1 − Σ_k δ_k for outcome 0, so row (c, s), the product of [g_m = s_m] over
-    m in c, lives on the products of δs over contexts T ⊆ c.  The products
-    over all contexts are linearly independent functions of g, so this is a
-    change of basis on the span of the rows.
+    The spanning columns are one per context T, the empty one included, and
+    digits d in {1, ..., |O|-1}^T: the global section that is d on T and 0
+    elsewhere.  As [g_m = 0] is 1 − Σ_{k>0} [g_m = k], row (c, s), the
+    product of [g_m = s_m] over m in c, is a combination of the products
+    P_{T,d} of [g_m = d_m] over m in T, for T ⊆ c.  P_{T,d} is 1 at the
+    spanning column (T', d') exactly when T ⊆ T' and d' agrees with d on T,
+    so, ordered by |T|, these values form a unitriangular matrix.  A
+    combination of rows that vanishes at every spanning column thus has
+    every P_{T,d} coefficient zero and vanishes at every column: the rows
+    read there keep all their linear relations.
     """
 
     def __init__(self, scenario: Scenario):
@@ -314,28 +318,14 @@ class GlobalSectionColumns:
         self._constants = [start for _, start in factors]  # every factor left has an empty scope
         self._split = itemgetter(*(slice(o, None, base) for o in range(base)))
 
-        # -- the rows in local coordinates ---------------------------------
-        # Digit 0 of measurement m stands for 1 and digit k for δ_k.
-        coordinate, width = {}, 0
-        for context in all_contexts(scenario):
-            coordinate[context] = width
-            width += (base - 1) ** len(context)
-        self._rows = []
-        for c in contexts:
-            digits = list(itertools.product(range(base), repeat=len(c)))
-            where = [coordinate[tuple(m for m, d in zip(c, ds) if d)] + _numeral((d - 1 for d in ds if d), base - 1)
-                     for ds in digits]
-            for s in digits:
-                row = [0] * width
-                for ds, k in zip(digits, where):
-                    row[k] = math.prod((d == o) if o else -1 if d else 1 for o, d in zip(s, ds))
-                self._rows.append(tuple(row))
-
     def __len__(self) -> int:
         return self._size
 
-    def local_rows(self) -> list[tuple[int, ...]]:
-        return self._rows
+    def spanning(self) -> list[int]:
+        powers = dict(zip(self._scenario.measurements, self._powers))
+        return [sum(map(mul, digits, map(powers.__getitem__, context)))
+                for context in all_contexts(self._scenario)
+                for digits in itertools.product(range(1, self._base), repeat=len(context))]
 
     def digits(self, j: int) -> list[int]:
         """The outcome indices of column j's global section, measurement 0 first."""
@@ -366,9 +356,6 @@ class GlobalSectionColumns:
             flat.extend(h if base == 1 else map(max, *split(h)))
             buckets.append(h)
         return buckets, sum(map(flat.__getitem__, self._constants))
-
-    def maximum(self, weights: list[int]) -> int:
-        return self._eliminate(weights)[1]
 
     def entering(self, weights: list[int]) -> tuple[int, int, list[int], tuple[int, ...]] | None:
         buckets, value = self._eliminate(weights)

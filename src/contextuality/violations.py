@@ -35,6 +35,7 @@ from .errors import (
     TierMismatchError,
     UnionNotEvaluableError,
 )
+from .model import EmpiricalModel
 from .record import Failure, Record
 from .scenario import Section, global_section_columns, sections_over
 from .wps import Event, WpsRepresentation, _atoms, _indices, _null_cover, _subset_sums, excise
@@ -273,6 +274,21 @@ def witness_from_verdict(rep: WpsRepresentation, verdict: classifier.TierVerdict
     return _covered_support_witness(rep, nulls, verdict.logical_witness)
 
 
+def _tier_verdict(model: EmpiricalModel, tier: classifier.Tier, cap: int) -> classifier.TierVerdict:
+    """The verdict that the model has the named tier's property, asking only that tier's question."""
+    if tier is classifier.Tier.PROBABILISTIC:
+        result = classifier.global_distribution(model, cap=cap)
+        if isinstance(result, Distribution):
+            raise TierMismatchError("the model admits a global distribution")
+        return classifier.TierVerdict(tier, certificate=result)
+    if tier in (classifier.Tier.STRONG, classifier.Tier.LOGICAL):
+        strong, section = classifier._support_cover(model, cap)
+        if section is None or tier is classifier.Tier.STRONG and not strong:
+            raise TierMismatchError(f"the model is not {str(tier).lower()}ly contextual")
+        return classifier.TierVerdict(tier, logical_witness=section)
+    return classifier.TierVerdict(tier)
+
+
 def tier_violation_witness(rep: WpsRepresentation, tier: classifier.Tier,
                            cap: int = DEFAULT_ENUMERATION_CAP) -> ViolationWitness:
     """Build the violation witness certifying a contextuality tier.
@@ -281,18 +297,7 @@ def tier_violation_witness(rep: WpsRepresentation, tier: classifier.Tier,
     contextual model has all three).  Only that tier's question is asked;
     :func:`witness_from_verdict` builds the witness from its answer.
     """
-    verdict = classifier.TierVerdict(tier)
-    if tier is classifier.Tier.PROBABILISTIC:
-        result = classifier.global_distribution(rep.model, cap=cap)
-        if isinstance(result, Distribution):
-            raise TierMismatchError("the model admits a global distribution")
-        verdict = classifier.TierVerdict(tier, certificate=result)
-    elif tier in (classifier.Tier.STRONG, classifier.Tier.LOGICAL):
-        strong, section = classifier._support_cover(rep.model, cap)
-        if section is None or tier is classifier.Tier.STRONG and not strong:
-            raise TierMismatchError(f"the model is not {str(tier).lower()}ly contextual")
-        verdict = classifier.TierVerdict(tier, logical_witness=section)
-    return witness_from_verdict(rep, verdict)
+    return witness_from_verdict(rep, _tier_verdict(rep.model, tier, cap))
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ def solve_columns(columns: Sequence[Sequence[int]], rhs: Sequence,
             denominator[r] = lcm(denominator[r], v.denominator)
     scaled = [tuple(v.numerator * (denominator[r] // v.denominator) for r, v in zip(rows, column))
               for rows, column in zip(columns, values)]
-    outcome = feasibility.solve_source(ExplicitColumns(columns, scaled, m), [v * s for v, s in zip(b, denominator)])
+    outcome = feasibility.solve_source(ExplicitColumns(columns, scaled), [v * s for v, s in zip(b, denominator)])
     if outcome.feasible:
         return dense_outcome(outcome, len(columns))
     # The primitive certificate of the original rows: a positive row scaling keeps every sign.

@@ -8,6 +8,7 @@ run with ``pytest tests/test_acceptance.py -v -s`` to see them.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -57,9 +58,17 @@ from contextuality.violations import (
     tier_violation_witness,
     verify_witness,
 )
-from contextuality.extensions import sample_monotone_extensions
+from contextuality.cli import main
+from contextuality.extensions import (
+    EnvelopeExtension,
+    ExplicitExtension,
+    PointMeasureExtension,
+    canonical_monotone_extension,
+    sample_monotone_extensions,
+)
+from contextuality.serialize import dumps, extension_to_dict, model_to_dict
 from contextuality.wps import build_combinatorial_rep, excise, verify_rep
-from conftest import standard_paddings
+from conftest import noisy_cycle, standard_paddings
 from contextuality.wps import build_padded_rep
 from test_global_sections import THREE_OUTCOME_CYCLE
 
@@ -407,3 +416,85 @@ def test_10_adversarial_pool():
     elapsed = time.monotonic() - start
     _report("10 adversarial pool: biconditionals and de Finetti triangle in both point orders",
             ok and elapsed < 30.0, f"{len(models)} models, {sorted(t.name for t in tiers)}, {elapsed:.2f}s < 30s")
+
+
+# ---------------------------------------------------------------------------
+# Criterion 11: a seeded pool of extension documents through ``verify``
+# ---------------------------------------------------------------------------
+
+
+def _extension_pool() -> list[tuple[str, EmpiricalModel]]:
+    """Models whose representations have 8 points, so an explicit extension has 256 events: the
+    Specker triangle, the noisy 3-cycles at 1/8 and 1/2, and seeded deterministic mixtures on the
+    triangle scenario."""
+    rng = random.Random(36)
+    models = [("specker-triangle", entry("specker-triangle").model),
+              ("cycle-3-1/8", noisy_cycle(3, Fraction(1, 8))), ("cycle-3-1/2", noisy_cycle(3, Fraction(1, 2)))]
+    models += [(f"mixture-{i}", random_deterministic_mixture(triangle_scenario(), rng, components=rng.randint(1, 5)))
+               for i in range(4)]
+    return models
+
+
+def _tampers(document: dict, rep, rng: random.Random) -> dict:
+    """Edits of a monotonic extension document that ``verify`` must refuse, by name."""
+    family = [i for i, item in enumerate(document["values"]) if rep.event_of(item["event"]) in rep.sigma]
+    others = [i for i in range(len(document["values"])) if i not in family]
+    f, o = rng.choice(family), rng.choice(others)
+    return {
+        "family value changed": lambda d: d["values"][f].update(value=str(Fraction(d["values"][f]["value"]) + 1)),
+        "algebra member dropped": lambda d: d["values"].pop(o),
+        "non-family set made non-monotone": lambda d: d["values"][o].update(value="2"),
+        "value not a rational": lambda d: d["values"][f].update(value="one half"),
+        "value over zero": lambda d: d["values"][f].update(value="1/0"),
+        "value a JSON number": lambda d: d["values"][o].update(value=0.5),
+        "event not a list": lambda d: d["values"][o].update(event=d["values"][o]["event"][0]),
+        "event names no point": lambda d: d["values"][o]["event"].append("no-such-point"),
+        "entry without a value": lambda d: d["values"][o].pop("value"),
+        "entry not an object": lambda d: d["values"].__setitem__(o, 7),
+        "values not a list": lambda d: d.update(values={}),
+        "unknown extension kind": lambda d: d.update(extension_kind="convex"),
+    }
+
+
+def test_11_extension_document_pool(tmp_path, capsys):
+    start = time.monotonic()
+    rng = random.Random(3611)
+    failures, documents = [], 0
+
+    def verify(model_path, document, expected, label):
+        path = tmp_path / "extension.json"
+        path.write_text(dumps(document))
+        code = main(["verify", str(model_path), "--file", str(path)])
+        err = capsys.readouterr().err
+        # A refusal carries a message; main returning at all means no traceback.
+        if code != expected or (code and not err.strip()):
+            failures.append(f"{label}: exit {code}, expected {expected}")
+
+    for name, model in _extension_pool():
+        rep = build_combinatorial_rep(model)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(dumps(model_to_dict(model)))
+        extensions = [("canonical", canonical_monotone_extension(rep)), ("envelope", EnvelopeExtension(rep))]
+        extensions += [(f"sample-{i}", e) for i, e in enumerate(
+            sample_monotone_extensions(rep, count=3, seed=rng.randrange(1000)))]
+        weights = has_classical_extension(rep)
+        if weights is not None:
+            extensions.append(("point-measure", PointMeasureExtension(rep, weights)))
+        for kind, extension in extensions:
+            table = {e: extension.value(e) for e in range(1 << len(rep.points))}
+            additive = all(v == sum(table[1 << i] for i in range(len(rep.points)) if e >> i & 1)
+                           for e, v in table.items())
+            document = extension_to_dict(rep, ExplicitExtension(rep, table), "monotonic")
+            label = f"{name} {kind}"
+            documents += 1
+            verify(model_path, document, 0, label)
+            verify(model_path, dict(document, extension_kind="classical"), 0 if additive else 2,
+                   f"{label} claimed classical")
+            for tamper, edit in _tampers(document, rep, rng).items():
+                tampered = json.loads(json.dumps(document))
+                edit(tampered)
+                verify(model_path, tampered, 2, f"{label} {tamper}")
+    elapsed = time.monotonic() - start
+    _report("11 extension documents through verify, untampered and tampered",
+            not failures and elapsed < 30.0,
+            f"{documents} documents, {'; '.join(failures[:3]) or 'all exits as expected'}, {elapsed:.2f}s < 30s")

@@ -177,7 +177,7 @@ def test_explicit_pricing_hands_back_the_entering_column(data):
     values = [data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)), label="values")
               for rows in columns]
     weights = data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m), label="weights")
-    source = feasibility.ExplicitColumns(columns, values, m)
+    source = feasibility.ExplicitColumns(columns, values)
     costs = [sum(weights[r] * v for r, v in zip(rows, entries)) for rows, entries in zip(columns, values)]
     found = source.entering(weights)
     if max(costs, default=0) <= 0:
@@ -505,7 +505,7 @@ def row_scaled_solve(source, rhs):
     n = len(source)
     scale = [-v.denominator if v < 0 else v.denominator for v in b]
     target = [abs(v.numerator) for v in b]
-    independent, dependent = feasibility._presolve(source.local_rows())
+    independent, dependent = feasibility._presolve(feasibility._spanned_rows(source, len(b)))
     common = lcm(*(v.denominator for v in b))
     whole = [v.numerator * (common // v.denominator) for v in b]
     for combination in dependent:
@@ -718,15 +718,15 @@ def test_pivot_updates_the_block_as_the_full_row_formula(data):
 
 def test_the_echelon_runs_once_per_source(monkeypatch):
     # Two solves on one fresh source, then two classifier solves on two
-    # models of one scenario, each read the local rows once.
+    # models of one scenario, each read the spanning columns once.
     source = GlobalSectionColumns(noisy_cycle(5, Fraction(1, 8)).scenario)
-    calls = count_calls(monkeypatch, source, "local_rows")
+    calls = count_calls(monkeypatch, source, "spanning")
     for rhs in ([Fraction(1, 4)] * len(source.rows), [Fraction(1, 2), 0] * (len(source.rows) // 2)):
         solve_source(source, rhs)
     assert len(calls) == 1
 
     global_section_columns.cache_clear()
-    calls = count_calls(monkeypatch, GlobalSectionColumns, "local_rows")
+    calls = count_calls(monkeypatch, GlobalSectionColumns, "spanning")
     for share in (Fraction(1, 8), Fraction(1, 2)):
         global_distribution(noisy_cycle(5, share))
     assert len(calls) == 1
@@ -847,3 +847,31 @@ def test_a_support_cover_column_reaching_no_new_row_raises(monkeypatch):
     faulty(monkeypatch, GlobalSectionColumns, "entering", repeat_first)
     with pytest.raises(InternalConsistencyError, match="reaches no new row"):
         classifier.is_logically_contextual(catalog.hardy_model())
+
+
+def test_a_certificate_that_a_column_beats_raises(monkeypatch):
+    # Pricing that enters nothing once stops phase 1 at the artificial basis,
+    # under whose ray a column is still worth more than 0: only the pricing
+    # check of the certificate sees it.
+    calls = []
+
+    def none_first(entering, source, weights):
+        calls.append(None)
+        return None if len(calls) == 1 else entering(source, weights)
+    faulty(monkeypatch, feasibility.ExplicitColumns, "entering", none_first)
+    with pytest.raises(InternalConsistencyError, match="constructed certificate failed self-verification"):
+        solve_nonnegative(*FEASIBLE)
+
+
+def test_a_solution_that_misses_a_constraint_raises(monkeypatch):
+    # Once the presolve is kept on the source, a column(j) handing back the
+    # next column's rows reaches only the check of the primal vector.
+    rows, rhs = FEASIBLE
+    source = feasibility.ExplicitColumns(*sparse_columns(rows))
+    assert solve_source(source, rhs).feasible
+
+    def next_column(column, source, j):
+        return column(source, (j + 1) % len(source))
+    faulty(monkeypatch, feasibility.ExplicitColumns, "column", next_column)
+    with pytest.raises(InternalConsistencyError, match="misses a constraint"):
+        solve_source(source, rhs)

@@ -103,8 +103,8 @@ def recorded_solves(monkeypatch) -> list:
 
     Each recorded source's pricing and presolve rows are checked against
     those dense rows too: its maximum under seeded random integer row
-    weights is the largest column sum, and its local rows keep the same
-    independent rows.
+    weights is the largest column sum, and its rows read at its spanning
+    columns keep the same independent rows.
     """
     seen = []
     solve = feasibility.solve_source
@@ -114,9 +114,9 @@ def recorded_solves(monkeypatch) -> list:
         rng = random.Random(len(rhs))
         for _ in range(5):
             weights = [rng.randint(-6, 3) for _ in rhs]
-            assert source.maximum(weights) == max(sum(w * v for w, v in zip(weights, column))
-                                                  for column in zip(*matrix))
-        assert independent_rows(source.local_rows()) == independent_rows(matrix)
+            assert source._eliminate(weights)[1] == max(sum(w * v for w, v in zip(weights, column))
+                                                        for column in zip(*matrix))
+        assert independent_rows(feasibility._spanned_rows(source, len(rhs))) == independent_rows(matrix)
         seen.append((matrix, list(rhs)))
         return solve(source, rhs)
     monkeypatch.setattr(feasibility, "solve_source", recording)
@@ -226,7 +226,7 @@ def test_oracle_pricing_matches_enumeration(data):
     costs = [sum(weights[r] for r in rows) for rows in system.incidence]
     best = max(costs)
     source = global_section_columns(scenario)
-    assert source.maximum(weights) == best
+    assert source._eliminate(weights)[1] == best
     if best <= 0:
         assert source.entering(weights) is None
         return
@@ -253,7 +253,7 @@ def test_oracle_maximum_and_columns_match_enumeration_beyond_binary_cycles(data)
     weights = data.draw(st.lists(st.integers(-8, 3), min_size=len(system.rows), max_size=len(system.rows)),
                         label="weights")
     costs = [sum(weights[r] for r in rows) for rows in system.incidence]
-    assert source.maximum(weights) == max(costs)
+    assert source._eliminate(weights)[1] == max(costs)
     j = data.draw(st.integers(0, len(source) - 1), label="column")
     assert tuple(source.column(j)[0]) == system.incidence[j]
     found = source.entering(weights)
@@ -278,6 +278,35 @@ def test_certificate_max_sum_matches_enumeration(data):
         tables.setdefault(c, {})[s.values] = w
     best = max(sum(weights[r] for r in rows) for rows in system.incidence)
     assert classifier._largest_column_sum(scenario, tables) == best
+
+
+@st.composite
+def scenarios(draw) -> Scenario:
+    """1-4 measurements, 1-3 outcomes and a random antichain of contexts covering the measurements."""
+    n = draw(st.integers(1, 4), label="measurements")
+    subsets = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=5),
+                   label="subsets")
+    subsets += [frozenset({i}) for i in range(n) if not any(i in s for s in subsets)]
+    names = [f"m{i}" for i in range(n)]
+    contexts = {s for s in subsets if not any(s < t for t in subsets)}
+    outcomes = tuple(map(str, range(draw(st.integers(1, 3), label="outcomes"))))
+    return Scenario(names, [[names[i] for i in sorted(c)] for c in contexts], outcomes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=scenarios())
+def test_spanning_columns_keep_the_presolve_of_the_dense_rows(scenario):
+    # The same independent rows and, up to sign, the same vanishing
+    # combinations as the presolve over all |O|^n columns.
+    source = scenario_module.GlobalSectionColumns(scenario)
+    m = len(source.rows)
+    independent, dependent = feasibility._presolve(feasibility._spanned_rows(source, m))
+    dense_independent, dense_dependent = feasibility._presolve(expand(source, m))
+
+    def unsigned(combination):
+        return max(combination, [-v for v in combination])
+    assert independent == dense_independent
+    assert list(map(unsigned, dependent)) == list(map(unsigned, dense_dependent))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +393,6 @@ def test_classify_never_prices_explicit_columns(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("explicit-column pricing reached on the classify path")
     monkeypatch.setattr(feasibility.ExplicitColumns, "entering", refuse)
-    monkeypatch.setattr(feasibility.ExplicitColumns, "maximum", refuse)
     scenario_module.global_section_columns.cache_clear()
     assert [classify(model).tier for model in models] == tiers
     assert {Tier.PROBABILISTIC, Tier.NONCONTEXTUAL} <= set(tiers)

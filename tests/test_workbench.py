@@ -397,6 +397,26 @@ class TestCli:
             assert capsys.readouterr().err == "error: no violation witness exists for tier Noncontextual\n"
         assert builds == []
 
+    @pytest.mark.parametrize("n, tier, message", [
+        (17, "probabilistic", "the model admits a global distribution"),
+        (18, "strong", "the model is not strongly contextual"),
+    ])
+    def test_witness_tier_refusal_builds_nothing(self, n, tier, message, monkeypatch, tmp_path, capsys):
+        # The tier's question refuses the Noncontextual noisy cycle before any of its 2^n points is built.
+        builds = []
+        build = wps.build_combinatorial_rep
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(wps, "build_combinatorial_rep", counting)
+        path = tmp_path / f"cycle{n}.json"
+        path.write_text(dumps(model_to_dict(noisy_cycle(n, Fraction(1, 8)))))
+        assert main(["witness", str(path), "--tier", tier]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert builds == []
+
     def test_dutchbook_prints_payoffs(self, capsys):
         code = main(["dutchbook", "pr-box"])
         out = capsys.readouterr().out
