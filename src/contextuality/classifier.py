@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import feasibility
 from .distribution import Distribution
-from .errors import DEFAULT_ENUMERATION_CAP, DomainError, InternalConsistencyError
+from .errors import DEFAULT_ENUMERATION_CAP, DomainError, InternalConsistencyError, TierMismatchError
 from .model import EmpiricalModel
 from .record import Record
 from .scenario import Scenario, Section, check_global_section_cap, global_section_columns
@@ -201,6 +201,26 @@ def classify(model: EmpiricalModel, cap: int = DEFAULT_ENUMERATION_CAP) -> TierV
     if isinstance(result, Distribution):
         return TierVerdict(Tier.NONCONTEXTUAL, global_distribution=result)
     return TierVerdict(Tier.PROBABILISTIC, certificate=result)
+
+
+def _refuse_noncontextual(tier: Tier) -> None:
+    if tier is Tier.NONCONTEXTUAL:
+        raise TierMismatchError(f"no violation witness exists for tier {tier}")
+
+
+def _tier_verdict(model: EmpiricalModel, tier: Tier, cap: int) -> TierVerdict:
+    """The verdict that the model has the named tier's property, asking only that tier's question."""
+    if tier is Tier.PROBABILISTIC:
+        result = global_distribution(model, cap=cap)
+        if isinstance(result, Distribution):
+            raise TierMismatchError("the model admits a global distribution")
+        return TierVerdict(tier, certificate=result)
+    if tier in (Tier.STRONG, Tier.LOGICAL):
+        strong, section = _support_cover(model, cap)
+        if section is None or tier is Tier.STRONG and not strong:
+            raise TierMismatchError(f"the model is not {str(tier).lower()}ly contextual")
+        return TierVerdict(tier, logical_witness=section)
+    return TierVerdict(tier)
 
 
 def verify_global_distribution(model: EmpiricalModel, dist: Distribution) -> None:

@@ -152,15 +152,15 @@ _TIER_FLAGS = ("strong", "logical", "probabilistic")
 
 
 def _cmd_witness(args) -> int:
-    from .violations import _refuse_noncontextual, _tier_verdict, witness_from_verdict
+    from .violations import witness_from_verdict
     from .wps import build_combinatorial_rep
     name, model = _resolve_model(args)
     # The verdict is the witness's evidence; a model without the tier is refused before any representation is built.
     if args.tier:
-        verdict = _tier_verdict(model, classifier.Tier[args.tier.upper()], args.cap)
+        verdict = classifier._tier_verdict(model, classifier.Tier[args.tier.upper()], args.cap)
     else:
         verdict = classifier.classify(model, cap=args.cap)
-    _refuse_noncontextual(verdict.tier)
+    classifier._refuse_noncontextual(verdict.tier)
     rep = build_combinatorial_rep(model, cap=args.cap)
     witness = witness_from_verdict(rep, verdict)
     if args.format == "structured":
@@ -180,16 +180,17 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_dutchbook(args) -> int:
-    from .dutchbook import dutch_book_table
-    from .wps import build_combinatorial_rep
     name, model = _resolve_model(args)
-    rep = build_combinatorial_rep(model, cap=args.cap)
-    found = dutch_book_table(rep)
-    if found is None:
+    # A model has a book exactly when it is contextual, so a Noncontextual verdict builds no representation.
+    verdict = classifier.classify(model, cap=args.cap)
+    if verdict.tier is classifier.Tier.NONCONTEXTUAL:
         _emit(f"model: {name}\nno dutch book: the set function is a convex "
               "combination of point functionals\n", args.out)
         return 0
-    certificate, payoffs = found
+    from .dutchbook import dutch_book_table
+    from .wps import build_combinatorial_rep
+    rep = build_combinatorial_rep(model, cap=args.cap)
+    certificate, payoffs = dutch_book_table(rep, verdict)
     if args.format == "structured":
         from .serialize import certificate_to_dict
         document = certificate_to_dict(rep, certificate)

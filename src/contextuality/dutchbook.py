@@ -6,8 +6,8 @@ membership question is an exact feasibility problem; its failure yields a
 separating rational functional that normalizes into a stake function whose
 payoff is strictly negative against every point, verifiable by exhaustive
 enumeration.  On combinatorial representations the points are in bijection
-with global sections, so the Dutch book and the convexity hierarchy read
-the question over the maximal-context events from the global-distribution
+with global sections, so the Dutch book reads its stakes off the model's
+verdict, the convexity hierarchy reads its question from the global-section
 solve, and the same bijection grades convexity-violation into the three
 familiar strengths.  Padded representations solve over the points.
 """
@@ -25,6 +25,7 @@ from .errors import (
     NonCombinatorialError,
     NotAnEventError,
     ScenarioMismatchError,
+    TierMismatchError,
 )
 from .record import Record
 from .scenario import Section, global_section_columns
@@ -198,41 +199,49 @@ def verify_certificate(rep: WpsRepresentation, certificate: DutchBookCertificate
 
 
 def find_dutch_book(rep: WpsRepresentation) -> Optional[DutchBookCertificate]:
-    """The stake certificate of :func:`dutch_book_table`, or None when the set function is convex."""
-    found = dutch_book_table(rep)
+    """The stake certificate of :func:`dutch_book_table` under the model's verdict, or None."""
+    # The representation already holds a point per global section, so its size caps the classification.
+    found = dutch_book_table(rep, classifier.classify(rep.model, cap=len(rep.points)))
     return None if found is None else found[0]
 
 
-def dutch_book_table(rep: WpsRepresentation) -> Optional[tuple[DutchBookCertificate, list[Fraction]]]:
+def dutch_book_table(rep: WpsRepresentation,
+                     verdict: classifier.TierVerdict) -> Optional[tuple[DutchBookCertificate, list[Fraction]]]:
     """A stake certificate and its payoff table in point order, checked at every point, or None.
 
-    When the null maximal-context events cover the sample space the
-    certificate is the canonical uniform stake of minus one on those
-    events, and no system is solved: every point loses, so no convex
-    combination of points, whose expected payoff is zero, matches the set
-    function.  Otherwise a combinatorial representation stakes y(c, s) on
-    event(s) for the global-section solve's separating functional y: each
-    point is one global section g, so it pays sum_c y(c, g|c) - y.mu <=
-    -y.mu < 0.  A padded one solves membership over the whole event family.
-    Every stake event is a null maximal-context event, a maximal-context
-    image or a context-algebra atom, so each lies in the event family.
+    ``verdict`` is the classifier's verdict on the representation's model: a
+    Noncontextual model has no book, and nothing is solved.  When the null
+    maximal-context events cover the sample space the certificate is the
+    canonical uniform stake of minus one on those events: every point loses,
+    so no convex combination of points, whose expected payoff is zero,
+    matches the set function.  Otherwise a combinatorial representation
+    stakes y(c, s) on event(s) for the verdict's separating functional y,
+    asked for here on a Logical verdict: point g, one global section, pays
+    sum_c y(c, g|c) - y.mu.  A padded one solves membership over the whole
+    event family.  Every stake event is a null maximal-context event, a
+    maximal-context image or a context-algebra atom, so each is in the family.
 
     The table is computed once, and its largest entry, minus the loss
-    bound, checks every point.  Solved stakes are scaled to a worst payoff
-    of -1: dividing each stake by b > 0 divides each payoff, price included.
+    bound, checks every point; that check certifies the book.  Solved stakes
+    are scaled to a worst payoff of -1: dividing each stake by b > 0 divides
+    each payoff, price included.
     """
+    if verdict.tier is classifier.Tier.NONCONTEXTUAL:
+        return None
     nulls, clean = _null_cover(rep, rep.maximal_context_events())
     if not clean:
         stakes = tuple((e, Fraction(-1)) for e in nulls)
         payoffs = _payoffs(rep, stakes)
         return DutchBookCertificate(stakes, -max(payoffs)), payoffs
     if rep.combinatorial:
-        weights, farkas = _maximal_context_membership(rep)
-        labels = [] if farkas is None else [rep.event(s) for _, s in farkas.rows]
+        # A Logical verdict carries no functional; the points, one per global section, cap the question it leaves.
+        farkas = verdict.certificate or classifier._tier_verdict(
+            rep.model, classifier.Tier.PROBABILISTIC, len(rep.points)).certificate
+        labels = [rep.event(s) for _, s in farkas.rows]
     else:
-        weights, labels, farkas = _solve_membership(rep, None)
-    if weights is not None:
-        return None
+        _, labels, farkas = _solve_membership(rep, None)
+        if farkas is None:
+            raise TierMismatchError("the set function is a convex combination of point functionals")
     stakes = [(event, coef) for event, coef in zip(labels, farkas.coefficients) if coef != 0]
     payoffs = _payoffs(rep, stakes)
     loss = -max(payoffs)

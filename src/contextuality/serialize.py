@@ -291,6 +291,8 @@ def extension_from_dict(rep: WpsRepresentation, document: Mapping) -> tuple[Expl
     values = {}
     for i, item in enumerate(_expect(document, "values", kind=list)):
         event = _event_from_labels(rep, _expect(item, "event", f"values[{i}]"), f"values[{i}].event")
+        if event in values:
+            raise SchemaError("an event is listed twice", f"values[{i}].event")
         values[event] = _fraction_from(_expect(item, "value", f"values[{i}]"), f"values[{i}].value")
     return ExplicitExtension(rep, values), extension_kind
 

@@ -25,17 +25,14 @@ from operator import or_
 from typing import Iterable, Optional
 
 from . import classifier, dutchbook, extensions
-from .distribution import Distribution
 from .errors import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     InternalConsistencyError,
     NonCombinatorialError,
     NotAnExtensionError,
-    TierMismatchError,
     UnionNotEvaluableError,
 )
-from .model import EmpiricalModel
 from .record import Failure, Record
 from .scenario import Section, global_section_columns, sections_over
 from .wps import Event, WpsRepresentation, _atoms, _indices, _null_cover, _subset_sums, excise
@@ -245,11 +242,6 @@ def _covered_support_witness(rep: WpsRepresentation, nulls: tuple[Event, ...],
     return ViolationWitness(ViolationKind.SUBADDITIVITY, collection, value, data)
 
 
-def _refuse_noncontextual(tier: classifier.Tier) -> None:
-    if tier is classifier.Tier.NONCONTEXTUAL:
-        raise TierMismatchError(f"no violation witness exists for tier {tier}")
-
-
 def witness_from_verdict(rep: WpsRepresentation, verdict: classifier.TierVerdict) -> ViolationWitness:
     """The violation witness of a verdict on the representation's model, which is asked nothing again.
 
@@ -259,7 +251,7 @@ def witness_from_verdict(rep: WpsRepresentation, verdict: classifier.TierVerdict
     fails to add up, with the certificate that every monotonic extension
     fails somewhere.  Each builder checks its collection.
     """
-    _refuse_noncontextual(verdict.tier)
+    classifier._refuse_noncontextual(verdict.tier)
     if verdict.tier is classifier.Tier.PROBABILISTIC:
         return _additivity_witness(rep, verdict.certificate)
     # Padding lives in the excised events, which are null; a combinatorial
@@ -274,21 +266,6 @@ def witness_from_verdict(rep: WpsRepresentation, verdict: classifier.TierVerdict
     return _covered_support_witness(rep, nulls, verdict.logical_witness)
 
 
-def _tier_verdict(model: EmpiricalModel, tier: classifier.Tier, cap: int) -> classifier.TierVerdict:
-    """The verdict that the model has the named tier's property, asking only that tier's question."""
-    if tier is classifier.Tier.PROBABILISTIC:
-        result = classifier.global_distribution(model, cap=cap)
-        if isinstance(result, Distribution):
-            raise TierMismatchError("the model admits a global distribution")
-        return classifier.TierVerdict(tier, certificate=result)
-    if tier in (classifier.Tier.STRONG, classifier.Tier.LOGICAL):
-        strong, section = classifier._support_cover(model, cap)
-        if section is None or tier is classifier.Tier.STRONG and not strong:
-            raise TierMismatchError(f"the model is not {str(tier).lower()}ly contextual")
-        return classifier.TierVerdict(tier, logical_witness=section)
-    return classifier.TierVerdict(tier)
-
-
 def tier_violation_witness(rep: WpsRepresentation, tier: classifier.Tier,
                            cap: int = DEFAULT_ENUMERATION_CAP) -> ViolationWitness:
     """Build the violation witness certifying a contextuality tier.
@@ -297,7 +274,7 @@ def tier_violation_witness(rep: WpsRepresentation, tier: classifier.Tier,
     contextual model has all three).  Only that tier's question is asked;
     :func:`witness_from_verdict` builds the witness from its answer.
     """
-    return witness_from_verdict(rep, _tier_verdict(rep.model, tier, cap))
+    return witness_from_verdict(rep, classifier._tier_verdict(rep.model, tier, cap))
 
 
 # ---------------------------------------------------------------------------

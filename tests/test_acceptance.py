@@ -469,6 +469,7 @@ def test_11_extension_document_pool(tmp_path, capsys):
         # A refusal carries a message; main returning at all means no traceback.
         if code != expected or (code and not err.strip()):
             failures.append(f"{label}: exit {code}, expected {expected}")
+        return err
 
     for name, model in _extension_pool():
         rep = build_combinatorial_rep(model)
@@ -494,6 +495,13 @@ def test_11_extension_document_pool(tmp_path, capsys):
                 tampered = json.loads(json.dumps(document))
                 edit(tampered)
                 verify(model_path, tampered, 2, f"{label} {tamper}")
+            if label == "specker-triangle envelope":
+                # A family event listed first at 7, then at its stored value: each listing is read.
+                i = next(i for i, item in enumerate(document["values"]) if rep.event_of(item["event"]) in rep.sigma)
+                twice = json.loads(json.dumps(document))
+                twice["values"].insert(i, dict(twice["values"][i], value="7"))
+                if f"listed twice (at values[{i + 1}].event)" not in verify(model_path, twice, 2, f"{label} listed twice"):
+                    failures.append(f"{label} listed twice: the message names no second listing")
     elapsed = time.monotonic() - start
     _report("11 extension documents through verify, untampered and tampered",
             not failures and elapsed < 30.0,

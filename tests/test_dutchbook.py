@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from contextuality import classifier, dutchbook, feasibility
+from contextuality import classifier, feasibility
 from contextuality.catalog import (
     bell_model,
     ghz_model,
@@ -33,14 +33,14 @@ from contextuality.dutchbook import (
     section_to_functional,
     verify_certificate,
 )
-from contextuality.errors import InternalConsistencyError, NotAnEventError
+from contextuality.errors import InternalConsistencyError, NotAnEventError, TierMismatchError
 from contextuality.feasibility import FeasibilityOutcome
 from contextuality.model import deterministic_model
 from contextuality.scenario import global_section_columns, restrict, sections_over
 from contextuality.serialize import certificate_to_dict, dumps, model_to_dict
 from contextuality.violations import additivity_violation, has_classical_extension
-from contextuality.wps import WpsRepresentation, build_combinatorial_rep
-from conftest import noisy_cycle, patch_every_layer, solve_nonnegative
+from contextuality.wps import WpsRepresentation, build_combinatorial_rep, build_padded_rep
+from conftest import noisy_cycle, patch_every_layer, solve_nonnegative, standard_paddings
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +161,8 @@ class TestFindDutchBook:
         sources, built = self._count_solves(monkeypatch)
         certificate = find_dutch_book(rep)
         assert certificate is not None and verify_certificate(rep, certificate)
-        assert sources == built and len(built) == 1
+        # One global-section solve for the verdict, then one membership system over the points.
+        assert sources == [global_section_columns(rep.model.scenario), *built] and len(built) == 1
 
 
 class TestPayoffTable:
@@ -178,7 +179,7 @@ class TestPayoffTable:
                     for n in range(3, 10) for share in (Fraction(1, 8), Fraction(1, 2)))
         books = scaled = 0
         for name, rep in pool.items():
-            found = dutch_book_table(rep)
+            found = dutch_book_table(rep, classify(rep.model))
             if found is None:
                 continue
             # The handed-out table is computed once, for the unscaled stakes, and
@@ -192,15 +193,22 @@ class TestPayoffTable:
         assert books >= 15 and scaled >= 4
 
     @pytest.mark.parametrize("forge", [lambda y: -y, lambda y: 0 * y])
-    def test_stakes_that_lose_nowhere_are_refused(self, reps, forge, monkeypatch):
+    def test_stakes_that_lose_nowhere_are_refused(self, reps, forge):
         # A functional that fails to separate gives a table whose largest entry
         # is not negative; the book is refused, not scaled by a non-positive loss.
         rep = reps["bell"]
-        _, certificate = dutchbook._maximal_context_membership(rep)
+        certificate = classify(rep.model).certificate
         forged = classifier.GlobalDistributionCertificate(certificate.rows, tuple(map(forge, certificate.coefficients)))
-        monkeypatch.setattr(dutchbook, "_maximal_context_membership", lambda rep: (None, forged))
         with pytest.raises(InternalConsistencyError, match="no loss"):
-            dutch_book_table(rep)
+            dutch_book_table(rep, classifier.TierVerdict(Tier.PROBABILISTIC, certificate=forged))
+
+    def test_a_contextual_verdict_on_a_convex_model_is_refused(self, control_rep):
+        # A Logical verdict carries no functional, so a model without one ends in a message on either path.
+        model = control_rep.model
+        padded = build_padded_rep(model, standard_paddings(model.scenario))
+        for rep, message in ((control_rep, "admits a global distribution"), (padded, "convex combination")):
+            with pytest.raises(TierMismatchError, match=message):
+                dutch_book_table(rep, classifier.TierVerdict(Tier.LOGICAL))
 
     @pytest.fixture(scope="class")
     def bell_book(self, catalog_reps):

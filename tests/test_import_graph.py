@@ -157,7 +157,7 @@ CATALOG_OPS = {
     ("witness", "bell"): REPRESENTATION | {"classifier", "violations", "feasibility", "extensions"},
     ("verify-witness", "ghz"): REPRESENTATION | {"violations"},
     ("verify-witness", "bell"): REPRESENTATION | {"violations", "extensions", "classifier"},
-    ("dutchbook", "ghz"): REPRESENTATION | {"dutchbook"},
+    ("dutchbook", "ghz"): REPRESENTATION | {"dutchbook", "classifier"},
     ("dutchbook", "bell"): REPRESENTATION | {"dutchbook", "classifier", "feasibility"},
     ("verify-dutchbook", "ghz"): REPRESENTATION | {"dutchbook"},
     ("verify-dutchbook", "bell"): REPRESENTATION | {"dutchbook"},

@@ -23,6 +23,7 @@ from contextuality.catalog import (
     perturbed_model,
     pr_box_model,
     random_deterministic_mixture,
+    three_party_scenario,
     triangle_scenario,
     two_party_scenario,
 )
@@ -417,6 +418,28 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert builds == []
 
+    def test_dutchbook_noncontextual_builds_nothing(self, monkeypatch, tmp_path, capsys):
+        # A model has a book exactly when it is contextual, so classify's verdict answers before
+        # any point is built, and --cap bounds only the global sections (the mixture's 64, not its
+        # 256 algebra members).
+        builds = []
+        build = wps.build_combinatorial_rep
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(wps, "build_combinatorial_rep", counting)
+        mixture = random_deterministic_mixture(three_party_scenario(), random.Random(37))
+        for name, model, cap in (("cycle17", noisy_cycle(17, Fraction(1, 8)), []), ("mixture", mixture, []),
+                                 ("mixture", mixture, ["--cap", "100"])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(dumps(model_to_dict(model)))
+            assert main(["dutchbook", str(path), *cap]) == 0
+            assert capsys.readouterr().out == (f"model: {name}\nno dutch book: the set function is a convex "
+                                               "combination of point functionals\n")
+        assert builds == []
+
     def test_dutchbook_prints_payoffs(self, capsys):
         code = main(["dutchbook", "pr-box"])
         out = capsys.readouterr().out
@@ -699,6 +722,14 @@ class TestCli:
         (["dutchbook", "bell"], "_payoffs"),
         (["dutchbook", "pr-box"], "_payoffs"),
         (["dutchbook", "cycle-13"], "_payoffs"),
+        (["dutchbook", "hardy"], "_support_cover"),
+        (["dutchbook", "hardy"], "global_distribution"),
+        (["dutchbook", "bell"], "_support_cover"),
+        (["dutchbook", "bell"], "global_distribution"),
+        (["dutchbook", "cycle-13"], "_support_cover"),
+        (["dutchbook", "cycle-13"], "global_distribution"),
+        (["dutchbook", "cycle-17"], "_support_cover"),
+        (["dutchbook", "cycle-17"], "global_distribution"),
         (["witness", "pr-box", "--tier", "strong"], "_support_cover"),
         (["witness", "pr-box", "--tier", "logical"], "_support_cover"),
         (["witness", "hardy", "--tier", "logical"], "_support_cover"),
@@ -718,9 +749,10 @@ class TestCli:
             return core(*args, **kwargs)
 
         monkeypatch.setattr(module, counted, counting)
-        if argv[1] == "cycle-13":
-            path = tmp_path / "cycle13.json"
-            path.write_text(dumps(model_to_dict(noisy_cycle(13, Fraction(1, 8)))))
+        if argv[1].startswith("cycle-"):
+            n = int(argv[1].removeprefix("cycle-"))
+            path = tmp_path / f"cycle{n}.json"
+            path.write_text(dumps(model_to_dict(noisy_cycle(n, Fraction(1, 8)))))
             argv = [argv[0], str(path)]
         assert main(argv) == 0
         assert len(calls) == 1
