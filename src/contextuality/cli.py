@@ -37,10 +37,8 @@ def _at_least(low, convert, what: str):
 
 
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("model_positional", nargs="?", metavar="MODEL",
+    parser.add_argument("model", nargs="?", metavar="MODEL",
                         help="catalog name or path to a model/experiment document")
-    parser.add_argument("--model", dest="model_flag", metavar="NAME|PATH",
-                        help="catalog name or path (alternative to the positional)")
     parser.add_argument("--cap", type=_at_least(1, int, "an integer of at least 1"),
                         default=DEFAULT_ENUMERATION_CAP, help="enumeration cap (default 2^20, >= 1)")
     parser.add_argument("--snap-tol", type=_at_least(0, float, "a finite non-negative number"),
@@ -50,10 +48,9 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_model(args) -> tuple[str, EmpiricalModel]:
-    chosen = [v for v in (args.model_positional, getattr(args, "model_flag", None)) if v]
-    if len(chosen) != 1:
-        raise SchemaError("supply exactly one model, positionally or via --model")
-    name = chosen[0]
+    name = args.model
+    if not name:
+        raise SchemaError("supply a model: a catalog name or a path")
     try:
         return name, _catalog.entry(name).model
     except KeyError:
@@ -184,8 +181,12 @@ def _cmd_dutchbook(args) -> int:
     # A model has a book exactly when it is contextual, so a Noncontextual verdict builds no representation.
     verdict = classifier.classify(model, cap=args.cap)
     if verdict.tier is classifier.Tier.NONCONTEXTUAL:
-        _emit(f"model: {name}\nno dutch book: the set function is a convex "
-              "combination of point functionals\n", args.out)
+        if args.format == "structured":
+            _emit(json.dumps({"model": name, "tier": str(verdict.tier), "dutch_book": None}, indent=2) + "\n",
+                  args.out)
+        else:
+            _emit(f"model: {name}\nno dutch book: the set function is a convex "
+                  "combination of point functionals\n", args.out)
         return 0
     from .dutchbook import dutch_book_table
     from .wps import build_combinatorial_rep

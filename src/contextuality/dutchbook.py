@@ -6,10 +6,11 @@ membership question is an exact feasibility problem; its failure yields a
 separating rational functional that normalizes into a stake function whose
 payoff is strictly negative against every point, verifiable by exhaustive
 enumeration.  On combinatorial representations the points are in bijection
-with global sections, so the Dutch book reads its stakes off the model's
-verdict, the convexity hierarchy reads its question from the global-section
-solve, and the same bijection grades convexity-violation into the three
-familiar strengths.  Padded representations solve over the points.
+with global sections, so the convexity hierarchy reads its question from the
+global-section solve, and the same bijection grades convexity-violation into
+the three familiar strengths.  Every representation's Dutch book reads its
+stakes off the model's verdict: padding lives in the excised events, which
+are null, so a padded book is its core's plus stakes on those events.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import (
     NonCombinatorialError,
     NotAnEventError,
     ScenarioMismatchError,
-    TierMismatchError,
 )
 from .record import Record
 from .scenario import Section, global_section_columns
@@ -118,8 +118,16 @@ def _checked_weights(rep: WpsRepresentation, support: dict[int, Fraction], event
     return {point: support.get(i, ZERO) for i, point in enumerate(rep.points)}
 
 
-def _solve_membership(rep: WpsRepresentation, restriction: Optional[Iterable[Event]]):
-    """Solve the convexity-membership system; return (weights, labels, certificate)."""
+def convexity_membership(rep: WpsRepresentation,
+                         restriction: Optional[Iterable[Event]] = None) -> Optional[dict[str, Fraction]]:
+    """Convex weights over points reproducing the set function on a restriction.
+
+    ``restriction`` defaults to the full event family (per-context algebra
+    atoms decide the system; the returned weights are re-verified against
+    every family member).  Returns the weights, or None when the function
+    lies outside the convex hull of the atomic functionals there.  Its 0/1
+    point columns are the point-side reference for the global-section solve.
+    """
     if restriction is None:
         events = rep.sorted_events(atom for members in rep.sigma_algebras.values()
                                    for atom in _atoms(rep.sample_space, members))
@@ -132,24 +140,10 @@ def _solve_membership(rep: WpsRepresentation, restriction: Optional[Iterable[Eve
         for i in _indices(event):
             columns[i].append(r)
     ones = [(1,) * len(column) for column in columns]
-    system = feasibility.ExplicitColumns(columns, ones)
-    outcome = feasibility.solve_source(system, [ONE, *map(rep.mu_of, events)])
-    labels = [rep.sample_space, *events]
+    outcome = feasibility.solve_source(feasibility.ExplicitColumns(columns, ones), [ONE, *map(rep.mu_of, events)])
     if not outcome.feasible:
-        return None, labels, outcome.certificate
-    return _checked_weights(rep, outcome.solution, verify_against, "membership"), labels, None
-
-
-def convexity_membership(rep: WpsRepresentation,
-                         restriction: Optional[Iterable[Event]] = None) -> Optional[dict[str, Fraction]]:
-    """Convex weights over points reproducing the set function on a restriction.
-
-    ``restriction`` defaults to the full event family (per-context algebra
-    atoms decide the system; the returned weights are re-verified against
-    every family member).  Returns the weights, or None when the function
-    lies outside the convex hull of the atomic functionals there.
-    """
-    return _solve_membership(rep, restriction)[0]
+        return None
+    return _checked_weights(rep, outcome.solution, verify_against, "membership")
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +205,18 @@ def dutch_book_table(rep: WpsRepresentation,
 
     ``verdict`` is the classifier's verdict on the representation's model: a
     Noncontextual model has no book, and nothing is solved.  When the null
-    maximal-context events cover the sample space the certificate is the
-    canonical uniform stake of minus one on those events: every point loses,
-    so no convex combination of points, whose expected payoff is zero,
-    matches the set function.  Otherwise a combinatorial representation
-    stakes y(c, s) on event(s) for the verdict's separating functional y,
-    asked for here on a Logical verdict: point g, one global section, pays
-    sum_c y(c, g|c) - y.mu.  A padded one solves membership over the whole
-    event family.  Every stake event is a null maximal-context event, a
-    maximal-context image or a context-algebra atom, so each is in the family.
+    events, those among the maximal-context events and the excised ones,
+    cover the sample space the certificate is the canonical uniform stake of
+    minus one on them: every point loses, so no convex combination of
+    points, whose expected payoff is zero, matches the set function.  A
+    Strong verdict always lands there.  Otherwise the book stakes y(c, s) on
+    event(s) for the verdict's separating functional y, asked for here on a
+    Logical verdict, so core point g, one global section, pays
+    sum_c y(c, g|c) - y.mu < 0.  Each excised event, null and holding no
+    core point, takes a stake of -sum|y|: it adds nothing to the price, and
+    a pad point, which lies in one, pays at most sum y+ - y.mu - sum|y| < 0.
+    Every stake event is a maximal-context image or an excised event, so
+    each is in the family.
 
     The table is computed once, and its largest entry, minus the loss
     bound, checks every point; that check certifies the book.  Solved stakes
@@ -228,21 +225,18 @@ def dutch_book_table(rep: WpsRepresentation,
     """
     if verdict.tier is classifier.Tier.NONCONTEXTUAL:
         return None
-    nulls, clean = _null_cover(rep, rep.maximal_context_events())
+    nulls, clean = _null_cover(rep)
     if not clean:
         stakes = tuple((e, Fraction(-1)) for e in nulls)
         payoffs = _payoffs(rep, stakes)
         return DutchBookCertificate(stakes, -max(payoffs)), payoffs
-    if rep.combinatorial:
-        # A Logical verdict carries no functional; the points, one per global section, cap the question it leaves.
-        farkas = verdict.certificate or classifier._tier_verdict(
-            rep.model, classifier.Tier.PROBABILISTIC, len(rep.points)).certificate
-        labels = [rep.event(s) for _, s in farkas.rows]
-    else:
-        _, labels, farkas = _solve_membership(rep, None)
-        if farkas is None:
-            raise TierMismatchError("the set function is a convex combination of point functionals")
-    stakes = [(event, coef) for event, coef in zip(labels, farkas.coefficients) if coef != 0]
+    # A Logical verdict carries no functional; the points, one per global section or more, cap the question.
+    farkas = verdict.certificate or classifier._tier_verdict(
+        rep.model, classifier.Tier.PROBABILISTIC, len(rep.points)).certificate
+    stakes = [(rep.event(s), y) for (_, s), y in zip(farkas.rows, farkas.coefficients) if y != 0]
+    images = set(rep.maximal_context_events())
+    penalty = -sum((abs(y) for _, y in stakes), ZERO)
+    stakes += [(e, penalty) for e in nulls if e not in images]
     payoffs = _payoffs(rep, stakes)
     loss = -max(payoffs)
     if loss <= 0:
@@ -302,6 +296,6 @@ def convexity_hierarchy(rep: WpsRepresentation) -> ConvexityVerdict:
         raise NonCombinatorialError("the convexity hierarchy needs a combinatorial representation")
     events = rep.maximal_context_events()
     weights, _ = _maximal_context_membership(rep)
-    _, clean = _null_cover(rep, events)
+    _, clean = _null_cover(rep)
     logical = any(rep.mu_of(e) > 0 and not e & clean for e in events)
     return ConvexityVerdict(not clean, logical, weights is None, weights)

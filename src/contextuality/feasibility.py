@@ -19,7 +19,9 @@ the simplex enters under integer row weights w: the least index with the
 largest positive value Σ_r w_r·A_rj, with that value and the column's rows
 and entries, or None when no value is positive.  :class:`ExplicitColumns`
 lists its columns, prices every one of them, and spans with all of them;
-the Dutch-book membership systems pose their 0/1 point columns through it.
+the point-membership reference (``dutchbook.convexity_membership``), which
+the global-section solve is tested against, poses its 0/1 point columns
+through it.
 The global-section system has one source
 (:func:`scenario.global_section_columns`); it prices by variable
 elimination over the contexts along one flat plan built once per scenario

@@ -254,13 +254,7 @@ def witness_from_verdict(rep: WpsRepresentation, verdict: classifier.TierVerdict
     classifier._refuse_noncontextual(verdict.tier)
     if verdict.tier is classifier.Tier.PROBABILISTIC:
         return _additivity_witness(rep, verdict.certificate)
-    # Padding lives in the excised events, which are null; a combinatorial
-    # representation excises nothing.
-    events = list(rep.maximal_context_events())
-    if not rep.combinatorial:
-        report = excise(rep)
-        events += report.d1 | report.d2
-    nulls, _ = _null_cover(rep, events)
+    nulls, _ = _null_cover(rep)
     if verdict.tier is classifier.Tier.STRONG:
         return _maximal_witness(rep, nulls)
     return _covered_support_witness(rep, nulls, verdict.logical_witness)
@@ -290,7 +284,7 @@ def _require_combinatorial(rep: WpsRepresentation) -> None:
 def strong_subadditivity_violation(rep: WpsRepresentation) -> tuple[bool, Optional[ViolationWitness]]:
     """Do the measure-zero maximal-context events cover the sample space?"""
     _require_combinatorial(rep)
-    nulls, clean = _null_cover(rep, rep.maximal_context_events())
+    nulls, clean = _null_cover(rep)
     if clean:
         return False, None
     return True, _maximal_witness(rep, nulls)
@@ -304,7 +298,7 @@ def logical_subadditivity_violation(rep: WpsRepresentation) -> tuple[bool, Optio
     section exhibiting the violation.
     """
     _require_combinatorial(rep)
-    nulls, clean = _null_cover(rep, rep.maximal_context_events())
+    nulls, clean = _null_cover(rep)
     for _, section in global_section_columns(rep.model.scenario).rows:
         event = rep.event(section)
         if rep.mu_of(event) > 0 and not event & clean:

@@ -222,9 +222,12 @@ def _subset_sums(parts: Sequence[int]) -> list[int]:
     return sums
 
 
-def _null_cover(rep: WpsRepresentation, events: Iterable[Event]) -> tuple[tuple[Event, ...], Event]:
-    """The null events among ``events`` in canonical order, and the points in none of them."""
-    nulls = rep.sorted_events(e for e in events if rep.mu_of(e) == 0)
+def _null_cover(rep: WpsRepresentation) -> tuple[tuple[Event, ...], Event]:
+    """The null maximal-context events and the excised ones in canonical order, and the points in none of them.
+
+    The excised events hold the padding; a combinatorial representation has none."""
+    report = excise(rep)
+    nulls = rep.sorted_events(report.d1 | report.d2 | {e for e in rep.maximal_context_events() if rep.mu_of(e) == 0})
     return nulls, rep.sample_space & ~reduce(or_, nulls, 0)
 
 

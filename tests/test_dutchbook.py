@@ -38,8 +38,8 @@ from contextuality.feasibility import FeasibilityOutcome
 from contextuality.model import deterministic_model
 from contextuality.scenario import global_section_columns, restrict, sections_over
 from contextuality.serialize import certificate_to_dict, dumps, model_to_dict
-from contextuality.violations import additivity_violation, has_classical_extension
-from contextuality.wps import WpsRepresentation, build_combinatorial_rep, build_padded_rep
+from contextuality.violations import additivity_violation, has_classical_extension, tier_violation_witness
+from contextuality.wps import PadPoint, WpsRepresentation, build_combinatorial_rep, build_padded_rep, excise
 from conftest import noisy_cycle, patch_every_layer, solve_nonnegative, standard_paddings
 
 
@@ -156,13 +156,47 @@ class TestFindDutchBook:
         assert "worst case: -1" in capsys.readouterr().out
         assert len(sources) == 1 and built == []
 
-    def test_padded_representations_solve_over_the_points(self, padded_catalog_reps, monkeypatch):
-        rep = padded_catalog_reps["bell"]
+    @pytest.mark.parametrize("name, solves", [
+        ("bell", 1), ("hardy", 1), ("pr-box", 0), ("specker-triangle", 0), ("ghz", 0),
+    ])
+    def test_padded_representations_solve_only_the_global_section_system(self, padded_catalog_reps, name, solves,
+                                                                         monkeypatch):
+        # Padding is excised, so a padded book reads the same verdict as its core: no system over the points.
+        rep = padded_catalog_reps[name]
         sources, built = self._count_solves(monkeypatch)
         certificate = find_dutch_book(rep)
         assert certificate is not None and verify_certificate(rep, certificate)
-        # One global-section solve for the verdict, then one membership system over the points.
-        assert sources == [global_section_columns(rep.model.scenario), *built] and len(built) == 1
+        assert sources == [global_section_columns(rep.model.scenario)] * solves
+        assert built == []
+
+    def test_a_pad_that_would_gain_pays_its_excised_stakes(self):
+        # The pad lies outside every outcome of a and b', and in b = 0 and a' = 0.
+        rep = build_padded_rep(bell_model(), [PadPoint("pad", {"b": {"0"}, "a'": {"0"}})])
+        certificate = find_dutch_book(rep)
+        assert certificate is not None and verify_certificate(rep, certificate)
+        pad = rep.point_index("pad")
+        assert certificate.payoffs(rep)[pad] <= -1
+        # Under the verdict's functional alone the pad would gain; only the excised stakes make it lose.
+        report = excise(rep)
+        core = tuple((e, y) for e, y in certificate.stakes if e not in report.d1 | report.d2)
+        assert len(core) < len(certificate.stakes)
+        assert DutchBookCertificate(core, Fraction(1)).payoffs(rep)[pad] > 0
+
+    @pytest.mark.parametrize("name", ["pr-box", "specker-triangle", "ghz"])
+    def test_a_strong_book_stakes_the_strong_witness(self, padded_catalog_reps, name):
+        rep = padded_catalog_reps[name]
+        certificate = find_dutch_book(rep)
+        assert tuple(e for e, _ in certificate.stakes) == tier_violation_witness(rep, Tier.STRONG).collection
+        assert all(stake == -1 for _, stake in certificate.stakes)
+
+    def test_a_valued_excised_event_is_refused(self, padded_catalog_reps):
+        rep = padded_catalog_reps["bell"]
+        report = excise(rep)
+        mu = dict(rep.mu)
+        mu[min(report.d1 | report.d2)] = Fraction(1, 16)
+        tampered = WpsRepresentation(rep.model, rep.points, rep.transfer, rep.sigma_algebras, mu, rep.combinatorial)
+        with pytest.raises(InternalConsistencyError, match="not measure zero"):
+            dutch_book_table(tampered, classify(rep.model))
 
 
 class TestPayoffTable:
@@ -203,11 +237,11 @@ class TestPayoffTable:
             dutch_book_table(rep, classifier.TierVerdict(Tier.PROBABILISTIC, certificate=forged))
 
     def test_a_contextual_verdict_on_a_convex_model_is_refused(self, control_rep):
-        # A Logical verdict carries no functional, so a model without one ends in a message on either path.
+        # A Logical verdict carries no functional, so a model without one ends in a message on either representation.
         model = control_rep.model
         padded = build_padded_rep(model, standard_paddings(model.scenario))
-        for rep, message in ((control_rep, "admits a global distribution"), (padded, "convex combination")):
-            with pytest.raises(TierMismatchError, match=message):
+        for rep in (control_rep, padded):
+            with pytest.raises(TierMismatchError, match="admits a global distribution"):
                 dutch_book_table(rep, classifier.TierVerdict(Tier.LOGICAL))
 
     @pytest.fixture(scope="class")

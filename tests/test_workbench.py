@@ -234,6 +234,10 @@ class TestCli:
         assert main(["classify", str(path)]) == 0
         assert "tier: Logical" in capsys.readouterr().out
 
+    def test_classify_without_a_model_exits_2(self, capsys):
+        assert main(["classify"]) == 2
+        assert capsys.readouterr().err == "error: supply a model: a catalog name or a path\n"
+
     def test_classify_bad_file_exits_2(self, tmp_path, capsys):
         document = model_to_dict(bell_model())
         document["tables"]["a,b"]["0,0"] = "3/8"
@@ -439,6 +443,17 @@ class TestCli:
             assert capsys.readouterr().out == (f"model: {name}\nno dutch book: the set function is a convex "
                                                "combination of point functionals\n")
         assert builds == []
+
+    def test_dutchbook_noncontextual_structured_is_json(self, tmp_path, capsys):
+        path = tmp_path / "cycle17.json"
+        path.write_text(dumps(model_to_dict(noisy_cycle(17, Fraction(1, 8)))))
+        want = {"model": "cycle17", "tier": "Noncontextual", "dutch_book": None}
+        assert main(["dutchbook", str(path), "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out) == want
+        out = tmp_path / "book.json"
+        assert main(["dutchbook", str(path), "--format", "structured", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text()) == want
 
     def test_dutchbook_prints_payoffs(self, capsys):
         code = main(["dutchbook", "pr-box"])
