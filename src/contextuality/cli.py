@@ -62,7 +62,7 @@ def _resolve_model(args) -> tuple[str, EmpiricalModel]:
     document = load(path)
     kind = document.get("kind")
     if kind == KIND_MODEL:
-        model = model_from_dict(document)
+        model = model_from_dict(document, cap=args.cap)
         report = check_model(model)
         if not report.ok:
             raise SchemaError(f"model file fails the no-signaling check: {report}")
@@ -218,7 +218,7 @@ def _cmd_verify(args) -> int:
     document = load(Path(args.file))
     kind = document.get("kind")
     if kind == KIND_MODEL:
-        model = model_from_dict(document)
+        model = model_from_dict(document, cap=args.cap)
         report = check_model(model)
         if not report.ok:
             sys.stderr.write(str(report) + "\n")

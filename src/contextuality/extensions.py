@@ -5,11 +5,14 @@ event family while agreeing with the stored values on the family itself.
 Concrete forms:
 
 * :class:`CoverExtension`: value of a set is the cheapest finite cover of
-  it drawn from a weighted pool.  Always monotone and subadditive; it is an
-  extension exactly when no family member can be covered more cheaply than
-  its own value, which is verified at construction.  A family that covers
-  its sample space by events of total weight below one admits no
-  subadditive extension at all, and construction fails accordingly.
+  it drawn from a weighted pool: the null family events, each maximal
+  context's atoms (every family event is a union of one maximal context's
+  atoms, valued at their sum), and any extra priced sets.  Always monotone
+  and subadditive; it is an extension exactly when no family member can be
+  covered more cheaply than its own value, which is verified at
+  construction.  A family that covers its sample space by events of total
+  weight below one admits no subadditive extension at all, and
+  construction fails accordingly.
 * :class:`EnvelopeExtension`: the cheapest superset among the family and
   extra priced sets, mu*(E) = min{mu(F) : F in Sigma, F >= E}.  Each
   context's algebra lies in a maximal context's, where mu is a non-negative
@@ -116,9 +119,23 @@ class _MinCoverSolver:
         return best
 
 
-def _family_pool(rep: WpsRepresentation) -> list[tuple[int, Fraction]]:
-    """The event family in canonical order, each event with its stored value."""
-    return [(event, rep.mu[event]) for event in rep.sorted_events(rep.sigma)]
+def _maximal_context_atoms(rep: WpsRepresentation):
+    """Each maximal context's atoms, cut from its single-measurement images, with their values."""
+    for context in rep.model.scenario.maximal_contexts:
+        singles = (e for s, e in rep.transfer.items() if s.domain[0] in context)
+        yield context, [(atom, rep.mu_of(atom)) for atom in _atoms(rep.sample_space, singles)]
+
+
+def _cover_pool(rep: WpsRepresentation) -> list[tuple[int, Fraction]]:
+    """The null family events in canonical order, then each maximal context's valued atoms.
+
+    Every family event is one maximal context's atoms, valued at their sum
+    (``verify_rep``'s ``wc-closure`` and ``wc-measure``), so the atoms cover
+    whatever the family covers, at the same cheapest weight.
+    """
+    nulls = rep.sorted_events(event for event, value in rep.mu.items() if value == 0)
+    return [(event, ZERO) for event in nulls] + [
+        (atom, value) for _, atoms in _maximal_context_atoms(rep) for atom, value in atoms if value]
 
 
 def cheapest_cover_of_space(rep: WpsRepresentation) -> tuple[tuple[int, ...], Fraction]:
@@ -128,7 +145,7 @@ def cheapest_cover_of_space(rep: WpsRepresentation) -> tuple[tuple[int, ...], Fr
     the sample space, and with it the impossibility of any subadditive
     extension.
     """
-    solver = _MinCoverSolver(rep.sample_space, _family_pool(rep))
+    solver = _MinCoverSolver(rep.sample_space, _cover_pool(rep))
     members = solver.cover_members(rep.sample_space)
     total = solver.cover_value(rep.sample_space)
     return rep.sorted_events(members), total
@@ -140,14 +157,13 @@ class CoverExtension:
     kind = "cheapest-cover"
 
     def __init__(self, rep: WpsRepresentation, extra_pool: Sequence[tuple[int, Fraction]] = ()):
-        family = _family_pool(rep)
-        self._solver = _MinCoverSolver(rep.sample_space, family + list(extra_pool))
-        # The whole space first: on representations with a cheap global cover
-        # this fails fast (and such representations admit no subadditive
-        # extension whatsoever).
+        self._solver = _MinCoverSolver(rep.sample_space, _cover_pool(rep) + list(extra_pool))
+        # The whole space first, then the family in canonical order: on
+        # representations with a cheap global cover this fails fast (and such
+        # representations admit no subadditive extension whatsoever).
         full = rep.sample_space
-        ordering = [(full, rep.mu[full])] + [item for item in family if item[0] != full]
-        for event, value in ordering:
+        for event in [full] + [e for e in rep.sorted_events(rep.sigma) if e != full]:
+            value = rep.mu[event]
             got = self._solver.cover_value(event)
             if got != value:
                 raise NotAnExtensionError(
@@ -179,9 +195,8 @@ class EnvelopeExtension:
         self._scale, self._sample_space = scale, rep.sample_space
         self._extra = [(mask, numerator(weight)) for mask, weight in extra]
         self._hulls = []
-        for context in rep.model.scenario.maximal_contexts:
-            singles = (e for s, e in rep.transfer.items() if len(s.domain) == 1 and s.domain[0] in context)
-            atoms = [(atom, numerator(rep.mu_of(atom))) for atom in _atoms(rep.sample_space, singles)]
+        for context, atoms in _maximal_context_atoms(rep):
+            atoms = [(atom, numerator(value)) for atom, value in atoms]
             if any(n < 0 for _, n in atoms):
                 raise NotAnExtensionError(f"an atom over {context!r} carries a negative value")
             self._hulls.append([(atom, n) for atom, n in atoms if n])  # a null atom adds nothing
@@ -302,7 +317,6 @@ def _cover_base_candidates(rep: WpsRepresentation, rng: random.Random) -> list[C
     except NotAnExtensionError:
         return []
     bases: list[CoverExtension] = [base]
-    family = _family_pool(rep)
     for _ in range(_CANDIDATES):
         if len(bases) >= _BASES:
             break
@@ -311,7 +325,7 @@ def _cover_base_candidates(rep: WpsRepresentation, rng: random.Random) -> list[C
         if current == 0:
             continue
         floor = ZERO
-        for event, value in family:
+        for event, value in rep.mu.items():
             shortfall = value - base.value(event & ~extra)
             if shortfall > floor:
                 floor = shortfall

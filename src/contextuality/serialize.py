@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from . import classifier
 from .distribution import Distribution
-from .errors import DomainError, SchemaError
+from .errors import DEFAULT_ENUMERATION_CAP, DomainError, EnumerationCapError, SchemaError
 from .model import EmpiricalModel
 from .scenario import Scenario, global_section_columns, sections_over
 
@@ -133,9 +133,10 @@ def model_to_dict(model: EmpiricalModel) -> dict:
     }
 
 
-def model_from_dict(document: Mapping) -> EmpiricalModel:
+def model_from_dict(document: Mapping, cap: int = DEFAULT_ENUMERATION_CAP) -> EmpiricalModel:
     """Parse a model document.  Structure is validated here; the exact
-    no-signaling condition is the caller's check to run and report."""
+    no-signaling condition is the caller's check to run and report.  A table
+    over more than ``cap`` sections raises :class:`EnumerationCapError`."""
     _check_header(document, KIND_MODEL)
     scenario = _scenario_from_fields(_expect(document, "scenario"), field="scenario.")
     tables_doc = _expect(document, "tables", kind=dict)
@@ -160,7 +161,9 @@ def model_from_dict(document: Mapping) -> EmpiricalModel:
                 raise SchemaError(f"bad section key {section_key!r}", f"{field}.{section_key}") from None
             weights[section] = _fraction_from(raw, f"{field}.{section_key}")
         try:
-            tables[context] = Distribution(scenario, context, weights)
+            tables[context] = Distribution(scenario, context, weights, cap=cap)
+        except EnumerationCapError:
+            raise
         except Exception as exc:
             raise SchemaError(str(exc), field) from None
     try:

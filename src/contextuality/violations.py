@@ -185,9 +185,8 @@ def core_parts(rep: WpsRepresentation, section: Section, core: Optional[Event] =
     """
     if core is None:
         core = excise(rep).z
-    singles = (e for s, e in rep.transfer.items() if len(s.domain) == 1)
     # The parts are pairwise disjoint, so their lowest points give the canonical order.
-    return tuple(sorted(_atoms(rep.event(section) & core, singles), key=lambda e: e & -e))
+    return tuple(sorted(_atoms(rep.event(section) & core, rep.transfer.values()), key=lambda e: e & -e))
 
 
 def marginalization_failure(rep: WpsRepresentation, extension,

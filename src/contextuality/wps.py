@@ -1,11 +1,12 @@
 """Weak-probability-space representations of empirical models.
 
 A representation carries a finite sample space, an injective event-transfer
-map sending each section over a context to a subset of the sample space,
-the event family (one finite algebra per context, glued into a single set
-family), and an exact set function on that family.  The image of a section
-is the intersection of its single-measurement images, since a section is
-determined by its restrictions; ``event`` computes it on any other domain.
+map sending each section to a subset of the sample space, the event family
+(one finite algebra per context, glued into a single set family), and an
+exact set function on that family.  A section is determined by its
+single-measurement restrictions, so its image is the sample space
+intersected with theirs: ``transfer`` stores only the single-measurement
+images, and ``event`` computes every image by that one rule.
 
 Two constructions are provided.  The combinatorial one uses one sample
 point per global section and satisfies the two extra combinatorial
@@ -58,30 +59,44 @@ Event = int
 
 
 class WpsRepresentation:
-    """Sample space, event transfer, event family, and exact set function."""
+    """Sample space, event transfer, event family, and exact set function.
+
+    ``transfer`` holds the image of each single-measurement section; every
+    other image is their intersection (:meth:`event`), and whether the
+    representation is combinatorial is read off them (:attr:`combinatorial`).
+    """
 
     __slots__ = (
         "model", "points", "transfer", "sigma_algebras", "mu",
-        "combinatorial", "sample_space", "_point_index", "_single",
+        "sample_space", "_point_index", "_single",
     )
 
     def __init__(self, model: EmpiricalModel, points: Sequence[str],
                  transfer: Mapping[Section, Event],
                  sigma_algebras: Mapping[tuple, tuple[Event, ...]],
-                 mu: Mapping[Event, Fraction],
-                 combinatorial: bool):
+                 mu: Mapping[Event, Fraction]):
         self.model = model
         self.points = tuple(points)
         self.sample_space = (1 << len(self.points)) - 1
         self.transfer = dict(transfer)
         self.sigma_algebras = {c: tuple(members) for c, members in sigma_algebras.items()}
         self.mu = dict(mu)
-        self.combinatorial = combinatorial
         self._point_index = {p: i for i, p in enumerate(self.points)}
         if len(self._point_index) != len(self.points):
             raise InternalConsistencyError("duplicate sample-space point labels")
         self._single = {(s.domain[0], s.values[0]): event
                         for s, event in self.transfer.items() if len(s.domain) == 1}
+
+    @property
+    def combinatorial(self) -> bool:
+        """Do each measurement's outcome images cover Y with sizes summing to its size?
+
+        That puts every point in exactly one image of each measurement, and so
+        of each context, as one point per global section does."""
+        scenario = self.model.scenario
+        images = [[self._single.get((x, o), 0) for o in scenario.outcomes] for x in scenario.measurements]
+        return all(reduce(or_, row) == self.sample_space and sum(e.bit_count() for e in row) == len(self.points)
+                   for row in images)
 
     # -- canonical orderings and the label boundary ----------------------------
 
@@ -129,12 +144,10 @@ class WpsRepresentation:
     # -- lookups ---------------------------------------------------------------
 
     def event(self, section: Section) -> Event:
-        """The stored image over a context; elsewhere its single-measurement images' intersection."""
-        image = self.transfer.get(section)
-        if image is None and not self.model.scenario.is_context(section.domain):
-            image = self._intersection(zip(section.domain, section.values))
+        """Y intersected with the images of the section's single-measurement restrictions."""
+        image = self._intersection(zip(section.domain, section.values))
         if image is None:
-            raise NotAnEventError(f"no event image stored for {section}")
+            raise NotAnEventError(f"no event image stored for a restriction of {section}")
         return image
 
     def section_of(self, event: Event) -> Section:
@@ -174,7 +187,7 @@ class WpsRepresentation:
         seen: dict[Event, None] = {}
         for context in self.model.scenario.maximal_contexts:
             for s in sections_over(self.model.scenario, context):
-                seen.setdefault(self.transfer[s], None)
+                seen.setdefault(self.event(s), None)
         return tuple(seen)
 
     def __eq__(self, other) -> bool:
@@ -186,7 +199,6 @@ class WpsRepresentation:
             and self.transfer == other.transfer
             and self.sigma_algebras == other.sigma_algebras
             and self.mu == other.mu
-            and self.combinatorial == other.combinatorial
         )
 
     def __repr__(self) -> str:
@@ -320,18 +332,11 @@ def _build(model: EmpiricalModel, pads: tuple[PadPoint, ...],
                 singleton[(m, o)] |= 1 << len(points)
         points.append(pad.label)
 
-    # A context's images intersect those over the context less its last
-    # measurement with a single-measurement image, in enumeration order; its
-    # algebra sums exact values as integer numerators over one denominator.
+    # Each context's algebra sums exact values as integer numerators over one denominator.
     sample_space = (1 << len(points)) - 1
-    transfer: dict[Section, Event] = {}
-    images: dict[tuple, list[Event]] = {(): [sample_space]}
+    transfer = {s: singleton[(x, s.values[0])] for x in scenario.measurements for s in sections_over(scenario, (x,))}
     algebras = []
     for context in all_contexts(scenario):
-        if context:
-            last = [singleton[(context[-1], o)] for o in scenario.outcomes]
-            images[context] = [a & b for a in images[context[:-1]] for b in last]
-        transfer.update(zip(sections_over(scenario, context), images[context]))
         atoms = _atoms(sample_space, (singleton[(x, o)] for x in context for o in scenario.outcomes))
         if 2 ** len(atoms) > cap:
             raise EnumerationCapError(2 ** len(atoms), cap, what="algebra members")
@@ -352,9 +357,7 @@ def _build(model: EmpiricalModel, pads: tuple[PadPoint, ...],
         sigma_algebras[context] = tuple(members)
     value_of = {n: Fraction(n, scale) for n in set(numerators.values())}
     mu = {event: value_of[n] for event, n in numerators.items()}
-
-    combinatorial = _is_combinatorial((images[(x,)] for x in scenario.measurements), sample_space)
-    return WpsRepresentation(model, points, transfer, sigma_algebras, mu, combinatorial), report
+    return WpsRepresentation(model, points, transfer, sigma_algebras, mu), report
 
 
 def _atom_values(model, context, atoms, singleton) -> list[Fraction]:
@@ -379,15 +382,6 @@ def _atom_values(model, context, atoms, singleton) -> list[Fraction]:
     return values
 
 
-def _is_combinatorial(outcome_images: Iterable[list[Event]], sample_space: Event) -> bool:
-    """Do each measurement's outcome images cover the sample space with sizes summing to its size?
-
-    That puts every point in exactly one image of each measurement, and so of each context."""
-    size = sample_space.bit_count()
-    return all(reduce(or_, images, 0) == sample_space and sum(i.bit_count() for i in images) == size
-               for images in outcome_images)
-
-
 # ---------------------------------------------------------------------------
 # Verification
 # ---------------------------------------------------------------------------
@@ -407,23 +401,23 @@ class RepVerdict(Record):
 def verify_rep(rep: WpsRepresentation) -> RepVerdict:
     """Check each defining condition of a representation once, exactly.
 
-    The conditions range over the sections over contexts, the only images
-    stored, and are named as a failure names them: ``transfer-totality``
-    (exactly those sections have images), ``empty-section-image`` (the empty
-    section maps to the sample space Y), ``transfer-injectivity``,
-    ``nonempty-image``, ``sheaf-intersection`` (an image is Y intersected
-    with its single-measurement images, as ``rep.event`` is elsewhere),
-    ``wc-closure`` (each context family is a Boolean algebra on Y, and
-    every valued event lies in one),
-    ``wc-measure`` (an exact probability measure on it), ``ec`` (each image
-    carries its table value), ``me`` (distinct sections of one context
-    overlap in a null event), ``model-compatibility`` (the tables agree on
-    overlaps) and ``flag-accuracy``.
+    The transfer stores the single-measurement images, and every section's
+    image is Y intersected with them (``rep.event``).  The conditions are
+    named as a failure names them: ``transfer-totality`` (every
+    single-measurement section has an image, and no other key is stored),
+    ``transfer-injectivity`` and ``nonempty-image`` over the sections over
+    contexts, ``wc-closure`` (each context family is a Boolean algebra on
+    Y, and every valued event lies in one), ``wc-measure`` (an exact
+    probability measure on it), ``ec`` (each image over a context carries
+    its table value), ``me`` (distinct sections of one context overlap in a
+    null event) and ``model-compatibility`` (the tables agree on overlaps).
 
-    Implied conditions are not checked again.  The sheaf condition and
-    T(empty) = Y give T(s) <= T(s|U) for every restriction.  Under ``ec`` the
+    Implied conditions are not checked again.  The intersection rule gives
+    T(empty) = Y and T(s) <= T(s|U) for every restriction.  Under ``ec`` the
     dual marginalization and compatibility sums are marginals of the model's
     own tables, so they hold exactly when the tables agree on overlaps.
+    Whether a representation is combinatorial is read off its images
+    (``rep.combinatorial``), so it is not a condition.
 
     The verdict lists each failed condition with a concrete counterexample.
     Out-of-range set-function values are reported as warnings, not failures.
@@ -444,31 +438,31 @@ def _verify_rep(rep: WpsRepresentation, report: CompatibilityReport) -> RepVerdi
     def fail(condition: str, detail: str) -> None:
         failures.append(Failure(condition, detail))
 
-    # transfer totality, with the stored images grouped by context, whose
-    # sections the model's tables already hold
-    stored: dict[tuple, list[tuple[Section, Event]]] = {}
-    missing = 0
-    for context in all_contexts(scenario):
-        pairs = stored[context] = []
-        for s in sections_over(scenario, context, cap=math.inf):
-            if s in rep.transfer:
-                pairs.append((s, rep.transfer[s]))
-            else:
-                missing += 1
-                fail("transfer-totality", f"no image stored for {s}")
-    known = {s for pairs in stored.values() for s, _ in pairs}
+    singles = [s for x in scenario.measurements for s in sections_over(scenario, (x,))]
+    for s in singles:
+        if s not in rep.transfer:
+            fail("transfer-totality", f"no image stored for {s}")
+    known = set(singles)
     for s in rep.transfer:
         if s not in known:
-            fail("transfer-totality", f"image stored for {s}, which is not a section over a context")
+            fail("transfer-totality", f"image stored for {s}, which is not a single-measurement section")
 
-    if stored[()] and stored[()][0][1] != full:
-        fail("empty-section-image", "the empty section must map to the whole sample space")
+    # the images over each context, wherever every single-measurement image is stored
+    images: dict[tuple, list[tuple[Section, Event]]] = {}
+    for context in all_contexts(scenario):
+        pairs = images[context] = []
+        for s in sections_over(scenario, context, cap=math.inf):
+            image = rep._intersection(zip(context, s.values))
+            if image is not None:
+                pairs.append((s, image))
+            if context and image == 0:
+                fail("nonempty-image", f"{s} has an empty image")
 
     if len(scenario.outcomes) >= 2:
-        images: dict[Event, Section] = {}
-        for pairs in stored.values():
+        seen: dict[Event, Section] = {}
+        for pairs in images.values():
             for s, image in pairs:
-                other = images.setdefault(image, s)
+                other = seen.setdefault(image, s)
                 if other is not s:
                     fail("transfer-injectivity", f"{other} and {s} share one image")
     else:
@@ -476,18 +470,6 @@ def _verify_rep(rep: WpsRepresentation, report: CompatibilityReport) -> RepVerdi
             "transfer-injectivity",
             "single-outcome scenario: every image is the whole space, injectivity is waived",
         ))
-
-    # non-empty images and the intersection form of the sheaf condition
-    for domain, pairs in stored.items():
-        if not domain:
-            continue
-        for s, image in pairs:
-            if not image:
-                fail("nonempty-image", f"{s} has an empty image")
-            intersection = rep._intersection(zip(domain, s.values))
-            if intersection is not None and image != intersection:
-                fail("sheaf-intersection",
-                     f"{s}: image differs from the intersection of its single-measurement images")
 
     # per-context algebras: closure, exact probability measure, EC, ME; Y and
     # the empty set belong to every one, so their values are checked once
@@ -529,7 +511,7 @@ def _verify_rep(rep: WpsRepresentation, report: CompatibilityReport) -> RepVerdi
 
         holder = next(c for c in scenario.maximal_contexts if set(context) <= set(c))
         marginal = marginalize(rep.model.table(holder), context) if context else None
-        pairs = stored[context]
+        pairs = images[context]
         for s, image in pairs:
             expected = marginal.weight(s) if context else Fraction(1)
             if image not in rep.mu:
@@ -552,12 +534,6 @@ def _verify_rep(rep: WpsRepresentation, report: CompatibilityReport) -> RepVerdi
 
     if not report.ok:
         fail("model-compatibility", str(report.failures[0]))
-
-    # the combinatorial flag, decidable only once every image is stored
-    if not missing:
-        actual = _is_combinatorial(([image for _, image in stored[(x,)]] for x in scenario.measurements), full)
-        if rep.combinatorial != actual:
-            fail("flag-accuracy", f"combinatorial flag is {rep.combinatorial}, computed {actual}")
 
     for event, n in numerator.items():
         if n < 0 or n > scale:

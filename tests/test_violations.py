@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from contextuality import extensions
 from contextuality.catalog import (
     bell_model,
+    catalog,
     hardy_model,
     perturbed_model,
     pr_box_model,
@@ -37,7 +39,9 @@ from contextuality.extensions import (
     ExplicitExtension,
     PointMeasureExtension,
     _MinCoverSolver,
+    _cover_pool,
     canonical_monotone_extension,
+    cheapest_cover_of_space,
     sample_monotone_extensions,
 )
 from contextuality.quantum import experiment_from_dict, experiment_to_dict, quantum_to_empirical, singlet_experiment
@@ -286,7 +290,7 @@ class TestEnvelopeWitnesses:
 
         return WpsRepresentation(rep.model, rep.points + ("twin",), {s: grow(e) for s, e in rep.transfer.items()},
                                  {c: tuple(map(grow, members)) for c, members in rep.sigma_algebras.items()},
-                                 {grow(e): v for e, v in rep.mu.items()}, rep.combinatorial)
+                                 {grow(e): v for e, v in rep.mu.items()})
 
     @classmethod
     def four_reps(cls, model):
@@ -621,7 +625,7 @@ class TestExtensions:
         mu = {event: min(sum(atom_value[a] for a in atoms if a & event) for atoms in hulls) for event in bell_rep.mu}
         assert all(mu[atom] == value for atom, value in atom_value.items())
         tampered = WpsRepresentation(bell_rep.model, bell_rep.points, bell_rep.transfer,
-                                     bell_rep.sigma_algebras, mu, bell_rep.combinatorial)
+                                     bell_rep.sigma_algebras, mu)
         with pytest.raises(NotAnExtensionError, match="negative value"):
             EnvelopeExtension(tampered)
 
@@ -644,7 +648,7 @@ class TestExtensions:
         mu = dict(bell_rep.mu)
         mu[inner] = mu[outer] + Fraction(1, 100)
         tampered = WpsRepresentation(bell_rep.model, bell_rep.points, bell_rep.transfer,
-                                     bell_rep.sigma_algebras, mu, bell_rep.combinatorial)
+                                     bell_rep.sigma_algebras, mu)
         verdict = verify_extension(tampered, StoredValues(tampered, 1), "monotonic")
         assert not verdict.ok
         assert verdict.failures[0].condition == "monotonicity"
@@ -666,7 +670,7 @@ class TestExtensions:
         events = rep.sorted_events(rep.sigma)
 
         def tampered(mu):
-            return WpsRepresentation(rep.model, rep.points, rep.transfer, rep.sigma_algebras, mu, rep.combinatorial)
+            return WpsRepresentation(rep.model, rep.points, rep.transfer, rep.sigma_algebras, mu)
         # Functional candidates: the envelope, the tampered nesting pair of
         # test_functional_non_monotone_family_caught, and random tampering.
         candidates = [(rep, EnvelopeExtension(rep))]
@@ -733,6 +737,72 @@ class TestExtensions:
         candidate = PointMeasureExtension(bell_rep, weights)
         with pytest.raises(NotAnExtensionError):
             verify_extension(bell_rep, candidate, "monotonic")
+
+
+def _family_solver(rep, extra_pool=()):
+    """The cover solver over the whole event family in canonical order, each event at its value.
+
+    The oracle for the cover pool: every family event is one maximal
+    context's atoms valued at their sum, so the atoms must give the same
+    totals, and the solver's first optimal choice the same members."""
+    family = [(event, rep.mu[event]) for event in rep.sorted_events(rep.sigma)]
+    return _MinCoverSolver(rep.sample_space, family + list(extra_pool))
+
+
+def _cover_oracle_reps():
+    reps = []
+    for entry in catalog():
+        for order in ("canonical", "reversed"):
+            reps.append((f"{entry.name}-{order}", build_combinatorial_rep(entry.model, point_order=order)))
+            reps.append((f"{entry.name}-{order}-padded",
+                         build_padded_rep(entry.model, standard_paddings(entry.model.scenario), point_order=order)))
+    return reps + [(f"noisy-cycle-{n}", build_combinatorial_rep(noisy_cycle(n, Fraction(1, 8)))) for n in range(3, 10)]
+
+
+COVER_ORACLE_REPS = _cover_oracle_reps()
+# Exact covers of random events grow fast with the points, and the family
+# oracle's faster still: past 32 points only the cycles' whole space is compared.
+EVENT_ORACLE_REPS = [(name, rep) for name, rep in COVER_ORACLE_REPS
+                     if not name.startswith("noisy-cycle-") or len(rep.points) <= 32]
+
+
+class TestCoverOverAtoms:
+    @pytest.mark.parametrize("rep", [rep for _, rep in COVER_ORACLE_REPS], ids=[name for name, _ in COVER_ORACLE_REPS])
+    def test_cheapest_cover_of_space_matches_the_family_oracle(self, rep):
+        oracle = _family_solver(rep)
+        full = rep.sample_space
+        assert cheapest_cover_of_space(rep) == (rep.sorted_events(oracle.cover_members(full)), oracle.cover_value(full))
+
+    @pytest.mark.parametrize("extra", [False, True], ids=["family", "extra-pool-set"])
+    @pytest.mark.parametrize("rep", [rep for _, rep in EVENT_ORACLE_REPS], ids=[name for name, _ in EVENT_ORACLE_REPS])
+    def test_cover_values_and_members_match_the_family_oracle(self, rep, extra):
+        # Every family event and 200 random events, priced and covered alike,
+        # free events included; with one extra priced pool set as well.
+        rng = random.Random(len(rep.points))
+        pool = [(rep.event_of(rng.sample(rep.points, 2)), Fraction(rng.randint(1, 8), 16))] if extra else []
+        oracle = _family_solver(rep, pool)
+        solver = _MinCoverSolver(rep.sample_space, _cover_pool(rep) + pool)
+        events = list(rep.sorted_events(rep.sigma)) + [rng.getrandbits(len(rep.points)) for _ in range(200)]
+        for event in events:
+            assert solver.cover_value(event) == oracle.cover_value(event)
+            assert solver.cover_members(event) == oracle.cover_members(event)
+
+    def test_the_pool_is_the_null_events_and_the_valued_atoms(self, bell_rep):
+        pool = _cover_pool(bell_rep)
+        nulls = [event for event, weight in pool if weight == 0]
+        assert nulls == list(bell_rep.sorted_events(e for e, v in bell_rep.mu.items() if v == 0))
+        # On a combinatorial representation a maximal context's atoms are its sections' images.
+        scenario = bell_rep.model.scenario
+        images = [bell_rep.event(s) for c in scenario.maximal_contexts for s in sections_over(scenario, c)]
+        assert [(event, weight) for event, weight in pool if weight] == [
+            (image, bell_rep.mu[image]) for image in images if bell_rep.mu[image]]
+
+    def test_noisy_11_cycle_cover_under_a_second(self):
+        rep = build_combinatorial_rep(noisy_cycle(11, Fraction(1, 8)))
+        start = time.perf_counter()
+        members, total = cheapest_cover_of_space(rep)
+        assert time.perf_counter() - start < 1
+        assert total == Fraction(11, 16) and reduce(or_, members) == rep.sample_space
 
 
 class TestAdditiveCover:

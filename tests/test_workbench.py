@@ -296,6 +296,35 @@ class TestCli:
         assert exit_.value.code == 2
         assert f"argument --cap: expected an integer of at least 1, got {value!r}" in capsys.readouterr().err
 
+    @staticmethod
+    def one_context_document(path, n, rows):
+        """A model document whose one context holds n binary measurements, with the given table rows."""
+        names = [f"m{i}" for i in range(n)]
+        path.write_text(json.dumps({
+            "schema_version": 1, "kind": "empirical-model",
+            "scenario": {"measurements": names, "outcomes": ["0", "1"], "maximal_contexts": [names]},
+            "tables": {",".join(names): rows}}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_a_model_document_over_the_cap_exits_3(self, command, tmp_path, capsys):
+        # The table's 2^21 sections trip the default cap before a row is checked.
+        document = self.one_context_document(tmp_path / "wide.json", 21, {})
+        argv = ["classify", document] if command == "classify" else ["verify", "--file", document]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: enumerating 2097152 sections exceeds the cap of 1048576\n"
+
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_a_model_document_reads_the_cap(self, command, tmp_path, capsys):
+        # Three measurements in one context: eight sections in the table, and
+        # eight global sections. --cap 7 trips on the table, not on classify.
+        rows = {",".join(values): "1/8" for values in itertools.product("01", repeat=3)}
+        document = self.one_context_document(tmp_path / "uniform.json", 3, rows)
+        argv = ["classify", document] if command == "classify" else ["verify", "--file", document]
+        assert main([*argv, "--cap", "7"]) == 3
+        assert capsys.readouterr().err == "error: enumerating 8 sections exceeds the cap of 7\n"
+        assert main([*argv, "--cap", "8"]) == 0
+
     def test_a_cap_of_1_is_accepted(self, capsys):
         assert main(["classify", "bell", "--cap", "1"]) == 3
         assert capsys.readouterr().err == "error: enumerating 16 global sections exceeds the cap of 1\n"

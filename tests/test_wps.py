@@ -20,7 +20,7 @@ from contextuality.distribution import Distribution
 from contextuality.errors import DomainError, NotAnEventError, PaddingError
 from contextuality.model import EmpiricalModel, deterministic_model
 from contextuality.record import Failure
-from contextuality.scenario import Scenario, Section, all_contexts, global_section_columns, restrict, sections_over
+from contextuality.scenario import Scenario, Section, global_section_columns, restrict, sections_over
 from conftest import noisy_cycle, patch_every_layer, standard_paddings
 from test_global_sections import ONE_MEASUREMENT, ONE_OUTCOME, THREE_OUTCOME_CYCLE, THREE_OUTCOMES, mixture_model
 from contextuality.wps import (
@@ -97,14 +97,15 @@ class TestCombinatorialConstruction:
         s = scenario.section({"a": "0", "b": "0"})
         assert bell_rep.mu_of(bell_rep.event(s)) == Fraction(1, 2)
 
-    def test_catalog_transfer_holds_the_context_sections(self, bell_rep):
-        assert len(bell_rep.transfer) == 25
-        assert len(build_combinatorial_rep(ghz_model()).transfer) == 125
+    def test_catalog_transfer_holds_the_single_measurement_sections(self, bell_rep):
+        # |M| * |O| images: four binary measurements on bell, six on GHZ.
+        assert len(bell_rep.transfer) == 8
+        assert len(build_combinatorial_rep(ghz_model()).transfer) == 12
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
-    def test_cycle_transfer_holds_the_context_sections(self, n):
-        # The empty section, two per measurement and four per edge.
-        assert len(build_combinatorial_rep(noisy_cycle(n, Fraction(1, 8))).transfer) == 6 * n + 1
+    def test_cycle_transfer_holds_the_single_measurement_sections(self, n):
+        # Two per measurement; every other image is their intersection.
+        assert len(build_combinatorial_rep(noisy_cycle(n, Fraction(1, 8))).transfer) == 2 * n
 
 
 def test_representations_enumerate_sections_over_contexts_only(monkeypatch):
@@ -215,13 +216,14 @@ class TestPaddedConstruction:
 def _with(rep, **changes):
     """A copy of a representation with some of its parts replaced."""
     parts = dict(model=rep.model, points=rep.points, transfer=rep.transfer,
-                 sigma_algebras=rep.sigma_algebras, mu=rep.mu, combinatorial=rep.combinatorial)
+                 sigma_algebras=rep.sigma_algebras, mu=rep.mu)
     parts.update(changes)
     return WpsRepresentation(**parts)
 
 
+A0 = {"a": "0"}
+A1 = {"a": "1"}
 A0B0 = {"a": "0", "b": "0"}
-A0B1 = {"a": "0", "b": "1"}
 
 
 def _section(rep, assignment):
@@ -236,8 +238,13 @@ def _set_image(rep, assignment, image):
 
 def _drop_image(rep):
     transfer = dict(rep.transfer)
-    del transfer[_section(rep, A0B0)]
+    del transfer[_section(rep, A0)]
     return _with(rep, transfer=transfer)
+
+
+def _store_pair_image(rep):
+    # The image it stores is the right one; only single-measurement images may be stored.
+    return _set_image(rep, A0B0, rep.event(_section(rep, A0B0)))
 
 
 def _store_global_image(rep):
@@ -245,26 +252,12 @@ def _store_global_image(rep):
     return _set_image(rep, dict(zip(g.domain, g.values)), rep.event(g))
 
 
-def _shrink_empty_image(rep):
-    return _set_image(rep, {}, rep.sample_space & ~rep.event_of([rep.points[0]]))
-
-
 def _alias_images(rep):
-    return _set_image(rep, A0B0, rep.event(_section(rep, A0B1)))
+    return _set_image(rep, A1, rep.event(_section(rep, A0)))
 
 
 def _empty_image(rep):
-    return _set_image(rep, A0B0, 0)
-
-
-def _widen_image(rep):
-    stray = rep.points_of(rep.event(_section(rep, A0B1)))[0]
-    return _set_image(rep, A0B0, rep.event(_section(rep, A0B0)) | rep.event_of([stray]))
-
-
-def _image_as_its_restriction(rep):
-    # T(s) outside T(s|U): restriction duality fails, and the sheaf check catches it.
-    return _set_image(rep, A0B0, rep.event(_section(rep, {"a": "0"})))
+    return _set_image(rep, A0, 0)
 
 
 def _member_outside_sample_space(rep):
@@ -317,17 +310,13 @@ def _union_valued_off(rep):
     return _with(rep, mu={**rep.mu, union: rep.mu[union] + Fraction(1, 8)})
 
 
-def _padded_flagged_combinatorial(rep):
-    return _with(rep, combinatorial=True)
-
-
 def _signalling_model(rep):
     # Moving 1/8 from (0, 0) to (0, 1) keeps the a-marginal and shifts the b-marginal.
     scenario = rep.model.scenario
     context = ("a", "b")
     weights = dict(rep.model.table(context).weights)
     weights[_section(rep, A0B0)] -= Fraction(1, 8)
-    weights[_section(rep, A0B1)] += Fraction(1, 8)
+    weights[_section(rep, {"a": "0", "b": "1"})] += Fraction(1, 8)
     tables = rep.model.tables
     tables[context] = Distribution(scenario, context, weights)
     return _with(rep, model=EmpiricalModel(scenario, tables))
@@ -336,18 +325,15 @@ def _signalling_model(rep):
 class TestVerifyRepFailures:
     @pytest.mark.parametrize("condition, padded, tamper", [
         ("transfer-totality", False, _drop_image),
+        ("transfer-totality", False, _store_pair_image),
         ("transfer-totality", False, _store_global_image),
-        ("empty-section-image", False, _shrink_empty_image),
         ("transfer-injectivity", False, _alias_images),
         ("nonempty-image", False, _empty_image),
-        ("sheaf-intersection", False, _widen_image),
-        ("sheaf-intersection", False, _image_as_its_restriction),
         ("wc-closure", False, _member_outside_sample_space),
         ("wc-measure", False, _whole_space_valued_two),
         ("wc-measure", False, _union_valued_off),
         ("me", True, _value_pad_overlap),
         ("model-compatibility", False, _signalling_model),
-        ("flag-accuracy", True, _padded_flagged_combinatorial),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_tamper_trips_condition(self, condition, padded, tamper, bell_rep, padded_catalog_reps):
         rep = padded_catalog_reps["bell"] if padded else bell_rep
@@ -407,7 +393,7 @@ class TestVerifyRepFailures:
         tampered_mu[target] = tampered_mu[target] + Fraction(1, 100)
         tampered = WpsRepresentation(
             bell_rep.model, bell_rep.points, bell_rep.transfer,
-            bell_rep.sigma_algebras, tampered_mu, bell_rep.combinatorial,
+            bell_rep.sigma_algebras, tampered_mu,
         )
         verdict = verify_rep(tampered)
         assert not verdict.ok
@@ -421,7 +407,7 @@ class TestVerifyRepFailures:
         algebras[context] = tuple(e for e in algebras[context] if e != removed)
         tampered = WpsRepresentation(
             specker_rep.model, specker_rep.points, specker_rep.transfer,
-            algebras, specker_rep.mu, specker_rep.combinatorial,
+            algebras, specker_rep.mu,
         )
         verdict = verify_rep(tampered)
         assert not verdict.ok
@@ -434,14 +420,6 @@ class TestVerifyRepFailures:
         assert stray == 0b11 and not any(stray in members for members in bell_rep.sigma_algebras.values())
         verdict = verify_rep(_with(bell_rep, mu={**bell_rep.mu, stray: Fraction(1, 16)}))
         assert [str(f) for f in verdict.failures] == ["[wc-closure] an event valued 1/16 lies in no context algebra"]
-
-    def test_wrong_flag_reported(self, bell_rep):
-        tampered = WpsRepresentation(
-            bell_rep.model, bell_rep.points, bell_rep.transfer,
-            bell_rep.sigma_algebras, bell_rep.mu, combinatorial=False,
-        )
-        verdict = verify_rep(tampered)
-        assert any(f.condition == "flag-accuracy" for f in verdict.failures)
 
 
 def _images_by_definition(rep, pads=()):
@@ -461,11 +439,11 @@ def _images_by_definition(rep, pads=()):
 
 class TestMasksAgainstTheDefinition:
     def _check(self, rep, pads=()):
-        # Images are stored over the contexts only; every other one is read
+        # Only the single-measurement images are stored; every image is read
         # through rep.event, and every one decodes back to its section.
         scenario = rep.model.scenario
         images = _images_by_definition(rep, pads)
-        assert set(rep.transfer) == {s for c in all_contexts(scenario) for s in sections_over(scenario, c)}
+        assert set(rep.transfer) == {s for x in scenario.measurements for s in sections_over(scenario, (x,))}
         for s, labels in images.items():
             event = rep.event(s)
             assert rep.points_of(event) == labels, s
@@ -531,6 +509,22 @@ class TestExcision:
         report = excise(rep)
         for event in report.d1 | report.d2:
             assert rep.mu_of(event) == 0
+
+
+PARTITION_CASES = NUMBERED + [("one-outcome", mixture_model(ONE_OUTCOME, 2))]
+
+
+@pytest.mark.parametrize("model", [model for _, model in PARTITION_CASES], ids=[name for name, _ in PARTITION_CASES])
+def test_combinatorial_exactly_when_excision_removes_nothing(model):
+    # rep.combinatorial is read off the single-measurement images: each
+    # measurement's outcome images partition Y exactly when no two of them
+    # overlap and they leave no residue.  Each pad alone breaks one of the two.
+    pads = standard_paddings(model.scenario)
+    reps = [build_combinatorial_rep(model)] + [build_padded_rep(model, p) for p in [pads] + [[pad] for pad in pads]]
+    for rep, expected in zip(reps, [True] + [False] * (len(reps) - 1)):
+        report = excise(rep)
+        assert rep.combinatorial is expected
+        assert rep.combinatorial == (not report.d1 and not report.d2)
 
 
 class TestExtendEvent:
