@@ -28,8 +28,8 @@ from .errors import (
     ScenarioMismatchError,
 )
 from .record import Record
-from .scenario import Section, global_section_columns
-from .wps import Event, WpsRepresentation, _atoms, _indices, _null_cover
+from .scenario import Section, all_contexts, global_section_columns
+from .wps import Event, WpsRepresentation, _indices, _null_cover
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -129,8 +129,7 @@ def convexity_membership(rep: WpsRepresentation,
     point columns are the point-side reference for the global-section solve.
     """
     if restriction is None:
-        events = rep.sorted_events(atom for members in rep.sigma_algebras.values()
-                                   for atom in _atoms(rep.sample_space, members))
+        events = rep.sorted_events(atom for context in all_contexts(rep.model.scenario) for atom in rep.atoms(context))
         verify_against: Iterable[Event] = rep.sorted_events(rep.sigma)
     else:
         # mu_of raises NotAnEventError for a set outside the event family.

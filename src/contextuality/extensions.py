@@ -14,12 +14,13 @@ Concrete forms:
   weight below one admits no subadditive extension at all, and
   construction fails accordingly.
 * :class:`EnvelopeExtension`: the cheapest superset among the family and
-  extra priced sets, mu*(E) = min{mu(F) : F in Sigma, F >= E}.  Each
-  context's algebra lies in a maximal context's, where mu is a non-negative
-  measure (``verify_rep``'s ``wc-closure`` and ``wc-measure``), so mu*(E) is
-  the least over maximal M of mu summed over M's atoms meeting E.  Always
-  monotone, not subadditive in general; an extension exactly when the
-  stored values are monotone on the family, verified at construction.
+  extra priced sets, mu*(E) = min{mu(F) : F in Sigma, F >= E}.  Each family
+  event lies in a context algebra (``verify_rep``'s ``wc-closure``), which
+  its images generate inside a maximal context's, where mu is a non-negative
+  measure (``wc-measure``); so mu*(E) is the least over maximal M of mu
+  summed over M's atoms meeting E.  Always monotone, not subadditive in
+  general; an extension exactly when the stored values are monotone on
+  the family, verified at construction.
 * :class:`PointMeasureExtension` / :class:`ExplicitExtension`: a measure
   given by point weights, and an arbitrary explicit table.
 
@@ -37,7 +38,7 @@ from typing import Mapping, Optional, Sequence
 
 from .distribution import random_rational_weights
 from .errors import InternalConsistencyError, NotAnExtensionError
-from .wps import WpsRepresentation, _atoms, _indices
+from .wps import WpsRepresentation, _indices
 
 ZERO = Fraction(0)
 # sample_monotone_extensions mixes up to _BASES bases, drawn from at most
@@ -119,23 +120,17 @@ class _MinCoverSolver:
         return best
 
 
-def _maximal_context_atoms(rep: WpsRepresentation):
-    """Each maximal context's atoms, cut from its single-measurement images, with their values."""
-    for context in rep.model.scenario.maximal_contexts:
-        singles = (e for s, e in rep.transfer.items() if s.domain[0] in context)
-        yield context, [(atom, rep.mu_of(atom)) for atom in _atoms(rep.sample_space, singles)]
-
-
 def _cover_pool(rep: WpsRepresentation) -> list[tuple[int, Fraction]]:
     """The null family events in canonical order, then each maximal context's valued atoms.
 
-    Every family event is one maximal context's atoms, valued at their sum
-    (``verify_rep``'s ``wc-closure`` and ``wc-measure``), so the atoms cover
-    whatever the family covers, at the same cheapest weight.
+    Every family event lies in a context algebra (``verify_rep``'s
+    ``wc-closure``), so it is a union of one maximal context's atoms, valued
+    at their sum (``wc-measure``): the atoms cover whatever the family
+    covers, at the same cheapest weight.
     """
     nulls = rep.sorted_events(event for event, value in rep.mu.items() if value == 0)
-    return [(event, ZERO) for event in nulls] + [
-        (atom, value) for _, atoms in _maximal_context_atoms(rep) for atom, value in atoms if value]
+    atoms = [atom for context in rep.model.scenario.maximal_contexts for atom in rep.atoms(context)]
+    return [(event, ZERO) for event in nulls] + [(atom, value) for atom in atoms if (value := rep.mu_of(atom))]
 
 
 def cheapest_cover_of_space(rep: WpsRepresentation) -> tuple[tuple[int, ...], Fraction]:
@@ -195,8 +190,8 @@ class EnvelopeExtension:
         self._scale, self._sample_space = scale, rep.sample_space
         self._extra = [(mask, numerator(weight)) for mask, weight in extra]
         self._hulls = []
-        for context, atoms in _maximal_context_atoms(rep):
-            atoms = [(atom, numerator(value)) for atom, value in atoms]
+        for context in rep.model.scenario.maximal_contexts:
+            atoms = [(atom, numerator(rep.mu_of(atom))) for atom in rep.atoms(context)]
             if any(n < 0 for _, n in atoms):
                 raise NotAnExtensionError(f"an atom over {context!r} carries a negative value")
             self._hulls.append([(atom, n) for atom, n in atoms if n])  # a null atom adds nothing

@@ -64,7 +64,8 @@ def _expect(document: Mapping, key: str, field: str | None = None, kind: type = 
 
 def _check_header(document: Mapping, kind: str) -> None:
     version = _expect(document, "schema_version")
-    if version != SCHEMA_VERSION:
+    # Not ==: JSON true and 1.0 both equal 1 in Python.
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {version!r}")
     got = _expect(document, "kind")
     if got != kind:
@@ -150,6 +151,8 @@ def model_from_dict(document: Mapping, cap: int = DEFAULT_ENUMERATION_CAP) -> Em
             raise SchemaError(f"unknown context key {key!r}", field) from None
         if context not in scenario.maximal_contexts:
             raise SchemaError(f"{key!r} is not a maximal context", field)
+        if context in tables:
+            raise SchemaError(f"{key!r} names a context listed before", field)
         weights = {}
         for section_key, raw in rows.items():
             outcomes = tuple(section_key.split(","))
@@ -309,9 +312,19 @@ def dumps(document: Mapping) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object whose keys are all distinct; json.loads alone keeps the last of two."""
+    document = {}
+    for key, value in pairs:
+        if key in document:
+            raise SchemaError(f"key {key!r} is listed twice")
+        document[key] = value
+    return document
+
+
 def loads(text: str) -> dict:
     try:
-        document = json.loads(text)
+        document = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
     except RecursionError:

@@ -434,8 +434,8 @@ def verify_extension(rep: WpsRepresentation, candidate, kind: str = "monotonic",
 
 
 def _generated_algebra(rep: WpsRepresentation, cap: int) -> tuple[Event, ...]:
-    """The algebra generated by the whole event family, as unions of its atoms."""
-    atoms = _atoms(rep.sample_space, rep.sorted_events(rep.sigma))
+    """The algebra generated by the whole event family, as unions of the atoms over every measurement."""
+    atoms = rep.atoms(rep.model.scenario.measurements)
     if 2 ** len(atoms) > cap:
         raise EnumerationCapError(2 ** len(atoms), cap, what="generated-algebra members")
     return tuple(_subset_sums(atoms))

@@ -1,12 +1,13 @@
 """Weak-probability-space representations of empirical models.
 
 A representation carries a finite sample space, an injective event-transfer
-map sending each section to a subset of the sample space, the event family
-(one finite algebra per context, glued into a single set family), and an
-exact set function on that family.  A section is determined by its
+map sending each section to a subset of the sample space, and an exact set
+function on the event family.  A section is determined by its
 single-measurement restrictions, so its image is the sample space
 intersected with theirs: ``transfer`` stores only the single-measurement
-images, and ``event`` computes every image by that one rule.
+images, and ``event`` computes every image by that one rule.  The images
+over a context generate its algebra, cut from the same stored images
+(``atoms``); the event family glues the algebras.
 
 Two constructions are provided.  The combinatorial one uses one sample
 point per global section and satisfies the two extra combinatorial
@@ -62,24 +63,19 @@ class WpsRepresentation:
     """Sample space, event transfer, event family, and exact set function.
 
     ``transfer`` holds the image of each single-measurement section; every
-    other image is their intersection (:meth:`event`), and whether the
-    representation is combinatorial is read off them (:attr:`combinatorial`).
+    other image is their intersection (:meth:`event`), each context's atoms
+    are cut from them (:meth:`atoms`), and whether the representation is
+    combinatorial is read off them (:attr:`combinatorial`).
     """
 
-    __slots__ = (
-        "model", "points", "transfer", "sigma_algebras", "mu",
-        "sample_space", "_point_index", "_single",
-    )
+    __slots__ = ("model", "points", "transfer", "mu", "sample_space", "_point_index", "_single")
 
     def __init__(self, model: EmpiricalModel, points: Sequence[str],
-                 transfer: Mapping[Section, Event],
-                 sigma_algebras: Mapping[tuple, tuple[Event, ...]],
-                 mu: Mapping[Event, Fraction]):
+                 transfer: Mapping[Section, Event], mu: Mapping[Event, Fraction]):
         self.model = model
         self.points = tuple(points)
         self.sample_space = (1 << len(self.points)) - 1
         self.transfer = dict(transfer)
-        self.sigma_algebras = {c: tuple(members) for c, members in sigma_algebras.items()}
         self.mu = dict(mu)
         self._point_index = {p: i for i, p in enumerate(self.points)}
         if len(self._point_index) != len(self.points):
@@ -97,6 +93,16 @@ class WpsRepresentation:
         images = [[self._single.get((x, o), 0) for o in scenario.outcomes] for x in scenario.measurements]
         return all(reduce(or_, row) == self.sample_space and sum(e.bit_count() for e in row) == len(self.points)
                    for row in images)
+
+    def atoms(self, measurements: Iterable) -> list[Event]:
+        """Y cut by the measurements' single-measurement images, in order, outcomes in scenario order."""
+        outcomes = self.model.scenario.outcomes
+        return _atoms(self.sample_space, (self._single.get((x, o), 0) for x in measurements for o in outcomes))
+
+    @property
+    def sigma_algebras(self) -> dict[tuple, tuple[Event, ...]]:
+        """Each context's algebra: every union of its :meth:`atoms`, listed by :func:`_subset_sums`."""
+        return {c: tuple(_subset_sums(self.atoms(c))) for c in all_contexts(self.model.scenario)}
 
     # -- canonical orderings and the label boundary ----------------------------
 
@@ -197,7 +203,6 @@ class WpsRepresentation:
             self.model == other.model
             and self.points == other.points
             and self.transfer == other.transfer
-            and self.sigma_algebras == other.sigma_algebras
             and self.mu == other.mu
         )
 
@@ -332,32 +337,30 @@ def _build(model: EmpiricalModel, pads: tuple[PadPoint, ...],
                 singleton[(m, o)] |= 1 << len(points)
         points.append(pad.label)
 
-    # Each context's algebra sums exact values as integer numerators over one denominator.
-    sample_space = (1 << len(points)) - 1
+    # Each context's algebra sums exact values as integer numerators over one
+    # denominator; the values fill the representation's mu last.
     transfer = {s: singleton[(x, s.values[0])] for x in scenario.measurements for s in sections_over(scenario, (x,))}
+    rep = WpsRepresentation(model, points, transfer, {})
     algebras = []
     for context in all_contexts(scenario):
-        atoms = _atoms(sample_space, (singleton[(x, o)] for x in context for o in scenario.outcomes))
+        atoms = rep.atoms(context)
         if 2 ** len(atoms) > cap:
             raise EnumerationCapError(2 ** len(atoms), cap, what="algebra members")
         algebras.append((context, atoms, _atom_values(model, context, atoms, singleton)))
     scale = math.lcm(*(v.denominator for _, _, values in algebras for v in values))
-    sigma_algebras: dict[tuple, tuple[Event, ...]] = {}
     numerators: dict[Event, int] = {}
     for context, atoms, values in algebras:
-        members = _subset_sums(atoms)
         sums = _subset_sums([v.numerator * (scale // v.denominator) for v in values])
-        for event, total in zip(members, sums):
+        for event, total in zip(_subset_sums(atoms), sums):
             previous = numerators.setdefault(event, total)
             if previous != total:
                 raise InternalConsistencyError(
                     f"event valued {Fraction(previous, scale)} and {Fraction(total, scale)} "
                     "in different context algebras"
                 )
-        sigma_algebras[context] = tuple(members)
     value_of = {n: Fraction(n, scale) for n in set(numerators.values())}
-    mu = {event: value_of[n] for event, n in numerators.items()}
-    return WpsRepresentation(model, points, transfer, sigma_algebras, mu), report
+    rep.mu = {event: value_of[n] for event, n in numerators.items()}
+    return rep, report
 
 
 def _atom_values(model, context, atoms, singleton) -> list[Fraction]:
@@ -406,18 +409,20 @@ def verify_rep(rep: WpsRepresentation) -> RepVerdict:
     named as a failure names them: ``transfer-totality`` (every
     single-measurement section has an image, and no other key is stored),
     ``transfer-injectivity`` and ``nonempty-image`` over the sections over
-    contexts, ``wc-closure`` (each context family is a Boolean algebra on
-    Y, and every valued event lies in one), ``wc-measure`` (an exact
-    probability measure on it), ``ec`` (each image over a context carries
-    its table value), ``me`` (distinct sections of one context overlap in a
-    null event) and ``model-compatibility`` (the tables agree on overlaps).
+    contexts, ``wc-closure`` (every valued event lies in some context
+    algebra), ``wc-measure`` (each context algebra carries an exact
+    probability measure), ``ec`` (each image over a context carries its
+    table value), ``me`` (distinct sections of one context overlap in a null
+    event) and ``model-compatibility`` (the tables agree on overlaps).
 
     Implied conditions are not checked again.  The intersection rule gives
-    T(empty) = Y and T(s) <= T(s|U) for every restriction.  Under ``ec`` the
-    dual marginalization and compatibility sums are marginals of the model's
-    own tables, so they hold exactly when the tables agree on overlaps.
-    Whether a representation is combinatorial is read off its images
-    (``rep.combinatorial``), so it is not a condition.
+    T(empty) = Y and T(s) <= T(s|U) for every restriction.  Each context's
+    algebra is generated on Y by its images (``rep.atoms``), so it is a
+    Boolean algebra of subsets of Y holding every image over the context.
+    Under ``ec`` the dual marginalization and compatibility sums are
+    marginals of the model's own tables, so they hold exactly when the
+    tables agree on overlaps.  Whether a representation is combinatorial is
+    read off its images (``rep.combinatorial``), so it is not a condition.
 
     The verdict lists each failed condition with a concrete counterexample.
     Out-of-range set-function values are reported as warnings, not failures.
@@ -471,43 +476,25 @@ def _verify_rep(rep: WpsRepresentation, report: CompatibilityReport) -> RepVerdi
             "single-outcome scenario: every image is the whole space, injectivity is waived",
         ))
 
-    # per-context algebras: closure, exact probability measure, EC, ME; Y and
-    # the empty set belong to every one, so their values are checked once
+    # per-context algebras: exact probability measure, EC, ME; Y and the
+    # empty set belong to every one, so their values are checked once
     if rep.mu.get(full) != 1:
         fail("wc-measure", f"whole space valued {rep.mu.get(full)}")
     if rep.mu.get(0) != 0:
         fail("wc-measure", "empty set has non-zero value")
+    algebra_members: set[Event] = set()
     for context in all_contexts(scenario):
-        if context not in rep.sigma_algebras:
-            fail("wc-closure", f"no algebra stored for context {context!r}")
-            continue
-        members = set(rep.sigma_algebras[context])
-        # A family of subsets of Y is a Boolean algebra exactly when it holds
-        # every union of its membership classes, i.e. 2^(class count) members.
-        atoms = _atoms(full, members)
-        closure_ok = False
-        if any(member & ~full for member in members):
-            fail("wc-closure", f"a member of the algebra over {context!r} leaves the sample space")
-        elif len(members) != 2 ** len(atoms):
-            fail("wc-closure", f"algebra over {context!r} has {len(members)} members, "
-                               f"not 2^{len(atoms)} for its {len(atoms)} atoms")
-        else:
-            closure_ok = True
-
+        atoms = rep.atoms(context)
+        members = _subset_sums(atoms)
+        algebra_members.update(members)
         if any(a not in rep.mu for a in members):
             fail("wc-measure", f"no value stored for a member of the algebra over {context!r}")
             continue
-        if closure_ok:
-            # Under closure every non-empty member is the atom of its lowest
-            # point plus a member with one atom fewer, so additivity over the
-            # atoms holds exactly when each such split adds up.
-            for member in members:
-                low = member & -member
-                atom = next((a for a in atoms if a & low), 0)
-                if numerator[member] != numerator[member & ~atom] + numerator[atom]:
-                    fail("wc-measure", f"additivity fails over {context!r}: member valued {rep.mu[member]}, "
-                                       f"its lowest atom {rep.mu[atom]} and the rest {rep.mu[member & ~atom]}")
-                    break
+        for member, total in zip(members, _subset_sums([numerator[a] for a in atoms])):
+            if numerator[member] != total:
+                fail("wc-measure", f"additivity fails over {context!r}: member valued {rep.mu[member]}, "
+                                   f"its atoms summing to {Fraction(total, scale)}")
+                break
 
         holder = next(c for c in scenario.maximal_contexts if set(context) <= set(c))
         marginal = marginalize(rep.model.table(holder), context) if context else None
@@ -527,7 +514,7 @@ def _verify_rep(rep: WpsRepresentation, report: CompatibilityReport) -> RepVerdi
                 elif rep.mu[inter] != 0:
                     fail("me", f"overlap of {s} and {t} has value {rep.mu[inter]}")
 
-    if stray := rep.mu.keys() - set().union(*rep.sigma_algebras.values()):
+    if stray := rep.mu.keys() - algebra_members:
         fail("wc-closure", f"an event valued {rep.mu[min(stray)]} lies in no context algebra")
     if any(n < 0 for n in numerator.values()):
         fail("wc-measure", f"negative value {min(rep.mu.values())}")

@@ -26,7 +26,7 @@ from contextuality.feasibility import ExplicitColumns, FarkasCertificate, Feasib
 from contextuality.model import EmpiricalModel, check_model
 from contextuality.quantum import _real, snap_to_rational
 from contextuality.scenario import Scenario, Section, restrict, sections_over
-from contextuality.wps import PadPoint, build_combinatorial_rep, build_padded_rep
+from contextuality.wps import PadPoint, WpsRepresentation, build_combinatorial_rep, build_padded_rep
 
 
 def standard_paddings(scenario: Scenario) -> list[PadPoint]:
@@ -49,6 +49,15 @@ def standard_paddings(scenario: Scenario) -> list[PadPoint]:
     pad2 = {m: (o0,) for m in ms}
     pad2[second] = ()
     return pads + [PadPoint("pad-outcomeless", pad2)]
+
+
+def with_twin_of_point_0(rep: WpsRepresentation) -> WpsRepresentation:
+    """The representation with a new last point in exactly the events that hold point 0."""
+    def grow(e):
+        return e | 1 << len(rep.points) if e & 1 else e
+
+    return WpsRepresentation(rep.model, rep.points + ("twin",), {s: grow(e) for s, e in rep.transfer.items()},
+                             {grow(e): v for e, v in rep.mu.items()})
 
 
 def noisy_cycle(n: int, p: Fraction) -> EmpiricalModel:

@@ -194,7 +194,7 @@ class TestFindDutchBook:
         report = excise(rep)
         mu = dict(rep.mu)
         mu[min(report.d1 | report.d2)] = Fraction(1, 16)
-        tampered = WpsRepresentation(rep.model, rep.points, rep.transfer, rep.sigma_algebras, mu)
+        tampered = WpsRepresentation(rep.model, rep.points, rep.transfer, mu)
         with pytest.raises(InternalConsistencyError, match="not measure zero"):
             dutch_book_table(tampered, classify(rep.model))
 
@@ -468,7 +468,7 @@ class TestHierarchyOnTheGlobalSectionSource:
         mu = dict(rep.mu)
         mu[rep.event(source)] -= amount
         mu[rep.event(target)] += amount
-        return WpsRepresentation(rep.model, rep.points, rep.transfer, rep.sigma_algebras, mu)
+        return WpsRepresentation(rep.model, rep.points, rep.transfer, mu)
 
     def test_event_values_apart_from_the_tables_are_caught(self, reps, control_rep):
         # The model's solve is transported, so a representation whose maximal-context

@@ -132,7 +132,7 @@ class TestWeakHvRepresentation:
         tampered_mu = dict(rep.mu)
         tampered_mu[target] = tampered_mu[target] + Fraction(1, 64)
         tampered = WpsRepresentation(
-            rep.model, rep.points, rep.transfer, rep.sigma_algebras, tampered_mu
+            rep.model, rep.points, rep.transfer, tampered_mu
         )
         report = weak_hv_report(tampered, singlet_experiment())
         assert not report.ok
@@ -150,7 +150,7 @@ class TestWeakHvRepresentation:
             mu = dict(rep.mu)
             for event in raised:
                 mu[event] += Fraction(1, 7)
-            tampered = WpsRepresentation(rep.model, rep.points, rep.transfer, rep.sigma_algebras, mu)
+            tampered = WpsRepresentation(rep.model, rep.points, rep.transfer, mu)
             report = weak_hv_report(tampered, experiment)
             assert [f.condition for f in report.failures] == conditions
             assert report.failures[-1].detail == "spanning set ('up', 'down') atoms sum to 8/7"
@@ -160,7 +160,7 @@ class TestWeakHvRepresentation:
         rep = build_combinatorial_rep(quantum_to_empirical(experiment))
         atom = rep.event(rep.model.scenario.section({"up": "1", "down": "0"}))
         mu = {event: value for event, value in rep.mu.items() if event != atom}
-        tampered = WpsRepresentation(rep.model, rep.points, rep.transfer, rep.sigma_algebras, mu)
+        tampered = WpsRepresentation(rep.model, rep.points, rep.transfer, mu)
         report = weak_hv_report(tampered, experiment)
         assert [str(f) for f in report.failures] == [
             "[spanning-classicality] algebra of spanning set ('up', 'down') leaves the event family"]

@@ -76,7 +76,7 @@ from contextuality.wps import (
     excise,
     verify_rep,
 )
-from conftest import noisy_cycle, standard_paddings
+from conftest import noisy_cycle, standard_paddings, with_twin_of_point_0
 
 
 @pytest.fixture(scope="module")
@@ -283,21 +283,11 @@ class TestEnvelopeWitnesses:
         assert "witness verified" in capsys.readouterr().out
 
     @staticmethod
-    def with_twin_of_point_0(rep):
-        """The representation with a new last point in exactly the events that hold point 0."""
-        def grow(e):
-            return e | 1 << len(rep.points) if e & 1 else e
-
-        return WpsRepresentation(rep.model, rep.points + ("twin",), {s: grow(e) for s, e in rep.transfer.items()},
-                                 {c: tuple(map(grow, members)) for c, members in rep.sigma_algebras.items()},
-                                 {grow(e): v for e, v in rep.mu.items()})
-
-    @classmethod
-    def four_reps(cls, model):
+    def four_reps(model):
         """The canonical, reversed, padded and twin-point representations of a model."""
         reps = [build_combinatorial_rep(model), build_combinatorial_rep(model, point_order="reversed"),
                 build_padded_rep(model, standard_paddings(model.scenario))]
-        reps.append(cls.with_twin_of_point_0(reps[0]))
+        reps.append(with_twin_of_point_0(reps[0]))
         assert verify_rep(reps[-1]).ok
         return reps
 
@@ -624,8 +614,7 @@ class TestExtensions:
         atom_value[bell_rep.event(scenario.section({"a": "0", "b": "1"}))] = Fraction(-1, 8)
         mu = {event: min(sum(atom_value[a] for a in atoms if a & event) for atoms in hulls) for event in bell_rep.mu}
         assert all(mu[atom] == value for atom, value in atom_value.items())
-        tampered = WpsRepresentation(bell_rep.model, bell_rep.points, bell_rep.transfer,
-                                     bell_rep.sigma_algebras, mu)
+        tampered = WpsRepresentation(bell_rep.model, bell_rep.points, bell_rep.transfer, mu)
         with pytest.raises(NotAnExtensionError, match="negative value"):
             EnvelopeExtension(tampered)
 
@@ -647,8 +636,7 @@ class TestExtensions:
         assert not inner & ~outer
         mu = dict(bell_rep.mu)
         mu[inner] = mu[outer] + Fraction(1, 100)
-        tampered = WpsRepresentation(bell_rep.model, bell_rep.points, bell_rep.transfer,
-                                     bell_rep.sigma_algebras, mu)
+        tampered = WpsRepresentation(bell_rep.model, bell_rep.points, bell_rep.transfer, mu)
         verdict = verify_extension(tampered, StoredValues(tampered, 1), "monotonic")
         assert not verdict.ok
         assert verdict.failures[0].condition == "monotonicity"
@@ -670,7 +658,7 @@ class TestExtensions:
         events = rep.sorted_events(rep.sigma)
 
         def tampered(mu):
-            return WpsRepresentation(rep.model, rep.points, rep.transfer, rep.sigma_algebras, mu)
+            return WpsRepresentation(rep.model, rep.points, rep.transfer, mu)
         # Functional candidates: the envelope, the tampered nesting pair of
         # test_functional_non_monotone_family_caught, and random tampering.
         candidates = [(rep, EnvelopeExtension(rep))]

@@ -66,6 +66,27 @@ from contextuality.violations import (
 from contextuality.wps import build_combinatorial_rep
 from conftest import json_paths, mutate, noisy_cycle
 
+UNIFORM_PAIR_TABLE = {key: "1/4" for key in ("0,0", "0,1", "1,0", "1,1")}
+
+
+def bell_listing_a_name_twice(name: str) -> str:
+    """Bell's model document with its (a, b) table listed again, as 'b,a' or as a second 'tables' key.
+
+    Uniform tables are Noncontextual, so a reader keeping the last listing
+    would classify a different model than the one it was given."""
+    document = model_to_dict(bell_model())
+    if name == "context":
+        document["tables"]["b,a"] = UNIFORM_PAIR_TABLE
+        return json.dumps(document)
+    text = json.dumps(document)
+    uniform = {key: UNIFORM_PAIR_TABLE for key in document["tables"]}
+    return text[:text.rindex("}")] + f', "tables": {json.dumps(uniform)}}}'
+
+
+def bell_book_document() -> dict:
+    rep = build_combinatorial_rep(bell_model())
+    return certificate_to_dict(rep, find_dutch_book(rep))
+
 
 class TestRoundTrips:
     def test_scenario_round_trip(self):
@@ -135,6 +156,14 @@ class TestSchemaErrors:
         document = scenario_to_dict(bell_model().scenario)
         with pytest.raises(SchemaError, match="kind"):
             model_from_dict(document)
+
+    @pytest.mark.parametrize("name, message", [
+        ("context", r"^'b,a' names a context listed before \(at tables\.b,a\)$"),
+        ("json-key", r"^key 'tables' is listed twice$"),
+    ], ids=["context", "json-key"])
+    def test_a_name_listed_twice_rejected(self, name, message):
+        with pytest.raises(SchemaError, match=message):
+            model_from_dict(loads(bell_listing_a_name_twice(name)))
 
 
 class TestExports:
@@ -512,7 +541,11 @@ class TestCli:
         {"kind": "dutch-book-certificate", "stakes": [5], "loss_bound": "1"},
         {"kind": "violation-witness", "violation": "MonotonicAdditivity", "collection": [],
          "defect": "1", "support": {}},
-    ], ids=["stakes-not-a-list", "stake-not-an-object", "support-without-context"])
+        # Bell's own book, under a version that only equals 1 in Python.
+        {**bell_book_document(), "schema_version": True},
+        {**bell_book_document(), "schema_version": 1.0},
+    ], ids=["stakes-not-a-list", "stake-not-an-object", "support-without-context", "schema-version-true",
+            "schema-version-float"])
     def test_verify_malformed_document_exits_2(self, document, tmp_path, capsys):
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps({"schema_version": 1, **document}))
@@ -644,9 +677,10 @@ class TestCli:
         ("singlet", ("state", 0), float("nan")),
         ("singlet", ("tolerance",), float("nan")),
         ("singlet", ("tolerance",), True),
+        ("bell", ("tables", "b,a"), UNIFORM_PAIR_TABLE),
     ], ids=["context-not-a-list", "context-as-string", "state-not-a-list", "projector-not-an-object",
             "matrix-not-a-list", "ragged-matrix", "tolerance-not-a-number", "label-with-comma",
-            "overflowing-entry", "nan-state", "nan-tolerance", "tolerance-true"])
+            "overflowing-entry", "nan-state", "nan-tolerance", "tolerance-true", "context-listed-twice"])
     def test_classify_malformed_document_exits_2(self, base, path, value, tmp_path, capsys):
         if base == "singlet":
             document = experiment_to_dict(singlet_experiment())
@@ -663,6 +697,12 @@ class TestCli:
         assert err.startswith("error: ")
         # The message names the broken field, not a later symptom of it.
         assert [key for key in path if isinstance(key, str)][-1] in err
+
+    def test_classify_document_listing_a_key_twice_exits_2(self, tmp_path, capsys):
+        file = tmp_path / "malformed.json"
+        file.write_text(bell_listing_a_name_twice("json-key"))
+        assert main(["classify", str(file)]) == 2
+        assert capsys.readouterr().err == "error: key 'tables' is listed twice\n"
 
     @pytest.mark.parametrize("kind, path, field", [
         ("model", ("tables", "a,b", "0,0"), "tables.a,b.0,0"),

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,12 +22,13 @@ from contextuality.distribution import Distribution
 from contextuality.errors import DomainError, NotAnEventError, PaddingError
 from contextuality.model import EmpiricalModel, deterministic_model
 from contextuality.record import Failure
-from contextuality.scenario import Scenario, Section, global_section_columns, restrict, sections_over
-from conftest import noisy_cycle, patch_every_layer, standard_paddings
+from contextuality.scenario import Scenario, Section, all_contexts, global_section_columns, restrict, sections_over
+from conftest import noisy_cycle, patch_every_layer, standard_paddings, with_twin_of_point_0
 from test_global_sections import ONE_MEASUREMENT, ONE_OUTCOME, THREE_OUTCOME_CYCLE, THREE_OUTCOMES, mixture_model
 from contextuality.wps import (
     PadPoint,
     WpsRepresentation,
+    _atoms,
     build_combinatorial_rep,
     build_padded_rep,
     excise,
@@ -215,8 +218,7 @@ class TestPaddedConstruction:
 
 def _with(rep, **changes):
     """A copy of a representation with some of its parts replaced."""
-    parts = dict(model=rep.model, points=rep.points, transfer=rep.transfer,
-                 sigma_algebras=rep.sigma_algebras, mu=rep.mu)
+    parts = dict(model=rep.model, points=rep.points, transfer=rep.transfer, mu=rep.mu)
     parts.update(changes)
     return WpsRepresentation(**parts)
 
@@ -261,22 +263,14 @@ def _empty_image(rep):
 
 
 def _member_outside_sample_space(rep):
-    context = ("a", "b")
+    # Every algebra is cut from Y, so a valued event with a point beyond it lies in none.
     target = rep.event(_section(rep, A0B0))
     grown = target | 1 << len(rep.points)  # a point beyond the sample space
-    algebras = dict(rep.sigma_algebras)
-    algebras[context] = tuple(grown if e == target else e for e in algebras[context])
-    return _with(rep, sigma_algebras=algebras, mu={**rep.mu, grown: rep.mu[target]})
+    return _with(rep, mu={**rep.mu, grown: rep.mu[target]})
 
 
 def _whole_space_valued_two(rep):
     return _with(rep, mu={**rep.mu, rep.sample_space: Fraction(2)})
-
-
-def _drop_algebra(rep):
-    algebras = dict(rep.sigma_algebras)
-    del algebras[("a", "b")]
-    return _with(rep, sigma_algebras=algebras)
 
 
 def _a_equals_b(rep):
@@ -343,7 +337,6 @@ class TestVerifyRepFailures:
         assert condition in {f.condition for f in verdict.failures}
 
     @pytest.mark.parametrize("condition, detail, tamper", [
-        ("wc-closure", "no algebra stored for context ('a', 'b')", _drop_algebra),
         ("wc-measure", "no value stored for a member of the algebra over ('a', 'b')", _drop_member_value),
         ("wc-measure", "whole space valued 2", _whole_space_valued_two),
         ("wc-measure", "empty set has non-zero value", _empty_set_valued_eighth),
@@ -392,26 +385,11 @@ class TestVerifyRepFailures:
         tampered_mu = dict(bell_rep.mu)
         tampered_mu[target] = tampered_mu[target] + Fraction(1, 100)
         tampered = WpsRepresentation(
-            bell_rep.model, bell_rep.points, bell_rep.transfer,
-            bell_rep.sigma_algebras, tampered_mu,
+            bell_rep.model, bell_rep.points, bell_rep.transfer, tampered_mu,
         )
         verdict = verify_rep(tampered)
         assert not verdict.ok
         assert any(f.condition == "ec" for f in verdict.failures)
-
-    def test_missing_intersection_reports_closure(self, specker_rep):
-        scenario = specker_rep.model.scenario
-        context = ("a", "b")
-        removed = specker_rep.event(scenario.section({"a": "0", "b": "0"}))
-        algebras = dict(specker_rep.sigma_algebras)
-        algebras[context] = tuple(e for e in algebras[context] if e != removed)
-        tampered = WpsRepresentation(
-            specker_rep.model, specker_rep.points, specker_rep.transfer,
-            algebras, specker_rep.mu,
-        )
-        verdict = verify_rep(tampered)
-        assert not verdict.ok
-        assert any(f.condition == "wc-closure" for f in verdict.failures)
 
     def test_valued_event_outside_every_algebra_reports_closure(self, bell_rep):
         # Points 0 and 1 make up no member of any context algebra of bell, so a
@@ -420,6 +398,44 @@ class TestVerifyRepFailures:
         assert stray == 0b11 and not any(stray in members for members in bell_rep.sigma_algebras.values())
         verdict = verify_rep(_with(bell_rep, mu={**bell_rep.mu, stray: Fraction(1, 16)}))
         assert [str(f) for f in verdict.failures] == ["[wc-closure] an event valued 1/16 lies in no context algebra"]
+
+
+FORMS = ("canonical", "reversed", "padded", "twin")
+
+BUILT = (
+    [(f"{entry.name}-{form}", entry.model, form) for entry in catalog() for form in FORMS]
+    + [(f"noisy-cycle-{n}", noisy_cycle(n, Fraction(1, 8)), "canonical") for n in range(3, 10)]
+    + [(name, mixture_model(scenario, seed), "canonical") for name, scenario, seed in (
+        ("one-outcome", ONE_OUTCOME, 2), ("three-outcome", THREE_OUTCOMES, 0),
+        ("three-outcome-cycle", THREE_OUTCOME_CYCLE, 0))]
+)
+
+
+def _built(model, form):
+    """The model's canonical, reversed, padded or twin-point representation."""
+    if form == "padded":
+        return build_padded_rep(model, standard_paddings(model.scenario))
+    rep = build_combinatorial_rep(model, point_order="reversed" if form == "reversed" else "canonical")
+    return with_twin_of_point_0(rep) if form == "twin" else rep
+
+
+@pytest.mark.parametrize("model, form", [(model, form) for _, model, form in BUILT], ids=[name for name, _, _ in BUILT])
+def test_context_algebras_are_generated_by_the_single_images(model, form):
+    rep = _built(model, form)
+    scenario = rep.model.scenario
+    algebras = rep.sigma_algebras
+    assert list(algebras) == list(all_contexts(scenario))
+    # The glued algebras are the event family.
+    assert set().union(*algebras.values()) == rep.mu.keys()
+    for context, members in algebras.items():
+        atoms = rep.atoms(context)
+        assert all(atoms) and reduce(or_, atoms, 0) == rep.sample_space
+        assert sum(atom.bit_count() for atom in atoms) == len(rep.points)
+        held = set(members)
+        assert all(rep.event(s) in held for s in sections_over(scenario, context))
+    # Oracle: the atoms that the whole event family generates.
+    oracle = _atoms(rep.sample_space, rep.sorted_events(rep.sigma))
+    assert sorted(rep.atoms(scenario.measurements)) == sorted(oracle)
 
 
 def _images_by_definition(rep, pads=()):
