@@ -8,6 +8,7 @@ run with ``pytest tests/test_acceptance.py -v -s`` to see them.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
@@ -460,9 +461,12 @@ def test_11_extension_document_pool(tmp_path, capsys):
     start = time.monotonic()
     rng = random.Random(3611)
     failures, documents = [], 0
+    serial = itertools.count()
 
     def verify(model_path, document, expected, label):
-        path = tmp_path / "extension.json"
+        # A fresh file per document: rewriting one file truncates it, and ext4 then flushes it
+        # to disk on close, so the bound would time the disk rather than ``verify``.
+        path = tmp_path / f"extension-{next(serial)}.json"
         path.write_text(dumps(document))
         code = main(["verify", str(model_path), "--file", str(path)])
         err = capsys.readouterr().err
@@ -473,7 +477,7 @@ def test_11_extension_document_pool(tmp_path, capsys):
 
     for name, model in _extension_pool():
         rep = build_combinatorial_rep(model)
-        model_path = tmp_path / "model.json"
+        model_path = tmp_path / f"model-{next(serial)}.json"
         model_path.write_text(dumps(model_to_dict(model)))
         extensions = [("canonical", canonical_monotone_extension(rep)), ("envelope", EnvelopeExtension(rep))]
         extensions += [(f"sample-{i}", e) for i, e in enumerate(
