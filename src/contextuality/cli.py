@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -80,10 +82,20 @@ def _snapped(document: dict, args) -> EmpiricalModel:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+    """Write ``text`` to stdout, or over the file ``out`` in place.
+
+    The file is not truncated on open: ext4 flushes a file truncated to zero
+    when it is closed, a disk wait as long as the command itself.  The old
+    tail is cut after the write, and only on a regular file, since
+    ``/dev/null`` and pipes cannot be truncated.  The rewrite is not atomic.
+    """
+    if not out:
         sys.stdout.write(text)
+        return
+    with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+        handle.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate()
 
 
 def _yesno(flag: bool) -> str:

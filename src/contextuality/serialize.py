@@ -312,19 +312,52 @@ def dumps(document: Mapping) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
+class _RepeatedKey(Exception):
+    """Raised by :func:`_unique_keys`; :func:`loads` then finds where the key repeats."""
+
+
+class _Pairs(list):
+    """A JSON object read as its (key, value) pairs, in document order."""
+
+
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     """A JSON object whose keys are all distinct; json.loads alone keeps the last of two."""
-    document = {}
-    for key, value in pairs:
-        if key in document:
-            raise SchemaError(f"key {key!r} is listed twice")
-        document[key] = value
+    document = dict(pairs)
+    if len(document) < len(pairs):
+        raise _RepeatedKey
     return document
+
+
+def _repeated_key(value: Any, path: str = "") -> tuple[str, str] | None:
+    """The first key listed twice in one object and its field, in the order
+    json.loads closes the objects: an object after everything inside it."""
+    if isinstance(value, _Pairs):
+        seen, repeated = set(), None
+        for key, item in value:
+            field = f"{path}.{key}" if path else key
+            found = _repeated_key(item, field)
+            if found:
+                return found
+            if key in seen and repeated is None:
+                repeated = key, field
+            seen.add(key)
+        return repeated
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            found = _repeated_key(item, f"{path}[{i}]")
+            if found:
+                return found
+    return None
 
 
 def loads(text: str) -> dict:
     try:
-        document = json.loads(text, object_pairs_hook=_unique_keys)
+        try:
+            document = json.loads(text, object_pairs_hook=_unique_keys)
+        except _RepeatedKey:
+            # Only a rejected document is read a second time, to name the field.
+            key, field = _repeated_key(json.loads(text, object_pairs_hook=_Pairs))
+            raise SchemaError(f"key {key!r} is listed twice", field) from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
     except RecursionError:

@@ -215,10 +215,13 @@ def _indices(event: Event):
     """The indices of an event's points, ascending."""
     if event < 0:
         raise DomainError("an event mask cannot be negative")
-    while event:
-        low = event & -event
-        yield low.bit_length() - 1
-        event ^= low
+    # One pass over the binary digits, low bit first; clearing the lowest
+    # bit instead copies the |Y|-bit mask at every point.
+    bits = bin(event)[:1:-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
 
 
 def _atoms(full: Event, generators: Iterable[Event]) -> list[Event]:

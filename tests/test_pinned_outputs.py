@@ -2,8 +2,9 @@
 
 Each CLI command runs in process on the five catalog models and the bundled
 singlet experiment document.  A command that writes a document (``--out``)
-is pinned by the document's sha256, every other command by the sha256 of
-its stdout.  Demos 01-04 must print exactly their stored transcripts.
+is pinned by the document's sha256, written to a new file and over a
+longer one, every other command by the sha256 of its stdout.  Demos 01-04
+must print exactly their stored transcripts.
 Refactors of the representation layers must leave all of these unchanged.
 """
 
@@ -76,17 +77,32 @@ def singlet_path(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("model, command", sorted(PINNED), ids=lambda v: v)
-def test_cli_bytes_are_pinned(model, command, singlet_path, tmp_path):
+def _written(model: str, command: str, singlet_path: Path, out: Path) -> bytes:
+    """The bytes a pinned command writes: its ``--out`` document, or else its stdout."""
     target = str(singlet_path) if model == "singlet" else model
-    out = tmp_path / "document.json"
     head, *flags = COMMANDS[command]
     argv = [head, target] + [flag.replace("{out}", str(out)) for flag in flags]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main(argv)
     assert code == 0
-    written = out.read_bytes() if out.exists() else stdout.getvalue().encode("utf-8")
+    return out.read_bytes() if "--out" in flags else stdout.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("model, command", sorted(PINNED), ids=lambda v: v)
+def test_cli_bytes_are_pinned(model, command, singlet_path, tmp_path):
+    written = _written(model, command, singlet_path, tmp_path / "document.json")
+    assert hashlib.sha256(written).hexdigest() == PINNED[(model, command)]
+
+
+@pytest.mark.parametrize("model, command", [key for key in sorted(PINNED) if "--out" in COMMANDS[key[1]]],
+                         ids=lambda v: v)
+def test_out_over_a_longer_file_is_pinned(model, command, singlet_path, tmp_path):
+    # --out writes over the file in place, so the old file's tail must be cut.
+    out = tmp_path / "document.json"
+    document = _written(model, command, singlet_path, out)
+    out.write_bytes(document + b"stale tail\n" * len(document))
+    written = _written(model, command, singlet_path, out)
     assert hashlib.sha256(written).hexdigest() == PINNED[(model, command)]
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import functools
 import io
 import itertools
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -70,7 +72,8 @@ UNIFORM_PAIR_TABLE = {key: "1/4" for key in ("0,0", "0,1", "1,0", "1,1")}
 
 
 def bell_listing_a_name_twice(name: str) -> str:
-    """Bell's model document with its (a, b) table listed again, as 'b,a' or as a second 'tables' key.
+    """Bell's model document with its (a, b) table listed again, as 'b,a' or as a second 'tables' key,
+    or with a zero '0,0' row listed before the table's own.
 
     Uniform tables are Noncontextual, so a reader keeping the last listing
     would classify a different model than the one it was given."""
@@ -79,6 +82,8 @@ def bell_listing_a_name_twice(name: str) -> str:
         document["tables"]["b,a"] = UNIFORM_PAIR_TABLE
         return json.dumps(document)
     text = json.dumps(document)
+    if name == "json-section-key":
+        return text.replace('"a,b": {', '"a,b": {"0,0": "0", ', 1)
     uniform = {key: UNIFORM_PAIR_TABLE for key in document["tables"]}
     return text[:text.rindex("}")] + f', "tables": {json.dumps(uniform)}}}'
 
@@ -159,11 +164,24 @@ class TestSchemaErrors:
 
     @pytest.mark.parametrize("name, message", [
         ("context", r"^'b,a' names a context listed before \(at tables\.b,a\)$"),
-        ("json-key", r"^key 'tables' is listed twice$"),
-    ], ids=["context", "json-key"])
+        ("json-key", r"^key 'tables' is listed twice \(at tables\)$"),
+        ("json-section-key", r"^key '0,0' is listed twice \(at tables\.a,b\.0,0\)$"),
+    ], ids=["context", "json-key", "json-section-key"])
     def test_a_name_listed_twice_rejected(self, name, message):
         with pytest.raises(SchemaError, match=message):
             model_from_dict(loads(bell_listing_a_name_twice(name)))
+
+    @pytest.mark.parametrize("text, message", [
+        ('[{"a": 1, "a": 2}]', "key 'a' is listed twice (at [0].a)"),
+        ('{"x": [{"b": 1}, {"c": {"d": 1, "d": 2}}]}', "key 'd' is listed twice (at x[1].c.d)"),
+        # json.loads closes an inner object before its parent, so the inner repeat is named.
+        ('{"a": 1, "a": {"b": 1, "b": 2}}', "key 'b' is listed twice (at a.b)"),
+        ('{"a": 1, "b": {"c": 1}, "a": 2, "b": 3}', "key 'a' is listed twice (at a)"),
+    ])
+    def test_a_json_key_listed_twice_is_located(self, text, message):
+        with pytest.raises(SchemaError) as raised:
+            loads(text)
+        assert str(raised.value) == message
 
 
 class TestExports:
@@ -293,6 +311,27 @@ class TestCli:
         assert main([arg.format(**paths) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_out_to_a_device_or_a_pipe_exits_0(self, tmp_path, capsys):
+        # Neither can be truncated; the old tail is cut on regular files only.
+        assert main(["witness", "bell", "--format", "structured", "--out", os.devnull]) == 0
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            read = pool.submit(fifo.read_bytes)
+            assert main(["witness", "bell", "--format", "structured", "--out", str(fifo)]) == 0
+            assert main(["witness", "bell", "--format", "structured"]) == 0
+            assert read.result(timeout=60) == capsys.readouterr().out.encode("utf-8")
+        assert capsys.readouterr().err == ""
+
+    def test_out_rewrites_leave_exactly_the_last_document(self, tmp_path, capsys):
+        out = tmp_path / "document.json"
+        for argv in (["witness", "bell"], ["dutchbook", "ghz"], ["witness", "bell"]):
+            argv += ["--format", "structured"]
+            assert main(argv) == 0
+            expected = capsys.readouterr().out.encode("utf-8")
+            assert main(argv + ["--out", str(out)]) == 0
+            assert out.read_bytes() == expected
 
     @pytest.mark.parametrize("command, option, value", [
         ("classify", "--snap-tol", "nan"),
@@ -702,7 +741,13 @@ class TestCli:
         file = tmp_path / "malformed.json"
         file.write_text(bell_listing_a_name_twice("json-key"))
         assert main(["classify", str(file)]) == 2
-        assert capsys.readouterr().err == "error: key 'tables' is listed twice\n"
+        assert capsys.readouterr().err == "error: key 'tables' is listed twice (at tables)\n"
+
+    def test_classify_document_listing_a_section_key_twice_names_its_field(self, tmp_path, capsys):
+        file = tmp_path / "malformed.json"
+        file.write_text(bell_listing_a_name_twice("json-section-key"))
+        assert main(["classify", str(file)]) == 2
+        assert capsys.readouterr().err == "error: key '0,0' is listed twice (at tables.a,b.0,0)\n"
 
     @pytest.mark.parametrize("kind, path, field", [
         ("model", ("tables", "a,b", "0,0"), "tables.a,b.0,0"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -29,6 +30,7 @@ from contextuality.wps import (
     PadPoint,
     WpsRepresentation,
     _atoms,
+    _indices,
     build_combinatorial_rep,
     build_padded_rep,
     excise,
@@ -502,6 +504,27 @@ class TestMasksAgainstTheDefinition:
             bell_rep.points_of(1 << len(bell_rep.points))
         with pytest.raises(DomainError):
             bell_rep.event_key(-1)
+
+    @staticmethod
+    def _indices_by_clearing_bits(event):
+        # The walk _indices replaced: clear the lowest set bit, one point at a time.
+        while event:
+            low = event & -event
+            yield low.bit_length() - 1
+            event ^= low
+
+    @pytest.mark.parametrize("bits", [1, 7, 64, 1_000, 2**12, 2**19])
+    def test_indices_match_the_bit_clearing_walk(self, bits):
+        # The oracle is quadratic in the width, so masks wider than 2^12 bits are sparse.
+        rng = random.Random(bits)
+        mask = rng.getrandbits(bits) if bits <= 2**12 else sum(1 << i for i in rng.sample(range(bits), 300))
+        high = 1 << (bits - 1)
+        for event in (0, high, mask, mask | high | 1, (1 << min(bits, 2**12)) - 1):
+            assert list(_indices(event)) == list(self._indices_by_clearing_bits(event))
+
+    def test_indices_of_a_negative_mask_raise(self):
+        with pytest.raises(DomainError, match="negative"):
+            next(_indices(-5))
 
 
 class TestExcision:
